@@ -162,7 +162,6 @@ class CleanDB:
         execution: str | None = None,
         workers: int | None = None,
         coalesce: bool = True,
-        use_codegen: bool = False,
         sim_filters: bool = True,
         dc_strategy: str = "banded",
         incremental: bool = False,
@@ -195,7 +194,6 @@ class CleanDB:
             # change under them (it may be shared across CleanDB instances).
             self.config = replace(self.config, execution=execution)
         self.coalesce = coalesce
-        self.use_codegen = use_codegen
         self.sim_filters = sim_filters
         from ..cleaning.denial import DC_STRATEGIES
 
@@ -1026,12 +1024,7 @@ class CleanDB:
     # Execution
     # ------------------------------------------------------------------ #
     def execute(self, sql: str) -> QueryResult:
-        """Compile and run a CleanM query; collects every branch output.
-
-        With ``use_codegen=True`` the final level emits a Python script of
-        engine calls (Fig. 2's Code Generator) instead of interpreting the
-        plan; results are identical, per-record overhead lower.
-        """
+        """Compile and run a CleanM query; collects every branch output."""
         plan = self.compile(sql)
         functions = self._query_functions(plan)
         if self.config.execution == "parallel" and self.cluster.has_pool:
@@ -1041,20 +1034,14 @@ class CleanDB:
             stale = verify_handles(self.cluster.pool, self._pinned_map())
             if stale:
                 raise DiagnosticsError(stale, source=sql)
-        if self.use_codegen:
-            from ..physical.codegen import generate_code
-
-            generated = generate_code(plan.dag, self.config)
-            raw = generated.run(self.cluster, dict(self._tables), functions)
-        else:
-            executor = Executor(
-                self.cluster,
-                dict(self._tables),
-                config=self.config,
-                functions=functions,
-                pinned_tables=self._pinned_map(),
-            )
-            raw = executor.execute(plan.dag)
+        executor = Executor(
+            self.cluster,
+            dict(self._tables),
+            config=self.config,
+            functions=functions,
+            pinned_tables=self._pinned_map(),
+        )
+        raw = executor.execute(plan.dag)
         branches: dict[str, list[Any]] = {}
         if isinstance(plan.dag, SharedScanDAG):
             assert isinstance(raw, dict)

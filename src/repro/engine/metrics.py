@@ -181,13 +181,22 @@ class MetricsCollector:
     # the Fig. 8 and DC scale-out benchmarks report (the all-pairs theta
     # strategies charge verified == comparisons: nothing pruned).
     verified: int = 0
+    # Running left-to-right total of ``op.simulated_time``: the budget check
+    # reads it after every operation, so it must not cost a pass over
+    # ``ops`` (a session would slow down with its age).
+    _simulated_time: float = field(default=0.0, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        for op in self.ops:
+            self._simulated_time += op.simulated_time
 
     def record(self, op: OpMetrics) -> None:
         self.ops.append(op)
+        self._simulated_time += op.simulated_time
 
     @property
     def simulated_time(self) -> float:
-        return sum(op.simulated_time for op in self.ops)
+        return self._simulated_time
 
     @property
     def shuffled_records(self) -> int:
@@ -264,6 +273,7 @@ class MetricsCollector:
 
     def reset(self) -> None:
         self.ops.clear()
+        self._simulated_time = 0.0
         self.comparisons = 0
         self.verified = 0
 

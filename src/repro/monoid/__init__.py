@@ -21,6 +21,8 @@ from .expressions import (
     RecordCons,
     UnaryOp,
     Var,
+    compile_expr,
+    compiled,
     evaluate,
 )
 from .monoids import (
@@ -51,7 +53,7 @@ __all__ = [
     "Bind", "Comprehension", "Filter", "Generator", "Qualifier",
     "evaluate_comprehension", "fresh_var",
     "BinOp", "Call", "Const", "Expr", "If", "Lambda", "Merge", "Proj",
-    "RecordCons", "UnaryOp", "Var", "evaluate",
+    "RecordCons", "UnaryOp", "Var", "compile_expr", "compiled", "evaluate",
     "AllMonoid", "AnyMonoid", "AvgMonoid", "BagMonoid", "CountMonoid",
     "FunctionCompositionMonoid", "GroupMonoid", "IterationMonoid", "KMeansAssignMonoid",
     "ListMonoid", "MaxMonoid", "MinMonoid", "Monoid", "MultiGroupMonoid",

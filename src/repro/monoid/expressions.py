@@ -8,6 +8,8 @@ normalizer (``repro.monoid.normalize``) needs.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -28,6 +30,13 @@ class Expr:
 
     def children(self) -> list["Expr"]:
         raise NotImplementedError
+
+    def __getstate__(self) -> dict[str, Any]:
+        """The fields only: the function :func:`compiled` caches on a node
+        neither pickles nor needs to — a worker compiles its own."""
+        state = dict(vars(self))
+        state.pop("_compiled", None)
+        return state
 
 
 @dataclass(frozen=True)
@@ -254,7 +263,17 @@ class Merge(Expr):
 # Evaluation
 # ---------------------------------------------------------------------- #
 
-_BINOPS: dict[str, Callable[[Any, Any], Any]] = {
+def _null_safe(compare: Callable[[Any, Any], Any]) -> Callable[[Any, Any], Any]:
+    """An ordered comparison under SQL's rule that unknown filters the row:
+    a ``None`` operand compares ``False`` instead of raising ``TypeError``
+    (the same rule as ``dc_kernel.null_safe_compare``).  Genuinely
+    mixed-type operands still raise."""
+    return lambda a, b: a is not None and b is not None and compare(a, b)
+
+
+# Shared with ``vectorized.eval_column``, so the evaluators cannot disagree
+# on what an operator means.
+BINOPS: dict[str, Callable[[Any, Any], Any]] = {
     "+": lambda a, b: a + b,
     "-": lambda a, b: a - b,
     "*": lambda a, b: a * b,
@@ -262,17 +281,31 @@ _BINOPS: dict[str, Callable[[Any, Any], Any]] = {
     "%": lambda a, b: a % b,
     "==": lambda a, b: a == b,
     "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
+    "<": _null_safe(lambda a, b: a < b),
+    "<=": _null_safe(lambda a, b: a <= b),
+    ">": _null_safe(lambda a, b: a > b),
+    ">=": _null_safe(lambda a, b: a >= b),
 }
 
 
-def evaluate(expr: Expr, env: dict[str, Any], funcs: dict[str, Callable] | None = None) -> Any:
-    """Interpret an expression under an environment and function registry."""
-    from .comprehension import Comprehension, evaluate_comprehension
+def project(source: Any, attr: str) -> Any:
+    """``source.attr`` for a dict record or any attribute-bearing object."""
+    if isinstance(source, dict):
+        try:
+            return source[attr]
+        except KeyError:
+            raise KeyError(
+                f"record has no attribute {attr!r}; has {sorted(source)}"
+            ) from None
+    return getattr(source, attr)
 
+
+def evaluate(expr: Expr, env: dict[str, Any], funcs: dict[str, Callable] | None = None) -> Any:
+    """Interpret an expression under an environment and function registry.
+
+    The calculus-level interpreter and the reference :func:`compiled` is
+    tested against; the engine's hot paths run the compiled form.
+    """
     if isinstance(expr, Const):
         return expr.value
     if isinstance(expr, Var):
@@ -281,15 +314,7 @@ def evaluate(expr: Expr, env: dict[str, Any], funcs: dict[str, Callable] | None 
         except KeyError:
             raise NameError(f"unbound variable {expr.name!r}") from None
     if isinstance(expr, Proj):
-        source = evaluate(expr.source, env, funcs)
-        if isinstance(source, dict):
-            try:
-                return source[expr.attr]
-            except KeyError:
-                raise KeyError(
-                    f"record has no attribute {expr.attr!r}; has {sorted(source)}"
-                ) from None
-        return getattr(source, expr.attr)
+        return project(evaluate(expr.source, env, funcs), expr.attr)
     if isinstance(expr, RecordCons):
         return {name: evaluate(sub, env, funcs) for name, sub in expr.fields}
     if isinstance(expr, BinOp):
@@ -302,7 +327,7 @@ def evaluate(expr: Expr, env: dict[str, Any], funcs: dict[str, Callable] | None 
                 evaluate(expr.right, env, funcs)
             )
         try:
-            op = _BINOPS[expr.op]
+            op = BINOPS[expr.op]
         except KeyError:
             raise ValueError(f"unknown binary operator {expr.op!r}") from None
         return op(evaluate(expr.left, env, funcs), evaluate(expr.right, env, funcs))
@@ -330,10 +355,131 @@ def evaluate(expr: Expr, env: dict[str, Any], funcs: dict[str, Callable] | None 
             return evaluate(_expr.body, local, funcs)
 
         return closure
-    if isinstance(expr, Comprehension):
-        return evaluate_comprehension(expr, env, funcs)
     if isinstance(expr, Merge):
         return expr.monoid.merge(
             evaluate(expr.left, env, funcs), evaluate(expr.right, env, funcs)
         )
+    # ``.comprehension`` imports this module, so its names resolve here, on
+    # the one node type that needs them, not at the top of every call.
+    from .comprehension import Comprehension, evaluate_comprehension
+
+    if isinstance(expr, Comprehension):
+        return evaluate_comprehension(expr, env, funcs)
     raise TypeError(f"cannot evaluate expression of type {type(expr).__name__}")
+
+
+# ---------------------------------------------------------------------- #
+# Compilation (Fig. 2's code generator, at the expression level)
+# ---------------------------------------------------------------------- #
+
+_INFIX = ("+", "-", "*", "/", "%", "==", "!=")
+_ORDERED = ("<", "<=", ">", ">=")
+# The parser refuses more than 200 nested brackets and a node's template
+# nests its operands at most 3 deep, so a deeper tree compiles in pieces.
+_MAX_DEPTH = 32
+
+
+def _compile(expr: Expr) -> tuple[str, list[Any]]:
+    """Python source for ``expr`` over ``env`` and ``funcs``, plus the values
+    it refers to as ``K0, K1, ...`` — what source text cannot spell:
+    constants (bound by reference, so ``inf``, ``nan`` and unhashable values
+    work), subtrees handed to the interpreter, and the compiled functions of
+    subtrees nested deeper than the parser accepts in one expression."""
+    bound: list[Any] = []
+    temps = itertools.count()
+
+    def bind(value: Any) -> str:
+        bound.append(value)
+        return f"K{len(bound) - 1}"
+
+    def emit(e: Expr, depth: int = 0) -> str:
+        def sub(child: Expr) -> str:
+            return emit(child, depth + 1)
+
+        if depth == _MAX_DEPTH:
+            return f"{bind(compiled(e))}(env, funcs)"
+        if isinstance(e, Const):
+            return bind(e.value)
+        if isinstance(e, Var):
+            return f"env[{e.name!r}]"
+        if isinstance(e, Proj):
+            # Plain dict records (table rows, group records) subscript
+            # inline; dict subclasses and objects go through project().
+            t = f"t{next(temps)}"
+            return (
+                f"({t}[{e.attr!r}] if type({t} := {sub(e.source)}) is dict "
+                f"else project({t}, {e.attr!r}))"
+            )
+        if isinstance(e, RecordCons):
+            return "{" + ", ".join(f"{n!r}: {sub(field)}" for n, field in e.fields) + "}"
+        if isinstance(e, BinOp) and e.op in ("and", "or"):
+            return f"(bool({sub(e.left)}) {e.op} bool({sub(e.right)}))"
+        if isinstance(e, BinOp) and e.op in _INFIX:
+            return f"({sub(e.left)} {e.op} {sub(e.right)})"
+        if isinstance(e, BinOp) and e.op in _ORDERED:
+            # BINOPS' null-safe rule; ``&`` evaluates both operands first,
+            # as evaluate() does.
+            a, b = f"t{next(temps)}", f"t{next(temps)}"
+            return (
+                f"((({a} := {sub(e.left)}) is not None) & "
+                f"(({b} := {sub(e.right)}) is not None) and {a} {e.op} {b})"
+            )
+        if isinstance(e, UnaryOp) and e.op in ("not", "-"):
+            return f"({e.op} {sub(e.operand)})"
+        if isinstance(e, Call):
+            return f"funcs[{e.name!r}]({', '.join(map(sub, e.args))})"
+        if isinstance(e, If):
+            return f"({sub(e.then_branch)} if {sub(e.cond)} else {sub(e.else_branch)})"
+        # Lambda, Comprehension, Merge, operators without a template: the
+        # subtree is interpreted, so it means and fails exactly as
+        # evaluate() says.
+        return f"evaluate({bind(e)}, env, funcs)"
+
+    return emit(expr), bound
+
+
+def compile_expr(expr: Expr) -> str:
+    """The Python expression :func:`compiled` runs for ``expr`` (for
+    inspection; ``K<i>`` are values bound by reference)."""
+    return _compile(expr)[0]
+
+
+@functools.lru_cache(maxsize=512)
+def _builder(source: str) -> Callable[..., Callable]:
+    """Run ``source`` (a ``def build``) once per distinct text: every
+    recompilation of a query, and every partition's task in a worker, then
+    costs one emit pass instead of a Python compile."""
+    scope: dict[str, Any] = {}
+    # This module's globals, so ``evaluate`` and ``project`` resolve when
+    # the generated function is called.
+    exec(source, globals(), scope)
+    return scope["build"]
+
+
+def compiled(expr: Expr) -> Callable[[dict[str, Any], dict[str, Callable] | None], Any]:
+    """``expr`` as a plain Python function of ``(env, funcs)``: no tree walk
+    per record.  Built once per node and cached on it.
+
+    Results, exception types and messages are exactly :func:`evaluate`'s.
+    The generated code does raw lookups; when one fails (an unbound
+    variable, a missing attribute, an unknown function) the interpreter
+    re-runs the expression and raises the error in its own words, so the
+    messages exist in one place.
+    """
+    cached = vars(expr).get("_compiled")
+    if cached is not None:
+        return cached
+    body, bound = _compile(expr)
+    params = "".join(f"K{i}, " for i in range(len(bound)))
+    build = _builder(
+        f"def build({params}EXPR):\n"
+        "    def run(env, funcs=None):\n"
+        "        try:\n"
+        f"            return {body}\n"
+        "        except (KeyError, TypeError):\n"
+        "            return evaluate(EXPR, env, funcs)\n"
+        "    return run\n"
+    )
+    run = build(*bound, expr)
+    object.__setattr__(expr, "_compiled", run)  # nodes are frozen dataclasses
+    return run

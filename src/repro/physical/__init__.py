@@ -1,6 +1,5 @@
 """Physical level — CleanM's third abstraction level (§6)."""
 
-from .codegen import CodeGenerator, GeneratedPlan, compile_expr, generate_code
 from .functions import DEFAULT_FUNCTIONS, prefix, register_function
 from .lower import EXECUTION_BACKENDS, Executor, PhysicalConfig
 from .parallel_exec import ParallelExecutor
@@ -20,7 +19,6 @@ from .theta_join import (
 from .vectorized import EnvBatch, VectorizedExecutor, eval_column
 
 __all__ = [
-    "CodeGenerator", "GeneratedPlan", "compile_expr", "generate_code",
     "DEFAULT_FUNCTIONS", "prefix", "register_function",
     "EXECUTION_BACKENDS", "Executor", "PhysicalConfig",
     "EnvBatch", "VectorizedExecutor", "eval_column",

@@ -21,6 +21,7 @@ each source record; Join merges environments; Nest produces a group record
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -38,7 +39,7 @@ from ..algebra.operators import (
 from ..engine.cluster import Cluster
 from ..engine.dataset import Dataset
 from ..errors import PlanningError, SchemaError
-from ..monoid.expressions import Expr, evaluate
+from ..monoid.expressions import Expr, compiled
 from ..monoid.monoids import Monoid
 from .functions import DEFAULT_FUNCTIONS
 from .theta_join import theta_join_cartesian, theta_join_matrix
@@ -76,7 +77,10 @@ class Executor:
     """Interprets an algebra plan over a cluster and a catalog.
 
     ``catalog`` maps table names to record lists (or Datasets); formats are
-    taken from each Scan node so the per-format scan cost applies.
+    taken from each Scan node so the per-format scan cost applies.  Only the
+    plan is interpreted: each operator compiles its predicate, key and head
+    expressions once (``monoid.expressions.compiled``) and runs the compiled
+    functions per record.
     """
 
     def __init__(
@@ -168,13 +172,36 @@ class Executor:
         raise PlanningError(f"no physical translation for {type(op).__name__}")
 
     # ------------------------------------------------------------------ #
-    def _eval(self, expr: Expr, env: dict) -> Any:
-        return evaluate(expr, env, self.functions)
+    def _fn(self, expr: Expr) -> Callable[[dict], Any]:
+        """``expr`` compiled to a function of the environment."""
+        return functools.partial(compiled(expr), funcs=self.functions)
 
-    def _predicate(self, expr: Expr) -> Callable[[dict], bool]:
+    def _predicate(self, expr: Expr) -> Callable[[dict], Any]:
         if expr == TRUE:
             return lambda env: True
-        return lambda env: bool(self._eval(expr, env))
+        return self._fn(expr)
+
+    def _input(self, op: AlgebraOp, nest_cache: dict[str, Dataset] | None) -> Any:
+        """A row operator's input.
+
+        ``nest_cache`` is set on a row-interpreted DAG branch: the branch
+        stays on the row path down to its Nest, which coalesced branches
+        share by signature.  Everything else goes back through
+        :meth:`execute`, where a backend may claim it.
+        """
+        if nest_cache is not None:
+            if isinstance(op, Nest):
+                signature = op.describe()
+                if signature not in nest_cache:
+                    nest_cache[signature] = self._nest(op)
+                return nest_cache[signature]
+            if isinstance(op, Select):
+                return self._select(op, nest_cache)
+            if isinstance(op, Unnest):
+                return self._unnest(op, nest_cache)
+            if isinstance(op, Reduce):
+                return self._reduce(op, nest_cache)
+        return self.execute(op)
 
     def _scan(self, op: Scan) -> Dataset:
         cache_key = (op.table, op.var)
@@ -195,17 +222,18 @@ class Executor:
         self._scan_cache[cache_key] = ds
         return ds
 
-    def _select(self, op: Select) -> Dataset:
-        child = self.execute(op.child)
+    def _select(self, op: Select, nest_cache: dict[str, Dataset] | None = None) -> Dataset:
+        child = self._input(op.child, nest_cache)
         pred = self._predicate(op.predicate)
         return child.filter(pred, name="select")
 
-    def _unnest(self, op: Unnest) -> Dataset:
-        child = self.execute(op.child)
+    def _unnest(self, op: Unnest, nest_cache: dict[str, Dataset] | None = None) -> Dataset:
+        child = self._input(op.child, nest_cache)
+        path = self._fn(op.path)
         pred = self._predicate(op.predicate)
 
         def expand(env: dict) -> list[dict]:
-            items = self._eval(op.path, env)
+            items = path(env)
             out = []
             if items:
                 for item in items:
@@ -227,13 +255,14 @@ class Executor:
         return self._theta_join(op, left, right)
 
     def _equi_join(self, op: Join, left: Dataset, right: Dataset) -> Dataset:
-        lk, rk = op.left_keys, op.right_keys
+        lk = [self._fn(k) for k in op.left_keys]
+        rk = [self._fn(k) for k in op.right_keys]
 
         def left_key(env: dict) -> Any:
-            return tuple(_freeze(self._eval(k, env)) for k in lk)
+            return tuple(_freeze(k(env)) for k in lk)
 
         def right_key(env: dict) -> Any:
-            return tuple(_freeze(self._eval(k, env)) for k in rk)
+            return tuple(_freeze(k(env)) for k in rk)
 
         keyed_l = left.map(lambda env: (left_key(env), env), name="join:keyL")
         keyed_r = right.map(lambda env: (right_key(env), env), name="join:keyR")
@@ -261,10 +290,10 @@ class Executor:
         return merged
 
     def _theta_join(self, op: Join, left: Dataset, right: Dataset) -> Dataset:
-        pred = op.predicate
+        pred = self._fn(op.predicate)
 
         def pair_pred(l_env: dict, r_env: dict) -> bool:
-            return bool(self._eval(pred, {**l_env, **r_env}))
+            return bool(pred({**l_env, **r_env}))
 
         if self.config.theta == "matrix":
             joined = theta_join_matrix(left, right, pair_pred)
@@ -277,23 +306,23 @@ class Executor:
     def _nest(self, op: Nest) -> Dataset:
         child = self.execute(op.child)
         multi = bool(getattr(op, "multi", False))
-        aggs = op.aggregates
+        key = self._fn(op.key)
+        aggs = [(name, monoid, self._fn(head)) for name, monoid, head in op.aggregates]
 
         if multi:
             def key_records(env: dict) -> list[tuple[Any, dict]]:
-                keys = self._eval(op.key, env)
-                return [(_freeze(k), env) for k in keys]
+                return [(_freeze(k), env) for k in key(env)]
 
             keyed = child.flat_map(key_records, name="nest:multiKey")
         else:
             keyed = child.map(
-                lambda env: (_freeze(self._eval(op.key, env)), env),
+                lambda env: (_freeze(key(env)), env),
                 name="nest:keyBy",
             )
 
         def agg_unit(env: dict) -> dict[str, Any]:
             return {
-                name: monoid.unit(self._eval(head, env))
+                name: monoid.unit(head(env))
                 for name, monoid, head in aggs
             }
 
@@ -340,11 +369,11 @@ class Executor:
             out = out.filter(self._predicate(op.group_predicate), name="nest:having")
         return out
 
-    def _reduce(self, op: Reduce) -> Any:
-        child = self.execute(op.child)
+    def _reduce(self, op: Reduce, nest_cache: dict[str, Dataset] | None = None) -> Any:
+        child = self._input(op.child, nest_cache)
         if op.predicate != TRUE:
             child = child.filter(self._predicate(op.predicate), name="reduce:filter")
-        heads = child.map(lambda env: self._eval(op.head, env), name="reduce:head")
+        heads = child.map(self._fn(op.head), name="reduce:head")
         if _is_collection(op.monoid):
             if op.monoid.idempotent:  # set semantics: drop duplicates
                 return heads.distinct()
@@ -369,55 +398,8 @@ class Executor:
         # Nest results are shared across branches via signature caching.
         nest_cache: dict[str, Dataset] = {}
         for name, branch in zip(names, op.branches):
-            results[name] = self._execute_cached(branch, nest_cache)
+            results[name] = self._input(branch, nest_cache)
         return results
-
-    def _execute_cached(self, op: AlgebraOp, nest_cache: dict[str, Dataset]) -> Any:
-        """Execute a DAG branch, reusing coalesced Nest outputs by signature."""
-        if isinstance(op, Nest):
-            signature = op.describe()
-            if signature not in nest_cache:
-                nest_cache[signature] = self._nest(op)
-            return nest_cache[signature]
-        if isinstance(op, Select):
-            child = self._execute_cached(op.child, nest_cache)
-            return child.filter(self._predicate(op.predicate), name="select")
-        if isinstance(op, Unnest):
-            child = self._execute_cached(op.child, nest_cache)
-            pred = self._predicate(op.predicate)
-
-            def expand(env: dict, _op=op, _pred=pred) -> list[dict]:
-                items = self._eval(_op.path, env)
-                out = []
-                if items:
-                    for item in items:
-                        extended = {**env, _op.var: item}
-                        if _pred(extended):
-                            out.append(extended)
-                if not out and _op.outer:
-                    out.append({**env, _op.var: None})
-                return out
-
-            name = "outerUnnest" if op.outer else "unnest"
-            return child.flat_map(expand, name=name)
-        if isinstance(op, Reduce):
-            inner = op.child
-            child = self._execute_cached(inner, nest_cache)
-            if op.predicate != TRUE:
-                child = child.filter(self._predicate(op.predicate), name="reduce:filter")
-            heads = child.map(lambda env: self._eval(op.head, env), name="reduce:head")
-            if _is_collection(op.monoid):
-                if op.monoid.idempotent:
-                    return heads.distinct()
-                return heads
-            partials = heads.map_partitions(
-                lambda part: [op.monoid.fold(part)], name="reduce:partialFold"
-            )
-            result = op.monoid.zero()
-            for partial in partials.collect():
-                result = op.monoid.merge(result, partial)
-            return result
-        return self.execute(op)
 
 
 def _freeze(value: Any) -> Any:

@@ -4,7 +4,7 @@ The row-path executor (``repro.physical.lower``) interprets every plan on
 the driver process; the vectorized backend (``repro.physical.vectorized``)
 changes the *representation* but still runs single-process.  This module
 keeps the row representation — per-row environment dictionaries, evaluated
-with the exact same ``evaluate`` — and changes *where* the work runs **and
+by the same compiled expressions — and changes *where* the work runs **and
 where the data lives**: each source table is pinned into the worker
 processes' partition store once, every narrow stage (scan binding, filters,
 head projection, map-side combines) dispatches :class:`~repro.engine.
@@ -57,7 +57,7 @@ from ..engine.parallel import (
 )
 from ..engine.shuffle import exchange_resident
 from ..errors import PlanningError, SchemaError
-from ..monoid.expressions import Call, Expr, evaluate
+from ..monoid.expressions import Call, Expr, compiled
 from ..sources.columnar import round_robin_split
 
 # Safe at module load: lower's own module-level imports do not reach back
@@ -87,7 +87,8 @@ _EXEC_SEQ = itertools.count(1)
 # it can ship to a worker under any multiprocessing start method; partition
 # data arrives by StoreRef handle, resolved worker-side.  Each task mirrors
 # the corresponding row-path per-partition logic exactly — same iteration
-# order, same evaluate() — which is what makes the backend result-identical
+# order, same compiled expressions (compiled here, in the worker, from the
+# Expr the task receives) — which is what makes the backend result-identical
 # to ``execution="row"``.
 # ---------------------------------------------------------------------- #
 
@@ -97,16 +98,18 @@ def _bind_task(records: list[Any], var: str) -> list[dict]:
 
 
 def _filter_task(envs: list[dict], predicate: Expr, functions: dict) -> list[dict]:
-    return [env for env in envs if evaluate(predicate, env, functions)]
+    pred = compiled(predicate)
+    return [env for env in envs if pred(env, functions)]
 
 
 def _keyed_task(
     envs: list[dict], key_exprs: tuple[Expr, ...], functions: dict
 ) -> list[tuple[Any, dict]]:
     """Join map side: pair each environment with its frozen key tuple."""
+    keys = [compiled(k) for k in key_exprs]
     return [
         (
-            tuple(_freeze(evaluate(k, env, functions)) for k in key_exprs),
+            tuple(_freeze(k(env, functions)) for k in keys),
             env,
         )
         for env in envs
@@ -120,6 +123,7 @@ def _join_probe_task(
     functions: dict,
 ) -> list[dict]:
     """Join reduce side: build a hash table per partition and probe it."""
+    pred = None if predicate is None else compiled(predicate)
     table: dict[Any, list[dict]] = {}
     for key, env in right_keyed:
         table.setdefault(key, []).append(env)
@@ -127,7 +131,7 @@ def _join_probe_task(
     for key, left_env in left_keyed:
         for right_env in table.get(key, ()):
             merged = {**left_env, **right_env}
-            if predicate is None or evaluate(predicate, merged, functions):
+            if pred is None or pred(merged, functions):
                 out.append(merged)
     return out
 
@@ -139,12 +143,14 @@ def _nest_combine_task(
     functions: dict,
 ) -> list[tuple[Any, dict[str, Any]]]:
     """Nest map side: fold one combiner state per key over a partition."""
+    key_of = compiled(key_expr)
+    heads = [(name, monoid, compiled(head)) for name, monoid, head in aggregates]
     combiners: dict[Any, dict[str, Any]] = {}
     for env in envs:
-        key = _freeze(evaluate(key_expr, env, functions))
+        key = _freeze(key_of(env, functions))
         unit = {
-            name: monoid.unit(evaluate(head, env, functions))
-            for name, monoid, head in aggregates
+            name: monoid.unit(head_of(env, functions))
+            for name, monoid, head_of in heads
         }
         state = combiners.get(key)
         if state is None:
@@ -175,10 +181,11 @@ def _nest_merge_task(
                 name: monoid.merge(existing[name], state[name])
                 for name, monoid, _ in aggregates
             }
+    pred = None if group_predicate is None else compiled(group_predicate)
     out: list[dict] = []
     for key, state in merged.items():
         env = {var: {"key": key, **state}}
-        if group_predicate is None or evaluate(group_predicate, env, functions):
+        if pred is None or pred(env, functions):
             out.append(env)
     return out
 
@@ -188,8 +195,10 @@ def _head_task(
 ) -> list[Any]:
     """Reduce map side: optional filter plus head projection, one dispatch."""
     if predicate is not None:
-        envs = [env for env in envs if evaluate(predicate, env, functions)]
-    return [evaluate(head, env, functions) for env in envs]
+        pred = compiled(predicate)
+        envs = [env for env in envs if pred(env, functions)]
+    head_of = compiled(head)
+    return [head_of(env, functions) for env in envs]
 
 
 def _fold_task(values: list[Any], monoid: Any) -> Any:

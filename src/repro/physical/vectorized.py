@@ -46,6 +46,7 @@ from ..engine.dataset import Dataset
 from ..engine.partitioner import stable_hash
 from ..errors import PlanningError, SchemaError
 from ..monoid.expressions import (
+    BINOPS,
     BinOp,
     Call,
     Const,
@@ -55,6 +56,7 @@ from ..monoid.expressions import (
     RecordCons,
     UnaryOp,
     Var,
+    project,
 )
 from ..sources.columnar import (
     Column,
@@ -186,21 +188,6 @@ class EnvBatch:
 # Column-at-a-time expression evaluation
 # ---------------------------------------------------------------------- #
 
-_VBINOPS: dict[str, Callable[[Any, Any], Any]] = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "/": lambda a, b: a / b,
-    "%": lambda a, b: a % b,
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
-
-
 def eval_column(
     expr: Expr, env: EnvBatch, funcs: dict[str, Callable]
 ) -> list[Any]:
@@ -214,6 +201,8 @@ def eval_column(
     if isinstance(expr, Const):
         return [expr.value] * n
     if isinstance(expr, Var):
+        if expr.name not in env.varspec:  # match the row evaluator's error
+            raise NameError(f"unbound variable {expr.name!r}")
         return env.var_values(expr.name)
     if isinstance(expr, Proj):
         source = expr.source
@@ -224,19 +213,7 @@ def eval_column(
                     f"record has no attribute {expr.attr!r}; has {sorted(fields)}"
                 )
             return env.batch.column(f"{source.name}.{expr.attr}")
-        values = eval_column(source, env, funcs)
-        out = []
-        for value in values:
-            if isinstance(value, dict):
-                try:
-                    out.append(value[expr.attr])
-                except KeyError:
-                    raise KeyError(
-                        f"record has no attribute {expr.attr!r}; has {sorted(value)}"
-                    ) from None
-            else:
-                out.append(getattr(value, expr.attr))
-        return out
+        return [project(value, expr.attr) for value in eval_column(source, env, funcs)]
     if isinstance(expr, RecordCons):
         cols = [(name, eval_column(sub, env, funcs)) for name, sub in expr.fields]
         return [{name: values[i] for name, values in cols} for i in range(n)]
@@ -255,12 +232,12 @@ def eval_column(
                 for i, v in zip(need, right):
                     out[i] = bool(v)
             return out
-        left = eval_column(expr.left, env, funcs)
-        right = eval_column(expr.right, env, funcs)
         try:
-            op = _VBINOPS[expr.op]
+            op = BINOPS[expr.op]
         except KeyError:
             raise ValueError(f"unknown binary operator {expr.op!r}") from None
+        left = eval_column(expr.left, env, funcs)
+        right = eval_column(expr.right, env, funcs)
         return [op(a, b) for a, b in zip(left, right)]
     if isinstance(expr, UnaryOp):
         values = eval_column(expr.operand, env, funcs)

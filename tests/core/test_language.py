@@ -194,34 +194,3 @@ class TestProfile:
         db = CleanDB(num_nodes=2)
         with _pytest.raises(SchemaError):
             db.profile("missing", "k")
-
-
-class TestCodegen:
-    """Fig. 2's Code Generator: same answers, generated script execution."""
-
-    QUERY = (
-        "SELECT * FROM customer c "
-        "FD(c.address, prefix(c.phone)) FD(c.address, c.nationkey) "
-        "DEDUP(exact, LD, 0.2, c.address)"
-    )
-
-    def test_generated_matches_interpreted(self):
-        results = {}
-        for use_codegen in (False, True):
-            db = CleanDB(num_nodes=4, use_codegen=use_codegen)
-            db.register_table("customer", customers())
-            result = db.execute(self.QUERY)
-            results[use_codegen] = {
-                name: len(rows) for name, rows in result.branches.items()
-            }
-        assert results[False] == results[True]
-
-    def test_cluster_by_through_codegen(self):
-        db = CleanDB(num_nodes=4, use_codegen=True, q=2)
-        db.register_table("customer", customers())
-        db.register_table("dictionary", ["customer number 1"])
-        result = db.execute(
-            "SELECT * FROM customer c, dictionary d "
-            "CLUSTER BY(token_filtering, LD, 0.8, c.name)"
-        )
-        assert "cluster_by" in result.branches

@@ -68,6 +68,49 @@ class TestMetricsCollector:
         assert mc.simulated_time == 0.0
         assert mc.comparisons == 0
 
+    def test_running_total_is_the_left_to_right_sum(self):
+        """Bit-identical, not approximately equal: the simulated clock is
+        the reproduction.  Values chosen so float addition order matters."""
+        recorded = [
+            OpMetrics(f"op{i}", [0.1 * i, 1e-9 * i], shuffle_cost=1e12 / (i + 1))
+            for i in range(200)
+        ]
+        mc = MetricsCollector()
+        expected = 0.0
+        for op in recorded:
+            mc.record(op)
+            expected += op.simulated_time
+            assert mc.simulated_time == expected
+        assert mc.summary()["simulated_time"] == expected
+        # A window rebuilds its own total over just its ops.
+        window = 0.0
+        for op in recorded[120:]:
+            window += op.simulated_time
+        snapshot = (120, 0, 0)
+        assert mc.summary_since(snapshot)["simulated_time"] == window
+        mc.reset()
+        mc.record(recorded[3])
+        assert mc.simulated_time == recorded[3].simulated_time
+
+    def test_budget_check_reads_each_op_once(self, monkeypatch):
+        """``record_op`` must not re-sum the session's history: 1000 calls
+        read 1000 op times, so call 1000 costs what call 1 did."""
+        from repro.engine import Cluster
+
+        reads = []
+        real = OpMetrics.simulated_time.fget
+
+        def counting(op):
+            reads.append(op.name)
+            return real(op)
+
+        monkeypatch.setattr(OpMetrics, "simulated_time", property(counting))
+        cluster = Cluster(num_nodes=2, budget=1e9)
+        for i in range(1000):
+            cluster.record_op(f"op{i}", [1.0, 2.0])
+        assert len(reads) == 1000
+        assert cluster.metrics.simulated_time == 2000.0
+
     def test_summary_keys(self):
         mc = MetricsCollector()
         summary = mc.summary()

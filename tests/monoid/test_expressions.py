@@ -1,4 +1,5 @@
-"""Unit tests for the expression IR: evaluation, free vars, substitution."""
+"""Unit tests for the expression IR: evaluation, compilation, free vars,
+substitution."""
 
 import pytest
 
@@ -14,6 +15,8 @@ from repro.monoid import (
     RecordCons,
     UnaryOp,
     Var,
+    compile_expr,
+    compiled,
     evaluate,
 )
 
@@ -91,6 +94,57 @@ class TestEvaluation:
     def test_merge(self):
         expr = Merge(BagMonoid(), Const([1]), Const([2]))
         assert evaluate(expr, {}) == [1, 2]
+
+
+class TestCompileExpr:
+    """The source text ``compiled`` runs (Fig. 2's code generator)."""
+
+    def test_const_is_bound_by_reference(self):
+        assert compile_expr(Const(5)) == "K0"
+        assert compiled(Const(5))({}) == 5
+        marker = object()
+        assert compiled(Const(marker))({}) is marker
+
+    def test_var_and_proj(self):
+        expr = Proj(Var("c"), "name")
+        assert "env['c']" in compile_expr(expr) and "['name']" in compile_expr(expr)
+        assert compiled(expr)({"c": {"name": "ada"}}) == "ada"
+
+    def test_binop(self):
+        expr = BinOp("+", Proj(Var("c"), "age"), Const(3))
+        assert compile_expr(expr).endswith("+ K0)")
+        assert compiled(expr)({"c": {"age": 4}}) == 7
+
+    def test_boolean_ops(self):
+        expr = BinOp("and", Const(True), UnaryOp("not", Const(False)))
+        assert compiled(expr)({}) is True
+
+    def test_call_goes_through_registry(self):
+        expr = Call("prefix", (Var("p"),))
+        assert compile_expr(expr) == "funcs['prefix'](env['p'])"
+        assert compiled(expr)({"p": "123-4"}, {"prefix": lambda s: s[:3]}) == "123"
+
+    def test_record_cons(self):
+        expr = RecordCons.of(a=Const(1), b=Var("x"))
+        assert compiled(expr)({"x": 2}) == {"a": 1, "b": 2}
+
+    def test_if_expression(self):
+        expr = If(Const(True), Const("t"), Const("e"))
+        assert compiled(expr)({}) == "t"
+
+    def test_no_tree_walk_in_the_generated_source(self):
+        expr = BinOp(">", Proj(Var("c"), "age"), Const(3))
+        assert "evaluate(" not in compile_expr(expr)
+
+    def test_unsupported_op_fails_as_the_interpreter_does(self):
+        expr = BinOp("**", Const(2), Const(3))
+        assert "evaluate(" in compile_expr(expr)
+        with pytest.raises(ValueError, match="unknown binary operator"):
+            compiled(expr)({})
+
+    def test_compiled_once_per_node(self):
+        expr = BinOp("+", Var("x"), Const(1))
+        assert compiled(expr) is compiled(expr)
 
 
 class TestFreeVars:

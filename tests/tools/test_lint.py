@@ -114,6 +114,41 @@ class TestRules:
         )
         assert findings == []
 
+    def test_e105_interpreter_call_on_an_engine_path(self, tmp_path):
+        target = tmp_path / "repro" / "physical"
+        target.mkdir(parents=True)
+        (target / "hot.py").write_text(
+            textwrap.dedent(
+                """
+                from ..monoid import expressions
+                from ..monoid.expressions import evaluate as interpret
+
+                def run(expr, envs):
+                    first = [interpret(expr, env) for env in envs]
+                    return first + [expressions.evaluate(expr, env) for env in envs]
+                """
+            )
+        )
+        findings = lint_paths([tmp_path], ALL_RULES, root=tmp_path)
+        assert codes(findings) == ["E105", "E105"]
+
+    def test_e105_other_packages_and_other_evaluates_are_exempt(self, tmp_path):
+        monoid = tmp_path / "repro" / "monoid"
+        engine = tmp_path / "repro" / "engine"
+        monoid.mkdir(parents=True)
+        engine.mkdir(parents=True)
+        # The calculus level is where the interpreter belongs.
+        (monoid / "normalize.py").write_text(
+            "from .expressions import evaluate\n\n"
+            "def fold(expr):\n    return evaluate(expr, {})\n"
+        )
+        # A different function that happens to share the name.
+        (engine / "model.py").write_text(
+            "from .scoring import evaluate\n\n"
+            "def score(m):\n    return evaluate(m) + m.evaluate()\n"
+        )
+        assert lint_paths([tmp_path], ALL_RULES, root=tmp_path) == []
+
     def test_e000_syntax_error_is_reported_not_raised(self, tmp_path):
         findings = lint_source(tmp_path, "def broken(:\n")
         assert codes(findings) == ["E000"]

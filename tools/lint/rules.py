@@ -16,6 +16,10 @@ cannot express and that review alone will not keep true:
   paths; a bare ``loads`` elsewhere turns a poisoned blob into a crash.
 * **E104** — no writes to pool internals outside ``engine/parallel.py``.
   Pool state is guarded by the dispatch lock; outside writers race it.
+* **E105** — no call to ``monoid.expressions.evaluate`` from ``physical/``
+  or ``engine/``.  The tree-walking interpreter is the reference the
+  differential tests compare against; engine paths run the compiled form
+  (``monoid.expressions.compiled``), once per operator, not per record.
 """
 
 from __future__ import annotations
@@ -42,6 +46,9 @@ PICKLE_LOADS_ALLOWED = (
 
 #: The one module allowed to mutate pool internals.
 POOL_WRITE_ALLOWED = ("repro/engine/parallel.py",)
+
+#: Directories whose code runs per record and must not interpret.
+INTERPRETER_FORBIDDEN = ("repro/physical/", "repro/engine/")
 
 _WALL_CLOCK_NAMES = {"time", "perf_counter", "monotonic"}
 
@@ -201,6 +208,45 @@ class PoolStateWriteRule:
                     )
 
 
+class InterpreterCallRule:
+    code = "E105"
+    description = (
+        "engine paths run compiled expressions; monoid.expressions.evaluate "
+        "is the reference interpreter, not a per-record evaluator"
+    )
+
+    def check(self, tree: ast.Module, path: str, source: str) -> Iterator[Finding]:
+        if not any(entry in path for entry in INTERPRETER_FORBIDDEN):
+            return
+        imported = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.module or "").split(".")[-1] in {"expressions", "monoid"}
+            for alias in node.names
+            if alias.name == "evaluate"
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            hit = (isinstance(func, ast.Name) and func.id in imported) or (
+                isinstance(func, ast.Attribute)
+                and func.attr == "evaluate"
+                and _terminal_name(func.value) == "expressions"
+            )
+            if hit:
+                yield Finding(
+                    code=self.code,
+                    message=(
+                        "call to the expression interpreter on an engine "
+                        "path; compile once with monoid.expressions.compiled"
+                    ),
+                    path=path,
+                    line=node.lineno,
+                )
+
+
 def _terminal_name(node: ast.expr) -> str | None:
     """The last identifier of a ``Name`` / dotted ``Attribute`` chain."""
     if isinstance(node, ast.Name):
@@ -223,4 +269,5 @@ ALL_RULES = (
     WallClockRule(),
     BarePickleLoadsRule(),
     PoolStateWriteRule(),
+    InterpreterCallRule(),
 )
