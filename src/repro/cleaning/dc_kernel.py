@@ -30,6 +30,14 @@ conjunction:
 * **Residual predicates** — everything else (``!=``, further
   inequalities) is verified per candidate on pre-extracted value vectors.
 
+**The compiled probe.**  :func:`scan_partition` runs a closure built once
+per :class:`DCPlan` (cached on the plan, never pickled with it): predicate
+operators, index positions and the left filter are resolved up front, a
+left tuple's values are read and null-checked once, each residual
+predicate is one comprehension over the surviving candidates, and the
+reverse-order check of the exactly-once rule is skipped when a strict
+order over one attribute proves both orders cannot violate.
+
 **Null semantics** are three-valued, SQL-style: a comparison with a
 missing or ``None`` operand never *satisfies* a DC predicate (so a null
 can never take part in a violation), instead of raising ``TypeError`` the
@@ -52,9 +60,11 @@ actually touched; they flow into the cluster's ``comparisons`` /
 
 from __future__ import annotations
 
+import operator
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 RID = "_rid"
@@ -62,12 +72,12 @@ RID = "_rid"
 #: Raw comparison table.  Never call these on possibly-null operands —
 #: go through :func:`null_safe_compare`.
 _RAW_OPS: dict[str, Callable[[Any, Any], bool]] = {
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "==": operator.eq,
+    "!=": operator.ne,
 }
 
 #: Operators whose banded range scan the planner can drive.
@@ -257,13 +267,20 @@ class DCPlan:
     sorted range scan (``None`` when the constraint has none), and
     ``residual_idx`` everything verified per candidate.  Indices refer to
     ``constraint.predicates``; the plan itself is picklable and ships to
-    worker processes unchanged.
+    worker processes as these four fields.
     """
 
     constraint: DenialConstraint
     eq_idx: tuple[int, ...]
     band_idx: int | None
     residual_idx: tuple[int, ...]
+
+    def __getstate__(self) -> dict[str, Any]:
+        """The fields only: the probe :func:`_compiled` caches on a plan
+        neither pickles nor needs to — a worker compiles its own."""
+        state = dict(vars(self))
+        state.pop("_compiled", None)
+        return state
 
     @property
     def band(self) -> TuplePredicate | None:
@@ -292,10 +309,8 @@ def plan_dc(
     plain dict records (tests, the repair engine); the engine backends
     plan from the entries they extract anyway.
     """
-    entries = [
-        extract_record(constraint, r.get(RID, i), r, payload=i)
-        for i, r in enumerate(records)
-    ]
+    extract = record_extractor(constraint)
+    entries = [extract(r.get(RID, i), r, i) for i, r in enumerate(records)]
     return plan_dc_entries(constraint, entries, sample=sample)
 
 
@@ -394,38 +409,42 @@ class DCRecord(NamedTuple):
     payload: Any
 
 
-def extract_record(
-    constraint: DenialConstraint, rid: Any, record: dict, payload: Any = None
-) -> DCRecord:
-    """Extract one dict record's comparison vectors (row/parallel paths)."""
-    return DCRecord(
-        rid=rid,
-        fvals=tuple(record.get(f.attr) for f in constraint.left_filters),
-        lvals=tuple(record.get(p.left_attr) for p in constraint.predicates),
-        rvals=tuple(record.get(p.right_attr) for p in constraint.predicates),
-        payload=record if payload is None else payload,
-    )
+def record_extractor(
+    constraint: DenialConstraint,
+) -> Callable[..., DCRecord]:
+    """``extract(rid, record, payload=None)`` for one constraint: a dict
+    record's comparison vectors (row/parallel paths), with the attribute
+    lists resolved once instead of once per record.  ``payload`` defaults
+    to the record itself."""
+    fattrs = [f.attr for f in constraint.left_filters]
+    lattrs = [p.left_attr for p in constraint.predicates]
+    rattrs = [p.right_attr for p in constraint.predicates]
+
+    def extract(rid: Any, record: dict, payload: Any = None) -> DCRecord:
+        get = record.get
+        return DCRecord(
+            rid,
+            tuple(map(get, fattrs)),
+            tuple(map(get, lattrs)),
+            tuple(map(get, rattrs)),
+            record if payload is None else payload,
+        )
+
+    return extract
 
 
-def left_passes(constraint: DenialConstraint, entry: DCRecord) -> bool:
-    """Whether the entry's t1 role survives the single-tuple filters."""
-    return all(
-        null_safe_compare(f.op, value, f.value)
-        for f, value in zip(constraint.left_filters, entry.fvals)
-    )
+def left_filter(constraint: DenialConstraint) -> Callable[[DCRecord], bool]:
+    """``passes(entry)`` for one constraint: whether the entry's t1 role
+    survives the single-tuple filters (null-safe, in declaration order)."""
+    checks = [(_RAW_OPS[f.op], f.value) for f in constraint.left_filters]
 
+    def passes(entry: DCRecord) -> bool:
+        for (op, bound), value in zip(checks, entry.fvals):
+            if value is None or bound is None or not op(value, bound):
+                return False
+        return True
 
-def pair_violates(plan: DCPlan, t1: DCRecord, t2: DCRecord) -> bool:
-    """Full ordered-pair check on extracted vectors (used for the reverse
-    order of symmetric pairs and by the oracle)."""
-    if t1.rid == t2.rid:
-        return False
-    if not left_passes(plan.constraint, t1):
-        return False
-    return all(
-        null_safe_compare(p.op, t1.lvals[i], t2.rvals[i])
-        for i, p in enumerate(plan.constraint.predicates)
-    )
+    return passes
 
 
 # ---------------------------------------------------------------------- #
@@ -465,13 +484,8 @@ def dc_group_key(entry: DCRecord, plan: DCPlan) -> tuple | None:
     :func:`build_dc_index` and the incremental DC state so both classify
     entries identically.
     """
-    key = tuple(entry.rvals[i] for i in plan.eq_idx)
-    if any(_is_null(k) for k in key):
-        return None
-    band_idx = plan.band_idx
-    if band_idx is not None and _is_null(entry.rvals[band_idx]):
-        return None
-    return key
+    group_key, _probe = _compiled(plan)
+    return group_key(entry)
 
 
 def build_dc_index(
@@ -490,12 +504,12 @@ def build_dc_index(
     planning can never change the answer.
     """
     band_idx = plan.band_idx
+    group_key, _probe = _compiled(plan)
     groups: dict[tuple, list[DCRecord]] = {}
     for entry in entries:
-        key = dc_group_key(entry, plan)
-        if key is None:
-            continue
-        groups.setdefault(key, []).append(entry)
+        key = group_key(entry)
+        if key is not None:
+            groups.setdefault(key, []).append(entry)
 
     index: dict[tuple, tuple[list | None, list[DCRecord]]] = {}
     for key, members in groups.items():
@@ -541,61 +555,130 @@ def scan_partition(
     violate, only the rid-ordered one is emitted (see module docstring),
     so partitions never double-report.
     """
-    constraint = plan.constraint
-    preds = constraint.predicates
-    band_idx = plan.band_idx
+    _group_key, probe = _compiled(plan)
+    return probe(left_entries, index, stats, compare_unit)
+
+
+def _compiled(plan: DCPlan) -> tuple[Callable, Callable]:
+    """``(group_key, probe)`` specialised for ``plan``: built on first use
+    and cached on the (frozen) plan, never pickled with it."""
+    cached = vars(plan).get("_compiled")
+    if cached is None:
+        cached = _compile(plan)
+        object.__setattr__(plan, "_compiled", cached)
+    return cached
+
+
+def _compile(plan: DCPlan) -> tuple[Callable, Callable]:
+    """Resolve everything a probe would otherwise look up per candidate:
+    predicate operators, index positions, the left filter, and whether the
+    reverse order of an emitted pair can violate at all."""
+    preds = plan.constraint.predicates
+    eq_idx, band_idx = plan.eq_idx, plan.band_idx
     band_op = preds[band_idx].op if band_idx is not None else None
-    residual = [(i, preds[i].op) for i in plan.residual_idx]
-    out: list[tuple[DCRecord, DCRecord]] = []
-    for t1 in left_entries:
-        key = tuple(t1.lvals[i] for i in plan.eq_idx)
-        if any(_is_null(k) for k in key):
-            continue
-        group = index.get(key)
-        if group is None:
-            continue
-        values, members = group
-        check_band = False
-        if band_idx is not None:
-            left_value = t1.lvals[band_idx]
-            if _is_null(left_value):
+    residual = [(i, _RAW_OPS[preds[i].op]) for i in plan.residual_idx]
+    # An unsortable group verifies the band predicate like a residual.
+    unbanded = [(band_idx, _RAW_OPS.get(band_op)), *residual]
+    every = [(i, _RAW_OPS[p.op]) for i, p in enumerate(preds)]
+    passes = left_filter(plan.constraint)
+    # A strict order over one attribute on both sides holds in at most one
+    # direction, so the reverse of a violating pair never violates.
+    one_way = any(
+        p.op in ("<", ">") and p.left_attr == p.right_attr for p in preds
+    )
+
+    def eq_key(vals: tuple) -> tuple | None:
+        key = tuple([vals[i] for i in eq_idx])
+        for k in key:
+            if k is None or k != k:
+                return None
+        return key
+
+    def group_key(entry: DCRecord) -> tuple | None:
+        rvals = entry.rvals
+        if band_idx is not None and _is_null(rvals[band_idx]):
+            return None
+        return eq_key(rvals)
+
+    def holds(t1: DCRecord, t2: DCRecord) -> bool:
+        """Every cross-tuple predicate on the ordered pair (the reverse
+        order of an emitted pair; rids are known to differ)."""
+        lvals, rvals = t1.lvals, t2.rvals
+        for i, op in every:
+            lv, rv = lvals[i], rvals[i]
+            if lv is None or rv is None or not op(lv, rv):
+                return False
+        return True
+
+    def probe(
+        left_entries: Sequence[DCRecord],
+        index: dict[tuple, tuple[list | None, list[DCRecord]]],
+        stats: DCStats,
+        compare_unit: float,
+    ) -> list[tuple[DCRecord, DCRecord]]:
+        out: list[tuple[DCRecord, DCRecord]] = []
+        # Left-filter verdicts of reverse-checked entries, by identity: one
+        # evaluation per entry per call (the index keeps the entries alive).
+        left_ok: dict[int, bool] = {}
+
+        def mirrored(t1: DCRecord, t2: DCRecord) -> bool:
+            """Whether ``(t2, t1)`` violates too and is the pair to emit."""
+            if not rid_after(t1.rid, t2.rid):
+                return False
+            ok = left_ok.get(id(t2))
+            if ok is None:
+                ok = left_ok[id(t2)] = passes(t2)
+            return ok and holds(t2, t1)
+
+        # Same per-probe additions in the same order as a field update per
+        # probe, so the simulated work is bit-identical.
+        examined, work = stats.examined, stats.work
+        for t1 in left_entries:
+            lvals = t1.lvals
+            key = eq_key(lvals)
+            group = index.get(key) if key is not None else None
+            if group is None:
                 continue
-            if values is None:
-                lo, hi = 0, len(members)  # unsortable group: verify per pair
-                check_band = True
-            else:
-                try:
-                    lo, hi = band_range(band_op, values, left_value)
-                except TypeError:
-                    lo, hi = 0, len(members)
-                    check_band = True
-        else:
-            lo, hi = 0, len(members)
-        span = hi - lo
-        stats.examined += span
-        stats.work += span * compare_unit
-        for t2 in members[lo:hi]:
-            if t1.rid == t2.rid:
-                continue
-            if check_band and not null_safe_compare(
-                band_op, t1.lvals[band_idx], t2.rvals[band_idx]
-            ):
-                continue
-            ok = True
-            for i, op in residual:
-                if not null_safe_compare(op, t1.lvals[i], t2.rvals[i]):
-                    ok = False
+            values, cands = group
+            checks = residual
+            if band_idx is not None:
+                left_value = lvals[band_idx]
+                if left_value is None or left_value != left_value:
+                    continue
+                checks = unbanded  # unsortable group: verify per pair
+                if values is not None:
+                    try:
+                        lo, hi = band_range(band_op, values, left_value)
+                        cands, checks = cands[lo:hi], residual
+                    except TypeError:
+                        pass
+            examined += len(cands)
+            work += len(cands) * compare_unit
+            # t1's side of each predicate is read and null-checked once;
+            # each predicate then filters the survivors in one pass.
+            for i, op in checks:
+                lv = lvals[i]
+                if lv is None:
+                    cands = ()
                     break
-            if not ok:
-                continue
-            # Both orders violating (symmetric constraints): emit only the
-            # rid-ordered pair so the union across partitions/backends
-            # reports each unordered pair exactly once.
-            if rid_after(t1.rid, t2.rid) and pair_violates(plan, t2, t1):
-                continue
-            out.append((t1, t2))
-            stats.pairs += 1
-    return out
+                cands = [
+                    t2
+                    for t2 in cands
+                    if (rv := t2.rvals[i]) is not None and op(lv, rv)
+                ]
+            rid = t1.rid
+            cands = [t2 for t2 in cands if not rid == t2.rid]
+            if not one_way:
+                # Both orders violating (symmetric constraints): emit only
+                # the rid-ordered pair so the union across partitions and
+                # backends reports each unordered pair exactly once.
+                cands = [t2 for t2 in cands if not mirrored(t1, t2)]
+            out.extend(zip(repeat(t1), cands))
+        stats.examined, stats.work = examined, work
+        stats.pairs += len(out)
+        return out
+
+    return group_key, probe
 
 
 def find_violations(
@@ -607,15 +690,12 @@ def find_violations(
     row id.  Returns violating ``(t1, t2)`` record pairs under the same
     null-safe, exactly-once semantics as the engine paths.
     """
-    entries = [
-        extract_record(constraint, r.get(RID, i), r)
-        for i, r in enumerate(records)
-    ]
+    extract = record_extractor(constraint)
+    entries = [extract(r.get(RID, i), r) for i, r in enumerate(records)]
     plan = plan_dc_entries(constraint, entries)
     index = build_dc_index(entries, plan)
-    left = [e for e in entries if left_passes(constraint, e)]
-    stats = DCStats()
+    left = list(filter(left_filter(constraint), entries))
     return [
         (a.payload, b.payload)
-        for a, b in scan_partition(left, index, plan, stats)
+        for a, b in scan_partition(left, index, plan, DCStats())
     ]

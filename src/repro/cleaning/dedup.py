@@ -547,13 +547,29 @@ def deduplicate_columnar(
         filter_unit=cost.filter_unit,
     )
     attr_cols = [
-        {a: [str(v) for v in batch.column(a)] for a in attributes}
-        if all(a in batch.columns for a in attributes)
-        else {a: [str(batch.row(i).get(a, "")) for i in range(len(batch))]
-              for a in attributes}
+        {
+            a: [str(v) for v in batch.column(a)]
+            if a in batch.columns
+            else [""] * len(batch)
+            for a in attributes
+        }
         for batch in batches
     ]
     prepared: dict[tuple[int, int], PreparedRecord] = {}
+    # Late materialization: the batches hold the round-robin layout of
+    # ``records``, so a reported (partition, row) reference names a source
+    # dict; a table without rids stamps each reported row once per call.
+    source = round_robin_split(records, n)
+    stamped: dict[tuple[int, int], dict] = {}
+
+    def source_row(ready: PreparedRecord) -> dict:
+        p, i = ready.payload
+        if has_rids:
+            return source[p][i]
+        row = stamped.get(ready.payload)
+        if row is None:
+            row = stamped[ready.payload] = {**source[p][i], RID: ready.rid}
+        return row
 
     def prep(ref: tuple[int, int]) -> PreparedRecord:
         ready = prepared.get(ref)
@@ -573,9 +589,7 @@ def deduplicate_columnar(
         for rows in groups.values():
             ready = [prep(ref) for ref in rows]
             for a, b in join.join_members(ready):
-                left = _rebuild_row(batches[a.payload[0]], a.payload[1], a.rid, has_rids)
-                right = _rebuild_row(batches[b.payload[0]], b.payload[1], b.rid, has_rids)
-                out.append(DuplicatePair(a.rid, b.rid, left, right))
+                out.append(DuplicatePair(a.rid, b.rid, source_row(a), source_row(b)))
         per_part_work.append(stats.work - work_before)
         out_parts.append(out)
     cluster.charge_comparisons(stats.candidates)
@@ -607,10 +621,3 @@ def _block_key_column(batch: Any, key_spec: BlockSpec, attributes: Sequence[str]
     return [
         tuple(None if v is _MISSING else v for v in vals) for vals in zip(*cols)
     ]
-
-
-def _rebuild_row(batch: Any, index: int, rid: Any, has_rids: bool) -> dict:
-    row = batch.row(index)
-    if not has_rids:
-        row = {**row, RID: rid}
-    return row

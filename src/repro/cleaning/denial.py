@@ -44,8 +44,8 @@ from .dc_kernel import (
     SingleFilter,
     TuplePredicate,
     build_dc_index,
-    extract_record,
-    left_passes,
+    left_filter,
+    record_extractor,
     null_safe_compare,
     plan_dc_entries,
     scan_partition,
@@ -557,12 +557,9 @@ def check_dc_banded(dataset: Dataset, constraint: DenialConstraint) -> Dataset:
     n_records = sum(len(p) for p in parts)
     unit = cost.record_unit
 
+    extract = record_extractor(constraint)
     entries_parts: list[list[DCRecord]] = [
-        [
-            extract_record(constraint, rid, record)
-            for rid, record in zip(rids, part)
-        ]
-        for rids, part in zip(rid_parts, parts)
+        list(map(extract, rids, part)) for rids, part in zip(rid_parts, parts)
     ]
     flat = [e for part in entries_parts for e in part]
     plan = plan_dc_entries(constraint, flat)
@@ -574,9 +571,8 @@ def check_dc_banded(dataset: Dataset, constraint: DenialConstraint) -> Dataset:
     )
 
     index = build_dc_index(flat, plan)
-    left_parts = [
-        [e for e in part if left_passes(constraint, e)] for part in entries_parts
-    ]
+    passes = left_filter(constraint)
+    left_parts = [list(filter(passes, part)) for part in entries_parts]
     left_count = sum(len(p) for p in left_parts)
 
     _record_dc_index_op(cluster, _index_group_sizes(index), n_records, left_count)
@@ -741,9 +737,7 @@ def _dc_parallel_stages(
             "index_ref": index_ref,
             "plan": plan,
             "index_sizes": _index_group_sizes(index),
-            "left_count": sum(
-                1 for e in flat if left_passes(constraint, e)
-            ),
+            "left_count": sum(map(left_filter(constraint), flat)),
             "store_names": [entries_name, index_name],
         }
         if cache_key is not None:
@@ -873,19 +867,17 @@ def check_dc_columnar(
 
     stats = DCStats()
     stats.candidates = left_count * n_records
+    rows = round_robin_split(records, cluster.default_parallelism)
     out_parts: list[list[tuple[dict, dict]]] = []
     per_part_work: list[float] = []
     for part in left_parts:
         work_before = stats.work
         pairs = scan_partition(part, index, plan, stats, cost.compare_unit)
-        # Late materialization: rows rebuild from columns only on emission,
-        # with exactly the source key order (so output matches the row
-        # path's record dicts value-for-value).
+        # Late materialization: the batches hold the round-robin layout of
+        # ``records``, so a (partition, row) reference names a source dict —
+        # the row path's own output objects; no row is rebuilt from columns.
         out = [
-            (
-                batches[a.payload[0]].row(a.payload[1]),
-                batches[b.payload[0]].row(b.payload[1]),
-            )
+            (rows[a.payload[0]][a.payload[1]], rows[b.payload[0]][b.payload[1]])
             for a, b in pairs
         ]
         out_parts.append(out)

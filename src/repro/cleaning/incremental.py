@@ -68,12 +68,12 @@ from .dc_kernel import (
     ORDERED_OPS,
     build_dc_index,
     dc_group_key,
-    extract_record,
-    left_passes,
+    left_filter,
     plan_dc_entries,
+    record_extractor,
     scan_partition,
 )
-from .dedup import RID, DuplicatePair, default_block_key, _block_key_func
+from .dedup import RID, DuplicatePair, default_block_key, _block_key_func, _to_pair
 from .denial import FDViolation, _key_func
 from .simjoin import SimJoin
 
@@ -360,9 +360,11 @@ class IncrementalDC:
         # plan_dc_entries ignores the entries for <= 1 ordered predicate:
         # the plan is static and patches skip re-planning entirely.
         self._static_plan = len(ordered) <= 1
+        self._extract = record_extractor(constraint)
+        self._passes = left_filter(constraint)
         self.entries: list[list[DCRecord]] = [
             [
-                extract_record(constraint, row[RID], row, (p, pos))
+                self._extract(row[RID], row, (p, pos))
                 for pos, row in enumerate(part)
             ]
             for p, part in enumerate(table.parts)
@@ -465,12 +467,7 @@ class IncrementalDC:
                 self._enter(entry)
         self.viols = {}
         self.rev = {}
-        lefts = [
-            e
-            for part in self.entries
-            for e in part
-            if left_passes(self.constraint, e)
-        ]
+        lefts = [e for part in self.entries for e in filter(self._passes, part)]
         for t1, t2 in scan_partition(
             lefts, self._kernel_index(), self.plan, DCStats()
         ):
@@ -489,10 +486,10 @@ class IncrementalDC:
         return True
 
     def _probe(self, delta: list[DCRecord]) -> None:
-        constraint, plan = self.constraint, self.plan
+        passes, plan = self._passes, self.plan
         delta = sorted(delta, key=lambda e: e.payload)
         # Delta as left against everything (covers delta x delta once).
-        delta_lefts = [e for e in delta if left_passes(constraint, e)]
+        delta_lefts = list(filter(passes, delta))
         for t1, t2 in scan_partition(
             delta_lefts, self._kernel_index(), plan, DCStats()
         ):
@@ -504,7 +501,7 @@ class IncrementalDC:
             e
             for part in self.entries
             for e in part
-            if e.payload not in delta_set and left_passes(constraint, e)
+            if e.payload not in delta_set and passes(e)
         ]
         for t1, t2 in scan_partition(
             old_lefts, delta_index, plan, DCStats()
@@ -517,7 +514,7 @@ class IncrementalDC:
         fresh: list[DCRecord] = []
         for p, pos in placements:
             row = self.table.parts[p][pos]
-            entry = extract_record(self.constraint, row[RID], row, (p, pos))
+            entry = self._extract(row[RID], row, (p, pos))
             part = self.entries[p]
             if pos != len(part):
                 raise UnsupportedDelta("misaligned append")
@@ -539,9 +536,7 @@ class IncrementalDC:
         for p, pos in order:
             self._leave((p, pos))
             row = self.table.parts[p][pos]
-            self.entries[p][pos] = extract_record(
-                self.constraint, row[RID], row, (p, pos)
-            )
+            self.entries[p][pos] = self._extract(row[RID], row, (p, pos))
         if not self._refresh_plan():
             self._drop_pairs_touching(seen)
             fresh = [self.entries[p][pos] for p, pos in order]
@@ -615,9 +610,10 @@ class IncrementalDedup:
         self.key_of: dict[Placement, Any] = {}
         self.stamps: dict[Placement, int] = {}
         self.preps: dict[tuple[Placement, int], Any] = {}
-        self.verify_cache: dict[tuple, bool] = {}
-        # key -> (member (placement, stamp) signature, rid-ordered pairs)
-        self.block_cache: dict[Any, tuple[tuple, list]] = {}
+        # (member sig, member sig) -> the pair when it verified, else False
+        self.verify_cache: dict[tuple, DuplicatePair | bool] = {}
+        # key -> (member (placement, stamp) signature, emitted pairs)
+        self.block_cache: dict[Any, tuple[tuple, list[DuplicatePair]]] = {}
         self._rids: set = set()
         for p, part in enumerate(table.parts):
             for pos, row in enumerate(part):
@@ -677,14 +673,18 @@ class IncrementalDedup:
                 insort(fresh, placement)
         self._dirty = True
 
-    def _block_pairs(self, key: Any) -> list[tuple[Placement, Placement]]:
+    def _block_pairs(self, key: Any) -> list[DuplicatePair]:
+        """One block's duplicate pairs.  A pair is built once, when it is
+        verified, and cached against both members' (placement, stamp) — an
+        update bumps the row's stamp, so a cached pair never holds a
+        replaced row — and an unchanged block returns its cached list."""
         members = self.blocks[key]
         signature = tuple((pl, self.stamps[pl]) for pl in members)
         cached = self.block_cache.get(key)
         if cached is not None and cached[0] == signature:
             return cached[1]
         preps = [self.preps[sig] for sig in signature]
-        pairs: list[tuple[Placement, Placement]] = []
+        pairs: list[DuplicatePair] = []
         seen_pairs: set = set()
         count = len(preps)
         # join_members replayed: (i, j) visit order, rid-equal skip,
@@ -700,16 +700,13 @@ class IncrementalDedup:
                     continue
                 seen_pairs.add(pkey)
                 ckey = (signature[i], signature[j])
-                verdict = self.verify_cache.get(ckey)
-                if verdict is None:
-                    verdict = self.join.verify(a, b)
-                    self.verify_cache[ckey] = verdict
-                if verdict:
-                    pairs.append(
-                        (members[i], members[j])
-                        if a.rid <= b.rid
-                        else (members[j], members[i])
+                pair = self.verify_cache.get(ckey)
+                if pair is None:
+                    pair = self.verify_cache[ckey] = self.join.verify(a, b) and (
+                        _to_pair(a, b) if a.rid <= b.rid else _to_pair(b, a)
                     )
+                if pair:
+                    pairs.append(pair)
         self.block_cache[key] = (signature, pairs)
         return pairs
 
@@ -717,16 +714,10 @@ class IncrementalDedup:
         if not self._dirty:
             return list(self._cached)
         n = self.table.num_partitions
-        parts = self.table.parts
         buckets: list[list[DuplicatePair]] = [[] for _ in range(n)]
         # First-arrival block order == sorted by earliest member placement.
         for key in sorted(self.blocks, key=lambda k: self.blocks[k][0]):
-            target = buckets[stable_hash(key) % n]
-            for (pa, ia), (pb, ib) in self._block_pairs(key):
-                left, right = parts[pa][ia], parts[pb][ib]
-                target.append(
-                    DuplicatePair(left[RID], right[RID], left, right)
-                )
+            buckets[stable_hash(key) % n].extend(self._block_pairs(key))
         out = [pair for bucket in buckets for pair in bucket]
         self._cached = out
         self._dirty = False

@@ -165,17 +165,16 @@ def hierarchical_cluster(
     pairs can neither win the Min-monoid step nor change the merge
     decision, so the clustering is identical to exhaustive evaluation.
     """
-    from .simjoin import EPSILON, ld_upper_bound
-    from .tokenize import qgrams
+    from .simjoin import EPSILON, BagCache, ld_upper_bound
 
     term = term_func or (lambda x: str(x))
     sim = get_metric(metric)
     bounded = sim is levenshtein_similarity
     clusters: list[list[Any]] = [[item] for item in items]
-    # Terms and sorted q-gram bags are stable across merge rounds: compute
-    # each once, not once per pair per round.
+    # Terms and q-gram bags are stable across merge rounds: compute each
+    # once, not once per pair per round.
     term_cache: dict[int, str] = {}
-    grams_cache: dict[str, tuple[str, ...]] = {}
+    bags = BagCache(3)
 
     def term_of(item: Any) -> str:
         text = term_cache.get(id(item))
@@ -183,13 +182,6 @@ def hierarchical_cluster(
             text = term(item)
             term_cache[id(item)] = text
         return text
-
-    def grams(text: str) -> tuple[str, ...]:
-        bag = grams_cache.get(text)
-        if bag is None:
-            bag = tuple(sorted(qgrams(text, 3)))
-            grams_cache[text] = bag
-        return bag
 
     def linkage(a: list[Any], b: list[Any], floor: float) -> float:
         best = 0.0
@@ -199,7 +191,7 @@ def hierarchical_cluster(
                 ty = term_of(y)
                 if (
                     bounded
-                    and ld_upper_bound(tx, ty, 3, grams(tx), grams(ty))
+                    and ld_upper_bound(tx, ty, 3, bags[tx], bags[ty])
                     < floor - EPSILON
                 ):
                     continue

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from typing import Callable, Sequence
 
+from .tokenize import qgrams
+
 SimilarityFunc = Callable[[str, str], float]
 
 # Margin for conservative *reject* decisions in theta-banded evaluation
@@ -23,43 +25,74 @@ SimilarityFunc = Callable[[str, str], float]
 EPSILON = 1e-9
 
 
-def levenshtein_distance(a: str, b: str, max_distance: int | None = None) -> int:
-    """Edit distance with an optional early-exit band.
+def pattern_masks(pattern: str) -> dict[str, int]:
+    """Per-character position bitmasks: bit ``i`` of ``masks[ch]`` is set
+    where ``pattern[i] == ch`` (the ``Peq`` table of Myers' algorithm)."""
+    masks: dict[str, int] = {}
+    bit = 1
+    for ch in pattern:
+        masks[ch] = masks.get(ch, 0) | bit
+        bit <<= 1
+    return masks
+
+
+def levenshtein_distance(
+    a: str,
+    b: str,
+    max_distance: int | None = None,
+    masks: dict[str, int] | None = None,
+) -> int:
+    """Edit distance by Myers' bit-parallel algorithm (Hyyrö's global
+    variant), with an optional early-exit band.
+
+    One DP column is a pair of vertical-delta bit-vectors held in Python
+    ints, so a column costs a dozen word-parallel operations whatever the
+    pattern length, and only the text is scanned character by character.
+    Without ``masks`` the longer string is the pattern; a caller holding
+    ``pattern_masks(a)`` passes them to skip the table build.
 
     When ``max_distance`` is given and the true distance exceeds it, any
     value ``> max_distance`` may be returned; callers use this to skip
     hopeless pairs cheaply (the similarity join only cares whether the pair
-    passes the threshold).
+    passes the threshold).  The scan stops once even a run of matches over
+    the remaining text could not bring the score back within the band.
     """
     if a == b:
         return 0
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
-    if len(a) > len(b):
-        a, b = b, a
-    if max_distance is not None and len(b) - len(a) > max_distance:
+    m, n = len(a), len(b)
+    if not m or not n:
+        return m or n
+    if masks is None:
+        if m < n:
+            a, b, m, n = b, a, n, m
+        masks = pattern_masks(a)
+    if max_distance is None:
+        max_distance = m + n  # never exceeded: the exit below stays cold
+    elif abs(m - n) > max_distance:
         return max_distance + 1
 
-    previous = list(range(len(a) + 1))
-    for j, cb in enumerate(b, start=1):
-        current = [j]
-        row_min = j
-        for i, ca in enumerate(a, start=1):
-            cost = 0 if ca == cb else 1
-            value = min(
-                previous[i] + 1,      # deletion
-                current[i - 1] + 1,   # insertion
-                previous[i - 1] + cost,  # substitution
-            )
-            current.append(value)
-            if value < row_min:
-                row_min = value
-        if max_distance is not None and row_min > max_distance:
+    lookup = masks.get
+    full = (1 << m) - 1
+    top = 1 << (m - 1)
+    pv, mv, score = full, 0, m
+    limit = max_distance + n  # max_distance + text still to scan
+    for ch in b:
+        eq = lookup(ch, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & top:
+            score += 1
+        elif mh & top:
+            score -= 1
+        limit -= 1
+        if score > limit:
             return max_distance + 1
-        previous = current
-    return previous[-1]
+        ph = (ph << 1) | 1
+        pv = ((mh << 1) | ~(xv | ph)) & full
+        mv = ph & xv
+    return score
 
 
 def levenshtein_similarity(a: str, b: str) -> float:
@@ -72,8 +105,6 @@ def levenshtein_similarity(a: str, b: str) -> float:
 
 def jaccard_similarity(a: str, b: str, q: int = 2) -> float:
     """Jaccard similarity over q-gram token sets."""
-    from .tokenize import qgrams
-
     set_a = set(qgrams(a, q))
     set_b = set(qgrams(b, q))
     if not set_a and not set_b:
@@ -161,23 +192,31 @@ def register_metric(name: str, func: SimilarityFunc) -> None:
     _METRICS[name] = func
 
 
+def banded_ld_similarity(a: str, b: str, theta: float) -> float | None:
+    """Exact Levenshtein similarity when it can reach ``theta``, else None.
+
+    Converts the threshold into an edit-distance band for early exit.  The
+    band is computed generously (ceil) and a returned value is the exact
+    same floating-point expression as :func:`levenshtein_similarity`, so
+    the fast path never disagrees with the plain metric at threshold
+    boundaries; ``None`` guarantees the true similarity is below ``theta``.
+    """
+    longest = max(len(a), len(b))
+    if longest == 0:
+        return 1.0
+    budget = int(math.ceil((1.0 - theta) * longest))
+    distance = levenshtein_distance(a, b, max_distance=budget)
+    if distance > budget:
+        return None
+    return 1.0 - distance / longest
+
+
 def similar(metric: str | SimilarityFunc, a: str, b: str, theta: float) -> bool:
     """The ``similar(metric, a, b, θ)`` predicate of the paper's comprehensions."""
     func = get_metric(metric) if isinstance(metric, str) else metric
     if func is levenshtein_similarity:
-        # Convert the threshold into an edit-distance band for early exit.
-        # The band is computed generously (ceil) and the final decision uses
-        # the exact same floating-point expression as
-        # :func:`levenshtein_similarity`, so the fast path never disagrees
-        # with the plain metric at threshold boundaries.
-        longest = max(len(a), len(b))
-        if longest == 0:
-            return True
-        budget = int(math.ceil((1.0 - theta) * longest))
-        distance = levenshtein_distance(a, b, max_distance=budget)
-        if distance > budget:
-            return False
-        return 1.0 - distance / longest >= theta
+        score = banded_ld_similarity(a, b, theta)
+        return score is not None and score >= theta
     return func(a, b) >= theta
 
 

@@ -12,19 +12,22 @@ cannot drift between backends.
 The kernel splits the join into *candidate generation* (blocking, done by
 the caller) and *verification* (done here), and prunes between the two:
 
-* **Preparation** — per-record normalized terms, lengths, and sorted q-gram
-  bags are computed once per record (:class:`PreparedRecord`), not once per
-  comparison as the previous inline loops did.
+* **Preparation** — per-record normalized terms, lengths, q-gram bags
+  (:func:`gram_bag`) and edit-distance pattern masks are computed at most
+  once per record (:class:`PreparedRecord`), the last two only on first
+  use, not once per comparison as the previous inline loops did.
 * **Length filtering** — for Levenshtein similarity ``>= theta``, a pair
   whose lengths differ by more than ``(1 - theta) * max_len`` cannot pass;
-  it is rejected without touching the metric.
+  it is rejected without touching the metric — or building a q-gram.
 * **Count filtering** — one edit destroys at most ``q`` q-grams (Gravano et
   al.), so a pair sharing fewer than ``max_len - q + 1 - d_max * q`` q-grams
-  cannot be within distance ``d_max``; rejected via a sorted-bag merge,
-  again without running the DP.
-* **Banding** — when the metric does run, the DP is banded with the maximum
-  distance the pair could tolerate and still reach ``theta`` on average,
-  so hopeless rows exit early.
+  cannot be within distance ``d_max``.  Bags are frozensets of
+  occurrence-tagged q-grams, so the bag overlap is one C-level set
+  intersection, again without running the metric.
+* **Banding** — when the metric does run, the bit-parallel edit-distance
+  scan is bounded by the maximum distance the pair could tolerate and still
+  reach ``theta`` on average: it stops as soon as the text left to scan
+  could not bring the score back under that budget.
 * **Ownership** — with overlapping blocks (token filtering, k-means with
   ``delta > 0``) a pair sharing k blocks used to be generated k times and
   deduplicated through an all-pairs ``seen`` set.  The kernel instead
@@ -50,13 +53,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from itertools import combinations
+from typing import Any, Iterator, Sequence
 
 from .similarity import (
     EPSILON,
+    banded_ld_similarity,  # noqa: F401 - re-exported: one band, one home
     get_metric,
     levenshtein_distance,
     levenshtein_similarity,
+    pattern_masks,
 )
 from .tokenize import qgrams
 
@@ -105,50 +111,69 @@ def resolve_filters(filters: FilterConfig | None) -> FilterConfig:
     return DEFAULT_FILTERS if filters is None else filters
 
 
+def gram_bag(text: str, q: int, pool: dict[str, str] | None = None) -> frozenset:
+    """The q-gram bag of ``text`` as a set: the k-th repeat of a gram is
+    tagged ``(gram, k)``, so ``len(gram_bag(a, q) & gram_bag(b, q))`` is the
+    bag-intersection size, computed by one C-level set intersection.
+
+    ``pool`` shares equal grams between bags: near-duplicate records hold
+    mostly the same grams, and a table-long incremental state holds every
+    record's bag.  The pool lives and dies with its owner, unlike
+    ``sys.intern``'s table, which never shrinks."""
+    grams = qgrams(text, q)
+    if pool is not None:
+        grams = [pool.setdefault(gram, gram) for gram in grams]
+    bag = set(grams)
+    if len(bag) < len(grams):
+        repeats: dict[str, int] = {}
+        for gram in grams:
+            k = repeats[gram] = repeats.get(gram, -1) + 1
+            if k:
+                bag.add((gram, k))
+    return frozenset(bag)
+
+
+class BagCache(dict):
+    """``cache[text]`` is ``gram_bag(text, q)``, built once per distinct
+    string (dictionary words recur across many candidate buckets)."""
+
+    def __init__(self, q: int):
+        super().__init__()
+        self.q = q
+
+    def __missing__(self, text: str) -> frozenset:
+        bag = self[text] = gram_bag(text, self.q)
+        return bag
+
+
 class PreparedRecord:
     """Per-record comparison state, computed once instead of per pair.
 
-    ``terms`` are the stringified comparison attributes; ``grams`` are
-    sorted q-gram bags for the count filter, built lazily on first use so
-    workloads that never reach the count filter never pay for
-    tokenization.  ``payload`` carries whatever the caller needs to
-    materialize an output pair (the record dict on the row paths, a
+    ``terms`` are the stringified comparison attributes.  The q-gram bags
+    of the count filter and the pattern masks of the edit-distance scan are
+    built lazily on first use, so workloads that never reach the count
+    filter never pay for tokenization and a record that never reaches the
+    metric holds no masks.  ``payload`` carries whatever the caller needs
+    to materialize an output pair (the record dict on the row paths, a
     ``(partition, index)`` reference on the columnar path).
     """
 
-    __slots__ = ("rid", "payload", "terms", "lengths", "_grams", "_q")
+    __slots__ = ("rid", "payload", "terms", "lengths", "bags", "_masks")
 
-    def __init__(self, rid: Any, terms: Sequence[str], payload: Any, q: int):
+    def __init__(self, rid: Any, terms: Sequence[str], payload: Any):
         self.rid = rid
         self.payload = payload
         self.terms = tuple(terms)
         self.lengths = tuple(len(t) for t in self.terms)
-        self._grams: tuple[tuple[str, ...], ...] | None = None
-        self._q = q
+        # Filled by the join that first count-filters the record (its q,
+        # its gram pool).
+        self.bags: tuple[frozenset, ...] | None = None
+        self._masks: tuple[dict[str, int], ...] | None = None
 
-    def grams(self, index: int) -> tuple[str, ...]:
-        if self._grams is None:
-            self._grams = tuple(
-                tuple(sorted(qgrams(term, self._q))) for term in self.terms
-            )
-        return self._grams[index]
-
-
-def sorted_overlap(a: Sequence[str], b: Sequence[str]) -> int:
-    """Bag-intersection size of two sorted sequences (two-pointer merge)."""
-    i = j = shared = 0
-    len_a, len_b = len(a), len(b)
-    while i < len_a and j < len_b:
-        x, y = a[i], b[j]
-        if x == y:
-            shared += 1
-            i += 1
-            j += 1
-        elif x < y:
-            i += 1
-        else:
-            j += 1
-    return shared
+    def masks(self, index: int) -> dict[str, int]:
+        if self._masks is None:
+            self._masks = tuple(pattern_masks(term) for term in self.terms)
+        return self._masks[index]
 
 
 @dataclass
@@ -207,6 +232,7 @@ class SimJoin:
         self.compare_unit = compare_unit
         self.filter_unit = filter_unit
         self.stats = JoinStats()
+        self._gram_pool: dict[str, str] = {}
 
     # ------------------------------------------------------------------ #
     # Preparation
@@ -214,46 +240,21 @@ class SimJoin:
     def prepare(self, rid: Any, record: dict, payload: Any = None) -> PreparedRecord:
         """Prepare a dict record: stringify the comparison attributes once."""
         terms = tuple(str(record.get(a, "")) for a in self.attributes)
-        return PreparedRecord(
-            rid, terms, record if payload is None else payload, self.filters.q
-        )
+        return PreparedRecord(rid, terms, record if payload is None else payload)
 
     def prepare_terms(
         self, rid: Any, terms: Sequence[str], payload: Any = None
     ) -> PreparedRecord:
         """Prepare from already-extracted attribute strings (columnar path)."""
-        return PreparedRecord(rid, terms, payload, self.filters.q)
+        return PreparedRecord(rid, terms, payload)
 
-    # ------------------------------------------------------------------ #
-    # Filters
-    # ------------------------------------------------------------------ #
-    def upper_bound(self, a: PreparedRecord, b: PreparedRecord, index: int) -> float:
-        """A sound upper bound on ``sim(a.terms[index], b.terms[index])``.
-
-        Computed with the same float expression shape as the metric
-        (``1.0 - d / longest``), so ``sim <= bound`` holds in floating
-        point, not just in the reals.
-        """
-        len_a, len_b = a.lengths[index], b.lengths[index]
-        longest = len_a if len_a >= len_b else len_b
-        if longest == 0:
-            return 1.0
-        bound = 1.0
-        cfg = self.filters
-        if cfg.length_filter:
-            bound = 1.0 - (len_a - len_b if len_a >= len_b else len_b - len_a) / longest
-        if cfg.count_filter:
-            total_grams = longest - cfg.q + 1
-            if total_grams > 0:
-                shared = sorted_overlap(a.grams(index), b.grams(index))
-                # One edit affects at most q q-grams, so distance >=
-                # ceil((total_grams - shared) / q).
-                min_distance = -(-(total_grams - shared) // cfg.q)
-                if min_distance > 0:
-                    count_bound = 1.0 - min_distance / longest
-                    if count_bound < bound:
-                        bound = count_bound
-        return bound
+    def _bags(self, record: PreparedRecord) -> tuple[frozenset, ...]:
+        if record.bags is None:
+            record.bags = tuple(
+                gram_bag(term, self.filters.q, self._gram_pool)
+                for term in record.terms
+            )
+        return record.bags
 
     # ------------------------------------------------------------------ #
     # Verification
@@ -270,18 +271,26 @@ class SimJoin:
 
         stats.work += self.filter_unit
         cfg = self.filters
-        if cfg.length_filter or cfg.count_filter:
-            bounds = [self.upper_bound(a, b, i) for i in range(n)]
-            # Sound without a margin: each sim_i <= bounds[i] in floating
-            # point and float addition/division are monotone, so the naive
-            # total can only be smaller.
-            total_bound = 0.0
-            for bound in bounds:
-                total_bound += bound
-            if total_bound / n < theta:
+        lengths_a, lengths_b = a.lengths, b.lengths
+        # Each sim_i <= bounds[i] in floating point and float addition and
+        # division are monotone, so a mean of bounds below theta rejects
+        # soundly without a margin.  Lengths alone go first: most hopeless
+        # pairs die there, before either record builds a q-gram.
+        bounds = [1.0] * n
+        if cfg.length_filter:
+            bounds = [_length_bound(x, y) for x, y in zip(lengths_a, lengths_b)]
+            if _mean(bounds) < theta:
                 return False
-        else:
-            bounds = [1.0] * n
+        if cfg.count_filter:
+            bags_a, bags_b = self._bags(a), self._bags(b)
+            for i in range(n):
+                bound = _count_bound(
+                    max(lengths_a[i], lengths_b[i]), len(bags_a[i] & bags_b[i]), cfg.q
+                )
+                if bound < bounds[i]:
+                    bounds[i] = bound
+            if _mean(bounds) < theta:
+                return False
 
         # suffix[i] = sum of bounds for attributes i.. (what the not-yet
         # compared attributes can still contribute).
@@ -293,10 +302,11 @@ class SimJoin:
         total = 0.0
         for i in range(n):
             term_a, term_b = a.terms[i], b.terms[i]
-            stats.work += (len(term_a) + len(term_b)) * self.compare_unit
+            len_a, len_b = lengths_a[i], lengths_b[i]
+            stats.work += (len_a + len_b) * self.compare_unit
             stats.metric_calls += 1
             if cfg.banding:
-                longest = max(a.lengths[i], b.lengths[i])
+                longest = len_a if len_a >= len_b else len_b
                 if longest == 0:
                     total += 1.0
                     continue
@@ -307,13 +317,16 @@ class SimJoin:
                     budget = int(math.ceil((1.0 - need + EPSILON) * longest))
                     if budget < 0:
                         return False
+                    # The longer term is the bit-vector (its masks are
+                    # cached on the record); the shorter one is scanned.
+                    wide, narrow = (a, b) if len_a >= len_b else (b, a)
                     distance = levenshtein_distance(
-                        term_a, term_b, max_distance=budget
+                        wide.terms[i], narrow.terms[i], budget, wide.masks(i)
                     )
                     if distance > budget:
                         return False
-                    # Exact: the banded DP returns true distances within the
-                    # band, and this is the metric's own expression.
+                    # Exact: the banded scan returns true distances within
+                    # the band, and this is the metric's own expression.
                     total += 1.0 - distance / longest
                     continue
             total += self.sim(term_a, term_b)
@@ -339,6 +352,26 @@ class SimJoin:
     # ------------------------------------------------------------------ #
     # Block joining
     # ------------------------------------------------------------------ #
+    @staticmethod
+    def block_pairs(
+        members: Sequence[PreparedRecord],
+    ) -> Iterator[tuple[PreparedRecord, PreparedRecord]]:
+        """Each unordered pair of one block's members with distinct rids,
+        once, in the (i, j) visit order of the historical nested loops.
+        The ``seen`` set only exists for a block that repeats a rid."""
+        pairs = combinations(members, 2)
+        if len({m.rid for m in members}) == len(members):
+            yield from pairs
+            return
+        seen: set[tuple[Any, Any]] = set()
+        for a, b in pairs:
+            if a.rid == b.rid:
+                continue
+            pair_key = (a.rid, b.rid) if a.rid <= b.rid else (b.rid, a.rid)
+            if pair_key not in seen:
+                seen.add(pair_key)
+                yield a, b
+
     def join_members(
         self, members: Sequence[PreparedRecord]
     ) -> Iterator[tuple[PreparedRecord, PreparedRecord]]:
@@ -347,20 +380,9 @@ class SimJoin:
         Yields accepted pairs ordered ``left.rid <= right.rid``, in the
         same (i, j) visit order as the historical inline loops.
         """
-        seen: set[tuple[Any, Any]] = set()
-        count = len(members)
-        for i in range(count):
-            a = members[i]
-            for j in range(i + 1, count):
-                b = members[j]
-                if a.rid == b.rid:
-                    continue
-                pair_key = (a.rid, b.rid) if a.rid <= b.rid else (b.rid, a.rid)
-                if pair_key in seen:
-                    continue
-                seen.add(pair_key)
-                if self.verify(a, b):
-                    yield (a, b) if a.rid <= b.rid else (b, a)
+        for a, b in self.block_pairs(members):
+            if self.verify(a, b):
+                yield (a, b) if a.rid <= b.rid else (b, a)
 
     def join_grouped_partitions(
         self,
@@ -395,7 +417,7 @@ class SimJoin:
         per_part_work: list[float] = []
         # Without ownership the historical global seen set keeps overlapping
         # blocks from re-verifying a pair (and exactly reproduces the naive
-        # engine); with ownership the per-block seen set below suffices.
+        # engine); with ownership the per-block pass of block_pairs suffices.
         global_seen: set[tuple[Any, Any]] | None = (
             None if use_ownership or self.filters.ownership else set()
         )
@@ -404,28 +426,18 @@ class SimJoin:
             work_before = stats.work
             out: list[tuple[PreparedRecord, PreparedRecord]] = []
             for key, members in part:
-                local_seen: set[tuple[Any, Any]] = set()
-                count = len(members)
-                for i in range(count):
-                    a = members[i]
-                    for j in range(i + 1, count):
-                        b = members[j]
-                        if a.rid == b.rid:
-                            continue
+                for a, b in self.block_pairs(members):
+                    if global_seen is not None:
                         pair_key = (
                             (a.rid, b.rid) if a.rid <= b.rid else (b.rid, a.rid)
                         )
-                        if pair_key in local_seen:
+                        if pair_key in global_seen:
                             continue
-                        local_seen.add(pair_key)
-                        if global_seen is not None:
-                            if pair_key in global_seen:
-                                continue
-                            global_seen.add(pair_key)
-                        elif use_ownership and not self._owns(key, a, b, keys_of, block_size):
-                            continue
-                        if self.verify(a, b):
-                            out.append((a, b) if a.rid <= b.rid else (b, a))
+                        global_seen.add(pair_key)
+                    elif use_ownership and not self._owns(key, a, b, keys_of, block_size):
+                        continue
+                    if self.verify(a, b):
+                        out.append((a, b) if a.rid <= b.rid else (b, a))
             out_parts.append(out)
             per_part_work.append(stats.work - work_before)
         return out_parts, per_part_work
@@ -460,12 +472,34 @@ class SimJoin:
 # ---------------------------------------------------------------------- #
 # Single-pair helpers shared with term validation / clustering
 # ---------------------------------------------------------------------- #
+def _mean(bounds: Sequence[float]) -> float:
+    """Left-to-right float mean — the naive decision's own summation order."""
+    total = 0.0
+    for bound in bounds:
+        total += bound
+    return total / len(bounds)
+
+
+def _length_bound(len_a: int, len_b: int) -> float:
+    """``1 - |len_a - len_b| / longest``: the edits a length gap forces."""
+    longest = len_a if len_a >= len_b else len_b
+    return 1.0 - abs(len_a - len_b) / longest if longest else 1.0
+
+
+def _count_bound(longest: int, shared: int, q: int) -> float:
+    """One edit affects at most ``q`` q-grams, so two strings sharing
+    ``shared`` of the longer one's grams are at distance
+    ``>= ceil((total_grams - shared) / q)``; 1.0 when that says nothing."""
+    min_distance = -(-(longest - q + 1 - shared) // q)
+    return 1.0 - min_distance / longest if min_distance > 0 else 1.0
+
+
 def ld_upper_bound(
     a: str,
     b: str,
     q: int = 3,
-    grams_a=None,
-    grams_b=None,
+    bag_a: frozenset | None = None,
+    bag_b: frozenset | None = None,
     use_length: bool = True,
     use_count: bool = True,
 ) -> float:
@@ -473,43 +507,16 @@ def ld_upper_bound(
 
     ``use_length`` / ``use_count`` mirror the :class:`FilterConfig` toggles
     so call sites outside the kernel apply exactly the configured bounds.
-    Callers that hold precomputed sorted q-gram bags pass them to skip
-    re-tokenization.  Float-consistent with the metric's own expression.
+    Callers that hold precomputed :func:`gram_bag` bags pass them to skip
+    re-tokenization.  Computed with the same float expression shape as the
+    metric (``1.0 - d / longest``), so ``sim <= bound`` holds in floating
+    point, not just in the reals.
     """
-    longest = max(len(a), len(b))
-    if longest == 0:
-        return 1.0
-    bound = 1.0
-    if use_length:
-        bound = 1.0 - abs(len(a) - len(b)) / longest
-    if use_count:
-        total_grams = longest - q + 1
-        if total_grams > 0:
-            if grams_a is None:
-                grams_a = tuple(sorted(qgrams(a, q)))
-            if grams_b is None:
-                grams_b = tuple(sorted(qgrams(b, q)))
-            min_distance = -(-(total_grams - sorted_overlap(grams_a, grams_b)) // q)
-            if min_distance > 0:
-                count_bound = 1.0 - min_distance / longest
-                if count_bound < bound:
-                    bound = count_bound
+    bound = _length_bound(len(a), len(b)) if use_length else 1.0
+    if use_count and (a or b):
+        shared = len(
+            (gram_bag(a, q) if bag_a is None else bag_a)
+            & (gram_bag(b, q) if bag_b is None else bag_b)
+        )
+        bound = min(bound, _count_bound(max(len(a), len(b)), shared, q))
     return bound
-
-
-def banded_ld_similarity(a: str, b: str, theta: float) -> float | None:
-    """Exact Levenshtein similarity when it can reach ``theta``, else None.
-
-    Bands the DP with the distance budget ``theta`` implies.  A returned
-    value is bit-identical to :func:`~repro.cleaning.similarity.
-    levenshtein_similarity`; ``None`` guarantees the true similarity is
-    below ``theta`` (same generous-ceiling argument as ``similar()``).
-    """
-    longest = max(len(a), len(b))
-    if longest == 0:
-        return 1.0
-    budget = int(math.ceil((1.0 - theta) * longest))
-    distance = levenshtein_distance(a, b, max_distance=budget)
-    if distance > budget:
-        return None
-    return 1.0 - distance / longest

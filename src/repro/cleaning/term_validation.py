@@ -25,6 +25,7 @@ from ..engine.dataset import Dataset
 from .kmeans import reservoir_sample
 from .similarity import get_metric, levenshtein_similarity
 from .simjoin import (
+    BagCache,
     FilterConfig,
     banded_ld_similarity,
     ld_upper_bound,
@@ -180,16 +181,7 @@ def _match_groups(
     comparisons = 0
     verified = 0
     candidates_by_term: dict[str, set[str]] = {}
-    # Sorted q-gram bags, cached per distinct string: dictionary words recur
-    # across many terms' buckets, so tokenizing each once matters.
-    grams_cache: dict[str, tuple[str, ...]] = {}
-
-    def grams(text: str) -> tuple[str, ...]:
-        bag = grams_cache.get(text)
-        if bag is None:
-            bag = tuple(sorted(qgrams(text, cfg.q)))
-            grams_cache[text] = bag
-        return bag
+    bags = BagCache(cfg.q)
 
     suggestions_by_term: dict[str, list[tuple[float, str]]] = {}
     for part in data_groups.partitions:
@@ -213,8 +205,8 @@ def _match_groups(
                                 t,
                                 w,
                                 cfg.q,
-                                grams(t) if cfg.count_filter else None,
-                                grams(w) if cfg.count_filter else None,
+                                bags[t] if cfg.count_filter else None,
+                                bags[w] if cfg.count_filter else None,
                                 use_length=cfg.length_filter,
                                 use_count=cfg.count_filter,
                             )

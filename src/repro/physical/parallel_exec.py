@@ -237,14 +237,15 @@ def _dc_extract_task(
     references (the driver holds the records): everything downstream
     carries only the fixed-width comparison vectors, not a copy of any row.
     """
-    from ..cleaning.dc_kernel import RID, extract_record
+    from ..cleaning.dc_kernel import RID, record_extractor
 
+    extract = record_extractor(constraint)
     out = []
     for i, record in enumerate(records):
         rid = record.get(RID)
         if rid is None:
             rid = start_position + i
-        out.append(extract_record(constraint, rid, record, payload=(part_idx, i)))
+        out.append(extract(rid, record, (part_idx, i)))
     return out
 
 
@@ -258,7 +259,7 @@ def _dc_scan_task(
     """Worker task: banded probe of one partition's entries against the index.
 
     Applies the left-side single-tuple filters in-worker (same predicate,
-    same order as the row path's ``left_passes`` pass — the driver prices
+    same order as the row path's ``left_filter`` pass — the driver prices
     ``candidates`` from its own count over the extraction stream), then
     runs the shared kernel scan (:func:`~repro.cleaning.dc_kernel.
     scan_partition`) — same candidate ranges, same residual checks, same
@@ -269,9 +270,9 @@ def _dc_scan_task(
     ``(t1, t2)`` payload-reference pairs plus ``(examined, pairs, work)``
     counters for the driver to merge into the cluster metrics.
     """
-    from ..cleaning.dc_kernel import DCStats, left_passes, scan_partition
+    from ..cleaning.dc_kernel import DCStats, left_filter, scan_partition
 
-    left = [e for e in entries if left_passes(constraint, e)]
+    left = list(filter(left_filter(constraint), entries))
     stats = DCStats()
     pairs = scan_partition(left, index, plan, stats, compare_unit)
     out = [(a.payload, b.payload) for a, b in pairs]

@@ -10,9 +10,9 @@ from repro.cleaning.simjoin import (
     JoinStats,
     SimJoin,
     banded_ld_similarity,
+    gram_bag,
     ld_upper_bound,
     resolve_filters,
-    sorted_overlap,
 )
 
 WORDS = [
@@ -37,11 +37,12 @@ class TestFilterConfig:
         assert resolve_filters(custom) is custom
 
 
-class TestSortedOverlap:
+class TestGramBag:
     def test_counts_bag_intersection(self):
-        assert sorted_overlap(["a", "b", "b", "c"], ["b", "b", "b", "d"]) == 2
-        assert sorted_overlap([], ["a"]) == 0
-        assert sorted_overlap(["x"], ["x"]) == 1
+        # q=1 grams are the characters: bags {a,b,b,c} and {b,b,b,d}.
+        assert len(gram_bag("abbc", 1) & gram_bag("bbbd", 1)) == 2
+        assert len(gram_bag("", 1) & gram_bag("a", 1)) == 0
+        assert len(gram_bag("x", 1) & gram_bag("x", 1)) == 1
 
 
 class TestBounds:

@@ -9,11 +9,23 @@ The three backends must additionally agree pair-for-pair in order
 (byte-identical output), which the cross-backend test pins down.
 """
 
+import math
+import pickle
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixtures import SETTINGS, WORKERS, record_sets, with_rids
+from fixtures import SETTINGS, WORKERS, dirty_lineitem_rows, record_sets, with_rids
+from repro.cleaning.dc_kernel import (
+    DCStats,
+    build_dc_index,
+    find_violations,
+    left_filter,
+    plan_dc_entries,
+    record_extractor,
+    scan_partition,
+)
 from repro.cleaning.denial import (
     DenialConstraint,
     SingleFilter,
@@ -179,3 +191,183 @@ def test_banded_agrees_with_matrix_on_asymmetric_rule(records):
         )
     )
     assert banded == matrix
+
+
+# --------------------------------------------------------------------- #
+# The compiled probe against brute force, over dirtier tables
+# --------------------------------------------------------------------- #
+class Wild:
+    """A value ordered against ints (numerically) *and* strings (by its
+    decimal text).  Ints and strings stay mutually incomparable, so a band
+    column mixing them is an unsortable group — yet a ``Wild`` probe value
+    compares with every member without raising, which is the only way that
+    path can be checked against brute force."""
+
+    def __init__(self, v: int):
+        self.v = v
+
+    def _key(self, other):
+        return (str(self.v), other) if isinstance(other, str) else (self.v, other)
+
+    def __lt__(self, other):
+        mine, theirs = self._key(other)
+        return mine < theirs
+
+    def __le__(self, other):
+        mine, theirs = self._key(other)
+        return mine <= theirs
+
+    def __gt__(self, other):
+        mine, theirs = self._key(other)
+        return mine > theirs
+
+    def __ge__(self, other):
+        mine, theirs = self._key(other)
+        return mine >= theirs
+
+    def __repr__(self):
+        return f"Wild({self.v})"
+
+
+small_ints = st.integers(min_value=-2, max_value=2)
+# Numbers with nulls and NaN: safe under every operator.
+numeric = st.one_of(st.none(), small_ints, st.just(math.nan), st.just(0.5))
+# Ints and strings together: safe under == / != only, unsortable as a band.
+mixed = st.one_of(st.none(), small_ints, st.sampled_from(["-1", "0", "1", "x"]), st.just(math.nan))
+wide_records = st.lists(
+    st.fixed_dictionaries({
+        "a": numeric,
+        "b": numeric,
+        "m": mixed,
+        "w": st.one_of(st.none(), small_ints.map(Wild)),
+    }),
+    max_size=12,
+)
+
+WIDE_CONSTRAINTS = [
+    # != only, no filter: symmetric, every pair a candidate, mixed types.
+    DenialConstraint((TuplePredicate("m", "!=", "m"),), name="ne_mixed"),
+    # Mixed-type equality prefix with a != residual.
+    DenialConstraint(
+        (TuplePredicate("m", "==", "m"), TuplePredicate("a", "!=", "a")),
+        name="eq_mixed",
+    ),
+    # One-way shortcut taken: a strict order over one attribute.
+    DenialConstraint(
+        (TuplePredicate("a", ">", "a"), TuplePredicate("b", "!=", "b")),
+        left_filters=(SingleFilter("b", "<=", 1),),
+        name="one_way",
+    ),
+    # Not taken: strict, but across two attributes — both orders of a
+    # pair can violate, and the left filter decides the reverse order.
+    DenialConstraint(
+        (TuplePredicate("a", "<", "b"),),
+        left_filters=(SingleFilter("a", ">=", 0),),
+        name="two_way_strict",
+    ),
+    # Not taken: non-strict over one attribute (ties violate both ways).
+    DenialConstraint(
+        (TuplePredicate("a", "<=", "a"), TuplePredicate("m", "!=", "m")),
+        name="two_way_ties",
+    ),
+    # Unsortable band groups: ints and strings in the band column, with
+    # probe values that compare with both.
+    DenialConstraint(
+        (TuplePredicate("w", "<", "m"), TuplePredicate("a", "!=", "a")),
+        name="unsortable_band",
+    ),
+    DenialConstraint(
+        (TuplePredicate("a", "==", "a"), TuplePredicate("w", ">=", "m")),
+        name="unsortable_band_in_groups",
+    ),
+]
+
+
+def rid_pair_list(pairs):
+    return sorted((t1["_rid"], t2["_rid"]) for t1, t2 in pairs)
+
+
+def _cycled(values, i):
+    return values[i % len(values)]
+
+
+# Co-prime cycles over every dirty value: each equality group and the
+# band column hold nulls, NaN, ints *and* strings, so the unsortable-group
+# and reverse-order paths run on every constraint that has them.
+DIRTY_TABLE = [
+    {
+        "a": _cycled([0, 1, None, 2, math.nan, 0.5, 1], i),
+        "b": _cycled([1, None, 0, 2, 1], i),
+        "m": _cycled([0, "0", 1, None, "x", math.nan, "1", 2, 1, "x", 0], i),
+        "w": _cycled([Wild(0), None, Wild(1), Wild(-1)], i),
+    }
+    for i in range(40)
+]
+
+
+@pytest.mark.parametrize("constraint", WIDE_CONSTRAINTS, ids=lambda c: c.name)
+def test_compiled_probe_matches_brute_force_on_the_dirty_table(constraint):
+    check_against_brute_force(DIRTY_TABLE, constraint)
+
+
+@given(wide_records, st.sampled_from(WIDE_CONSTRAINTS))
+@settings(SETTINGS, max_examples=120)
+def test_compiled_probe_matches_brute_force(records, constraint):
+    check_against_brute_force(records, constraint)
+
+
+def check_against_brute_force(records, constraint):
+    records = _with_rids(records)
+    expected = sorted(oracle_pairs(records, constraint))
+    # Lists, not sets: a pair reported twice is a failure.
+    assert rid_pair_list(find_violations(records, constraint)) == expected
+    row = check_dc(
+        Cluster(num_nodes=3).parallelize(records), constraint, strategy="banded"
+    ).collect()
+    assert rid_pair_list(row) == expected
+    col = check_dc_columnar(Cluster(num_nodes=3), records, constraint).collect()
+    assert [(id(a), id(b)) for a, b in col] == [(id(a), id(b)) for a, b in row]
+
+
+def test_plan_pickles_without_its_compiled_probe():
+    constraint = DenialConstraint(
+        (TuplePredicate("c", "==", "c"), TuplePredicate("a", "<", "a")),
+    )
+    records = _with_rids([{"a": i % 3, "b": 0, "c": i % 2} for i in range(8)])
+    extract = record_extractor(constraint)
+    entries = [extract(r["_rid"], r) for r in records]
+    plan = plan_dc_entries(constraint, entries)
+    cold = pickle.dumps(plan)
+    index = build_dc_index(entries, plan)
+    pairs = scan_partition(entries, index, plan, DCStats())
+    assert "_compiled" in vars(plan)
+    assert pickle.dumps(plan) == cold
+    shipped = pickle.loads(cold)
+    assert shipped == plan and "_compiled" not in vars(shipped)
+    assert scan_partition(entries, index, shipped, DCStats()) == pairs
+
+
+def test_dc_stats_equal_the_seed():
+    """Examined/pairs and the float ``work`` of a fixed partitioned probe,
+    as the seed's per-candidate loop produced them (``float.hex``): the
+    probe keeps one ``span * compare_unit`` addition per left tuple, in
+    order, across partitions sharing one ``DCStats``."""
+    rows = _with_rids(dirty_lineitem_rows(200))
+    constraint = DenialConstraint(
+        predicates=(
+            TuplePredicate("cat", "==", "cat"),
+            TuplePredicate("price", "<", "price"),
+            TuplePredicate("qty", ">", "qty"),
+        ),
+        left_filters=(SingleFilter("price", "<", 120.0),),
+    )
+    extract, passes = record_extractor(constraint), left_filter(constraint)
+    entries = [extract(r["_rid"], r) for r in rows]
+    plan = plan_dc_entries(constraint, entries)
+    index = build_dc_index(entries, plan)
+    stats = DCStats()
+    for lo in range(0, 200, 37):
+        left = [e for e in entries[lo:lo + 37] if passes(e)]
+        scan_partition(left, index, plan, stats, 0.3)
+    assert (stats.examined, stats.pairs) == (2999, 24)
+    assert stats.work.hex() == "0x1.c1d9999999999p+9"
