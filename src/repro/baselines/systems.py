@@ -31,16 +31,8 @@ import math
 import time
 from typing import Any, Callable, Sequence
 
-from ..cleaning.dedup import deduplicate, deduplicate_columnar, deduplicate_parallel
-from ..cleaning.denial import (
-    DenialConstraint,
-    check_dc,
-    check_dc_columnar,
-    check_dc_parallel,
-    check_fd,
-    check_fd_columnar,
-    check_fd_parallel,
-)
+from ..cleaning.dedup import run_dedup
+from ..cleaning.denial import DenialConstraint, run_dc, run_fd
 from ..cleaning.repair import repair_dc_by_relaxation
 from ..cleaning.similarity import get_metric
 from ..cleaning.simjoin import FilterConfig
@@ -55,11 +47,10 @@ from ..physical.lower import EXECUTION_BACKENDS
 class System:
     """Base: shared run harness with budget/unsupported handling.
 
-    ``execution`` selects the physical representation: ``"row"`` streams
-    per-record environments, ``"vectorized"`` runs the column-batch fast
-    paths (FD checks and exact-key dedup) where they apply, and
-    ``"parallel"`` runs the same row logic over a real multi-process worker
-    pool (``workers`` processes, clamped to ``num_nodes``).  Only CleanDB
+    ``execution`` selects the cleaning drivers: ``"row"`` runs the
+    ``Dataset`` operators, ``"vectorized"`` the same kernels at batch
+    prices, and ``"parallel"`` the same kernels over a real multi-process
+    worker pool (``workers`` processes, clamped to ``num_nodes``).  Only CleanDB
     exercises the non-row backends in the benchmarks; the baselines model
     systems without them.
     """
@@ -146,20 +137,12 @@ class System:
         rhs: Sequence[Any],
         fmt: str = "memory",
     ) -> RunResult:
-        def action(cluster: Cluster) -> list:
-            if self.grouping == "aggregate":
-                if self.execution == "vectorized":
-                    return check_fd_columnar(
-                        cluster, records, list(lhs), list(rhs), fmt=fmt
-                    ).collect()
-                if self.execution == "parallel":
-                    return check_fd_parallel(
-                        cluster, records, list(lhs), list(rhs), fmt=fmt
-                    ).collect()
-            ds = cluster.parallelize(records, fmt=fmt, name="lineitem")
-            return check_fd(ds, list(lhs), list(rhs), grouping=self.grouping).collect()
-
-        return self._run(action)
+        return self._run(
+            lambda cluster: run_fd(
+                cluster, records, lhs, rhs, execution=self.execution,
+                grouping=self.grouping, fmt=fmt,
+            ).collect()
+        )
 
     def check_dc(
         self,
@@ -171,27 +154,15 @@ class System:
         """General DC check with this system's strategy (overridable).
 
         The ``banded`` strategy additionally follows the system's
-        execution backend: the columnar fast path under
-        ``execution="vectorized"`` and real worker processes under
-        ``execution="parallel"`` — the same seam the FD check and dedup
-        operations use.
+        execution backend (:func:`~repro.cleaning.denial.run_dc`) — the
+        same seam the FD check and dedup operations use.
         """
-        chosen = strategy or self.dc_strategy
-
-        def action(cluster: Cluster) -> list:
-            if chosen == "banded":
-                if self.execution == "vectorized":
-                    return check_dc_columnar(
-                        cluster, records, constraint, fmt=fmt
-                    ).collect()
-                if self.execution == "parallel":
-                    return check_dc_parallel(
-                        cluster, records, constraint, fmt=fmt
-                    ).collect()
-            ds = cluster.parallelize(records, fmt=fmt, name="lineitem")
-            return check_dc(ds, constraint, strategy=chosen).collect()
-
-        return self._run(action)
+        return self._run(
+            lambda cluster: run_dc(
+                cluster, records, constraint, execution=self.execution,
+                strategy=strategy or self.dc_strategy, fmt=fmt,
+            ).collect()
+        )
 
     def repair_dc(
         self,
@@ -230,42 +201,13 @@ class System:
         fmt: str = "memory",
         filters: FilterConfig | None = None,
     ) -> RunResult:
-        def action(cluster: Cluster) -> list:
-            if self.grouping == "aggregate":
-                if self.execution == "vectorized":
-                    return deduplicate_columnar(
-                        cluster,
-                        records,
-                        list(attributes),
-                        metric=metric,
-                        theta=theta,
-                        block_on=block_on,
-                        fmt=fmt,
-                        filters=filters,
-                    ).collect()
-                if self.execution == "parallel":
-                    return deduplicate_parallel(
-                        cluster,
-                        records,
-                        list(attributes),
-                        metric=metric,
-                        theta=theta,
-                        block_on=block_on,
-                        fmt=fmt,
-                        filters=filters,
-                    ).collect()
-            ds = cluster.parallelize(records, fmt=fmt, name="input")
-            return deduplicate(
-                ds,
-                list(attributes),
-                metric=metric,
-                theta=theta,
-                block_on=block_on,
-                grouping=self.grouping,
-                filters=filters,
+        return self._run(
+            lambda cluster: run_dedup(
+                cluster, records, list(attributes), execution=self.execution,
+                grouping=self.grouping, metric=metric, theta=theta,
+                block_on=block_on, fmt=fmt, filters=filters,
             ).collect()
-
-        return self._run(action)
+        )
 
     def validate_terms(
         self,

@@ -17,6 +17,7 @@ from .dedup import (
     deduplicate_parallel,
     ensure_rids,
     pairwise_within_blocks,
+    run_dedup,
 )
 from .domain import (
     DomainRule,
@@ -44,12 +45,13 @@ from .denial import (
     SingleFilter,
     TuplePredicate,
     check_dc,
-    check_dc_banded,
     check_dc_columnar,
     check_dc_parallel,
     check_fd,
     check_fd_columnar,
     check_fd_parallel,
+    run_dc,
+    run_fd,
     self_theta_join,
 )
 from .kmeans import (
@@ -104,11 +106,11 @@ __all__ = [
     "key_blocks", "kmeans_blocks", "length_blocks", "make_blocks", "token_blocks",
     "DuplicatePair", "deduplicate", "deduplicate_columnar",
     "deduplicate_parallel", "ensure_rids",
-    "pairwise_within_blocks",
+    "pairwise_within_blocks", "run_dedup",
     "DenialConstraint", "FDViolation", "SingleFilter", "TuplePredicate",
     "DC_STRATEGIES", "DCPlan", "DCStats",
-    "check_dc", "check_dc_banded", "check_dc_columnar", "check_dc_parallel",
-    "check_fd", "check_fd_columnar", "check_fd_parallel",
+    "check_dc", "check_dc_columnar", "check_dc_parallel", "run_dc",
+    "check_fd", "check_fd_columnar", "check_fd_parallel", "run_fd",
     "find_violations", "null_safe_compare", "parse_dc", "plan_dc",
     "self_theta_join",
     "DomainRule", "DomainViolation", "InRange", "InSet", "Matches", "NotNull",

@@ -4,13 +4,12 @@ General denial constraints ``∀ t1,t2 ¬(p1 ∧ ... ∧ pn)`` are the one Clean
 operation family (§3.1, rule ψ of §2) whose historical execution was a
 black-box theta join: every strategy handed an opaque pair predicate to
 ``theta_join_*`` and paid for the full cross product.  This module is the
-shared engine that replaces that inner loop for all three physical
-backends — the row path (:func:`~repro.cleaning.denial.check_dc` with
-``strategy="banded"``), the multi-process worker tasks of
-``check_dc_parallel`` (:mod:`repro.physical.parallel_exec`), and the
-columnar fast path of ``check_dc_columnar`` (selection-vector filtering in
-:mod:`repro.physical.vectorized`) — mirroring how the similarity-join
-kernel (:mod:`repro.cleaning.simjoin`) unified the dedup backends.
+backend-neutral kernel that replaces that inner loop — extract
+(:func:`extract_partition`), plan (:func:`plan_dc_entries`), index
+(:func:`build_dc_index`), scan (:func:`scan_partition`, or
+:func:`scan_task` around it in a worker).  The drivers in
+:mod:`repro.cleaning.denial` move partitions through it and price the
+counts; the incremental DC state patches the same index.
 
 The planner (:func:`plan_dc`) splits the constraint's predicate
 conjunction:
@@ -67,7 +66,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
-RID = "_rid"
+from .rowid import RID, row_ids
 
 #: Raw comparison table.  Never call these on possibly-null operands —
 #: go through :func:`null_safe_compare`.
@@ -215,11 +214,12 @@ def _split_clauses(text: str) -> list[str]:
 
 
 def _split_operator(clause: str) -> tuple[str, str, str]:
-    # Longest operators first so "<=" is not read as "<".
-    for op in ("<=", ">=", "==", "!=", "<", ">"):
+    # Longest operators first so "<=" is not read as "<"; SQL's single "="
+    # (what CleanM's own WHERE uses) comes last and parses as "==".
+    for op in ("<=", ">=", "==", "!=", "<", ">", "="):
         if op in clause:
             left, right = clause.split(op, 1)
-            return left.strip(), op, right.strip()
+            return left.strip(), "==" if op == "=" else op, right.strip()
     raise ValueError(f"no comparison operator in DC clause {clause!r}")
 
 
@@ -309,8 +309,7 @@ def plan_dc(
     plain dict records (tests, the repair engine); the engine backends
     plan from the entries they extract anyway.
     """
-    extract = record_extractor(constraint)
-    entries = [extract(r.get(RID, i), r, i) for i, r in enumerate(records)]
+    entries = extract_partition(records, constraint)
     return plan_dc_entries(constraint, entries, sample=sample)
 
 
@@ -396,9 +395,9 @@ class DCRecord(NamedTuple):
     ``fvals`` are the left-filter attribute values, ``lvals`` /
     ``rvals`` the per-predicate left/right attribute values (in
     ``constraint.predicates`` order), ``payload`` whatever the backend
-    needs to materialize an output pair (the record dict on the row
-    paths, a ``(partition, physical_row)`` reference on the columnar
-    path).  Plain tuples, so a :class:`DCRecord` crosses process
+    needs to materialize an output pair (the record dict on the driver,
+    a ``(partition, row)`` reference in a worker or an incremental
+    state).  Plain tuples, so a :class:`DCRecord` crosses process
     boundaries unchanged.
     """
 
@@ -431,6 +430,28 @@ def record_extractor(
         )
 
     return extract
+
+
+def extract_partition(
+    records: Sequence[dict],
+    constraint: DenialConstraint,
+    start: int = 0,
+    part_idx: int | None = None,
+) -> list[DCRecord]:
+    """One partition's comparison vectors, in partition order.
+
+    Row ids follow the shared rule (:func:`~repro.cleaning.rowid.row_ids`;
+    ``start`` is the partition's offset in the partition-major numbering),
+    so every backend extracts the identical entry stream.  Payloads are
+    the records themselves, or — when ``part_idx`` is given, i.e. running
+    as a worker task whose caller holds the records — compact ``(partition,
+    row)`` references, so nothing downstream carries a copy of any row.
+    """
+    extract = record_extractor(constraint)
+    payloads = (
+        records if part_idx is None else [(part_idx, i) for i in range(len(records))]
+    )
+    return list(map(extract, row_ids(records, start), records, payloads))
 
 
 def left_filter(constraint: DenialConstraint) -> Callable[[DCRecord], bool]:
@@ -503,27 +524,31 @@ def build_dc_index(
     value list; the scan then checks the band predicate explicitly, so
     planning can never change the answer.
     """
-    band_idx = plan.band_idx
     group_key, _probe = _compiled(plan)
     groups: dict[tuple, list[DCRecord]] = {}
     for entry in entries:
         key = group_key(entry)
         if key is not None:
             groups.setdefault(key, []).append(entry)
+    return {
+        key: band_sorted(members, plan.band_idx) for key, members in groups.items()
+    }
 
-    index: dict[tuple, tuple[list | None, list[DCRecord]]] = {}
-    for key, members in groups.items():
-        if band_idx is None:
-            index[key] = (None, members)
-            continue
+
+def band_sorted(
+    members: list[DCRecord], band_idx: int | None
+) -> tuple[list | None, list[DCRecord]]:
+    """One index group in probe form: ``(band values, members)`` sorted by
+    band value, or ``(None, members)`` in insertion order when there is no
+    band predicate or the values are mutually incomparable.  Shared by
+    :func:`build_dc_index` and the incremental DC state."""
+    if band_idx is not None:
         try:
             members = sorted(members, key=lambda e: e.rvals[band_idx])
-            values = [e.rvals[band_idx] for e in members]
+            return [e.rvals[band_idx] for e in members], members
         except TypeError:
-            index[key] = (None, members)
-            continue
-        index[key] = (values, members)
-    return index
+            pass
+    return None, members
 
 
 def band_range(op: str, values: list, left_value: Any) -> tuple[int, int]:
@@ -557,6 +582,30 @@ def scan_partition(
     """
     _group_key, probe = _compiled(plan)
     return probe(left_entries, index, stats, compare_unit)
+
+
+def scan_task(
+    entries: list[DCRecord],
+    index: dict,
+    plan: DCPlan,
+    compare_unit: float,
+) -> tuple[list[tuple[Any, Any]], tuple[int, int, float]]:
+    """Worker task: banded probe of one resident entry partition.
+
+    Applies the left-side single-tuple filters in-worker (the driver prices
+    ``candidates`` from its own count over the extraction stream), then
+    runs :func:`scan_partition`.  ``entries`` and ``index`` arrive by
+    handle (the entries stay resident from the extraction stage; the index
+    is broadcast once per worker), so a warm re-run ships only this task's
+    few-hundred-byte argument tuple.  Returns the violating ``(t1, t2)``
+    payload pairs plus ``(examined, pairs, work)`` for the driver to merge
+    into the cluster metrics.
+    """
+    left = list(filter(left_filter(plan.constraint), entries))
+    stats = DCStats()
+    pairs = scan_partition(left, index, plan, stats, compare_unit)
+    out = [(a.payload, b.payload) for a, b in pairs]
+    return out, (stats.examined, stats.pairs, stats.work)
 
 
 def _compiled(plan: DCPlan) -> tuple[Callable, Callable]:
@@ -690,8 +739,7 @@ def find_violations(
     row id.  Returns violating ``(t1, t2)`` record pairs under the same
     null-safe, exactly-once semantics as the engine paths.
     """
-    extract = record_extractor(constraint)
-    entries = [extract(r.get(RID, i), r) for i, r in enumerate(records)]
+    entries = extract_partition(records, constraint)
     plan = plan_dc_entries(constraint, entries)
     index = build_dc_index(entries, plan)
     left = list(filter(left_filter(constraint), entries))

@@ -33,10 +33,8 @@ Scope gates (all enforced here, not by callers):
 * tables smaller than ``num_partitions`` never get incremental state —
   below that size the engines clamp partition counts and the layout
   arithmetic above does not hold;
-* every row must be a dict carrying a non-``None`` ``_rid``, and all rows
-  (including delta rows) must share one key order — the vectorized cold
-  paths rebuild payload dicts in column-batch order, so emission of the
-  original dicts is only backend-identical under a uniform key order;
+* every row (including delta rows) must be a dict carrying a non-``None``
+  ``_rid`` — the states address rows by it;
 * dedup additionally requires globally unique rids (its pair-dedupe
   semantics key on rid) and a non-callable blocking spec;
 * DC requires a hashable constraint (the same bound as the parallel
@@ -66,15 +64,18 @@ from .dc_kernel import (
     DCStats,
     DenialConstraint,
     ORDERED_OPS,
+    band_sorted,
     build_dc_index,
     dc_group_key,
+    extract_partition,
     left_filter,
     plan_dc_entries,
     record_extractor,
     scan_partition,
 )
-from .dedup import RID, DuplicatePair, default_block_key, _block_key_func, _to_pair
-from .denial import FDViolation, _key_func
+from .dedup import DuplicatePair, _to_pair, block_key_func
+from .denial import FDViolation, _key_func, fd_merge
+from .rowid import RID
 from .simjoin import SimJoin
 
 __all__ = [
@@ -82,6 +83,7 @@ __all__ = [
     "IncrementalFD",
     "IncrementalDC",
     "IncrementalDedup",
+    "STATES",
     "UnsupportedDelta",
 ]
 
@@ -115,18 +117,6 @@ class IncrementalTable:
         for row in rows:
             if not isinstance(row, dict) or row.get(RID) is None:
                 raise UnsupportedDelta("rows must be dicts with a non-None _rid")
-        # Key ORDER must be uniform, not just the key set: the vectorized
-        # cold paths rebuild result payloads from column batches, whose
-        # column order is the batch's first record's key order.  Emission
-        # returns the original dicts, so parity across backends holds only
-        # when every row already shares one key order.
-        self._key_order = tuple(rows[0].keys())
-        for row in rows:
-            if tuple(row.keys()) != self._key_order:
-                raise UnsupportedDelta(
-                    "rows with differing key order: the vectorized backend "
-                    "normalizes payload key order per column batch"
-                )
         self.num_partitions = num_partitions
         self.size = len(rows)
         self.parts: list[list[dict]] = round_robin_split(rows, num_partitions)
@@ -139,15 +129,10 @@ class IncrementalTable:
     def append(self, rows: Sequence[dict]) -> list[Placement]:
         placements: list[Placement] = []
         for row in rows:
-            if (
-                not isinstance(row, dict)
-                or row.get(RID) is None
-                or tuple(row.keys()) != self._key_order
-            ):
+            if not isinstance(row, dict) or row.get(RID) is None:
                 self.states.clear()
                 raise UnsupportedDelta(
-                    "appended rows must be dicts with a non-None _rid and "
-                    "the table's key order"
+                    "appended rows must be dicts with a non-None _rid"
                 )
             p, pos = self.placement(self.size)
             assert pos == len(self.parts[p])
@@ -160,11 +145,6 @@ class IncrementalTable:
     def update(self, updates: Sequence[tuple[int, dict]]) -> list[Placement]:
         placements: list[Placement] = []
         for g, row in updates:
-            if tuple(row.keys()) != self._key_order:
-                self.states.clear()
-                raise UnsupportedDelta(
-                    "replacement rows must keep the table's key order"
-                )
             p, pos = self.placement(g)
             self.parts[p][pos] = row
             placements.append((p, pos))
@@ -292,36 +272,23 @@ class IncrementalFD:
     def emit(self) -> list[FDViolation]:
         if not self._dirty:
             return list(self._cached)
-        # Reduce side: merge combiners input-partition-major — dict
-        # insertion order *is* the arrival order the cold merge sees.
-        merged: dict[Any, tuple[dict, list[Placement]]] = {}
-        for p in range(len(self.local)):
-            for key, (rhs_seen, positions) in self._view(p).items():
-                state = merged.get(key)
-                if state is None:
-                    merged[key] = (
-                        dict(rhs_seen),
-                        [(p, i) for i in positions],
-                    )
-                    continue
-                m_rhs, m_wit = state
-                for rhs_value in rhs_seen:
-                    if rhs_value not in m_rhs:
-                        m_rhs[rhs_value] = None
-                m_wit.extend((p, i) for i in positions)
+        # The kernel's own merge-and-emit over the combiners in
+        # input-partition order (what every cold bucket sees), witnesses as
+        # ``(partition, position)`` references.  A key lives in one bucket,
+        # so bucketing the violations afterwards reproduces the cold output
+        # order while ``stable_hash`` runs on the few, not on every key.
+        keep = self.keep_records
+        combiners = (
+            (key, (rhs_seen, [(p, i) for i in positions] if keep else []))
+            for p in range(len(self.local))
+            for key, (rhs_seen, positions) in self._view(p).items()
+        )
         n = self.table.num_partitions
         parts = self.table.parts
         buckets: list[list[FDViolation]] = [[] for _ in range(n)]
-        for key, (rhs_seen, refs) in merged.items():
-            if len(rhs_seen) > 1:
-                witnesses = (
-                    tuple(parts[p][i] for p, i in refs)
-                    if self.keep_records
-                    else ()
-                )
-                buckets[stable_hash(key) % n].append(
-                    FDViolation(key, tuple(rhs_seen), witnesses)
-                )
+        for v in fd_merge(combiners, keep):
+            rows = tuple(parts[p][i] for p, i in v.records)
+            buckets[stable_hash(v.key) % n].append(FDViolation(v.key, v.rhs_values, rows))
         out = [v for bucket in buckets for v in bucket]
         self._cached = out
         self._dirty = False
@@ -363,10 +330,7 @@ class IncrementalDC:
         self._extract = record_extractor(constraint)
         self._passes = left_filter(constraint)
         self.entries: list[list[DCRecord]] = [
-            [
-                self._extract(row[RID], row, (p, pos))
-                for pos, row in enumerate(part)
-            ]
+            extract_partition(part, constraint, part_idx=p)
             for p, part in enumerate(table.parts)
         ]
         self.plan = plan_dc_entries(constraint, self._flat())
@@ -389,13 +353,9 @@ class IncrementalDC:
         key = dc_group_key(entry, self.plan)
         if key is None:
             return
-        members = self.groups.get(key)
-        if members is None:
-            members = []
-            self.groups[key] = members
         # Keep members in (partition, position) order — exactly the
         # insertion order the cold partition-major index build sees.
-        insort(members, entry, key=lambda e: e.payload)
+        insort(self.groups.setdefault(key, []), entry, key=lambda e: e.payload)
         self.group_of[entry.payload] = key
         self._frag.pop(key, None)
 
@@ -415,16 +375,8 @@ class IncrementalDC:
     def _fragment(self, key: tuple) -> tuple[list | None, list[DCRecord], dict]:
         frag = self._frag.get(key)
         if frag is None:
-            members = self.groups[key]
-            band_idx = self.plan.band_idx
-            if band_idx is None:
-                ordered, values = list(members), None
-            else:
-                try:
-                    ordered = sorted(members, key=lambda e: e.rvals[band_idx])
-                    values = [e.rvals[band_idx] for e in ordered]
-                except TypeError:  # mixed types: cold keeps insertion order
-                    ordered, values = list(members), None
+            # A copy: the group list is patched in place, a fragment is not.
+            values, ordered = band_sorted(list(self.groups[key]), self.plan.band_idx)
             frag = (
                 values,
                 ordered,
@@ -602,10 +554,7 @@ class IncrementalDedup:
         self.join = SimJoin(
             self.attributes, metric=metric, theta=float(theta), filters=filters
         )
-        if block_on is None:
-            self.key_func = default_block_key(self.attributes)
-        else:
-            self.key_func = _block_key_func(block_on)
+        self.key_func = block_key_func(block_on, self.attributes)
         self.blocks: dict[Any, list[Placement]] = {}
         self.key_of: dict[Placement, Any] = {}
         self.stamps: dict[Placement, int] = {}
@@ -633,11 +582,7 @@ class IncrementalDedup:
         self.preps[(placement, stamp)] = self.join.prepare(rid, row)
         key = self.key_func(row)
         self.key_of[placement] = key
-        members = self.blocks.get(key)
-        if members is None:
-            members = []
-            self.blocks[key] = members
-        insort(members, placement)
+        insort(self.blocks.setdefault(key, []), placement)
 
     def on_append(self, placements: list[Placement]) -> None:
         for placement in placements:
@@ -666,11 +611,7 @@ class IncrementalDedup:
                     del self.blocks[old_key]
                     self.block_cache.pop(old_key, None)
                 self.key_of[placement] = new_key
-                fresh = self.blocks.get(new_key)
-                if fresh is None:
-                    fresh = []
-                    self.blocks[new_key] = fresh
-                insort(fresh, placement)
+                insort(self.blocks.setdefault(new_key, []), placement)
         self._dirty = True
 
     def _block_pairs(self, key: Any) -> list[DuplicatePair]:
@@ -684,29 +625,19 @@ class IncrementalDedup:
         if cached is not None and cached[0] == signature:
             return cached[1]
         preps = [self.preps[sig] for sig in signature]
+        sig_of = {id(prep): sig for prep, sig in zip(preps, signature)}
         pairs: list[DuplicatePair] = []
-        seen_pairs: set = set()
-        count = len(preps)
-        # join_members replayed: (i, j) visit order, rid-equal skip,
-        # rid-keyed pair dedupe, rid-ordered output orientation.
-        for i in range(count):
-            a = preps[i]
-            for j in range(i + 1, count):
-                b = preps[j]
-                if a.rid == b.rid:
-                    continue
-                pkey = (a.rid, b.rid) if a.rid <= b.rid else (b.rid, a.rid)
-                if pkey in seen_pairs:
-                    continue
-                seen_pairs.add(pkey)
-                ckey = (signature[i], signature[j])
-                pair = self.verify_cache.get(ckey)
-                if pair is None:
-                    pair = self.verify_cache[ckey] = self.join.verify(a, b) and (
-                        _to_pair(a, b) if a.rid <= b.rid else _to_pair(b, a)
-                    )
-                if pair:
-                    pairs.append(pair)
+        # join_members with its verdicts memoized: the kernel's own (i, j)
+        # visit order and rid-ordered output orientation.
+        for a, b in self.join.block_pairs(preps):
+            ckey = (sig_of[id(a)], sig_of[id(b)])
+            pair = self.verify_cache.get(ckey)
+            if pair is None:
+                pair = self.verify_cache[ckey] = self.join.verify(a, b) and (
+                    _to_pair(a, b) if a.rid <= b.rid else _to_pair(b, a)
+                )
+            if pair:
+                pairs.append(pair)
         self.block_cache[key] = (signature, pairs)
         return pairs
 
@@ -722,3 +653,8 @@ class IncrementalDedup:
         self._cached = out
         self._dirty = False
         return list(out)
+
+
+#: State class per operation tag — the first element of the key the facade
+#: files a maintained result under.
+STATES: dict[str, type] = {"fd": IncrementalFD, "dc": IncrementalDC, "dedup": IncrementalDedup}

@@ -224,9 +224,8 @@ def _pairs_to_indices(
     """Map caller-supplied violating pairs onto row indices by identity.
 
     ``None`` when any pair's records are not the input list's own objects
-    (e.g. pairs late-materialized by the columnar backend or pickled back
-    from worker processes) — the caller then falls back to detecting
-    afresh, which is always correct.
+    (e.g. copies pickled back from worker processes) — the caller then
+    falls back to detecting afresh, which is always correct.
     """
     position = {id(r): i for i, r in enumerate(records)}
     out: list[tuple[int, int]] = []

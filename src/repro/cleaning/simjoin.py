@@ -3,9 +3,9 @@
 The "Similarity" phase of Figs. 3 and 8 — pairwise metric evaluation inside
 blocks — dominates the measured runtime of every similarity-based cleaning
 operation.  This module is the one engine behind it: the row executor
-(:func:`~repro.cleaning.dedup.pairwise_within_blocks`), the multi-process
-worker tasks of ``deduplicate_parallel``, the columnar fast path, and term
-validation all route their candidate pairs through the same
+(:func:`~repro.cleaning.dedup.pairwise_within_blocks`), the blocking
+kernel's :func:`~repro.cleaning.dedup.block_pairs` (the vectorized driver
+and the parallel worker tasks), and term validation all route their candidate pairs through the same
 :class:`SimJoin` verifier, so filter semantics and comparison accounting
 cannot drift between backends.
 
@@ -154,8 +154,7 @@ class PreparedRecord:
     built lazily on first use, so workloads that never reach the count
     filter never pay for tokenization and a record that never reaches the
     metric holds no masks.  ``payload`` carries whatever the caller needs
-    to materialize an output pair (the record dict on the row paths, a
-    ``(partition, index)`` reference on the columnar path).
+    to materialize an output pair (the record dict on every dedup path).
     """
 
     __slots__ = ("rid", "payload", "terms", "lengths", "bags", "_masks")
@@ -237,16 +236,10 @@ class SimJoin:
     # ------------------------------------------------------------------ #
     # Preparation
     # ------------------------------------------------------------------ #
-    def prepare(self, rid: Any, record: dict, payload: Any = None) -> PreparedRecord:
+    def prepare(self, rid: Any, record: dict) -> PreparedRecord:
         """Prepare a dict record: stringify the comparison attributes once."""
         terms = tuple(str(record.get(a, "")) for a in self.attributes)
-        return PreparedRecord(rid, terms, record if payload is None else payload)
-
-    def prepare_terms(
-        self, rid: Any, terms: Sequence[str], payload: Any = None
-    ) -> PreparedRecord:
-        """Prepare from already-extracted attribute strings (columnar path)."""
-        return PreparedRecord(rid, terms, payload)
+        return PreparedRecord(rid, terms, record)
 
     def _bags(self, record: PreparedRecord) -> tuple[frozenset, ...]:
         if record.bags is None:

@@ -17,6 +17,7 @@ from ..algebra.operators import AlgebraOp, SharedScanDAG
 from ..algebra.rewrite import RewriteReport, optimize_branches
 from ..algebra.translate import Translator
 from ..cleaning.kmeans import reservoir_sample
+from ..cleaning.rowid import fill_rids
 from ..cleaning.similarity import record_similarity
 from ..cleaning.tokenize import qgrams
 from ..engine.cluster import Cluster
@@ -265,9 +266,7 @@ class CleanDB:
         """
         rows = list(records)
         if rows and isinstance(rows[0], dict):
-            rows = [
-                r if "_rid" in r else {**r, "_rid": i} for i, r in enumerate(rows)
-            ]
+            rows = fill_rids(rows)
         self._tables[name] = rows
         self._formats[name] = fmt
         self.refresh_table(name)
@@ -313,18 +312,6 @@ class CleanDB:
             f"pin:{name}",
             [0.0] * self.cluster.num_nodes,
             **log.take(),
-        )
-
-    def _record_degraded(self, op: str, table: str, exc: Exception) -> None:
-        """Log one degradation to the row backend.
-
-        Reached only when the parallel backend could not heal — the retry
-        budget is spent (``RetriesExhausted``) or a rebuild left a handle
-        stale.  The ``degraded:`` op name is what the serving layer counts
-        to mark a query outcome as degraded-but-answered.
-        """
-        self.cluster.record_op(
-            f"degraded:{op}:{table}", [0.0] * self.cluster.num_nodes
         )
 
     def _pinned_key(self, name: str) -> tuple[str, int] | None:
@@ -417,11 +404,7 @@ class CleanDB:
         if not rows:
             return
         base = len(table)
-        prepared = []
-        for j, row in enumerate(rows):
-            if isinstance(row, dict) and "_rid" not in row:
-                row = {**row, "_rid": base + j}
-            prepared.append(row)
+        prepared = fill_rids(rows, base)
         table.extend(prepared)
         old_version = self._table_versions.get(name, 0)
         self._table_versions[name] = old_version + 1
@@ -613,11 +596,12 @@ class CleanDB:
             self._inc_tables[name] = inc
         return inc
 
-    def _incremental_result(self, name: str, key: tuple, builder) -> list | None:
+    def _incremental_result(self, name: str, key: tuple, args: tuple) -> list | None:
         """A maintained check result, or None to run the cold path.
 
-        ``builder(inc_table)`` constructs the state on first use; a state
-        that cannot be built (unsupported arguments/table) or that fails
+        ``key[0]`` names the operation (``fd`` / ``dc`` / ``dedup``); its
+        state is constructed from ``args`` on first use.  A state that
+        cannot be built (unsupported arguments/table) or that fails
         mid-emit is dropped so the cold path answers — falling back is
         always correct, serving a stale result never is.
         """
@@ -627,8 +611,9 @@ class CleanDB:
         try:
             state = inc.states.get(key)
             if state is None:
-                state = builder(inc)
-                inc.states[key] = state
+                from ..cleaning.incremental import STATES
+
+                state = inc.states[key] = STATES[key[0]](inc, *args)
         except Exception:
             return None
         try:
@@ -669,6 +654,52 @@ class CleanDB:
             raise DiagnosticsError(errors, source=rule)
         return parse_dc(rule)
 
+    def _run_check(
+        self,
+        op: str,
+        table: str,
+        run: Any,
+        state_key: tuple | None = None,
+        state_args: tuple = (),
+        **kwargs: Any,
+    ) -> list[Any]:
+        """Run one cleaning check on this instance's backend.
+
+        ``run`` is the operation's dispatch function
+        (:func:`~repro.cleaning.denial.run_fd` / ``run_dc`` /
+        :func:`~repro.cleaning.dedup.run_dedup`), which maps ``execution``
+        to a driver.  This method owns what only the facade knows: the
+        maintained result when ``state_key`` names an incremental state
+        (built from ``state_args`` on first use), the table's format and
+        pin, and the last rung of the degradation ladder — when the
+        parallel backend could not heal (the retry budget is spent, or a
+        rebuild left a handle stale) the check is answered by the row
+        driver, under a ``degraded:`` op the serving layer counts to mark
+        the outcome degraded-but-answered.
+        """
+        from ..engine.parallel import StaleHandleError, WorkerTaskError
+
+        records = self.table(table)
+        if state_key is not None:
+            out = self._incremental_result(table, state_key, state_args)
+            if out is not None:
+                return out
+        kwargs.update(
+            fmt=self._formats.get(table, "memory"),
+            name=table,
+            pinned=self._pinned_key(table),
+            batch_size=self.config.batch_size,
+        )
+        try:
+            return run(
+                self.cluster, records, execution=self.config.execution, **kwargs
+            ).collect()
+        except (WorkerTaskError, StaleHandleError):
+            self.cluster.record_op(
+                f"degraded:{op}:{table}", [0.0] * self.cluster.num_nodes
+            )
+        return run(self.cluster, records, execution="row", **kwargs).collect()
+
     def check_dc(
         self, table: str, constraint: Any, strategy: str | None = None
     ) -> list[tuple[dict, dict]]:
@@ -677,50 +708,21 @@ class CleanDB:
         ``constraint`` is a :class:`~repro.cleaning.denial.
         DenialConstraint` (or a rule string for
         :func:`~repro.cleaning.dc_kernel.parse_dc`).  The ``banded``
-        strategy runs on this instance's execution backend — the columnar
-        fast path under ``execution="vectorized"``, real worker processes
+        strategy runs on this instance's execution backend — at batch
+        prices under ``execution="vectorized"``, on real worker processes
         under ``execution="parallel"`` — with an identical violation set
         either way.
         """
-        from ..cleaning.denial import (
-            check_dc,
-            check_dc_columnar,
-            check_dc_parallel,
-        )
+        from ..cleaning.denial import run_dc
 
         if isinstance(constraint, str):
             constraint = self._analyzed_dc(table, constraint)
         chosen = strategy or self.dc_strategy
-        records = self.table(table)
-        fmt = self._formats.get(table, "memory")
-        if chosen == "banded" and self.incremental:
-            from ..cleaning.incremental import IncrementalDC
-
-            out = self._incremental_result(
-                table,
-                ("dc", constraint),
-                lambda inc: IncrementalDC(inc, constraint),
-            )
-            if out is not None:
-                return out
-        if chosen == "banded":
-            if self.config.execution == "vectorized":
-                return check_dc_columnar(
-                    self.cluster, records, constraint, fmt=fmt,
-                    batch_size=self.config.batch_size,
-                ).collect()
-            if self.config.execution == "parallel":
-                from ..engine.parallel import StaleHandleError, WorkerTaskError
-
-                try:
-                    return check_dc_parallel(
-                        self.cluster, records, constraint, fmt=fmt,
-                        pinned=self._pinned_key(table),
-                    ).collect()
-                except (WorkerTaskError, StaleHandleError) as exc:
-                    self._record_degraded("dc", table, exc)
-        ds = self.cluster.parallelize(records, fmt=fmt, name=table)
-        return check_dc(ds, constraint, strategy=chosen).collect()
+        return self._run_check(
+            "dc", table, run_dc,
+            ("dc", constraint) if chosen == "banded" else None, (constraint,),
+            constraint=constraint, strategy=chosen,
+        )
 
     def check_fd(
         self,
@@ -731,45 +733,20 @@ class CleanDB:
     ) -> list[Any]:
         """Find ``table``'s functional-dependency violations (LHS → RHS).
 
-        Runs on this instance's execution backend — the columnar fast path
-        under ``execution="vectorized"``, handle-based worker processes
-        under ``execution="parallel"`` (referencing the eagerly pinned
-        table) — with an identical violation set either way.
+        Runs on this instance's execution backend — at batch prices under
+        ``execution="vectorized"``, handle-based worker processes under
+        ``execution="parallel"`` (referencing the eagerly pinned table) —
+        with an identical violation set either way.
         """
-        from ..cleaning.denial import check_fd, check_fd_columnar, check_fd_parallel
+        from ..cleaning.denial import run_fd
 
-        records = self.table(table)
-        fmt = self._formats.get(table, "memory")
-        if self.incremental and self.config.grouping == "aggregate":
-            from ..cleaning.incremental import IncrementalFD
-
-            out = self._incremental_result(
-                table,
-                ("fd", tuple(lhs), tuple(rhs), bool(keep_records)),
-                lambda inc: IncrementalFD(inc, list(lhs), list(rhs), keep_records),
-            )
-            if out is not None:
-                return out
-        if self.config.execution == "vectorized":
-            return check_fd_columnar(
-                self.cluster, records, list(lhs), list(rhs), fmt=fmt,
-                keep_records=keep_records, batch_size=self.config.batch_size,
-            ).collect()
-        if self.config.execution == "parallel":
-            from ..engine.parallel import StaleHandleError, WorkerTaskError
-
-            try:
-                return check_fd_parallel(
-                    self.cluster, records, list(lhs), list(rhs), fmt=fmt,
-                    keep_records=keep_records, pinned=self._pinned_key(table),
-                ).collect()
-            except (WorkerTaskError, StaleHandleError) as exc:
-                self._record_degraded("fd", table, exc)
-        ds = self.cluster.parallelize(records, fmt=fmt, name=table)
-        return check_fd(
-            ds, list(lhs), list(rhs), grouping=self.config.grouping,
-            keep_records=keep_records,
-        ).collect()
+        grouping = self.config.grouping
+        state_args = (tuple(lhs), tuple(rhs), bool(keep_records))
+        return self._run_check(
+            "fd", table, run_fd,
+            ("fd", *state_args) if grouping == "aggregate" else None, state_args,
+            lhs=lhs, rhs=rhs, grouping=grouping, keep_records=keep_records,
+        )
 
     def deduplicate(
         self,
@@ -785,19 +762,14 @@ class CleanDB:
         references the pinned table by handle and ships only the final
         pairs back.
         """
-        from ..cleaning.dedup import (
-            deduplicate,
-            deduplicate_columnar,
-            deduplicate_parallel,
-        )
+        from ..cleaning.dedup import run_dedup
         from ..cleaning.simjoin import NO_FILTERS
 
         filters = None if self.sim_filters else NO_FILTERS
-        records = self.table(table)
-        fmt = self._formats.get(table, "memory")
-        if self.incremental and self.config.grouping == "aggregate":
-            from ..cleaning.incremental import IncrementalDedup
-
+        grouping = self.config.grouping
+        attributes = list(attributes)
+        state_key = None
+        if grouping == "aggregate":
             try:
                 block_tag = (
                     block_on
@@ -806,44 +778,18 @@ class CleanDB:
                     or callable(block_on)
                     else tuple(block_on)
                 )
-                key = (
+                state_key = (
                     "dedup", tuple(attributes), metric, float(theta),
                     block_tag, self.sim_filters,
                 )
             except TypeError:
-                key = None
-            if key is not None:
-                out = self._incremental_result(
-                    table,
-                    key,
-                    lambda inc: IncrementalDedup(
-                        inc, list(attributes), metric, theta, block_on, filters
-                    ),
-                )
-                if out is not None:
-                    return out
-        if self.config.execution == "vectorized":
-            return deduplicate_columnar(
-                self.cluster, records, list(attributes), metric=metric,
-                theta=theta, block_on=block_on, fmt=fmt,
-                batch_size=self.config.batch_size, filters=filters,
-            ).collect()
-        if self.config.execution == "parallel":
-            from ..engine.parallel import StaleHandleError, WorkerTaskError
-
-            try:
-                return deduplicate_parallel(
-                    self.cluster, records, list(attributes), metric=metric,
-                    theta=theta, block_on=block_on, fmt=fmt, filters=filters,
-                    pinned=self._pinned_key(table),
-                ).collect()
-            except (WorkerTaskError, StaleHandleError) as exc:
-                self._record_degraded("dedup", table, exc)
-        ds = self.cluster.parallelize(records, fmt=fmt, name=table)
-        return deduplicate(
-            ds, list(attributes), metric=metric, theta=theta,
-            block_on=block_on, grouping=self.config.grouping, filters=filters,
-        ).collect()
+                pass
+        return self._run_check(
+            "dedup", table, run_dedup,
+            state_key, (attributes, metric, theta, block_on, filters),
+            attributes=attributes, grouping=grouping, metric=metric,
+            theta=theta, block_on=block_on, filters=filters,
+        )
 
     def repair_dc(
         self,
@@ -868,8 +814,8 @@ class CleanDB:
             constraint = self._analyzed_dc(table, constraint)
         # One detection pass through the configured backend (so metrics
         # reflect the real plan); its pairs seed the repair engine's first
-        # round directly when the backend returned the table's own record
-        # objects (the row path does — other backends re-detect).
+        # round directly, since every banded driver emits the table's own
+        # record objects (pairs of rebuilt copies would re-detect instead).
         if violations is None:
             violations = self.check_dc(table, constraint, strategy=strategy)
         repaired, report = repair_dc_by_relaxation(

@@ -33,8 +33,9 @@ fall back to the row path above their supported subplans.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 from ..algebra.operators import (
     TRUE,
@@ -222,63 +223,6 @@ def _distinct_merge_task(part: list[tuple[Any, None]]) -> list[Any]:
     return list(seen)
 
 
-def _dc_extract_task(
-    records: list[dict], constraint: Any, start_position: int, part_idx: int
-) -> list[Any]:
-    """Worker task: DC comparison-vector extraction for one partition.
-
-    One :class:`~repro.cleaning.dc_kernel.DCRecord` per input record, in
-    partition order — the exact per-partition state the row path's
-    ``check_dc_banded`` extracts.  Row ids replicate ``_dc_rids``: the
-    record's ``_rid`` when present, else its partition-major position
-    (``start_position`` is this partition's offset in that numbering), so
-    the driver-side index build and the downstream scan are byte-identical
-    to serial execution.  Payloads are compact ``(partition, row)``
-    references (the driver holds the records): everything downstream
-    carries only the fixed-width comparison vectors, not a copy of any row.
-    """
-    from ..cleaning.dc_kernel import RID, record_extractor
-
-    extract = record_extractor(constraint)
-    out = []
-    for i, record in enumerate(records):
-        rid = record.get(RID)
-        if rid is None:
-            rid = start_position + i
-        out.append(extract(rid, record, (part_idx, i)))
-    return out
-
-
-def _dc_scan_task(
-    entries: list[Any],
-    index: dict,
-    plan: Any,
-    compare_unit: float,
-    constraint: Any,
-) -> tuple[list[tuple[Any, Any]], tuple[int, int, float]]:
-    """Worker task: banded probe of one partition's entries against the index.
-
-    Applies the left-side single-tuple filters in-worker (same predicate,
-    same order as the row path's ``left_filter`` pass — the driver prices
-    ``candidates`` from its own count over the extraction stream), then
-    runs the shared kernel scan (:func:`~repro.cleaning.dc_kernel.
-    scan_partition`) — same candidate ranges, same residual checks, same
-    exactly-once pair rule as the row path.  ``entries`` and ``index``
-    arrive by handle (the entries stay resident from the extraction stage;
-    the index is broadcast once per worker), so a warm re-run ships only
-    this task's few-hundred-byte argument tuple.  Returns the violating
-    ``(t1, t2)`` payload-reference pairs plus ``(examined, pairs, work)``
-    counters for the driver to merge into the cluster metrics.
-    """
-    from ..cleaning.dc_kernel import DCStats, left_filter, scan_partition
-
-    left = list(filter(left_filter(constraint), entries))
-    stats = DCStats()
-    pairs = scan_partition(left, index, plan, stats, compare_unit)
-    out = [(a.payload, b.payload) for a, b in pairs]
-    return out, (stats.examined, stats.pairs, stats.work)
-
-
 def _append_patch_task(existing: list, delta_rows: list) -> list:
     """Worker task: extend one resident partition with appended rows.
 
@@ -321,17 +265,6 @@ def pin_is_warm(
         return False
     refs = cluster.pool.pinned(*pinned)
     return refs is not None and sum(max(r.count, 0) for r in refs) == len(records)
-
-
-def partition_offsets(counts: "Sequence[int]") -> list[int]:
-    """Each partition's starting position in the partition-major numbering
-    (the layout ``ensure_rids`` / ``_dc_rids`` assign row ids in)."""
-    offsets: list[int] = []
-    position = 0
-    for count in counts:
-        offsets.append(position)
-        position += max(count, 0)
-    return offsets
 
 
 def resident_input(
@@ -395,6 +328,107 @@ def _pin_checked(pool: Any, name: str, version: int, parts: list) -> list[StoreR
             f"worker store: {exc!r}; degrading to the row backend",
             exc_type=type(exc).__name__,
         ) from exc
+
+
+def shippable(
+    cluster: Any,
+    records: list[Any],
+    pinned: tuple[str, int] | None,
+    spec: Any = None,
+) -> bool:
+    """Whether a call can cross the process boundary: its argument ``spec``
+    pickles, and its rows do — a warm pin proves that outright (the rows
+    already crossed), a cold table is judged by the *static* type-walk over
+    a sampled prefix instead of an O(table) serialize-everything probe (an
+    exotic row the sample missed still cannot crash dispatch: the pin
+    itself fails with :class:`WorkerTaskError` and the caller degrades)."""
+    return is_picklable(spec) and (
+        pin_is_warm(cluster, records, pinned) or rows_statically_shippable(records)
+    )
+
+
+def record_stage(
+    cluster: Any,
+    log: ShipLog | None,
+    name: str,
+    per_part_work: Sequence[float],
+    shuffled: int = 0,
+    cost: float = 0.0,
+) -> None:
+    """Record one pool-dispatched stage: simulated work at row prices,
+    spread over nodes by partition placement, plus the measured transport
+    since the log's previous take."""
+    cluster.record_op(
+        name,
+        cluster.spread_over_nodes(per_part_work),
+        shuffled_records=shuffled,
+        shuffle_cost=cost,
+        **(log.take() if log is not None else {}),
+    )
+
+
+class ResidentStages:
+    """One parallel cleaning call's worker-resident state: the input
+    handles, the transport log its stages charge from, and the store names
+    to evict when the call ends."""
+
+    def __init__(self, cluster: Any, refs: list[StoreRef], log: ShipLog):
+        self.cluster = cluster
+        self.pool = cluster.pool
+        self.refs = refs
+        self.log = log
+        self.temps: list[tuple[str, int]] = []
+
+    def temp(self, label: str) -> tuple[str, int]:
+        """A fresh store name for one stage's resident output, registered
+        for eviction *before* the stage runs: if one task fails, its
+        successful siblings' stored partitions must still be evicted
+        (evicting a never-stored name is a no-op)."""
+        key = (label, self.pool.next_version())
+        self.temps.append(key)
+        return key
+
+    def charge(
+        self,
+        name: str,
+        per_part_work: Sequence[float],
+        shuffled: int = 0,
+        cost: float = 0.0,
+    ) -> None:
+        """Record one stage (see :func:`record_stage`)."""
+        record_stage(self.cluster, self.log, name, per_part_work, shuffled, cost)
+
+
+@contextlib.contextmanager
+def resident_stages(
+    cluster: Any,
+    records: list[Any],
+    pinned: tuple[str, int] | None,
+    label: str,
+    name: str,
+    fmt: str,
+    parts: list[list[Any]] | None = None,
+) -> Iterator[ResidentStages]:
+    """The shell of every parallel cleaning driver: get the input resident
+    (:func:`resident_input`), charge its scan as ``scan:<name>:par``, run
+    the caller's stages, and evict every temp and any ad-hoc pin on every
+    exit path — a failing task or a budget abort must not leave table-sized
+    state resident in the workers."""
+    log = ShipLog(cluster.pool)
+    refs, owned = resident_input(
+        cluster, records, pinned, name=f"{label}:input", parts=parts
+    )
+    stages = ResidentStages(cluster, refs, log)
+    try:
+        cost = cluster.cost_model
+        unit = cost.record_unit + cost.scan_unit(fmt)
+        stages.charge(f"scan:{name}:par", [max(r.count, 0) * unit for r in refs])
+        yield stages
+    finally:
+        for temp in stages.temps:
+            stages.pool.evict(*temp)
+        if owned:
+            stages.pool.evict(refs[0].name, refs[0].version)
 
 
 # ---------------------------------------------------------------------- #
@@ -495,15 +529,8 @@ class ParallelExecutor:
     def _source_supported(self, table: str) -> bool:
         if table not in self._source_ok:
             source = self.catalog.get(table)
-            # A warm pin proves shippability (the rows already crossed the
-            # process boundary); a cold table gets the *static* type-walk
-            # over a sampled prefix instead of the old O(table) serialize-
-            # everything probe.  An exotic row the sample missed still
-            # cannot crash dispatch: the pin itself fails and the plan
-            # falls back to the row path (see resident_input).
-            ok = isinstance(source, list) and (
-                pin_is_warm(self.cluster, source, self.pinned_tables.get(table))
-                or rows_statically_shippable(source)
+            ok = isinstance(source, list) and shippable(
+                self.cluster, source, self.pinned_tables.get(table)
             )
             self._source_ok[table] = ok
         return self._source_ok[table]
@@ -777,14 +804,7 @@ class ParallelExecutor:
         cost: float = 0.0,
         log: ShipLog | None = None,
     ) -> None:
-        transport = log.take() if log is not None else {}
-        self.cluster.record_op(
-            name,
-            self.cluster.spread_over_nodes(per_part_work),
-            shuffled_records=shuffled,
-            shuffle_cost=cost,
-            **transport,
-        )
+        record_stage(self.cluster, log, name, per_part_work, shuffled, cost)
 
 
 class EnvPartitions:

@@ -685,72 +685,3 @@ def _freeze(value: Any) -> Any:
     if isinstance(value, (list, set, frozenset)):
         return tuple(_freeze(v) for v in value)
     return value
-
-
-# ---------------------------------------------------------------------- #
-# Denial-constraint column helpers (the cleaning fast path's seam)
-# ---------------------------------------------------------------------- #
-
-def dc_filter_batch(batch: ColumnBatch, constraint: Any) -> ColumnBatch:
-    """Apply a DC's single-tuple filters column-at-a-time.
-
-    Each :class:`~repro.cleaning.dc_kernel.SingleFilter` evaluates over
-    one attribute column with the kernel's null-safe three-valued
-    comparison and marks survivors in the batch's **selection vector** —
-    filters compose without copying any column data, exactly like the
-    vectorized query backend's Select.  A filter on a column the batch
-    does not have keeps no rows (a missing attribute never satisfies).
-    """
-    from ..cleaning.dc_kernel import null_safe_compare
-
-    out = batch
-    for f in constraint.left_filters:
-        if len(out) == 0:
-            break
-        if f.attr in out.columns:
-            column = out.column(f.attr)
-            mask = [null_safe_compare(f.op, value, f.value) for value in column]
-        else:
-            mask = [False] * len(out)
-        out = out.filter(mask)
-    return out
-
-
-def dc_extract_batch(
-    batch: ColumnBatch, constraint: Any, rids: Sequence[Any], part_idx: int
-) -> list[Any]:
-    """Extract DC comparison vectors straight from attribute columns.
-
-    One column fetch per distinct attribute per batch (instead of one
-    dict lookup per row per predicate), producing the same
-    :class:`~repro.cleaning.dc_kernel.DCRecord` stream as the row path's
-    per-record extraction.  Payloads are ``(partition, physical_row)``
-    references so violating rows late-materialize only on emission.
-    """
-    from ..cleaning.dc_kernel import DCRecord
-
-    n = len(batch)
-    columns: dict[str, list[Any]] = {}
-
-    def col(attr: str) -> list[Any]:
-        cached = columns.get(attr)
-        if cached is None:
-            cached = (
-                batch.column(attr) if attr in batch.columns else [None] * n
-            )
-            columns[attr] = cached
-        return cached
-
-    fcols = [col(f.attr) for f in constraint.left_filters]
-    lcols = [col(p.left_attr) for p in constraint.predicates]
-    rcols = [col(p.right_attr) for p in constraint.predicates]
-    return [
-        DCRecord(
-            rid=rids[i],
-            fvals=tuple(c[i] for c in fcols),
-            lvals=tuple(c[i] for c in lcols),
-            rvals=tuple(c[i] for c in rcols),
-            payload=(part_idx, i),
-        )
-        for i in range(n)
-    ]

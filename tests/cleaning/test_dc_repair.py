@@ -134,6 +134,18 @@ class TestRepairDCByRelaxation:
         # rids survive the repair untouched.
         assert [r["_rid"] for r in repaired] == [100, 200]
 
+    def test_none_rids_are_absent_not_equal(self):
+        # ``_rid: None`` on every row used to make every pair a self pair:
+        # detection found nothing and a dirty table was reported clean.
+        records = [
+            {"price": 10.0, "discount": 0.05, "_rid": None},
+            {"price": 20.0, "discount": 0.01, "_rid": None},
+        ]
+        assert len(find_violations(records, PSI)) == 1
+        repaired, report = repair_dc_by_relaxation(records, PSI)
+        assert report.violations_found == 1 and report.clean
+        assert find_violations([dict(r, _rid=i) for i, r in enumerate(repaired)], PSI) == []
+
     def test_repair_terminates_on_cascading_violations(self):
         # A chain where fixing one pair can create the next: the round
         # loop plus the null backstop must always reach zero residuals.

@@ -369,6 +369,19 @@ class TestDCPlanner:
         assert len(constraint.predicates) == 2
         assert constraint.predicates[1] == TuplePredicate("discount", ">", "discount")
 
+    def test_parse_dc_reads_sql_equals_as_equality(self):
+        # CleanM's own WHERE writes equality with a single "=".
+        constraint = parse_dc(
+            "t1.zip = t2.zip and t1.price <= t2.price and t1.city != t2.city",
+            where="t1.zip = 10",
+        )
+        assert constraint == parse_dc(
+            "t1.zip == t2.zip and t1.price <= t2.price and t1.city != t2.city",
+            where="t1.zip == 10",
+        )
+        assert [p.op for p in constraint.predicates] == ["==", "<=", "!="]
+        assert constraint.left_filters == (SingleFilter("zip", "==", 10),)
+
     def test_parse_dc_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_dc("t1.price ~ t2.price")

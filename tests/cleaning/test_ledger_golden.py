@@ -1,0 +1,157 @@
+"""Golden simulated ledger of the cleaning drivers.
+
+The simulated clock is a price list applied to counts; a refactor of the
+drivers must not move a single count.  ``ledger_golden.json`` freezes, for
+FD / banded DC / exact-key dedup x {row, vectorized, parallel (2 workers)}
+x {with rids, without rids, non-uniform rows}, the ordered list of
+``(op name, per-node cost, shuffled_records, shuffle_cost, batches)`` the
+driver charges, the ``comparisons`` / ``verified`` counters, and a digest
+of the output ``repr``.  Floats are compared by ``repr``.
+
+``python tests/cleaning/test_ledger_golden.py`` re-records the file; only
+do that for a change that is *meant* to re-price an operation.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+
+from fixtures import (  # noqa: E402 - needs the tests/ directory on sys.path
+    nully_dedup_rows,
+    nully_fd_rows,
+    nully_orders_rows,
+    psi_constraint,
+)
+from repro.cleaning.dc_kernel import parse_dc  # noqa: E402
+from repro.cleaning.dedup import (  # noqa: E402
+    deduplicate,
+    deduplicate_columnar,
+    deduplicate_parallel,
+)
+from repro.cleaning.denial import (  # noqa: E402
+    check_dc,
+    check_dc_columnar,
+    check_dc_parallel,
+    check_fd,
+    check_fd_columnar,
+    check_fd_parallel,
+)
+from repro.engine import Cluster  # noqa: E402
+
+GOLDEN = Path(__file__).with_name("ledger_golden.json")
+BACKENDS = ("row", "vectorized", "parallel")
+SHAPES = ("rids", "no_rids", "non_uniform")
+NODES = 4
+
+
+def _shape(rows: list[dict], shape: str, ragged_key: str) -> list[dict]:
+    if shape == "no_rids":
+        return [{k: v for k, v in r.items() if k != "_rid"} for r in rows]
+    if shape == "non_uniform":
+        return [
+            {k: v for k, v in r.items() if k != ragged_key} if i % 4 == 1 else r
+            for i, r in enumerate(rows)
+        ]
+    return rows
+
+
+def _fd(cluster, backend, rows, lhs):
+    if backend == "vectorized":
+        return check_fd_columnar(cluster, rows, lhs, ["nation"], fmt="csv")
+    if backend == "parallel":
+        return check_fd_parallel(cluster, rows, lhs, ["nation"], fmt="csv")
+    ds = cluster.parallelize(rows, fmt="csv", name="lineitem")
+    return check_fd(ds, lhs, ["nation"])
+
+
+def _dc(cluster, backend, rows, constraint):
+    if backend == "vectorized":
+        return check_dc_columnar(cluster, rows, constraint)
+    if backend == "parallel":
+        return check_dc_parallel(cluster, rows, constraint)
+    ds = cluster.parallelize(rows, name="lineitem")
+    return check_dc(ds, constraint, strategy="banded")
+
+
+def _dedup(cluster, backend, rows, block_on):
+    kwargs = dict(metric="LD", theta=0.7, block_on=block_on)
+    if backend == "vectorized":
+        return deduplicate_columnar(cluster, rows, ["name"], fmt="json", **kwargs)
+    if backend == "parallel":
+        return deduplicate_parallel(cluster, rows, ["name"], fmt="json", **kwargs)
+    ds = cluster.parallelize(rows, fmt="json", name="input")
+    return deduplicate(ds, ["name"], **kwargs)
+
+
+def _cases():
+    eq_filter = parse_dc(
+        "t1.qty == t2.qty and t1.price < t2.price", where="t1.price < 200"
+    )
+    for shape in SHAPES:
+        fd_rows = _shape(nully_fd_rows(), shape, "phone")
+        dc_rows = _shape(nully_orders_rows(), shape, "qty")
+        dedup_rows = _shape(nully_dedup_rows(), shape, "name")
+        yield f"fd:addr:{shape}", _fd, fd_rows, ["addr"]
+        yield f"fd:addr+phone:{shape}", _fd, fd_rows, ["addr", "phone"]
+        yield f"dc:psi:{shape}", _dc, dc_rows, psi_constraint()
+        yield f"dc:eq+filter:{shape}", _dc, dc_rows, eq_filter
+        yield f"dedup:city:{shape}", _dedup, dedup_rows, "city"
+        yield f"dedup:default:{shape}", _dedup, dedup_rows, None
+
+
+def _entry(run, backend, rows, arg) -> dict:
+    with Cluster(NODES, workers=2 if backend == "parallel" else None) as cluster:
+        out = run(cluster, backend, rows, arg).collect()
+        metrics = cluster.metrics
+        return {
+            "ops": [
+                [
+                    op.name,
+                    [repr(w) for w in op.per_node_work],
+                    op.shuffled_records,
+                    repr(op.shuffle_cost),
+                    op.batches,
+                ]
+                for op in metrics.ops
+            ],
+            "comparisons": metrics.comparisons,
+            "verified": metrics.verified,
+            "output": hashlib.sha1(repr(out).encode()).hexdigest(),
+        }
+
+
+def ledger(backends=BACKENDS) -> dict:
+    return {
+        f"{case}:{backend}": _entry(run, backend, rows, arg)
+        for case, run, rows, arg in _cases()
+        for backend in backends
+    }
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_ledger_matches_golden(backend):
+    golden = json.loads(GOLDEN.read_text())
+    current = ledger((backend,))
+    assert set(current) == {k for k in golden if k.endswith(f":{backend}")}
+    for key, entry in current.items():
+        assert entry == golden[key], key
+
+
+def test_golden_covers_every_cell():
+    golden = json.loads(GOLDEN.read_text())
+    assert len(golden) == 6 * len(SHAPES) * len(BACKENDS)
+    vectorized = [e for k, e in golden.items() if k.endswith(":vectorized")]
+    # Uniform shapes run at batch prices, the ragged shape at row prices.
+    assert sum(any(op[4] for op in e["ops"]) for e in vectorized) == 12
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps(ledger(), indent=1, sort_keys=True) + "\n")
+    print(f"recorded {GOLDEN}")

@@ -171,6 +171,31 @@ class TestPhysicalConfigs:
         assert {v["key"] for v in result.branch("fd1")} == {"addr0"}
 
 
+class TestCheckOpNames:
+    @pytest.mark.parametrize(
+        "execution, scan",
+        [
+            ("row", "scan:customer"),
+            ("vectorized", "scan:customer:vec"),
+            ("parallel", "scan:customer:par"),
+        ],
+    )
+    def test_scan_op_is_named_after_the_table(self, execution, scan):
+        """Every driver names its scan after the table it reads (the fast
+        paths used to hard-code ``lineitem`` / ``input``)."""
+        with CleanDB(num_nodes=4, execution=execution, workers=2) as db:
+            db.register_table("customer", customers())
+            checks = (
+                lambda: db.check_fd("customer", ["address"], ["nationkey"]),
+                lambda: db.check_dc("customer", "t1.nationkey < t2.nationkey"),
+                lambda: db.deduplicate("customer", ["name"], block_on="address"),
+            )
+            for check in checks:
+                db.cluster.metrics.reset()
+                check()
+                assert db.cluster.metrics.ops[0].name == scan
+
+
 class TestProfile:
     def test_profile_reports_skew(self):
         db = CleanDB(num_nodes=2)

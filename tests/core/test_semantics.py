@@ -150,6 +150,16 @@ class TestDenialConstraints:
             == []
         )
 
+    def test_sql_single_equals_is_an_equality_predicate(self, db):
+        rule = "t1.address = t2.address and t1.phone != t2.phone"
+        assert db.check(rule=rule, on="customer") == []
+        # Normalised to "==": the unsatisfiability check still sees it.
+        diags = db.check(
+            rule="t1.address = t2.address and t1.address != t2.address",
+            on="customer",
+        )
+        assert "CM304" in codes(diags)
+
     def test_analyze_dc_without_schema_skips_attribute_checks(self):
         diags = analyze_dc("t1.salary == t2.salary")
         assert diags == []  # no TableInfo: existence cannot be judged

@@ -19,8 +19,8 @@ from fixtures import WORKERS, dedup_clean_records, fd_clean_records
 from repro import CleanDB
 from repro.algebra import Join, Nest, Reduce, Scan, Select
 from repro.baselines import CleanDBSystem
-from repro.cleaning.dedup import deduplicate, deduplicate_parallel
-from repro.cleaning.denial import check_fd, check_fd_parallel
+from repro.cleaning.dedup import deduplicate, deduplicate_parallel, run_dedup
+from repro.cleaning.denial import check_fd, check_fd_parallel, run_dc, run_fd
 from repro.engine import Cluster
 from repro.engine.dataset import Dataset
 from repro.monoid import (
@@ -204,6 +204,30 @@ def test_language_level_parity(query_name):
     assert outputs["row"] == outputs["vectorized"] == outputs["parallel"]
 
 
+def _driver_outputs(run, records, fmt, **kwargs):
+    """One cleaning operation through its dispatch function on every
+    backend: canonicalised outputs, plus proof that the requested driver —
+    not a silent row-path fallback (a ``uniform_dict_records`` miss, a
+    shippability miss) — produced them."""
+    outputs = {}
+    for backend in BACKENDS:
+        workers = WORKERS if backend == "parallel" else None
+        with Cluster(num_nodes=4, workers=workers) as cluster:
+            out = run(cluster, records, execution=backend, fmt=fmt, **kwargs)
+            outputs[backend] = sorted(_canon(row) for row in out.collect())
+            metrics = cluster.metrics
+            if backend == "vectorized":
+                assert metrics.batches_processed > 0
+            elif backend == "parallel":
+                assert metrics.measured_time > 0.0
+                assert cluster.pool.tasks_dispatched > 0
+            else:
+                assert metrics.batches_processed == 0
+                assert metrics.measured_time == 0.0
+    assert outputs["row"] == outputs["vectorized"] == outputs["parallel"]
+    return outputs["row"]
+
+
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_system_fd_parity(fmt):
     """System-level FD check: identical violations on all three backends."""
@@ -216,6 +240,8 @@ def test_system_fd_parity(fmt):
     assert all(r.ok for r in results.values())
     counts = {r.output_count for r in results.values()}
     assert len(counts) == 1 and counts != {0}
+    violations = _driver_outputs(run_fd, FD_RECORDS, fmt, lhs=["addr"], rhs=["nation"])
+    assert {len(violations)} == counts
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
@@ -241,26 +267,82 @@ def test_system_dc_parity(fmt):
     assert len(counts) == 1 and counts != {0}
     assert len({r.comparisons for r in results.values()}) == 1
     assert len({r.verified for r in results.values()}) == 1
+    assert {len(_driver_outputs(run_dc, ORDERS, fmt, constraint=psi))} == counts
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_system_dedup_parity(fmt):
     """System-level dedup: identical pairs and comparison counts."""
+    dedup_args = dict(block_on=("journal", "title"), theta=0.3)
     results = {
         backend: CleanDBSystem(
             num_nodes=4, execution=backend, workers=WORKERS
-        ).deduplicate(
-            DEDUP_RECORDS,
-            ["pages", "authors"],
-            block_on=("journal", "title"),
-            theta=0.3,
-            fmt=fmt,
-        )
+        ).deduplicate(DEDUP_RECORDS, ["pages", "authors"], fmt=fmt, **dedup_args)
         for backend in BACKENDS
     }
     assert all(r.ok for r in results.values())
-    assert len({r.output_count for r in results.values()}) == 1
+    counts = {r.output_count for r in results.values()}
+    assert len(counts) == 1 and counts != {0}
     assert len({r.comparisons for r in results.values()}) == 1
+    pairs = _driver_outputs(
+        run_dedup, DEDUP_RECORDS, fmt, attributes=["pages", "authors"], **dedup_args
+    )
+    assert {len(pairs)} == counts
+
+
+class TestNoneRidMeansAbsent:
+    """A ``_rid: None`` is an absent row id on every path.  The drivers'
+    row-id rules had drifted: the columnar DC driver read the ``_rid``
+    column raw where the others fell back to the row's position, so it
+    found no violation at all, and dedup aliased every all-``None`` pair
+    into a self pair on all three backends."""
+
+    RULE = "t1.a == t2.a and t1.b < t2.b"
+
+    @staticmethod
+    def rows(**rid):
+        return [
+            {**rid, "a": i % 5, "b": i % 7, "name": f"name {i % 8}"}
+            for i in range(60)
+        ]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_facade_treats_none_like_a_missing_key(self, backend):
+        with CleanDB(num_nodes=4, execution=backend, workers=WORKERS) as db:
+            db.register_table("none", self.rows(_rid=None))
+            db.register_table("absent", self.rows())
+            dc = db.check_dc("none", self.RULE)
+            pairs = db.deduplicate("none", ["name"], block_on="a", theta=0.7)
+            assert len(dc) == 305 and len(pairs) == 330
+            rid_pairs = [(t1["_rid"], t2["_rid"]) for t1, t2 in dc]
+            assert rid_pairs == [
+                (t1["_rid"], t2["_rid"]) for t1, t2 in db.check_dc("absent", self.RULE)
+            ]
+            assert [(p.left_id, p.right_id) for p in pairs] == [
+                (p.left_id, p.right_id)
+                for p in db.deduplicate("absent", ["name"], block_on="a", theta=0.7)
+            ]
+
+    def test_drivers_agree_on_unregistered_none_rid_rows(self):
+        from repro.cleaning.dc_kernel import parse_dc
+
+        rows = self.rows(_rid=None)
+        violations = _driver_outputs(
+            run_dc, rows, "memory", constraint=parse_dc(self.RULE)
+        )
+        assert len(violations) == 305
+        pairs = _driver_outputs(
+            run_dedup, rows, "memory", attributes=["name"], block_on="a", theta=0.7
+        )
+        assert len(pairs) == 330
+
+    def test_vectorized_repair_no_longer_reports_a_dirty_table_clean(self):
+        with CleanDB(num_nodes=4, execution="vectorized") as db:
+            db.register_table("t", self.rows(_rid=None))
+            report = db.repair_dc("t", self.RULE)
+            assert report.violations_found == 305
+            assert report.residual_violations == 0
+            assert db.check_dc("t", self.RULE) == []
 
 
 class TestDeterminism:
