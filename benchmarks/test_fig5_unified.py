@@ -143,10 +143,12 @@ def run_parallel_measured() -> dict:
     try:
         db.register_table("customer", records)
         db.execute(QUERY_UNIFIED)  # warm-up: pool, func registry, caches
+        pool = db.cluster.pool
+        bytes_before = pool.bytes_shipped_total
         separate = _best_of(
             3, lambda: [db.execute(q) for q in QUERIES_SEPARATE]
         )
-        pool = db.cluster.pool
+        separate_bytes = (pool.bytes_shipped_total - bytes_before) // 3
         bytes_before = pool.bytes_shipped_total
         db.execute(QUERY_UNIFIED)
         unified_bytes = pool.bytes_shipped_total - bytes_before
@@ -157,6 +159,7 @@ def run_parallel_measured() -> dict:
         "separate_seconds": round(separate, 4),
         "unified_seconds": round(unified, 4),
         "speedup": round(separate / unified, 2) if unified else None,
+        "separate_bytes_shipped": int(separate_bytes),
         "unified_bytes_shipped": int(unified_bytes),
     }
 
@@ -265,8 +268,12 @@ def test_fig5_parallel_measured(report):
     )
     emit_fig5("parallel_measured", measured)
     assert measured["unified_seconds"] < measured["separate_seconds"]
-    # The parallel backend genuinely ran (shipped bytes, measured time).
-    assert measured["unified_bytes_shipped"] > 0
+    # The parallel backend genuinely ran the standalone queries (shipped
+    # bytes, measured time).  It cannot claim the coalesced DAG (one branch
+    # unnests the shared grouping), and what it cannot claim must cost it
+    # nothing: the driver holds the table, so no table-sized payload crosses.
+    assert measured["separate_bytes_shipped"] > 0
+    assert measured["unified_bytes_shipped"] < 4096
 
 
 def test_fig5_pinned_store(report):

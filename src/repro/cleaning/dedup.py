@@ -36,6 +36,7 @@ from typing import Any, Callable, Sequence
 
 from ..engine.cluster import Cluster
 from ..engine.dataset import Dataset
+from ..engine.parallel import Staged
 from ..engine.shuffle import exchange, exchange_resident
 from ..physical.parallel_exec import resident_stages, shippable
 from ..sources.columnar import round_robin_split, uniform_dict_records
@@ -160,11 +161,11 @@ def _pairs_task(
     return block_pairs(bucket, join), join.stats
 
 
-def _count_block_records(part: list[tuple[Any, list[dict]]]) -> int:
-    """Worker task: record count of one exchanged block partition — prices
-    the merge stage (and lets a budget abort fire there) *before* the
-    CPU-heavy similarity phase dispatches, without shipping the blocks."""
-    return sum(len(records) for _, records in part)
+def _weigh_blocks(part: list[tuple[Any, list[dict]]]) -> Staged:
+    """Reduce-side step: an exchanged block partition, reported by its
+    *record* count — prices the merge stage (and lets a budget abort fire
+    there) before the similarity phase dispatches, without shipping blocks."""
+    return Staged(part, sum(len(records) for _, records in part))
 
 
 # ---------------------------------------------------------------------- #
@@ -362,13 +363,13 @@ def deduplicate_parallel(
     """Multi-process exact-key deduplication: the kernel as worker tasks.
 
     Handle-based (see :func:`~repro.physical.parallel_exec.
-    resident_stages`): rid assignment and :func:`block` run against the
-    pinned input's handles and keep their outputs worker-resident, blocks
-    move through the *resident* exchange as opaque blobs, and the CPU-heavy
-    pairwise similarity phase runs as one :func:`block_pairs` task per
-    merged partition — this is where multiple processes genuinely pay off,
-    since string similarity dominates the workload.  Only the final
-    :class:`DuplicatePair` lists come back to the driver.  Output is
+    resident_stages`), three dispatches: rid assignment, :func:`block` and
+    the map-side routing run as one task per pinned partition; the merged
+    blocks stay worker-resident and report their record counts; and the
+    CPU-heavy pairwise similarity phase runs as one :func:`block_pairs`
+    task per merged partition — this is where multiple processes genuinely
+    pay off, since string similarity dominates the workload.  Only the
+    final :class:`DuplicatePair` lists come back to the driver.  Output is
     **byte-identical** — same pairs, same order — to :func:`deduplicate`
     with the same exact-key ``block_on`` and ``filters`` over
     ``cluster.parallelize(records, ...)``.
@@ -392,38 +393,26 @@ def deduplicate_parallel(
     unit = cost.record_unit
     with resident_stages(cluster, records, pinned, "dedup", name, fmt) as stages:
         pool, refs = stages.pool, stages.refs
-        if not has_rids(records):
-            # Numbered in-worker (the raw rows never come back); the
-            # numbered partitions replace the raw ones for this call.
-            offsets = partition_offsets([ref.count for ref in refs])
-            refs = pool.run(
-                number_rows,
-                [(ref, offsets[i]) for i, ref in enumerate(refs)],
-                store_as=stages.temp("dedup:rids"),
-            )
-            stages.charge("dedup:assignRid:par", [max(r.count, 0) * unit for r in refs])
-        blocked = pool.run(
-            block,
-            [(ref, block_on, attributes) for ref in refs],
-            store_as=stages.temp("dedup:blocked"),
-        )
-        stages.charge(
-            "grouping:key:parCombine", [max(r.count, 0) * unit for r in refs]
-        )
-        exchanged, moved, shuffle_cost = exchange_resident(
-            cluster, pool, blocked, n, kind="local",
+        inputs: list[Any] = refs
+        before = [(block, (block_on, attributes))]
+        numbered = not has_rids(records)
+        if numbered:
+            # Numbered in-worker: the raw rows never come back.
+            inputs = list(zip(refs, partition_offsets([ref.count for ref in refs])))
+            before.insert(0, (number_rows, ()))
+        exchanged, moved, shuffle_cost, _, merged = exchange_resident(
+            cluster, pool, inputs, n, kind="local",
             store_as=stages.temp("dedup:exchanged"),
+            before=before, after=[(_weigh_blocks, ())],
         )
-        # Price (and budget-check) the merge stage *before* dispatching the
-        # expensive similarity phase; the record counts come from a cheap
-        # handle-based counting round, not from shipping the blocks back.
-        merged_counts = pool.run(_count_block_records, [(ref,) for ref in exchanged])
-        stages.charge(
-            "grouping:key:parMerge",
-            [c * unit for c in merged_counts],
-            moved,
-            shuffle_cost,
-        )
+        sizes = [max(r.count, 0) * unit for r in refs]
+        if numbered:
+            stages.charge("dedup:assignRid:par", sizes)
+        stages.charge("grouping:key:parCombine", sizes)
+        # The merge stage is priced (and budget-checked) *before* the
+        # expensive similarity phase dispatches.
+        merge_work = [row[2] * unit for row in merged]
+        stages.charge("grouping:key:parMerge", merge_work, moved, shuffle_cost)
         join_args = (
             attributes, metric, theta, resolve_filters(filters),
             cost.compare_unit, cost.filter_unit,

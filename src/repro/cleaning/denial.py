@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial, reduce
+from itertools import chain
 from typing import Any, Callable, Iterable, Sequence
 
 from ..engine.cluster import Cluster
@@ -61,7 +62,7 @@ from .dc_kernel import (
     scan_partition,
     scan_task,
 )
-from .rowid import partition_offsets
+from .rowid import partition_offsets, rows_at
 
 AttrSpec = str | Callable[[dict], Any]
 
@@ -129,21 +130,25 @@ def fd_fold(state: FDState, other: FDState, keep_records: bool) -> FDState:
 
 def fd_combine(
     records: Sequence[dict],
+    part: int | None,
     lhs: Sequence[AttrSpec],
     rhs: Sequence[AttrSpec],
     keep_records: bool,
 ) -> list[tuple[Any, FDState]]:
     """Map side: one combiner per LHS key of a partition, in first-seen
-    key order.  Runs as a worker task on the parallel backend."""
+    key order.  Witnesses are the records themselves, or — given ``part``,
+    i.e. as a worker task whose caller holds the records — ``(partition,
+    position)`` references, so no row rides the exchange."""
     lhs_func = _key_func(lhs)
     rhs_func = _key_func(rhs)
     combiners: dict[Any, FDState] = {}
-    for record in records:
+    for position, record in enumerate(records):
         key = lhs_func(record)
         state = combiners.get(key)
         if state is None:
             state = combiners[key] = ({}, [])
-        fd_absorb(state, rhs_func(record), record, keep_records)
+        witness = record if part is None else (part, position)
+        fd_absorb(state, rhs_func(record), witness, keep_records)
     return list(combiners.items())
 
 
@@ -166,6 +171,12 @@ def fd_merge(
         for key, (rhs_seen, witnesses) in merged.items()
         if len(rhs_seen) > 1
     ]
+
+
+def _violation_fields(violations: list[FDViolation]) -> list[tuple]:
+    """Reduce-side tail: violations as plain tuples, which pickle at a third
+    of a dataclass's cost; the driver rebuilds them around its own rows."""
+    return [(v.key, v.rhs_values, v.records) for v in violations]
 
 
 # ---------------------------------------------------------------------- #
@@ -245,7 +256,7 @@ def check_fd_columnar(
     parts = round_robin_split(records, n)
     sizes = [len(p) for p in parts]
     charge(f"scan:{name}:vec", sizes, extra_unit=cluster.cost_model.scan_unit(fmt))
-    combined = [fd_combine(part, lhs, rhs, keep_records) for part in parts]
+    combined = [fd_combine(part, None, lhs, rhs, keep_records) for part in parts]
     charge("fd:vecCombine", sizes)
     # One combiner per (partition, key) moves; ``exchange`` only routes
     # here — the move is priced as a column-block shuffle, not a row one.
@@ -270,16 +281,16 @@ def check_fd_parallel(
     pinned: tuple[str, int] | None = None,
     name: str = "lineitem",
 ) -> Dataset:
-    """Multi-process FD check: the kernel as worker tasks.
-
-    Handle-based (see :func:`~repro.physical.parallel_exec.
-    resident_stages`): :func:`fd_combine` references the pinned input
-    partitions by handle, the combiners move through the *resident*
-    exchange as opaque blobs, and only :func:`fd_merge`'s violation lists
-    come back to the driver.  Output is **byte-identical** — same
-    violations, same order — to ``check_fd(cluster.parallelize(records,
-    ...), lhs, rhs)``; the metrics additionally carry the measured pool
-    wall-clock and bytes shipped.
+    """Multi-process FD check: the kernel as the two sides of one resident
+    exchange (see :func:`~repro.physical.parallel_exec.resident_stages`).
+    :func:`fd_combine` runs over the pinned partitions with ``(partition,
+    position)`` witnesses and routes its combiners in the same task;
+    :func:`fd_merge` runs on the merged blobs where they land.  Only keys,
+    RHS values and references cross a process boundary — the violations'
+    records are materialized here, from the rows the driver holds.  Output
+    is **byte-identical** — same violations, same order — to ``check_fd``
+    over ``cluster.parallelize(records, ...)``; the metrics additionally
+    carry the measured pool wall-clock and bytes shipped.
 
     Falls back to the serial row path when the attribute specs or records
     cannot cross a process boundary (e.g. lambda specs).
@@ -293,21 +304,18 @@ def check_fd_parallel(
     n = cluster.default_parallelism
     unit = cluster.cost_model.record_unit
     with resident_stages(cluster, records, pinned, "fd", name, fmt) as stages:
-        pool, refs = stages.pool, stages.refs
-        combined = pool.run(
-            fd_combine,
-            [(ref, lhs, rhs, keep_records) for ref in refs],
-            store_as=stages.temp("fd:combined"),
+        inputs = [(ref, ref.part) for ref in stages.refs]
+        found, moved, cost, _, merged = exchange_resident(
+            cluster, stages.pool, inputs, n, kind="local",
+            before=[(fd_combine, (lhs, rhs, keep_records))],
+            after=[(fd_merge, (keep_records,)), (_violation_fields, ())],
         )
-        stages.charge("fd:parCombine", [max(r.count, 0) * unit for r in refs])
-        exchanged, moved, cost = exchange_resident(
-            cluster, pool, combined, n, kind="local",
-            store_as=stages.temp("fd:exchanged"),
-        )
-        out_parts = pool.run(fd_merge, [(ref, keep_records) for ref in exchanged])
-        stages.charge(
-            "fd:parMerge", [max(r.count, 0) * unit for r in exchanged], moved, cost
-        )
+        stages.charge("fd:parCombine", [max(r.count, 0) * unit for r in stages.refs])
+        stages.charge("fd:parMerge", [row[1] * unit for row in merged], moved, cost)
+    out_parts = [
+        [FDViolation(key, seen, tuple(rows_at(records, n, at))) for key, seen, at in part]
+        for part in found
+    ]
     return Dataset(cluster, out_parts, op="fd:parallel")
 
 
@@ -571,12 +579,6 @@ def check_dc_parallel(
         return check_dc(ds, constraint)
 
     cost = cluster.cost_model
-    # Driver-side layout mirror: the driver holds the records, so violating
-    # rows materialize here from (partition, row) references — no row data
-    # returns from the workers.
-    parts = round_robin_split(records, cluster.default_parallelism)
-    sizes = [len(p) for p in parts]
-    stats_work = [size * cost.record_unit for size in sizes]
     # Key the derived cache by the constraint *itself* (frozen dataclass,
     # equality-hashed) — repr() is not content-based for arbitrary predicate
     # values.  A constraint with unhashable values simply never caches.
@@ -587,8 +589,10 @@ def check_dc_parallel(
             cache_key = ("dc", pinned[0], pinned[1], constraint)
         except TypeError:
             pass
-    with resident_stages(cluster, records, pinned, "dc", name, fmt, parts) as stages:
+    with resident_stages(cluster, records, pinned, "dc", name, fmt) as stages:
         pool = stages.pool
+        sizes = [max(ref.count, 0) for ref in stages.refs]
+        stats_work = [size * cost.record_unit for size in sizes]
         state = pool.derived(cache_key) if cache_key is not None else None
         if state is None:
             entries_name = stages.temp("dc:entries")
@@ -635,11 +639,11 @@ def check_dc_parallel(
             ],
         )
         stages.charge("dc:banded:scan", [work for _, (_, _, work) in results])
-    # Same dicts, same order as the row path.
-    out_parts = [
-        [(parts[p1][i1], parts[p2][i2]) for (p1, i1), (p2, i2) in pairs]
-        for pairs, _ in results
-    ]
+    # Same dicts, same order as the row path, from (partition, row)
+    # references: resolved flat, consecutive rows pair up again.
+    n = cluster.default_parallelism
+    flat = (iter(rows_at(records, n, chain.from_iterable(p))) for p, _ in results)
+    out_parts = [list(zip(rows, rows)) for rows in flat]
     cluster.charge_comparisons(state["left_count"] * len(records))
     cluster.charge_verified(sum(examined for _, (examined, _, _) in results))
     return Dataset(cluster, out_parts, op="dc:parallel")

@@ -10,7 +10,8 @@ backend numbers an id-less table identically without comparing notes.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from itertools import accumulate
+from typing import Any, Iterable, Sequence
 
 RID = "_rid"
 
@@ -26,12 +27,18 @@ def has_rids(records: Sequence[Any]) -> bool:
 
 def partition_offsets(sizes: Sequence[int]) -> list[int]:
     """Each partition's first position in the partition-major numbering."""
-    offsets: list[int] = []
-    position = 0
-    for size in sizes:
-        offsets.append(position)
-        position += max(size, 0)
-    return offsets
+    return [0, *accumulate(max(size, 0) for size in sizes)][:-1]
+
+
+def rows_at(
+    records: Sequence[Any], num_partitions: int, refs: Iterable[tuple[int, int]]
+) -> list[Any]:
+    """The rows behind ``(partition, position)`` references into the
+    round-robin layout of ``records`` (``round_robin_split``'s placement and
+    partition-count clamp), by index arithmetic — no table-sized mirror is
+    built to turn what a worker returns into rows the driver already holds."""
+    stride = max(1, min(num_partitions, len(records)))
+    return [records[position * stride + part] for part, position in refs]
 
 
 def row_ids(records: Sequence[dict], start: int = 0) -> list[Any]:

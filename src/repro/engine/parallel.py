@@ -83,7 +83,7 @@ import traceback
 from collections import OrderedDict
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from ..errors import ReproError
 from .faults import FaultPlan
@@ -387,12 +387,14 @@ def _worker_main(
                     )
                 result = func(*resolved)
                 if store_key is not None:
+                    back = result if returning else _MISSING
+                    if isinstance(result, Staged):  # keep the value, report the counts
+                        result, back = result
                     store[store_key] = result
-                    count = len(result) if hasattr(result, "__len__") else -1
-                    if returning:
-                        reply = (task_id, _STORED_RET, count, pickle.dumps(result))
+                    if back is _MISSING:
+                        reply = (task_id, _STORED, _count(result))
                     else:
-                        reply = (task_id, _STORED, count)
+                        reply = (task_id, _STORED_RET, _count(result), pickle.dumps(back))
                 else:
                     reply = (task_id, _OK, pickle.dumps(result))
             except Exception as exc:  # noqa: BLE001 - every task error must travel back
@@ -440,6 +442,38 @@ def _worker_main(
 def _fetch_task(part: Any) -> Any:
     """Identity task: materialize one stored partition on the driver."""
     return part
+
+
+def _count(value: Any) -> int:
+    """Record count of a partition-shaped value (-1 when it has none)."""
+    return len(value) if hasattr(value, "__len__") else -1
+
+
+class Staged(NamedTuple):
+    """A value and what the driver is told about it.  From :func:`run_chain`:
+    the stage's output — kept in the worker's store under ``store_as``,
+    shipped back otherwise — and the record count after each step.  From a
+    step: its output and the count to report in place of ``len(output)``."""
+
+    value: Any
+    report: Any
+
+
+def run_chain(steps: Sequence[tuple[Callable, tuple]], *parts: Any) -> Staged:
+    """Worker task: one *stage* — narrow steps ``(func, args)`` run back to
+    back over a partition, nothing stored or shipped between them.  The head
+    step receives ``parts`` (the task's resolved handles, plus any
+    per-partition arguments), every later step its predecessor's output."""
+    value: Any = parts
+    counts = []
+    for i, (func, args) in enumerate(steps):
+        value = func(*value, *args) if i == 0 else func(value, *args)
+        if isinstance(value, Staged):
+            value, count = value
+        else:
+            count = _count(value)
+        counts.append(count)
+    return Staged(value, tuple(counts))
 
 
 class WorkerPool:
@@ -682,8 +716,7 @@ class WorkerPool:
                             p % self.workers, ("pin", name, version, p, blob), len(blob), call
                         )
                         nbytes += len(blob)
-                        count = len(part) if hasattr(part, "__len__") else -1
-                        refs.append(StoreRef(name, version, p, count))
+                        refs.append(StoreRef(name, version, p, _count(part)))
                 except Exception:
                     for w in range(self.workers):
                         if self._procs[w].is_alive():
@@ -856,6 +889,27 @@ class WorkerPool:
         """Materialize stored partitions on the driver (final results)."""
         return self.run(_fetch_task, [(ref,) for ref in refs])
 
+    def run_stage(
+        self,
+        steps: Sequence[tuple[Callable, tuple]],
+        inputs: Sequence[Any],
+        store_as: tuple[str, int] | None = None,
+        parts: Sequence[int] | None = None,
+    ) -> tuple[list[Any], list[tuple[int, ...]]]:
+        """One dispatch for a whole chain of narrow steps (:func:`run_chain`),
+        one task per element of ``inputs`` — a handle, or a tuple of the head
+        step's partition arguments.  Returns ``(outs, counts)``: handles
+        under ``store_as``, else the chain's values; and per task the records
+        entering its chain (from its handles), then the count after each step."""
+        chain = tuple(steps)
+        tasks = [(chain, *i) if isinstance(i, tuple) else (chain, i) for i in inputs]
+        done = self.run(run_chain, tasks, store_as=store_as, parts=parts)
+        entering = [
+            sum(max(a.count, 0) for a in task if isinstance(a, StoreRef))
+            for task in tasks
+        ]
+        return [d[0] for d in done], [(n, *d[1]) for n, d in zip(entering, done)]
+
     # ------------------------------------------------------------------ #
     # Task execution
     # ------------------------------------------------------------------ #
@@ -878,7 +932,8 @@ class WorkerPool:
         worker-resident under its partition index and a :class:`StoreRef`
         (carrying the result's record count) is returned instead; add
         ``returning=True`` to get ``(ref, result)`` pairs when the driver
-        needs the value too (e.g. to build a global index).
+        needs the value too (e.g. to build a global index).  A :class:`Staged`
+        result keeps its ``value`` and always returns ``(ref, report)``.
 
         The first failing task's exception is re-raised on the driver — the
         original exception instance when it pickles, otherwise a
@@ -1383,8 +1438,6 @@ def is_module_level_callable(func: Any) -> bool:
         return False
     if "<lambda>" in qualname or "<locals>" in qualname:
         return False
-    import sys
-
     obj: Any = sys.modules.get(module)
     if obj is None:
         return False

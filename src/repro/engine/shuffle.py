@@ -19,9 +19,10 @@ map-side routing of each input partition runs in a worker process, and the
 driver only merges the routed buckets.  :func:`exchange_resident` is the
 handle-based form the parallel fast paths use: input partitions are
 referenced by :class:`~repro.engine.parallel.StoreRef`, map-side workers
-pickle each target's bucket into an *opaque blob*, the driver forwards the
-blobs to the target workers without ever unpickling a row, and the merged
-target partitions stay worker-resident.  All paths produce byte-identical
+pickle each target's bucket into an *opaque blob* at the tail of whatever
+stage produced the keyed records, the driver forwards the blobs to the
+target workers without ever unpickling a row, and the merged target
+partitions head the downstream stage there.  All paths produce byte-identical
 output: target partition *p* receives input partition *i*'s records before
 partition *i+1*'s, each in original order.
 """
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import math
 import pickle
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from .cluster import Cluster
 from .parallel import StoreRef, WorkerPool
@@ -107,50 +108,51 @@ def exchange(
 def exchange_resident(
     cluster: Cluster,
     pool: WorkerPool,
-    refs: list[StoreRef],
+    refs: Sequence[Any],
     num_partitions: int,
     kind: str = "hash",
     store_as: tuple[str, int] | None = None,
-) -> tuple[list[StoreRef], int, float]:
-    """Exchange worker-resident keyed partitions without driver materialization.
+    before: Sequence[tuple[Callable, tuple]] = (),
+    after: Sequence[tuple[Callable, tuple]] = (),
+) -> tuple[list[Any], int, float, list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """Exchange worker-resident keyed partitions without driver
+    materialization — two dispatches, whatever runs on either side.
 
-    Map side: each input partition (referenced by handle) is routed in its
-    owning worker into per-target buckets, each pickled into one opaque
-    blob.  The driver forwards every target's blobs — in input-partition
-    order, the determinism contract — to the target partition's worker,
-    which unpickles and concatenates them into a resident partition.  Rows
-    therefore cross the process boundary exactly twice as bytes (worker →
-    driver → worker) and are never re-pickled into later task args.
-
-    ``store_as`` names the resident output (defaults to a fresh
-    ``exchange`` version).  Only ``"hash"`` and ``"local"`` routing are
+    Map side: one task per input (``refs``: handles, or tuples of the head
+    step's partition arguments) runs the ``before`` chain and, as its tail,
+    routes the keyed result into per-target buckets, each pickled into one
+    opaque blob.  The driver forwards every target's blobs — in
+    input-partition order, the determinism contract — to the target
+    partition's worker, whose task unpickles and concatenates them and runs
+    the ``after`` chain on the result.  Rows cross the process boundary
+    exactly twice as bytes (worker → driver → worker) and are never
+    re-pickled into later task args.  The reduce side's output stays
+    worker-resident under ``store_as``; without it the values come back to
+    the driver (a final stage).  Only ``"hash"`` and ``"local"`` routing are
     supported — range routing needs a key sample, which would defeat the
     point of keeping the data out of the driver.
 
-    Returns ``(target_refs, records_moved, shuffle_cost)`` exactly like
-    :func:`exchange`.
+    Returns ``(out, records_moved, shuffle_cost, map_counts, reduce_counts)``
+    — the first three as :func:`exchange` does (``out`` handles or values),
+    then :meth:`~repro.engine.parallel.WorkerPool.run_stage`'s counts for
+    either dispatch: ``reduce_counts[t][1]`` is target *t*'s merged record
+    count, ``[2:]`` the counts after each ``after`` step.
     """
     if kind == "sort":
         raise ValueError("exchange_resident supports 'hash'/'local' routing only")
-    total = sum(max(ref.count, 0) for ref in refs)
     partitioner, factor = _select_partitioner(cluster, [], num_partitions, kind)
-    if store_as is None:
-        store_as = ("exchange", pool.next_version())
-
-    routed = pool.run(
-        _route_to_blobs, [(ref, partitioner, num_partitions) for ref in refs]
+    routed, map_counts = pool.run_stage(
+        [*before, (_route_to_blobs, (partitioner, num_partitions))], refs
     )
-    out_refs = pool.run(
-        _merge_blob_buckets,
-        [
-            ([buckets[target] for buckets in routed],)
-            for target in range(num_partitions)
-        ],
-        parts=list(range(num_partitions)),
+    out, reduce_counts = pool.run_stage(
+        [(_merge_blob_buckets, ()), *after],
+        [([buckets[target] for buckets in routed],) for target in range(num_partitions)],
         store_as=store_as,
+        parts=list(range(num_partitions)),
     )
+    total = sum(row[-2] for row in map_counts)  # the records entering the route
     cost = total * cluster.cost_model.shuffle_unit * factor
-    return out_refs, total, cost
+    return out, total, cost, map_counts, reduce_counts
 
 
 def _select_partitioner(

@@ -6,14 +6,15 @@ changes the *representation* but still runs single-process.  This module
 keeps the row representation — per-row environment dictionaries, evaluated
 by the same compiled expressions — and changes *where* the work runs **and
 where the data lives**: each source table is pinned into the worker
-processes' partition store once, every narrow stage (scan binding, filters,
-head projection, map-side combines) dispatches :class:`~repro.engine.
-parallel.StoreRef` handles instead of row payloads, stage outputs stay
-worker-resident, and every wide dependency goes through the resident
-:func:`~repro.engine.shuffle.exchange_resident` (map-side routing in
-workers, opaque-blob forwarding through the driver, reduce-side merge in
-workers).  The driver materializes row data exactly once — when the final
-result is collected.
+processes' partition store once and referenced by :class:`~repro.engine.
+parallel.StoreRef` handle ever after; a partition's narrow operators (scan
+binding, filters, map-side combines, head projection) run back to back in
+*one* task — a pool *stage* — and every wide dependency goes through the
+resident :func:`~repro.engine.shuffle.exchange_resident`, whose map-side
+routing is the tail of the upstream stage and whose reduce-side merge
+heads the downstream one (opaque blobs forwarded through the driver in
+between).  The driver materializes row data exactly once — the final
+stage returns its values.
 
 Because workers execute the row path's own per-partition logic in the row
 path's own partition layout, results are identical to ``execution="row"`` —
@@ -34,8 +35,10 @@ fall back to the row path above their supported subplans.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
+from collections import Counter
+from typing import TYPE_CHECKING, Any, Callable, Iterator, NamedTuple, Sequence
 
 from ..algebra.operators import (
     TRUE,
@@ -70,27 +73,26 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from .lower import Executor
 
 #: Store-name prefix for one executor run's worker-resident intermediates
-#: (bound scans, filtered/keyed/exchanged/merged partitions).  Each
-#: executor appends a process-unique suffix (see ``_EXEC_SEQ``) and each
-#: stage gets its own version; the executor's whole name is evicted when
-#: its run finishes so only pinned tables survive across runs.  The suffix
-#: matters under concurrency: evicting a *shared* temp name would discard
-#: another in-flight query's intermediates mid-stage.
+#: (unpinned tables, exchanged join sides, shared Nest outputs).  Each
+#: executor appends a process-unique suffix (``_EXEC_SEQ``) and evicts its
+#: whole name when its run finishes, so only pinned tables survive across
+#: runs; evicting a *shared* temp name would discard another in-flight
+#: query's intermediates mid-stage.
 TEMP_STORE = "tmp:exec"
 
 _EXEC_SEQ = itertools.count(1)
 
 
 # ---------------------------------------------------------------------- #
-# Worker-side task functions.
+# Worker-side step functions.
 #
-# Every task is a module-level function taking only picklable arguments, so
-# it can ship to a worker under any multiprocessing start method; partition
-# data arrives by StoreRef handle, resolved worker-side.  Each task mirrors
-# the corresponding row-path per-partition logic exactly — same iteration
-# order, same compiled expressions (compiled here, in the worker, from the
-# Expr the task receives) — which is what makes the backend result-identical
-# to ``execution="row"``.
+# Every step is a module-level function of (partition, *picklable arguments),
+# so a chain of them ships to a worker under any multiprocessing start method
+# (``run_chain``); the head step's partition arrives by StoreRef handle,
+# resolved worker-side.  Each step mirrors the row path's per-partition logic
+# exactly — same iteration order, same compiled expressions (compiled in the
+# worker, from the Expr the step receives) — which is what makes the backend
+# result-identical to ``execution="row"``.
 # ---------------------------------------------------------------------- #
 
 def _bind_task(records: list[Any], var: str) -> list[dict]:
@@ -108,13 +110,7 @@ def _keyed_task(
 ) -> list[tuple[Any, dict]]:
     """Join map side: pair each environment with its frozen key tuple."""
     keys = [compiled(k) for k in key_exprs]
-    return [
-        (
-            tuple(_freeze(k(env, functions)) for k in keys),
-            env,
-        )
-        for env in envs
-    ]
+    return [(tuple(_freeze(k(env, functions)) for k in keys), env) for env in envs]
 
 
 def _join_probe_task(
@@ -194,7 +190,7 @@ def _nest_merge_task(
 def _head_task(
     envs: list[dict], predicate: Expr | None, head: Expr, functions: dict
 ) -> list[Any]:
-    """Reduce map side: optional filter plus head projection, one dispatch."""
+    """Reduce map side: optional filter plus head projection."""
     if predicate is not None:
         pred = compiled(predicate)
         envs = [env for env in envs if pred(env, functions)]
@@ -272,23 +268,19 @@ def resident_input(
     records: list[Any],
     pinned: tuple[str, int] | None = None,
     name: str = "input:par",
-    parts: list[list[Any]] | None = None,
 ) -> tuple[list[StoreRef], bool]:
     """Handles to ``records`` as worker-resident round-robin partitions.
 
-    The one entry point the cleaning fast paths use to get their input into
-    the partition store.  When ``pinned=(store_name, version)`` names a
-    table the facade already pinned, its handles are reused and nothing
-    ships (the warm path); if that pin is gone — pool restart, worker
-    death, budget abort — or its record count no longer matches, the
-    records are re-pinned *under the same identity* so later calls warm up
-    again, after evicting the old pins (which also drops any derived state
-    cached on that identity — a resized table must never probe a stale
-    index).  Without ``pinned`` the records are pinned under a fresh
-    ad-hoc version; the second element of the return value is True in that
-    case, telling the caller to evict the pin when the operation finishes.
-    ``parts`` lets a caller that already round-robin-split the records
-    (e.g. for a driver-side materialization mirror) avoid a second split.
+    When ``pinned=(store_name, version)`` names a table the facade already
+    pinned, its handles are reused and nothing ships or is split (the warm
+    path); if that pin is gone — pool restart, worker death, budget abort —
+    or its record count no longer matches, the old pins are evicted (with
+    any derived state cached on that identity — a resized table must never
+    probe a stale index) and the records re-pinned *under the same
+    identity*, so later calls warm up again.  Without ``pinned`` the
+    records are pinned under a fresh ad-hoc version of ``name`` and the
+    second element of the return value is True: the caller evicts the pin
+    when the operation finishes.
 
     The pinned store has snapshot semantics, like executor-cached RDD
     partitions: an *in-place, same-length* edit to the registered row
@@ -297,28 +289,23 @@ def resident_input(
     version.
     """
     pool = cluster.pool
-    n = cluster.default_parallelism
-    if pinned is not None:
-        if pin_is_warm(cluster, records, pinned):
-            return pool.pinned(*pinned), False
-        pool.evict(*pinned)
-        if parts is None:
-            parts = round_robin_split(records, n)
-        return _pin_checked(pool, pinned[0], pinned[1], parts), False
-    if parts is None:
-        parts = round_robin_split(records, n)
-    return _pin_checked(pool, name, pool.next_version(), parts), True
+    if pin_is_warm(cluster, records, pinned):
+        return pool.pinned(*pinned), False
+    parts = round_robin_split(records, cluster.default_parallelism)
+    if pinned is None:
+        return _pin_checked(pool, name, pool.next_version(), parts), True
+    pool.evict(*pinned)
+    return _pin_checked(pool, *pinned, parts), False
 
 
 def _pin_checked(pool: Any, name: str, version: int, parts: list) -> list[StoreRef]:
     """Pin partitions, surfacing serialization failures as degradable.
 
-    Shippability is now judged statically over a sampled prefix, so an
-    exotic row outside the sample can first fail *here*; re-raising it as
-    :class:`WorkerTaskError` routes the caller onto the row-path fallback
-    (every parallel entry point already degrades on that type) instead of
-    leaking a raw pickling error mid-dispatch.  ``pin`` has already
-    evicted its partial shipment when this fires.
+    Shippability is judged statically over a sampled prefix, so an exotic
+    row outside the sample first fails *here*; re-raised as
+    :class:`WorkerTaskError` it routes the caller onto the row-path
+    fallback, as every parallel entry point does for that type (``pin``
+    has already evicted its partial shipment).
     """
     try:
         return pool.pin(name, version, parts)
@@ -337,11 +324,11 @@ def shippable(
     spec: Any = None,
 ) -> bool:
     """Whether a call can cross the process boundary: its argument ``spec``
-    pickles, and its rows do — a warm pin proves that outright (the rows
-    already crossed), a cold table is judged by the *static* type-walk over
-    a sampled prefix instead of an O(table) serialize-everything probe (an
-    exotic row the sample missed still cannot crash dispatch: the pin
-    itself fails with :class:`WorkerTaskError` and the caller degrades)."""
+    pickles, and its rows do — a warm pin proves that outright (they already
+    crossed), a cold table is judged by the *static* type-walk over a
+    sampled prefix (an exotic row the sample missed cannot crash dispatch:
+    the pin itself fails with :class:`WorkerTaskError` and the caller
+    degrades)."""
     return is_picklable(spec) and (
         pin_is_warm(cluster, records, pinned) or rows_statically_shippable(records)
     )
@@ -378,6 +365,8 @@ class ResidentStages:
         self.refs = refs
         self.log = log
         self.temps: list[tuple[str, int]] = []
+        #: ``charge(name, per_part_work, shuffled=0, cost=0.0)``: see record_stage.
+        self.charge = functools.partial(record_stage, cluster, log)
 
     def temp(self, label: str) -> tuple[str, int]:
         """A fresh store name for one stage's resident output, registered
@@ -388,16 +377,6 @@ class ResidentStages:
         self.temps.append(key)
         return key
 
-    def charge(
-        self,
-        name: str,
-        per_part_work: Sequence[float],
-        shuffled: int = 0,
-        cost: float = 0.0,
-    ) -> None:
-        """Record one stage (see :func:`record_stage`)."""
-        record_stage(self.cluster, self.log, name, per_part_work, shuffled, cost)
-
 
 @contextlib.contextmanager
 def resident_stages(
@@ -407,7 +386,6 @@ def resident_stages(
     label: str,
     name: str,
     fmt: str,
-    parts: list[list[Any]] | None = None,
 ) -> Iterator[ResidentStages]:
     """The shell of every parallel cleaning driver: get the input resident
     (:func:`resident_input`), charge its scan as ``scan:<name>:par``, run
@@ -415,9 +393,7 @@ def resident_stages(
     exit path — a failing task or a budget abort must not leave table-sized
     state resident in the workers."""
     log = ShipLog(cluster.pool)
-    refs, owned = resident_input(
-        cluster, records, pinned, name=f"{label}:input", parts=parts
-    )
+    refs, owned = resident_input(cluster, records, pinned, name=f"{label}:input")
     stages = ResidentStages(cluster, refs, log)
     try:
         cost = cluster.cost_model
@@ -435,6 +411,46 @@ def resident_stages(
 # The parallel executor
 # ---------------------------------------------------------------------- #
 
+class Charge(NamedTuple):
+    """A ledger entry a queued step owes once its stage has run: ``unit``
+    per record counted at chain positions ``at`` (0 = the stage's input,
+    *i* = after step *i*; the merged output of an exchange after step
+    ``split`` is position ``split + 1``).  ``shuffled=None`` stands for the
+    queued exchange's own records moved and cost."""
+
+    name: str
+    at: tuple[int, ...]
+    unit: float
+    shuffled: int | None = 0
+    cost: float = 0.0
+
+
+class EnvPartitions(NamedTuple):
+    """A collection-valued intermediate that has *not run yet*: the
+    per-partition inputs (handles to worker-resident partitions), the
+    narrow steps queued on them — with at most one exchange among them,
+    after step ``split`` — and the ledger entries those steps owe.
+    Operators extend it; the executor runs it (:meth:`ParallelExecutor.
+    _flush`) only where it must."""
+
+    inputs: list[Any]
+    steps: tuple = ()
+    charges: tuple[Charge, ...] = ()
+    kind: str | None = None
+    split: int = 0
+
+    def then(
+        self, func: Callable, args: tuple, name: str | None = None, unit: float = 0.0
+    ) -> "EnvPartitions":
+        """This intermediate with one more narrow step queued; ``name``
+        charges the step ``unit`` per input record."""
+        charges = self.charges
+        if name is not None:
+            here = len(self.steps) + (self.kind is not None)
+            charges = (*charges, Charge(name, (here,), unit))
+        return self._replace(steps=(*self.steps, (func, args)), charges=charges)
+
+
 class ParallelExecutor:
     """Interprets supported algebra plans over the cluster's worker pool.
 
@@ -445,6 +461,13 @@ class ParallelExecutor:
     executor's ``pinned_tables`` map reuse the facade's worker-resident
     pins (warm); other tables are pinned for the duration of one ``run()``
     and evicted with the rest of the temporaries afterwards.
+
+    Operators only *queue* their per-partition work (:class:`EnvPartitions`);
+    a queue runs as one pool stage — one task per partition for the whole
+    narrow chain — and only at an exchange (whose map-side routing is the
+    stage's tail and whose reduce-side merge heads the next one), at a Nest
+    more than one consumer reads, and when the result is collected, so a
+    final stage returns its value instead of storing it for a fetch.
     """
 
     def __init__(self, executor: "Executor"):
@@ -465,51 +488,52 @@ class ParallelExecutor:
             for name, func in self.functions.items()
             if is_module_level_callable(func) or is_picklable(func)
         }
-        self._scan_cache: dict[tuple[str, str], list[StoreRef]] = {}
+        self._scan_refs: dict[str, list[StoreRef]] = {}
+        self._scanned: set[tuple[str, str]] = set()
+        self._shared: set[str] = set()  # Nest signatures read more than once
+        self._nests: dict[str, EnvPartitions] = {}
+        self._log: ShipLog | None = None
         self._temp_store = f"{TEMP_STORE}:{next(_EXEC_SEQ)}"
+        self._unit = self.cluster.cost_model.record_unit  # per record touched
         self._source_ok: dict[str, bool] = {}
 
     # -- support check ------------------------------------------------- #
     def supports(self, op: AlgebraOp) -> bool:
-        """Whether this whole subtree can run on the worker pool."""
-        if isinstance(op, Scan):
-            return self._source_supported(op.table)
+        """Whether this whole subtree should run on the worker pool.  A
+        bare Scan should not: there is nothing to compute, and binding in
+        the workers only to fetch the table back ships rows the driver
+        already holds — the row scan answers it."""
+        ok = True
         if isinstance(op, Select):
-            return self._expr_ok(op.predicate) and self.supports(op.child)
-        if isinstance(op, Join):
-            return (
-                bool(op.left_keys)
-                and not op.outer
-                and all(self._expr_ok(k) for k in op.left_keys)
-                and all(self._expr_ok(k) for k in op.right_keys)
-                and self._expr_ok(op.predicate)
-                and self.supports(op.left)
-                and self.supports(op.right)
-            )
-        if isinstance(op, Nest):
-            return (
+            exprs = [op.predicate]
+        elif isinstance(op, Join):
+            exprs = [*op.left_keys, *op.right_keys, op.predicate]
+            ok = bool(op.left_keys) and not op.outer
+        elif isinstance(op, Nest):
+            exprs = [op.key, op.group_predicate, *(h for _, _, h in op.aggregates)]
+            ok = (
                 not getattr(op, "multi", False)
                 and self.config.grouping == "aggregate"
-                and self._expr_ok(op.key)
-                and self._expr_ok(op.group_predicate)
-                and all(
-                    self._expr_ok(head) and is_picklable(monoid)
-                    for _, monoid, head in op.aggregates
-                )
-                and self.supports(op.child)
+                and all(is_picklable(monoid) for _, monoid, _ in op.aggregates)
             )
-        if isinstance(op, Reduce):
-            return (
-                self._expr_ok(op.predicate)
-                and self._expr_ok(op.head)
-                and is_picklable(op.monoid)
-                and self.supports(op.child)
-            )
-        if isinstance(op, SharedScanDAG):
-            return self.supports(op.scan) and all(
-                self.supports(branch) for branch in op.branches
-            )
-        return False
+        elif isinstance(op, Reduce):
+            exprs = [op.predicate, op.head]
+            ok = is_picklable(op.monoid)
+        elif isinstance(op, SharedScanDAG):
+            exprs = []
+        else:
+            return False
+        return (
+            ok
+            and all(map(self._expr_ok, exprs))
+            and all(map(self._input_ok, op.children()))
+        )
+
+    def _input_ok(self, op: AlgebraOp) -> bool:
+        """An operator's input: a shippable source table, or a subtree."""
+        if isinstance(op, Scan):
+            return self._source_supported(op.table)
+        return self.supports(op)
 
     def _expr_ok(self, expr: Expr) -> bool:
         """Shippable: the tree pickles and every called function does too."""
@@ -529,10 +553,9 @@ class ParallelExecutor:
     def _source_supported(self, table: str) -> bool:
         if table not in self._source_ok:
             source = self.catalog.get(table)
-            ok = isinstance(source, list) and shippable(
+            self._source_ok[table] = isinstance(source, list) and shippable(
                 self.cluster, source, self.pinned_tables.get(table)
             )
-            self._source_ok[table] = ok
         return self._source_ok[table]
 
     # -- execution ----------------------------------------------------- #
@@ -541,281 +564,203 @@ class ParallelExecutor:
         (a Dataset of environments, a folded scalar, or a branch dict).
         Worker-resident intermediates are evicted on the way out — only
         pinned tables stay resident between runs."""
+        self._log = ShipLog(self.cluster.pool)
+        uses = Counter(_nest_signatures(op))
+        self._shared = {signature for signature, n in uses.items() if n > 1}
         try:
             if isinstance(op, SharedScanDAG):
-                return self._dag(op)
-            result = self._execute(op, {})
-            if isinstance(result, EnvPartitions):
-                return self._materialize(result)
-            return result
+                names = op.branch_names or tuple(
+                    f"branch{i}" for i in range(len(op.branches))
+                )
+                return {
+                    name: self._collected(self._execute(branch))
+                    for name, branch in zip(names, op.branches)
+                }
+            return self._collected(self._execute(op))
         finally:
-            self._evict_temps()
-
-    def _evict_temps(self) -> None:
-        if self.cluster.has_pool:
-            self.cluster.pool.evict(self._temp_store)
-        self._scan_cache.clear()
+            if self.cluster.has_pool:
+                self.cluster.pool.evict(self._temp_store)
+            for cache in (self._scan_refs, self._scanned, self._nests):
+                cache.clear()
 
     def _temp(self) -> tuple[str, int]:
         """A fresh run-scoped store name for one stage's output."""
         return (self._temp_store, self.cluster.pool.next_version())
 
-    def _execute(self, op: AlgebraOp, nest_cache: dict[str, "EnvPartitions"]) -> Any:
+    def _execute(self, op: AlgebraOp) -> Any:
         if isinstance(op, Scan):
-            return EnvPartitions(self._scan(op))
+            return self._scan(op)
         if isinstance(op, Select):
-            return self._select(op, nest_cache)
+            return self._execute(op.child).then(
+                _filter_task,
+                (op.predicate, self._funcs_for(op.predicate)),
+                "select:par",
+                self._unit,
+            )
         if isinstance(op, Join):
-            return self._join(op, nest_cache)
+            return self._join(op)
         if isinstance(op, Nest):
             signature = op.describe()
-            if signature not in nest_cache:
-                nest_cache[signature] = self._nest(op, nest_cache)
-            return nest_cache[signature]
+            if signature not in self._nests:
+                result = self._nest(op)
+                if signature in self._shared:  # run once, every reader chains on
+                    result = EnvPartitions(self._flush(result, self._temp())[0])
+                self._nests[signature] = result
+            return self._nests[signature]
         if isinstance(op, Reduce):
-            return self._reduce(op, nest_cache)
+            return self._reduce(op)
         raise PlanningError(f"no parallel translation for {type(op).__name__}")
 
     # -- operators ------------------------------------------------------ #
-    def _scan(self, op: Scan) -> list[StoreRef]:
-        cache_key = (op.table, op.var)
-        if cache_key in self._scan_cache:
-            return self._scan_cache[cache_key]
-        try:
-            source = self.catalog[op.table]
-        except KeyError:
-            raise SchemaError(f"unknown table {op.table!r}") from None
-        pool = self.cluster.pool
-        log = ShipLog(pool)
-        pinned = self.pinned_tables.get(op.table)
-        if pinned is not None:
-            # Same freshness contract as the cleaning fast paths (count
-            # check, evict-then-re-pin on mismatch): queries and fast paths
-            # must agree on what "resident" means for a table.
-            raw, _ = resident_input(self.cluster, list(source), pinned=pinned)
-        else:
-            # The row path's partition layout (``Cluster.parallelize``
-            # defaults), pinned for the duration of this run.
-            parts = round_robin_split(list(source), self.cluster.default_parallelism)
-            name, version = self._temp()
-            raw = _pin_checked(pool, name, version, parts)
-        bound = pool.run(
-            _bind_task, [(ref, op.var) for ref in raw], store_as=self._temp()
-        )
-        unit = self.cluster.cost_model.record_unit + self.cluster.cost_model.scan_unit(op.fmt)
-        self._charge(
-            f"scan:{op.table}:par",
-            [max(r.count, 0) * unit for r in raw],
-            log=log,
-        )
-        self._scan_cache[cache_key] = bound
-        return bound
+    def _scan(self, op: Scan) -> EnvPartitions:
+        refs = self._scan_refs.get(op.table)
+        if refs is None:
+            try:
+                source = self.catalog[op.table]
+            except KeyError:
+                raise SchemaError(f"unknown table {op.table!r}") from None
+            # The facade's pin under the cleaning fast paths' freshness
+            # contract (queries and fast paths must agree on what
+            # "resident" means for a table); an unpinned table is pinned in
+            # the row path's partition layout for the duration of this run.
+            refs, _ = resident_input(
+                self.cluster, source, self.pinned_tables.get(op.table),
+                name=self._temp_store,
+            )
+            self._scan_refs[op.table] = refs
+        charges: tuple[Charge, ...] = ()
+        if (op.table, op.var) not in self._scanned:  # one scan per binding
+            self._scanned.add((op.table, op.var))
+            cost = self.cluster.cost_model
+            unit = cost.record_unit + cost.scan_unit(op.fmt)
+            charges = (Charge(f"scan:{op.table}:par", (0,), unit),)
+        return EnvPartitions(refs, ((_bind_task, (op.var,)),), charges)
 
-    def _select(self, op: Select, nest_cache: dict) -> "EnvPartitions":
-        child = self._child_refs(op.child, nest_cache)
-        pool = self.cluster.pool
-        log = ShipLog(pool)
-        funcs = self._funcs_for(op.predicate)
-        out = pool.run(
-            _filter_task,
-            [(ref, op.predicate, funcs) for ref in child],
-            store_as=self._temp(),
-        )
-        unit = self.cluster.cost_model.record_unit
-        self._charge("select:par", [max(r.count, 0) * unit for r in child], log=log)
-        return EnvPartitions(out)
+    def _exchange(
+        self, pending: EnvPartitions, kind: str, name: str | None = None
+    ) -> EnvPartitions:
+        """``pending`` with an exchange queued after its steps, charged as
+        ``name`` per merged record.  A stage spans one shuffle: steps
+        already queued behind an exchange run (and stay resident) first."""
+        if pending.kind is not None:
+            pending = EnvPartitions(self._flush(pending, self._temp())[0])
+        split = len(pending.steps)
+        charges = pending.charges
+        if name is not None:
+            charges = (*charges, Charge(name, (split + 1,), self._unit, None))
+        return pending._replace(charges=charges, kind=kind, split=split)
 
-    def _join(self, op: Join, nest_cache: dict) -> "EnvPartitions":
-        left = self._child_refs(op.left, nest_cache)
-        right = self._child_refs(op.right, nest_cache)
-        pool = self.cluster.pool
-        n = self.cluster.default_parallelism
+    def _join(self, op: Join) -> EnvPartitions:
+        sides, moved, cost = [], 0, 0.0
+        for child, keys in ((op.left, op.left_keys), (op.right, op.right_keys)):
+            keyed = self._execute(child).then(_keyed_task, (keys, self._funcs_for(*keys)))
+            parts, side_moved, side_cost = self._flush(
+                self._exchange(keyed, "hash"), self._temp()
+            )
+            sides.append(parts)
+            moved += side_moved
+            cost += side_cost
         residual = op.predicate if op.predicate != TRUE else None
+        return EnvPartitions(
+            list(zip(*sides)),
+            ((_join_probe_task, (residual, self._funcs_for(residual))),),
+            (Charge("join:par", (0, 1), self._unit, moved, cost),),
+        )
 
-        log = ShipLog(pool)
-        keyed_l = pool.run(
-            _keyed_task,
-            [(ref, op.left_keys, self._funcs_for(*op.left_keys)) for ref in left],
-            store_as=self._temp(),
-        )
-        keyed_r = pool.run(
-            _keyed_task,
-            [(ref, op.right_keys, self._funcs_for(*op.right_keys)) for ref in right],
-            store_as=self._temp(),
-        )
-        l_parts, moved_l, cost_l = exchange_resident(
-            self.cluster, pool, keyed_l, n, kind="hash", store_as=self._temp()
-        )
-        r_parts, moved_r, cost_r = exchange_resident(
-            self.cluster, pool, keyed_r, n, kind="hash", store_as=self._temp()
-        )
-        merged = pool.run(
-            _join_probe_task,
-            [
-                (lp, rp, residual, self._funcs_for(residual))
-                for lp, rp in zip(l_parts, r_parts)
-            ],
-            store_as=self._temp(),
-        )
-        unit = self.cluster.cost_model.record_unit
-        per_part = [
-            (max(lp.count, 0) + max(rp.count, 0) + max(out.count, 0)) * unit
-            for lp, rp, out in zip(l_parts, r_parts, merged)
-        ]
-        self._charge(
-            "join:par",
-            per_part,
-            shuffled=moved_l + moved_r,
-            cost=cost_l + cost_r,
-            log=log,
-        )
-        return EnvPartitions(merged)
-
-    def _nest(self, op: Nest, nest_cache: dict) -> "EnvPartitions":
-        child = self._child_refs(op.child, nest_cache)
-        pool = self.cluster.pool
-        n = self.cluster.default_parallelism
-        unit = self.cluster.cost_model.record_unit
-
-        log = ShipLog(pool)
-        combine_funcs = self._funcs_for(op.key, *(head for _, _, head in op.aggregates))
-        combined = pool.run(
+    def _nest(self, op: Nest) -> EnvPartitions:
+        heads = [head for _, _, head in op.aggregates]
+        combined = self._execute(op.child).then(
             _nest_combine_task,
-            [(ref, op.key, op.aggregates, combine_funcs) for ref in child],
-            store_as=self._temp(),
-        )
-        self._charge(
-            "nest:parCombine", [max(r.count, 0) * unit for r in child], log=log
-        )
-
-        exchanged, moved, cost = exchange_resident(
-            self.cluster, pool, combined, n, kind="local", store_as=self._temp()
+            (op.key, op.aggregates, self._funcs_for(op.key, *heads)),
+            "nest:parCombine",
+            self._unit,
         )
         group_pred = op.group_predicate if op.group_predicate != TRUE else None
-        merged = pool.run(
+        return self._exchange(combined, "local", "nest:parMerge").then(
             _nest_merge_task,
-            [
-                (ref, op.aggregates, op.var, group_pred, self._funcs_for(group_pred))
-                for ref in exchanged
-            ],
-            store_as=self._temp(),
+            (op.aggregates, op.var, group_pred, self._funcs_for(group_pred)),
         )
-        self._charge(
-            "nest:parMerge",
-            [max(r.count, 0) * unit for r in exchanged],
-            shuffled=moved,
-            cost=cost,
-            log=log,
-        )
-        return EnvPartitions(merged)
 
-    def _reduce(self, op: Reduce, nest_cache: dict) -> Any:
-        child_result = self._execute(op.child, nest_cache)
-        refs = child_result.refs
-        pool = self.cluster.pool
+    def _reduce(self, op: Reduce) -> Any:
         pred = op.predicate if op.predicate != TRUE else None
-        head_funcs = self._funcs_for(pred, op.head)
-        log = ShipLog(pool)
-        heads = pool.run(
+        heads = self._execute(op.child).then(
             _head_task,
-            [(ref, pred, op.head, head_funcs) for ref in refs],
-            store_as=self._temp(),
-        )
-        unit = self.cluster.cost_model.record_unit
-        self._charge(
-            "reduce:parHead", [max(r.count, 0) * unit for r in refs], log=log
+            (pred, op.head, self._funcs_for(pred, op.head)),
+            "reduce:parHead",
+            self._unit,
         )
         if _is_collection(op.monoid):
-            if op.monoid.idempotent:
-                return self._distinct(heads)
-            return self._materialize(EnvPartitions(heads), op="reduce:parHead")
-        partials = pool.run(_fold_task, [(ref, op.monoid) for ref in heads])
-        self._charge(
-            "reduce:parFold", [max(r.count, 0) * unit for r in heads], log=log
-        )
+            if not op.monoid.idempotent:
+                return self._collected(heads, op="reduce:parHead")
+            distinct = self._exchange(
+                heads.then(_distinct_local_task, ()), "local", "reduce:parDistinct"
+            ).then(_distinct_merge_task, ())
+            # Final stage: the merged distinct values come straight back.
+            return Dataset(self.cluster, self._flush(distinct)[0], op="reduce:parDistinct")
+        folded = heads.then(_fold_task, (op.monoid,), "reduce:parFold", self._unit)
         result = op.monoid.zero()
-        for partial in partials:
+        for partial in self._flush(folded)[0]:
             result = op.monoid.merge(result, partial)
         return result
 
-    def _distinct(self, head_refs: list[StoreRef]) -> Dataset:
+    # -- running what is queued ---------------------------------------- #
+    def _flush(
+        self, pending: EnvPartitions, store_as: tuple[str, int] | None = None
+    ) -> tuple[list[Any], int, float]:
+        """Run what ``pending`` has queued — one dispatch, two around an
+        exchange — and record the ledger entries it owes, in queue order,
+        from the per-step counts the tasks return.  The output stays
+        worker-resident under ``store_as`` (handles come back); without it
+        the values do.  Returns ``(out, records_moved, shuffle_cost)``."""
         pool = self.cluster.pool
-        n = self.cluster.default_parallelism
-        unit = self.cluster.cost_model.record_unit
-        log = ShipLog(pool)
-        local = pool.run(
-            _distinct_local_task, [(ref,) for ref in head_refs], store_as=self._temp()
-        )
-        exchanged, moved, cost = exchange_resident(
-            self.cluster, pool, local, n, kind="local", store_as=self._temp()
-        )
-        # Final stage: the merged distinct values come straight back to the
-        # driver — this is the result materialization.
-        merged = pool.run(_distinct_merge_task, [(ref,) for ref in exchanged])
-        self._charge(
-            "reduce:parDistinct",
-            [max(r.count, 0) * unit for r in exchanged],
-            shuffled=moved,
-            cost=cost,
-            log=log,
-        )
-        return Dataset(self.cluster, merged, op="reduce:parDistinct")
+        kind, split = pending.kind, pending.split
+        moved, cost = 0, 0.0
+        reduced: list[tuple[int, ...]] = []
+        if kind is not None:
+            out, moved, cost, mapped, reduced = exchange_resident(
+                self.cluster, pool, pending.inputs, self.cluster.default_parallelism,
+                kind, store_as, pending.steps[:split], pending.steps[split:],
+            )
+        elif pending.steps:
+            out, mapped = pool.run_stage(pending.steps, pending.inputs, store_as)
+        else:  # nothing queued: resident partitions the driver now wants
+            out, mapped = pool.fetch(pending.inputs), []
 
-    def _dag(self, op: SharedScanDAG) -> dict[str, Any]:
-        self._scan(op.scan)  # pin + bind once; branch scans hit the cache
-        names = op.branch_names or tuple(
-            f"branch{i}" for i in range(len(op.branches))
-        )
-        nest_cache: dict[str, EnvPartitions] = {}
-        results: dict[str, Any] = {}
-        for name, branch in zip(names, op.branches):
-            result = self._execute(branch, nest_cache)
-            if isinstance(result, EnvPartitions):
-                result = self._materialize(result)
-            results[name] = result
-        return results
+        def column(position: int) -> list[int]:
+            if kind is None or position <= split:
+                return [row[position] for row in mapped]
+            return [row[position - split] for row in reduced]
 
-    # -- helpers -------------------------------------------------------- #
-    def _materialize(self, result: "EnvPartitions", op: str = "parallel") -> Dataset:
-        """Fetch worker-resident partitions into a driver-side Dataset.
+        # The stage's measured transport rides on its exchange's entry, or
+        # on its first one.
+        carrier = next((c for c in pending.charges if c.shuffled is None), None)
+        for charge in pending.charges:
+            name, at, unit, shuffled, charge_cost = charge
+            if shuffled is None:
+                shuffled, charge_cost = moved, cost
+            work = [sum(counts) * unit for counts in zip(*map(column, at))]
+            log = self._log if charge is (carrier or pending.charges[0]) else None
+            record_stage(self.cluster, log, name, work, shuffled, charge_cost)
+        return out, moved, cost
 
-        The one place rows cross back to the driver; its transport volume
-        is recorded as ``collect:par`` (no simulated work — every operator
-        already paid for its rows)."""
-        pool = self.cluster.pool
-        log = ShipLog(pool)
-        parts = pool.fetch(result.refs)
-        self._charge("collect:par", [0.0] * len(parts), log=log)
+    def _collected(self, result: Any, op: str = "parallel") -> Any:
+        """A queued intermediate run as a final stage, its values in a
+        driver-side Dataset.  The one place rows cross back to the driver,
+        marked by ``collect:par`` (no simulated work — every operator
+        already paid for its rows).  Anything else is already a value."""
+        if not isinstance(result, EnvPartitions):
+            return result
+        parts, _, _ = self._flush(result)
+        record_stage(self.cluster, self._log, "collect:par", [0.0] * len(parts))
         return Dataset(self.cluster, parts, op=op)
 
-    def _child_refs(self, op: AlgebraOp, nest_cache: dict) -> list[StoreRef]:
-        result = self._execute(op, nest_cache)
-        if not isinstance(result, EnvPartitions):
-            raise PlanningError(
-                f"parallel operator expected partitions, got {type(result).__name__}"
-            )
-        return result.refs
 
-    def _charge(
-        self,
-        name: str,
-        per_part_work: Sequence[float],
-        shuffled: int = 0,
-        cost: float = 0.0,
-        log: ShipLog | None = None,
-    ) -> None:
-        record_stage(self.cluster, log, name, per_part_work, shuffled, cost)
-
-
-class EnvPartitions:
-    """A collection-valued intermediate: handles to worker-resident
-    row-environment partitions (``ref.count`` carries each partition's
-    length for cost accounting)."""
-
-    __slots__ = ("refs",)
-
-    def __init__(self, refs: list[StoreRef]):
-        self.refs = refs
+def _nest_signatures(op: AlgebraOp) -> Iterator[str]:
+    """The signature of every Nest in a plan, once per occurrence."""
+    if isinstance(op, Nest):
+        yield op.describe()
+    for child in op.children():
+        yield from _nest_signatures(child)
 
 
 def _call_names(expr: Expr) -> set[str]:

@@ -12,10 +12,13 @@ Faults come from the deterministic :class:`FaultPlan` harness, so every
 test here replays the same failure schedule on every run.
 """
 
+import os
 import pickle
 
 import pytest
 
+from fixtures import nully_fd_rows
+from repro import CleanDB
 from repro.engine import FaultPlan, FaultSpec, WorkerPool, WorkerTaskError
 
 
@@ -33,6 +36,19 @@ def _sum_part(part):
 
 def _raise_value_error(x):
     raise ValueError(f"boom on {x}")
+
+
+def _keep_even(part):
+    return [x for x in part if x % 2 == 0]
+
+
+def _die_once(part, marker):
+    """Chain step that takes its worker down the first time it runs
+    (``marker`` is a path: absent = not yet died), then passes through."""
+    if not os.path.exists(marker):
+        open(marker, "w").close()
+        os._exit(13)
+    return part
 
 
 def _forbid_invalidate(pool):
@@ -185,3 +201,87 @@ class TestLineageKinds:
             pool.run(_double, [(1,)], parts=[1])
             assert pool.pinned("gone", 1) is None
             assert pool.fetch(keep) == [[5], [6]]
+
+
+class TestFusedStageRecovery:
+    """A stage is one task: a worker lost anywhere inside it — or between
+    the two dispatches of a fused exchange — costs a re-run of that task,
+    never a different answer or a different ledger."""
+
+    def test_kill_mid_chain_reruns_the_whole_chain(self, tmp_path):
+        steps = [
+            (_keep_even, ()),
+            (_die_once, (str(tmp_path / "died"),)),
+            (_double, ()),
+        ]
+        with WorkerPool(2) as pool:
+            _forbid_invalidate(pool)
+            refs = pool.pin("t", 1, [[1, 2, 3, 4], [5, 6, 7, 8]])
+            out, counts = pool.run_stage(steps, refs, store_as=("stage", 1))
+            assert pool.retries_total >= 1
+            # The stored stage output and the reported per-step counts are
+            # the fault-free ones; the dead worker's pin was rebuilt.
+            assert pool.fetch(out) == [[2, 4, 2, 4], [6, 8, 6, 8]]
+            assert counts == [(4, 2, 2, 4), (4, 2, 2, 4)]
+            assert pool.fetch(refs) == [[1, 2, 3, 4], [5, 6, 7, 8]]
+
+    @staticmethod
+    def _fd_run(plan):
+        with WorkerPool(2, fault_plan=plan) as pool:
+            _forbid_invalidate(pool)
+            db = CleanDB(num_nodes=4, execution="parallel", pool=pool)
+            db.register_table("t", nully_fd_rows())
+            marker = len(db.cluster.metrics.ops)
+            found = repr(db.check_fd("t", ["addr"], ["nation"]))
+            ledger = [
+                (op.name, op.per_node_work, op.shuffled_records, op.shuffle_cost)
+                for op in db.cluster.metrics.ops[marker:]
+            ]
+            return found, ledger, pool.retries_total, db.cluster.metrics.degraded_ops
+
+    @pytest.mark.parametrize("kind", ["kill_before", "kill_after"])
+    def test_kill_between_map_and_reduce_dispatch_is_invisible(self, kind):
+        # 4 partitions on 2 workers: worker 0 runs map tasks 1-2 (combine +
+        # route, parts 0 and 2), then reduce tasks 3-4 (merge + fd_merge).
+        # Losing it at task 3 loses its pinned partitions after the blobs
+        # were routed and before (or just after) they were merged.
+        clean, clean_ledger, retries, _ = self._fd_run(FaultPlan())
+        assert retries == 0
+        plan = getattr(FaultPlan(), kind)(worker=0, nth=3)
+        found, ledger, retries, degraded = self._fd_run(plan)
+        assert retries >= 1 and degraded == 0  # recovered, not fallen back
+        assert found == clean
+        assert ledger == clean_ledger
+
+    def test_kill_during_map_side_of_fused_exchange_is_invisible(self):
+        clean, clean_ledger, _, _ = self._fd_run(FaultPlan())
+        found, ledger, retries, degraded = self._fd_run(
+            FaultPlan().kill_after(worker=1, nth=1)
+        )
+        assert retries >= 1 and degraded == 0
+        assert (found, ledger) == (clean, clean_ledger)
+
+    @pytest.mark.parametrize("nth", [1, 3])  # in the map-side / reduce-side chain
+    def test_kill_inside_a_query_stage_is_invisible(self, nth):
+        sql = "SELECT t.addr, count(t.phone) AS n FROM t t WHERE t.nation > 0 GROUP BY t.addr"
+
+        def run(plan):
+            with WorkerPool(2, fault_plan=plan) as pool:
+                _forbid_invalidate(pool)
+                db = CleanDB(num_nodes=4, execution="parallel", pool=pool)
+                db.register_table("t", nully_fd_rows())
+                result = db.execute(sql)
+                names = [op.name for op in db.cluster.metrics.ops]
+                assert "nest:parMerge" in names  # the pool ran it
+                return (
+                    repr(result.branches["query"]),
+                    result.metrics["simulated_time"],
+                    pool.retries_total,
+                    db.cluster.metrics.degraded_ops,
+                )
+
+        clean, clean_time, retries, _ = run(FaultPlan())
+        assert retries == 0
+        found, sim_time, retries, degraded = run(FaultPlan().kill_before(worker=0, nth=nth))
+        assert retries >= 1 and degraded == 0
+        assert (found, sim_time) == (clean, clean_time)

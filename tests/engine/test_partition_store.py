@@ -233,6 +233,14 @@ class TestFunctionRegistry:
         assert pool.bytes_shipped_total - before_bytes < 2000
 
 
+def _drop_odd_values(part):
+    return [(k, v) for k, v in part if v % 2 == 0]
+
+
+def _values_plus(part, n):
+    return [v + n for _, v in part]
+
+
 class TestResidentExchange:
     def test_matches_serial_exchange_byte_for_byte(self, pool):
         cluster = Cluster(4)
@@ -242,11 +250,30 @@ class TestResidentExchange:
         ]
         serial, s_moved, s_cost = exchange(cluster, data, 4, kind="local")
         refs = pool.pin("in", 1, data)
-        out_refs, moved, cost = exchange_resident(
+        out_refs, moved, cost, mapped, reduced = exchange_resident(
             cluster, pool, refs, 4, kind="local", store_as=("out", 1)
         )
         assert pool.fetch(out_refs) == serial
         assert (moved, cost) == (s_moved, s_cost)
+        assert [row[0] for row in mapped] == [len(p) for p in data]
+        assert [row[1] for row in reduced] == [len(p) for p in serial]
+
+    def test_chains_on_either_side_run_in_the_same_two_dispatches(self, pool):
+        cluster = Cluster(4)
+        data = [[(i % 4, i) for i in range(j, 24, 3)] for j in range(3)]
+        serial, s_moved, _ = exchange(
+            cluster, [_drop_odd_values(p) for p in data], 4, kind="hash"
+        )
+        refs = pool.pin("in", 1, data)
+        before_tasks = pool.tasks_dispatched
+        out, moved, _, mapped, reduced = exchange_resident(
+            cluster, pool, refs, 4,
+            before=[(_drop_odd_values, ())], after=[(_values_plus, (100,))],
+        )
+        assert pool.tasks_dispatched - before_tasks == 3 + 4  # map + reduce
+        assert out == [_values_plus(p, 100) for p in serial]  # values, not handles
+        assert moved == s_moved == sum(row[1] for row in mapped)
+        assert [row[1:] for row in reduced] == [(len(p), len(p)) for p in serial]
 
     def test_sort_routing_rejected(self, pool):
         cluster = Cluster(2)

@@ -42,6 +42,23 @@ class TestSupports:
         assert par.supports(plan)
         ex.cluster.shutdown()
 
+    def test_bare_scan_left_to_the_row_scan(self):
+        """A Scan with nothing above it computes nothing: binding it in the
+        workers only to fetch it back would ship the table to a driver that
+        already holds it (every row-interpreted operator asks for its Scan
+        child through ``execute``).  The row scan answers, once."""
+        cluster = Cluster(num_nodes=4, workers=2)
+        ex = Executor(cluster, {"t": ROWS}, config=PhysicalConfig(execution="parallel"))
+        scan = Scan("t", "r")
+        assert not ex._parallel_executor().supports(scan)
+        assert ex._parallel_executor().supports(Select(scan, Const(True)))
+        out = ex.execute(scan).collect()  # partition-major order
+        assert sorted(out, key=lambda env: env["r"]["v"]) == [{"r": row} for row in ROWS]
+        ex.execute(scan)
+        assert [op.name for op in cluster.metrics.ops] == ["scan:t"]
+        assert not cluster.has_pool  # nothing was pinned, bound or fetched
+        cluster.shutdown()
+
     def test_theta_join_not_claimed(self):
         ex, par = _parallel_executor({"t": ROWS})
         theta = Join(
@@ -160,7 +177,7 @@ class TestErrorPaths:
         cluster = Cluster(num_nodes=4, workers=2, budget=5.0)
         ex = Executor(cluster, {"t": ROWS}, config=PhysicalConfig(execution="parallel"))
         with pytest.raises(BudgetExceededError):
-            ex.execute(Scan("t", "r"))
+            ex.execute(Select(Scan("t", "r"), Const(True)))
         # The abort discards the failed query's work but never the pool:
         # other queries (tenants) keep their resident state.
         assert cluster.has_pool
