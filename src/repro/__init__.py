@@ -18,38 +18,32 @@ Quickstart::
     print(result.branch("fd1"))
 """
 
-from .core.language import CleanDB, QueryResult
-from .engine.cluster import Cluster
-from .engine.dataset import Dataset
-from .engine.metrics import CostModel
-from .errors import (
-    BudgetExceededError,
-    DataSourceError,
-    MonoidError,
-    ParseError,
-    PlanningError,
-    ReproError,
-    SchemaError,
-    UnsupportedOperationError,
-)
-from .physical.lower import PhysicalConfig
+from typing import TYPE_CHECKING
+
+from ._lazy import lazy_surface
+
+if TYPE_CHECKING:
+    from .core.language import CleanDB, QueryResult
+    from .engine.cluster import Cluster
+    from .engine.dataset import Dataset
+    from .engine.metrics import CostModel
+    from .errors import (
+        BudgetExceededError, DataSourceError, MonoidError, ParseError, PlanningError,
+        ReproError, SchemaError, UnsupportedOperationError,
+    )
+    from .physical.lower import PhysicalConfig
+
+__getattr__, __dir__, __all__ = lazy_surface(__name__, {
+    "core.language": ("CleanDB", "QueryResult"),
+    "engine.cluster": ("Cluster",),
+    "engine.dataset": ("Dataset",),
+    "engine.metrics": ("CostModel",),
+    "errors": (
+        "BudgetExceededError", "DataSourceError", "MonoidError", "ParseError",
+        "PlanningError", "ReproError", "SchemaError", "UnsupportedOperationError",
+    ),
+    "physical.lower": ("PhysicalConfig",),
+})
 
 __version__ = "1.0.0"
-
-__all__ = [
-    "CleanDB",
-    "QueryResult",
-    "Cluster",
-    "Dataset",
-    "CostModel",
-    "PhysicalConfig",
-    "ReproError",
-    "ParseError",
-    "PlanningError",
-    "SchemaError",
-    "MonoidError",
-    "BudgetExceededError",
-    "DataSourceError",
-    "UnsupportedOperationError",
-    "__version__",
-]
+__all__.append("__version__")

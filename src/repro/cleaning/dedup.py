@@ -36,9 +36,7 @@ from typing import Any, Callable, Sequence
 
 from ..engine.cluster import Cluster
 from ..engine.dataset import Dataset
-from ..engine.parallel import Staged
 from ..engine.shuffle import exchange, exchange_resident
-from ..physical.parallel_exec import resident_stages, shippable
 from ..sources.columnar import round_robin_split, uniform_dict_records
 from .blocking import key_blocks, make_blocks
 from .rowid import RID, has_rids, number_rows, partition_offsets, stamp
@@ -161,10 +159,12 @@ def _pairs_task(
     return block_pairs(bucket, join), join.stats
 
 
-def _weigh_blocks(part: list[tuple[Any, list[dict]]]) -> Staged:
+def _weigh_blocks(part: list[tuple[Any, list[dict]]]) -> Any:
     """Reduce-side step: an exchanged block partition, reported by its
     *record* count — prices the merge stage (and lets a budget abort fire
     there) before the similarity phase dispatches, without shipping blocks."""
+    from ..engine.parallel import Staged  # a worker step: the pool module is loaded
+
     return Staged(part, sum(len(records) for _, records in part))
 
 
@@ -377,6 +377,8 @@ def deduplicate_parallel(
     Falls back to the serial row path when the blocking spec or records
     cannot cross a process boundary (lambdas, unpicklable rows).
     """
+    from ..physical.parallel_exec import resident_stages, shippable
+
     if not attributes:
         raise ValueError("deduplicate needs at least one comparison attribute")
     records = records if isinstance(records, list) else list(records)

@@ -41,7 +41,6 @@ from typing import Any, Callable, Iterable, Sequence
 from ..engine.cluster import Cluster
 from ..engine.dataset import Dataset
 from ..engine.shuffle import exchange, exchange_resident
-from ..physical.parallel_exec import resident_stages, shippable
 from ..physical.theta_join import (
     self_theta_join,
     theta_join_cartesian,
@@ -295,6 +294,8 @@ def check_fd_parallel(
     Falls back to the serial row path when the attribute specs or records
     cannot cross a process boundary (e.g. lambda specs).
     """
+    from ..physical.parallel_exec import resident_stages, shippable
+
     records = records if isinstance(records, list) else list(records)
     lhs, rhs = list(lhs), list(rhs)
     if not shippable(cluster, records, pinned, (lhs, rhs)):
@@ -573,6 +574,8 @@ def check_dc_parallel(
     Falls back to the serial banded row path when the constraint or the
     records cannot cross a process boundary.
     """
+    from ..physical.parallel_exec import resident_stages, shippable
+
     records = records if isinstance(records, list) else list(records)
     if not shippable(cluster, records, pinned, constraint):
         ds = cluster.parallelize(records, fmt=fmt, name=name)

@@ -25,18 +25,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
-from .core.language import CleanDB
-from .core.semantics import (
-    DiagnosticsError,
-    errors_in,
-    parse_error_diagnostic,
-    render_diagnostics,
-)
 from .errors import ParseError, ReproError
 from .evaluation.reporting import format_table
-from .sources import FORMATS, Catalog, Field, Schema
+from .sources.catalog import FORMATS, Catalog
+from .sources.schema import Field, Schema
+
+if TYPE_CHECKING:
+    from .core.language import CleanDB
+
+# The compiler and the engine are imported by the command that needs them.
 
 
 def parse_table_spec(spec: str) -> tuple[str, str, str, Schema | None]:
@@ -93,6 +92,8 @@ def _short(value: Any) -> str:
 def _print_error(exc: Exception, sources: dict[str, str]) -> None:
     """The CLI's error contract: an ``error: ...`` summary line, then — for
     analyzable failures — the caret-annotated diagnostics underneath."""
+    from .core.semantics import DiagnosticsError, parse_error_diagnostic, render_diagnostics
+
     print(f"error: {exc}", file=sys.stderr)
     if isinstance(exc, DiagnosticsError):
         print(render_diagnostics(exc.diagnostics, sources), file=sys.stderr)
@@ -323,6 +324,9 @@ def run_check(args: Any) -> int:
     """
     from dataclasses import replace
 
+    from .core.language import CleanDB
+    from .core.semantics import errors_in, render_diagnostics
+
     if args.sql is None and args.rule is None:
         print("error: pass a query, --rule, or both", file=sys.stderr)
         return 1
@@ -365,6 +369,8 @@ def run_dc(args: Any) -> int:
     import math
 
     from .cleaning.dc_kernel import parse_dc
+    from .core.language import CleanDB
+    from .core.semantics import errors_in, render_diagnostics
 
     db = CleanDB(
         num_nodes=args.nodes,
@@ -523,6 +529,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             sql = handle.read()
 
     import math
+
+    from .core.language import CleanDB
 
     db = CleanDB(
         num_nodes=args.nodes,

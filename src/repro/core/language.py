@@ -16,17 +16,13 @@ from typing import Any, Sequence
 from ..algebra.operators import AlgebraOp, SharedScanDAG
 from ..algebra.rewrite import RewriteReport, optimize_branches
 from ..algebra.translate import Translator
-from ..cleaning.kmeans import reservoir_sample
 from ..cleaning.rowid import fill_rids
-from ..cleaning.similarity import record_similarity
-from ..cleaning.tokenize import qgrams
 from ..engine.cluster import Cluster
 from ..engine.dataset import Dataset
 from ..engine.metrics import CostModel
-from ..errors import PlanningError, SchemaError
+from ..errors import ParseError, PlanningError, SchemaError
 from ..monoid.comprehension import Comprehension
 from ..monoid.normalize import NormalizationTrace, normalize
-from ..errors import ParseError
 from ..physical.lower import EXECUTION_BACKENDS, Executor, PhysicalConfig
 from .ast_nodes import Query
 from .parser import parse
@@ -42,6 +38,20 @@ from .semantics import (
     parse_error_diagnostic,
 )
 from .verify import verify_handles, verify_plan
+
+
+def load_backend(execution: str, incremental: bool = False) -> None:
+    """Constructor arguments decide the import set: a row session never
+    loads the pool, the vectorized executor or the delta states; the others
+    load theirs here, before the worker pool forks, so that workers inherit
+    every module a task can name and no first use pays an import."""
+    if execution == "parallel":
+        from ..cleaning import dedup, denial  # noqa: F401
+        from ..physical import parallel_exec  # noqa: F401
+    elif execution == "vectorized":
+        from ..physical import vectorized  # noqa: F401
+    if incremental:
+        from ..cleaning import incremental as _states  # noqa: F401
 
 
 @dataclass
@@ -196,15 +206,17 @@ class CleanDB:
             self.config = replace(self.config, execution=execution)
         self.coalesce = coalesce
         self.sim_filters = sim_filters
-        from ..cleaning.denial import DC_STRATEGIES
+        if dc_strategy != "banded":  # the default is valid without its table
+            from ..cleaning.denial import DC_STRATEGIES
 
-        if dc_strategy not in DC_STRATEGIES:
-            expected = ", ".join(repr(s) for s in DC_STRATEGIES)
-            raise PlanningError(
-                f"unknown DC strategy {dc_strategy!r}; expected one of {expected}"
-            )
+            if dc_strategy not in DC_STRATEGIES:
+                expected = ", ".join(repr(s) for s in DC_STRATEGIES)
+                raise PlanningError(
+                    f"unknown DC strategy {dc_strategy!r}; expected one of {expected}"
+                )
         self.dc_strategy = dc_strategy
         self.incremental = bool(incremental)
+        load_backend(self.config.execution, self.incremental)
         self.q = q
         self.k = k
         self.delta = delta
@@ -494,6 +506,7 @@ class CleanDB:
             _rekey_task,
             _update_patch_task,
         )
+        from ..sources.columnar import round_robin_split
 
         pool = self.cluster.pool
         pin_name = self._pin_name(name)
@@ -554,8 +567,6 @@ class CleanDB:
             # the driver rows back the adopted version as plain re-pin
             # lineage — a worker death after this delta rebuilds from the
             # current rows instead of chasing the evicted old version.
-            from ..sources.columnar import round_robin_split
-
             pool.adopt(
                 pin_name,
                 new_version,
@@ -677,8 +688,6 @@ class CleanDB:
         driver, under a ``degraded:`` op the serving layer counts to mark
         the outcome degraded-but-answered.
         """
-        from ..engine.parallel import StaleHandleError, WorkerTaskError
-
         records = self.table(table)
         if state_key is not None:
             out = self._incremental_result(table, state_key, state_args)
@@ -690,15 +699,18 @@ class CleanDB:
             pinned=self._pinned_key(table),
             batch_size=self.config.batch_size,
         )
-        try:
-            return run(
-                self.cluster, records, execution=self.config.execution, **kwargs
-            ).collect()
-        except (WorkerTaskError, StaleHandleError):
-            self.cluster.record_op(
-                f"degraded:{op}:{table}", [0.0] * self.cluster.num_nodes
-            )
-        return run(self.cluster, records, execution="row", **kwargs).collect()
+        execution = self.config.execution
+        if execution == "parallel":
+            from ..engine.parallel import StaleHandleError, WorkerTaskError
+
+            try:
+                return run(self.cluster, records, execution=execution, **kwargs).collect()
+            except (WorkerTaskError, StaleHandleError):
+                self.cluster.record_op(
+                    f"degraded:{op}:{table}", [0.0] * self.cluster.num_nodes
+                )
+            execution = "row"
+        return run(self.cluster, records, execution=execution, **kwargs).collect()
 
     def check_dc(
         self, table: str, constraint: Any, strategy: str | None = None
@@ -1018,6 +1030,10 @@ class CleanDB:
     # ------------------------------------------------------------------ #
     def _query_functions(self, plan: _Plan) -> dict[str, Any]:
         """Per-query builtins: blocking keys, record similarity, helpers."""
+        from ..cleaning.kmeans import assign_to_centers
+        from ..cleaning.similarity import record_similarity
+        from ..cleaning.tokenize import qgrams
+
         kmeans_centers = self._kmeans_centers(plan)
 
         def block_keys(kind: str, term: Any) -> list[Any]:
@@ -1025,8 +1041,6 @@ class CleanDB:
             if kind == "token_filtering":
                 return list(set(qgrams(text, self.q)) or {""})
             if kind == "kmeans":
-                from ..cleaning.kmeans import assign_to_centers
-
                 return assign_to_centers(text, kmeans_centers, "LD", self.delta)
             if kind == "length_filtering":
                 return [len(text) // 2]
@@ -1061,6 +1075,8 @@ class CleanDB:
     def _kmeans_centers(self, plan: _Plan) -> list[str]:
         """Centers for k-means blocking: sampled from the dictionary table
         when the query has one, otherwise from the primary table's terms."""
+        from ..cleaning.kmeans import reservoir_sample
+
         for branch in plan.branches:
             if branch.kind == "cluster_by" and branch.params.get("op") == "kmeans":
                 dictionary = self._tables.get(branch.params["dictionary"], [])

@@ -6,49 +6,35 @@ reproduces the plan-shape effects (pre-aggregation, skew, theta-join
 balancing) the paper's evaluation measures.
 """
 
-from .cluster import Cluster
-from .dataset import Dataset
-from .faults import FaultPlan, FaultSpec
-from .metrics import CostModel, MetricsCollector, OpMetrics
-from .parallel import (
-    DEFAULT_WORKERS,
-    ShipLog,
-    StaleHandleError,
-    StoreRef,
-    TransportCounters,
-    WorkerPool,
-    WorkerTaskError,
-    begin_transport_scope,
-)
-from .partitioner import (
-    HashPartitioner,
-    Partitioner,
-    RangePartitioner,
-    RoundRobinPartitioner,
-    make_partitioner,
-    stable_hash,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "Cluster",
-    "Dataset",
-    "CostModel",
-    "MetricsCollector",
-    "OpMetrics",
-    "DEFAULT_WORKERS",
-    "FaultPlan",
-    "FaultSpec",
-    "ShipLog",
-    "StaleHandleError",
-    "StoreRef",
-    "TransportCounters",
-    "WorkerPool",
-    "WorkerTaskError",
-    "begin_transport_scope",
-    "Partitioner",
-    "HashPartitioner",
-    "RangePartitioner",
-    "RoundRobinPartitioner",
-    "make_partitioner",
-    "stable_hash",
-]
+from .._lazy import lazy_surface
+
+if TYPE_CHECKING:
+    from .cluster import Cluster
+    from .dataset import Dataset
+    from .faults import FaultPlan, FaultSpec
+    from .metrics import CostModel, MetricsCollector, OpMetrics
+    from .parallel import (
+        DEFAULT_WORKERS, ShipLog, StaleHandleError, StoreRef, TransportCounters,
+        WorkerPool, WorkerTaskError, begin_transport_scope,
+    )
+    from .partitioner import (
+        HashPartitioner, Partitioner, RangePartitioner, RoundRobinPartitioner,
+        make_partitioner, stable_hash,
+    )
+
+__getattr__, __dir__, __all__ = lazy_surface(__name__, {
+    "cluster": ("Cluster",),
+    "dataset": ("Dataset",),
+    "faults": ("FaultPlan", "FaultSpec"),
+    "metrics": ("CostModel", "MetricsCollector", "OpMetrics"),
+    "parallel": (
+        "DEFAULT_WORKERS", "ShipLog", "StaleHandleError", "StoreRef",
+        "TransportCounters", "WorkerPool", "WorkerTaskError", "begin_transport_scope",
+    ),
+    "partitioner": (
+        "HashPartitioner", "Partitioner", "RangePartitioner", "RoundRobinPartitioner",
+        "make_partitioner", "stable_hash",
+    ),
+})

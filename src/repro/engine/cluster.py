@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from typing import Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from ..errors import BudgetExceededError
 from .metrics import CostModel, MetricsCollector, OpMetrics
-from .parallel import DEFAULT_WORKERS, WorkerPool
+
+if TYPE_CHECKING:
+    from .parallel import WorkerPool
 
 
 class Cluster:
@@ -99,6 +101,9 @@ class Cluster:
                 raise RuntimeError("the cluster's shared worker pool is closed")
             return self._pool
         if self._pool is None or self._pool.closed:
+            # Imported where a pool is built: a simulated-only cluster never pays.
+            from .parallel import DEFAULT_WORKERS, WorkerPool
+
             size = self.workers or min(DEFAULT_WORKERS, self.num_nodes)
             self._pool = WorkerPool(size)
         return self._pool

@@ -31,11 +31,13 @@ from __future__ import annotations
 
 import math
 import pickle
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from .cluster import Cluster
-from .parallel import StoreRef, WorkerPool
 from .partitioner import Partitioner, make_partitioner
+
+if TYPE_CHECKING:
+    from .parallel import WorkerPool
 
 KeyedRecord = tuple[Any, Any]
 

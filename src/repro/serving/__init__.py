@@ -8,18 +8,17 @@ long-lived :class:`~repro.engine.parallel.WorkerPool` serves them all.
 scheduling, namespace, budget, and store-eviction semantics.
 """
 
-from .service import (
-    CleanService,
-    LoadReport,
-    QueryOutcome,
-    TenantSession,
-    percentile,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "CleanService",
-    "LoadReport",
-    "QueryOutcome",
-    "TenantSession",
-    "percentile",
-]
+from .._lazy import lazy_surface
+
+if TYPE_CHECKING:
+    from .service import (
+        CleanService, LoadReport, QueryOutcome, TenantSession, percentile,
+    )
+
+__getattr__, __dir__, __all__ = lazy_surface(__name__, {
+    "service": (
+        "CleanService", "LoadReport", "QueryOutcome", "TenantSession", "percentile",
+    ),
+})

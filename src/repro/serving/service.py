@@ -46,7 +46,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from ..core.language import CleanDB
+from ..core.language import CleanDB, load_backend
 from ..engine.parallel import DEFAULT_WORKERS, WorkerPool, begin_transport_scope
 from ..errors import BudgetExceededError, ReproError
 
@@ -249,6 +249,9 @@ class CleanService:
         fault_plan: Any = None,
         task_deadline: float | None = None,
     ):
+        self._db_defaults = dict(db_defaults or {})
+        # The shared pool forks before any session exists; see load_backend.
+        load_backend("parallel", bool(self._db_defaults.get("incremental")))
         self.pool = WorkerPool(
             workers or DEFAULT_WORKERS,
             fault_plan=fault_plan,
@@ -256,7 +259,6 @@ class CleanService:
         )
         self.num_nodes = num_nodes
         self.store_bytes_cap = store_bytes_cap
-        self._db_defaults = dict(db_defaults or {})
         self._db_defaults.pop("execution", None)
         self._db_defaults.pop("pool", None)
         self._db_defaults.pop("namespace", None)

@@ -9,17 +9,21 @@ forwarded to the engine so scan costs differ per format.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from importlib import import_module
 from pathlib import Path
 from typing import Any
 
 from ..errors import DataSourceError
-from .csv_source import read_csv, write_csv
-from .columnar import read_columnar, write_columnar
-from .json_source import read_json, write_json
 from .schema import Schema
-from .xml_source import read_xml, write_xml
 
-FORMATS = ("csv", "json", "xml", "columnar")
+_CODECS = {"csv": "csv_source", "json": "json_source", "xml": "xml_source", "columnar": "columnar"}
+FORMATS = tuple(_CODECS)
+
+
+def _codec(fmt: str) -> Any:
+    """The module that reads and writes ``fmt``, imported when a file of that
+    format is touched (listing FORMATS loads no parser)."""
+    return import_module(f".{_CODECS[fmt]}", __package__)
 
 
 @dataclass(frozen=True)
@@ -58,13 +62,13 @@ class Catalog:
         entry = self.entry(name)
         if entry.fmt == "csv":
             assert entry.schema is not None
-            return read_csv(entry.path, entry.schema)
+            return _codec("csv").read_csv(entry.path, entry.schema)
         if entry.fmt == "json":
-            return read_json(entry.path)
+            return _codec("json").read_json(entry.path)
         if entry.fmt == "xml":
-            return read_xml(entry.path, entry.schema)
+            return _codec("xml").read_xml(entry.path, entry.schema)
         if entry.fmt == "columnar":
-            records, _ = read_columnar(entry.path)
+            records, _ = _codec("columnar").read_columnar(entry.path)
             return records
         raise DataSourceError(f"unknown format {entry.fmt!r}")
 
@@ -79,13 +83,13 @@ def write_records(
     if fmt == "csv":
         if schema is None:
             raise DataSourceError("csv requires a schema")
-        return write_csv(path, records, schema)
+        return _codec("csv").write_csv(path, records, schema)
     if fmt == "json":
-        return write_json(path, records)
+        return _codec("json").write_json(path, records)
     if fmt == "xml":
-        return write_xml(path, records)
+        return _codec("xml").write_xml(path, records)
     if fmt == "columnar":
         if schema is None:
             raise DataSourceError("columnar requires a schema")
-        return write_columnar(path, records, schema)
+        return _codec("columnar").write_columnar(path, records, schema)
     raise DataSourceError(f"unknown format {fmt!r}; known: {FORMATS}")

@@ -7,7 +7,7 @@ with ``|`` on write and split on read when the schema marks them ``list``.
 
 from __future__ import annotations
 
-import io
+import csv
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -41,68 +41,42 @@ def read_csv(path: str | Path, schema: Schema) -> list[dict[str, Any]]:
     path = Path(path)
     if not path.exists():
         raise DataSourceError(f"no such CSV file: {path}")
-    with open(path, "r", encoding="utf-8") as handle:
-        header_line = handle.readline()
-        if not header_line:
-            raise DataSourceError(f"empty CSV file: {path}")
-        header = _parse_line(header_line.rstrip("\n"))
-        if header != schema.names:
-            raise DataSourceError(
-                f"CSV header {header} does not match schema {schema.names}"
-            )
-        records = []
-        for line_number, line in enumerate(handle, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cells = _parse_line(line)
-            if len(cells) != len(schema.fields):
-                raise DataSourceError(
-                    f"{path}:{line_number}: expected {len(schema.fields)} cells, "
-                    f"found {len(cells)}"
+    names = schema.names
+    casters = [
+        _split_list if f.type == "list" else cast
+        for f, cast in zip(schema.fields, schema.casters())
+    ]
+    # newline="" hands line endings to the csv module, which is what lets a
+    # quoted cell span lines (and still accepts \r\n files).
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise DataSourceError(f"empty CSV file: {path}")
+            if header != names:
+                raise DataSourceError(f"CSV header {header} does not match schema {names}")
+            records = []
+            for cells in reader:
+                if not cells:  # a blank line
+                    continue
+                if len(cells) != len(names):
+                    raise DataSourceError(
+                        f"{path}:{reader.line_num}: expected {len(names)} cells, found {len(cells)}"
+                    )
+                records.append(
+                    {name: cast(cell) for name, cast, cell in zip(names, casters, cells)}
                 )
-            record: dict[str, Any] = {}
-            for f, cell in zip(schema.fields, cells):
-                if f.type == "list":
-                    record[f.name] = cell.split(LIST_SEPARATOR) if cell else []
-                else:
-                    record[f.name] = f.cast(cell)
-            records.append(record)
-        return records
+        except csv.Error as exc:
+            raise DataSourceError(f"{path}:{reader.line_num}: {exc}") from exc
+    return records
+
+
+def _split_list(cell: str) -> list[str]:
+    return cell.split(LIST_SEPARATOR) if cell else []
 
 
 def _quote(cell: str) -> str:
-    if any(ch in cell for ch in (",", '"', "\n")):
+    if any(ch in cell for ch in (",", '"', "\n", "\r")):
         return '"' + cell.replace('"', '""') + '"'
     return cell
-
-
-def _parse_line(line: str) -> list[str]:
-    """RFC-4180 field splitting."""
-    cells: list[str] = []
-    buf = io.StringIO()
-    in_quotes = False
-    i = 0
-    while i < len(line):
-        ch = line[i]
-        if in_quotes:
-            if ch == '"' and line[i : i + 2] == '""':
-                buf.write('"')
-                i += 2
-                continue
-            if ch == '"':
-                in_quotes = False
-                i += 1
-                continue
-            buf.write(ch)
-        else:
-            if ch == '"':
-                in_quotes = True
-            elif ch == ",":
-                cells.append(buf.getvalue())
-                buf = io.StringIO()
-            else:
-                buf.write(ch)
-        i += 1
-    cells.append(buf.getvalue())
-    return cells

@@ -11,15 +11,16 @@ first-class: flattening to relational form is an explicit, lossy operation
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from ..errors import SchemaError
 
-_CASTS = {
+_CASTS: dict[str, Callable[[Any], Any]] = {
     "int": int,
     "float": float,
     "str": str,
     "bool": lambda v: v in (True, "true", "True", "1", 1),
+    "list": lambda v: v if isinstance(v, list) else [v],
 }
 
 
@@ -30,19 +31,27 @@ class Field:
     name: str
     type: str = "str"  # int | float | str | bool | list
 
+    def caster(self) -> Callable[[Any], Any]:
+        """The cast rule as a callable, so that a reader resolves the type
+        once per column instead of once per cell."""
+        name, kind, convert = self.name, self.type, _CASTS.get(self.type)
+
+        def cast(raw: Any) -> Any:
+            if raw is None or raw == "":
+                return None
+            if convert is None:
+                raise SchemaError(f"unknown field type {kind!r}")
+            try:
+                return convert(raw)
+            except (TypeError, ValueError):
+                raise SchemaError(
+                    f"cannot cast {raw!r} to {kind} for field {name!r}"
+                ) from None
+
+        return cast
+
     def cast(self, raw: Any) -> Any:
-        if raw is None or raw == "":
-            return None
-        if self.type == "list":
-            return raw if isinstance(raw, list) else [raw]
-        try:
-            return _CASTS[self.type](raw)
-        except KeyError:
-            raise SchemaError(f"unknown field type {self.type!r}") from None
-        except (TypeError, ValueError):
-            raise SchemaError(
-                f"cannot cast {raw!r} to {self.type} for field {self.name!r}"
-            ) from None
+        return self.caster()(raw)
 
 
 @dataclass(frozen=True)
@@ -65,12 +74,16 @@ class Schema:
                 return f
         raise SchemaError(f"schema has no field {name!r}")
 
+    def casters(self) -> list[Callable[[Any], Any]]:
+        """One cast callable per field, in field order (see :meth:`Field.caster`)."""
+        return [f.caster() for f in self.fields]
+
     def cast_row(self, values: Sequence[Any]) -> dict[str, Any]:
         if len(values) != len(self.fields):
             raise SchemaError(
                 f"row has {len(values)} values for {len(self.fields)} fields"
             )
-        return {f.name: f.cast(v) for f, v in zip(self.fields, values)}
+        return {f.name: cast(v) for f, cast, v in zip(self.fields, self.casters(), values)}
 
     def validate(self, record: dict[str, Any]) -> None:
         missing = [f.name for f in self.fields if f.name not in record]

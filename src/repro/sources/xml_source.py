@@ -63,6 +63,7 @@ def read_xml(
     except ET.ParseError as exc:
         raise DataSourceError(f"{path}: invalid XML: {exc}") from exc
     records: list[dict[str, Any]] = []
+    columns = list(zip(schema.names, schema.casters())) if schema is not None else []
     for element in tree.getroot().iter(record_tag):
         record: dict[str, Any] = {}
         for child in element:
@@ -71,8 +72,6 @@ def read_xml(
             else:
                 record[child.tag] = child.text or ""
         if schema is not None:
-            record = {
-                f.name: f.cast(record.get(f.name)) for f in schema.fields
-            }
+            record = {name: cast(record.get(name)) for name, cast in columns}
         records.append(record)
     return records

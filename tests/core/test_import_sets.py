@@ -1,0 +1,195 @@
+"""Start-up guards: which modules a command or a constructor loads.
+
+Deterministic — every check reads ``sys.modules`` in a fresh interpreter,
+none reads a clock.  The rules they pin are in docs/ARCHITECTURE.md,
+"Start-up and the import graph": a package ``__init__`` is a lazy name
+table, the CLI dispatches before it imports, and constructor arguments
+decide the import set — before the worker pool forks.
+"""
+
+import ast
+import importlib
+import json
+import os
+import pkgutil
+import subprocess
+import sys
+import types
+from pathlib import Path
+
+import pytest
+
+import repro
+from repro.sources import Schema, write_csv
+
+SRC = str(Path(repro.__file__).resolve().parents[1])
+PACKAGES = [
+    "repro", "repro.core", "repro.monoid", "repro.algebra", "repro.physical",
+    "repro.engine", "repro.cleaning", "repro.sources", "repro.serving",
+    "repro.evaluation", "repro.datasets", "repro.baselines",
+]
+SQL = "SELECT * FROM t x FD(x.a, x.b)"
+
+
+def fresh(code: str, *argv: str) -> dict:
+    """Run ``code`` in a new interpreter; its last stdout line is JSON."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def loaded_after_cli(*argv: str) -> set[str]:
+    out = fresh(
+        "import json, sys\n"
+        "from repro.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(); print(json.dumps({'code': code, 'modules': sorted(sys.modules)}))",
+        *argv,
+    )
+    assert out["code"] == 0
+    return set(out["modules"])
+
+
+def under(modules: set[str], *prefixes: str) -> set[str]:
+    return {m for m in modules if any(m == p or m.startswith(p + ".") for p in prefixes)}
+
+
+@pytest.fixture
+def table_spec(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, [{"a": i % 3, "b": i % 2} for i in range(12)], Schema.of(a="int", b="int"))
+    return f"t={path}:csv:a:int,b:int"
+
+
+def test_formats_loads_no_compiler_engine_or_parser():
+    modules = loaded_after_cli("formats")
+    assert not under(
+        modules, "repro.core", "repro.engine", "repro.cleaning", "repro.physical",
+        "multiprocessing", "xml.etree",
+    )
+
+
+def test_row_query_never_reaches_the_pool(table_spec):
+    modules = loaded_after_cli("query", "--table", table_spec, SQL)
+    assert "repro.physical.lower" in modules  # the query did run
+    assert not under(
+        modules, "repro.engine.parallel", "repro.engine.faults",
+        "repro.physical.parallel_exec", "repro.physical.vectorized", "repro.serving",
+        "repro.cleaning.incremental", "repro.cleaning.repair", "repro.baselines",
+        "repro.evaluation.runner", "multiprocessing",
+    )
+
+
+def test_a_submodule_import_executes_only_that_submodule():
+    modules = set(fresh(
+        "import json, sys, repro.cleaning.rowid; print(json.dumps(sorted(sys.modules)))"
+    ))
+    assert under(modules, "repro") == {"repro", "repro._lazy", "repro.cleaning", "repro.cleaning.rowid"}
+
+
+_PARALLEL_SESSION = """
+import json, sys
+
+def repro_modules(_worker):
+    return sorted(m for m in sys.modules if m.startswith("repro."))
+
+from repro import CleanDB
+
+db = CleanDB(execution="parallel", workers=2)
+at_construction = repro_modules(None)
+forked = db.cluster.has_pool
+rows = [{"a": i % 5, "b": i % 3, "name": f"name {i % 7}", "price": float(i % 9)} for i in range(60)]
+db.register_table("t", rows)
+pool = db.cluster.pool
+before = pool.run(repro_modules, [(0,), (1,)], parts=[0, 1])
+db.check_fd("t", ["a"], ["b"])
+db.check_dc("t", "t1.a = t2.a and t1.price < t2.price and t1.b > t2.b")
+db.deduplicate("t", ["name"], block_on="a")
+after = pool.run(repro_modules, [(0,), (1,)], parts=[0, 1])
+ops = [op.name for op in db.cluster.metrics.ops]
+shipped = db.cluster.metrics.bytes_shipped
+db.close()
+print(json.dumps({"at_construction": at_construction, "forked_early": forked,
+                  "before": before, "after": after, "ops": ops, "shipped": shipped}))
+"""
+
+TASK_BEARING = {
+    "repro.engine.parallel", "repro.engine.shuffle", "repro.physical.parallel_exec",
+    "repro.cleaning.denial", "repro.cleaning.dc_kernel", "repro.cleaning.dedup",
+    "repro.cleaning.simjoin", "repro.cleaning.rowid",
+    "repro.monoid.expressions", "repro.sources.columnar",
+}
+
+
+def test_parallel_session_loads_its_tasks_before_the_pool_forks():
+    out = fresh(_PARALLEL_SESSION)
+    assert not out["forked_early"]
+    assert TASK_BEARING <= set(out["at_construction"])
+    # The checks really ran on the pool, and the workers imported nothing for them.
+    assert {"fd:parCombine", "dc:banded:scan", "grouping:key:parCombine"} <= set(out["ops"])
+    assert out["shipped"] > 0
+    assert out["before"] == out["after"]
+    assert all(TASK_BEARING <= set(worker) for worker in out["before"])
+
+
+def test_constructor_arguments_decide_the_import_set():
+    out = fresh(
+        "import json, sys\n"
+        "from repro import CleanDB\n"
+        "def extras():\n"
+        "    return [m for m in ('repro.cleaning.incremental', 'repro.physical.vectorized',\n"
+        "                        'repro.engine.parallel') if m in sys.modules]\n"
+        "seen = []\n"
+        "for kwargs in ({}, {'incremental': True}, {'execution': 'vectorized'}):\n"
+        "    CleanDB(**kwargs)\n"
+        "    seen.append(extras())\n"
+        "print(json.dumps(seen))"
+    )
+    assert out == [
+        [],
+        ["repro.cleaning.incremental"],
+        ["repro.cleaning.incremental", "repro.physical.vectorized"],
+    ]
+
+
+@pytest.mark.parametrize("package", PACKAGES)
+def test_every_public_name_resolves(package):
+    """With every submodule already imported (the order that lets the import
+    system shadow a lazy name with its submodule), and through ``import *``;
+    the ``TYPE_CHECKING`` block a type checker reads lists the same names."""
+    pkg = importlib.import_module(package)
+    for info in pkgutil.iter_modules(pkg.__path__, package + "."):
+        if not info.name.endswith("__main__"):
+            importlib.import_module(info.name)
+    assert len(set(pkg.__all__)) == len(pkg.__all__) > 0
+    star: dict = {}
+    exec(f"from {package} import *", star)
+    for name in pkg.__all__:
+        value = getattr(pkg, name)
+        assert not isinstance(value, types.ModuleType), f"{package}.{name} is a module"
+        assert name in dir(pkg)
+        assert star[name] is value
+    with pytest.raises(AttributeError, match="no_such_name"):
+        pkg.no_such_name
+    typed = {
+        alias.name
+        for node in ast.parse(Path(pkg.__file__).read_text()).body
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING"
+        for statement in node.body
+        for alias in statement.names
+    }
+    assert typed == set(pkg.__all__) - {"__version__"}
+
+
+def test_every_surface_resolves_in_a_fresh_interpreter():
+    out = fresh(
+        "import json\n"
+        f"for package in {PACKAGES!r}:\n"
+        "    exec(f'from {package} import *', {})\n"
+        "from repro.monoid import normalize\n"
+        "print(json.dumps({'normalize': callable(normalize)}))"
+    )
+    assert out == {"normalize": True}

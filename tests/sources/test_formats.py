@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import DataSourceError
+from repro.errors import DataSourceError, SchemaError
 from repro.sources import (
     Field,
     Schema,
@@ -70,8 +70,45 @@ class TestCSV:
             read_csv(path, Schema.of(other="int"))
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(DataSourceError):
+        with pytest.raises(DataSourceError, match="no such CSV file"):
             read_csv(tmp_path / "nope.csv", FLAT_SCHEMA)
+
+    def test_quoted_newline_round_trips(self, tmp_path):
+        """``write_csv`` quotes a cell holding a line break, so the reader
+        has to read records, not physical lines."""
+        schema = Schema.of(a="str", b="int")
+        rows = [{"a": "x\ny", "b": 1}, {"a": "cr\r\nlf", "b": 2}, {"a": "z", "b": 3}]
+        path = tmp_path / "multiline.csv"
+        write_csv(path, rows, schema)
+        assert read_csv(path, schema) == rows
+
+    @pytest.mark.parametrize("line, found", [("1,alice,9.5", 3), ("1,alice,9.5,true,extra", 5)])
+    def test_wrong_cell_count_names_path_and_line(self, tmp_path, line, found):
+        path = tmp_path / "data.csv"
+        path.write_text(f"id,name,score,active\n2,bob,1.0,true\n\n{line}\n")
+        with pytest.raises(DataSourceError) as excinfo:
+            read_csv(path, FLAT_SCHEMA)
+        assert str(excinfo.value) == f"{path}:4: expected 4 cells, found {found}"
+
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(DataSourceError, match=f"empty CSV file: {path}"):
+            read_csv(path, FLAT_SCHEMA)
+
+    def test_blank_lines_skipped_and_crlf_accepted(self, tmp_path):
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(b"id,name,score,active\r\n1,alice,9.5,True\r\n\r\n2,,0.5,0\r\n")
+        assert read_csv(path, FLAT_SCHEMA) == [
+            {"id": 1, "name": "alice", "score": 9.5, "active": True},
+            {"id": 2, "name": None, "score": 0.5, "active": False},
+        ]
+
+    def test_bad_cell_is_a_schema_error(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("id,name,score,active\nseven,bob,1.0,true\n")
+        with pytest.raises(SchemaError, match="cannot cast 'seven' to int for field 'id'"):
+            read_csv(path, FLAT_SCHEMA)
 
 
 class TestJSON:
