@@ -40,14 +40,23 @@ Scope gates (all enforced here, not by callers):
 * DC requires a hashable constraint (the same bound as the parallel
   backend's derived cache).
 
-Cost notes: FD and dedup patches are O(delta).  DC patches probe the delta
-both ways — delta-as-left against the full maintained index, and the old
-rows against a delta-only index — so a patch is O(table) in cheap
-dictionary lookups but avoids the cold path's extraction, group sort, and
-full banded scan.  Constraints with more than one ordered predicate
-re-plan against the full entry set on every patch (band selection is
-data-dependent) and rebuild outright when the chosen plan changes;
-single-ordered constraints skip re-planning entirely because
+Cost notes: a patch and the ``emit`` after it cost O(delta x group), never
+O(table); only producing the output list is proportional to its length.
+FD patches one sorted position list per changed row, and ``emit``
+re-merges the keys touched since the last one (a key's merge reads one
+first position per partition and rhs value) and re-sorts the cached
+violations, which are already nearly in order.  Dedup re-derives the
+blocks whose membership or stamps changed — verdicts between unchanged
+members come from the verdict cache — and concatenates the cached pair
+lists of the rest.  DC probes the delta both ways: delta-as-left against
+the maintained groups it reaches, and the maintained left tuples whose
+equality key reaches a delta entry's group (``lefts``) against a
+delta-only index — one equality group's worth of probes per distinct delta
+key, in place of the cold path's extraction, group sort and full banded
+scan.  Constraints with more than one ordered predicate are the
+exception: they re-plan against the full entry set on every patch (band
+selection is data-dependent) and rebuild outright when the chosen plan
+changes; single-ordered constraints skip re-planning entirely because
 :func:`~repro.cleaning.dc_kernel.plan_dc_entries` ignores the entries for
 them.
 """
@@ -55,7 +64,8 @@ them.
 from __future__ import annotations
 
 from bisect import insort
-from typing import Any, Callable, Sequence
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Sequence
 
 from ..engine.partitioner import stable_hash
 from ..sources.columnar import round_robin_split
@@ -74,7 +84,7 @@ from .dc_kernel import (
     scan_partition,
 )
 from .dedup import DuplicatePair, _to_pair, block_key_func
-from .denial import FDViolation, _key_func, fd_merge
+from .denial import FDViolation, _key_func
 from .rowid import RID
 from .simjoin import SimJoin
 
@@ -167,17 +177,18 @@ class IncrementalTable:
 # ---------------------------------------------------------------------- #
 
 class IncrementalFD:
-    """Maintained FD group index, patched in O(delta · log) per mutation.
+    """Maintained FD occupancy, patched in O(log) per changed row and
+    re-merged per touched key.
 
-    The cold aggregate path's per-partition combiner — ``key -> (rhs
-    first-seen dict, witness position list)`` — is a pure function of the
-    partition's ``(key, rhs, position)`` triples: keys arrive in
-    min-position order, each key's distinct rhs values arrive in *their*
-    min-position order, and the witnesses are exactly those min positions.
-    So the maintained truth is ``positions[p][key][rhs] = sorted position
-    list``; mutations patch single positions, and a touched partition's
-    combiner view is regenerated lazily in O(distinct keys · rhs) — never
-    by rescanning rows."""
+    The cold aggregate path's answer for one key is a pure function of
+    where each ``(partition, rhs)`` pair first occurs: a partition's
+    combiner lists the key's distinct rhs values in min-position order
+    with exactly those rows as witnesses, and the merge side folds the
+    combiners input-partition-major.  So the maintained truth is
+    ``groups[key][(p, rhs)] = ascending positions``; sorting one key's
+    ``(p, min position)`` pairs yields its rhs order, its witnesses and
+    its arrival rank.  A mutation marks its old and new key touched;
+    ``emit`` re-merges only those and keeps every other key's violation."""
 
     def __init__(
         self,
@@ -195,59 +206,30 @@ class IncrementalFD:
         self.keep_records = bool(keep_records)
         # rowkeys[p][pos] = (key, rhs): O(1) old-value lookup on update.
         self.rowkeys: list[list[tuple[Any, Any]]] = [[] for _ in table.parts]
-        # positions[p][key][rhs] = ascending positions bearing that pair.
-        self.positions: list[dict[Any, dict[Any, list[int]]]] = [
-            {} for _ in table.parts
-        ]
-        # local[p] is the combiner view, regenerated lazily per partition.
-        self.local: list[dict[Any, tuple[dict, list[int]]]] = [
-            {} for _ in table.parts
-        ]
-        for p, part in enumerate(table.parts):
-            for pos, row in enumerate(part):
-                key, rhs_value = self.lhs_func(row), self.rhs_func(row)
-                self.rowkeys[p].append((key, rhs_value))
-                self._attach(p, pos, key, rhs_value)
-        self._stale = set(range(len(table.parts)))
-        self._dirty = True
+        self.groups: dict[Any, dict[tuple[int, Any], list[int]]] = {}
+        # Violating key -> (its place in the cold output, the violation):
+        # the place is (merge bucket, first arrival = the lowest partition
+        # holding the key and the key's minimum position there).
+        self.violations: dict[Any, tuple[tuple[int, int, int], FDViolation]] = {}
+        self._touched: set = set()
         self._cached: list[FDViolation] = []
-
-    def _attach(self, p: int, pos: int, key: Any, rhs_value: Any) -> None:
-        insort(
-            self.positions[p].setdefault(key, {}).setdefault(rhs_value, []),
-            pos,
+        self.on_append(
+            [(p, pos) for p, part in enumerate(table.parts) for pos in range(len(part))]
         )
 
+    def _attach(self, p: int, pos: int, key: Any, rhs_value: Any) -> None:
+        insort(self.groups.setdefault(key, {}).setdefault((p, rhs_value), []), pos)
+        self._touched.add(key)
+
     def _detach(self, p: int, pos: int, key: Any, rhs_value: Any) -> None:
-        group = self.positions[p][key]
-        occupied = group[rhs_value]
+        group = self.groups[key]
+        occupied = group[(p, rhs_value)]
         occupied.remove(pos)
         if not occupied:
-            del group[rhs_value]
+            del group[(p, rhs_value)]
             if not group:
-                del self.positions[p][key]
-
-    def _view(self, p: int) -> dict[Any, tuple[dict, list[int]]]:
-        """The partition's combiner exactly as the cold absorb loop builds
-        it: keys in min-position order, rhs in min-position order within
-        the key, witnesses = those min positions."""
-        if p in self._stale:
-            keyed = sorted(
-                (
-                    sorted((occupied[0], rhs_value) for rhs_value, occupied in group.items()),
-                    key,
-                )
-                for key, group in self.positions[p].items()
-            )
-            self.local[p] = {
-                key: (
-                    {rhs_value: None for _, rhs_value in rhs_items},
-                    [pos for pos, _ in rhs_items],
-                )
-                for rhs_items, key in keyed
-            }
-            self._stale.discard(p)
-        return self.local[p]
+                del self.groups[key]
+        self._touched.add(key)
 
     def on_append(self, placements: list[Placement]) -> None:
         for p, pos in placements:
@@ -255,44 +237,41 @@ class IncrementalFD:
             key, rhs_value = self.lhs_func(row), self.rhs_func(row)
             self.rowkeys[p].append((key, rhs_value))
             self._attach(p, pos, key, rhs_value)
-            self._stale.add(p)
-        self._dirty = True
 
     def on_update(self, placements: list[Placement]) -> None:
         for p, pos in placements:
-            old_key, old_rhs = self.rowkeys[p][pos]
             row = self.table.parts[p][pos]
             key, rhs_value = self.lhs_func(row), self.rhs_func(row)
+            self._detach(p, pos, *self.rowkeys[p][pos])
             self.rowkeys[p][pos] = (key, rhs_value)
-            self._detach(p, pos, old_key, old_rhs)
             self._attach(p, pos, key, rhs_value)
-            self._stale.add(p)
-        self._dirty = True
+
+    def _merge(self, key: Any) -> None:
+        """Re-derive one key's violation, as the cold merge of its
+        per-partition combiners would: one witness per combiner entry —
+        the first bearer of each ``(partition, rhs)`` — in arrival order,
+        with the key and rhs values as those rows spell them (``True``
+        and ``1`` are one key, but not one ``repr``)."""
+        self.violations.pop(key, None)
+        group = self.groups.get(key, {})
+        firsts = sorted((p, occupied[0]) for (p, _), occupied in group.items())
+        spelled = [self.rowkeys[p][i] for p, i in firsts]
+        rhs_values = tuple(dict.fromkeys(rhs_value for _, rhs_value in spelled))
+        if len(rhs_values) > 1:
+            parts = self.table.parts
+            rows = tuple(parts[p][i] for p, i in firsts) if self.keep_records else ()
+            place = (stable_hash(key) % self.table.num_partitions, *firsts[0])
+            self.violations[key] = (place, FDViolation(spelled[0][0], rhs_values, rows))
 
     def emit(self) -> list[FDViolation]:
-        if not self._dirty:
-            return list(self._cached)
-        # The kernel's own merge-and-emit over the combiners in
-        # input-partition order (what every cold bucket sees), witnesses as
-        # ``(partition, position)`` references.  A key lives in one bucket,
-        # so bucketing the violations afterwards reproduces the cold output
-        # order while ``stable_hash`` runs on the few, not on every key.
-        keep = self.keep_records
-        combiners = (
-            (key, (rhs_seen, [(p, i) for i in positions] if keep else []))
-            for p in range(len(self.local))
-            for key, (rhs_seen, positions) in self._view(p).items()
-        )
-        n = self.table.num_partitions
-        parts = self.table.parts
-        buckets: list[list[FDViolation]] = [[] for _ in range(n)]
-        for v in fd_merge(combiners, keep):
-            rows = tuple(parts[p][i] for p, i in v.records)
-            buckets[stable_hash(v.key) % n].append(FDViolation(v.key, v.rhs_values, rows))
-        out = [v for bucket in buckets for v in bucket]
-        self._cached = out
-        self._dirty = False
-        return list(out)
+        if self._touched:
+            for key in self._touched:
+                self._merge(key)
+            self._touched.clear()
+            self._cached = [
+                v for _, v in sorted(self.violations.values(), key=itemgetter(0))
+            ]
+        return list(self._cached)
 
 
 # ---------------------------------------------------------------------- #
@@ -303,13 +282,14 @@ class IncrementalDC:
     """Maintained banded DC state: extracted entries, equality groups, and
     the violating-pair set, patched by probing deltas both ways.
 
-    A patch probes (1) the delta rows as left tuples against the full
-    maintained index and (2) the untouched rows against a delta-only index
-    — the two scans partition the violating pairs that touch the delta, so
-    their union with the surviving old pairs equals the cold pair set,
-    including the kernel's exactly-once orientation rule for symmetric
-    pairs.  Emission replays the banded scan's order from the maintained
-    group ranks without rescanning.
+    A patch probes (1) the delta rows as left tuples against the
+    maintained groups they reach and (2) the untouched left tuples whose
+    equality key reaches a delta row's group (``lefts``) against a
+    delta-only index — the two scans partition the violating pairs that
+    touch the delta, so their union with the surviving old pairs equals
+    the cold pair set, including the kernel's exactly-once orientation
+    rule for symmetric pairs.  Emission replays the banded scan's order
+    from the maintained group ranks without rescanning.
     """
 
     def __init__(self, table: IncrementalTable, constraint: DenialConstraint):
@@ -336,6 +316,8 @@ class IncrementalDC:
         self.plan = plan_dc_entries(constraint, self._flat())
         self.groups: dict[tuple, list[DCRecord]] = {}
         self.group_of: dict[Placement, tuple] = {}
+        # probe key -> the entries passing the left filter that probe it
+        self.lefts: dict[tuple, dict[Placement, DCRecord]] = {}
         # key -> (band values | None, rank-ordered members, payload -> rank)
         self._frag: dict[tuple, tuple[list | None, list[DCRecord], dict]] = {}
         self.viols: dict[Placement, set[Placement]] = {}
@@ -349,7 +331,14 @@ class IncrementalDC:
     def _flat(self) -> list[DCRecord]:
         return [e for part in self.entries for e in part]
 
+    def _left_key(self, entry: DCRecord) -> tuple:
+        """The group ``entry`` probes as t1: the left values of the
+        equality prefix (the scan's own probe key)."""
+        return tuple([entry.lvals[i] for i in self.plan.eq_idx])
+
     def _enter(self, entry: DCRecord) -> None:
+        if self._passes(entry):
+            self.lefts.setdefault(self._left_key(entry), {})[entry.payload] = entry
         key = dc_group_key(entry, self.plan)
         if key is None:
             return
@@ -359,7 +348,14 @@ class IncrementalDC:
         self.group_of[entry.payload] = key
         self._frag.pop(key, None)
 
-    def _leave(self, payload: Placement) -> None:
+    def _leave(self, entry: DCRecord) -> None:
+        payload = entry.payload
+        left_key = self._left_key(entry)
+        probing = self.lefts.get(left_key)
+        if probing is not None:
+            probing.pop(payload, None)
+            if not probing:
+                del self.lefts[left_key]
         key = self.group_of.pop(payload, None)
         if key is None:
             return
@@ -385,9 +381,10 @@ class IncrementalDC:
             self._frag[key] = frag
         return frag
 
-    def _kernel_index(self) -> dict:
-        """The maintained groups in ``build_dc_index`` output form."""
-        return {key: self._fragment(key)[:2] for key in self.groups}
+    def _kernel_index(self, keys: Iterable[tuple]) -> dict:
+        """The maintained groups among ``keys`` in ``build_dc_index``
+        output form."""
+        return {key: self._fragment(key)[:2] for key in keys if key in self.groups}
 
     # -- pair maintenance ---------------------------------------------- #
 
@@ -413,6 +410,7 @@ class IncrementalDC:
     def _rebuild_pairs(self) -> None:
         self.groups = {}
         self.group_of = {}
+        self.lefts = {}
         self._frag = {}
         for part in self.entries:
             for entry in part:
@@ -421,7 +419,7 @@ class IncrementalDC:
         self.rev = {}
         lefts = [e for part in self.entries for e in filter(self._passes, part)]
         for t1, t2 in scan_partition(
-            lefts, self._kernel_index(), self.plan, DCStats()
+            lefts, self._kernel_index(self.groups), self.plan, DCStats()
         ):
             self._add_pair(t1.payload, t2.payload)
 
@@ -438,26 +436,25 @@ class IncrementalDC:
         return True
 
     def _probe(self, delta: list[DCRecord]) -> None:
-        passes, plan = self._passes, self.plan
+        plan = self.plan
         delta = sorted(delta, key=lambda e: e.payload)
-        # Delta as left against everything (covers delta x delta once).
-        delta_lefts = list(filter(passes, delta))
-        for t1, t2 in scan_partition(
-            delta_lefts, self._kernel_index(), plan, DCStats()
-        ):
+        # Delta as left against the groups it reaches (covers delta x
+        # delta once).
+        delta_lefts = list(filter(self._passes, delta))
+        index = self._kernel_index(map(self._left_key, delta_lefts))
+        for t1, t2 in scan_partition(delta_lefts, index, plan, DCStats()):
             self._add_pair(t1.payload, t2.payload)
-        # Everything else as left against the delta only.
+        # The other lefts that reach a delta entry's group, against the
+        # delta only.
         delta_set = {e.payload for e in delta}
         delta_index = build_dc_index(delta, plan)
         old_lefts = [
             e
-            for part in self.entries
-            for e in part
-            if e.payload not in delta_set and passes(e)
+            for key in delta_index
+            for payload, e in self.lefts.get(key, {}).items()
+            if payload not in delta_set
         ]
-        for t1, t2 in scan_partition(
-            old_lefts, delta_index, plan, DCStats()
-        ):
+        for t1, t2 in scan_partition(old_lefts, delta_index, plan, DCStats()):
             self._add_pair(t1.payload, t2.payload)
 
     # -- mutation hooks ------------------------------------------------ #
@@ -486,7 +483,7 @@ class IncrementalDC:
                 seen.add(placement)
                 order.append(placement)
         for p, pos in order:
-            self._leave((p, pos))
+            self._leave(self.entries[p][pos])
             row = self.table.parts[p][pos]
             self.entries[p][pos] = self._extract(row[RID], row, (p, pos))
         if not self._refresh_plan():
@@ -503,7 +500,6 @@ class IncrementalDC:
         if not self._dirty:
             return list(self._cached)
         parts = self.table.parts
-        eq_idx = self.plan.eq_idx
         out: list[tuple[dict, dict]] = []
         for t1pos in sorted(self.viols):
             p1, i1 = t1pos
@@ -511,8 +507,7 @@ class IncrementalDC:
             # The probe key the scan used for t1: left values of the
             # equality prefix.  Every surviving t2 is still a member of
             # that group, whose rank order is the scan's emission order.
-            key = tuple(entry.lvals[i] for i in eq_idx)
-            rank = self._fragment(key)[2]
+            rank = self._fragment(self._left_key(entry))[2]
             t1_row = parts[p1][i1]
             for t2pos in sorted(self.viols[t1pos], key=rank.__getitem__):
                 out.append((t1_row, parts[t2pos[0]][t2pos[1]]))
@@ -532,10 +527,11 @@ class IncrementalDedup:
     the arrival order of the cold aggregate grouping.  Each placement
     carries a *stamp* bumped on update; prepared records and verification
     verdicts are memoized against (placement, stamp) pairs, so a patch
-    re-verifies only pairs involving changed rows, and a block's cached
-    pair list self-invalidates when its member signature drifts.  Stale
-    verify-cache entries are only dropped with their rows' stamps, which
-    bounds the leak at one generation per updated row.
+    re-verifies only pairs involving changed rows.  A mutation marks the
+    blocks it changes touched and drops their cached pairs; ``emit``
+    re-derives only those.  An update retires the replaced row's prepared
+    record and every verdict keyed on it, so all three caches are bounded
+    by the live table, however long the update stream.
     """
 
     def __init__(
@@ -561,14 +557,20 @@ class IncrementalDedup:
         self.preps: dict[tuple[Placement, int], Any] = {}
         # (member sig, member sig) -> the pair when it verified, else False
         self.verify_cache: dict[tuple, DuplicatePair | bool] = {}
-        # key -> (member (placement, stamp) signature, emitted pairs)
+        # key -> (the block's place in the cold output, its pairs), for
+        # every untouched block that has pairs; the place is (merge bucket,
+        # first arrival = earliest member placement).
         self.block_cache: dict[Any, tuple[tuple, list[DuplicatePair]]] = {}
+        self._touched: set = set()
         self._rids: set = set()
         for p, part in enumerate(table.parts):
             for pos, row in enumerate(part):
                 self._add((p, pos), row)
-        self._dirty = True
         self._cached: list[DuplicatePair] = []
+
+    def _touch(self, key: Any) -> None:
+        self._touched.add(key)
+        self.block_cache.pop(key, None)
 
     def _add(self, placement: Placement, row: dict) -> None:
         rid = row[RID]
@@ -583,47 +585,47 @@ class IncrementalDedup:
         key = self.key_func(row)
         self.key_of[placement] = key
         insort(self.blocks.setdefault(key, []), placement)
+        self._touch(key)
 
     def on_append(self, placements: list[Placement]) -> None:
         for placement in placements:
             p, pos = placement
             self._add(placement, self.table.parts[p][pos])
-        self._dirty = True
 
     def on_update(self, placements: list[Placement]) -> None:
-        seen: set[Placement] = set()
-        for placement in placements:
-            if placement in seen:
-                continue
-            seen.add(placement)
+        for placement in dict.fromkeys(placements):
             p, pos = placement
             row = self.table.parts[p][pos]
-            old_stamp = self.stamps[placement]
-            self.preps.pop((placement, old_stamp), None)
-            self.stamps[placement] = stamp = old_stamp + 1
-            self.preps[(placement, stamp)] = self.join.prepare(row[RID], row)
             old_key = self.key_of[placement]
+            members = self.blocks[old_key]
+            # Retire the replaced row: its prepared record and its verdicts.
+            # A verdict is only ever recorded between two members of one
+            # block at their current stamps, so the row's block mates name
+            # every verdict that mentions it.
+            retired = (placement, self.stamps[placement])
+            self.preps.pop(retired, None)
+            for mate in members:
+                other = (mate, self.stamps[mate])
+                self.verify_cache.pop((retired, other), None)
+                self.verify_cache.pop((other, retired), None)
+            self.stamps[placement] = stamp = retired[1] + 1
+            self.preps[(placement, stamp)] = self.join.prepare(row[RID], row)
             new_key = self.key_func(row)
+            self._touch(old_key)
             if new_key != old_key:
-                members = self.blocks[old_key]
                 members.remove(placement)
                 if not members:
                     del self.blocks[old_key]
-                    self.block_cache.pop(old_key, None)
                 self.key_of[placement] = new_key
                 insort(self.blocks.setdefault(new_key, []), placement)
-        self._dirty = True
+                self._touch(new_key)
 
-    def _block_pairs(self, key: Any) -> list[DuplicatePair]:
+    def _block_pairs(self, members: list[Placement]) -> list[DuplicatePair]:
         """One block's duplicate pairs.  A pair is built once, when it is
         verified, and cached against both members' (placement, stamp) — an
         update bumps the row's stamp, so a cached pair never holds a
-        replaced row — and an unchanged block returns its cached list."""
-        members = self.blocks[key]
-        signature = tuple((pl, self.stamps[pl]) for pl in members)
-        cached = self.block_cache.get(key)
-        if cached is not None and cached[0] == signature:
-            return cached[1]
+        replaced row."""
+        signature = [(pl, self.stamps[pl]) for pl in members]
         preps = [self.preps[sig] for sig in signature]
         sig_of = {id(prep): sig for prep, sig in zip(preps, signature)}
         pairs: list[DuplicatePair] = []
@@ -638,21 +640,23 @@ class IncrementalDedup:
                 )
             if pair:
                 pairs.append(pair)
-        self.block_cache[key] = (signature, pairs)
         return pairs
 
     def emit(self) -> list[DuplicatePair]:
-        if not self._dirty:
-            return list(self._cached)
-        n = self.table.num_partitions
-        buckets: list[list[DuplicatePair]] = [[] for _ in range(n)]
-        # First-arrival block order == sorted by earliest member placement.
-        for key in sorted(self.blocks, key=lambda k: self.blocks[k][0]):
-            buckets[stable_hash(key) % n].extend(self._block_pairs(key))
-        out = [pair for bucket in buckets for pair in bucket]
-        self._cached = out
-        self._dirty = False
-        return list(out)
+        if self._touched:
+            n = self.table.num_partitions
+            for key in self._touched:
+                members = self.blocks.get(key)
+                if members and (pairs := self._block_pairs(members)):
+                    place = (stable_hash(key) % n, members[0])
+                    self.block_cache[key] = (place, pairs)
+            self._touched.clear()
+            self._cached = [
+                pair
+                for _, pairs in sorted(self.block_cache.values(), key=itemgetter(0))
+                for pair in pairs
+            ]
+        return list(self._cached)
 
 
 #: State class per operation tag — the first element of the key the facade

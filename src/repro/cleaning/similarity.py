@@ -10,7 +10,7 @@ Jaccard and Euclidean as alternatives.  All metrics here return a
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 from .tokenize import qgrams
 
@@ -220,15 +220,11 @@ def similar(metric: str | SimilarityFunc, a: str, b: str, theta: float) -> bool:
     return func(a, b) >= theta
 
 
-def record_similarity(
-    left: dict,
-    right: dict,
-    attributes: Sequence[str],
-    metric: str,
-    theta: float,
-    banded: bool = True,
-) -> bool:
-    """Average attribute-wise similarity of two records against a threshold.
+def record_matcher(
+    attributes: Sequence[str], metric: str, theta: float, banded: bool = True
+) -> Callable[[dict, dict], bool]:
+    """``match(left, right)``: whether two records' average attribute-wise
+    similarity reaches ``theta``.
 
     Dedup in the paper compares records on a set of attributes; records match
     when the mean similarity over those attributes reaches ``theta``.  For
@@ -237,25 +233,55 @@ def record_similarity(
     ``theta`` on average — the same early exit the similarity-join kernel
     uses; acceptance goes through the exact unbanded expression, so the
     decision never differs from ``banded=False``.
+
+    Built for many pairs over the same rows: the banded matcher owns one
+    similarity join and prepares each row once, memoized by identity (a
+    prepared record holds its row, so an id is never reused while the
+    matcher lives).
     """
+    attributes = list(attributes)
     if not attributes:
         raise ValueError("record similarity needs at least one attribute")
     if banded:
-        # One pair, no blocking context: delegate the decision to the
-        # similarity-join kernel so the banding logic exists in one place.
-        # The count filter stays off — tokenizing both records for a single
-        # comparison would cost more than the DP it might skip.
+        # No blocking context: delegate the decision to the similarity-join
+        # kernel so the banding logic exists in one place.  The count filter
+        # stays off — tokenizing records for lone comparisons would cost
+        # more than the DP it might skip.
         from .simjoin import FilterConfig, SimJoin
 
         join = SimJoin(
-            list(attributes),
+            attributes,
             metric=metric,
             theta=theta,
             filters=FilterConfig(count_filter=False, ownership=False),
         )
-        return join.verify(join.prepare(0, left), join.prepare(1, right))
+        prepared: dict[int, Any] = {}
+
+        def prepare(record: dict) -> Any:
+            prep = prepared.get(id(record))
+            if prep is None:
+                prep = prepared[id(record)] = join.prepare(0, record)
+            return prep
+
+        return lambda left, right: join.verify(prepare(left), prepare(right))
     func = get_metric(metric)
-    total = 0.0
-    for attr in attributes:
-        total += func(str(left.get(attr, "")), str(right.get(attr, "")))
-    return total / len(attributes) >= theta
+
+    def match(left: dict, right: dict) -> bool:
+        total = 0.0
+        for attr in attributes:
+            total += func(str(left.get(attr, "")), str(right.get(attr, "")))
+        return total / len(attributes) >= theta
+
+    return match
+
+
+def record_similarity(
+    left: dict,
+    right: dict,
+    attributes: Sequence[str],
+    metric: str,
+    theta: float,
+    banded: bool = True,
+) -> bool:
+    """One pair through :func:`record_matcher`."""
+    return record_matcher(attributes, metric, theta, banded)(left, right)

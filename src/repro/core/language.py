@@ -501,18 +501,13 @@ class CleanDB:
         if self.config.execution != "parallel":
             return
         from ..engine.parallel import ShipLog
-        from ..physical.parallel_exec import (
-            _append_patch_task,
-            _rekey_task,
-            _update_patch_task,
-        )
+        from ..physical.parallel_exec import _patch_task
         from ..sources.columnar import round_robin_split
 
         pool = self.cluster.pool
         pin_name = self._pin_name(name)
         new_version = self._table_versions[name]
         n = self.cluster.default_parallelism
-        rows_delta = len(appended) + len(updated)
         old_count = len(self._tables[name]) - len(appended)
         refs = pool.pinned(pin_name, old_version)
         if (
@@ -522,6 +517,9 @@ class CleanDB:
         ):
             self._sync_pin(name)
             return
+        # One task per partition, whatever the delta holds for it: appends
+        # land at ``global_index % n``, updates in place, and a partition
+        # the delta misses is aliased under the new version without moving.
         append_parts: list[list[Any]] = [[] for _ in range(n)]
         for j, row in enumerate(appended):
             append_parts[(old_count + j) % n].append(row)
@@ -530,41 +528,13 @@ class CleanDB:
             update_parts[g % n].append((g // n, row))
         log = ShipLog(pool)
         try:
-            new_refs: list[Any] = [None] * n
-            batches = [
-                (
-                    _append_patch_task,
-                    [p for p in range(n) if append_parts[p]],
-                    lambda p: (refs[p], append_parts[p]),
-                ),
-                (
-                    _update_patch_task,
-                    [p for p in range(n) if update_parts[p]],
-                    lambda p: (refs[p], update_parts[p]),
-                ),
-            ]
-            touched = {p for _, parts, _ in batches for p in parts}
-            batches.append(
-                (
-                    _rekey_task,
-                    [p for p in range(n) if p not in touched],
-                    lambda p: (refs[p],),
-                )
+            new_refs = pool.run(
+                _patch_task,
+                list(zip(refs, append_parts, update_parts)),
+                store_as=(pin_name, new_version),
             )
-            for task, parts, args_of in batches:
-                if not parts:
-                    continue
-                out = pool.run(
-                    task,
-                    [args_of(p) for p in parts],
-                    store_as=(pin_name, new_version),
-                    parts=parts,
-                )
-                for p, ref in zip(parts, out):
-                    new_refs[p] = ref
-            # The patched layout is round-robin over the post-delta rows
-            # (appends land at ``global_index % n``, updates in place), so
-            # the driver rows back the adopted version as plain re-pin
+            # The patched layout is round-robin over the post-delta rows,
+            # so the driver rows back the adopted version as plain re-pin
             # lineage — a worker death after this delta rebuilds from the
             # current rows instead of chasing the evicted old version.
             pool.adopt(
@@ -582,7 +552,7 @@ class CleanDB:
         self.cluster.record_op(
             f"delta:{name}",
             [0.0] * self.cluster.num_nodes,
-            rows_delta=rows_delta,
+            rows_delta=len(appended) + len(updated),
             **log.take(),
         )
 
@@ -1031,7 +1001,7 @@ class CleanDB:
     def _query_functions(self, plan: _Plan) -> dict[str, Any]:
         """Per-query builtins: blocking keys, record similarity, helpers."""
         from ..cleaning.kmeans import assign_to_centers
-        from ..cleaning.similarity import record_similarity
+        from ..cleaning.similarity import record_matcher
         from ..cleaning.tokenize import qgrams
 
         kmeans_centers = self._kmeans_centers(plan)
@@ -1049,14 +1019,24 @@ class CleanDB:
             raise PlanningError(f"unknown blocking op {kind!r}")
 
         dictionary_terms = self._dictionary_terms(plan)
+        # One matcher per (metric, theta, attrs) for the query's lifetime:
+        # its join is built and each row prepared once, not once per pair.
+        matchers: dict[tuple, Any] = {}
+
+        def similar_records(metric: str, a: dict, b: dict, theta: float, attrs: Any) -> bool:
+            key = (metric, theta, tuple(attrs))
+            match = matchers.get(key)
+            if match is None:
+                match = matchers[key] = record_matcher(
+                    key[2], metric, theta, banded=self.sim_filters
+                )
+            return match(a, b)
 
         return {
             "block_keys": block_keys,
             "in_dictionary": lambda term: str(term) in dictionary_terms,
             "rid_less": lambda a, b: _rid(a) < _rid(b),
-            "similar_records": lambda metric, a, b, theta, attrs: record_similarity(
-                a, b, list(attrs), metric, theta, banded=self.sim_filters
-            ),
+            "similar_records": similar_records,
             "pair": lambda a, b: (a, b),
             "freeze": _freeze_value,
             "nth": _nth_key,

@@ -292,14 +292,13 @@ class Cluster:
         items = list(data)
         parts = num_partitions or self.default_parallelism
         parts = max(1, min(parts, max(1, len(items))))
-        partitions: list[list[Any]] = [[] for _ in range(parts)]
         if chunking == "contiguous":
+            partitions: list[list[Any]] = [[] for _ in range(parts)]
             size = (len(items) + parts - 1) // parts or 1
             for i, item in enumerate(items):
                 partitions[min(i // size, parts - 1)].append(item)
         elif chunking == "roundrobin":
-            for i, item in enumerate(items):
-                partitions[i % parts].append(item)
+            partitions = [items[p::parts] for p in range(parts)]
         else:
             raise ValueError(f"unknown chunking {chunking!r}")
         scan_unit = self.cost_model.scan_unit(fmt)

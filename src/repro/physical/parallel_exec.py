@@ -219,33 +219,22 @@ def _distinct_merge_task(part: list[tuple[Any, None]]) -> list[Any]:
     return list(seen)
 
 
-def _append_patch_task(existing: list, delta_rows: list) -> list:
-    """Worker task: extend one resident partition with appended rows.
+def _patch_task(existing: list, appended: list, updates: list) -> list:
+    """Worker task: one resident partition under the table's new version —
+    ``existing`` plus its share of the appended rows, with ``(position,
+    row)`` replacements applied.
 
-    Returns a fresh list (stored under the table's *new* version) so the
-    old version's partition object is never mutated — a stale handle must
-    keep failing, not silently see the delta.
+    A touched partition is a fresh list, so the old version's object is
+    never mutated (a stale handle must keep failing, not silently see the
+    delta); an untouched one is the same resident list aliased under the
+    new key — one handle-sized command, not a row shipment.
     """
-    return list(existing) + list(delta_rows)
-
-
-def _update_patch_task(existing: list, updates: list) -> list:
-    """Worker task: apply ``(position, row)`` replacements to a copy of one
-    resident partition, stored under the table's new version."""
-    out = list(existing)
+    if not appended and not updates:
+        return existing
+    out = [*existing, *appended]
     for pos, row in updates:
         out[pos] = row
     return out
-
-
-def _rekey_task(existing: list) -> list:
-    """Worker task: re-store an untouched partition under the new version.
-
-    The rows never move — the worker aliases the same resident list object
-    under the new key, so an untouched partition costs one handle-sized
-    command, not a row shipment.
-    """
-    return existing
 
 
 def pin_is_warm(

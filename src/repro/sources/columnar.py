@@ -377,10 +377,8 @@ def round_robin_split(records: Sequence[Any], num_partitions: int) -> list[list[
     ``parallelize`` placement (including its partition-count clamping) so
     the vectorized path sees exactly the row path's partitioning."""
     parts = max(1, min(num_partitions, max(1, len(records))))
-    slices: list[list[Any]] = [[] for _ in range(parts)]
-    for i, record in enumerate(records):
-        slices[i % parts].append(record)
-    return slices
+    records = records if isinstance(records, list) else list(records)
+    return [records[p::parts] for p in range(parts)]
 
 
 def batch_partitions(

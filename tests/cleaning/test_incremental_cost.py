@@ -1,0 +1,171 @@
+"""A write and its re-checks cost O(delta x group), counted not timed.
+
+The incremental states exist so that a 20-row delta against a 20 000-row
+table does 20 rows' worth of work.  Every count here is taken through a
+wrapper around the call that does the work — key functions, the DC
+kernel's probe, the dedup block derivation, the FD key merge, the pool's
+dispatch — so the bound holds on any host and a table-sized loop anywhere
+on the path fails it by three orders of magnitude.
+"""
+
+import pytest
+
+import repro.cleaning.incremental as incremental
+from fixtures import WORKERS
+from repro import CleanDB
+
+ROWS = 20_000
+DELTA = 20
+FD_GROUP = 100  # rows per FD key
+DC_GROUP = 40  # rows per DC equality group
+BLOCK = 4  # rows per dedup block
+RULE = "t1.cat == t2.cat and t1.price < t2.price and t1.qty != t2.qty"
+
+
+def fd_row(i):
+    return {"addr": f"a{i % (ROWS // FD_GROUP)}", "nation": i % 7}
+
+
+def dc_row(i):
+    return {"cat": f"c{i % (ROWS // DC_GROUP)}", "price": float(i), "qty": 1 + (i % 1999 == 0)}
+
+
+def dedup_row(i):
+    return {"city": f"c{i // BLOCK}", "name": f"record {i // BLOCK:05d} v{i % BLOCK}"}
+
+
+TABLES = {"fd": fd_row, "dc": dc_row, "dedup": dedup_row}
+
+
+class Counter:
+    """Wraps a callable; ``weigh`` turns one call into the work it stands for."""
+
+    def __init__(self, func, weigh=lambda *args, **kwargs: 1):
+        self.func, self.weigh, self.calls, self.work = func, weigh, 0, 0
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        self.work += self.weigh(*args, **kwargs)
+        return self.func(*args, **kwargs)
+
+
+def checks(db):
+    return (
+        db.check_fd("fd", ["addr"], ["nation"]),
+        db.check_dc("dc", RULE),
+        db.deduplicate("dedup", ["name"], theta=0.9, block_on="city"),
+    )
+
+
+@pytest.fixture(scope="module")
+def session():
+    db = CleanDB(execution="parallel", workers=WORKERS, incremental=True)
+    for name, factory in TABLES.items():
+        db.register_table(name, [dict(factory(i), _rid=i) for i in range(ROWS)])
+    checks(db)  # builds the three states
+    yield db
+    db.close()
+
+
+def state_of(db, table):
+    (only,) = db._inc_tables[table].states.values()
+    return only
+
+
+def writes(db):
+    """A 20-row append, then a 20-row update, per table; each as a callable
+    so the caller can count around it."""
+    for name, factory in TABLES.items():
+        base = len(db.table(name))
+        fresh = [factory(base + j) for j in range(DELTA)]
+        yield lambda name=name, fresh=fresh: db.append_rows(name, fresh)
+    for name, factory in TABLES.items():
+        # Every 997th row: the updates land in distinct groups and blocks.
+        updates = {j * 997: factory(j * 997 + 1) for j in range(DELTA)}
+        yield lambda name=name, updates=updates: db.update_rows(name, updates)
+
+
+def test_a_write_and_its_rechecks_do_delta_sized_work(session, monkeypatch):
+    db = session
+    fd, dc, dedup = state_of(db, "fd"), state_of(db, "dc"), state_of(db, "dedup")
+
+    def count(owner, attr, weigh=lambda *args, **kwargs: 1):
+        counter = Counter(getattr(owner, attr), weigh)
+        monkeypatch.setattr(owner, attr, counter)
+        return counter
+
+    keys = [count(fd, "lhs_func"), count(fd, "rhs_func"), count(dedup, "key_func")]
+    extracted = count(dc, "_extract")
+    merged = count(fd, "_merge")
+    derived = count(dedup, "_block_pairs", weigh=len)
+    # The DC kernel as the state calls it: left entries probed, index
+    # entries built.
+    probed = count(incremental, "scan_partition", weigh=lambda lefts, *rest: len(lefts))
+    indexed = count(incremental, "build_dc_index", weigh=lambda entries, plan: len(entries))
+    pool = db.cluster.pool
+    runs = count(pool, "run")
+
+    for write in writes(db):
+        before = (runs.calls, pool.tasks_dispatched)
+        write()
+        # One dispatch per written table, one task per partition.
+        assert runs.calls - before[0] == 1
+        assert pool.tasks_dispatched - before[1] == db.cluster.default_parallelism
+        checks(db)
+
+    rows = 2 * DELTA  # one append and one update per table
+    assert [counter.calls for counter in keys] == [rows] * 3
+    assert extracted.calls == rows
+    # FD: each changed row touches its old and its new key.
+    assert merged.calls <= 2 * rows
+    # Dedup: each changed row re-derives its old and its new block.
+    assert derived.calls <= 2 * rows
+    assert derived.work <= 2 * rows * (BLOCK + DELTA)
+    # DC: the delta probes as left, plus one equality group's worth of
+    # maintained lefts per delta row; only the delta is ever indexed.
+    assert probed.calls == 4
+    assert probed.work <= rows * (1 + DC_GROUP + DELTA)
+    assert indexed.work == rows
+
+
+def test_maintained_results_are_served_not_recomputed(session):
+    """The guard above is vacuous if the checks fell back cold."""
+    db = session
+    db.cluster.metrics.reset()
+    checks(db)
+    names = [op.name for op in db.cluster.metrics.ops]
+    assert names == ["incremental:fd:fd", "incremental:dc:dc", "incremental:dedup:dedup"]
+
+
+def test_dedup_caches_plateau_under_a_long_update_stream():
+    """1 000 updates cycling over the same 20 rows: every 40 updates the
+    table is back where it was, and so must the caches be — a retired row
+    takes its prepared record and its verdicts with it."""
+    rows = [dict(dedup_row(i), _rid=i) for i in range(200)]
+    db = CleanDB(incremental=True)
+    try:
+        db.register_table("t", [dict(r) for r in rows])
+
+        def dedup():
+            return db.deduplicate("t", ["name"], theta=0.9, block_on="city")
+
+        dedup()
+        state = state_of(db, "t")
+        sizes = []
+        for t in range(1000):
+            rid = (t % 20) * 10
+            moved = dedup_row(rid + BLOCK)  # the neighbouring block's shape
+            db.update_rows("t", {rid: moved if (t // 20) % 2 == 0 else rows[rid]})
+            got = dedup()
+            if t % 40 == 39:
+                sizes.append(
+                    (len(state.verify_cache), len(state.preps), len(state.block_cache))
+                )
+        assert state_of(db, "t") is state  # never dropped for a cold rebuild
+        assert len(set(sizes)) == 1, sizes
+        assert sizes[0][1] == len(rows)
+        cold = CleanDB()
+        cold.register_table("t", [dict(r) for r in db.table("t")])
+        assert repr(got) == repr(cold.deduplicate("t", ["name"], theta=0.9, block_on="city"))
+    finally:
+        db.close()

@@ -136,3 +136,24 @@ class TestRecordSimilarity:
     def test_no_attributes_rejected(self):
         with pytest.raises(ValueError):
             record_similarity({}, {}, [], "LD", 0.5)
+
+    def test_matcher_agrees_with_the_one_pair_form_and_prepares_rows_once(self, monkeypatch):
+        from repro.cleaning.similarity import record_matcher
+        from repro.cleaning.simjoin import SimJoin
+
+        rows = [{"a": w, "b": w[::-1]} for w in ("lake", "like", "bike", "", "lakes")]
+        prepared = []
+        prepare = SimJoin.prepare
+        monkeypatch.setattr(
+            SimJoin, "prepare",
+            lambda self, rid, record: prepared.append(record) or prepare(self, rid, record),
+        )
+        for banded in (True, False):
+            match = record_matcher(["a", "b"], "LD", 0.6, banded=banded)
+            del prepared[:]
+            verdicts = [match(x, y) for x in rows for y in rows]
+            assert len(prepared) == (len(rows) if banded else 0)
+            assert verdicts == [
+                record_similarity(x, y, ["a", "b"], "LD", 0.6, banded=False)
+                for x in rows for y in rows
+            ]

@@ -8,7 +8,11 @@ the post-delta table in a fresh session and checking cold — on the row,
 vectorized, and parallel backends alike.  The generators bias toward the
 hard cases: null-laden rows, duplicate ``_rid`` collisions (which must
 trip the dedup gate into a cold fallback, not a wrong answer), empty
-deltas, and updates that resolve pre-existing violations.
+deltas, and updates that resolve pre-existing violations.  Because each
+``emit`` patches the previous one, stale caches are the main risk: checks
+run between some deltas and not others, every maintained result is asked
+for twice with the first answer emptied by its caller, and rows move
+between FD keys, DC equality groups and dedup blocks, emptying some.
 """
 
 import itertools
@@ -22,19 +26,24 @@ from repro import CleanDB
 
 BACKENDS = ("row", "vectorized", "parallel")
 RULE = "t1.a < t2.a and t1.b > t2.b"
+#: ... and one with an equality prefix, so updates move rows across groups.
+RULES = (RULE, "t1.c == t2.c and t1.a < t2.a and t1.b != t2.b")
 
 _NAMES = itertools.count()
 
 plain_row = st.fixed_dictionaries({"a": values, "b": values, "c": values})
+# (kind, payload, whether a check follows this delta): two deltas with no
+# check between them must patch as well as two with one.
 deltas = st.lists(
     st.one_of(
-        st.tuples(st.just("append"), st.lists(plain_row, max_size=4)),
+        st.tuples(st.just("append"), st.lists(plain_row, max_size=4), st.booleans()),
         st.tuples(
             st.just("update"),
             st.lists(
                 st.tuples(st.integers(min_value=0, max_value=30), plain_row),
                 max_size=3,
             ),
+            st.booleans(),
         ),
     ),
     min_size=1,
@@ -59,13 +68,31 @@ def dbs(request):
     oracle.close()
 
 
-def _check_all(db, name, block_on):
-    return (
-        repr(db.check_fd(name, ["a"], ["b"])),
-        repr(db.check_fd(name, ["a"], ["b"], keep_records=False)),
-        repr(db.check_dc(name, RULE)),
-        repr(db.deduplicate(name, ["c"], theta=0.5, block_on=block_on)),
-    )
+def _check_all(db, name, block_on, again=False):
+    """Every check's result, as reprs.  With ``again`` each is asked for
+    twice and the first answer emptied in between: the caller owns the list
+    it gets, so what it does to it must not reach the next emit."""
+    def results():
+        return [
+            db.check_fd(name, ["a"], ["b"]),
+            db.check_fd(name, ["a"], ["b"], keep_records=False),
+            *(db.check_dc(name, rule) for rule in RULES),
+            db.deduplicate(name, ["c"], theta=0.5, block_on=block_on),
+        ]
+
+    first = results()
+    shown = tuple(map(repr, first))
+    if again:
+        for result in first:
+            result.clear()
+        assert tuple(map(repr, results())) == shown
+    return shown
+
+
+def _matches_cold(db, oracle, name, block_on):
+    oname = f"o{next(_NAMES)}"
+    oracle.register_table(oname, [dict(r) for r in db.table(name)])
+    return _check_all(db, name, block_on, again=True) == _check_all(oracle, oname, block_on)
 
 
 def _apply(db, name, kind, payload, collide):
@@ -97,12 +124,49 @@ def test_interleaved_deltas_match_cold_oracle(dbs, records, ops, collide, block_
     name = f"t{next(_NAMES)}"
     db.register_table(name, with_rids(records))
     _check_all(db, name, block_on)  # build resident state pre-delta
-    for kind, payload in ops:
+    for kind, payload, check in ops:
         _apply(db, name, kind, payload, collide)
-        got = _check_all(db, name, block_on)
-        oname = f"o{next(_NAMES)}"
-        oracle.register_table(oname, [dict(r) for r in db.table(name)])
-        assert got == _check_all(oracle, oname, block_on)
+        if check:
+            assert _matches_cold(db, oracle, name, block_on)
+    assert _matches_cold(db, oracle, name, block_on)
+
+
+def test_rows_moving_between_groups(dbs):
+    """Updates that move a row to another FD key / DC equality group /
+    dedup block — including the move that empties one, the move back that
+    re-creates it, and two rows trading places in one delta."""
+    db, oracle = dbs
+    name = f"t{next(_NAMES)}"
+    rows = [{"a": i % 4, "b": i % 3, "c": i % 5} for i in range(20)]
+    rows.append({"a": 9, "b": 0, "c": 9})  # alone in key 9, group 9, block 9
+    db.register_table(name, with_rids(rows))
+    _check_all(db, name, "a")
+    for update in (
+        {20: {"a": 0, "b": 7, "c": 0}},  # empties 9; a new rhs for key 0
+        {20: {"a": 9, "b": 0, "c": 9}},  # and back
+        {0: dict(rows[1]), 1: dict(rows[0]), 20: {"a": 1, "b": 1, "c": 1}},
+        {5: {"a": None, "b": None, "c": None}},  # out of every DC group
+    ):
+        db.update_rows(name, update)
+        assert _matches_cold(db, oracle, name, "a")
+    # Served from the maintained states throughout, none dropped on the way.
+    assert len(db._inc_tables[name].states) == 5
+
+
+def test_fd_values_are_spelled_as_the_cold_run_spells_them(dbs):
+    """``True == 1``: both rows bear one rhs value, and the violation
+    reports it as its first *current* bearer spells it — also after the
+    row that used to be first has moved on."""
+    db, oracle = dbs
+    name = f"t{next(_NAMES)}"
+    rows = [{"a": i, "b": 0, "c": 0} for i in range(9)]
+    rows[0] = {"a": 0, "b": 1, "c": 0}
+    rows[3] = {"a": 0, "b": True, "c": 0}  # same partition as row 0 (3 nodes)
+    db.register_table(name, with_rids(rows))
+    _check_all(db, name, None)
+    db.update_rows(name, {0: {"a": 0, "b": 5, "c": 0}})
+    assert "rhs_values=(5, True)" in repr(db.check_fd(name, ["a"], ["b"]))
+    assert _matches_cold(db, oracle, name, None)
 
 
 @pytest.mark.parametrize("execution", BACKENDS)
