@@ -2,7 +2,9 @@
 
 A package surface is a table ``{submodule: (public names...)}``; a name is
 imported from its submodule the first time someone asks the package for it,
-so ``import repro.cleaning.rowid`` executes ``rowid`` and nothing else.
+so ``import repro.cleaning.rowid`` executes ``rowid`` and nothing else.  The
+submodule is a relative name: ``".errors"`` in ``repro.engine``'s table is
+``repro.errors``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ def lazy_surface(
     def __getattr__(name: str) -> Any:
         if name not in home:
             raise AttributeError(f"module {package!r} has no attribute {name!r}")
-        value = namespace[name] = getattr(import_module(f"{package}.{home[name]}"), name)
+        value = namespace[name] = getattr(import_module(f".{home[name]}", package), name)
         return value
 
     return __getattr__, lambda: sorted({*namespace, *home}), list(home)

@@ -163,7 +163,7 @@ def _weigh_blocks(part: list[tuple[Any, list[dict]]]) -> Any:
     """Reduce-side step: an exchanged block partition, reported by its
     *record* count — prices the merge stage (and lets a budget abort fire
     there) before the similarity phase dispatches, without shipping blocks."""
-    from ..engine.parallel import Staged  # a worker step: the pool module is loaded
+    from ..engine.worker import Staged  # a worker step: the pool's modules are loaded
 
     return Staged(part, sum(len(records) for _, records in part))
 

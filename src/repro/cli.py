@@ -338,8 +338,8 @@ def run_check(args: Any) -> int:
     db = CleanDB()
     try:
         load_tables(args.table, db)
-        if args.on is not None and args.on not in db._tables:
-            known = ", ".join(sorted(db._tables)) or "(none)"
+        if args.on is not None and args.on not in db.tables:
+            known = ", ".join(sorted(db.tables.names())) or "(none)"
             raise ValueError(
                 f"--on names unknown table {args.on!r}; registered: {known}"
             )
@@ -382,7 +382,7 @@ def run_dc(args: Any) -> int:
     )
     try:
         load_tables(args.table, db)
-        names = list(db._tables)
+        names = db.tables.names()
         if args.on:
             # Validate eagerly: an unknown --on must surface as the CLI's
             # clean "error: ..." contract, never a raw traceback.

@@ -16,13 +16,13 @@ from typing import Any, Sequence
 from ..algebra.operators import AlgebraOp, SharedScanDAG
 from ..algebra.rewrite import RewriteReport, optimize_branches
 from ..algebra.translate import Translator
-from ..cleaning.rowid import fill_rids
 from ..engine.cluster import Cluster
 from ..engine.dataset import Dataset
 from ..engine.metrics import CostModel
-from ..errors import ParseError, PlanningError, SchemaError
+from ..errors import ParseError, PlanningError, StaleHandleError, WorkerTaskError
 from ..monoid.comprehension import Comprehension
 from ..monoid.normalize import NormalizationTrace, normalize
+from ..physical.functions import query_functions
 from ..physical.lower import EXECUTION_BACKENDS, Executor, PhysicalConfig
 from .ast_nodes import Query
 from .parser import parse
@@ -30,13 +30,12 @@ from .rewriter import Branch, rewrite_query
 from .semantics import (
     Diagnostic,
     DiagnosticsError,
-    TableInfo,
     analyze_dc,
     analyze_query,
     errors_in,
-    infer_table,
     parse_error_diagnostic,
 )
+from .tables import TableStore
 from .verify import verify_handles, verify_plan
 
 
@@ -105,6 +104,11 @@ class _Plan:
 class CleanDB:
     """A unified querying + cleaning engine over the simulated cluster.
 
+    A facade: the tables (rows, versions, worker pins, delta shipping,
+    incremental states) live in :attr:`tables`, a :class:`~repro.core.
+    tables.TableStore`; this class routes cleaning checks to the configured
+    backend (:meth:`_run_check`) and compiles and executes queries.
+
     Parameters
     ----------
     num_nodes / budget / cost_model:
@@ -113,11 +117,11 @@ class CleanDB:
         Physical strategy knobs; defaults to the CleanDB strategies
         (local pre-aggregation, matrix theta join).
     execution:
-        Physical backend selection: ``"row"`` (per-row environments),
+        Physical backend: ``"row"`` (per-row environments),
         ``"vectorized"`` (column batches with selection vectors), or
         ``"parallel"`` (real multi-process execution over a worker pool).
         Supported subplans run on the chosen backend, the rest falls back
-        to the row path.  Shorthand for passing
+        to the row path.  Shorthand for
         ``config=PhysicalConfig(execution=...)``.
     workers:
         Worker-process count for ``execution="parallel"`` (clamped to
@@ -129,13 +133,11 @@ class CleanDB:
         baselines turn it off).
     sim_filters:
         Band the similarity predicate's Levenshtein DP with the
-        theta-derived distance budget (the similarity kernel's early
-        exit).  On by default; results are identical either way — the
-        toggle exists so benchmarks can measure the filters' effect.
+        theta-derived distance budget.  Results are identical either way —
+        the toggle exists so benchmarks can measure the filters' effect.
     dc_strategy:
         Default strategy for :meth:`check_dc` / :meth:`repair_dc`:
-        ``"banded"`` (the planned DC kernel — hash equality prefix plus a
-        sort-banded range scan, running on whichever ``execution``
+        ``"banded"`` (the planned DC kernel, on whichever ``execution``
         backend is configured), ``"matrix"``, ``"cartesian"``, or
         ``"minmax"``.  The violation set is identical across strategies.
     incremental:
@@ -143,25 +145,19 @@ class CleanDB:
         :meth:`update_rows` deltas instead of re-running each check from
         scratch.  Results are byte-identical to a cold re-run on the
         post-delta table; checks and tables outside the incremental
-        states' parity guarantees transparently take the cold path.  Off
-        by default (cold metrics accounting stays untouched).
+        states' parity guarantees transparently take the cold path.
     q / k / delta:
         Blocking parameters: q-gram length for token filtering, number of
         centers and assignment slack for k-means.
     namespace:
-        Logical tenant prefix for this instance's pinned tables in the
-        worker store: pins live under ``<namespace>/table:<name>`` instead
-        of ``table:<name>``.  Two CleanDB instances sharing one pool (see
-        ``pool``) with different namespaces can each register a table
-        called ``"customer"`` without colliding — the serving layer gives
-        every tenant its own namespace.  Empty (the default) keeps the
-        unprefixed naming.
+        Tenant prefix for this instance's pins in the worker store
+        (``<namespace>/table:<name>``), so instances sharing one ``pool``
+        can each register a table called ``"customer"`` without colliding.
     pool:
         An externally owned shared :class:`~repro.engine.parallel.
         WorkerPool` to run parallel stages on, instead of a private lazy
-        pool.  :meth:`close` detaches from a shared pool without
-        terminating it; pins made by this instance are evicted so the
-        shared store does not leak a departed tenant's partitions.
+        one.  :meth:`close` detaches without terminating it, evicting this
+        instance's pins so a departed tenant leaks no store memory.
     """
 
     def __init__(
@@ -183,9 +179,6 @@ class CleanDB:
         namespace: str = "",
         pool: Any = None,
     ):
-        if namespace and "/" in namespace:
-            raise ValueError(f"namespace {namespace!r} must not contain '/'")
-        self.namespace = namespace
         self.cluster = Cluster(
             num_nodes=num_nodes,
             cost_model=cost_model,
@@ -215,29 +208,14 @@ class CleanDB:
                     f"unknown DC strategy {dc_strategy!r}; expected one of {expected}"
                 )
         self.dc_strategy = dc_strategy
-        self.incremental = bool(incremental)
-        load_backend(self.config.execution, self.incremental)
+        load_backend(self.config.execution, bool(incremental))
         self.q = q
         self.k = k
         self.delta = delta
         self.seed = seed
-        self._tables: dict[str, list[Any]] = {}
-        self._formats: dict[str, str] = {}
-        # Inferred schemas for the static analyzer, keyed on the table
-        # version so any mutation path (re-register, refresh, deltas)
-        # naturally invalidates them.
-        self._schema_infos: dict[str, tuple[int, TableInfo]] = {}
-        # Monotonic per-table versions: the identity of a table's pinned
-        # partitions in the worker store.  Re-registration and repair bump
-        # the version and evict the old pins, so a stale handle can never
-        # serve pre-mutation rows.
-        self._table_versions: dict[str, int] = {}
-        # Incremental machinery (``incremental=True`` only): the per-table
-        # partition mirror holding maintained check states, and a lazy
-        # ``_rid -> [global row index]`` index for ``update_rows``.  Both
-        # die with the version on ``refresh_table`` / re-registration.
-        self._inc_tables: dict[str, Any] = {}
-        self._rid_index: dict[str, dict[Any, list[int]]] = {}
+        self.tables = TableStore(
+            self.cluster, namespace, self.config.execution == "parallel", bool(incremental)
+        )
 
     # ------------------------------------------------------------------ #
     # Resource lifecycle
@@ -249,10 +227,7 @@ class CleanDB:
         lazily re-creates the pool.  On a *shared* pool this only detaches:
         this instance's pins are evicted (a departed tenant must not leak
         store memory) but the pool itself belongs to whoever created it."""
-        if not self.cluster._owns_pool and self.cluster.has_pool:
-            pool = self.cluster.pool
-            for name in self._table_versions:
-                pool.evict(self._pin_name(name))
+        self.tables.release()
         self.cluster.shutdown()
 
     def __enter__(self) -> "CleanDB":
@@ -276,124 +251,29 @@ class CleanDB:
         and evicts the previous pins (and any cached derived state built
         on them).
         """
-        rows = list(records)
-        if rows and isinstance(rows[0], dict):
-            rows = fill_rids(rows)
-        self._tables[name] = rows
-        self._formats[name] = fmt
-        self.refresh_table(name)
-
-    def _pin_name(self, name: str) -> str:
-        """The worker-store name a table pins under — tenant-qualified when
-        this instance has a namespace (``tenant/table:<name>``), so tenants
-        sharing a pool never alias each other's tables."""
-        if self.namespace:
-            return f"{self.namespace}/table:{name}"
-        return f"table:{name}"
-
-    def _sync_pin(self, name: str) -> None:
-        """Make the worker store reflect the table's current version.
-
-        Evicts every older pinned version (plus derived caches keyed on
-        them) and pins the current rows.  A no-op outside the parallel
-        backend, for tables too exotic to pickle (the fast paths fall back
-        to serial for those anyway), and on empty-table edge cases.
-        """
-        if self.config.execution != "parallel":
-            return
-        from ..engine.parallel import ShipLog
-        from ..sources.columnar import round_robin_split
-
-        pool = self.cluster.pool
-        pin_name = self._pin_name(name)
-        pool.evict(pin_name)
-        rows = self._tables[name]
-        log = ShipLog(pool)
-        parts = round_robin_split(rows, self.cluster.default_parallelism)
-        try:
-            # Pinning doubles as the picklability probe — a separate
-            # is_picklable(rows) pass would serialize the whole table a
-            # second time just to answer yes/no.
-            pool.pin(pin_name, self._table_versions[name], parts)
-        except Exception:
-            # Unpicklable rows: drop any partially pinned partitions; the
-            # fast paths and queries fall back to serial for this table.
-            pool.evict(pin_name)
-            return
-        self.cluster.record_op(
-            f"pin:{name}",
-            [0.0] * self.cluster.num_nodes,
-            **log.take(),
-        )
-
-    def _pinned_key(self, name: str) -> tuple[str, int] | None:
-        """The (store name, version) of a table's pins, for handle-based
-        dispatch — None outside the parallel backend."""
-        if self.config.execution != "parallel" or name not in self._table_versions:
-            return None
-        return (self._pin_name(name), self._table_versions[name])
-
-    def _pinned_map(self) -> dict[str, tuple[str, int]]:
-        """Every registered table's pin identity (parallel backend only)."""
-        if self.config.execution != "parallel":
-            return {}
-        return {
-            name: (self._pin_name(name), version)
-            for name, version in self._table_versions.items()
-        }
+        self.tables.register(name, records, fmt)
 
     def table(self, name: str) -> list[Any]:
         """The registered rows.  Under ``execution="parallel"`` the worker
         store holds a *snapshot* of these rows (pinned at registration,
         like executor-cached RDD partitions) — after mutating them in
         place, call :meth:`refresh_table` so queries see the edits."""
-        try:
-            return self._tables[name]
-        except KeyError:
-            raise SchemaError(f"unknown table {name!r}") from None
+        return self.tables.get(name)
 
     def refresh_table(self, name: str) -> None:
         """Re-snapshot a table after in-place edits to its rows.
 
-        Bumps the table version, evicts the old pinned partitions and any
-        derived state cached on them, and re-pins the current rows — the
-        explicit coherence point for mutations that bypass
-        :meth:`register_table` / :meth:`repair_dc`.  Cheap no-op outside
-        the parallel backend.
+        Bumps the table version, drops the incremental states, evicts the
+        old pinned partitions and any derived state cached on them, and
+        re-pins the current rows — the explicit coherence point for
+        mutations that bypass :meth:`register_table` / :meth:`repair_dc`.
         """
-        if name not in self._tables:
-            raise SchemaError(f"unknown table {name!r}")
-        self._table_versions[name] = self._table_versions.get(name, 0) + 1
-        # External mutations invalidate everything derived from the rows:
-        # the incremental states (their mirror may no longer match the
-        # table) and the rid index, alongside the pinned partitions and
-        # derived caches _sync_pin evicts below.
-        self._inc_tables.pop(name, None)
-        self._rid_index.pop(name, None)
-        self._sync_pin(name)
-
-    def unpin_table(self, name: str) -> None:
-        """Evict a table's pinned partitions (and derived caches built on
-        them) from the worker store *without* forgetting the table.
-
-        The rows and version stay registered, so the next query touching
-        the table re-pins it under the same identity and later queries are
-        warm again — residency is a cache, not correctness.  This is the
-        serving layer's memory-pressure lever: its LRU governor unpins
-        cold tenants' tables when the shared store passes its byte cap.
-        No-op outside the parallel backend or for unknown names.
-        """
-        if self.config.execution != "parallel" or name not in self._table_versions:
-            return
-        if self.cluster.has_pool:
-            self.cluster.pool.evict(self._pin_name(name))
+        self.tables.refresh(name)
 
     def pinned_table_bytes(self, name: str) -> int:
         """Serialized bytes this table's pins hold in the worker store
         (0 when unpinned or outside the parallel backend)."""
-        if self.config.execution != "parallel" or not self.cluster.has_pool:
-            return 0
-        return self.cluster.pool.pinned_nbytes(self._pin_name(name))
+        return self.tables.pinned_bytes(name)
 
     # ------------------------------------------------------------------ #
     # Delta mutations
@@ -411,201 +291,19 @@ class CleanDB:
         :meth:`register_table`.  Incremental check states absorb the new
         rows in place.  An empty delta is a no-op (no version bump).
         """
-        table = self.table(name)
-        rows = list(rows)
-        if not rows:
-            return
-        base = len(table)
-        prepared = fill_rids(rows, base)
-        table.extend(prepared)
-        old_version = self._table_versions.get(name, 0)
-        self._table_versions[name] = old_version + 1
-        index = self._rid_index.get(name)
-        if index is not None:
-            for j, row in enumerate(prepared):
-                if isinstance(row, dict):
-                    index.setdefault(row.get("_rid"), []).append(base + j)
-        inc = self._inc_tables.get(name)
-        if inc is not None:
-            try:
-                inc.append(prepared)
-            except Exception:
-                # The mirror can no longer be trusted; drop it wholesale.
-                self._inc_tables.pop(name, None)
-        self._ship_delta(name, old_version, appended=prepared)
+        self.tables.append(name, rows)
 
     def update_rows(self, name: str, rid_to_row: dict) -> None:
         """Replace rows addressed by ``_rid``, shipping only the delta.
 
         Each replacement must be a dict; it is stamped with the addressed
         ``_rid`` (a row's identity never changes through an update) and
-        replaces the old row at **every** position bearing that rid.
-        Version, store, and incremental-state handling mirror
+        replaces the old row at **every** position bearing that rid.  An
+        unknown rid or a non-dict replacement raises before any row
+        changes.  Version, store, and incremental-state handling mirror
         :meth:`append_rows`; an empty mapping is a no-op.
         """
-        table = self.table(name)
-        if not rid_to_row:
-            return
-        index = self._rid_index_for(name)
-        updates: list[tuple[int, dict]] = []
-        for rid, row in rid_to_row.items():
-            positions = index.get(rid)
-            if not positions:
-                raise SchemaError(f"table {name!r} has no row with _rid {rid!r}")
-            if not isinstance(row, dict):
-                raise SchemaError("update_rows replacements must be dict rows")
-            replacement = {**row, "_rid": rid}
-            for g in positions:
-                table[g] = replacement
-                updates.append((g, replacement))
-        old_version = self._table_versions.get(name, 0)
-        self._table_versions[name] = old_version + 1
-        inc = self._inc_tables.get(name)
-        if inc is not None:
-            try:
-                inc.update(updates)
-            except Exception:
-                self._inc_tables.pop(name, None)
-        self._ship_delta(name, old_version, updated=updates)
-
-    def _rid_index_for(self, name: str) -> dict[Any, list[int]]:
-        """Lazy ``_rid -> [global row index]`` map (duplicates keep every
-        position).  Maintained by :meth:`append_rows`, dropped on any
-        whole-table mutation."""
-        index = self._rid_index.get(name)
-        if index is None:
-            index = {}
-            for g, row in enumerate(self.table(name)):
-                if isinstance(row, dict):
-                    index.setdefault(row.get("_rid"), []).append(g)
-            self._rid_index[name] = index
-        return index
-
-    def _ship_delta(
-        self,
-        name: str,
-        old_version: int,
-        appended: Sequence[Any] = (),
-        updated: Sequence[tuple[int, Any]] = (),
-    ) -> None:
-        """Patch the pinned partitions from one delta (parallel backend).
-
-        Requires the old version to be fully resident with matching
-        counts; anything short of that — cold pins, a restarted pool, a
-        worker death mid-patch — falls back to :meth:`_sync_pin`, which
-        re-pins the whole table under the new version (correct, just not
-        incremental).  On success the patched partitions are adopted as
-        the new version's pins and the old version is evicted, so derived
-        caches keyed on it die and stale handles fail loudly.
-        """
-        if self.config.execution != "parallel":
-            return
-        from ..engine.parallel import ShipLog
-        from ..physical.parallel_exec import _patch_task
-        from ..sources.columnar import round_robin_split
-
-        pool = self.cluster.pool
-        pin_name = self._pin_name(name)
-        new_version = self._table_versions[name]
-        n = self.cluster.default_parallelism
-        old_count = len(self._tables[name]) - len(appended)
-        refs = pool.pinned(pin_name, old_version)
-        if (
-            refs is None
-            or len(refs) != n
-            or sum(max(r.count, 0) for r in refs) != old_count
-        ):
-            self._sync_pin(name)
-            return
-        # One task per partition, whatever the delta holds for it: appends
-        # land at ``global_index % n``, updates in place, and a partition
-        # the delta misses is aliased under the new version without moving.
-        append_parts: list[list[Any]] = [[] for _ in range(n)]
-        for j, row in enumerate(appended):
-            append_parts[(old_count + j) % n].append(row)
-        update_parts: list[list[tuple[int, Any]]] = [[] for _ in range(n)]
-        for g, row in updated:
-            update_parts[g % n].append((g // n, row))
-        log = ShipLog(pool)
-        try:
-            new_refs = pool.run(
-                _patch_task,
-                list(zip(refs, append_parts, update_parts)),
-                store_as=(pin_name, new_version),
-            )
-            # The patched layout is round-robin over the post-delta rows,
-            # so the driver rows back the adopted version as plain re-pin
-            # lineage — a worker death after this delta rebuilds from the
-            # current rows instead of chasing the evicted old version.
-            pool.adopt(
-                pin_name,
-                new_version,
-                new_refs,
-                partitions=round_robin_split(self._tables[name], n),
-            )
-            pool.evict(pin_name, old_version)
-        except Exception:
-            # Worker death (store already invalidated) or any transport
-            # failure: full re-pin under the new version.
-            self._sync_pin(name)
-            return
-        self.cluster.record_op(
-            f"delta:{name}",
-            [0.0] * self.cluster.num_nodes,
-            rows_delta=len(appended) + len(updated),
-            **log.take(),
-        )
-
-    # ------------------------------------------------------------------ #
-    # Incremental check states
-    # ------------------------------------------------------------------ #
-    def _incremental_table(self, name: str):
-        """The table's partition mirror, created lazily — None when the
-        instance is not incremental or the table is out of scope (too
-        small for the layout arithmetic, or rows without stable rids)."""
-        if not self.incremental:
-            return None
-        inc = self._inc_tables.get(name)
-        if inc is None:
-            from ..cleaning.incremental import IncrementalTable, UnsupportedDelta
-
-            rows = self.table(name)
-            try:
-                inc = IncrementalTable(rows, self.cluster.default_parallelism)
-            except UnsupportedDelta:
-                return None
-            self._inc_tables[name] = inc
-        return inc
-
-    def _incremental_result(self, name: str, key: tuple, args: tuple) -> list | None:
-        """A maintained check result, or None to run the cold path.
-
-        ``key[0]`` names the operation (``fd`` / ``dc`` / ``dedup``); its
-        state is constructed from ``args`` on first use.  A state that
-        cannot be built (unsupported arguments/table) or that fails
-        mid-emit is dropped so the cold path answers — falling back is
-        always correct, serving a stale result never is.
-        """
-        inc = self._incremental_table(name)
-        if inc is None:
-            return None
-        try:
-            state = inc.states.get(key)
-            if state is None:
-                from ..cleaning.incremental import STATES
-
-                state = inc.states[key] = STATES[key[0]](inc, *args)
-        except Exception:
-            return None
-        try:
-            out = state.emit()
-        except Exception:
-            inc.states.pop(key, None)
-            return None
-        self.cluster.record_op(
-            f"incremental:{key[0]}:{name}", [0.0] * self.cluster.num_nodes
-        )
-        return out
+        self.tables.update(name, rid_to_row)
 
     def profile(self, name: str, attr: str):
         """Key-frequency statistics for one attribute (§6's statistics pass).
@@ -629,7 +327,7 @@ class CleanDB:
         :class:`~repro.core.semantics.DiagnosticsError` on any finding."""
         from ..cleaning.dc_kernel import parse_dc
 
-        info = self._table_info(table) if table in self._tables else None
+        info = self.tables.info(table) if table in self.tables else None
         errors = errors_in(analyze_dc(rule, info=info))
         if errors:
             raise DiagnosticsError(errors, source=rule)
@@ -660,19 +358,17 @@ class CleanDB:
         """
         records = self.table(table)
         if state_key is not None:
-            out = self._incremental_result(table, state_key, state_args)
+            out = self.tables.maintained(table, state_key, state_args)
             if out is not None:
                 return out
         kwargs.update(
-            fmt=self._formats.get(table, "memory"),
+            fmt=self.tables.formats.get(table, "memory"),
             name=table,
-            pinned=self._pinned_key(table),
+            pinned=self.tables.pinned_key(table),
             batch_size=self.config.batch_size,
         )
         execution = self.config.execution
         if execution == "parallel":
-            from ..engine.parallel import StaleHandleError, WorkerTaskError
-
             try:
                 return run(self.cluster, records, execution=execution, **kwargs).collect()
             except (WorkerTaskError, StaleHandleError):
@@ -804,25 +500,14 @@ class CleanDB:
             self.table(table), constraint, max_rounds=max_rounds,
             violations=violations,
         )
-        self._tables[table] = repaired
         # The mutation invalidates every handle to the old rows — a stale
         # handle can never serve pre-repair data.
-        self.refresh_table(table)
+        self.tables.replace(table, repaired)
         return report
 
     # ------------------------------------------------------------------ #
     # Compilation
     # ------------------------------------------------------------------ #
-    def _table_info(self, name: str) -> TableInfo:
-        """Inferred schema of a registered table, cached per version."""
-        version = self._table_versions.get(name, 0)
-        cached = self._schema_infos.get(name)
-        if cached is not None and cached[0] == version:
-            return cached[1]
-        info = infer_table(self._tables.get(name, []))
-        self._schema_infos[name] = (version, info)
-        return info
-
     def _analyze(self, query: Query | str, source: str) -> list[Diagnostic]:
         """The CM1xx–CM5xx semantic pass over one parsed query."""
         if isinstance(query, str):
@@ -831,9 +516,9 @@ class CleanDB:
         names = {t.name for t in query.tables}
         return analyze_query(
             query,
-            self._tables,
+            self.tables.rows,
             execution=self.config.execution,
-            infos={n: self._table_info(n) for n in names if n in self._tables},
+            infos={n: self.tables.info(n) for n in names if n in self.tables},
             source=source,
         )
 
@@ -870,10 +555,10 @@ class CleanDB:
                         pass  # non-static planning failure; execute() reports it
         if rule is not None:
             info = None
-            names = list(self._tables)
+            names = self.tables.names()
             target = on if on is not None else (names[0] if len(names) == 1 else None)
-            if target is not None and target in self._tables:
-                info = self._table_info(target)
+            if target is not None and target in self.tables:
+                info = self.tables.info(target)
             diags.extend(analyze_dc(rule, where, info))
         return diags
 
@@ -900,7 +585,7 @@ class CleanDB:
         """Normalize and translate de-sugared branches, then verify the
         optimized plan's structural invariants (CM6xx)."""
 
-        translator = Translator(set(self._tables), self._formats)
+        translator = Translator(set(self.tables.rows), self.tables.formats)
         plans: list[AlgebraOp] = []
         names: list[str] = []
         traces: dict[str, NormalizationTrace] = {}
@@ -915,7 +600,7 @@ class CleanDB:
             plans.append(translator.translate(normalized))
             names.append(branch.name)
         dag, report = optimize_branches(plans, names, coalesce=self.coalesce)
-        invariants = verify_plan(dag, self._tables, names)
+        invariants = verify_plan(dag, self.tables.rows, names)
         if invariants:
             raise DiagnosticsError(invariants, source=source)
         return _Plan(query=query, branches=branches, dag=dag, report=report, traces=traces)
@@ -954,20 +639,25 @@ class CleanDB:
     def execute(self, sql: str) -> QueryResult:
         """Compile and run a CleanM query; collects every branch output."""
         plan = self.compile(sql)
-        functions = self._query_functions(plan)
-        if self.config.execution == "parallel" and self.cluster.has_pool:
+        functions = query_functions(
+            plan.branches, plan.query.primary_table.name, self.tables.rows,
+            q=self.q, k=self.k, delta=self.delta, seed=self.seed,
+            sim_filters=self.sim_filters,
+        )
+        pinned = self.tables.pinned_map()
+        if pinned and self.cluster.has_pool:
             # Handle/version skew between driver and worker store is a
             # driver bug; fail with the CM502 diagnostic naming the skew
             # before dispatch rather than a StaleHandleError mid-flight.
-            stale = verify_handles(self.cluster.pool, self._pinned_map())
+            stale = verify_handles(self.cluster.pool, pinned)
             if stale:
                 raise DiagnosticsError(stale, source=sql)
         executor = Executor(
             self.cluster,
-            dict(self._tables),
+            dict(self.tables.rows),
             config=self.config,
             functions=functions,
-            pinned_tables=self._pinned_map(),
+            pinned_tables=pinned,
         )
         raw = executor.execute(plan.dag)
         branches: dict[str, list[Any]] = {}
@@ -996,119 +686,3 @@ class CleanDB:
         if isinstance(value, Dataset):
             return value.collect()
         return [value]
-
-    # ------------------------------------------------------------------ #
-    def _query_functions(self, plan: _Plan) -> dict[str, Any]:
-        """Per-query builtins: blocking keys, record similarity, helpers."""
-        from ..cleaning.kmeans import assign_to_centers
-        from ..cleaning.similarity import record_matcher
-        from ..cleaning.tokenize import qgrams
-
-        kmeans_centers = self._kmeans_centers(plan)
-
-        def block_keys(kind: str, term: Any) -> list[Any]:
-            text = str(term)
-            if kind == "token_filtering":
-                return list(set(qgrams(text, self.q)) or {""})
-            if kind == "kmeans":
-                return assign_to_centers(text, kmeans_centers, "LD", self.delta)
-            if kind == "length_filtering":
-                return [len(text) // 2]
-            if kind in ("exact", "key"):
-                return [text]
-            raise PlanningError(f"unknown blocking op {kind!r}")
-
-        dictionary_terms = self._dictionary_terms(plan)
-        # One matcher per (metric, theta, attrs) for the query's lifetime:
-        # its join is built and each row prepared once, not once per pair.
-        matchers: dict[tuple, Any] = {}
-
-        def similar_records(metric: str, a: dict, b: dict, theta: float, attrs: Any) -> bool:
-            key = (metric, theta, tuple(attrs))
-            match = matchers.get(key)
-            if match is None:
-                match = matchers[key] = record_matcher(
-                    key[2], metric, theta, banded=self.sim_filters
-                )
-            return match(a, b)
-
-        return {
-            "block_keys": block_keys,
-            "in_dictionary": lambda term: str(term) in dictionary_terms,
-            "rid_less": lambda a, b: _rid(a) < _rid(b),
-            "similar_records": similar_records,
-            "pair": lambda a, b: (a, b),
-            "freeze": _freeze_value,
-            "nth": _nth_key,
-            "agg": _aggregate,
-            "concat_terms": lambda *parts: " ".join(str(p) for p in parts),
-        }
-
-    def _dictionary_terms(self, plan: _Plan) -> set[str]:
-        """The dictionary contents, broadcast for exact-match short-circuit."""
-        for branch in plan.branches:
-            if branch.kind == "cluster_by":
-                rows = self._tables.get(branch.params["dictionary"], [])
-                return {str(r) for r in rows}
-        return set()
-
-    def _kmeans_centers(self, plan: _Plan) -> list[str]:
-        """Centers for k-means blocking: sampled from the dictionary table
-        when the query has one, otherwise from the primary table's terms."""
-        from ..cleaning.kmeans import reservoir_sample
-
-        for branch in plan.branches:
-            if branch.kind == "cluster_by" and branch.params.get("op") == "kmeans":
-                dictionary = self._tables.get(branch.params["dictionary"], [])
-                terms = [str(x) for x in dictionary]
-                return reservoir_sample(terms, self.k, seed=self.seed) or [""]
-        primary = plan.query.primary_table.name
-        rows = self._tables.get(primary, [])[: self.k * 20]
-        terms = [str(next(iter(r.values()), "")) if isinstance(r, dict) else str(r) for r in rows]
-        return reservoir_sample(terms, self.k, seed=self.seed) or [""]
-
-
-def _rid(record: Any) -> Any:
-    if isinstance(record, dict) and "_rid" in record:
-        return record["_rid"]
-    return id(record)
-
-
-def _freeze_value(value: Any) -> Any:
-    if isinstance(value, dict):
-        return tuple(sorted((k, _freeze_value(v)) for k, v in value.items()))
-    if isinstance(value, (list, set, frozenset)):
-        return tuple(_freeze_value(v) for v in value)
-    return value
-
-
-def _nth_key(key: Any, index: int) -> Any:
-    """Project one component of a frozen composite grouping key."""
-    if isinstance(key, tuple):
-        component = key[index]
-        # Frozen RecordCons keys are (name, value) pairs.
-        if isinstance(component, tuple) and len(component) == 2 and isinstance(component[0], str):
-            return component[1]
-        return component
-    return key
-
-
-def _aggregate(kind: str, partition: Any, attr: str | None) -> Any:
-    values = [
-        (record.get(attr) if isinstance(record, dict) and attr else record)
-        for record in partition
-    ]
-    if kind == "count":
-        return len(values)
-    if kind == "distinct_count":
-        return len({_freeze_value(v) for v in values})
-    numbers = [v for v in values if isinstance(v, (int, float))]
-    if kind == "sum":
-        return sum(numbers)
-    if kind == "avg":
-        return sum(numbers) / len(numbers) if numbers else None
-    if kind == "min":
-        return min(numbers) if numbers else None
-    if kind == "max":
-        return max(numbers) if numbers else None
-    raise PlanningError(f"unknown aggregate {kind!r}")

@@ -52,9 +52,11 @@ from ..monoid.expressions import (
     UnaryOp,
     Var,
 )
+from ..physical.functions import BUILTIN_FUNCTION_NAMES, DEFAULT_FUNCTIONS, QUERY_BUILTINS
 from .ast_nodes import ClusterByOp, DedupOp, FDOp, Query, SelectItem, Star
 from .lexer import Token, tokenize
 from .parser import parse
+from .shippable import is_module_level_callable, is_picklable, unshippable_reason
 
 #: Every diagnostic code this analyzer can emit, with its one-line meaning.
 #: ``docs/DIAGNOSTICS.md`` must carry an entry per code (tested).
@@ -81,26 +83,14 @@ CODES: dict[str, str] = {
     "CM603": "plan scans a table missing from the catalog",
 }
 
-#: Per-query functions the facade binds at execution time; always callable
-#: from rewritten comprehensions, never user-shipped closures.
-ENGINE_BUILTINS = frozenset(
-    {
-        "block_keys",
-        "in_dictionary",
-        "rid_less",
-        "similar_records",
-        "pair",
-        "freeze",
-        "nth",
-        "agg",
-        "concat_terms",
-    }
-)
+#: Per-query functions the executor binds at execution time; always
+#: callable from rewritten comprehensions, never user-shipped closures.
+ENGINE_BUILTINS = frozenset(QUERY_BUILTINS)
 
 #: Aggregate names the GROUP BY rewriter folds into ``agg(...)`` calls.
 AGGREGATE_NAMES = frozenset({"count", "sum", "avg", "min", "max", "distinct_count"})
 
-#: Blocking operators ``block_keys`` implements (see the facade).
+#: Blocking operators ``block_keys`` implements (``physical/functions.py``).
 BLOCKING_OPS = frozenset(
     {"token_filtering", "kmeans", "length_filtering", "exact", "key"}
 )
@@ -370,8 +360,6 @@ def analyze_query(
     diags: list[Diagnostic] = []
     finder = SpanFinder(source)
     if functions is None:
-        from ..physical.functions import DEFAULT_FUNCTIONS
-
         functions = DEFAULT_FUNCTIONS
     known_functions = set(functions) | ENGINE_BUILTINS | AGGREGATE_NAMES
 
@@ -779,9 +767,6 @@ def check_task_closures(
     which is never what a caller who asked for ``execution="parallel"``
     meant.
     """
-    from ..engine.parallel import is_module_level_callable, is_picklable
-    from ..physical.functions import BUILTIN_FUNCTION_NAMES
-
     diags: list[Diagnostic] = []
     for name in sorted(set(call_names)):
         if name in BUILTIN_FUNCTION_NAMES or name in ENGINE_BUILTINS:
@@ -797,7 +782,7 @@ def check_task_closures(
                 severity="error",
                 message=(
                     f"function {name!r} cannot ship to worker processes: "
-                    f"{_unshippable_reason(func)}"
+                    f"{unshippable_reason(func)}"
                 ),
                 span=finder.ident(name) if finder else None,
                 hint=(
@@ -807,15 +792,6 @@ def check_task_closures(
             )
         )
     return diags
-
-
-def _unshippable_reason(func: Callable) -> str:
-    qualname = getattr(func, "__qualname__", "")
-    if "<lambda>" in qualname:
-        return "it is a lambda (not picklable)"
-    if "<locals>" in qualname:
-        return f"it is defined inside {qualname.split('.<locals>')[0]!r} (a closure)"
-    return "it does not survive a pickle round trip"
 
 
 # ---------------------------------------------------------------------- #

@@ -15,26 +15,26 @@ if TYPE_CHECKING:
     from .dataset import Dataset
     from .faults import FaultPlan, FaultSpec
     from .metrics import CostModel, MetricsCollector, OpMetrics
-    from .parallel import (
-        DEFAULT_WORKERS, ShipLog, StaleHandleError, StoreRef, TransportCounters,
-        WorkerPool, WorkerTaskError, begin_transport_scope,
-    )
+    from ..errors import StaleHandleError, WorkerTaskError
+    from .parallel import DEFAULT_WORKERS, WorkerPool
     from .partitioner import (
         HashPartitioner, Partitioner, RangePartitioner, RoundRobinPartitioner,
         make_partitioner, stable_hash,
     )
+    from .transport import ShipLog, TransportCounters, begin_transport_scope
+    from .worker import StoreRef
 
 __getattr__, __dir__, __all__ = lazy_surface(__name__, {
     "cluster": ("Cluster",),
     "dataset": ("Dataset",),
     "faults": ("FaultPlan", "FaultSpec"),
     "metrics": ("CostModel", "MetricsCollector", "OpMetrics"),
-    "parallel": (
-        "DEFAULT_WORKERS", "ShipLog", "StaleHandleError", "StoreRef",
-        "TransportCounters", "WorkerPool", "WorkerTaskError", "begin_transport_scope",
-    ),
+    "parallel": ("DEFAULT_WORKERS", "WorkerPool"),
     "partitioner": (
         "HashPartitioner", "Partitioner", "RangePartitioner", "RoundRobinPartitioner",
         "make_partitioner", "stable_hash",
     ),
+    "transport": ("ShipLog", "TransportCounters", "begin_transport_scope"),
+    "worker": ("StoreRef",),
+    ".errors": ("StaleHandleError", "WorkerTaskError"),
 })

@@ -221,9 +221,7 @@ class Dataset:
         sort-based (Spark SQL) or hash-based (BigDansing) routing.
         """
         n = num_partitions or self.cluster.default_parallelism
-        new_parts, moved, cost = shuffle(
-            self.cluster, self.partitions, n, kind=shuffle_kind, op_name=name
-        )
+        new_parts, moved, cost = shuffle(self.cluster, self.partitions, n, kind=shuffle_kind)
         grouped_parts: list[list[KeyedRecord]] = []
         per_part_work: list[float] = []
         unit = self.cluster.cost_model.record_unit
@@ -272,9 +270,7 @@ class Dataset:
             f"{name}:combine", self.cluster.spread_over_nodes(map_side_work)
         )
 
-        new_parts, moved, cost = shuffle(
-            self.cluster, combined_parts, n, kind="local", op_name=name
-        )
+        new_parts, moved, cost = shuffle(self.cluster, combined_parts, n, kind="local")
         merged_parts: list[list[KeyedRecord]] = []
         reduce_side_work: list[float] = []
         for part in new_parts:

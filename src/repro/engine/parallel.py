@@ -1,4 +1,4 @@
-"""Real multi-process execution: stateful workers with a partition store.
+"""Real multi-process execution: the pool of stateful worker processes.
 
 The simulated :class:`~repro.engine.cluster.Cluster` models the paper's
 10-node Spark deployment but runs every plan on one Python process.  This
@@ -6,50 +6,36 @@ module supplies the missing half: a :class:`WorkerPool` of real OS
 processes.  Unlike a throwaway ``multiprocessing.Pool``, the workers are
 *addressable and stateful* — each one owns a task queue and a **partition
 store** of named, versioned partitions.  Data ships to a worker once (a
-``pin``), and every later stage references it by :class:`StoreRef` handle;
-stage outputs likewise stay worker-resident until the driver materializes
-the final result.  This mirrors what Spark executors give CleanDB (§7):
-RDD partitions stay in executor memory across the stages of a unified
-cleaning query instead of being re-serialized per stage.
+``pin``), and every later stage references it by handle; stage outputs
+likewise stay worker-resident until the driver materializes the final
+result.  This mirrors what Spark executors give CleanDB (§7): RDD
+partitions stay in executor memory across the stages of a unified cleaning
+query instead of being re-serialized per stage.
 
-Design constraints, in order:
+Its neighbours: :mod:`~repro.engine.worker` is the wire protocol (the
+child's command loop, handles, reply tags, error envelopes),
+:mod:`~repro.engine.store` the driver's registry of what is resident and
+the lineage to rebuild it, :mod:`~repro.engine.transport` the ledger of
+what each call shipped.  The pool ships what the registry tells it and
+owns everything with a clock or a dispatch turn in it:
 
 * **Determinism** — ``run()`` returns results in task-submission order, and
-  task *i* (or the task for logical partition ``parts[i]``) always runs on
-  worker ``part % workers`` — the worker that holds that partition — so a
-  parallel stage that mirrors a serial stage's per-partition logic produces
-  byte-identical output (the backend-parity and determinism tests rely on
-  this).
-* **Faithful errors** — an exception raised inside a worker is transported
-  back in an *envelope* (not via queue exception pickling) and re-raised on
-  the driver as the original exception where possible; an unpicklable
-  exception degrades to :class:`WorkerTaskError` carrying the original type
-  name, message, and worker traceback — never a bare ``PicklingError``.
-* **Self-healing** — every pin, broadcast, and ``store_as`` stage records a
-  driver-side *lineage recipe* (source partitions for pins, the producing
-  task for stage outputs).  When a worker process dies — or hangs past the
-  pool's ``task_deadline``, detected by a shared-memory heartbeat — only
-  that worker is replaced and only *its* partitions are rebuilt from
-  lineage onto the replacement; other workers' pins and other callers'
-  state stay resident (``invalidate_store()`` is the last resort, taken
-  only when a rebuild itself fails).  Tasks lost to the dead worker are
-  re-dispatched under a bounded retry budget with linear backoff;
-  only after the budget is exhausted does the caller see a
-  :class:`WorkerTaskError` (``exc_type="RetriesExhausted"``).  Recovery is
-  deterministic enough to test: a :class:`~repro.engine.faults.FaultPlan`
-  injected at construction kills/delays/drops/corrupts specific tasks by
-  dispatch count, and the chaos suites assert byte-identical results
-  against fault-free oracles.
-* **Observable transport** — every payload that crosses the process
-  boundary (task args, pinned partitions, broadcasts, result blobs) is
-  pre-pickled by the sender, so the pool counts exactly how many bytes and
-  payloads each stage shipped (``bytes_shipped`` / ``ship_count``).  Handle
-  -based stages ship a few hundred bytes where ship-per-task execution
-  ships the whole table.  Accounting is *token-scoped*: each public call
-  tallies its own transport and folds it into both the pool totals and the
-  calling context's :class:`TransportCounters`, so interleaved callers
-  never see each other's bytes (:class:`ShipLog` reads the context ledger,
-  not the shared totals).
+  the task for logical partition ``p`` always runs on worker ``p % workers``
+  — the worker that holds that partition, so handles resolve locally and
+  there is no remote read path.  A parallel stage that mirrors a serial
+  stage's per-partition logic therefore produces byte-identical output
+  (the backend-parity and determinism tests rely on this).
+* **Self-healing** — when a worker process dies — or hangs past the pool's
+  ``task_deadline``, detected by a shared-memory heartbeat — only that
+  worker is replaced and only *its* partitions are rebuilt from the
+  registry's lineage; other workers' pins and other callers' state stay
+  resident (``invalidate_store()`` is the last resort, taken only when a
+  rebuild itself fails).  Tasks lost to the dead worker are re-dispatched
+  under a bounded retry budget with linear backoff; only an exhausted
+  budget surfaces, as :class:`~repro.errors.WorkerTaskError`
+  (``exc_type="RetriesExhausted"``).  A :class:`~repro.engine.faults.
+  FaultPlan` injected at construction makes recovery deterministic enough
+  for the chaos suites to assert byte-identical results.
 * **Concurrent callers** — the serving layer drives one pool from many
   threads.  Dispatch (shipping pins and task batches) is serialized by a
   FIFO ticket lock so each stage's commands land contiguously and fairly —
@@ -57,36 +43,38 @@ Design constraints, in order:
   — while reply collection runs *outside* the lock: one caller at a time
   pumps the shared result queue and routes other callers' replies to them
   by task id, so worker compute for one query overlaps driver-side work
-  for another.
+  for another.  Each call's transport is credited to its own context.
 * **Query-scoped aborts** — a failing or aborted call leaves the pool and
   every other caller's pinned state intact; ``shutdown()`` (an explicit
   lifecycle decision, e.g. ``CleanDB.close()``) terminates outstanding
   work immediately rather than waiting for queued partitions.
 
 Task functions must be importable module-level callables and all task
-arguments picklable — the executors' `supports` checks enforce this before
-a plan is claimed.  Any top-level argument that is a :class:`StoreRef` is
-resolved to the stored object inside the worker before the function runs.
+arguments picklable — the executors' `supports` checks enforce this
+(:mod:`repro.core.shippable`) before a plan is claimed.
 """
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import multiprocessing.sharedctypes
-import os
 import pickle
 import queue as queue_mod
 import sys
 import threading
 import time
-import traceback
 from collections import OrderedDict
-from contextvars import ContextVar
-from dataclasses import dataclass
-from typing import Any, Callable, Iterable, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from ..errors import ReproError
+from ..errors import WorkerTaskError
 from .faults import FaultPlan
+from .store import StoreRegistry
+from .transport import _CallRecord
+from .worker import (
+    _MISSING, StoreRef, _count, _fetch_task, _worker_main, decode_reply, is_failure,
+    raise_failure, run_chain,
+)
 
 # Workers a pool gets when the caller enabled parallel execution without
 # choosing a count.  Deliberately small: the test/CI machines have few cores
@@ -115,15 +103,6 @@ ABANDONED_LIMIT = 1024
 # reply whose owner vanished can never accumulate without limit.
 REPLY_BUFFER_LIMIT = 4096
 
-_MISSING = object()  # sentinel: distinguish "absent" from a stored None
-
-# Most-recently-used derived results (per pool) kept worker-resident.  Each
-# entry can hold table-sized state (e.g. a DC check's extraction vectors
-# plus a per-worker index broadcast), so a long-lived session sweeping many
-# distinct constraints must not grow worker memory without bound: the
-# least-recently-used entry's store partitions are evicted past this cap.
-DERIVED_CACHE_LIMIT = 16
-
 # Distinct task functions the registry keeps resident.  Functions are keyed
 # by their pickled form, so re-created equivalent closures/partials collapse
 # onto one entry; past the cap the least-recently-used function is dropped
@@ -131,108 +110,6 @@ DERIVED_CACHE_LIMIT = 16
 # re-ships if it ever comes back.  A long-lived serving pool stays bounded
 # no matter how many ad-hoc callables pass through it.
 FUNC_REGISTRY_LIMIT = 128
-
-_OK = "ok"
-_STORED = "stored"  # result kept worker-resident; only a handle returns
-_STORED_RET = "stored_ret"  # kept worker-resident *and* returned
-_ERROR = "error"  # original exception survived a pickle round-trip
-_OPAQUE = "error_opaque"  # it did not; ship (type name, message, traceback)
-
-
-class WorkerTaskError(ReproError):
-    """A task failed in a worker and its exception could not be transported
-    — or the worker process itself died mid-task.
-
-    Carries the worker-side exception type name and formatted traceback so
-    the failure is still diagnosable on the driver.
-    """
-
-    def __init__(self, message: str, exc_type: str = "Exception", worker_traceback: str = ""):
-        super().__init__(message)
-        self.exc_type = exc_type
-        self.worker_traceback = worker_traceback
-
-
-class StaleHandleError(ReproError):
-    """A task referenced a :class:`StoreRef` whose partition is no longer
-    (or never was) resident on the worker — evicted, superseded by a newer
-    table version, or lost to a worker restart."""
-
-
-@dataclass(frozen=True)
-class StoreRef:
-    """A handle to one worker-resident partition.
-
-    ``part`` is the logical partition index (the worker holding it is
-    ``part % workers``); ``part == -1`` marks a *broadcast* — every worker
-    holds its own copy and resolves the handle locally.  ``count`` is the
-    record count when the stored object is sized (-1 otherwise); stages use
-    it for cost accounting without fetching the data back.
-    """
-
-    name: str
-    version: int
-    part: int
-    count: int = -1
-
-
-class TransportCounters:
-    """Per-context transport ledger: what *this* logical caller shipped.
-
-    The pool credits every finished call to the :mod:`contextvars` ledger
-    of the context it ran in, so two queries interleaving on one pool each
-    read only their own bytes/ships/wall.  :class:`ShipLog` diffs this
-    ledger; :func:`begin_transport_scope` installs a fresh one at the top
-    of a serving query thread.
-    """
-
-    __slots__ = ("wall_seconds", "bytes_shipped", "ship_count", "retries")
-
-    def __init__(self) -> None:
-        self.wall_seconds = 0.0
-        self.bytes_shipped = 0
-        self.ship_count = 0
-        self.retries = 0
-
-
-_TRANSPORT: ContextVar[TransportCounters | None] = ContextVar(
-    "repro_transport_counters", default=None
-)
-
-
-def _context_counters() -> TransportCounters:
-    counters = _TRANSPORT.get()
-    if counters is None:
-        counters = TransportCounters()
-        _TRANSPORT.set(counters)
-    return counters
-
-
-def begin_transport_scope() -> TransportCounters:
-    """Give the current context its own fresh transport ledger.
-
-    Threads spawned via ``asyncio.to_thread`` *copy* the submitting task's
-    context, so sibling query threads would otherwise share (and race on)
-    one inherited :class:`TransportCounters` object.  The serving layer
-    calls this at the top of each query thread; single-threaded callers
-    never need to — a ledger is created lazily on first use.
-    """
-    counters = TransportCounters()
-    _TRANSPORT.set(counters)
-    return counters
-
-
-class _CallRecord:
-    """Transport tally for one public pool call (one token's worth)."""
-
-    __slots__ = ("bytes", "ships", "wall", "tasks", "retries")
-
-    def __init__(self) -> None:
-        self.bytes = 0
-        self.ships = 0
-        self.wall: float | None = None
-        self.tasks = 0
-        self.retries = 0
 
 
 class _FairLock:
@@ -280,202 +157,6 @@ class _FairLock:
         self.release()
 
 
-def _failure_envelope(exc: BaseException) -> tuple:
-    """Package a worker-side exception for transport to the driver.
-
-    A pickle *round trip* (not just ``dumps``) is attempted: exceptions whose
-    ``__reduce__`` succeeds but whose constructor rejects the pickled args
-    would otherwise explode inside the result queue's feeder thread.
-    """
-    tb = traceback.format_exc()
-    try:
-        pickle.loads(pickle.dumps(exc))
-        return (_ERROR, exc, tb)
-    except Exception:
-        return (_OPAQUE, type(exc).__name__, str(exc), tb)
-
-
-class _BrokenBlob:
-    """Worker-side marker for a pin/func blob that failed to unpickle.
-
-    Stored in place of the object so the *next task touching it* can report
-    the real cause (e.g. a class importable on the driver but not in the
-    worker under the spawn start method) instead of a misleading
-    evicted-handle or missing-function error.  ``label`` names what the
-    blob *was* — the function's qualname or ``pin 'name' vN part P`` — so
-    the eventual error points at the offending object, not just at "a
-    blob".
-    """
-
-    __slots__ = ("error", "label")
-
-    def __init__(self, error: str, label: str = ""):
-        self.error = error
-        self.label = label
-
-
-def _resolve_arg(store: dict, arg: Any) -> Any:
-    """Swap a :class:`StoreRef` argument for the stored partition."""
-    if isinstance(arg, StoreRef):
-        key = (arg.name, arg.version, arg.part)
-        try:
-            value = store[key]
-        except KeyError:
-            raise StaleHandleError(
-                f"no resident partition for handle {arg.name!r} "
-                f"v{arg.version} part {arg.part} (evicted or invalidated)"
-            ) from None
-        if isinstance(value, _BrokenBlob):
-            what = value.label or f"partition {arg.name!r}"
-            raise StaleHandleError(
-                f"{what} (handle {arg.name!r} v{arg.version} part {arg.part}) "
-                f"failed to unpickle in the worker: {value.error}"
-            )
-        return value
-    return arg
-
-
-def _worker_main(
-    inbox: Any,
-    outbox: Any,
-    worker_index: int = 0,
-    gen: int = 0,
-    fault_plan: FaultPlan | None = None,
-    heartbeat: Any = None,
-) -> None:
-    """Worker-process loop: execute commands from this worker's own queue.
-
-    The store maps ``(name, version, part)`` to the resident object; the
-    function registry maps driver-assigned ids to unpickled callables (each
-    function ships once per worker, not once per task).  No exception may
-    escape a task — every failure travels back as an envelope.
-
-    ``heartbeat`` is a shared array the worker ticks before and after every
-    command; the driver's deadline watchdog reads it to tell "hung" from
-    "slowly working".  ``fault_plan`` (tests only) schedules deterministic
-    crashes/delays/drops/corruptions by this worker's task count — see
-    :mod:`repro.engine.faults`.
-    """
-    store: dict[tuple, Any] = {}
-    funcs: dict[int, Callable] = {}
-    faults = fault_plan.for_worker(worker_index, gen) if fault_plan else {}
-    executed = 0
-
-    def beat() -> None:
-        if heartbeat is not None:
-            heartbeat[worker_index] += 1
-
-    while True:
-        cmd = inbox.get()
-        beat()
-        kind = cmd[0]
-        if kind == "task":
-            executed += 1
-            spec = faults.pop(executed, None)
-            if spec is not None and spec.kind == "kill_before":
-                os._exit(13)
-            _, task_id, fid, args_blob, store_key, returning = cmd
-            try:
-                args = pickle.loads(args_blob)
-                resolved = tuple(_resolve_arg(store, a) for a in args)
-                func = funcs[fid]
-                if isinstance(func, _BrokenBlob):
-                    what = func.label or f"task function {fid}"
-                    raise RuntimeError(
-                        f"{what} (function id {fid}) failed to unpickle in "
-                        f"the worker: {func.error}"
-                    )
-                result = func(*resolved)
-                if store_key is not None:
-                    back = result if returning else _MISSING
-                    if isinstance(result, Staged):  # keep the value, report the counts
-                        result, back = result
-                    store[store_key] = result
-                    if back is _MISSING:
-                        reply = (task_id, _STORED, _count(result))
-                    else:
-                        reply = (task_id, _STORED_RET, _count(result), pickle.dumps(back))
-                else:
-                    reply = (task_id, _OK, pickle.dumps(result))
-            except Exception as exc:  # noqa: BLE001 - every task error must travel back
-                reply = (task_id, *_failure_envelope(exc))
-            if spec is not None:
-                if spec.kind == "kill_after":
-                    os._exit(13)
-                if spec.kind == "drop":
-                    beat()
-                    continue
-                if spec.kind == "delay":
-                    time.sleep(spec.seconds)
-                if spec.kind == "corrupt":
-                    reply = (task_id, _OK, b"\x00corrupt reply payload")
-            outbox.put(reply)
-        elif kind == "pin":
-            _, name, version, part, blob = cmd
-            try:
-                store[(name, version, part)] = pickle.loads(blob)
-            except Exception as exc:  # noqa: BLE001 - a bad blob must not
-                # kill the worker; the next task on this handle reports why
-                store[(name, version, part)] = _BrokenBlob(
-                    repr(exc), label=f"pinned partition {name!r} v{version} part {part}"
-                )
-        elif kind == "func":
-            _, fid, blob = cmd[:3]
-            label = cmd[3] if len(cmd) > 3 else ""
-            try:
-                funcs[fid] = pickle.loads(blob)
-            except Exception as exc:  # noqa: BLE001 - tasks naming fid get
-                # a diagnosable envelope instead of a dead worker
-                funcs[fid] = _BrokenBlob(repr(exc), label=label)
-        elif kind == "func_del":
-            funcs.pop(cmd[1], None)
-        elif kind == "evict":
-            _, name, version = cmd
-            for key in [k for k in store if k[0] == name and (version is None or k[1] == version)]:
-                del store[key]
-        elif kind == "evict_all":
-            store.clear()
-        elif kind == "stop":
-            break
-
-
-def _fetch_task(part: Any) -> Any:
-    """Identity task: materialize one stored partition on the driver."""
-    return part
-
-
-def _count(value: Any) -> int:
-    """Record count of a partition-shaped value (-1 when it has none)."""
-    return len(value) if hasattr(value, "__len__") else -1
-
-
-class Staged(NamedTuple):
-    """A value and what the driver is told about it.  From :func:`run_chain`:
-    the stage's output — kept in the worker's store under ``store_as``,
-    shipped back otherwise — and the record count after each step.  From a
-    step: its output and the count to report in place of ``len(output)``."""
-
-    value: Any
-    report: Any
-
-
-def run_chain(steps: Sequence[tuple[Callable, tuple]], *parts: Any) -> Staged:
-    """Worker task: one *stage* — narrow steps ``(func, args)`` run back to
-    back over a partition, nothing stored or shipped between them.  The head
-    step receives ``parts`` (the task's resolved handles, plus any
-    per-partition arguments), every later step its predecessor's output."""
-    value: Any = parts
-    counts = []
-    for i, (func, args) in enumerate(steps):
-        value = func(*value, *args) if i == 0 else func(value, *args)
-        if isinstance(value, Staged):
-            value, count = value
-        else:
-            count = _count(value)
-        counts.append(count)
-    return Staged(value, tuple(counts))
-
-
 class WorkerPool:
     """Addressable, stateful worker processes with a partition store.
 
@@ -494,26 +175,15 @@ class WorkerPool:
         pools leave it ``None``.
     task_deadline:
         Seconds without heartbeat progress before a worker with outstanding
-        tasks is declared *hung*, terminated, and replaced (its partitions
-        rebuilt from lineage, its tasks retried).  Must exceed the longest
-        legitimate task; ``None`` (the default) disables the watchdog so
-        only real process death triggers recovery.
+        tasks is declared *hung* and treated as dead.  Must exceed the
+        longest legitimate task; ``None`` (the default) disables the
+        watchdog so only real process death triggers recovery.
     max_task_retries:
         How many times a task lost to a dead/hung worker is re-dispatched
         before the call fails with ``exc_type="RetriesExhausted"``.
     retry_backoff:
         Linear backoff step between retry rounds (attempt *n* sleeps
         ``retry_backoff * n`` seconds).
-
-    Placement is deterministic: logical partition ``p`` (pinned or stored)
-    lives on worker ``p % workers``, and a task for partition ``p`` runs on
-    that same worker, so handles always resolve locally — there is no
-    remote read path.
-
-    The pool is safe to drive from multiple threads: dispatch is FIFO
-    ticket-locked (fair stage interleaving), reply collection routes each
-    caller its own task replies, and transport counters are credited per
-    call to the caller's context ledger.
     """
 
     def __init__(
@@ -544,13 +214,12 @@ class WorkerPool:
         self._worker_gen: list[int] = [0] * workers
         # Generation whose partition store has been rebuilt from lineage.
         # Lagging behind ``_worker_gen`` means the replacement is still
-        # empty; the next dispatch touching it runs recovery first.
+        # empty; the next dispatch touching it runs ``_ensure_recovered``.
         self._recovered_gen: list[int] = [0] * workers
         # Liveness: each worker ticks its slot on every command; the driver
-        # keeps the last value seen and when it last changed, and declares a
-        # worker hung when a deadline passes with tasks outstanding and no
-        # progress.  RawArray works under both fork (inherited) and spawn
-        # (shipped through Process args).
+        # keeps the last value seen and when it last changed (see
+        # ``_check_lost_tasks``).  RawArray works under both fork (inherited)
+        # and spawn (shipped through Process args).
         self._heartbeat = multiprocessing.sharedctypes.RawArray("Q", workers)
         self._hb_last: list[int] = [0] * workers
         self._hb_ts: list[float] = [time.monotonic()] * workers
@@ -558,12 +227,11 @@ class WorkerPool:
             self._spawn_worker(w)
         self._closed = False
         # Dispatch serialization (FIFO across caller threads) and the small
-        # guards for shared driver-side state.  ``_reply_cond`` protects the
-        # reply router; ``_store_lock`` the pin/derived registries;
-        # ``_stats_lock`` the pool-level counters.  Lock order, outermost
-        # first: ``_dispatch_lock`` -> ``_store_lock`` -> ``_reply_cond``.
+        # guards for shared driver-side state: ``_reply_cond`` the reply
+        # router, ``_store.lock`` the registry, ``_stats_lock`` the counters.
+        # Lock order, outermost first: dispatch -> store -> reply.
         self._dispatch_lock = _FairLock()
-        self._store_lock = threading.RLock()
+        self._store = StoreRegistry(workers)
         self._stats_lock = threading.Lock()
         self._reply_cond = threading.Condition()
         # task_id -> reply tail, parked until its caller drains it.
@@ -571,58 +239,33 @@ class WorkerPool:
         # Aborted/lost task ids whose late replies must be dropped.
         self._abandoned: OrderedDict[int, None] = OrderedDict()
         self._pump_busy = False  # one thread at a time drains the outbox
-        # Function registry: keyed by the *pickled form* of the callable so
-        # re-created equivalent closures map to the same id; LRU-bounded at
-        # FUNC_REGISTRY_LIMIT with monotonically increasing ids (an evicted
-        # id is never reused, so a stale worker entry can't alias).
+        # Function registry (FUNC_REGISTRY_LIMIT): pickled callable -> id.
+        # Ids only grow, so a stale worker entry can never alias a new one.
         self._func_ids: OrderedDict[bytes, int] = OrderedDict()
         self._func_counter = 0
         self._worker_funcs: list[set[int]] = [set() for _ in range(workers)]
-        # Driver-side view of the partition store: pinned/broadcast names
-        # and their handles, plus the derived-result cache fast paths use
-        # to skip whole stages on a warm store.
-        self._pins: dict[tuple[str, int], list[StoreRef]] = {}
-        self._pin_sizes: dict[tuple[str, int], int] = {}
-        self._derived: dict[tuple, dict] = {}
-        # Lineage: rebuild recipe per resident (name, version) in insertion
-        # order — pins before the stages consuming them — so replaying a
-        # prefix onto a replacement worker satisfies handle dependencies.
-        self._lineage: OrderedDict[tuple[str, int], dict] = OrderedDict()
         self._task_counter = 0
         self._version_counter = 0
-        # Observability: real time spent waiting on worker results, tasks
-        # dispatched, and transport volume.  ``last_*`` describe the most
-        # recently *finished* public call; under concurrency, per-op metrics
-        # come from the context ledger (ShipLog), not these.
+        # Lifetime totals: wall time waiting on results, tasks, transport.
+        # Per-op metrics come from the context ledger (ShipLog), not these.
         self.wall_seconds_total = 0.0
-        self.last_wall_seconds = 0.0
         self.tasks_dispatched = 0
         self.bytes_shipped_total = 0
         self.ship_count_total = 0
-        self.last_bytes_shipped = 0
-        self.last_ship_count = 0
         self.retries_total = 0
-        self.last_retries = 0
 
     def _spawn_worker(self, worker: int) -> None:
         inbox = self._ctx.Queue()
+        generation = self._worker_gen[worker]
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(
-                inbox,
-                self._outbox,
-                worker,
-                self._worker_gen[worker],
-                self.fault_plan,
-                self._heartbeat,
-            ),
+            args=(inbox, self._outbox, worker, generation, self.fault_plan, self._heartbeat),
             daemon=True,
         )
         proc.start()
         self._inboxes[worker] = inbox
         self._procs[worker] = proc
 
-    # ------------------------------------------------------------------ #
     @property
     def closed(self) -> bool:
         return self._closed
@@ -638,30 +281,27 @@ class WorkerPool:
         call.bytes += nbytes
         call.ships += 1
 
+    def _tell_all(self, *command: Any) -> None:
+        """Queue an uncounted housekeeping command on every live worker."""
+        if self._closed:
+            return
+        for w in range(self.workers):
+            if self._procs[w].is_alive():
+                self._inboxes[w].put(command)
+
     def _finish_call(self, call: _CallRecord) -> None:
-        """Fold one finished call into the pool totals, the ``last_*``
-        snapshot, and the calling context's transport ledger."""
+        """Fold one finished call into the pool totals and the calling
+        context's transport ledger."""
         with self._stats_lock:
             self.bytes_shipped_total += call.bytes
             self.ship_count_total += call.ships
-            self.last_bytes_shipped = call.bytes
-            self.last_ship_count = call.ships
             self.retries_total += call.retries
-            self.last_retries = call.retries
             if call.wall is not None:
                 self.wall_seconds_total += call.wall
-                self.last_wall_seconds = call.wall
                 self.tasks_dispatched += call.tasks
-        counters = _context_counters()
-        counters.bytes_shipped += call.bytes
-        counters.ship_count += call.ships
-        counters.retries += call.retries
-        if call.wall is not None:
-            counters.wall_seconds += call.wall
+        call.credit_context()
 
-    def _ensure_func(
-        self, worker: int, fblob: bytes, call: _CallRecord, label: str = ""
-    ) -> int:
+    def _ensure_func(self, worker: int, fblob: bytes, call: _CallRecord, label: str = "") -> int:
         """Resolve (or register) the function id for a pickled callable and
         make sure worker ``worker`` holds it.  ``label`` (the callable's
         qualname) travels with the blob so a worker-side unpickle failure
@@ -685,188 +325,84 @@ class WorkerPool:
             self._worker_funcs[worker].add(fid)
         return fid
 
-    # ------------------------------------------------------------------ #
-    # Partition store
-    # ------------------------------------------------------------------ #
-    def pin(
-        self, name: str, version: int, partitions: Sequence[Any]
-    ) -> list[StoreRef]:
+    # -- partition store ------------------------------------------------ #
+    @contextlib.contextmanager
+    def _shipping(self, name: str, version: int) -> Iterator[_CallRecord]:
+        """One pin's worth of dispatch: a partial shipment is evicted
+        before its error propagates — it must never strand unreferenced
+        partitions in worker stores."""
+        if self._closed:
+            raise RuntimeError("worker pool is closed")
+        call = _CallRecord()
+        try:
+            with self._dispatch_lock:
+                try:
+                    yield call
+                except Exception:
+                    self._tell_all("evict", name, version)
+                    raise
+        finally:
+            self._finish_call(call)
+
+    def pin(self, name: str, version: int, partitions: Sequence[Any]) -> list[StoreRef]:
         """Ship partitions to their owning workers once; return handles.
 
         Partition ``p`` goes to worker ``p % workers``.  Commands on a
         worker's queue are processed in order, so a task dispatched after
         ``pin`` returns is guaranteed to see the stored partition.
-
-        On a mid-loop serialization failure the already-shipped partitions
-        are evicted before the error propagates — a partial pin must never
-        strand unreferenced partitions in worker stores.
         """
-        if self._closed:
-            raise RuntimeError("worker pool is closed")
-        call = _CallRecord()
         refs: list[StoreRef] = []
-        nbytes = 0
         parts_list = list(partitions)
-        try:
-            with self._dispatch_lock:
-                try:
-                    for p, part in enumerate(parts_list):
-                        blob = pickle.dumps(part)
-                        self._ship(
-                            p % self.workers, ("pin", name, version, p, blob), len(blob), call
-                        )
-                        nbytes += len(blob)
-                        refs.append(StoreRef(name, version, p, _count(part)))
-                except Exception:
-                    for w in range(self.workers):
-                        if self._procs[w].is_alive():
-                            self._inboxes[w].put(("evict", name, version))
-                    raise
-            with self._store_lock:
-                self._pins[(name, version)] = refs
-                self._pin_sizes[(name, version)] = nbytes
-                # Lineage holds *references* to the caller's partition rows
-                # (which the facade keeps driver-side anyway), so a dead
-                # worker's share of this pin can be re-shipped on demand.
-                self._lineage[(name, version)] = {
-                    "kind": "parts",
-                    "partitions": parts_list,
-                }
-        finally:
-            self._finish_call(call)
+        with self._shipping(name, version) as call:
+            for p, part in enumerate(parts_list):
+                blob = pickle.dumps(part)
+                self._ship(p % self.workers, ("pin", name, version, p, blob), len(blob), call)
+                refs.append(StoreRef(name, version, p, _count(part)))
+        self._store.record_pin(name, version, refs, call.bytes, parts_list)
         return refs
 
     def broadcast(self, name: str, version: int, obj: Any) -> StoreRef:
         """Ship one object to *every* worker; the handle resolves locally."""
-        if self._closed:
-            raise RuntimeError("worker pool is closed")
-        call = _CallRecord()
-        try:
-            blob = pickle.dumps(obj)
-            with self._dispatch_lock:
-                try:
-                    for w in range(self.workers):
-                        self._ship(w, ("pin", name, version, -1, blob), len(blob), call)
-                except Exception:
-                    for w in range(self.workers):
-                        if self._procs[w].is_alive():
-                            self._inboxes[w].put(("evict", name, version))
-                    raise
-            ref = StoreRef(name, version, -1, -1)
-            with self._store_lock:
-                self._pins[(name, version)] = [ref]
-                self._pin_sizes[(name, version)] = len(blob) * self.workers
-                self._lineage[(name, version)] = {"kind": "broadcast", "obj": obj}
-        finally:
-            self._finish_call(call)
+        blob = pickle.dumps(obj)
+        with self._shipping(name, version) as call:
+            for w in range(self.workers):
+                self._ship(w, ("pin", name, version, -1, blob), len(blob), call)
+        ref = StoreRef(name, version, -1, -1)
+        self._store.record_broadcast(ref, call.bytes, obj)
         return ref
 
+    # Reads of the registry (:class:`~repro.engine.store.StoreRegistry` has
+    # the contracts); nothing ships for them.
     def pinned(self, name: str, version: int) -> list[StoreRef] | None:
-        """Handles of a previously pinned name/version, if still valid."""
-        with self._store_lock:
-            return self._pins.get((name, version))
+        return self._store.pinned(name, version)
 
     def pinned_versions(self, name: str) -> list[int]:
-        """Every version of ``name`` the pin registry currently holds.
-
-        The plan verifier's handle check: an empty list means cold (fine,
-        pins rebuild on demand), while a non-empty list *missing* the
-        driver's expected version means driver/store version skew.
-        """
-        with self._store_lock:
-            return sorted(v for (n, v) in self._pins if n == name)
+        return self._store.pinned_versions(name)
 
     def pinned_nbytes(self, name: str | None = None) -> int:
-        """Serialized bytes resident under pinned name(s) — the store-memory
-        figure the serving layer's LRU eviction governor budgets against.
-        ``name=None`` totals every pin."""
-        with self._store_lock:
-            if name is None:
-                return sum(self._pin_sizes.values())
-            return sum(sz for (n, _v), sz in self._pin_sizes.items() if n == name)
+        return self._store.pinned_nbytes(name)
+
+    def derived(self, key: tuple) -> dict | None:
+        return self._store.derived(key)
 
     def adopt(
-        self,
-        name: str,
-        version: int,
-        refs: Sequence[StoreRef],
+        self, name: str, version: int, refs: Sequence[StoreRef],
         partitions: Sequence[Any] | None = None,
     ) -> None:
-        """Register task-produced resident partitions as a pin.
-
-        ``run(store_as=...)`` leaves its output partitions in the worker
-        stores but does not record them in the pin registry; adopting the
-        returned refs makes the output addressable through :meth:`pinned`
-        exactly as if it had been shipped with :meth:`pin` — this is how a
-        delta patch promotes its result to the table's new version without
-        the rows ever returning to the driver.
-
-        ``partitions`` (optional) supplies the driver-side rows backing the
-        adopted version so its lineage becomes a plain re-pin recipe.
-        Without it the version keeps whatever stage lineage ``run``
-        recorded — which references the *prior* version's handles, so it
-        only survives worker death while that prior version is resident.
-        Callers that hold the current rows anyway (the facade does) should
-        pass them.
-        """
-        with self._store_lock:
-            # No bytes crossed the boundary for the adopted version itself;
-            # carry the prior version's footprint so the eviction governor
-            # keeps seeing the table (deltas barely change its size).
-            prior = [sz for (n, _v), sz in self._pin_sizes.items() if n == name]
-            self._pins[(name, version)] = list(refs)
-            if prior:
-                self._pin_sizes[(name, version)] = max(prior)
-            if partitions is not None:
-                self._lineage[(name, version)] = {
-                    "kind": "parts",
-                    "partitions": list(partitions),
-                }
+        self._store.adopt(name, version, refs, partitions)
 
     def evict(self, name: str, version: int | None = None) -> None:
         """Drop a pinned/broadcast name (one version or all of them) from
         every worker store, together with any derived results cached on top
         of it.  Idempotent; safe on a closed pool."""
-        with self._store_lock:
-            for key in [k for k in self._pins if k[0] == name and (version is None or k[1] == version)]:
-                del self._pins[key]
-                self._pin_sizes.pop(key, None)
-            for key in [k for k in self._lineage if k[0] == name and (version is None or k[1] == version)]:
-                del self._lineage[key]
-            for key, payload in list(self._derived.items()):
-                if key[1] == name and (version is None or key[2] == version):
-                    for dep_name, dep_version in payload.get("store_names", ()):
-                        self.evict(dep_name, dep_version)
-                    self._derived.pop(key, None)
-        if self._closed:
-            return
-        for w in range(self.workers):
-            if self._procs[w].is_alive():
-                self._inboxes[w].put(("evict", name, version))
-
-    def derived(self, key: tuple) -> dict | None:
-        """Driver-side cache payload for a derived result (warm path)."""
-        with self._store_lock:
-            payload = self._derived.get(key)
-            if payload is not None:
-                # LRU touch: re-insert at the back of the (ordered) dict.
-                self._derived[key] = self._derived.pop(key)
-            return payload
+        for entry in self._store.evict(name, version):
+            self._tell_all("evict", *entry)
 
     def register_derived(self, key: tuple, payload: dict) -> None:
-        """Cache a derived result keyed ``(kind, base_name, base_version,
-        ...)``.  ``payload["store_names"]`` lists the ``(name, version)``
-        store entries it owns; evicting the base evicts them too.  The
-        cache is bounded at :data:`DERIVED_CACHE_LIMIT` entries — the
-        least-recently-used entry (and its worker-resident state) is
-        evicted past the cap."""
-        with self._store_lock:
-            self._derived[key] = payload
-            while len(self._derived) > DERIVED_CACHE_LIMIT:
-                oldest_key = next(iter(self._derived))
-                oldest = self._derived.pop(oldest_key)
-                for dep_name, dep_version in oldest.get("store_names", ()):
-                    self.evict(dep_name, dep_version)
+        """Cache a derived result (see the registry); whatever falls off
+        the LRU end is evicted from the workers too."""
+        for entry in self._store.register_derived(key, payload):
+            self._tell_all("evict", *entry)
 
     def invalidate_store(self) -> None:
         """Forget every pin, broadcast, derived result, and lineage recipe
@@ -874,27 +410,16 @@ class WorkerPool:
         the recovery path: taken only when rebuilding a dead worker's
         partitions from lineage itself fails, never as the first response
         to a death."""
-        with self._store_lock:
-            self._pins.clear()
-            self._pin_sizes.clear()
-            self._derived.clear()
-            self._lineage.clear()
-        if self._closed:
-            return
-        for w in range(self.workers):
-            if self._procs[w].is_alive():
-                self._inboxes[w].put(("evict_all",))
+        self._store.clear()
+        self._tell_all("evict_all")
 
     def fetch(self, refs: Sequence[StoreRef]) -> list[Any]:
         """Materialize stored partitions on the driver (final results)."""
         return self.run(_fetch_task, [(ref,) for ref in refs])
 
     def run_stage(
-        self,
-        steps: Sequence[tuple[Callable, tuple]],
-        inputs: Sequence[Any],
-        store_as: tuple[str, int] | None = None,
-        parts: Sequence[int] | None = None,
+        self, steps: Sequence[tuple[Callable, tuple]], inputs: Sequence[Any],
+        store_as: tuple[str, int] | None = None, parts: Sequence[int] | None = None,
     ) -> tuple[list[Any], list[tuple[int, ...]]]:
         """One dispatch for a whole chain of narrow steps (:func:`run_chain`),
         one task per element of ``inputs`` — a handle, or a tuple of the head
@@ -910,9 +435,7 @@ class WorkerPool:
         ]
         return [d[0] for d in done], [(n, *d[1]) for n, d in zip(entering, done)]
 
-    # ------------------------------------------------------------------ #
-    # Task execution
-    # ------------------------------------------------------------------ #
+    # -- task execution ------------------------------------------------- #
     def run(
         self,
         func: Callable,
@@ -935,18 +458,11 @@ class WorkerPool:
         needs the value too (e.g. to build a global index).  A :class:`Staged`
         result keeps its ``value`` and always returns ``(ref, report)``.
 
-        The first failing task's exception is re-raised on the driver — the
-        original exception instance when it pickles, otherwise a
-        :class:`WorkerTaskError` naming the original type.  Either way the
-        worker traceback is attached as ``exc.worker_traceback``.
-
-        A worker process dying (or hanging past ``task_deadline``) mid-batch
-        is *recovered from*, not surfaced: the worker is replaced, its
-        partitions rebuilt from lineage, and the lost tasks re-dispatched —
-        up to ``max_task_retries`` times with linear backoff.  A reply whose
-        payload fails to unpickle on the driver (transport corruption) is
-        retried the same way.  Only an exhausted retry budget raises
-        :class:`WorkerTaskError` (``exc_type="RetriesExhausted"``).
+        The first failing task's exception is re-raised on the driver
+        (:func:`~repro.engine.worker.raise_failure`).  A worker dying or
+        hanging mid-batch, or a reply whose payload fails to unpickle, is
+        *recovered from*, not surfaced — replace, rebuild, re-dispatch, up
+        to ``max_task_retries`` times (module docstring, "Self-healing").
         Deterministic task exceptions are never retried — re-running a bug
         is waste, not resilience.
         """
@@ -957,9 +473,7 @@ class WorkerPool:
         tasks = [tuple(args) for args in args_list]
         fblob = pickle.dumps(func) if tasks else b""
         flabel = f"task function {getattr(func, '__qualname__', repr(func))!r}"
-        task_parts = [
-            self._part_for(args, i, parts) for i, args in enumerate(tasks)
-        ]
+        task_parts = [self._part_for(args, i, parts) for i, args in enumerate(tasks)]
         results: list[Any] = [None] * len(tasks)
         failure: tuple[int, tuple] | None = None
         outstanding = list(range(len(tasks)))
@@ -983,19 +497,13 @@ class WorkerPool:
                         blob = pickle.dumps(tasks[i])
                         task_id = self._task_counter
                         self._task_counter += 1
-                        store_key = (
-                            (store_as[0], store_as[1], part) if store_as else None
-                        )
-                        self._ship(
-                            worker,
-                            ("task", task_id, fid, blob, store_key, returning),
-                            len(blob),
-                            call,
-                        )
+                        store_key = (*store_as, part) if store_as else None
+                        command = ("task", task_id, fid, blob, store_key, returning)
+                        self._ship(worker, command, len(blob), call)
                         pending[task_id] = (i, worker)
                         task_gens[task_id] = self._worker_gen[worker]
                         if store_as is not None and attempt == 0:
-                            self._record_stage(store_as, part, fblob, blob)
+                            self._store.record_stage(store_as, part, fblob, blob)
                     call.tasks += len(outstanding)
                 # Fresh deadline window for the workers we just loaded, so
                 # a long pre-dispatch idle can't read as "already hung".
@@ -1008,28 +516,14 @@ class WorkerPool:
                 retry_indices = [pending[task_id][0] for task_id in lost]
                 for task_id, reply in replies.items():
                     index = pending[task_id][0]
-                    tag = reply[0]
-                    if tag == _OK:
-                        try:
-                            results[index] = pickle.loads(reply[1])
-                        except Exception:
-                            retry_indices.append(index)  # corrupt payload
-                    elif tag == _STORED:
-                        results[index] = StoreRef(
-                            store_as[0], store_as[1], task_parts[index], reply[1]
-                        )
-                    elif tag == _STORED_RET:
-                        try:
-                            value = pickle.loads(reply[2])
-                        except Exception:
-                            retry_indices.append(index)  # corrupt payload
-                            continue
-                        ref = StoreRef(
-                            store_as[0], store_as[1], task_parts[index], reply[1]
-                        )
-                        results[index] = (ref, value)
-                    elif failure is None or index < failure[0]:
-                        failure = (index, reply)
+                    if is_failure(reply):
+                        if failure is None or index < failure[0]:
+                            failure = (index, reply)
+                        continue
+                    try:
+                        results[index] = decode_reply(reply, store_as, task_parts[index])
+                    except Exception:
+                        retry_indices.append(index)  # corrupt payload
                 if failure is not None:
                     break
                 outstanding = sorted(retry_indices)
@@ -1055,7 +549,7 @@ class WorkerPool:
             call.wall = time.perf_counter() - start
             self._finish_call(call)
         if failure is not None:
-            self._raise_failure(failure[1])
+            raise_failure(failure[1])
         return results
 
     @staticmethod
@@ -1068,23 +562,16 @@ class WorkerPool:
         return index
 
     def _collect(
-        self,
-        pending: dict[int, tuple[int, int]],
-        task_gens: dict[int, int],
-        replies: dict[int, tuple],
-        call: _CallRecord,
+        self, pending: dict[int, tuple[int, int]], task_gens: dict[int, int],
+        replies: dict[int, tuple], call: _CallRecord,
     ) -> set[int]:
         """Gather replies for pending tasks; return the ids lost to death.
 
-        Concurrent calls share one result queue: whichever caller currently
-        holds the pump role drains it and routes foreign replies to their
-        owners' buffers; everyone else waits on the router condition and
-        picks its own replies out of the buffer.  Reply payload bytes are
-        credited to the *owning* call when its thread drains them.
-
-        Tasks whose worker died, hung past the deadline, or was replaced by
-        another caller are returned as *lost* (their ids pre-abandoned so a
-        straggler reply is dropped) — the caller decides whether to retry.
+        Concurrent calls share one result queue (:meth:`_poll_replies`);
+        reply payload bytes are credited to the *owning* call when its
+        thread drains them.  Tasks whose worker died, hung past the
+        deadline, or was replaced by another caller are returned as *lost*
+        (:meth:`_check_lost_tasks`) — the caller decides whether to retry.
         """
         waiting = set(pending)
         lost: set[int] = set()
@@ -1108,9 +595,11 @@ class WorkerPool:
     def _poll_replies(self, waiting: set[int]) -> list[tuple[int, tuple]]:
         """One bounded wait for replies to ``waiting`` tasks.
 
-        Returns any of *our* replies that arrived (possibly drained by
-        another thread's pump into our buffer); an empty list means a poll
-        interval elapsed and the caller should run its liveness checks.
+        Whichever caller currently holds the pump role drains the shared
+        result queue and routes foreign replies to their owners' buffers;
+        everyone else waits on the router condition and picks its own
+        replies out of the buffer.  An empty list means a poll interval
+        elapsed and the caller should run its liveness checks.
         """
         mine: list[tuple[int, tuple]] = []
 
@@ -1154,19 +643,15 @@ class WorkerPool:
                 self._reply_cond.notify_all()
 
     def _check_lost_tasks(
-        self,
-        pending: dict[int, tuple[int, int]],
-        task_gens: dict[int, int],
-        waiting: set[int],
+        self, pending: dict[int, tuple[int, int]], task_gens: dict[int, int], waiting: set[int]
     ) -> set[int]:
         """After an empty poll: is this call still going to get replies?
 
         Raises only when the pool was shut down.  A worker holding our
         tasks that died, hung past ``task_deadline`` (no heartbeat progress
         while its tasks are outstanding), or was already replaced by
-        another caller is handled in place: the process is replaced and the
-        affected task ids returned as lost — abandoned so their straggler
-        replies are dropped — for the caller's retry loop to re-dispatch.
+        another caller is replaced in place and its task ids returned as
+        lost — abandoned, so their straggler replies are dropped.
         """
         if self._closed:
             raise WorkerTaskError(
@@ -1208,11 +693,8 @@ class WorkerPool:
         return lost
 
     def _abandon_locked(self, task_id: int) -> None:
-        """Mark one task's reply as to-be-dropped (caller holds _reply_cond).
-
-        The set is LRU-bounded: an abandoned task whose reply never arrives
-        (its worker died) ages out instead of living forever.
-        """
+        """Mark one task's reply as to-be-dropped (caller holds
+        ``_reply_cond``); the set is LRU-bounded at ``ABANDONED_LIMIT``."""
         self._abandoned[task_id] = None
         self._abandoned.move_to_end(task_id)
         while len(self._abandoned) > ABANDONED_LIMIT:
@@ -1221,11 +703,7 @@ class WorkerPool:
 
     def _replace_worker(self, worker: int) -> None:
         """Spawn a replacement for a dead worker (caller holds _reply_cond).
-
-        The replacement starts with an *empty* store — ``_recovered_gen``
-        now lags ``_worker_gen``, and the next dispatch targeting this
-        worker replays lineage onto it first (:meth:`_ensure_recovered`).
-        """
+        Its store starts *empty*: see ``_recovered_gen``."""
         self._procs[worker].join(timeout=1.0)
         self._worker_gen[worker] += 1
         if self._closed:
@@ -1235,115 +713,58 @@ class WorkerPool:
         self._hb_last[worker] = self._heartbeat[worker]
         self._hb_ts[worker] = time.monotonic()
 
-    def _record_stage(
-        self, store_as: tuple[str, int], part: int, fblob: bytes, args_blob: bytes
-    ) -> None:
-        """Remember the producing task of one stored stage partition.
-
-        Re-running ``func(*args)`` on a replacement worker regenerates the
-        partition (tasks are deterministic; handle args resolve against the
-        lineage replayed before it).  Multiple ``run`` calls targeting one
-        ``store_as`` (delta patches) merge into one recipe.
-        """
-        with self._store_lock:
-            entry = self._lineage.get(store_as)
-            if entry is None:
-                entry = {"kind": "stage", "tasks": {}}
-                self._lineage[store_as] = entry
-            if entry["kind"] == "stage":
-                entry["tasks"][part] = (fblob, args_blob)
-
     def _ensure_recovered(self, worker: int, call: _CallRecord) -> None:
         """Replay lineage onto a freshly replaced worker (dispatch-locked).
 
-        Only the dead worker's share of each resident (name, version) is
-        rebuilt — pins and broadcasts re-ship from driver-held state, stage
-        partitions re-run their recorded producing task.  Rebuild commands
-        enqueue ahead of the caller's retried tasks on the same FIFO inbox,
-        which is the whole ordering argument: by the time a retried task
-        resolves a handle, the partition is resident again.  Stage-rebuild
-        replies are pre-abandoned (fire-and-forget); a rebuild that cannot
-        even be dispatched falls back to :meth:`invalidate_store`.
+        Ships what the registry yields for the dead worker's share of the
+        store.  Rebuild commands enqueue ahead of the caller's retried
+        tasks on the same FIFO inbox, which is the whole ordering argument:
+        by the time a retried task resolves a handle, the partition is
+        resident again.  Stage-rebuild replies are pre-abandoned
+        (fire-and-forget); a rebuild that cannot even be dispatched falls
+        back to :meth:`invalidate_store`.
         """
         gen = self._worker_gen[worker]
         if self._recovered_gen[worker] == gen:
             return
         self._recovered_gen[worker] = gen
         try:
-            with self._store_lock:
-                for (name, version), recipe in list(self._lineage.items()):
-                    kind = recipe["kind"]
-                    if kind == "broadcast":
-                        blob = pickle.dumps(recipe["obj"])
-                        self._ship(
-                            worker, ("pin", name, version, -1, blob), len(blob), call
-                        )
-                    elif kind == "parts":
-                        partitions = recipe["partitions"]
-                        for p in range(worker, len(partitions), self.workers):
-                            blob = pickle.dumps(partitions[p])
-                            self._ship(
-                                worker, ("pin", name, version, p, blob), len(blob), call
-                            )
-                    else:  # stage
-                        for p, (fblob, args_blob) in recipe["tasks"].items():
-                            if p % self.workers != worker:
-                                continue
-                            fid = self._ensure_func(
-                                worker, fblob, call,
-                                f"stage-rebuild task for {name!r} v{version}",
-                            )
-                            task_id = self._task_counter
-                            self._task_counter += 1
-                            with self._reply_cond:
-                                self._abandon_locked(task_id)
-                            self._ship(
-                                worker,
-                                ("task", task_id, fid, args_blob, (name, version, p), False),
-                                len(args_blob),
-                                call,
-                            )
+            with self._store.lock:
+                for command in self._store.replay(worker):
+                    if command[0] == "pin":
+                        self._ship(worker, command, len(command[-1]), call)
+                        continue
+                    _, name, version, part, fblob, args_blob = command
+                    fid = self._ensure_func(
+                        worker, fblob, call, f"stage-rebuild task for {name!r} v{version}"
+                    )
+                    task_id = self._task_counter
+                    self._task_counter += 1
+                    with self._reply_cond:
+                        self._abandon_locked(task_id)
+                    command = ("task", task_id, fid, args_blob, (name, version, part), False)
+                    self._ship(worker, command, len(args_blob), call)
         except Exception:
             # Last resort: the rebuild itself failed (unpicklable source,
             # broken queue).  Give up residency everywhere; callers fall
             # back to cold pins or the row backend.
             self.invalidate_store()
 
-    def _raise_failure(self, reply: tuple) -> None:
-        tag = reply[0]
-        if tag == _ERROR:
-            _, exc, tb = reply
-            exc.worker_traceback = tb
-            raise exc
-        _, type_name, message, tb = reply
-        raise WorkerTaskError(
-            f"{type_name} in worker: {message}",
-            exc_type=type_name,
-            worker_traceback=tb,
-        )
-
-    # ------------------------------------------------------------------ #
     def shutdown(self) -> None:
         """Terminate the workers immediately.  Idempotent.
 
-        Uses ``terminate`` rather than a graceful stop so that a mid-flight
-        abort (driver error, service teardown) does not wait for queued
-        partitions to finish.  The partition store dies with the workers.
-        Any caller still waiting in ``_collect`` surfaces a
-        :class:`WorkerTaskError` on its next poll.
-
-        A worker that ignores SIGTERM for 2 seconds (wedged in a C
-        extension, masked signals) is escalated to SIGKILL and joined
-        again; the process handles are then released so repeated
-        create/shutdown cycles leak neither zombies nor fds.
+        ``terminate`` rather than a graceful stop: a mid-flight abort must
+        not wait for queued partitions.  The partition store dies with the
+        workers; any caller still waiting in ``_collect`` surfaces a
+        :class:`WorkerTaskError` on its next poll.  A worker that ignores
+        SIGTERM for 2 seconds (wedged in a C extension, masked signals) is
+        escalated to SIGKILL and joined again; the process handles are then
+        released so repeated create/shutdown cycles leak neither zombies
+        nor fds.
         """
         if not self._closed:
             self._closed = True
-            with self._store_lock:
-                self._pins.clear()
-                self._pin_sizes.clear()
-                self._derived.clear()
-                self._lineage.clear()
+            self._store.clear()
             for proc in self._procs:
                 proc.terminate()
             for proc in self._procs:
@@ -1361,129 +782,8 @@ class WorkerPool:
                 except ValueError:  # still running despite SIGKILL
                     pass
 
-    # ------------------------------------------------------------------ #
     def __enter__(self) -> "WorkerPool":
         return self
 
     def __exit__(self, *exc_info: Any) -> None:
         self.shutdown()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "closed" if self._closed else "open"
-        return (
-            f"<WorkerPool workers={self.workers} {self.start_method} {state} "
-            f"pins={len(self._pins)}>"
-        )
-
-
-class ShipLog:
-    """Delta-reader over the *calling context's* transport ledger.
-
-    Stages bracket their pool calls with a ``ShipLog`` and attach
-    ``take()`` to ``record_op`` — measured wall seconds, bytes shipped, and
-    payload count for exactly that stage.  The ledger is per-context
-    (see :class:`TransportCounters`), so two queries interleaving on one
-    shared pool each read only their own transport; single-threaded use is
-    unchanged.
-    """
-
-    def __init__(self, pool: WorkerPool):
-        self.pool = pool
-        self._counters = _context_counters()
-        self.reset()
-
-    def reset(self) -> None:
-        counters = self._counters
-        self._wall = counters.wall_seconds
-        self._bytes = counters.bytes_shipped
-        self._ships = counters.ship_count
-        self._retries = counters.retries
-
-    def take(self) -> dict[str, Any]:
-        """Counter deltas since construction/last take, as record_op kwargs."""
-        counters = self._counters
-        out = {
-            "wall_seconds": counters.wall_seconds - self._wall,
-            "bytes_shipped": counters.bytes_shipped - self._bytes,
-            "ship_count": counters.ship_count - self._ships,
-            "retries": counters.retries - self._retries,
-        }
-        self.reset()
-        return out
-
-
-def is_picklable(obj: Any) -> bool:
-    """Whether ``obj`` survives a pickle round trip (task-shippable)."""
-    try:
-        pickle.loads(pickle.dumps(obj))
-        return True
-    except Exception:
-        return False
-
-
-def is_module_level_callable(func: Any) -> bool:
-    """Whether ``func`` pickles *by reference* — the static fast path.
-
-    Pickle ships plain functions as ``module.qualname`` references, so a
-    module-level def is shippable iff its qualname resolves back to the
-    same object; lambdas and closures (``<lambda>``/``<locals>`` in the
-    qualname) never are.  This answers without serializing anything,
-    replacing a pickle round trip per probe.
-    """
-    if not callable(func):
-        return False
-    qualname = getattr(func, "__qualname__", None)
-    module = getattr(func, "__module__", None)
-    if not qualname or not module:
-        return False
-    if "<lambda>" in qualname or "<locals>" in qualname:
-        return False
-    obj: Any = sys.modules.get(module)
-    if obj is None:
-        return False
-    for part in qualname.split("."):
-        obj = getattr(obj, part, None)
-        if obj is None:
-            return False
-    return obj is func
-
-
-#: Builtin container/scalar types whose instances always pickle, provided
-#: their elements do — the type-walk below recurses into them.
-_SHIPPABLE_SCALARS = (str, bytes, bool, int, float, complex, type(None))
-_SHIPPABLE_CONTAINERS = (list, tuple, set, frozenset)
-
-
-def rows_statically_shippable(rows: Any, sample: int = 256) -> bool:
-    """Whether a table's rows can cross the process boundary — statically.
-
-    The legacy probe (``is_picklable(rows)``) serialized the entire table
-    just to answer yes/no; this walk types-check a sampled prefix instead:
-    builtin scalars and containers of them always pickle, and only rows
-    holding exotic values pay an actual per-row pickle probe.  Sampling is
-    sound for the engine's use: a False here merely routes the plan to the
-    serial path, and a True is re-validated by the pin itself (a failing
-    pin falls back identically — see ``CleanDB._sync_pin``).
-    """
-    if not isinstance(rows, list):
-        return is_picklable(rows)
-    for row in rows[:sample]:
-        if not _value_shippable(row):
-            return False
-    return True
-
-
-def _value_shippable(value: Any, depth: int = 6) -> bool:
-    if isinstance(value, _SHIPPABLE_SCALARS):
-        return True
-    if depth <= 0:
-        return is_picklable(value)
-    if isinstance(value, dict):
-        return all(
-            _value_shippable(k, depth - 1) and _value_shippable(v, depth - 1)
-            for k, v in value.items()
-        )
-    if isinstance(value, _SHIPPABLE_CONTAINERS):
-        return all(_value_shippable(v, depth - 1) for v in value)
-    # Exotic value (custom class, callable, file handle...): one real probe.
-    return is_picklable(value)

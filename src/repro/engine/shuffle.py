@@ -12,17 +12,15 @@ strategy is computed:
   has already shrunk the data map-side, so far fewer records move (models
   CleanDB's ``aggregateByKey``).
 
-:func:`shuffle` is the serial entry point the simulated :class:`~repro.
-engine.dataset.Dataset` operators use.  :func:`exchange` generalizes it into
-a *real* exchange: given a :class:`~repro.engine.parallel.WorkerPool`, the
-map-side routing of each input partition runs in a worker process, and the
-driver only merges the routed buckets.  :func:`exchange_resident` is the
+:func:`shuffle` is the entry point the simulated :class:`~repro.engine.
+dataset.Dataset` operators use; it and the row cleaning drivers go through
+the driver-side :func:`exchange`.  :func:`exchange_resident` is the
 handle-based form the parallel fast paths use: input partitions are
-referenced by :class:`~repro.engine.parallel.StoreRef`, map-side workers
+referenced by :class:`~repro.engine.worker.StoreRef`, map-side workers
 pickle each target's bucket into an *opaque blob* at the tail of whatever
 stage produced the keyed records, the driver forwards the blobs to the
 target workers without ever unpickling a row, and the merged target
-partitions head the downstream stage there.  All paths produce byte-identical
+partitions head the downstream stage there.  Both produce byte-identical
 output: target partition *p* receives input partition *i*'s records before
 partition *i+1*'s, each in original order.
 """
@@ -50,7 +48,6 @@ def shuffle(
     partitions: list[list[KeyedRecord]],
     num_partitions: int,
     kind: str = "hash",
-    op_name: str = "shuffle",
 ) -> tuple[list[list[KeyedRecord]], int, float]:
     """Redistribute ``(key, value)`` records into ``num_partitions`` buckets.
 
@@ -58,7 +55,7 @@ def shuffle(
     responsible for recording the op metrics (it usually folds in reduce-side
     work first).
     """
-    return exchange(cluster, partitions, num_partitions, kind=kind, op_name=op_name)
+    return exchange(cluster, partitions, num_partitions, kind=kind)
 
 
 def exchange(
@@ -66,37 +63,22 @@ def exchange(
     partitions: list[list[KeyedRecord]],
     num_partitions: int,
     kind: str = "hash",
-    pool: WorkerPool | None = None,
-    op_name: str = "exchange",
 ) -> tuple[list[list[KeyedRecord]], int, float]:
-    """A real hash-/range-partitioned exchange of keyed records.
+    """A hash-/range-partitioned exchange of keyed records, on the driver.
 
     Map side: every input partition is routed into per-target buckets by the
-    strategy's partitioner — in worker processes when ``pool`` is given,
-    inline otherwise.  Reduce side: the driver concatenates each target's
-    buckets in input-partition order, preserving intra-partition order, so
-    the result is deterministic and independent of how routing was executed.
+    strategy's partitioner.  Reduce side: each target's buckets are
+    concatenated in input-partition order, preserving intra-partition order
+    — the determinism contract :func:`exchange_resident` reproduces.
 
     Returns ``(new_partitions, records_moved, shuffle_cost)`` exactly like
     :func:`shuffle`; the two are interchangeable.
     """
     total = sum(len(p) for p in partitions)
     partitioner, factor = _select_partitioner(cluster, partitions, num_partitions, kind)
-
-    if pool is not None and len(partitions) > 1:
-        routed = pool.run(
-            _route_partition,
-            [(part, partitioner, num_partitions) for part in partitions],
-        )
-    else:
-        routed = [
-            _route_partition(part, partitioner, num_partitions)
-            for part in partitions
-        ]
-
     out: list[list[KeyedRecord]] = [[] for _ in range(num_partitions)]
-    for buckets in routed:  # input-partition order: the determinism contract
-        for target, bucket in enumerate(buckets):
+    for part in partitions:  # input-partition order: the determinism contract
+        for target, bucket in enumerate(_route_partition(part, partitioner, num_partitions)):
             if bucket:
                 out[target].extend(bucket)
 
@@ -188,11 +170,7 @@ def _select_partitioner(
 def _route_partition(
     part: list[KeyedRecord], partitioner: Partitioner, num_partitions: int
 ) -> list[list[KeyedRecord]]:
-    """Map-side routing of one partition into dense per-target buckets.
-
-    Module-level and driven only by picklable arguments so it can run as a
-    worker-pool task.
-    """
+    """Map-side routing of one partition into dense per-target buckets."""
     buckets: list[list[KeyedRecord]] = [[] for _ in range(num_partitions)]
     for key, value in part:
         buckets[partitioner.partition(key)].append((key, value))

@@ -59,3 +59,23 @@ class UnsupportedOperationError(ReproError):
     Used by the baselines, e.g. BigDansing has no term-validation support and
     its dedup is specific to the ``customer`` table (paper §8).
     """
+
+
+class WorkerTaskError(ReproError):
+    """A task failed in a worker and its exception could not be transported
+    — or the worker process itself died mid-task.
+
+    Carries the worker-side exception type name and formatted traceback so
+    the failure is still diagnosable on the driver.
+    """
+
+    def __init__(self, message: str, exc_type: str = "Exception", worker_traceback: str = ""):
+        super().__init__(message)
+        self.exc_type = exc_type
+        self.worker_traceback = worker_traceback
+
+
+class StaleHandleError(ReproError):
+    """A task referenced a worker-store handle whose partition is no longer
+    (or never was) resident on the worker — evicted, superseded by a newer
+    table version, or lost to a worker restart."""

@@ -10,10 +10,11 @@ optimizer instead of becoming black-box UDFs.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any, Callable, Mapping, Sequence
 
-from ..cleaning.similarity import get_metric, similar
+from ..cleaning.similarity import get_metric, record_matcher, similar
 from ..cleaning.tokenize import qgrams
+from ..errors import PlanningError
 
 
 def prefix(value: Any, length: int = 3) -> str:
@@ -21,20 +22,22 @@ def prefix(value: Any, length: int = 3) -> str:
     return str(value)[:length]
 
 
+def freeze(value: Any) -> Any:
+    """Make a value hashable: the one way grouping/join keys and
+    ``distinct_count`` operands are frozen, on every backend."""
+    if isinstance(value, dict):
+        return tuple(sorted((k, freeze(v)) for k, v in value.items()))
+    if isinstance(value, (list, set, frozenset)):
+        return tuple(freeze(v) for v in value)
+    return value
+
+
 def _count(collection: Any) -> int:
     return len(collection)
 
 
 def _distinct_count(collection: Any) -> int:
-    return len(set(_hashable(v) for v in collection))
-
-
-def _hashable(value: Any) -> Any:
-    if isinstance(value, dict):
-        return tuple(sorted((k, _hashable(v)) for k, v in value.items()))
-    if isinstance(value, (list, set)):
-        return tuple(_hashable(v) for v in value)
-    return value
+    return len({freeze(v) for v in collection})
 
 
 DEFAULT_FUNCTIONS: dict[str, Callable] = {
@@ -67,3 +70,118 @@ BUILTIN_FUNCTION_NAMES: frozenset[str] = frozenset(DEFAULT_FUNCTIONS)
 def register_function(name: str, func: Callable) -> None:
     """Add a scalar function usable from CleanM queries."""
     DEFAULT_FUNCTIONS[name] = func
+
+
+# -- Per-query builtins: what rewritten comprehensions call ----------------- #
+def _rid(record: Any) -> Any:
+    if isinstance(record, dict) and "_rid" in record:
+        return record["_rid"]
+    return id(record)
+
+
+def _nth_key(key: Any, index: int) -> Any:
+    """Project one component of a frozen composite grouping key."""
+    if isinstance(key, tuple):
+        component = key[index]
+        # Frozen RecordCons keys are (name, value) pairs.
+        if isinstance(component, tuple) and len(component) == 2 and isinstance(component[0], str):
+            return component[1]
+        return component
+    return key
+
+
+def _aggregate(kind: str, partition: Any, attr: str | None) -> Any:
+    values = [
+        (record.get(attr) if isinstance(record, dict) and attr else record)
+        for record in partition
+    ]
+    if kind == "count":
+        return len(values)
+    if kind == "distinct_count":
+        return _distinct_count(values)
+    numbers = [v for v in values if isinstance(v, (int, float))]
+    if kind == "sum":
+        return sum(numbers)
+    if kind == "avg":
+        return sum(numbers) / len(numbers) if numbers else None
+    if kind == "min":
+        return min(numbers) if numbers else None
+    if kind == "max":
+        return max(numbers) if numbers else None
+    raise PlanningError(f"unknown aggregate {kind!r}")
+
+
+#: Every per-query builtin — the one table: :func:`query_functions` binds it
+#: for the executor and the static analyzer exempts exactly its names
+#: (``core.semantics.ENGINE_BUILTINS``).  ``None`` marks the three that
+#: close over one query's blocking parameters and dictionary.  The lambdas
+#: and closures stay unshippable on purpose — a plan calling one is left to
+#: the row path by ``ParallelExecutor.supports``.
+QUERY_BUILTINS: dict[str, Callable | None] = {
+    "block_keys": None,
+    "in_dictionary": None,
+    "similar_records": None,
+    "rid_less": lambda a, b: _rid(a) < _rid(b),
+    "pair": lambda a, b: (a, b),
+    "freeze": freeze,
+    "nth": _nth_key,
+    "agg": _aggregate,
+    "concat_terms": lambda *parts: " ".join(str(p) for p in parts),
+}
+
+
+def query_functions(
+    branches: Sequence[Any], primary: str, tables: Mapping[str, Sequence[Any]],
+    *, q: int, k: int, delta: float, seed: int, sim_filters: bool,
+) -> dict[str, Callable]:
+    """:data:`QUERY_BUILTINS` bound for one compiled query: ``branches`` are
+    its de-sugared branches, ``primary`` its first FROM table.
+
+    The dictionary a CLUSTER BY names is broadcast for the exact-match
+    short-circuit; k-means centers are sampled from it when the branch
+    blocks by k-means, otherwise from the primary table's terms.
+    """
+    from ..cleaning.kmeans import assign_to_centers, reservoir_sample
+
+    clusters = [b for b in branches if b.kind == "cluster_by"]
+    dictionary = tables.get(clusters[0].params["dictionary"], []) if clusters else []
+    dictionary_terms = {str(r) for r in dictionary}
+    kmeans = [b for b in clusters if b.params.get("op") == "kmeans"]
+    if kmeans:
+        terms = [str(x) for x in tables.get(kmeans[0].params["dictionary"], [])]
+    else:
+        terms = [
+            str(next(iter(r.values()), "")) if isinstance(r, dict) else str(r)
+            for r in tables.get(primary, [])[: k * 20]
+        ]
+    centers = reservoir_sample(terms, k, seed=seed) or [""]
+
+    def block_keys(kind: str, term: Any) -> list[Any]:
+        text = str(term)
+        if kind == "token_filtering":
+            return list(set(qgrams(text, q)) or {""})
+        if kind == "kmeans":
+            return assign_to_centers(text, centers, "LD", delta)
+        if kind == "length_filtering":
+            return [len(text) // 2]
+        if kind in ("exact", "key"):
+            return [text]
+        raise PlanningError(f"unknown blocking op {kind!r}")
+
+    # One matcher per (metric, theta, attrs) for the query's lifetime:
+    # its join is built and each row prepared once, not once per pair.
+    matchers: dict[tuple, Any] = {}
+
+    def similar_records(metric: str, a: dict, b: dict, theta: float, attrs: Any) -> bool:
+        key = (metric, theta, tuple(attrs))
+        match = matchers.get(key)
+        if match is None:
+            match = matchers[key] = record_matcher(key[2], metric, theta, banded=sim_filters)
+        return match(a, b)
+
+    return {
+        **QUERY_BUILTINS,
+        "block_keys": block_keys,
+        "in_dictionary": lambda term: str(term) in dictionary_terms,
+        "similar_records": similar_records,
+    }

@@ -38,10 +38,10 @@ from ..algebra.operators import (
 )
 from ..engine.cluster import Cluster
 from ..engine.dataset import Dataset
-from ..errors import PlanningError, SchemaError
+from ..errors import PlanningError, SchemaError, StaleHandleError, WorkerTaskError
 from ..monoid.expressions import Expr, compiled
 from ..monoid.monoids import Monoid
-from .functions import DEFAULT_FUNCTIONS
+from .functions import DEFAULT_FUNCTIONS, freeze
 from .theta_join import theta_join_cartesian, theta_join_matrix
 
 
@@ -123,8 +123,6 @@ class Executor:
             if vectorized.supports(op):
                 return vectorized.run(op)
         elif self.config.execution == "parallel":
-            from ..engine.parallel import StaleHandleError, WorkerTaskError
-
             parallel = self._parallel_executor()
             if parallel.supports(op):
                 try:
@@ -259,10 +257,10 @@ class Executor:
         rk = [self._fn(k) for k in op.right_keys]
 
         def left_key(env: dict) -> Any:
-            return tuple(_freeze(k(env)) for k in lk)
+            return tuple(freeze(k(env)) for k in lk)
 
         def right_key(env: dict) -> Any:
-            return tuple(_freeze(k(env)) for k in rk)
+            return tuple(freeze(k(env)) for k in rk)
 
         keyed_l = left.map(lambda env: (left_key(env), env), name="join:keyL")
         keyed_r = right.map(lambda env: (right_key(env), env), name="join:keyR")
@@ -311,12 +309,12 @@ class Executor:
 
         if multi:
             def key_records(env: dict) -> list[tuple[Any, dict]]:
-                return [(_freeze(k), env) for k in key(env)]
+                return [(freeze(k), env) for k in key(env)]
 
             keyed = child.flat_map(key_records, name="nest:multiKey")
         else:
             keyed = child.map(
-                lambda env: (_freeze(key(env)), env),
+                lambda env: (freeze(key(env)), env),
                 name="nest:keyBy",
             )
 
@@ -400,15 +398,6 @@ class Executor:
         for name, branch in zip(names, op.branches):
             results[name] = self._input(branch, nest_cache)
         return results
-
-
-def _freeze(value: Any) -> Any:
-    """Make a grouping key hashable."""
-    if isinstance(value, dict):
-        return tuple(sorted((k, _freeze(v)) for k, v in value.items()))
-    if isinstance(value, (list, set, frozenset)):
-        return tuple(_freeze(v) for v in value)
-    return value
 
 
 def _is_collection(monoid: Monoid) -> bool:

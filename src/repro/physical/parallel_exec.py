@@ -7,7 +7,7 @@ keeps the row representation — per-row environment dictionaries, evaluated
 by the same compiled expressions — and changes *where* the work runs **and
 where the data lives**: each source table is pinned into the worker
 processes' partition store once and referenced by :class:`~repro.engine.
-parallel.StoreRef` handle ever after; a partition's narrow operators (scan
+worker.StoreRef` handle ever after; a partition's narrow operators (scan
 binding, filters, map-side combines, head projection) run back to back in
 *one* task — a pool *stage* — and every wide dependency goes through the
 resident :func:`~repro.engine.shuffle.exchange_resident`, whose map-side
@@ -50,24 +50,21 @@ from ..algebra.operators import (
     Select,
     SharedScanDAG,
 )
+from ..core.shippable import is_module_level_callable, is_picklable, rows_statically_shippable
 from ..engine.dataset import Dataset
-from ..engine.parallel import (
-    ShipLog,
-    StoreRef,
-    WorkerTaskError,
-    is_module_level_callable,
-    is_picklable,
-    rows_statically_shippable,
-)
 from ..engine.shuffle import exchange_resident
-from ..errors import PlanningError, SchemaError
+from ..engine.transport import ShipLog
+from ..engine.worker import StoreRef
+from ..errors import PlanningError, SchemaError, WorkerTaskError
 from ..monoid.expressions import Call, Expr, compiled
 from ..sources.columnar import round_robin_split
 
+from .functions import freeze
+
 # Safe at module load: lower's own module-level imports do not reach back
 # here (it imports this module lazily inside Executor._parallel_executor),
-# and sharing its helpers keeps Reduce/key semantics from drifting.
-from .lower import _freeze, _is_collection
+# and sharing its helper keeps Reduce semantics from drifting.
+from .lower import _is_collection
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from .lower import Executor
@@ -110,7 +107,7 @@ def _keyed_task(
 ) -> list[tuple[Any, dict]]:
     """Join map side: pair each environment with its frozen key tuple."""
     keys = [compiled(k) for k in key_exprs]
-    return [(tuple(_freeze(k(env, functions)) for k in keys), env) for env in envs]
+    return [(tuple(freeze(k(env, functions)) for k in keys), env) for env in envs]
 
 
 def _join_probe_task(
@@ -144,7 +141,7 @@ def _nest_combine_task(
     heads = [(name, monoid, compiled(head)) for name, monoid, head in aggregates]
     combiners: dict[Any, dict[str, Any]] = {}
     for env in envs:
-        key = _freeze(key_of(env, functions))
+        key = freeze(key_of(env, functions))
         unit = {
             name: monoid.unit(head_of(env, functions))
             for name, monoid, head_of in heads
@@ -465,9 +462,7 @@ class ParallelExecutor:
         self.catalog = executor.catalog
         self.config = executor.config
         self.functions = executor.functions
-        self.pinned_tables: dict[str, tuple[str, int]] = dict(
-            getattr(executor, "pinned_tables", None) or {}
-        )
+        self.pinned_tables: dict[str, tuple[str, int]] = dict(executor.pinned_tables)
         # Only picklable functions can cross the process boundary; plans
         # calling anything else are left to the row path by supports().
         # Module-level defs are judged statically (pickled by reference);

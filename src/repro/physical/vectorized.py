@@ -65,6 +65,7 @@ from ..sources.columnar import (
     round_robin_split,
     uniform_dict_records,
 )
+from .functions import freeze
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .lower import Executor
@@ -477,7 +478,7 @@ class VectorizedExecutor:
 
     def _key_column(self, env: EnvBatch, key_exprs: tuple[Expr, ...]) -> list[Any]:
         cols = [
-            [_freeze(v) for v in eval_column(k, env, self.functions)]
+            [freeze(v) for v in eval_column(k, env, self.functions)]
             for k in key_exprs
         ]
         if len(cols) == 1:
@@ -493,7 +494,7 @@ class VectorizedExecutor:
         local: list[dict[Any, dict[str, Any]]] = []
         for env in child:
             keys = [
-                _freeze(v)
+                freeze(v)
                 for v in eval_column(op.key, env, self.functions)
             ]
             head_cols = [
@@ -676,12 +677,3 @@ def _records_columnarizable(source: Any) -> bool:
     if isinstance(source[0], dict):
         return uniform_dict_records(source)
     return not any(isinstance(r, (dict, Dataset)) for r in source)
-
-
-def _freeze(value: Any) -> Any:
-    """Make a grouping/join key hashable (mirrors lower._freeze)."""
-    if isinstance(value, dict):
-        return tuple(sorted((k, _freeze(v)) for k, v in value.items()))
-    if isinstance(value, (list, set, frozenset)):
-        return tuple(_freeze(v) for v in value)
-    return value

@@ -32,7 +32,7 @@ pieces, and where each guarantee comes from:
   cold path), so the cap trades warm-start time for memory, never
   correctness.
 * **Accounting** — each query thread begins a fresh transport scope
-  (:func:`~repro.engine.parallel.begin_transport_scope`), so the per-op
+  (:func:`~repro.engine.transport.begin_transport_scope`), so the per-op
   ``bytes_shipped`` / ``wall_seconds`` a query reports are its own even
   when ten queries interleave on the pool.
 """
@@ -47,7 +47,8 @@ from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 from ..core.language import CleanDB, load_backend
-from ..engine.parallel import DEFAULT_WORKERS, WorkerPool, begin_transport_scope
+from ..engine.parallel import DEFAULT_WORKERS, WorkerPool
+from ..engine.transport import begin_transport_scope
 from ..errors import BudgetExceededError, ReproError
 
 #: Query operations a spec's ``"op"`` key may name, with their required keys.
@@ -481,7 +482,7 @@ class CleanService:
                 continue
             if tenant == protect or session.busy:
                 continue
-            session.db.unpin_table(table)
+            session.db.tables.unpin(table)
 
     # ------------------------------------------------------------------ #
     def close(self) -> None:

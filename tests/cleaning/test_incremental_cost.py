@@ -68,7 +68,7 @@ def session():
 
 
 def state_of(db, table):
-    (only,) = db._inc_tables[table].states.values()
+    (only,) = db.tables._mirrors[table].states.values()
     return only
 
 

@@ -76,11 +76,54 @@ def test_row_query_never_reaches_the_pool(table_spec):
     modules = loaded_after_cli("query", "--table", table_spec, SQL)
     assert "repro.physical.lower" in modules  # the query did run
     assert not under(
-        modules, "repro.engine.parallel", "repro.engine.faults",
+        modules, "repro.engine.parallel", "repro.engine.faults", "repro.engine.worker",
+        "repro.engine.store", "repro.engine.transport",
         "repro.physical.parallel_exec", "repro.physical.vectorized", "repro.serving",
         "repro.cleaning.incremental", "repro.cleaning.repair", "repro.baselines",
         "repro.evaluation.runner", "multiprocessing",
     )
+
+
+POOL_MODULES = (
+    "repro.engine.parallel", "repro.engine.worker", "repro.engine.store",
+    "repro.engine.transport", "repro.engine.faults", "repro.physical.parallel_exec",
+    "multiprocessing",
+)
+
+
+def test_checking_for_the_parallel_backend_loads_no_pool(table_spec):
+    """``repro check --execution parallel`` is documented as side-effect free:
+    the shippability rule it applies (CM501) is a pure module."""
+    modules = loaded_after_cli("check", "--execution", "parallel", "--table", table_spec, SQL)
+    assert "repro.core.shippable" in modules  # the rule did run
+    assert not under(modules, *POOL_MODULES)
+
+
+def test_a_bare_parallel_analysis_loads_no_pool():
+    modules = set(fresh(
+        "import json, sys\n"
+        "from repro.core.semantics import analyze_query\n"
+        "from repro.physical.functions import register_function\n"
+        "register_function('shout', lambda s: str(s).upper())\n"
+        "diags = analyze_query('SELECT shout(x.a) FROM t x', {'t': [{'a': 1}]},\n"
+        "                      execution='parallel')\n"
+        "assert [d.code for d in diags] == ['CM501'], diags\n"
+        "print(json.dumps(sorted(sys.modules)))"
+    ))
+    assert not under(modules, *POOL_MODULES, "repro.core.language", "repro.engine")
+
+
+def test_catching_a_pool_error_loads_no_engine():
+    modules = set(fresh(
+        "import json, sys\n"
+        "from repro.errors import ReproError, StaleHandleError, WorkerTaskError\n"
+        "try:\n"
+        "    raise WorkerTaskError('lost', exc_type='RetriesExhausted')\n"
+        "except (WorkerTaskError, StaleHandleError) as exc:\n"
+        "    assert isinstance(exc, ReproError) and exc.exc_type == 'RetriesExhausted'\n"
+        "print(json.dumps(sorted(sys.modules)))"
+    ))
+    assert under(modules, "repro") == {"repro", "repro._lazy", "repro.errors"}
 
 
 def test_a_submodule_import_executes_only_that_submodule():
@@ -117,7 +160,7 @@ print(json.dumps({"at_construction": at_construction, "forked_early": forked,
 """
 
 TASK_BEARING = {
-    "repro.engine.parallel", "repro.engine.shuffle", "repro.physical.parallel_exec",
+    "repro.engine.worker", "repro.engine.shuffle", "repro.physical.parallel_exec",
     "repro.cleaning.denial", "repro.cleaning.dc_kernel", "repro.cleaning.dedup",
     "repro.cleaning.simjoin", "repro.cleaning.rowid",
     "repro.monoid.expressions", "repro.sources.columnar",

@@ -1,0 +1,140 @@
+"""The table store behind the facade: a failing write changes nothing.
+
+``update_rows`` used to replace rows rid by rid and only then discover an
+unknown rid or a non-dict replacement, so a failing call left earlier rows
+replaced *without* a version bump, delta shipment or mirror update — the
+session then served stale answers.  The whole mapping is validated first
+now; these tests hold every kind of session to "a raise is a no-op".
+"""
+
+import copy
+
+import pytest
+
+from repro import CleanDB
+from repro.core.tables import TableStore
+from repro.engine import Cluster
+from repro.errors import SchemaError
+
+RULE = "t1.a = t2.a and t1.price < t2.price and t1.disc > t2.disc"
+
+SESSIONS = {
+    "row": {},
+    "parallel": {"execution": "parallel", "workers": 2},
+    "incremental": {"execution": "parallel", "workers": 2, "incremental": True},
+    "incremental-row": {"incremental": True},
+}
+
+
+def rows():
+    """Every FD key a -> b is violated by exactly one early row, so fixing
+    row 0 changes the answer: a stale session keeps reporting key 0."""
+    return [
+        {"a": i % 3, "b": (5 + i) if i < 3 else 0, "name": f"name {i % 4}",
+         "price": float(i), "disc": float(12 - i)}
+        for i in range(12)
+    ]
+
+
+def answers(db):
+    return (
+        sorted(v.key for v in db.check_fd("t", ["a"], ["b"])),
+        sorted((p["_rid"], q["_rid"]) for p, q in db.check_dc("t", RULE)),
+        sorted(repr(pair) for pair in db.deduplicate("t", ["name"], block_on="a")),
+    )
+
+
+@pytest.mark.parametrize("kind", SESSIONS)
+@pytest.mark.parametrize("bad", ["unknown rid", "non-dict row"])
+def test_a_failing_update_leaves_the_session_untouched(kind, bad):
+    with CleanDB(num_nodes=2, **SESSIONS[kind]) as db:
+        db.register_table("t", rows())
+        warm = answers(db)  # builds the mirror states on incremental sessions
+        assert warm[0] == [0, 1, 2]
+        store = db.tables
+        rid0 = db.table("t")[0]["_rid"]
+        fixed = {"a": 0, "b": 0, "name": "x", "price": 1.0, "disc": 1.0}
+        update = {rid0: fixed, "nope": dict(fixed)} if bad == "unknown rid" else {
+            rid0: fixed, db.table("t")[1]["_rid"]: "not a row",
+        }
+
+        before_rows = copy.deepcopy(db.table("t"))
+        version = store.versions["t"]
+        key = store.pinned_key("t")
+        refs = db.cluster.pool.pinned(*key) if key else None
+        states = dict(store._mirrors["t"].states) if "t" in store._mirrors else None
+
+        with pytest.raises(SchemaError):
+            db.update_rows("t", update)
+
+        assert db.table("t") == before_rows
+        assert store.versions["t"] == version
+        assert store.pinned_key("t") == key
+        if key:
+            assert db.cluster.pool.pinned(*key) == refs
+            assert db.cluster.pool.fetch(refs) == [before_rows[0::2], before_rows[1::2]]
+        if states is not None:
+            assert dict(store._mirrors["t"].states) == states
+
+        with CleanDB(num_nodes=2) as cold:
+            cold.register_table("t", db.table("t"))
+            assert answers(db) == answers(cold) == warm
+
+        # The same mapping without the bad entry still applies, and lands.
+        db.update_rows("t", {rid0: fixed})
+        assert store.versions["t"] == version + 1
+        with CleanDB(num_nodes=2) as cold:
+            cold.register_table("t", db.table("t"))
+            after = answers(db)
+            assert after == answers(cold)
+            assert after[0] == [1, 2]
+
+
+def test_an_empty_write_is_a_no_op():
+    with CleanDB(num_nodes=2) as db:
+        db.register_table("t", rows())
+        version = db.tables.versions["t"]
+        db.append_rows("t", [])
+        db.update_rows("t", {})
+        assert db.tables.versions["t"] == version
+
+
+class TestTableStore:
+    def test_names_in_registration_order(self):
+        store = TableStore(Cluster(num_nodes=2))
+        store.register("b", [1, 2])
+        store.register("a", [{"x": 1}])
+        assert store.names() == ["b", "a"]
+        assert "a" in store and "c" not in store
+        assert store.get("a")[0]["_rid"] == 0
+        with pytest.raises(SchemaError, match="unknown table 'c'"):
+            store.get("c")
+
+    def test_a_driver_only_store_pins_nothing(self):
+        cluster = Cluster(num_nodes=2)
+        store = TableStore(cluster, incremental=True)
+        store.register("t", rows())
+        store.append("t", [{"a": 9, "b": 9}])
+        store.update("t", {0: {"a": 8}})
+        store.unpin("t")
+        store.release()
+        assert store.versions["t"] == 3
+        assert store.pinned_key("t") is None and store.pinned_map() == {}
+        assert store.pinned_bytes("t") == 0
+        assert not cluster.has_pool  # nothing above reached for a pool
+
+    def test_the_pin_identity_is_tenant_qualified(self):
+        store = TableStore(Cluster(num_nodes=2), namespace="acme", parallel=True)
+        store.versions["t"] = 4  # identity only: nothing is pinned here
+        assert store.pinned_key("t") == ("acme/table:t", 4)
+        assert store.pinned_map() == {"t": ("acme/table:t", 4)}
+        with pytest.raises(ValueError, match="must not contain '/'"):
+            TableStore(Cluster(num_nodes=2), namespace="a/b")
+
+    def test_schema_info_is_cached_per_version(self):
+        store = TableStore(Cluster(num_nodes=2))
+        store.register("t", [{"x": 1}])
+        first = store.info("t")
+        assert store.info("t") is first
+        store.append("t", [{"x": 2, "y": "new"}])
+        assert store.info("t") is not first

@@ -121,8 +121,7 @@ class TestWorkerPool:
 
     def test_wall_clock_observed(self, pool):
         pool.run(_square, [(i,) for i in range(4)])
-        assert pool.last_wall_seconds > 0.0
-        assert pool.wall_seconds_total >= pool.last_wall_seconds
+        assert pool.wall_seconds_total > 0.0
         assert pool.tasks_dispatched == 4
 
 

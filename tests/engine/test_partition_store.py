@@ -183,7 +183,7 @@ class TestEvictionAndVersions:
         assert pool.fetch(new) == [[10], [20]]
 
     def test_derived_cache_is_bounded_lru(self, pool):
-        from repro.engine.parallel import DERIVED_CACHE_LIMIT
+        from repro.engine.store import DERIVED_CACHE_LIMIT
 
         refs = pool.pin("t", 1, [[1], [2]])
         stored = {}

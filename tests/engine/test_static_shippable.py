@@ -10,11 +10,8 @@ not just a function id.
 
 import pytest
 
+from repro.core.shippable import is_module_level_callable, rows_statically_shippable
 from repro.engine import WorkerPool
-from repro.engine.parallel import (
-    is_module_level_callable,
-    rows_statically_shippable,
-)
 
 
 def _module_func(x):

@@ -108,7 +108,7 @@ def test_random_fault_schedules_are_invisible(oracle, records, schedule, ops, ex
         survivor.register_table(
             "s", with_rids([{"a": i % 3, "b": i % 2, "c": i} for i in range(8)])
         )
-        skey = survivor._pinned_key("s")
+        skey = survivor.tables.pinned_key("s")
         srefs = pool.pinned(*skey)
         assert srefs is not None
         sparts = repr(pool.fetch(srefs))

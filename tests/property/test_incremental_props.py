@@ -150,7 +150,7 @@ def test_rows_moving_between_groups(dbs):
         db.update_rows(name, update)
         assert _matches_cold(db, oracle, name, "a")
     # Served from the maintained states throughout, none dropped on the way.
-    assert len(db._inc_tables[name].states) == 5
+    assert len(db.tables._mirrors[name].states) == 5
 
 
 def test_fd_values_are_spelled_as_the_cold_run_spells_them(dbs):
@@ -178,10 +178,10 @@ def test_empty_delta_is_noop(execution):
     try:
         db.register_table("t", with_rids([{"a": i % 2, "b": i % 3} for i in range(9)]))
         before = repr(db.check_fd("t", ["a"], ["b"]))
-        version = db._table_versions["t"]
+        version = db.tables.versions["t"]
         db.append_rows("t", [])
         db.update_rows("t", {})
-        assert db._table_versions["t"] == version
+        assert db.tables.versions["t"] == version
         assert repr(db.check_fd("t", ["a"], ["b"])) == before
     finally:
         db.close()

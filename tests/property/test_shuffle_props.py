@@ -1,18 +1,20 @@
-"""Property-based tests for the real exchange (`engine.shuffle.exchange`).
+"""Property-based tests for the driver-side exchange
+(`engine.shuffle.exchange`).
 
-The exchange is the one place records cross process boundaries, so its
-invariants are the backbone of every parallel wide dependency:
+Its routing is the contract every wide dependency shares — the resident
+exchange the worker pool runs is held to it by ``test_partition_store.py``
+and ``test_stage_fusion_props.py``:
 
-* the multiset of records is preserved for any worker/partition count;
+* the multiset of records is preserved for any partition count;
 * records with equal keys are co-located in one output partition;
 * hash and sort (range) strategies agree on *grouped* results;
-* routing in worker processes is byte-identical to routing inline.
+* two runs produce byte-identical partition contents.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import Cluster, WorkerPool
+from repro.engine import Cluster
 from repro.engine.shuffle import exchange, partition_by_key
 
 # Homogeneous key pools keep range partitioning well-defined (keys must be
@@ -37,23 +39,6 @@ def _split(data, parts):
     for i, record in enumerate(data):
         out[i % parts].append(record)
     return out
-
-
-# Shared pool for the pooled-routing property: one pool across examples
-# keeps the suite fast; shut down at module teardown via the fixture below.
-_POOL = None
-
-
-def _shared_pool():
-    global _POOL
-    if _POOL is None or _POOL.closed:
-        _POOL = WorkerPool(2)
-    return _POOL
-
-
-def teardown_module(module):
-    if _POOL is not None:
-        _POOL.shutdown()
 
 
 @settings(max_examples=40)
@@ -101,17 +86,3 @@ def test_exchange_is_deterministic_in_order(data, src, n):
     first, _, _ = exchange(cluster, _split(data, src), n, kind="hash")
     second, _, _ = exchange(cluster, _split(data, src), n, kind="hash")
     assert repr(first) == repr(second)
-
-
-@settings(max_examples=15, deadline=None)
-@given(keyed_records, source_partitions, target_partitions, kinds)
-def test_pooled_routing_matches_serial(data, src, n, kind):
-    """Routing in real worker processes is byte-identical to inline routing
-    — same partitions, same order — for any worker/partition count."""
-    cluster = Cluster(num_nodes=3)
-    serial, s_moved, s_cost = exchange(cluster, _split(data, src), n, kind=kind)
-    pooled, p_moved, p_cost = exchange(
-        cluster, _split(data, src), n, kind=kind, pool=_shared_pool()
-    )
-    assert repr(serial) == repr(pooled)
-    assert (s_moved, s_cost) == (p_moved, p_cost)

@@ -152,7 +152,7 @@ class TestBudgetIsolation:
             assert rich.status == "ok"
             # The abort never unwinds the sibling's gather or the pool.
             assert svc.session("rich").db.pinned_table_bytes("t") > 0
-            key = svc.session("rich").db._pinned_key("t")
+            key = svc.session("rich").db.tables.pinned_key("t")
             assert svc.pool.pinned(*key) is not None
             # The pool keeps serving: rich runs another query afterwards.
             again = svc.run_queries([dict(fd, tenant="rich")])
@@ -247,7 +247,7 @@ class TestFaultRecovery:
             assert svc.pool.retries_total >= 1
             # Both tenants' pins are still resident on the healed pool.
             for tenant in ("acme", "zen"):
-                key = svc.session(tenant).db._pinned_key("t")
+                key = svc.session(tenant).db.tables.pinned_key("t")
                 assert svc.pool.pinned(*key) is not None
         finally:
             svc.close()

@@ -92,6 +92,19 @@ class TestRules:
         )
         assert codes(findings) == ["E103"]
 
+    def test_e103_allowlist_is_the_wire_protocol_not_the_pool(self, tmp_path):
+        source = "import pickle\n\ndef decode(blob):\n    return pickle.loads(blob)\n"
+        engine = tmp_path / "repro" / "engine"
+        core = tmp_path / "repro" / "core"
+        engine.mkdir(parents=True)
+        core.mkdir(parents=True)
+        for path in (engine / "worker.py", engine / "shuffle.py", core / "shippable.py",
+                     engine / "parallel.py", engine / "store.py"):
+            path.write_text(source)
+        findings = lint_paths([tmp_path], ALL_RULES, root=tmp_path)
+        assert sorted(Path(f.path).name for f in findings) == ["parallel.py", "store.py"]
+        assert codes(findings) == ["E103", "E103"]
+
     def test_e104_pool_attribute_write(self, tmp_path):
         findings = lint_source(
             tmp_path,
@@ -102,6 +115,15 @@ class TestRules:
             """,
         )
         assert codes(findings) == ["E104", "E104"]
+
+    def test_e104_the_pool_and_its_registry_are_exempt(self, tmp_path):
+        target = tmp_path / "repro" / "engine"
+        target.mkdir(parents=True)
+        for name in ("parallel.py", "store.py", "worker.py"):
+            (target / name).write_text("def reset(pool):\n    pool.workers = 0\n")
+        findings = lint_paths([tmp_path], ALL_RULES, root=tmp_path)
+        assert [Path(f.path).name for f in findings] == ["worker.py"]
+        assert codes(findings) == ["E104"]
 
     def test_e104_assigning_the_pool_field_itself_is_fine(self, tmp_path):
         findings = lint_source(

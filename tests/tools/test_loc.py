@@ -23,6 +23,20 @@ def test_committed_source_is_within_its_ceilings():
     assert f"{total:7d}  src " in done.stdout
 
 
+def test_a_file_can_carry_a_ceiling(tmp_path, monkeypatch, capsys):
+    """The two former god-objects are held under 800 lines each."""
+    committed = json.loads(loc.CEILINGS.read_text())
+    assert committed["src/repro/core/language.py"] == 800
+    assert committed["src/repro/engine/parallel.py"] == 800
+    ceilings = tmp_path / "ceilings.json"
+    ceilings.write_text(json.dumps({"src/repro/errors.py": 10}))
+    monkeypatch.setattr(loc, "CEILINGS", ceilings)
+    assert loc.main() == 1
+    captured = capsys.readouterr()
+    assert "src/repro/errors.py" in captured.out
+    assert "src/repro/errors.py" in captured.err
+
+
 def test_a_path_past_its_ceiling_fails(tmp_path, monkeypatch, capsys):
     lines = loc.count_lines()
     ceilings = tmp_path / "ceilings.json"

@@ -11,11 +11,15 @@ cannot express and that review alone will not keep true:
   deterministic fault-injection harness and the cost model both assume
   simulated time; a stray ``time.time()`` in a cost path makes reruns
   non-reproducible.
-* **E103** — ``pickle.loads`` only inside the worker protocol modules.
-  The driver must route every blob through ``_BrokenBlob``-aware decode
-  paths; a bare ``loads`` elsewhere turns a poisoned blob into a crash.
-* **E104** — no writes to pool internals outside ``engine/parallel.py``.
-  Pool state is guarded by the dispatch lock; outside writers race it.
+* **E103** — ``pickle.loads`` only inside the wire protocol
+  (``engine/worker.py``), the resident exchange's blob merge and the
+  shippability probe's round trip.  The driver must route every blob
+  through ``_BrokenBlob``-aware decode paths; a bare ``loads`` elsewhere —
+  the pool included — turns a poisoned blob into a crash.
+* **E104** — no writes to pool internals outside the pool
+  (``engine/parallel.py``) and its registry (``engine/store.py``).  Pool
+  state is guarded by the dispatch and registry locks; outside writers
+  race them.
 * **E105** — no call to ``monoid.expressions.evaluate`` from ``physical/``
   or ``engine/``.  The tree-walking interpreter is the reference the
   differential tests compare against; engine paths run the compiled form
@@ -38,14 +42,16 @@ WALL_CLOCK_ALLOWED = (
     "repro/serving/service.py",
 )
 
-#: Files allowed to call ``pickle.loads`` (the worker protocol itself).
+#: Files allowed to call ``pickle.loads``: the wire protocol, the resident
+#: exchange's reduce side, and the picklability probe.
 PICKLE_LOADS_ALLOWED = (
-    "repro/engine/parallel.py",
+    "repro/engine/worker.py",
     "repro/engine/shuffle.py",
+    "repro/core/shippable.py",
 )
 
-#: The one module allowed to mutate pool internals.
-POOL_WRITE_ALLOWED = ("repro/engine/parallel.py",)
+#: The modules allowed to mutate pool internals: the pool and its registry.
+POOL_WRITE_ALLOWED = ("repro/engine/parallel.py", "repro/engine/store.py")
 
 #: Directories whose code runs per record and must not interpret.
 INTERPRETER_FORBIDDEN = ("repro/physical/", "repro/engine/")
@@ -145,7 +151,7 @@ class WallClockRule:
 class BarePickleLoadsRule:
     code = "E103"
     description = (
-        "pickle.loads is confined to the worker protocol modules; other "
+        "pickle.loads is confined to the wire-protocol modules; other "
         "code must go through the _BrokenBlob-aware decode paths"
     )
 
@@ -178,8 +184,8 @@ class BarePickleLoadsRule:
 class PoolStateWriteRule:
     code = "E104"
     description = (
-        "pool internals are mutated only inside engine/parallel.py, under "
-        "the dispatch lock"
+        "pool internals are mutated only inside engine/parallel.py and its "
+        "registry engine/store.py, under their locks"
     )
 
     def check(self, tree: ast.Module, path: str, source: str) -> Iterator[Finding]:
@@ -201,7 +207,7 @@ class PoolStateWriteRule:
                         code=self.code,
                         message=(
                             f"write to pool attribute {target.attr!r} outside "
-                            "engine/parallel.py races the dispatch lock"
+                            "the pool and its registry races their locks"
                         ),
                         path=path,
                         line=node.lineno,

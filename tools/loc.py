@@ -3,9 +3,11 @@
 ROADMAP makes the line count of ``src/`` a tracked metric that should end
 each round lower.  This prints the lines per package and the total — the
 number ``find src -name '*.py' | xargs cat | wc -l`` gives — and exits
-non-zero when a path grew past its ceiling in ``loc_ceiling.json``.  A PR
-that shrinks ``src/`` lowers the ceiling to its result; one that has to
-grow it raises the ceiling in the same diff, where review sees it.
+non-zero when a path grew past its ceiling in ``loc_ceiling.json``.  A
+ceiling key is ``src``, a package directory, or one file (the two modules
+that were once god-objects are held under 800 lines each).  A PR that
+shrinks ``src/`` lowers the ceiling to its result; one that has to grow it
+raises the ceiling in the same diff, where review sees it.
 """
 
 from __future__ import annotations
@@ -34,6 +36,9 @@ def count_lines(root: Path = ROOT) -> Counter[str]:
 def main() -> int:
     lines = count_lines()
     ceilings: dict[str, int] = json.loads(CEILINGS.read_text())
+    for key in ceilings:  # a file's ceiling: count that file
+        if key.endswith(".py"):
+            lines[key] = (ROOT / key).read_bytes().count(b"\n")
     over = []
     for path in sorted(lines):
         ceiling = ceilings.get(path)
