@@ -221,12 +221,12 @@ class CleanDB:
     # Resource lifecycle
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Release the worker pool (if ``execution="parallel"`` created one).
-
-        Idempotent; the instance remains usable — a later parallel query
-        lazily re-creates the pool.  On a *shared* pool this only detaches:
-        this instance's pins are evicted (a departed tenant must not leak
-        store memory) but the pool itself belongs to whoever created it."""
+        """Release the worker pool (if ``execution="parallel"`` created one)
+        and the maintained check states.  Idempotent; the instance remains
+        usable — a later query re-creates either on demand.  On a *shared*
+        pool this only detaches: this instance's pins are evicted (a departed
+        tenant must not leak store memory) but the pool itself belongs to
+        whoever created it."""
         self.tables.release()
         self.cluster.shutdown()
 

@@ -83,7 +83,7 @@ class TableStore:
         :meth:`_sync_pin`) its content."""
         self.get(name)
         self.versions[name] = self.versions.get(name, 0) + 1
-        self._mirrors.pop(name, None)
+        self._drop_mirror(name)
         self._rid_index.pop(name, None)
         self._sync_pin(name)
 
@@ -145,7 +145,7 @@ class TableStore:
                     mirror.update(updated)
             except Exception:
                 # The mirror can no longer be trusted; drop it wholesale.
-                self._mirrors.pop(name, None)
+                self._drop_mirror(name)
         self._ship_delta(name, old_version, appended, updated)
 
     def _rid_positions(self, name: str) -> dict[Any, list[int]]:
@@ -173,6 +173,12 @@ class TableStore:
                 return None
             self._mirrors[name] = mirror
         return mirror
+
+    def _drop_mirror(self, name: str) -> None:
+        """Forget a table's mirror, unhooking the states that point back at
+        it: the pair is freed here, not at some later cycle collection."""
+        if name in self._mirrors:
+            self._mirrors.pop(name).states.clear()
 
     def maintained(self, name: str, key: tuple, args: tuple) -> list | None:
         """A maintained check result, or None to run the cold path.
@@ -238,9 +244,10 @@ class TableStore:
             self.cluster.pool.evict(self._pin_name(name))
 
     def release(self) -> None:
-        """A departed tenant must not leak store memory: evict this
-        session's pins from a pool somebody else owns (an owned pool dies
-        with the session anyway)."""
+        """A departed tenant must not leak memory: drop the mirrors (rebuilt on
+        demand) and evict this session's pins from a pool somebody else owns."""
+        for name in list(self._mirrors):
+            self._drop_mirror(name)
         if not self.cluster._owns_pool:
             for name in self.versions:
                 self.unpin(name)

@@ -82,11 +82,7 @@ class StoreRegistry:
                 entry["tasks"][part] = (fblob, args_blob)
 
     def adopt(
-        self,
-        name: str,
-        version: int,
-        refs: Sequence[StoreRef],
-        partitions: Sequence[Any] | None = None,
+        self, name: str, version: int, refs: Sequence[StoreRef], partitions: Sequence | None = None
     ) -> None:
         """Register task-produced resident partitions as a pin.
 
@@ -114,10 +110,7 @@ class StoreRegistry:
             if prior:
                 self._pin_sizes[(name, version)] = max(prior)
             if partitions is not None:
-                self._lineage[(name, version)] = {
-                    "kind": "parts",
-                    "partitions": list(partitions),
-                }
+                self._lineage[(name, version)] = {"kind": "parts", "partitions": list(partitions)}
 
     # -- reading -------------------------------------------------------- #
     def pinned(self, name: str, version: int) -> list[StoreRef] | None:

@@ -8,6 +8,8 @@ now; these tests hold every kind of session to "a raise is a no-op".
 """
 
 import copy
+import gc
+import weakref
 
 import pytest
 
@@ -97,6 +99,34 @@ def test_an_empty_write_is_a_no_op():
         db.append_rows("t", [])
         db.update_rows("t", {})
         assert db.tables.versions["t"] == version
+
+
+def test_a_closed_session_leaves_nothing_for_the_cycle_collector():
+    """The maintained states point back at their mirror.  Left hooked up, a
+    closed session's table-sized state waits for a later full collection, so
+    how much memory a run of sessions holds depends on where those fall."""
+    gc.collect()
+    gc.disable()
+    try:
+        db = CleanDB(num_nodes=2, execution="parallel", workers=2, incremental=True)
+        db.register_table("t", rows())
+        answers(db)
+        db.append_rows("t", [{"a": 1, "b": 7, "name": "x", "price": 1.0, "disc": 1.0}])
+        assert answers(db) == answers(db)  # maintained twice over
+        mirror = db.tables._mirrors["t"]
+        gone = [weakref.ref(mirror), *(weakref.ref(s) for s in mirror.states.values())]
+        assert len(gone) == 4
+        before = answers(db)
+        db.close()
+        del mirror
+        assert [ref() for ref in gone] == [None] * 4
+        assert answers(db) == before  # still usable: rebuilt on demand
+        db.refresh_table("t")  # drops the rebuilt mirror the same way
+        db.close()
+        del db
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestTableStore:
