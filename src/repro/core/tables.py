@@ -45,8 +45,9 @@ class TableStore:
         self.formats: dict[str, str] = {}
         self.versions: dict[str, int] = {}
         self._infos: dict[str, tuple[int, TableInfo]] = {}
-        # The per-table mirror holding maintained check states and the rid
-        # index die with the version on any whole-table mutation.
+        # The per-table mirror holding maintained check states and the lazy
+        # ``_rid -> [every global position]`` map (``append`` keeps it current)
+        # die with the version on any whole-table mutation.
         self._mirrors: dict[str, Any] = {}
         self._rid_index: dict[str, dict[Any, list[int]]] = {}
 
@@ -112,7 +113,9 @@ class TableStore:
         table = self.get(name)
         if not rid_to_row:
             return
-        index = self._rid_positions(name)
+        if name not in self._rid_index:
+            self._rid_index[name] = _index_rids({}, table)
+        index = self._rid_index[name]
         # Validate the whole mapping before touching a row: a call that
         # raises must leave rows, version, pins and mirror as they were.
         for rid, row in rid_to_row.items():
@@ -147,14 +150,6 @@ class TableStore:
                 # The mirror can no longer be trusted; drop it wholesale.
                 self._drop_mirror(name)
         self._ship_delta(name, old_version, appended, updated)
-
-    def _rid_positions(self, name: str) -> dict[Any, list[int]]:
-        """Lazy ``_rid -> [global row index]`` map (duplicates keep every
-        position).  Maintained by :meth:`append`, dropped on any
-        whole-table mutation."""
-        if name not in self._rid_index:
-            self._rid_index[name] = _index_rids({}, self.get(name))
-        return self._rid_index[name]
 
     # -- Maintained check results (``incremental`` sessions) --------- #
     def _mirror(self, name: str) -> Any:
@@ -244,8 +239,9 @@ class TableStore:
             self.cluster.pool.evict(self._pin_name(name))
 
     def release(self) -> None:
-        """A departed tenant must not leak memory: drop the mirrors (rebuilt on
-        demand) and evict this session's pins from a pool somebody else owns."""
+        """A departed tenant must not leak memory: drop the mirrors (the
+        next check rebuilds one) and evict this session's pins from a pool
+        somebody else owns (an owned pool dies with the session anyway)."""
         for name in list(self._mirrors):
             self._drop_mirror(name)
         if not self.cluster._owns_pool:

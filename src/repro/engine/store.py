@@ -82,7 +82,11 @@ class StoreRegistry:
                 entry["tasks"][part] = (fblob, args_blob)
 
     def adopt(
-        self, name: str, version: int, refs: Sequence[StoreRef], partitions: Sequence | None = None
+        self,
+        name: str,
+        version: int,
+        refs: Sequence[StoreRef],
+        partitions: Sequence[Any] | None = None,
     ) -> None:
         """Register task-produced resident partitions as a pin.
 
