@@ -36,7 +36,7 @@ if TYPE_CHECKING:
     from .similarity import (
         euclidean_similarity, get_metric, jaccard_similarity, jaro_similarity,
         jaro_winkler_similarity, levenshtein_distance, levenshtein_similarity,
-        record_similarity, register_metric, similar,
+        register_metric, similar,
     )
     from .repair import (
         DCRepairReport, apply_term_repairs, repair_dc_by_relaxation,
@@ -86,7 +86,7 @@ __getattr__, __dir__, __all__ = lazy_surface(__name__, {
     "similarity": (
         "euclidean_similarity", "get_metric", "jaccard_similarity", "jaro_similarity",
         "jaro_winkler_similarity", "levenshtein_distance", "levenshtein_similarity",
-        "record_similarity", "register_metric", "similar",
+        "register_metric", "similar",
     ),
     "repair": (
         "DCRepairReport", "apply_term_repairs", "repair_dc_by_relaxation",

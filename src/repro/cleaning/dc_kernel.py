@@ -392,8 +392,8 @@ def _most_selective(
 class DCRecord(NamedTuple):
     """One record's pre-extracted comparison state (both join roles).
 
-    ``fvals`` are the left-filter attribute values, ``lvals`` /
-    ``rvals`` the per-predicate left/right attribute values (in
+    ``fvals`` *start with* the left-filter attribute values, ``lvals`` /
+    ``rvals`` are the per-predicate left/right attribute values (in
     ``constraint.predicates`` order), ``payload`` whatever the backend
     needs to materialize an output pair (the record dict on the driver,
     a ``(partition, row)`` reference in a worker or an incremental
@@ -412,20 +412,23 @@ def record_extractor(
     constraint: DenialConstraint,
 ) -> Callable[..., DCRecord]:
     """``extract(rid, record, payload=None)`` for one constraint: a dict
-    record's comparison vectors (row/parallel paths), with the attribute
-    lists resolved once instead of once per record.  ``payload`` defaults
-    to the record itself."""
+    record's comparison vectors, the attribute lists resolved once, not per
+    record.  ``payload`` defaults to the record itself.  Roles reading the
+    same values share one tuple: ``rvals`` when both sides name the same
+    attributes, ``fvals`` when the filters read a prefix of the left ones."""
     fattrs = [f.attr for f in constraint.left_filters]
     lattrs = [p.left_attr for p in constraint.predicates]
     rattrs = [p.right_attr for p in constraint.predicates]
+    symmetric, prefixed = lattrs == rattrs, bool(fattrs) and fattrs == lattrs[: len(fattrs)]
 
     def extract(rid: Any, record: dict, payload: Any = None) -> DCRecord:
         get = record.get
+        lvals = tuple(map(get, lattrs))
         return DCRecord(
             rid,
-            tuple(map(get, fattrs)),
-            tuple(map(get, lattrs)),
-            tuple(map(get, rattrs)),
+            lvals if prefixed else tuple(map(get, fattrs)),
+            lvals,
+            lvals if symmetric else tuple(map(get, rattrs)),
             record if payload is None else payload,
         )
 

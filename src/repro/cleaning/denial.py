@@ -363,6 +363,7 @@ def check_dc(
     dataset: Dataset,
     constraint: DenialConstraint,
     strategy: str = "banded",
+    derived: Callable[..., Any] | None = None,
 ) -> Dataset:
     """Find tuple pairs violating a general denial constraint.
 
@@ -372,7 +373,7 @@ def check_dc(
     predicate a sort-banded range scan, and only the surviving candidate
     pairs are verified — the examined/universe counts flow into the
     ``verified`` / ``comparisons`` metrics like the similarity kernel's
-    pruning counters.
+    pruning counters.  ``derived`` is :func:`_dc_banded`'s.
 
     For the ``matrix`` (CleanDB's all-pairs operator) and ``cartesian``
     (Spark SQL) strategies, the single-tuple filters are pushed below the
@@ -384,7 +385,7 @@ def check_dc(
     ``(t1, t2)`` pairs.
     """
     if strategy == "banded":
-        return _dc_banded(dataset.cluster, dataset.partitions, constraint)
+        return _dc_banded(dataset.cluster, dataset.partitions, constraint, derived=derived)
 
     def pushed_predicate(t1: dict, t2: dict) -> bool:
         if t1 is t2:
@@ -458,6 +459,7 @@ def _dc_banded(
     constraint: DenialConstraint,
     batch_size: int | None = None,
     op: str = "dc:banded",
+    derived: Callable[..., Any] | None = None,
 ) -> Dataset:
     """The planned (banded) DC kernel over driver-held partitions — the
     one body behind the row and the columnar driver.
@@ -468,6 +470,10 @@ def _dc_banded(
     Charges ``comparisons`` with the logical pair universe (filtered left
     × full right — what the pushed-down cartesian plan examines) and
     ``verified`` with the pairs the banded scan actually touched.
+    ``derived`` is a session's ``TableStore.derived`` bound to the table
+    ``parts`` lays out: extraction and sort (``build``) are reused while
+    that table stands.  The probe and every charge run on each call — the
+    simulated clock does not depend on cache temperature.
 
     ``batch_size`` is the pricing argument: ``None`` charges extraction at
     row prices (``dc:banded:stats``; the left filter rides along like a
@@ -476,12 +482,22 @@ def _dc_banded(
     """
     cost = cluster.cost_model
     sizes = [len(p) for p in parts]
-    entries_parts = [
-        extract_partition(part, constraint, start)
-        for part, start in zip(parts, partition_offsets(sizes))
-    ]
-    flat = [e for part in entries_parts for e in part]
-    plan = plan_dc_entries(constraint, flat)
+
+    def build() -> tuple:
+        entries_parts = [
+            extract_partition(part, constraint, start)
+            for part, start in zip(parts, partition_offsets(sizes))
+        ]
+        flat = [e for part in entries_parts for e in part]
+        plan = plan_dc_entries(constraint, flat)
+        index = build_dc_index(flat, plan)
+        # Index members and left entries are the same objects; the rest die here.
+        left_parts = [list(filter(left_filter(constraint), part)) for part in entries_parts]
+        group_sizes = [len(members) for _, members in index.values()]
+        return plan, index, left_parts, group_sizes, sum(map(len, left_parts))
+
+    state = derived(("dc", constraint), build) if derived else build()
+    plan, index, left_parts, group_sizes, left_count = state
     # Statistics + extraction pass: one scan of the input (the same
     # "global data statistics" effort the matrix join charges).
     if batch_size is None:
@@ -491,14 +507,7 @@ def _dc_banded(
         )
     else:
         cluster.record_batch_stage("dc:banded:stats:vec", sizes, batch_size=batch_size)
-
-    index = build_dc_index(flat, plan)
-    passes = left_filter(constraint)
-    left_parts = [list(filter(passes, part)) for part in entries_parts]
-    if batch_size is not None:
         cluster.record_batch_stage("dc:leftFilter:vec", sizes, batch_size=batch_size)
-    left_count = sum(len(p) for p in left_parts)
-    group_sizes = [len(members) for _, members in index.values()]
     _record_dc_index_op(cluster, group_sizes, sum(sizes), left_count)
 
     stats = DCStats()
@@ -523,6 +532,7 @@ def check_dc_columnar(
     fmt: str = "memory",
     batch_size: int = 1024,
     name: str = "lineitem",
+    derived: Callable[..., Any] | None = None,
 ) -> Dataset:
     """Banded DC check at batch prices: the ``execution="vectorized"``
     driver.  The row driver's kernel pass over the round-robin layout of
@@ -533,7 +543,7 @@ def check_dc_columnar(
     records = records if isinstance(records, list) else list(records)
     if not uniform_dict_records(records):
         ds = cluster.parallelize(records, fmt=fmt, name=name)
-        return check_dc(ds, constraint)
+        return check_dc(ds, constraint, derived=derived)
     parts = round_robin_split(records, cluster.default_parallelism)
     cluster.record_batch_stage(
         f"scan:{name}:vec",
@@ -541,7 +551,7 @@ def check_dc_columnar(
         batch_size=batch_size,
         extra_unit=cluster.cost_model.scan_unit(fmt),
     )
-    return _dc_banded(cluster, parts, constraint, batch_size, op="dc:vectorized")
+    return _dc_banded(cluster, parts, constraint, batch_size, "dc:vectorized", derived)
 
 
 def check_dc_parallel(
@@ -551,6 +561,7 @@ def check_dc_parallel(
     fmt: str = "memory",
     pinned: tuple[str, int] | None = None,
     name: str = "lineitem",
+    derived: Callable[..., Any] | None = None,
 ) -> Dataset:
     """Multi-process banded DC check: the kernel as worker tasks.
 
@@ -574,24 +585,20 @@ def check_dc_parallel(
     Falls back to the serial banded row path when the constraint or the
     records cannot cross a process boundary.
     """
+    from ..core.shippable import is_hashable
     from ..physical.parallel_exec import resident_stages, shippable
 
     records = records if isinstance(records, list) else list(records)
     if not shippable(cluster, records, pinned, constraint):
         ds = cluster.parallelize(records, fmt=fmt, name=name)
-        return check_dc(ds, constraint)
+        return check_dc(ds, constraint, derived=derived)
 
     cost = cluster.cost_model
-    # Key the derived cache by the constraint *itself* (frozen dataclass,
-    # equality-hashed) — repr() is not content-based for arbitrary predicate
-    # values.  A constraint with unhashable values simply never caches.
+    # Keyed by the constraint *itself* (frozen dataclass, equality-hashed):
+    # repr() is not content-based for arbitrary predicate values.
     cache_key = None
-    if pinned is not None:
-        try:
-            hash(constraint)
-            cache_key = ("dc", pinned[0], pinned[1], constraint)
-        except TypeError:
-            pass
+    if pinned is not None and is_hashable(constraint):
+        cache_key = ("dc", *pinned, constraint)
     with resident_stages(cluster, records, pinned, "dc", name, fmt) as stages:
         pool = stages.pool
         sizes = [max(ref.count, 0) for ref in stages.refs]
@@ -662,20 +669,22 @@ def run_dc(
     name: str = "lineitem",
     pinned: tuple[str, int] | None = None,
     batch_size: int = 1024,
+    derived: Callable[..., Any] | None = None,
 ) -> Dataset:
     """DC check on the caller's backend: the one place that maps
     ``execution`` to a driver.  Only the ``banded`` plan has columnar and
     parallel drivers; the theta-join strategies run on the row driver."""
     if strategy == "banded" and execution == "vectorized":
         return check_dc_columnar(
-            cluster, records, constraint, fmt=fmt, batch_size=batch_size, name=name
+            cluster, records, constraint, fmt=fmt, batch_size=batch_size, name=name,
+            derived=derived,
         )
     if strategy == "banded" and execution == "parallel":
         return check_dc_parallel(
-            cluster, records, constraint, fmt=fmt, pinned=pinned, name=name
+            cluster, records, constraint, fmt=fmt, pinned=pinned, name=name, derived=derived
         )
     ds = cluster.parallelize(records, fmt=fmt, name=name)
-    return check_dc(ds, constraint, strategy=strategy)
+    return check_dc(ds, constraint, strategy=strategy, derived=derived)
 
 
 # ``self_theta_join`` is deliberately re-exported from

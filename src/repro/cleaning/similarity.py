@@ -273,15 +273,3 @@ def record_matcher(
         return total / len(attributes) >= theta
 
     return match
-
-
-def record_similarity(
-    left: dict,
-    right: dict,
-    attributes: Sequence[str],
-    metric: str,
-    theta: float,
-    banded: bool = True,
-) -> bool:
-    """One pair through :func:`record_matcher`."""
-    return record_matcher(attributes, metric, theta, banded)(left, right)

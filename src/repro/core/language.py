@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Any, Sequence
 
 from ..algebra.operators import AlgebraOp, SharedScanDAG
@@ -254,19 +255,22 @@ class CleanDB:
         self.tables.register(name, records, fmt)
 
     def table(self, name: str) -> list[Any]:
-        """The registered rows.  Under ``execution="parallel"`` the worker
-        store holds a *snapshot* of these rows (pinned at registration,
-        like executor-cached RDD partitions) — after mutating them in
-        place, call :meth:`refresh_table` so queries see the edits."""
+        """The registered rows.  Every session works on a *snapshot* of
+        them — worker pins, maintained check states, the DC index of
+        :meth:`~repro.core.tables.TableStore.derived` — taken at the
+        table's version: after mutating them in place, call
+        :meth:`refresh_table` so checks and queries see the edits."""
         return self.tables.get(name)
 
     def refresh_table(self, name: str) -> None:
         """Re-snapshot a table after in-place edits to its rows.
 
-        Bumps the table version, drops the incremental states, evicts the
-        old pinned partitions and any derived state cached on them, and
-        re-pins the current rows — the explicit coherence point for
-        mutations that bypass :meth:`register_table` / :meth:`repair_dc`.
+        Bumps the table version, which drops everything derived from the
+        old rows on every kind of session (the incremental states, the
+        driver's derived state, the pinned partitions and what the pool
+        cached on them), and re-pins the current rows — the explicit
+        coherence point for mutations that bypass :meth:`register_table` /
+        :meth:`append_rows` / :meth:`update_rows` / :meth:`repair_dc`.
         """
         self.tables.refresh(name)
 
@@ -400,6 +404,7 @@ class CleanDB:
             "dc", table, run_dc,
             ("dc", constraint) if chosen == "banded" else None, (constraint,),
             constraint=constraint, strategy=chosen,
+            derived=partial(self.tables.derived, table),
         )
 
     def check_fd(

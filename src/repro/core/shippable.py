@@ -3,7 +3,7 @@
 One pure module (``pickle`` and ``sys`` only, so asking never loads the
 worker pool) behind every place the question comes up: the static
 analyzer's CM501, ``ParallelExecutor.supports`` and the parallel cleaning
-drivers' ``shippable``.
+drivers' ``shippable``.  ``is_hashable`` is its sibling for caches.
 """
 
 from __future__ import annotations
@@ -19,6 +19,18 @@ def is_picklable(obj: Any) -> bool:
         pickle.loads(pickle.dumps(obj))
         return True
     except Exception:
+        return False
+
+
+def is_hashable(obj: Any) -> bool:
+    """Whether ``obj`` can key a cache: hashable all the way down, so it
+    cannot change after it was stored.  The one rule behind every derived
+    cache (``TableStore.derived``, the pool's DC state): a key that fails
+    it never caches."""
+    try:
+        hash(obj)
+        return True
+    except TypeError:
         return False
 
 

@@ -3,8 +3,9 @@
 :class:`TableStore` is the only code that knows a session's rows, formats
 and versions, and everything derived from them: the lazy ``_rid`` index
 ``update_rows`` addresses rows through, the incremental mirror holding
-maintained check states, and the per-version inferred schemas the static
-analyzer reads.  For an ``execution="parallel"`` session it also keeps the
+maintained check states, and whatever a check or the analyzer builds from
+an unchanged table (:meth:`TableStore.derived`: the banded DC index, the
+inferred schema).  For an ``execution="parallel"`` session it also keeps the
 worker pool's partition store coherent with those versions: it owns the
 pin identity (``<namespace>/table:<name>`` at the table's version), re-pins
 on whole-table mutations and patches the resident partitions in one
@@ -14,12 +15,13 @@ is parallel in order to touch a table.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from ..cleaning.rowid import fill_rids
 from ..engine.cluster import Cluster
 from ..errors import SchemaError
 from .semantics import TableInfo, infer_table
+from .shippable import is_hashable
 
 
 class TableStore:
@@ -44,7 +46,8 @@ class TableStore:
         self.rows: dict[str, list[Any]] = {}
         self.formats: dict[str, str] = {}
         self.versions: dict[str, int] = {}
-        self._infos: dict[str, tuple[int, TableInfo]] = {}
+        # ``derived``'s entries: table -> kind of question -> (stamp, key, state).
+        self._derived: dict[str, dict[Any, tuple]] = {}
         # The per-table mirror holding maintained check states and the lazy
         # ``_rid -> [every global position]`` map (``append`` keeps it current)
         # die with the version on any whole-table mutation.
@@ -86,15 +89,31 @@ class TableStore:
         self.versions[name] = self.versions.get(name, 0) + 1
         self._drop_mirror(name)
         self._rid_index.pop(name, None)
+        self._derived.pop(name, None)
         self._sync_pin(name)
 
+    def derived(self, name: str, key: tuple, build: Callable[[], Any]) -> Any:
+        """State that depends only on a table's rows and ``key``: built on
+        first use, reused while the table's stamp ``(version, row count)``
+        stands, dropped with the version (and on :meth:`unpin` /
+        :meth:`release`).  For *input-only* state — an index, a schema —
+        never a result: the caller still does its probing and charging on
+        every call.  One entry per table and ``key[0]`` (the kind of
+        question; the latest distinct parameters replace the previous), so
+        a session sweeping many constraints holds one DC state per table.
+        An unhashable key may change under us: it builds uncached."""
+        if not is_hashable(key):
+            return build()
+        stamp = (self.versions.get(name, 0), len(self.rows.get(name, ())))
+        held = self._derived.setdefault(name, {})
+        if held.get(key[0], ())[:2] != (stamp, key):
+            held.pop(key[0], None)  # freed before its successor is built, not after
+            held[key[0]] = (stamp, key, build())
+        return held[key[0]][2]
+
     def info(self, name: str) -> TableInfo:
-        """Inferred schema of a registered table, cached per version."""
-        version = self.versions.get(name, 0)
-        cached = self._infos.get(name)
-        if cached is None or cached[0] != version:
-            cached = self._infos[name] = (version, infer_table(self.rows.get(name, [])))
-        return cached[1]
+        """Inferred schema of a registered table."""
+        return self.derived(name, ("info",), lambda: infer_table(self.rows.get(name, [])))
 
     # -- Deltas ------------------------------------------------------ #
     def append(self, name: str, rows: Sequence[Any]) -> None:
@@ -139,6 +158,7 @@ class TableStore:
         the pins."""
         old_version = self.versions.get(name, 0)
         self.versions[name] = old_version + 1
+        self._derived.pop(name, None)
         mirror = self._mirrors.get(name)
         if mirror is not None:
             try:
@@ -229,19 +249,22 @@ class TableStore:
         return self.cluster.pool.pinned_nbytes(self._pin_name(name))
 
     def unpin(self, name: str) -> None:
-        """Evict a table's pins (and derived caches built on them) without
-        forgetting the table: rows and version stay registered, so the next
-        query touching it re-pins it under the same identity — residency is
-        a cache, not correctness.  The serving layer's memory-pressure
-        lever: its LRU governor unpins cold tenants' tables when the shared
-        store passes its byte cap."""
+        """Evict a table's pins (and derived state built on them, here and
+        in the pool) without forgetting the table: rows and version stay
+        registered, so the next query touching it re-pins it under the same
+        identity — residency is a cache, not correctness.  The serving
+        layer's memory-pressure lever: its LRU governor unpins cold tenants'
+        tables when the shared store passes its byte cap."""
+        self._derived.pop(name, None)
         if name in self.versions and self.cluster.has_pool:
             self.cluster.pool.evict(self._pin_name(name))
 
     def release(self) -> None:
-        """A departed tenant must not leak memory: drop the mirrors (the
-        next check rebuilds one) and evict this session's pins from a pool
-        somebody else owns (an owned pool dies with the session anyway)."""
+        """A departed tenant must not leak memory: drop the mirrors and the
+        derived state (the next check rebuilds either) and evict this
+        session's pins from a pool somebody else owns (an owned pool dies
+        with the session anyway)."""
+        self._derived.clear()
         for name in list(self._mirrors):
             self._drop_mirror(name)
         if not self.cluster._owns_pool:

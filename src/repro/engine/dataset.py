@@ -290,36 +290,6 @@ class Dataset:
         )
         return self._derive(merged_parts, name)
 
-    def reduce_by_key(
-        self, func: Callable[[Any, Any], Any], num_partitions: int | None = None
-    ) -> "Dataset":
-        """``aggregate_by_key`` specialised to a single reduce function."""
-        marker = object()
-
-        def seq(acc: Any, value: Any) -> Any:
-            return value if acc is marker else func(acc, value)
-
-        return self.aggregate_by_key(
-            lambda: marker, seq, func, num_partitions, name="reduceByKey"
-        )
-
-    def group_locally(
-        self, key_func: Callable[[Record], Any], name: str = "localGroup"
-    ) -> "Dataset":
-        """Group records by key *within each partition* — no shuffle at all.
-
-        Produces ``(key, [records])`` per partition; the same key may appear
-        in several partitions.  Used by plans that later merge partial groups.
-        """
-
-        def grouper(part: list[Record]) -> list[KeyedRecord]:
-            groups: dict[Any, list[Record]] = {}
-            for record in part:
-                groups.setdefault(key_func(record), []).append(record)
-            return list(groups.items())
-
-        return self.map_partitions(grouper, name=name)
-
     def distinct(self, num_partitions: int | None = None) -> "Dataset":
         keyed = self.map(lambda r: (r, None), name="distinct:key")
         deduped = keyed.aggregate_by_key(

@@ -211,13 +211,3 @@ def _sample_keys(partitions: list[list[KeyedRecord]], limit: int) -> list[Any]:
                 sample.append(key)
             index += 1
     return sample
-
-
-def partition_by_key(
-    records: list[KeyedRecord], key_func: Callable[[KeyedRecord], Any] | None = None
-) -> dict[Any, list[Any]]:
-    """Group a flat list of keyed records into ``{key: [values]}``."""
-    groups: dict[Any, list[Any]] = {}
-    for key, value in records:
-        groups.setdefault(key, []).append(value)
-    return groups

@@ -395,6 +395,43 @@ class TestDCPlanner:
             parse_dc("t1.price < t2.price OR t1.discount > t2.discount")
 
 
+class TestRecordExtractor:
+    """Roles that read the same values share one tuple (what a session's
+    derived DC state retains per row); sharing never changes a verdict."""
+
+    RECORD = {"a": 1, "b": 2, "c": 3}
+
+    @pytest.mark.parametrize(
+        "rule, where, shares_rvals, shares_fvals",
+        [
+            ("t1.a < t2.a and t1.b > t2.b", "t1.a < 5", True, True),  # rule psi: one tuple
+            ("t1.a < t2.a and t1.b > t2.b", "", True, False),  # () is shared already
+            ("t1.a < t2.a and t1.b > t2.b", "t1.b < 5", True, False),  # not a prefix
+            ("t1.a < t2.a and t1.b > t2.b", "t1.a < 5 and t1.c > 0", True, False),
+            ("t1.a < t2.b", "t1.a < 5", False, True),
+            ("t1.a < t2.b", "t1.c == 3", False, False),
+        ],
+    )
+    def test_roles_reading_the_same_values_share_one_tuple(
+        self, rule, where, shares_rvals, shares_fvals
+    ):
+        from repro.cleaning.dc_kernel import left_filter, record_extractor
+
+        constraint = parse_dc(rule, where=where)
+        entry = record_extractor(constraint)(7, self.RECORD)
+        get = self.RECORD.get
+        assert entry.lvals == tuple(get(p.left_attr) for p in constraint.predicates)
+        assert entry.rvals == tuple(get(p.right_attr) for p in constraint.predicates)
+        filters = constraint.left_filters
+        assert entry.fvals[: len(filters)] == tuple(get(f.attr) for f in filters)
+        assert (entry.rvals is entry.lvals) == shares_rvals
+        assert (entry.fvals is entry.lvals) == shares_fvals
+        assert left_filter(constraint)(entry) == all(f.holds(self.RECORD) for f in filters)
+        for failing in ({"a": 9, "b": 9, "c": -1}, {}):
+            probe = record_extractor(constraint)(8, failing)
+            assert left_filter(constraint)(probe) == all(f.holds(failing) for f in filters)
+
+
 class TestImportStar:
     def test_import_star_matches_all(self):
         """``from repro.cleaning.denial import *`` exposes exactly

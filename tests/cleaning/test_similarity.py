@@ -10,10 +10,10 @@ from repro.cleaning import (
     jaro_winkler_similarity,
     levenshtein_distance,
     levenshtein_similarity,
-    record_similarity,
     register_metric,
     similar,
 )
+from repro.cleaning.similarity import record_matcher
 
 
 class TestLevenshtein:
@@ -127,18 +127,17 @@ class TestRecordSimilarity:
         left = {"a": "same", "b": "xxxx"}
         right = {"a": "same", "b": "yyyy"}
         # attribute sims: 1.0 and 0.0 -> mean 0.5
-        assert record_similarity(left, right, ["a", "b"], "LD", 0.5)
-        assert not record_similarity(left, right, ["a", "b"], "LD", 0.6)
+        assert record_matcher(["a", "b"], "LD", 0.5)(left, right)
+        assert not record_matcher(["a", "b"], "LD", 0.6)(left, right)
 
     def test_missing_attrs_treated_as_empty(self):
-        assert record_similarity({}, {}, ["a"], "LD", 0.9)
+        assert record_matcher(["a"], "LD", 0.9)({}, {})
 
     def test_no_attributes_rejected(self):
         with pytest.raises(ValueError):
-            record_similarity({}, {}, [], "LD", 0.5)
+            record_matcher([], "LD", 0.5)
 
     def test_matcher_agrees_with_the_one_pair_form_and_prepares_rows_once(self, monkeypatch):
-        from repro.cleaning.similarity import record_matcher
         from repro.cleaning.simjoin import SimJoin
 
         rows = [{"a": w, "b": w[::-1]} for w in ("lake", "like", "bike", "", "lakes")]
@@ -154,6 +153,6 @@ class TestRecordSimilarity:
             verdicts = [match(x, y) for x in rows for y in rows]
             assert len(prepared) == (len(rows) if banded else 0)
             assert verdicts == [
-                record_similarity(x, y, ["a", "b"], "LD", 0.6, banded=False)
+                record_matcher(["a", "b"], "LD", 0.6, banded=False)(x, y)
                 for x in rows for y in rows
             ]

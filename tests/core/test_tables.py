@@ -104,7 +104,9 @@ def test_an_empty_write_is_a_no_op():
 def test_a_closed_session_leaves_nothing_for_the_cycle_collector():
     """The maintained states point back at their mirror.  Left hooked up, a
     closed session's table-sized state waits for a later full collection, so
-    how much memory a run of sessions holds depends on where those fall."""
+    how much memory a run of sessions holds depends on where those fall.
+    A row session's derived DC state (one ``DCRecord`` per row) is held to
+    the same rule: dead by reference count when ``close()`` returns."""
     gc.collect()
     gc.disable()
     try:
@@ -124,9 +126,108 @@ def test_a_closed_session_leaves_nothing_for_the_cycle_collector():
         db.refresh_table("t")  # drops the rebuilt mirror the same way
         db.close()
         del db
+
+        row = CleanDB(num_nodes=2)
+        row.register_table("t", rows())
+        before = answers(row)
+        # The plan stands for the entry: tuples and dicts take no weak
+        # reference, and it dies only with the tuple that holds the index.
+        plan = weakref.ref(row.tables._derived["t"]["dc"][2][0])
+        assert plan() is not None
+        row.close()
+        assert plan() is None and not row.tables._derived
+        assert answers(row) == before
+        row.close()
+        del row
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# -- TableStore.derived: build / reuse / drop ----------------------------- #
+
+FIXED = {"a": 0, "b": 0, "name": "x", "price": 1.0, "disc": 1.0}
+BUMPS = {
+    "append_rows": lambda db: db.append_rows("t", [dict(FIXED)]),
+    "update_rows": lambda db: db.update_rows("t", {db.table("t")[0]["_rid"]: FIXED}),
+    "repair_dc": lambda db: db.repair_dc("t", RULE),
+    "refresh_table": lambda db: db.refresh_table("t"),
+    "re-registration": lambda db: db.register_table("t", rows()),
+    "unpin": lambda db: db.tables.unpin("t"),
+    "close": lambda db: db.close(),
+}
+
+
+@pytest.mark.parametrize("bump", BUMPS)
+def test_derived_state_is_built_once_reused_and_dropped_with_the_version(bump):
+    with CleanDB(num_nodes=2) as db:
+        db.register_table("t", rows())
+        builds = []
+
+        def build():
+            builds.append(len(db.table("t")))
+            return object()
+
+        first = db.tables.derived("t", ("probe", 1), build)
+        assert db.tables.derived("t", ("probe", 1), build) is first
+        assert len(builds) == 1
+        BUMPS[bump](db)
+        assert "t" not in db.tables._derived  # dropped there and then, not at next use
+        assert db.tables.derived("t", ("probe", 1), build) is not first
+        assert builds == [12, len(db.table("t"))]
+
+
+def test_a_length_changing_in_place_edit_is_caught_by_the_stamp():
+    with CleanDB(num_nodes=2) as db:
+        db.register_table("t", rows())
+        before = db.check_dc("t", RULE)
+        state = db.tables._derived["t"]["dc"]
+        assert db.check_dc("t", RULE) == before and db.tables._derived["t"]["dc"] is state
+        del db.table("t")[6:]  # no write method, no refresh: same version, new length
+        with CleanDB(num_nodes=2) as cold:
+            cold.register_table("t", db.table("t"))
+            assert db.check_dc("t", RULE) == cold.check_dc("t", RULE) != before
+        assert db.tables._derived["t"]["dc"] is not state
+
+
+def test_an_unhashable_key_never_caches():
+    store = TableStore(Cluster(num_nodes=2))
+    store.register("t", rows())
+    built = [store.derived("t", ("probe", [1]), object) for _ in range(2)]
+    assert built[0] is not built[1]
+    assert "probe" not in store._derived.get("t", {})
+
+
+def test_a_second_distinct_constraint_replaces_the_first():
+    """One entry per table and kind of question: a session sweeping many
+    constraints holds one DC state per table, not one per constraint."""
+    other = "t1.a = t2.a and t1.price > t2.price and t1.disc < t2.disc"
+    with CleanDB(num_nodes=2) as db:
+        db.register_table("t", rows())
+        first = db.check_dc("t", RULE)
+        held = db.tables._derived["t"]
+        plan = weakref.ref(held["dc"][2][0])
+        db.check_dc("t", other)
+        assert set(held) == {"info", "dc"}  # the schema the rule strings were checked against
+        assert held["dc"][1][1].predicates[1].op == ">"
+        assert plan() is None  # the first state is gone, not parked
+        assert db.check_dc("t", RULE) == first  # and comes back by rebuilding
+
+
+def test_refresh_table_makes_in_place_edits_visible_on_a_row_session():
+    """The row-session twin of ``tests/integration/test_handle_parity.py``'s
+    parallel test: every session reads a snapshot taken at the table's
+    version, and ``refresh_table()`` is the coherence point."""
+    rule = "t1.price < t2.price and t1.disc > t2.disc"
+    with CleanDB(num_nodes=2) as db:
+        db.register_table("t", rows())
+        before = db.check_dc("t", rule)
+        assert before
+        for row in db.table("t"):
+            row["disc"] = 1.0  # repair every row in place
+        assert len(db.check_dc("t", rule)) == len(before)  # the snapshot answers
+        db.refresh_table("t")
+        assert db.check_dc("t", rule) == []
 
 
 class TestTableStore:

@@ -129,16 +129,6 @@ class TestWideOps:
         c2.parallelize(heavy).group_by_key()
         assert c1.metrics.shuffled_records < c2.metrics.shuffled_records / 10
 
-    def test_reduce_by_key(self, cluster):
-        ds = cluster.parallelize([("a", 1), ("b", 2), ("a", 3)])
-        assert dict(ds.reduce_by_key(lambda a, b: a + b).collect()) == {"a": 4, "b": 2}
-
-    def test_group_locally_no_shuffle(self, cluster):
-        before = cluster.metrics.shuffled_records
-        ds = cluster.parallelize([{"k": i % 2} for i in range(20)])
-        ds.group_locally(lambda r: r["k"])
-        assert cluster.metrics.shuffled_records == before
-
     def test_distinct(self, cluster):
         ds = cluster.parallelize([1, 2, 2, 3, 3, 3])
         assert sorted(ds.distinct().collect()) == [1, 2, 3]

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.engine import Cluster
-from repro.engine.shuffle import partition_by_key, shuffle
+from repro.engine.shuffle import shuffle
 
 
 @pytest.fixture
@@ -66,12 +66,3 @@ class TestShuffle:
     def test_single_target_partition(self, cluster):
         new_parts, _, _ = shuffle(cluster, keyed_partitions(), 1, kind="hash")
         assert len(new_parts) == 1 and len(new_parts[0]) == 100
-
-
-class TestPartitionByKey:
-    def test_groups_values(self):
-        groups = partition_by_key([(1, "a"), (2, "b"), (1, "c")])
-        assert groups == {1: ["a", "c"], 2: ["b"]}
-
-    def test_empty(self):
-        assert partition_by_key([]) == {}

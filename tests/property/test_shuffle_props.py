@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import Cluster
-from repro.engine.shuffle import exchange, partition_by_key
+from repro.engine.shuffle import exchange
 
 # Homogeneous key pools keep range partitioning well-defined (keys must be
 # mutually comparable); records are (key, value) pairs.
@@ -72,8 +72,8 @@ def test_hash_and_sort_agree_on_grouped_results(data, src, n):
         out, _, _ = exchange(cluster, _split(data, src), n, kind=kind)
         groups: dict = {}
         for part in out:
-            for key, values in partition_by_key(part).items():
-                groups.setdefault(repr(key), []).extend(values)
+            for key, value in part:
+                groups.setdefault(repr(key), []).append(value)
         grouped[kind] = {k: sorted(v) for k, v in groups.items()}
     assert grouped["hash"] == grouped["sort"]
 
