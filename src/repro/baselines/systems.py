@@ -61,10 +61,6 @@ class System:
     # Denial-constraint strategy: the planned kernel ("banded") for CleanDB,
     # the paper-attributed theta strategies for the baselines.
     dc_strategy = "matrix"
-    # Whether the system maintains cleaning results under ``append_rows``/
-    # ``update_rows`` deltas.  Only CleanDB has the incremental session
-    # surface; the baselines re-run every check from scratch.
-    supports_incremental = False
 
     def __init__(
         self,
@@ -256,27 +252,7 @@ class CleanDBSystem(System):
     # CleanDB's DC plan is the statistics-aware banded kernel: equality
     # prefix hash + most-selective-inequality range scan.
     dc_strategy = "banded"
-    supports_incremental = True
     planning_cost = 2000.0
-
-    def incremental_session(self, **kwargs: Any):
-        """A :class:`~repro.core.language.CleanDB` session with delta
-        maintenance on: ``append_rows``/``update_rows`` patch resident state
-        instead of forcing cold re-checks.  Keyword arguments override the
-        system's cluster configuration."""
-        from ..core.language import CleanDB
-
-        options: dict[str, Any] = {
-            "num_nodes": self.num_nodes,
-            "budget": self.budget,
-            "cost_model": self.cost_model,
-            "execution": self.execution,
-            "incremental": True,
-        }
-        if self.execution == "parallel":
-            options["workers"] = self.workers
-        options.update(kwargs)
-        return CleanDB(**options)
 
     def _run(self, action: Callable[[Cluster], Any]) -> RunResult:
         def with_stats(cluster: Cluster) -> Any:

@@ -19,6 +19,7 @@ from ..algebra.rewrite import RewriteReport, optimize_branches
 from ..algebra.translate import Translator
 from ..engine.cluster import Cluster
 from ..engine.dataset import Dataset
+from ..engine.gcpause import collector_paused
 from ..engine.metrics import CostModel
 from ..errors import ParseError, PlanningError, StaleHandleError, WorkerTaskError
 from ..monoid.comprehension import Comprehension
@@ -337,6 +338,7 @@ class CleanDB:
             raise DiagnosticsError(errors, source=rule)
         return parse_dc(rule)
 
+    @collector_paused()
     def _run_check(
         self,
         op: str,
@@ -641,6 +643,7 @@ class CleanDB:
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
+    @collector_paused()
     def execute(self, sql: str) -> QueryResult:
         """Compile and run a CleanM query; collects every branch output."""
         plan = self.compile(sql)

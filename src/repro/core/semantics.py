@@ -51,6 +51,7 @@ from ..monoid.expressions import (
     RecordCons,
     UnaryOp,
     Var,
+    call_names,
 )
 from ..physical.functions import BUILTIN_FUNCTION_NAMES, DEFAULT_FUNCTIONS, QUERY_BUILTINS
 from .ast_nodes import ClusterByOp, DedupOp, FDOp, Query, SelectItem, Star
@@ -447,17 +448,7 @@ def _query_expressions(query: Query) -> Iterator[Expr]:
 
 
 def _call_names_in(query: Query) -> set[str]:
-    names: set[str] = set()
-
-    def walk(expr: Expr) -> None:
-        if isinstance(expr, Call):
-            names.add(expr.name)
-        for child in expr.children():
-            walk(child)
-
-    for expr in _query_expressions(query):
-        walk(expr)
-    return names
+    return set().union(*map(call_names, _query_expressions(query)))
 
 
 def _closest(name: str, candidates: Iterable[str]) -> str | None:

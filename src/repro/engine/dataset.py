@@ -398,23 +398,6 @@ class Dataset:
 
         return self._join_like(other, emit, "leftOuterJoin", num_partitions)
 
-    def full_outer_join(
-        self, other: "Dataset", num_partitions: int | None = None
-    ) -> "Dataset":
-        def emit(key: Any, lefts: list, rights: list) -> Iterator[Any]:
-            if lefts and rights:
-                for l in lefts:
-                    for r in rights:
-                        yield (key, (l, r))
-            elif lefts:
-                for l in lefts:
-                    yield (key, (l, None))
-            else:
-                for r in rights:
-                    yield (key, (None, r))
-
-        return self._join_like(other, emit, "fullOuterJoin", num_partitions)
-
     def cartesian(self, other: "Dataset", name: str = "cartesian") -> "Dataset":
         """Cross product — deliberately expensive (n*m work).
 

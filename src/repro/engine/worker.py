@@ -21,6 +21,7 @@ places a blob is ever unpickled (lint E103).
 
 from __future__ import annotations
 
+import gc
 import os
 import pickle
 import time
@@ -30,6 +31,7 @@ from typing import Any, Callable, NamedTuple, Sequence
 
 from ..errors import StaleHandleError, WorkerTaskError
 from .faults import FaultPlan
+from .gcpause import collector_paused
 
 _MISSING = object()  # sentinel: distinguish "absent" from a stored None
 
@@ -169,7 +171,13 @@ def _worker_main(
     "slowly working".  ``fault_plan`` (tests only) schedules deterministic
     crashes/delays/drops/corruptions by this worker's task count — see
     :mod:`repro.engine.faults`.
+
+    The cycle collector is paused from a command's arrival to its reply and
+    enabled while the worker waits for the next one — enabled here first,
+    because a worker forked inside a paused driver operation (the pool spawns
+    lazily; a replacement is forked mid-recovery) inherits it disabled.
     """
+    gc.enable()
     store: dict[tuple, Any] = {}
     funcs: dict[int, Callable] = {}
     faults = fault_plan.for_worker(worker_index, gen) if fault_plan else {}
@@ -181,75 +189,76 @@ def _worker_main(
 
     while True:
         cmd = inbox.get()
-        beat()
-        kind = cmd[0]
-        if kind == "task":
-            executed += 1
-            spec = faults.pop(executed, None)
-            if spec is not None and spec.kind == "kill_before":
-                os._exit(13)
-            _, task_id, fid, args_blob, store_key, returning = cmd
-            try:
-                args = pickle.loads(args_blob)
-                resolved = tuple(_resolve_arg(store, a) for a in args)
-                func = funcs[fid]
-                if isinstance(func, _BrokenBlob):
-                    what = func.label or f"task function {fid}"
-                    raise RuntimeError(
-                        f"{what} (function id {fid}) failed to unpickle in "
-                        f"the worker: {func.error}"
-                    )
-                result = func(*resolved)
-                if store_key is not None:
-                    back = result if returning else _MISSING
-                    if isinstance(result, Staged):  # keep the value, report the counts
-                        result, back = result
-                    store[store_key] = result
-                    if back is _MISSING:
-                        reply = (task_id, _STORED, _count(result))
-                    else:
-                        reply = (task_id, _STORED_RET, _count(result), pickle.dumps(back))
-                else:
-                    reply = (task_id, _OK, pickle.dumps(result))
-            except Exception as exc:  # noqa: BLE001 - every task error must travel back
-                reply = (task_id, *_failure_envelope(exc))
-            if spec is not None:
-                if spec.kind == "kill_after":
+        with collector_paused():
+            beat()
+            kind = cmd[0]
+            if kind == "task":
+                executed += 1
+                spec = faults.pop(executed, None)
+                if spec is not None and spec.kind == "kill_before":
                     os._exit(13)
-                if spec.kind == "drop":
-                    beat()
-                    continue
-                if spec.kind == "delay":
-                    time.sleep(spec.seconds)
-                if spec.kind == "corrupt":
-                    reply = (task_id, _OK, b"\x00corrupt reply payload")
-            outbox.put(reply)
-        elif kind == "pin":
-            _, name, version, part, blob = cmd
-            try:
-                store[(name, version, part)] = pickle.loads(blob)
-            except Exception as exc:  # noqa: BLE001 - a bad blob must not
-                # kill the worker; the next task on this handle reports why
-                store[(name, version, part)] = _BrokenBlob(
-                    repr(exc), label=f"pinned partition {name!r} v{version} part {part}"
-                )
-        elif kind == "func":
-            _, fid, blob, label = cmd
-            try:
-                funcs[fid] = pickle.loads(blob)
-            except Exception as exc:  # noqa: BLE001 - tasks naming fid get
-                # a diagnosable envelope instead of a dead worker
-                funcs[fid] = _BrokenBlob(repr(exc), label=label)
-        elif kind == "func_del":
-            funcs.pop(cmd[1], None)
-        elif kind == "evict":
-            _, name, version = cmd
-            for key in [k for k in store if k[0] == name and (version is None or k[1] == version)]:
-                del store[key]
-        elif kind == "evict_all":
-            store.clear()
-        elif kind == "stop":
-            break
+                _, task_id, fid, args_blob, store_key, returning = cmd
+                try:
+                    args = pickle.loads(args_blob)
+                    resolved = tuple(_resolve_arg(store, a) for a in args)
+                    func = funcs[fid]
+                    if isinstance(func, _BrokenBlob):
+                        what = func.label or f"task function {fid}"
+                        raise RuntimeError(
+                            f"{what} (function id {fid}) failed to unpickle in "
+                            f"the worker: {func.error}"
+                        )
+                    result = func(*resolved)
+                    if store_key is not None:
+                        back = result if returning else _MISSING
+                        if isinstance(result, Staged):  # keep the value, report the counts
+                            result, back = result
+                        store[store_key] = result
+                        if back is _MISSING:
+                            reply = (task_id, _STORED, _count(result))
+                        else:
+                            reply = (task_id, _STORED_RET, _count(result), pickle.dumps(back))
+                    else:
+                        reply = (task_id, _OK, pickle.dumps(result))
+                except Exception as exc:  # noqa: BLE001 - every task error must travel back
+                    reply = (task_id, *_failure_envelope(exc))
+                if spec is not None:
+                    if spec.kind == "kill_after":
+                        os._exit(13)
+                    if spec.kind == "drop":
+                        beat()
+                        continue
+                    if spec.kind == "delay":
+                        time.sleep(spec.seconds)
+                    if spec.kind == "corrupt":
+                        reply = (task_id, _OK, b"\x00corrupt reply payload")
+                outbox.put(reply)
+            elif kind == "pin":
+                _, name, version, part, blob = cmd
+                try:
+                    store[(name, version, part)] = pickle.loads(blob)
+                except Exception as exc:  # noqa: BLE001 - a bad blob must not
+                    # kill the worker; the next task on this handle reports why
+                    store[(name, version, part)] = _BrokenBlob(
+                        repr(exc), label=f"pinned partition {name!r} v{version} part {part}"
+                    )
+            elif kind == "func":
+                _, fid, blob, label = cmd
+                try:
+                    funcs[fid] = pickle.loads(blob)
+                except Exception as exc:  # noqa: BLE001 - tasks naming fid get
+                    # a diagnosable envelope instead of a dead worker
+                    funcs[fid] = _BrokenBlob(repr(exc), label=label)
+            elif kind == "func_del":
+                funcs.pop(cmd[1], None)
+            elif kind == "evict":
+                _, name, version = cmd
+                for key in [k for k in store if k[0] == name and (version is None or k[1] == version)]:
+                    del store[key]
+            elif kind == "evict_all":
+                store.clear()
+            elif kind == "stop":
+                break
 
 
 # ---------------------------------------------------------------------- #

@@ -368,6 +368,18 @@ def evaluate(expr: Expr, env: dict[str, Any], funcs: dict[str, Callable] | None 
     raise TypeError(f"cannot evaluate expression of type {type(expr).__name__}")
 
 
+def call_names(expr: Expr) -> set[str]:
+    """Every function name a :class:`Call` in this tree references."""
+    names: set[str] = set()
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Call):
+            names.add(node.name)
+        stack.extend(node.children())
+    return names
+
+
 # ---------------------------------------------------------------------- #
 # Compilation (Fig. 2's code generator, at the expression level)
 # ---------------------------------------------------------------------- #
@@ -435,7 +447,9 @@ def _compile(expr: Expr) -> tuple[str, list[Any]]:
         # evaluate() says.
         return f"evaluate({bind(e)}, env, funcs)"
 
-    return emit(expr), bound
+    source = emit(expr)
+    emit = None  # it refers to itself: without this the pair waits for the cycle collector
+    return source, bound
 
 
 def compile_expr(expr: Expr) -> str:

@@ -56,7 +56,7 @@ from ..engine.shuffle import exchange_resident
 from ..engine.transport import ShipLog
 from ..engine.worker import StoreRef
 from ..errors import PlanningError, SchemaError, WorkerTaskError
-from ..monoid.expressions import Call, Expr, compiled
+from ..monoid.expressions import Expr, call_names, compiled
 from ..sources.columnar import round_robin_split
 
 from .functions import freeze
@@ -457,7 +457,6 @@ class ParallelExecutor:
     """
 
     def __init__(self, executor: "Executor"):
-        self.executor = executor
         self.cluster = executor.cluster
         self.catalog = executor.catalog
         self.config = executor.config
@@ -522,7 +521,7 @@ class ParallelExecutor:
     def _expr_ok(self, expr: Expr) -> bool:
         """Shippable: the tree pickles and every called function does too."""
         return is_picklable(expr) and all(
-            name in self._shippable for name in _call_names(expr)
+            name in self._shippable for name in call_names(expr)
         )
 
     def _funcs_for(self, *exprs: Expr | None) -> dict[str, Callable]:
@@ -531,7 +530,7 @@ class ParallelExecutor:
         names: set[str] = set()
         for expr in exprs:
             if expr is not None:
-                names |= _call_names(expr)
+                names |= call_names(expr)
         return {name: self._shippable[name] for name in names}
 
     def _source_supported(self, table: str) -> bool:
@@ -745,15 +744,3 @@ def _nest_signatures(op: AlgebraOp) -> Iterator[str]:
         yield op.describe()
     for child in op.children():
         yield from _nest_signatures(child)
-
-
-def _call_names(expr: Expr) -> set[str]:
-    """Every function name a :class:`Call` in this tree references."""
-    names: set[str] = set()
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Call):
-            names.add(node.name)
-        stack.extend(node.children())
-    return names

@@ -289,7 +289,6 @@ class VectorizedExecutor:
     """
 
     def __init__(self, executor: "Executor"):
-        self.executor = executor
         self.cluster = executor.cluster
         self.catalog = executor.catalog
         self.config = executor.config

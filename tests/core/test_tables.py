@@ -9,14 +9,20 @@ now; these tests hold every kind of session to "a raise is a no-op".
 
 import copy
 import gc
+import types
 import weakref
+from collections import Counter
 
 import pytest
 
 from repro import CleanDB
+from repro.core import language
 from repro.core.tables import TableStore
+from repro.datasets import generate_customer, generate_lineitem
 from repro.engine import Cluster
 from repro.errors import SchemaError
+from repro.monoid import expressions
+from repro.physical.lower import Executor
 
 RULE = "t1.a = t2.a and t1.price < t2.price and t1.disc > t2.disc"
 
@@ -142,6 +148,84 @@ def test_a_closed_session_leaves_nothing_for_the_cycle_collector():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# The bench's unified (Fig. 5) and GROUP BY queries (bench/workloads.py).
+UNIFIED_SQL = (
+    "SELECT * FROM customer c "
+    "FD(c.address, prefix(c.phone)) FD(c.address, c.nationkey) "
+    "DEDUP(exact, LD, 0.5, c.address)"
+)
+AGG_SQL = (
+    "SELECT l.suppkey, count(l.orderkey) AS n FROM lineitem l "
+    "WHERE l.discount > 0.05 GROUP BY l.suppkey"
+)
+
+
+def _left_to_the_collector(execution, sql, monkeypatch):
+    """What one ``execute`` leaves behind that only a collector pass frees,
+    and whether the query's ``Executor`` died with the call."""
+    executors = []
+
+    class Watched(Executor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            executors.append(weakref.ref(self))
+
+    monkeypatch.setattr(language, "Executor", Watched)
+    options = {"execution": "parallel", "workers": 2} if execution == "parallel" else {}
+    with CleanDB(num_nodes=4, **options) as db:
+        db.register_table("customer", generate_customer(num_customers=300, seed=23).records)
+        db.register_table("lineitem", generate_lineitem(4))
+        assert db.execute(sql).branches  # warm: pool forked, functions shipped
+        gc.collect()
+        result = db.execute(sql)
+        assert [ref() for ref in executors] == [None, None]
+        assert any(result.branches.values())
+        if execution == "parallel" and sql is AGG_SQL:  # the pool claims no part of the other
+            assert any(":par" in op.name for op in db.cluster.metrics.ops)
+        del result
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            gc.collect()
+            return list(gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+
+
+@pytest.mark.parametrize("sql", [UNIFIED_SQL, AGG_SQL], ids=["unified", "agg"])
+def test_a_querys_temporaries_die_by_reference_count(sql, monkeypatch):
+    """``execute`` runs with the collector paused, so what a query builds
+    must not wait for it: the executor and its backend (no back pointer), the
+    per-query functions with their record cache, the ship log and every
+    row-shaped intermediate are gone when the call returns.  What is left is
+    one ``node <-> run`` pair per compiled expression — ``compiled()`` caches
+    the function on the node its fallback interprets; it holds no data — and
+    a parallel session leaves exactly what a row session leaves."""
+    gc.collect()
+    gc.disable()
+    try:
+        left = {ex: _left_to_the_collector(ex, sql, monkeypatch) for ex in ("row", "parallel")}
+    finally:
+        gc.enable()
+    nodes = {cls.__name__ for cls in expressions.Expr.__subclasses__()}
+    for execution, garbage in left.items():
+        names = {type(obj).__name__ for obj in garbage}
+        assert names <= nodes | {"function", "cell", "tuple", "dict"}, (execution, names)
+        functions = [obj for obj in garbage if isinstance(obj, types.FunctionType)]
+        assert {f.__qualname__ for f in functions} <= {"build.<locals>.run"}
+        assert not any(isinstance(obj, dict) and "_rid" in obj for obj in garbage)
+    # A node's ``__dict__`` becomes an object of its own once something reads
+    # it (the shippability probe pickles every node): not counted.
+    counted = {
+        ex: Counter(type(obj).__name__ for obj in garbage if type(obj) is not dict)
+        for ex, garbage in left.items()
+    }
+    if sql is UNIFIED_SQL:  # not claimable by the pool: the driver compiles it either way
+        assert counted["parallel"] == counted["row"] and counted["row"]["function"] == 12
+    else:  # claimed in full: the driver compiles nothing
+        assert counted["row"]["function"] == 4 and not counted["parallel"]
 
 
 # -- TableStore.derived: build / reuse / drop ----------------------------- #

@@ -152,12 +152,6 @@ class TestJoins:
         assert result[1] == ("l1", None)
         assert result[2] == ("l2", "r2")
 
-    def test_full_outer_join(self, cluster):
-        left = cluster.parallelize([(1, "l")])
-        right = cluster.parallelize([(2, "r")])
-        result = dict(left.full_outer_join(right).collect())
-        assert result == {1: ("l", None), 2: (None, "r")}
-
     def test_join_many_to_many(self, cluster):
         left = cluster.parallelize([(1, "a"), (1, "b")])
         right = cluster.parallelize([(1, "x"), (1, "y")])
