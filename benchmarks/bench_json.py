@@ -16,7 +16,7 @@ import json
 from pathlib import Path
 from typing import Any
 
-BENCH_PATH = Path(__file__).parent / "BENCH_fig8.json"
+BENCH_FIG8_PATH = Path(__file__).parent / "BENCH_fig8.json"
 BENCH_DC_PATH = Path(__file__).parent / "BENCH_dc.json"
 BENCH_FIG5_PATH = Path(__file__).parent / "BENCH_fig5.json"
 BENCH_INCREMENTAL_PATH = Path(__file__).parent / "BENCH_incremental.json"
@@ -61,40 +61,3 @@ def emit_bench(path: Path, section: str, payload: dict) -> dict:
         json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     return data
-
-
-def emit_fig8(section: str, payload: dict) -> dict:
-    """Merge one dedup figure's results into ``BENCH_fig8.json``."""
-    return emit_bench(BENCH_PATH, section, payload)
-
-
-def emit_dc(section: str, payload: dict) -> dict:
-    """Merge one DC figure's results into ``BENCH_dc.json``."""
-    return emit_bench(BENCH_DC_PATH, section, payload)
-
-
-def emit_fig5(section: str, payload: dict) -> dict:
-    """Merge one unified-cleaning figure's results into ``BENCH_fig5.json``
-    (simulated table, measured parallel wall-clock, pinned-store bytes)."""
-    return emit_bench(BENCH_FIG5_PATH, section, payload)
-
-
-def emit_incremental(section: str, payload: dict) -> dict:
-    """Merge one incremental-maintenance figure's results into
-    ``BENCH_incremental.json`` (cold / warm / 1%-delta wall-clock per
-    cleaning operation, plus delta transport volume)."""
-    return emit_bench(BENCH_INCREMENTAL_PATH, section, payload)
-
-
-def emit_serve(section: str, payload: dict) -> dict:
-    """Merge one serving-layer load-generator result into
-    ``BENCH_serve.json`` (serial vs concurrent latency percentiles,
-    throughput, and the consolidation speedup)."""
-    return emit_bench(BENCH_SERVE_PATH, section, payload)
-
-
-def emit_faults(section: str, payload: dict) -> dict:
-    """Merge one fault-recovery result into ``BENCH_faults.json`` (warm
-    workload wall-clock with 0 vs 1 injected worker kill, the recovery
-    overhead ratio, retry count, and the oracle-parity verdict)."""
-    return emit_bench(BENCH_FAULTS_PATH, section, payload)

@@ -22,7 +22,7 @@ Assertions:
 Results land in ``BENCH_faults.json``.
 """
 
-from bench_json import emit_faults
+from bench_json import BENCH_FAULTS_PATH, emit_bench
 from workloads import NUM_NODES, PARALLEL_WORKERS
 
 from repro.engine import FaultPlan
@@ -121,7 +121,7 @@ def test_bench_faults(report):
         "overhead_ratio": round(ratio, 4),
         "oracle_match": True,
     }
-    emit_faults("one_kill_vs_clean", payload)
+    emit_bench(BENCH_FAULTS_PATH, "one_kill_vs_clean", payload)
 
     rows = [
         {

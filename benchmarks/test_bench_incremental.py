@@ -28,7 +28,7 @@ or reordered output.
 
 import time
 
-from bench_json import emit_incremental
+from bench_json import BENCH_INCREMENTAL_PATH, emit_bench
 from workloads import NUM_NODES, PARALLEL_WORKERS
 
 from repro import CleanDB
@@ -199,4 +199,4 @@ def test_bench_incremental(report):
             f"{name}: 1% delta re-check took {r['delta_over_cold']:.1%} of "
             f"cold (target <= {TARGET_RATIO:.0%})"
         )
-    emit_incremental("operations", results)
+    emit_bench(BENCH_INCREMENTAL_PATH, "operations", results)

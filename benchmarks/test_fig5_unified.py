@@ -23,7 +23,7 @@ ship-everything run.  Headline numbers land in ``BENCH_fig5.json``.
 
 import time
 
-from bench_json import emit_fig5
+from bench_json import BENCH_FIG5_PATH, emit_bench
 from workloads import NUM_NODES, PARALLEL_WORKERS, customer_small
 
 from repro import CleanDB, PhysicalConfig
@@ -242,7 +242,7 @@ def test_fig5_unified_cleaning(benchmark, report):
     # Identical violation counts regardless of plan.
     assert cleandb_outputs == spark_outputs
     assert cleandb_outputs["fd1"] > 0 and cleandb_outputs["dedup"] > 0
-    emit_fig5("systems", {"rows": rows, "outputs": cleandb_outputs})
+    emit_bench(BENCH_FIG5_PATH, "systems", {"rows": rows, "outputs": cleandb_outputs})
 
 
 def test_fig5_parallel_measured(report):
@@ -266,7 +266,7 @@ def test_fig5_parallel_measured(report):
             ],
         )
     )
-    emit_fig5("parallel_measured", measured)
+    emit_bench(BENCH_FIG5_PATH, "parallel_measured", measured)
     assert measured["unified_seconds"] < measured["separate_seconds"]
     # The parallel backend genuinely ran the standalone queries (shipped
     # bytes, measured time).  It cannot claim the coalesced DAG (one branch
@@ -293,6 +293,6 @@ def test_fig5_pinned_store(report):
             ],
         )
     )
-    emit_fig5("pinned_store", pinned)
+    emit_bench(BENCH_FIG5_PATH, "pinned_store", pinned)
     assert pinned["violations"] > 0
     assert pinned["cold_bytes"] >= 5 * pinned["warm_bytes"]

@@ -15,7 +15,7 @@ also land in ``BENCH_fig8.json`` for cross-PR comparison.
 
 import time
 
-from bench_json import emit_fig8, run_record
+from bench_json import BENCH_FIG8_PATH, emit_bench, run_record
 from workloads import NUM_NODES, customer_zipf
 
 from repro.baselines import BigDansingSystem, CleanDBSystem, SparkSQLSystem
@@ -129,7 +129,8 @@ def test_fig8a_customer_dedup(benchmark, report):
     assert on["sim_time"] < off["sim_time"]
     assert on["measured_s"] < off["measured_s"]
 
-    emit_fig8(
+    emit_bench(
+        BENCH_FIG8_PATH,
         "fig8a",
         {
             "systems": json_rows,

@@ -13,7 +13,7 @@ verified count sits far below the candidate count (asserted >= 3x).
 Results also land in ``BENCH_fig8.json``.
 """
 
-from bench_json import emit_fig8, run_record
+from bench_json import BENCH_FIG8_PATH, emit_bench, run_record
 from workloads import MAG_BUDGET, NUM_NODES, mag
 
 from repro.baselines import CleanDBSystem, SparkSQLSystem
@@ -64,7 +64,8 @@ def test_fig8b_mag_dedup(benchmark, report):
         result = statuses[(label, "CleanDB")]
         assert 0 < result.verified * 3 <= result.comparisons
 
-    emit_fig8(
+    emit_bench(
+        BENCH_FIG8_PATH,
         "fig8b",
         {
             f"{label}:{system}": run_record(result)

@@ -17,7 +17,7 @@ The headline numbers land in ``BENCH_dc.json`` (via ``bench_json``), next
 to the Fig. 8 similarity-kernel pruning figures.
 """
 
-from bench_json import emit_dc, run_record
+from bench_json import BENCH_DC_PATH, emit_bench, run_record
 from workloads import NUM_NODES, PARALLEL_WORKERS, SCALE_FACTORS, dc_price_cap, lineitem
 
 from repro.baselines import CleanDBSystem
@@ -84,7 +84,8 @@ def test_fig_dc_strategies(benchmark, report):
     series = [r["banded"] for r in rows]
     assert series == sorted(series)
 
-    emit_dc(
+    emit_bench(
+        BENCH_DC_PATH,
         "strategies",
         {
             str(r["scale_factor"]): {
@@ -161,7 +162,8 @@ def test_fig_dc_exec_backends(benchmark, report):
         )
         assert row["measured_parallel_s"] > 0.0
 
-    emit_dc(
+    emit_bench(
+        BENCH_DC_PATH,
         "exec_backends",
         {
             str(r["scale_factor"]): {
@@ -206,4 +208,4 @@ def test_fig_dc_repair(benchmark, report):
         # Zero residual violations on the benchmark workload.
         assert row["residual"] == 0
 
-    emit_dc("repair", {str(r["scale_factor"]): dict(r) for r in rows})
+    emit_bench(BENCH_DC_PATH, "repair", {str(r["scale_factor"]): dict(r) for r in rows})

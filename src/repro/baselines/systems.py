@@ -31,8 +31,8 @@ import math
 import time
 from typing import Any, Callable, Sequence
 
-from ..cleaning.dedup import run_dedup
-from ..cleaning.denial import DenialConstraint, run_dc, run_fd
+from ..cleaning.denial import DenialConstraint
+from ..cleaning.ladder import run_check
 from ..cleaning.repair import repair_dc_by_relaxation
 from ..cleaning.similarity import get_metric
 from ..cleaning.simjoin import FilterConfig
@@ -50,9 +50,11 @@ class System:
     ``execution`` selects the cleaning drivers: ``"row"`` runs the
     ``Dataset`` operators, ``"vectorized"`` the same kernels at batch
     prices, and ``"parallel"`` the same kernels over a real multi-process
-    worker pool (``workers`` processes, clamped to ``num_nodes``).  Only CleanDB
-    exercises the non-row backends in the benchmarks; the baselines model
-    systems without them.
+    worker pool (``workers`` processes, clamped to ``num_nodes``) — by the
+    rule of :mod:`~repro.cleaning.ladder`, the one ``CleanDB`` follows, so
+    a driver that could not heal degrades to the row driver here too.  Only
+    CleanDB exercises the non-row backends in the benchmarks; the baselines
+    model systems without them.
     """
 
     name = "system"
@@ -134,9 +136,9 @@ class System:
         fmt: str = "memory",
     ) -> RunResult:
         return self._run(
-            lambda cluster: run_fd(
-                cluster, records, lhs, rhs, execution=self.execution,
-                grouping=self.grouping, fmt=fmt,
+            lambda cluster: run_check(
+                cluster, "fd", records, self.execution, name="lineitem", fmt=fmt,
+                lhs=lhs, rhs=rhs, grouping=self.grouping,
             ).collect()
         )
 
@@ -150,13 +152,13 @@ class System:
         """General DC check with this system's strategy (overridable).
 
         The ``banded`` strategy additionally follows the system's
-        execution backend (:func:`~repro.cleaning.denial.run_dc`) — the
-        same seam the FD check and dedup operations use.
+        execution backend — the same seam the FD check and dedup
+        operations use.
         """
         return self._run(
-            lambda cluster: run_dc(
-                cluster, records, constraint, execution=self.execution,
-                strategy=strategy or self.dc_strategy, fmt=fmt,
+            lambda cluster: run_check(
+                cluster, "dc", records, self.execution, name="lineitem", fmt=fmt,
+                constraint=constraint, strategy=strategy or self.dc_strategy,
             ).collect()
         )
 
@@ -198,10 +200,10 @@ class System:
         filters: FilterConfig | None = None,
     ) -> RunResult:
         return self._run(
-            lambda cluster: run_dedup(
-                cluster, records, list(attributes), execution=self.execution,
-                grouping=self.grouping, metric=metric, theta=theta,
-                block_on=block_on, fmt=fmt, filters=filters,
+            lambda cluster: run_check(
+                cluster, "dedup", records, self.execution, name="input", fmt=fmt,
+                attributes=list(attributes), grouping=self.grouping, metric=metric,
+                theta=theta, block_on=block_on, filters=filters,
             ).collect()
         )
 

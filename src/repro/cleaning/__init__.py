@@ -15,7 +15,7 @@ if TYPE_CHECKING:
     )
     from .dedup import (
         DuplicatePair, deduplicate, deduplicate_columnar, deduplicate_parallel,
-        ensure_rids, pairwise_within_blocks, run_dedup,
+        ensure_rids, pairwise_within_blocks,
     )
     from .domain import (
         DomainRule, DomainViolation, InRange, InSet, Matches, NotNull, Satisfies,
@@ -27,12 +27,13 @@ if TYPE_CHECKING:
     from .denial import (
         DC_STRATEGIES, DenialConstraint, FDViolation, SingleFilter, TuplePredicate,
         check_dc, check_dc_columnar, check_dc_parallel, check_fd, check_fd_columnar,
-        check_fd_parallel, run_dc, run_fd, self_theta_join,
+        check_fd_parallel, self_theta_join,
     )
     from .kmeans import (
         assign_to_centers, fixed_step_centers, hierarchical_cluster, multi_pass_kmeans,
         reservoir_sample, single_pass_kmeans,
     )
+    from .ladder import run_check
     from .similarity import (
         euclidean_similarity, get_metric, jaccard_similarity, jaro_similarity,
         jaro_winkler_similarity, levenshtein_distance, levenshtein_similarity,
@@ -63,7 +64,7 @@ __getattr__, __dir__, __all__ = lazy_surface(__name__, {
     ),
     "dedup": (
         "DuplicatePair", "deduplicate", "deduplicate_columnar", "deduplicate_parallel",
-        "ensure_rids", "pairwise_within_blocks", "run_dedup",
+        "ensure_rids", "pairwise_within_blocks",
     ),
     "domain": (
         "DomainRule", "DomainViolation", "InRange", "InSet", "Matches", "NotNull",
@@ -76,13 +77,13 @@ __getattr__, __dir__, __all__ = lazy_surface(__name__, {
     "denial": (
         "DC_STRATEGIES", "DenialConstraint", "FDViolation", "SingleFilter",
         "TuplePredicate", "check_dc", "check_dc_columnar", "check_dc_parallel",
-        "check_fd", "check_fd_columnar", "check_fd_parallel", "run_dc", "run_fd",
-        "self_theta_join",
+        "check_fd", "check_fd_columnar", "check_fd_parallel", "self_theta_join",
     ),
     "kmeans": (
         "assign_to_centers", "fixed_step_centers", "hierarchical_cluster",
         "multi_pass_kmeans", "reservoir_sample", "single_pass_kmeans",
     ),
+    "ladder": ("run_check",),
     "similarity": (
         "euclidean_similarity", "get_metric", "jaccard_similarity", "jaro_similarity",
         "jaro_winkler_similarity", "levenshtein_distance", "levenshtein_similarity",

@@ -16,8 +16,8 @@ backend: :func:`deduplicate` (``Dataset`` operators at row prices, and the
 only driver for the overlapping token / k-means blockers),
 :func:`deduplicate_columnar` (the round-robin layout at batch prices),
 :func:`deduplicate_parallel` (worker tasks over pinned partitions), with
-byte-identical pair output; :func:`run_dedup` picks the driver from the
-caller's ``execution`` backend.  docs/ARCHITECTURE.md has the full table.
+byte-identical pair output; :mod:`~repro.cleaning.ladder` decides which one
+a caller's ``execution`` gets.  docs/ARCHITECTURE.md has the full table.
 
 Every path verifies its candidate pairs through the shared similarity
 kernel, which precomputes per-record comparison state once, applies
@@ -30,14 +30,13 @@ output pair set is identical either way.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import count as _counter
 from typing import Any, Callable, Sequence
 
 from ..engine.cluster import Cluster
 from ..engine.dataset import Dataset
 from ..engine.shuffle import exchange, exchange_resident
-from ..sources.columnar import round_robin_split, uniform_dict_records
+from ..sources.columnar import round_robin_split
 from .blocking import key_blocks, make_blocks
 from .rowid import RID, has_rids, number_rows, partition_offsets, stamp
 from .simjoin import (
@@ -289,7 +288,6 @@ def deduplicate_columnar(
     theta: float = 0.8,
     block_on: BlockSpec = None,
     fmt: str = "memory",
-    batch_size: int = 1024,
     filters: FilterConfig | None = None,
     name: str = "input",
 ) -> Dataset:
@@ -302,22 +300,13 @@ def deduplicate_columnar(
     partition sizes, (partition, key) blocks moved, records per merge
     bucket; the similarity phase is priced by the join's own counters, as
     on every driver.  Counts and output pairs match :func:`deduplicate`
-    with exact-key blocking and the same ``filters``.  Rows that are not
-    uniform dicts take the row path at row prices.
+    with exact-key blocking and the same ``filters``.
     """
     if not attributes:
         raise ValueError("deduplicate needs at least one comparison attribute")
-    records = records if isinstance(records, list) else list(records)
-    if not uniform_dict_records(records):
-        ds = cluster.parallelize(records, fmt=fmt, name=name)
-        return deduplicate(
-            ds, attributes, metric=metric, theta=theta, block_on=block_on,
-            filters=filters,
-        )
-
     n = cluster.default_parallelism
     cost = cluster.cost_model
-    charge = partial(cluster.record_batch_stage, batch_size=batch_size)
+    charge = cluster.record_batch_stage
     parts = round_robin_split(records, n)
     sizes = [len(p) for p in parts]
     charge(f"scan:{name}:vec", sizes, extra_unit=cost.scan_unit(fmt))
@@ -373,23 +362,12 @@ def deduplicate_parallel(
     **byte-identical** — same pairs, same order — to :func:`deduplicate`
     with the same exact-key ``block_on`` and ``filters`` over
     ``cluster.parallelize(records, ...)``.
-
-    Falls back to the serial row path when the blocking spec or records
-    cannot cross a process boundary (lambdas, unpicklable rows).
     """
-    from ..physical.parallel_exec import resident_stages, shippable
+    from ..physical.parallel_exec import resident_stages
 
     if not attributes:
         raise ValueError("deduplicate needs at least one comparison attribute")
-    records = records if isinstance(records, list) else list(records)
     attributes = list(attributes)
-    if not shippable(cluster, records, pinned, block_on):
-        ds = cluster.parallelize(records, fmt=fmt, name=name)
-        return deduplicate(
-            ds, attributes, metric=metric, theta=theta, block_on=block_on,
-            filters=filters,
-        )
-
     n = cluster.default_parallelism
     cost = cluster.cost_model
     unit = cost.record_unit
@@ -428,36 +406,3 @@ def deduplicate_parallel(
             **stages.log.take(),
         )
     return Dataset(cluster, [pairs for pairs, _ in results], op="dedup:parallel")
-
-
-def run_dedup(
-    cluster: Cluster,
-    records: Sequence[dict],
-    attributes: Sequence[str],
-    execution: str = "row",
-    grouping: str = "aggregate",
-    metric: str = "LD",
-    theta: float = 0.8,
-    block_on: BlockSpec = None,
-    fmt: str = "memory",
-    filters: FilterConfig | None = None,
-    name: str = "input",
-    pinned: tuple[str, int] | None = None,
-    batch_size: int = 1024,
-) -> Dataset:
-    """Exact-key dedup on the caller's backend: the one place that maps
-    ``execution`` to a driver, by :func:`~repro.cleaning.denial.run_fd`'s
-    rule."""
-    shared = dict(metric=metric, theta=theta, block_on=block_on, filters=filters)
-    if grouping == "aggregate" and execution == "vectorized":
-        return deduplicate_columnar(
-            cluster, records, attributes, fmt=fmt, batch_size=batch_size,
-            name=name, **shared,
-        )
-    if grouping == "aggregate" and execution == "parallel":
-        return deduplicate_parallel(
-            cluster, records, attributes, fmt=fmt, pinned=pinned, name=name,
-            **shared,
-        )
-    ds = cluster.parallelize(records, fmt=fmt, name=name)
-    return deduplicate(ds, attributes, grouping=grouping, **shared)

@@ -21,9 +21,9 @@ partitions through it and prices the counts that come out:
 :func:`check_fd` / :func:`check_dc` (``Dataset`` operators, row prices),
 ``check_*_columnar`` (the round-robin layout, batch prices),
 ``check_*_parallel`` (worker tasks over pinned partitions, row prices plus
-measured transport) — with byte-identical violation output.
-:func:`run_fd` / :func:`run_dc` pick the driver from the caller's
-``execution`` backend.  docs/ARCHITECTURE.md has the full table.
+measured transport) — with byte-identical violation output; which one a
+caller's ``execution`` gets, and what answers when it cannot, is the rule
+of :mod:`~repro.cleaning.ladder`.  docs/ARCHITECTURE.md has the full table.
 
 Predicate semantics (null-safe three-valued comparison, stable row-id
 pair dedupe) live in :mod:`repro.cleaning.dc_kernel`; the classes are
@@ -47,7 +47,7 @@ from ..physical.theta_join import (
     theta_join_matrix,
     theta_join_minmax,
 )
-from ..sources.columnar import round_robin_split, uniform_dict_records
+from ..sources.columnar import round_robin_split
 from .dc_kernel import (
     DCStats,
     DenialConstraint,
@@ -232,7 +232,6 @@ def check_fd_columnar(
     rhs: Sequence[AttrSpec],
     fmt: str = "memory",
     keep_records: bool = True,
-    batch_size: int = 1024,
     name: str = "lineitem",
 ) -> Dataset:
     """FD check at batch prices: the ``execution="vectorized"`` driver.
@@ -241,17 +240,10 @@ def check_fd_columnar(
     each stage as a vectorized one (``record_batch_stage``) from the counts
     the kernel produces — partition sizes, combiners moved, keys per merge
     bucket.  Results match ``check_fd(grouping="aggregate")``
-    violation-for-violation; only the cost profile differs.  Rows that are
-    not uniform dicts (the vectorized backend's usual precondition) take
-    the row path at row prices.
+    violation-for-violation; only the cost profile differs.
     """
-    records = records if isinstance(records, list) else list(records)
-    if not uniform_dict_records(records):
-        ds = cluster.parallelize(records, fmt=fmt, name=name)
-        return check_fd(ds, lhs, rhs, keep_records=keep_records)
-
     n = cluster.default_parallelism
-    charge = partial(cluster.record_batch_stage, batch_size=batch_size)
+    charge = cluster.record_batch_stage
     parts = round_robin_split(records, n)
     sizes = [len(p) for p in parts]
     charge(f"scan:{name}:vec", sizes, extra_unit=cluster.cost_model.scan_unit(fmt))
@@ -290,18 +282,10 @@ def check_fd_parallel(
     is **byte-identical** — same violations, same order — to ``check_fd``
     over ``cluster.parallelize(records, ...)``; the metrics additionally
     carry the measured pool wall-clock and bytes shipped.
-
-    Falls back to the serial row path when the attribute specs or records
-    cannot cross a process boundary (e.g. lambda specs).
     """
-    from ..physical.parallel_exec import resident_stages, shippable
+    from ..physical.parallel_exec import resident_stages
 
-    records = records if isinstance(records, list) else list(records)
     lhs, rhs = list(lhs), list(rhs)
-    if not shippable(cluster, records, pinned, (lhs, rhs)):
-        ds = cluster.parallelize(records, fmt=fmt, name=name)
-        return check_fd(ds, lhs, rhs, keep_records=keep_records)
-
     n = cluster.default_parallelism
     unit = cluster.cost_model.record_unit
     with resident_stages(cluster, records, pinned, "fd", name, fmt) as stages:
@@ -318,37 +302,6 @@ def check_fd_parallel(
         for part in found
     ]
     return Dataset(cluster, out_parts, op="fd:parallel")
-
-
-def run_fd(
-    cluster: Cluster,
-    records: Sequence[dict],
-    lhs: Sequence[AttrSpec],
-    rhs: Sequence[AttrSpec],
-    execution: str = "row",
-    grouping: str = "aggregate",
-    fmt: str = "memory",
-    keep_records: bool = True,
-    name: str = "lineitem",
-    pinned: tuple[str, int] | None = None,
-    batch_size: int = 1024,
-) -> Dataset:
-    """FD check on the caller's backend: the one place that maps
-    ``execution`` to a driver.  The columnar and parallel drivers implement
-    the ``aggregate`` grouping, so any other strategy runs on the row
-    driver — the same rule the query executors' ``supports()`` applies."""
-    if grouping == "aggregate" and execution == "vectorized":
-        return check_fd_columnar(
-            cluster, records, lhs, rhs, fmt=fmt, keep_records=keep_records,
-            batch_size=batch_size, name=name,
-        )
-    if grouping == "aggregate" and execution == "parallel":
-        return check_fd_parallel(
-            cluster, records, lhs, rhs, fmt=fmt, keep_records=keep_records,
-            pinned=pinned, name=name,
-        )
-    ds = cluster.parallelize(records, fmt=fmt, name=name)
-    return check_fd(ds, lhs, rhs, grouping=grouping, keep_records=keep_records)
 
 
 # ---------------------------------------------------------------------- #
@@ -457,7 +410,7 @@ def _dc_banded(
     cluster: Cluster,
     parts: Sequence[Sequence[dict]],
     constraint: DenialConstraint,
-    batch_size: int | None = None,
+    batched: bool = False,
     op: str = "dc:banded",
     derived: Callable[..., Any] | None = None,
 ) -> Dataset:
@@ -475,10 +428,10 @@ def _dc_banded(
     that table stands.  The probe and every charge run on each call — the
     simulated clock does not depend on cache temperature.
 
-    ``batch_size`` is the pricing argument: ``None`` charges extraction at
-    row prices (``dc:banded:stats``; the left filter rides along like a
-    pushed-down selection), a batch size charges extraction and left filter
-    as vectorized stages.  Index build and scan cost the same either way.
+    ``batched`` is the pricing argument: off charges extraction at row
+    prices (``dc:banded:stats``; the left filter rides along like a
+    pushed-down selection), on charges extraction and left filter as
+    vectorized stages.  Index build and scan cost the same either way.
     """
     cost = cluster.cost_model
     sizes = [len(p) for p in parts]
@@ -500,14 +453,14 @@ def _dc_banded(
     plan, index, left_parts, group_sizes, left_count = state
     # Statistics + extraction pass: one scan of the input (the same
     # "global data statistics" effort the matrix join charges).
-    if batch_size is None:
+    if not batched:
         cluster.record_op(
             "dc:banded:stats",
             cluster.spread_over_nodes([size * cost.record_unit for size in sizes]),
         )
     else:
-        cluster.record_batch_stage("dc:banded:stats:vec", sizes, batch_size=batch_size)
-        cluster.record_batch_stage("dc:leftFilter:vec", sizes, batch_size=batch_size)
+        cluster.record_batch_stage("dc:banded:stats:vec", sizes)
+        cluster.record_batch_stage("dc:leftFilter:vec", sizes)
     _record_dc_index_op(cluster, group_sizes, sum(sizes), left_count)
 
     stats = DCStats()
@@ -530,7 +483,6 @@ def check_dc_columnar(
     records: Sequence[dict],
     constraint: DenialConstraint,
     fmt: str = "memory",
-    batch_size: int = 1024,
     name: str = "lineitem",
     derived: Callable[..., Any] | None = None,
 ) -> Dataset:
@@ -538,20 +490,15 @@ def check_dc_columnar(
     driver.  The row driver's kernel pass over the round-robin layout of
     ``records`` (so violating pairs are the source dicts, in the row
     driver's order), with scan, extraction and left filter charged as
-    vectorized stages.  Non-uniform rows take the row path at row prices.
+    vectorized stages.
     """
-    records = records if isinstance(records, list) else list(records)
-    if not uniform_dict_records(records):
-        ds = cluster.parallelize(records, fmt=fmt, name=name)
-        return check_dc(ds, constraint, derived=derived)
     parts = round_robin_split(records, cluster.default_parallelism)
     cluster.record_batch_stage(
         f"scan:{name}:vec",
         [len(p) for p in parts],
-        batch_size=batch_size,
         extra_unit=cluster.cost_model.scan_unit(fmt),
     )
-    return _dc_banded(cluster, parts, constraint, batch_size, "dc:vectorized", derived)
+    return _dc_banded(cluster, parts, constraint, True, "dc:vectorized", derived)
 
 
 def check_dc_parallel(
@@ -561,7 +508,6 @@ def check_dc_parallel(
     fmt: str = "memory",
     pinned: tuple[str, int] | None = None,
     name: str = "lineitem",
-    derived: Callable[..., Any] | None = None,
 ) -> Dataset:
     """Multi-process banded DC check: the kernel as worker tasks.
 
@@ -581,17 +527,9 @@ def check_dc_parallel(
     **byte-identical** — same pairs, same order — to
     ``check_dc(cluster.parallelize(records, ...), constraint)``; metrics
     additionally carry the measured pool wall-clock and bytes shipped.
-
-    Falls back to the serial banded row path when the constraint or the
-    records cannot cross a process boundary.
     """
     from ..core.shippable import is_hashable
-    from ..physical.parallel_exec import resident_stages, shippable
-
-    records = records if isinstance(records, list) else list(records)
-    if not shippable(cluster, records, pinned, constraint):
-        ds = cluster.parallelize(records, fmt=fmt, name=name)
-        return check_dc(ds, constraint, derived=derived)
+    from ..physical.parallel_exec import resident_stages
 
     cost = cluster.cost_model
     # Keyed by the constraint *itself* (frozen dataclass, equality-hashed):
@@ -659,34 +597,6 @@ def check_dc_parallel(
     return Dataset(cluster, out_parts, op="dc:parallel")
 
 
-def run_dc(
-    cluster: Cluster,
-    records: Sequence[dict],
-    constraint: DenialConstraint,
-    execution: str = "row",
-    strategy: str = "banded",
-    fmt: str = "memory",
-    name: str = "lineitem",
-    pinned: tuple[str, int] | None = None,
-    batch_size: int = 1024,
-    derived: Callable[..., Any] | None = None,
-) -> Dataset:
-    """DC check on the caller's backend: the one place that maps
-    ``execution`` to a driver.  Only the ``banded`` plan has columnar and
-    parallel drivers; the theta-join strategies run on the row driver."""
-    if strategy == "banded" and execution == "vectorized":
-        return check_dc_columnar(
-            cluster, records, constraint, fmt=fmt, batch_size=batch_size, name=name,
-            derived=derived,
-        )
-    if strategy == "banded" and execution == "parallel":
-        return check_dc_parallel(
-            cluster, records, constraint, fmt=fmt, pinned=pinned, name=name, derived=derived
-        )
-    ds = cluster.parallelize(records, fmt=fmt, name=name)
-    return check_dc(ds, constraint, strategy=strategy, derived=derived)
-
-
 # ``self_theta_join`` is deliberately re-exported from
 # ``repro.physical.theta_join``: it is the strategy dispatcher behind
 # ``check_dc``'s matrix/cartesian/minmax plans, and the cleaning layer is
@@ -699,7 +609,6 @@ __all__ = [
     "check_fd",
     "check_fd_columnar",
     "check_fd_parallel",
-    "run_fd",
     "TuplePredicate",
     "SingleFilter",
     "DenialConstraint",
@@ -707,7 +616,6 @@ __all__ = [
     "check_dc",
     "check_dc_columnar",
     "check_dc_parallel",
-    "run_dc",
     "self_theta_join",
     "null_safe_compare",
 ]

@@ -21,7 +21,7 @@ from ..engine.cluster import Cluster
 from ..engine.dataset import Dataset
 from ..engine.gcpause import collector_paused
 from ..engine.metrics import CostModel
-from ..errors import ParseError, PlanningError, StaleHandleError, WorkerTaskError
+from ..errors import ParseError, PlanningError
 from ..monoid.comprehension import Comprehension
 from ..monoid.normalize import NormalizationTrace, normalize
 from ..physical.functions import query_functions
@@ -47,7 +47,7 @@ def load_backend(execution: str, incremental: bool = False) -> None:
     load theirs here, before the worker pool forks, so that workers inherit
     every module a task can name and no first use pays an import."""
     if execution == "parallel":
-        from ..cleaning import dedup, denial  # noqa: F401
+        from ..cleaning import ladder  # noqa: F401  (with every cleaning driver)
         from ..physical import parallel_exec  # noqa: F401
     elif execution == "vectorized":
         from ..physical import vectorized  # noqa: F401
@@ -343,46 +343,29 @@ class CleanDB:
         self,
         op: str,
         table: str,
-        run: Any,
-        state_key: tuple | None = None,
-        state_args: tuple = (),
-        **kwargs: Any,
+        state_key: tuple | None,
+        state_args: tuple,
+        **params: Any,
     ) -> list[Any]:
-        """Run one cleaning check on this instance's backend.
+        """Answer one cleaning check: from the maintained state when
+        ``state_key`` names one this incremental session can keep (built
+        from ``state_args`` on first use), else by the backend ladder
+        (:func:`~repro.cleaning.ladder.run_check`), handed what only the
+        facade knows — the table's name, format, pin and derived state."""
+        from ..cleaning import ladder
 
-        ``run`` is the operation's dispatch function
-        (:func:`~repro.cleaning.denial.run_fd` / ``run_dc`` /
-        :func:`~repro.cleaning.dedup.run_dedup`), which maps ``execution``
-        to a driver.  This method owns what only the facade knows: the
-        maintained result when ``state_key`` names an incremental state
-        (built from ``state_args`` on first use), the table's format and
-        pin, and the last rung of the degradation ladder — when the
-        parallel backend could not heal (the retry budget is spent, or a
-        rebuild left a handle stale) the check is answered by the row
-        driver, under a ``degraded:`` op the serving layer counts to mark
-        the outcome degraded-but-answered.
-        """
         records = self.table(table)
-        if state_key is not None:
+        if state_key is not None and ladder.has_fast_plan(op, params):
             out = self.tables.maintained(table, state_key, state_args)
             if out is not None:
                 return out
-        kwargs.update(
-            fmt=self.tables.formats.get(table, "memory"),
+        return ladder.run_check(
+            self.cluster, op, records, self.config.execution,
             name=table,
+            fmt=self.tables.formats.get(table, "memory"),
             pinned=self.tables.pinned_key(table),
-            batch_size=self.config.batch_size,
-        )
-        execution = self.config.execution
-        if execution == "parallel":
-            try:
-                return run(self.cluster, records, execution=execution, **kwargs).collect()
-            except (WorkerTaskError, StaleHandleError):
-                self.cluster.record_op(
-                    f"degraded:{op}:{table}", [0.0] * self.cluster.num_nodes
-                )
-            execution = "row"
-        return run(self.cluster, records, execution=execution, **kwargs).collect()
+            **params,
+        ).collect()
 
     def check_dc(
         self, table: str, constraint: Any, strategy: str | None = None
@@ -397,15 +380,11 @@ class CleanDB:
         under ``execution="parallel"`` — with an identical violation set
         either way.
         """
-        from ..cleaning.denial import run_dc
-
         if isinstance(constraint, str):
             constraint = self._analyzed_dc(table, constraint)
-        chosen = strategy or self.dc_strategy
         return self._run_check(
-            "dc", table, run_dc,
-            ("dc", constraint) if chosen == "banded" else None, (constraint,),
-            constraint=constraint, strategy=chosen,
+            "dc", table, ("dc", constraint), (constraint,),
+            constraint=constraint, strategy=strategy or self.dc_strategy,
             derived=partial(self.tables.derived, table),
         )
 
@@ -423,14 +402,10 @@ class CleanDB:
         ``execution="parallel"`` (referencing the eagerly pinned table) —
         with an identical violation set either way.
         """
-        from ..cleaning.denial import run_fd
-
-        grouping = self.config.grouping
         state_args = (tuple(lhs), tuple(rhs), bool(keep_records))
         return self._run_check(
-            "fd", table, run_fd,
-            ("fd", *state_args) if grouping == "aggregate" else None, state_args,
-            lhs=lhs, rhs=rhs, grouping=grouping, keep_records=keep_records,
+            "fd", table, ("fd", *state_args), state_args,
+            lhs=lhs, rhs=rhs, grouping=self.config.grouping, keep_records=keep_records,
         )
 
     def deduplicate(
@@ -447,32 +422,27 @@ class CleanDB:
         references the pinned table by handle and ships only the final
         pairs back.
         """
-        from ..cleaning.dedup import run_dedup
         from ..cleaning.simjoin import NO_FILTERS
 
         filters = None if self.sim_filters else NO_FILTERS
-        grouping = self.config.grouping
         attributes = list(attributes)
-        state_key = None
-        if grouping == "aggregate":
-            try:
-                block_tag = (
-                    block_on
-                    if block_on is None
-                    or isinstance(block_on, str)
-                    or callable(block_on)
-                    else tuple(block_on)
-                )
-                state_key = (
-                    "dedup", tuple(attributes), metric, float(theta),
-                    block_tag, self.sim_filters,
-                )
-            except TypeError:
-                pass
+        try:
+            block_tag = (
+                block_on
+                if block_on is None
+                or isinstance(block_on, str)
+                or callable(block_on)
+                else tuple(block_on)
+            )
+            state_key = (
+                "dedup", tuple(attributes), metric, float(theta),
+                block_tag, self.sim_filters,
+            )
+        except TypeError:
+            state_key = None
         return self._run_check(
-            "dedup", table, run_dedup,
-            state_key, (attributes, metric, theta, block_on, filters),
-            attributes=attributes, grouping=grouping, metric=metric,
+            "dedup", table, state_key, (attributes, metric, theta, block_on, filters),
+            attributes=attributes, grouping=self.config.grouping, metric=metric,
             theta=theta, block_on=block_on, filters=filters,
         )
 

@@ -2,8 +2,9 @@
 
 One pure module (``pickle`` and ``sys`` only, so asking never loads the
 worker pool) behind every place the question comes up: the static
-analyzer's CM501, ``ParallelExecutor.supports`` and the parallel cleaning
-drivers' ``shippable``.  ``is_hashable`` is its sibling for caches.
+analyzer's CM501, ``ParallelExecutor.supports`` and :func:`shippable`, the
+cleaning ladder's parallel precondition (it reaches the pool only through
+the cluster it is handed).  ``is_hashable`` is its sibling for caches.
 """
 
 from __future__ import annotations
@@ -109,3 +110,35 @@ def _value_shippable(value: Any, depth: int = 6) -> bool:
         return all(_value_shippable(v, depth - 1) for v in value)
     # Exotic value (custom class, callable, file handle...): one real probe.
     return is_picklable(value)
+
+
+def pin_is_warm(
+    cluster: Any, records: list[Any], pinned: tuple[str, int] | None
+) -> bool:
+    """Whether ``pinned`` resolves to resident handles covering ``records``.
+
+    A warm pin also proves the rows are picklable (they crossed the
+    process boundary when pinned), letting callers skip the O(table)
+    driver-side shippability probe on every warm call.
+    """
+    if pinned is None:
+        return False
+    refs = cluster.pool.pinned(*pinned)
+    return refs is not None and sum(max(r.count, 0) for r in refs) == len(records)
+
+
+def shippable(
+    cluster: Any,
+    records: list[Any],
+    pinned: tuple[str, int] | None,
+    spec: Any = None,
+) -> bool:
+    """Whether a call can cross the process boundary: its argument ``spec``
+    pickles, and its rows do — a warm pin proves that outright (they already
+    crossed), a cold table is judged by the *static* type-walk over a
+    sampled prefix (an exotic row the sample missed cannot crash dispatch:
+    the pin itself fails with :class:`WorkerTaskError` and the caller
+    degrades)."""
+    return is_picklable(spec) and (
+        pin_is_warm(cluster, records, pinned) or rows_statically_shippable(records)
+    )

@@ -14,7 +14,7 @@ import warnings
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from ..errors import BudgetExceededError
-from .metrics import CostModel, MetricsCollector, OpMetrics
+from .metrics import BATCH_SIZE, CostModel, MetricsCollector, OpMetrics
 
 if TYPE_CHECKING:
     from .parallel import WorkerPool
@@ -219,7 +219,6 @@ class Cluster:
         self,
         name: str,
         per_part_rows: Sequence[float],
-        batch_size: int = 1024,
         shuffled_records: int = 0,
         shuffle_cost: float = 0.0,
         extra_unit: float = 0.0,
@@ -227,13 +226,12 @@ class Cluster:
         """:meth:`record_batch_op` from *per-partition* row counts.
 
         Spreads the partitions over nodes round-robin and derives the batch
-        count as ceil(rows / batch_size) per non-empty partition — the one
+        count as ceil(rows / ``BATCH_SIZE``) per non-empty partition — the one
         formula every vectorized stage (query backend and cleaning fast
         paths alike) uses.
         """
         per_node = self.spread_over_nodes([float(r) for r in per_part_rows])
-        size = max(1, int(batch_size))
-        num_batches = sum(-(-int(r) // size) for r in per_part_rows if r)
+        num_batches = sum(-(-int(r) // BATCH_SIZE) for r in per_part_rows if r)
         return self.record_batch_op(
             name,
             per_node,

@@ -17,6 +17,11 @@ just as a straggler node would on a real cluster.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
+
+#: Rows per column batch: the vectorized backend's dispatch granularity.
+#: Cost accounting only — one ``CostModel.batch_unit`` is charged per batch.
+BATCH_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -165,6 +170,13 @@ class OpMetrics:
         return mean / self.max_node_work
 
 
+#: The ``OpMetrics`` counters a collector reports as sums over its ops.
+_SUMMED = (
+    "shuffled_records", "total_work", "batches", "wall_seconds", "bytes_shipped",
+    "ship_count", "rows_delta", "retries",
+)
+
+
 @dataclass
 class MetricsCollector:
     """Accumulates per-operation metrics for a whole query execution."""
@@ -181,18 +193,29 @@ class MetricsCollector:
     # the Fig. 8 and DC scale-out benchmarks report (the all-pairs theta
     # strategies charge verified == comparisons: nothing pruned).
     verified: int = 0
-    # Running left-to-right total of ``op.simulated_time``: the budget check
-    # reads it after every operation, so it must not cost a pass over
-    # ``ops`` (a session would slow down with its age).
+    # Running left-to-right totals — what ``sum`` over ``ops`` gives, bit
+    # for bit — of ``op.simulated_time``, of the ``_SUMMED`` counters and of
+    # the ``degraded:`` ops: the budget check reads the first after every
+    # operation and ``summary()`` all of them after every query, so neither
+    # may cost a pass over ``ops`` (a session would slow down with its age).
     _simulated_time: float = field(default=0.0, init=False, repr=False)
+    _sums: dict[str, Any] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        self._sums = dict.fromkeys((*_SUMMED, "degraded_ops"), 0)
         for op in self.ops:
-            self._simulated_time += op.simulated_time
+            self._add(op)
 
     def record(self, op: OpMetrics) -> None:
         self.ops.append(op)
+        self._add(op)
+
+    def _add(self, op: OpMetrics) -> None:
         self._simulated_time += op.simulated_time
+        sums = self._sums
+        for counter in _SUMMED:
+            sums[counter] += getattr(op, counter)
+        sums["degraded_ops"] += op.name.startswith("degraded:")
 
     @property
     def simulated_time(self) -> float:
@@ -200,16 +223,16 @@ class MetricsCollector:
 
     @property
     def shuffled_records(self) -> int:
-        return sum(op.shuffled_records for op in self.ops)
+        return self._sums["shuffled_records"]
 
     @property
     def total_work(self) -> float:
-        return sum(op.total_work for op in self.ops)
+        return self._sums["total_work"]
 
     @property
     def batches_processed(self) -> int:
         """Column batches dispatched by vectorized stages (0 on row plans)."""
-        return sum(op.batches for op in self.ops)
+        return self._sums["batches"]
 
     @property
     def measured_time(self) -> float:
@@ -217,7 +240,7 @@ class MetricsCollector:
         simulated-only plans).  The measured counterpart of
         :attr:`simulated_time` — the two are reported side by side, never
         summed."""
-        return sum(op.wall_seconds for op in self.ops)
+        return self._sums["wall_seconds"]
 
     @property
     def bytes_shipped(self) -> int:
@@ -225,33 +248,33 @@ class MetricsCollector:
         simulated-only plans).  Handle-based stages ship handles and final
         results; ship-per-task execution ships whole partitions — the gap
         between the two is the pinned-store win the fig5 bench reports."""
-        return sum(op.bytes_shipped for op in self.ops)
+        return self._sums["bytes_shipped"]
 
     @property
     def ship_count(self) -> int:
         """Payloads moved across the worker-process boundary (tasks, pins,
         broadcasts, exchange blobs, and result payloads)."""
-        return sum(op.ship_count for op in self.ops)
+        return self._sums["ship_count"]
 
     @property
     def rows_delta(self) -> int:
         """Rows carried by delta patches (``append_rows``/``update_rows``) —
         the mutation-path counterpart of :attr:`shuffled_records`."""
-        return sum(op.rows_delta for op in self.ops)
+        return self._sums["rows_delta"]
 
     @property
     def retries(self) -> int:
         """Task re-dispatches after worker loss, summed over all ops — the
         serving layer flags any query window with ``retries > 0`` as
         *recovered* (it healed transparently)."""
-        return sum(op.retries for op in self.ops)
+        return self._sums["retries"]
 
     @property
     def degraded_ops(self) -> int:
         """Stages that fell back from the parallel backend to the row path
-        after recovery failed (recorded under a ``degraded:`` name by the
-        facade) — the last rung of the degradation ladder."""
-        return sum(1 for op in self.ops if op.name.startswith("degraded:"))
+        after recovery failed (recorded under a ``degraded:`` name where
+        the fallback is taken) — the last rung of the degradation ladder."""
+        return self._sums["degraded_ops"]
 
     def phase_time(self, name_prefix: str) -> float:
         """Simulated time of all ops whose name starts with ``name_prefix``.
@@ -274,6 +297,7 @@ class MetricsCollector:
     def reset(self) -> None:
         self.ops.clear()
         self._simulated_time = 0.0
+        self._sums = dict.fromkeys(self._sums, 0)
         self.comparisons = 0
         self.verified = 0
 

@@ -57,15 +57,12 @@ class PhysicalConfig:
     ``"parallel"`` (real multi-process execution over the cluster's worker
     pool; see ``repro.physical.parallel_exec``).  The non-row backends claim
     every supported subtree and fall back to the row path above unsupported
-    operators, so results are identical either way.  ``batch_size`` is the
-    vectorized backend's rows-per-batch dispatch granularity
-    (cost-accounting only).
+    operators, so results are identical either way.
     """
 
     grouping: str = "aggregate"
     theta: str = "matrix"
     execution: str = "row"
-    batch_size: int = 1024
 
 
 # The backends `PhysicalConfig.execution` may name; CleanDB and the baseline

@@ -50,7 +50,12 @@ from ..algebra.operators import (
     Select,
     SharedScanDAG,
 )
-from ..core.shippable import is_module_level_callable, is_picklable, rows_statically_shippable
+from ..core.shippable import (
+    is_module_level_callable,
+    is_picklable,
+    pin_is_warm,
+    shippable,
+)
 from ..engine.dataset import Dataset
 from ..engine.shuffle import exchange_resident
 from ..engine.transport import ShipLog
@@ -234,21 +239,6 @@ def _patch_task(existing: list, appended: list, updates: list) -> list:
     return out
 
 
-def pin_is_warm(
-    cluster: Any, records: list[Any], pinned: tuple[str, int] | None
-) -> bool:
-    """Whether ``pinned`` resolves to resident handles covering ``records``.
-
-    A warm pin also proves the rows are picklable (they crossed the
-    process boundary when pinned), letting callers skip the O(table)
-    driver-side shippability probe on every warm call.
-    """
-    if pinned is None:
-        return False
-    refs = cluster.pool.pinned(*pinned)
-    return refs is not None and sum(max(r.count, 0) for r in refs) == len(records)
-
-
 def resident_input(
     cluster: Any,
     records: list[Any],
@@ -301,23 +291,6 @@ def _pin_checked(pool: Any, name: str, version: int, parts: list) -> list[StoreR
             f"worker store: {exc!r}; degrading to the row backend",
             exc_type=type(exc).__name__,
         ) from exc
-
-
-def shippable(
-    cluster: Any,
-    records: list[Any],
-    pinned: tuple[str, int] | None,
-    spec: Any = None,
-) -> bool:
-    """Whether a call can cross the process boundary: its argument ``spec``
-    pickles, and its rows do — a warm pin proves that outright (they already
-    crossed), a cold table is judged by the *static* type-walk over a
-    sampled prefix (an exotic row the sample missed cannot crash dispatch:
-    the pin itself fails with :class:`WorkerTaskError` and the caller
-    degrades)."""
-    return is_picklable(spec) and (
-        pin_is_warm(cluster, records, pinned) or rows_statically_shippable(records)
-    )
 
 
 def record_stage(

@@ -295,6 +295,8 @@ class VectorizedExecutor:
         self.functions = executor.functions
         self._scan_cache: dict[tuple[str, str], list[EnvBatch]] = {}
         self._source_ok: dict[str, bool] = {}
+        #: ``_charge(name, per_part_rows, ...)``: every stage here is a batch stage.
+        self._charge = self.cluster.record_batch_stage
 
     # -- support check ------------------------------------------------- #
     def supports(self, op: AlgebraOp) -> bool:
@@ -431,8 +433,8 @@ class VectorizedExecutor:
         self._charge(
             "join:vec",
             per_part_rows,
-            shuffled=moved_l + moved_r,
-            cost=shuffle_cost,
+            shuffled_records=moved_l + moved_r,
+            shuffle_cost=shuffle_cost,
         )
         result = EnvBatchResult(out)
         if op.predicate != TRUE:
@@ -542,8 +544,8 @@ class VectorizedExecutor:
         self._charge(
             "nest:vecMerge",
             [len(p) for p in merged],
-            shuffled=moved,
-            cost=shuffle_cost,
+            shuffled_records=moved,
+            shuffle_cost=shuffle_cost,
         )
         if op.group_predicate != TRUE:
             out = [
@@ -593,8 +595,8 @@ class VectorizedExecutor:
         self._charge(
             "reduce:vecDistinct",
             [len(s) for s in merged],
-            shuffled=moved,
-            cost=cost,
+            shuffled_records=moved,
+            shuffle_cost=cost,
         )
         return Dataset(
             self.cluster, [list(s) for s in merged], op="reduce:vecDistinct"
@@ -622,23 +624,6 @@ class VectorizedExecutor:
                 f"vectorized operator expected batches, got {type(result).__name__}"
             )
         return result.parts
-
-    def _charge(
-        self,
-        name: str,
-        per_part_rows: Sequence[float],
-        shuffled: int = 0,
-        cost: float = 0.0,
-        extra_unit: float = 0.0,
-    ) -> None:
-        self.cluster.record_batch_stage(
-            name,
-            per_part_rows,
-            batch_size=self.config.batch_size,
-            shuffled_records=shuffled,
-            shuffle_cost=cost,
-            extra_unit=extra_unit,
-        )
 
 
 class EnvBatchResult:

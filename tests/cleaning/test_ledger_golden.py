@@ -6,7 +6,9 @@ FD / banded DC / exact-key dedup x {row, vectorized, parallel (2 workers)}
 x {with rids, without rids, non-uniform rows}, the ordered list of
 ``(op name, per-node cost, shuffled_records, shuffle_cost, batches)`` the
 driver charges, the ``comparisons`` / ``verified`` counters, and a digest
-of the output ``repr``.  Floats are compared by ``repr``.
+of the output ``repr``.  Floats are compared by ``repr``.  Every case goes
+through the backend ladder (``cleaning/ladder.py``), which is what hands
+the vectorized backend's non-uniform rows to the row driver.
 
 ``python tests/cleaning/test_ledger_golden.py`` re-records the file; only
 do that for a change that is *meant* to re-price an operation.
@@ -30,19 +32,7 @@ from fixtures import (  # noqa: E402 - needs the tests/ directory on sys.path
     psi_constraint,
 )
 from repro.cleaning.dc_kernel import parse_dc  # noqa: E402
-from repro.cleaning.dedup import (  # noqa: E402
-    deduplicate,
-    deduplicate_columnar,
-    deduplicate_parallel,
-)
-from repro.cleaning.denial import (  # noqa: E402
-    check_dc,
-    check_dc_columnar,
-    check_dc_parallel,
-    check_fd,
-    check_fd_columnar,
-    check_fd_parallel,
-)
+from repro.cleaning.ladder import run_check  # noqa: E402
 from repro.engine import Cluster  # noqa: E402
 
 GOLDEN = Path(__file__).with_name("ledger_golden.json")
@@ -63,31 +53,22 @@ def _shape(rows: list[dict], shape: str, ragged_key: str) -> list[dict]:
 
 
 def _fd(cluster, backend, rows, lhs):
-    if backend == "vectorized":
-        return check_fd_columnar(cluster, rows, lhs, ["nation"], fmt="csv")
-    if backend == "parallel":
-        return check_fd_parallel(cluster, rows, lhs, ["nation"], fmt="csv")
-    ds = cluster.parallelize(rows, fmt="csv", name="lineitem")
-    return check_fd(ds, lhs, ["nation"])
+    return run_check(
+        cluster, "fd", rows, backend, name="lineitem", fmt="csv", lhs=lhs, rhs=["nation"]
+    )
 
 
 def _dc(cluster, backend, rows, constraint):
-    if backend == "vectorized":
-        return check_dc_columnar(cluster, rows, constraint)
-    if backend == "parallel":
-        return check_dc_parallel(cluster, rows, constraint)
-    ds = cluster.parallelize(rows, name="lineitem")
-    return check_dc(ds, constraint, strategy="banded")
+    return run_check(
+        cluster, "dc", rows, backend, name="lineitem", constraint=constraint, strategy="banded"
+    )
 
 
 def _dedup(cluster, backend, rows, block_on):
-    kwargs = dict(metric="LD", theta=0.7, block_on=block_on)
-    if backend == "vectorized":
-        return deduplicate_columnar(cluster, rows, ["name"], fmt="json", **kwargs)
-    if backend == "parallel":
-        return deduplicate_parallel(cluster, rows, ["name"], fmt="json", **kwargs)
-    ds = cluster.parallelize(rows, fmt="json", name="input")
-    return deduplicate(ds, ["name"], **kwargs)
+    return run_check(
+        cluster, "dedup", rows, backend, name="input", fmt="json",
+        attributes=["name"], metric="LD", theta=0.7, block_on=block_on,
+    )
 
 
 def _cases():

@@ -144,15 +144,15 @@ def test_overlapping_operations_cannot_starve_the_collector(collector_on, monkey
     still inside (a depth counter would wait for both, and under sustained
     overlap for ever).  The second merely loses the rest of its saving."""
     gates = {name: (threading.Event(), threading.Event()) for name in ("first", "second")}
-    run_fd = denial.run_fd
+    check_fd = denial.check_fd
 
     def parked(*args, **kwargs):
         inside, go = gates[threading.current_thread().name]
         inside.set()
         assert go.wait(30)
-        return run_fd(*args, **kwargs)
+        return check_fd(*args, **kwargs)
 
-    monkeypatch.setattr(denial, "run_fd", parked)
+    monkeypatch.setattr(denial, "check_fd", parked)
     with CleanDB(num_nodes=2) as db:
         db.register_table("t", table(60))
         threads = {

@@ -111,6 +111,47 @@ class TestMetricsCollector:
         assert len(reads) == 1000
         assert cluster.metrics.simulated_time == 2000.0
 
+    def test_summary_of_an_old_session_reads_no_op(self):
+        """``CleanDB.execute`` summarizes after every query: the sums are
+        running totals — what a pass over ``ops`` gives, bit for bit — and
+        ``summary()`` reads none of the ops behind them."""
+        mc = MetricsCollector()
+        for i in range(10_000):
+            mc.record(OpMetrics(
+                "degraded:x" if i % 1000 == 0 else f"op{i}", [0.1 * i, 0.3],
+                shuffled_records=i % 7, shuffle_cost=0.7 * (i % 3), batches=i % 2,
+                wall_seconds=1e-4 * (i % 11), bytes_shipped=i, ship_count=i % 5,
+                rows_delta=i % 3, retries=i % 13 == 0,
+            ))
+        ops = list(mc.ops)
+        by_pass = {
+            "simulated_time": sum(op.simulated_time for op in ops),
+            "measured_time": sum(op.wall_seconds for op in ops),
+            "shuffled_records": float(sum(op.shuffled_records for op in ops)),
+            "total_work": sum(op.total_work for op in ops),
+            "num_ops": 10_000.0,
+            "batches": float(sum(op.batches for op in ops)),
+            "bytes_shipped": float(sum(op.bytes_shipped for op in ops)),
+            "ship_count": float(sum(op.ship_count for op in ops)),
+            "rows_delta": float(sum(op.rows_delta for op in ops)),
+            "retries": float(sum(op.retries for op in ops)),
+            "degraded_ops": 10.0,
+        }
+
+        class Unreadable:
+            def __getattribute__(self, name):
+                raise AssertionError(f"summary() read an op's {name}")
+
+        mc.ops[:] = [Unreadable()] * len(ops)
+        summary = mc.summary()
+        assert {key: repr(summary[key]) for key in by_pass} == {
+            key: repr(value) for key, value in by_pass.items()
+        }
+        mc.ops[:] = ops
+        assert mc.summary_since((9_990, 0, 0))["num_ops"] == 10.0  # still a window
+        mc.reset()
+        assert not any(mc.summary()[key] for key in by_pass)
+
     def test_summary_keys(self):
         mc = MetricsCollector()
         summary = mc.summary()

@@ -19,8 +19,9 @@ from fixtures import WORKERS, dedup_clean_records, fd_clean_records
 from repro import CleanDB
 from repro.algebra import Join, Nest, Reduce, Scan, Select
 from repro.baselines import CleanDBSystem
-from repro.cleaning.dedup import deduplicate, deduplicate_parallel, run_dedup
-from repro.cleaning.denial import check_fd, check_fd_parallel, run_dc, run_fd
+from repro.cleaning.dedup import deduplicate, deduplicate_parallel
+from repro.cleaning.denial import check_fd, check_fd_parallel
+from repro.cleaning.ladder import run_check
 from repro.engine import Cluster
 from repro.engine.dataset import Dataset
 from repro.monoid import (
@@ -204,8 +205,8 @@ def test_language_level_parity(query_name):
     assert outputs["row"] == outputs["vectorized"] == outputs["parallel"]
 
 
-def _driver_outputs(run, records, fmt, **kwargs):
-    """One cleaning operation through its dispatch function on every
+def _driver_outputs(op, records, fmt, **kwargs):
+    """One cleaning operation through the backend ladder on every
     backend: canonicalised outputs, plus proof that the requested driver —
     not a silent row-path fallback (a ``uniform_dict_records`` miss, a
     shippability miss) — produced them."""
@@ -213,7 +214,7 @@ def _driver_outputs(run, records, fmt, **kwargs):
     for backend in BACKENDS:
         workers = WORKERS if backend == "parallel" else None
         with Cluster(num_nodes=4, workers=workers) as cluster:
-            out = run(cluster, records, execution=backend, fmt=fmt, **kwargs)
+            out = run_check(cluster, op, records, backend, name="t", fmt=fmt, **kwargs)
             outputs[backend] = sorted(_canon(row) for row in out.collect())
             metrics = cluster.metrics
             if backend == "vectorized":
@@ -240,7 +241,7 @@ def test_system_fd_parity(fmt):
     assert all(r.ok for r in results.values())
     counts = {r.output_count for r in results.values()}
     assert len(counts) == 1 and counts != {0}
-    violations = _driver_outputs(run_fd, FD_RECORDS, fmt, lhs=["addr"], rhs=["nation"])
+    violations = _driver_outputs("fd", FD_RECORDS, fmt, lhs=["addr"], rhs=["nation"])
     assert {len(violations)} == counts
 
 
@@ -267,7 +268,7 @@ def test_system_dc_parity(fmt):
     assert len(counts) == 1 and counts != {0}
     assert len({r.comparisons for r in results.values()}) == 1
     assert len({r.verified for r in results.values()}) == 1
-    assert {len(_driver_outputs(run_dc, ORDERS, fmt, constraint=psi))} == counts
+    assert {len(_driver_outputs("dc", ORDERS, fmt, constraint=psi))} == counts
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
@@ -285,7 +286,7 @@ def test_system_dedup_parity(fmt):
     assert len(counts) == 1 and counts != {0}
     assert len({r.comparisons for r in results.values()}) == 1
     pairs = _driver_outputs(
-        run_dedup, DEDUP_RECORDS, fmt, attributes=["pages", "authors"], **dedup_args
+        "dedup", DEDUP_RECORDS, fmt, attributes=["pages", "authors"], **dedup_args
     )
     assert {len(pairs)} == counts
 
@@ -328,11 +329,11 @@ class TestNoneRidMeansAbsent:
 
         rows = self.rows(_rid=None)
         violations = _driver_outputs(
-            run_dc, rows, "memory", constraint=parse_dc(self.RULE)
+            "dc", rows, "memory", constraint=parse_dc(self.RULE)
         )
         assert len(violations) == 305
         pairs = _driver_outputs(
-            run_dedup, rows, "memory", attributes=["name"], block_on="a", theta=0.7
+            "dedup", rows, "memory", attributes=["name"], block_on="a", theta=0.7
         )
         assert len(pairs) == 330
 

@@ -120,8 +120,7 @@ class TestSupports:
         cluster.shutdown()
 
     def test_cleaning_fast_paths_fall_back_on_late_unpicklable_record(self):
-        from repro.cleaning.dedup import deduplicate_parallel
-        from repro.cleaning.denial import check_fd_parallel
+        from repro.cleaning.ladder import run_check
 
         rows = [
             {"addr": f"a{i % 3}", "nation": i % 2, "name": f"n{i}", "_rid": i}
@@ -129,10 +128,13 @@ class TestSupports:
         ]
         rows.append({**rows[0], "_rid": 10, "blob": lambda: None})
         cluster = Cluster(num_nodes=2, workers=2)
-        violations = check_fd_parallel(cluster, rows, ["addr"], ["nation"]).collect()
+        violations = run_check(
+            cluster, "fd", rows, "parallel", name="t", lhs=["addr"], rhs=["nation"]
+        ).collect()
         assert violations  # row-path fallback still computes the answer
-        pairs = deduplicate_parallel(
-            cluster, rows, ["name"], theta=0.1, block_on="addr"
+        pairs = run_check(
+            cluster, "dedup", rows, "parallel", name="t",
+            attributes=["name"], theta=0.1, block_on="addr",
         ).collect()
         assert pairs
         assert not cluster.has_pool  # neither path touched the pool

@@ -12,6 +12,7 @@ import pytest
 from repro.algebra import Join, Nest, Reduce, Scan, Select, Unnest
 from repro.cleaning.dedup import deduplicate, deduplicate_columnar
 from repro.cleaning.denial import check_fd, check_fd_columnar
+from repro.cleaning.ladder import run_check
 from repro.engine import Cluster
 from repro.monoid import (
     BagMonoid,
@@ -299,7 +300,9 @@ class TestCleaningFastPaths:
     def test_fd_columnar_heterogeneous_fallback(self):
         ragged = [{"a": 1, "b": 1}, {"a": 1, "c": 2}]
         cluster = Cluster(2)
-        out = check_fd_columnar(cluster, ragged, ["a"], ["b"]).collect()
+        out = run_check(
+            cluster, "fd", ragged, "vectorized", name="t", lhs=["a"], rhs=["b"]
+        ).collect()
         assert len(out) == 1  # b: 1 vs None (missing) conflict, via row path
         assert cluster.metrics.batches_processed == 0
 
