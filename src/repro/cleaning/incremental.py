@@ -2,9 +2,12 @@
 
 ``CleanDB.append_rows`` / ``update_rows`` bump the table version and ship
 only the delta to the worker pool's partition store; on the driver side,
-this module keeps per-table *incremental states* — one per (operation,
-argument) signature — that are patched in place by probing the new or
-changed rows against maintained indexes instead of rescanning the table.
+this module keeps *incremental states* — one per table and (operation,
+argument) signature, each an entry of ``TableStore.derived`` whose patch
+rule is :meth:`_Maintained.patch` — that are patched in place by probing
+the new or changed rows against maintained indexes instead of rescanning
+the table.  A state holds the store's own row list, not a copy: the row at
+``(partition, position)`` is ``rows[position * n + partition]``.
 
 The correctness contract is strict: every ``emit()`` must be
 **byte-identical** (same objects, same order) to a cold re-run of the same
@@ -25,10 +28,12 @@ of the partition layout, so each state reproduces that layout exactly:
   orientation.
 
 States that cannot guarantee parity raise :class:`UnsupportedDelta` (at
-construction) or any exception (mid-patch): the owner drops the state and
-the next check falls back to the cold path, which is always correct.
+construction) or any exception (mid-patch): the store drops the state and
+the next check rebuilds it or falls back to the cold path, which is always
+correct.
 
-Scope gates (all enforced here, not by callers):
+Scope gates (all enforced here, not by callers; the first two by
+:func:`in_scope`, at build and on every patch):
 
 * tables smaller than ``num_partitions`` never get incremental state —
   below that size the engines clamp partition counts and the layout
@@ -37,8 +42,9 @@ Scope gates (all enforced here, not by callers):
   ``_rid`` — the states address rows by it;
 * dedup additionally requires globally unique rids (its pair-dedupe
   semantics key on rid) and a non-callable blocking spec;
-* DC requires a hashable constraint (the same bound as the parallel
-  backend's derived cache).
+* a check whose arguments do not hash (a DC over unhashable constants)
+  has no key to be kept under — the same bound as the parallel backend's
+  derived cache.
 
 Cost notes: a patch and the ``emit`` after it cost O(delta x group), never
 O(table); only producing the output list is proportional to its length.
@@ -63,12 +69,11 @@ them.
 
 from __future__ import annotations
 
-from bisect import insort
-from operator import itemgetter
+from bisect import bisect_left, insort
+from operator import attrgetter, itemgetter
 from typing import Any, Callable, Iterable, Sequence
 
 from ..engine.partitioner import stable_hash
-from ..sources.columnar import round_robin_split
 from .dc_kernel import (
     DCRecord,
     DCStats,
@@ -89,7 +94,6 @@ from .rowid import RID
 from .simjoin import SimJoin
 
 __all__ = [
-    "IncrementalTable",
     "IncrementalFD",
     "IncrementalDC",
     "IncrementalDedup",
@@ -106,77 +110,74 @@ class UnsupportedDelta(Exception):
 Placement = tuple[int, int]
 
 
-class IncrementalTable:
-    """Driver-side partition mirror plus the incremental states built on it.
+_payload = attrgetter("payload")
 
-    Holds the same row dicts as the owning ``CleanDB`` table, laid out in
-    the round-robin partition shape every backend derives, and fans
-    mutations out to the registered states.  A state that raises while
-    patching is dropped on the spot — the next check rebuilds it (or runs
-    cold), so a failed patch can never serve stale results.
-    """
+
+def in_scope(rows: Sequence[Any], num_partitions: int = 0) -> Sequence[Any]:
+    """The scope gate, for a table at build (``num_partitions`` given) and
+    for the appended rows of every patch."""
+    if len(rows) < num_partitions:
+        raise UnsupportedDelta(
+            "table smaller than the partition count: engines clamp the "
+            "layout below this size"
+        )
+    for row in rows:
+        if not isinstance(row, dict) or row.get(RID) is None:
+            raise UnsupportedDelta("rows must be dicts with a non-None _rid")
+    return rows
+
+
+class _Maintained:
+    """What the three states share: the store's row list read in the
+    round-robin layout every backend derives from it, the patch rule, and
+    the re-fold ``emit`` of the two keyed states."""
 
     def __init__(self, rows: list, num_partitions: int):
-        if num_partitions <= 0:
-            raise ValueError("num_partitions must be positive")
-        if len(rows) < num_partitions:
-            raise UnsupportedDelta(
-                "table smaller than the partition count: engines clamp the "
-                "layout below this size"
-            )
-        for row in rows:
-            if not isinstance(row, dict) or row.get(RID) is None:
-                raise UnsupportedDelta("rows must be dicts with a non-None _rid")
+        self.rows = in_scope(rows, num_partitions)
         self.num_partitions = num_partitions
-        self.size = len(rows)
-        self.parts: list[list[dict]] = round_robin_split(rows, num_partitions)
-        self.states: dict[Any, Any] = {}
+        self._touched: set = set()
+        self._cached: list = []
 
-    def placement(self, g: int) -> Placement:
+    def _row(self, placement: Placement) -> dict:
+        return self.rows[placement[1] * self.num_partitions + placement[0]]
+
+    def _placements(self, globals_: Iterable[int]) -> list[Placement]:
         """Where global row index ``g`` lives: ``(g % n, g // n)``."""
-        return (g % self.num_partitions, g // self.num_partitions)
+        n = self.num_partitions
+        return [(g % n, g // n) for g in globals_]
 
-    def append(self, rows: Sequence[dict]) -> list[Placement]:
-        placements: list[Placement] = []
-        for row in rows:
-            if not isinstance(row, dict) or row.get(RID) is None:
-                self.states.clear()
-                raise UnsupportedDelta(
-                    "appended rows must be dicts with a non-None _rid"
-                )
-            p, pos = self.placement(self.size)
-            assert pos == len(self.parts[p])
-            self.parts[p].append(row)
-            placements.append((p, pos))
-            self.size += 1
-        self._notify("on_append", placements)
-        return placements
+    def patch(self, base: int, appended: Sequence[dict], updated: Sequence[tuple[int, dict]]):
+        """``TableStore.derived``'s patch rule: fold one delta, already
+        applied to the rows (``updated`` names a position once), into the
+        state.  Raising drops the state."""
+        if appended:
+            placements = self._placements(range(base, base + len(appended)))
+            self._append(placements, in_scope(appended))
+        if updated:
+            self._update(self._placements(g for g, _ in updated))
+        return self
 
-    def update(self, updates: Sequence[tuple[int, dict]]) -> list[Placement]:
-        placements: list[Placement] = []
-        for g, row in updates:
-            p, pos = self.placement(g)
-            self.parts[p][pos] = row
-            placements.append((p, pos))
-        self._notify("on_update", placements)
-        return placements
-
-    def _notify(self, method: str, placements: list[Placement]) -> None:
-        for key in list(self.states):
-            state = self.states[key]
-            try:
-                getattr(state, method)(placements)
-            except Exception:
-                # Broken state == no state: the next check rebuilds or
-                # falls back cold, both of which are correct.
-                del self.states[key]
+    def _refold(self, kept: dict, fold: Callable[[Any], tuple | None]) -> list:
+        """A check is a fold per key and the monoid is associative (§4): re-
+        fold the keys touched since the last emit, keep every other key's
+        ``(place in the cold output, items)``, emit sorted by place."""
+        if self._touched:
+            for key in self._touched:
+                kept.pop(key, None)
+                if (entry := fold(key)) is not None:
+                    kept[key] = entry
+            self._touched.clear()
+            self._cached = [
+                item for _, items in sorted(kept.values(), key=itemgetter(0)) for item in items
+            ]
+        return list(self._cached)
 
 
 # ---------------------------------------------------------------------- #
 # Functional dependencies
 # ---------------------------------------------------------------------- #
 
-class IncrementalFD:
+class IncrementalFD(_Maintained):
     """Maintained FD occupancy, patched in O(log) per changed row and
     re-merged per touched key.
 
@@ -192,7 +193,8 @@ class IncrementalFD:
 
     def __init__(
         self,
-        table: IncrementalTable,
+        rows: list,
+        num_partitions: int,
         lhs: Sequence[str],
         rhs: Sequence[str],
         keep_records: bool,
@@ -200,22 +202,18 @@ class IncrementalFD:
         specs = [*lhs, *rhs]
         if not specs or not all(isinstance(a, str) for a in specs):
             raise UnsupportedDelta("incremental FD needs plain attribute names")
-        self.table = table
+        super().__init__(rows, num_partitions)
         self.lhs_func: Callable[[dict], Any] = _key_func(list(lhs))
         self.rhs_func: Callable[[dict], Any] = _key_func(list(rhs))
         self.keep_records = bool(keep_records)
         # rowkeys[p][pos] = (key, rhs): O(1) old-value lookup on update.
-        self.rowkeys: list[list[tuple[Any, Any]]] = [[] for _ in table.parts]
+        self.rowkeys: list[list[tuple[Any, Any]]] = [[] for _ in range(num_partitions)]
         self.groups: dict[Any, dict[tuple[int, Any], list[int]]] = {}
-        # Violating key -> (its place in the cold output, the violation):
+        # Violating key -> (its place in the cold output, (the violation,)):
         # the place is (merge bucket, first arrival = the lowest partition
         # holding the key and the key's minimum position there).
-        self.violations: dict[Any, tuple[tuple[int, int, int], FDViolation]] = {}
-        self._touched: set = set()
-        self._cached: list[FDViolation] = []
-        self.on_append(
-            [(p, pos) for p, part in enumerate(table.parts) for pos in range(len(part))]
-        )
+        self.violations: dict[Any, tuple[tuple[int, int, int], tuple[FDViolation]]] = {}
+        self._append(self._placements(range(len(rows))), rows)
 
     def _attach(self, p: int, pos: int, key: Any, rhs_value: Any) -> None:
         insort(self.groups.setdefault(key, {}).setdefault((p, rhs_value), []), pos)
@@ -231,54 +229,45 @@ class IncrementalFD:
                 del self.groups[key]
         self._touched.add(key)
 
-    def on_append(self, placements: list[Placement]) -> None:
-        for p, pos in placements:
-            row = self.table.parts[p][pos]
+    def _append(self, placements: list[Placement], rows: Sequence[dict]) -> None:
+        for (p, pos), row in zip(placements, rows):
             key, rhs_value = self.lhs_func(row), self.rhs_func(row)
             self.rowkeys[p].append((key, rhs_value))
             self._attach(p, pos, key, rhs_value)
 
-    def on_update(self, placements: list[Placement]) -> None:
+    def _update(self, placements: list[Placement]) -> None:
         for p, pos in placements:
-            row = self.table.parts[p][pos]
+            row = self._row((p, pos))
             key, rhs_value = self.lhs_func(row), self.rhs_func(row)
             self._detach(p, pos, *self.rowkeys[p][pos])
             self.rowkeys[p][pos] = (key, rhs_value)
             self._attach(p, pos, key, rhs_value)
 
-    def _merge(self, key: Any) -> None:
+    def _merge(self, key: Any) -> tuple | None:
         """Re-derive one key's violation, as the cold merge of its
         per-partition combiners would: one witness per combiner entry —
         the first bearer of each ``(partition, rhs)`` — in arrival order,
         with the key and rhs values as those rows spell them (``True``
         and ``1`` are one key, but not one ``repr``)."""
-        self.violations.pop(key, None)
         group = self.groups.get(key, {})
         firsts = sorted((p, occupied[0]) for (p, _), occupied in group.items())
         spelled = [self.rowkeys[p][i] for p, i in firsts]
         rhs_values = tuple(dict.fromkeys(rhs_value for _, rhs_value in spelled))
-        if len(rhs_values) > 1:
-            parts = self.table.parts
-            rows = tuple(parts[p][i] for p, i in firsts) if self.keep_records else ()
-            place = (stable_hash(key) % self.table.num_partitions, *firsts[0])
-            self.violations[key] = (place, FDViolation(spelled[0][0], rhs_values, rows))
+        if len(rhs_values) <= 1:
+            return None
+        rows = tuple(map(self._row, firsts)) if self.keep_records else ()
+        place = (stable_hash(key) % self.num_partitions, *firsts[0])
+        return place, (FDViolation(spelled[0][0], rhs_values, rows),)
 
     def emit(self) -> list[FDViolation]:
-        if self._touched:
-            for key in self._touched:
-                self._merge(key)
-            self._touched.clear()
-            self._cached = [
-                v for _, v in sorted(self.violations.values(), key=itemgetter(0))
-            ]
-        return list(self._cached)
+        return self._refold(self.violations, self._merge)
 
 
 # ---------------------------------------------------------------------- #
 # Denial constraints
 # ---------------------------------------------------------------------- #
 
-class IncrementalDC:
+class IncrementalDC(_Maintained):
     """Maintained banded DC state: extracted entries, equality groups, and
     the violating-pair set, patched by probing deltas both ways.
 
@@ -292,26 +281,17 @@ class IncrementalDC:
     from the maintained group ranks without rescanning.
     """
 
-    def __init__(self, table: IncrementalTable, constraint: DenialConstraint):
-        try:
-            hash(constraint)
-        except TypeError as exc:
-            raise UnsupportedDelta("constraint is not hashable") from exc
-        self.table = table
+    def __init__(self, rows: list, num_partitions: int, constraint: DenialConstraint):
+        super().__init__(rows, num_partitions)
         self.constraint = constraint
-        ordered = [
-            i
-            for i, p in enumerate(constraint.predicates)
-            if p.op in ORDERED_OPS
-        ]
         # plan_dc_entries ignores the entries for <= 1 ordered predicate:
         # the plan is static and patches skip re-planning entirely.
-        self._static_plan = len(ordered) <= 1
+        self._static_plan = sum(p.op in ORDERED_OPS for p in constraint.predicates) <= 1
         self._extract = record_extractor(constraint)
         self._passes = left_filter(constraint)
         self.entries: list[list[DCRecord]] = [
-            extract_partition(part, constraint, part_idx=p)
-            for p, part in enumerate(table.parts)
+            extract_partition(rows[p::num_partitions], constraint, part_idx=p)
+            for p in range(num_partitions)
         ]
         self.plan = plan_dc_entries(constraint, self._flat())
         self.groups: dict[tuple, list[DCRecord]] = {}
@@ -324,7 +304,6 @@ class IncrementalDC:
         self.rev: dict[Placement, set[Placement]] = {}
         self._rebuild_pairs()
         self._dirty = True
-        self._cached: list[tuple[dict, dict]] = []
 
     # -- group maintenance --------------------------------------------- #
 
@@ -344,7 +323,7 @@ class IncrementalDC:
             return
         # Keep members in (partition, position) order — exactly the
         # insertion order the cold partition-major index build sees.
-        insort(self.groups.setdefault(key, []), entry, key=lambda e: e.payload)
+        insort(self.groups.setdefault(key, []), entry, key=_payload)
         self.group_of[entry.payload] = key
         self._frag.pop(key, None)
 
@@ -360,10 +339,7 @@ class IncrementalDC:
         if key is None:
             return
         members = self.groups[key]
-        for i, entry in enumerate(members):
-            if entry.payload == payload:
-                del members[i]
-                break
+        del members[bisect_left(members, payload, key=_payload)]
         if not members:
             del self.groups[key]
         self._frag.pop(key, None)
@@ -392,7 +368,7 @@ class IncrementalDC:
         self.viols.setdefault(t1, set()).add(t2)
         self.rev.setdefault(t2, set()).add(t1)
 
-    def _drop_pairs_touching(self, payloads: set) -> None:
+    def _drop_pairs_touching(self, payloads: Iterable[Placement]) -> None:
         for pos in payloads:
             for t2 in self.viols.pop(pos, ()):
                 peers = self.rev.get(t2)
@@ -437,7 +413,7 @@ class IncrementalDC:
 
     def _probe(self, delta: list[DCRecord]) -> None:
         plan = self.plan
-        delta = sorted(delta, key=lambda e: e.payload)
+        delta = sorted(delta, key=_payload)
         # Delta as left against the groups it reaches (covers delta x
         # delta once).
         delta_lefts = list(filter(self._passes, delta))
@@ -459,15 +435,11 @@ class IncrementalDC:
 
     # -- mutation hooks ------------------------------------------------ #
 
-    def on_append(self, placements: list[Placement]) -> None:
+    def _append(self, placements: list[Placement], rows: Sequence[dict]) -> None:
         fresh: list[DCRecord] = []
-        for p, pos in placements:
-            row = self.table.parts[p][pos]
+        for (p, pos), row in zip(placements, rows):
             entry = self._extract(row[RID], row, (p, pos))
-            part = self.entries[p]
-            if pos != len(part):
-                raise UnsupportedDelta("misaligned append")
-            part.append(entry)
+            self.entries[p].append(entry)
             fresh.append(entry)
         if not self._refresh_plan():
             for entry in fresh:
@@ -475,20 +447,14 @@ class IncrementalDC:
             self._probe(fresh)
         self._dirty = True
 
-    def on_update(self, placements: list[Placement]) -> None:
-        order: list[Placement] = []
-        seen: set[Placement] = set()
-        for placement in placements:
-            if placement not in seen:
-                seen.add(placement)
-                order.append(placement)
-        for p, pos in order:
+    def _update(self, placements: list[Placement]) -> None:
+        for p, pos in placements:
             self._leave(self.entries[p][pos])
-            row = self.table.parts[p][pos]
+            row = self._row((p, pos))
             self.entries[p][pos] = self._extract(row[RID], row, (p, pos))
         if not self._refresh_plan():
-            self._drop_pairs_touching(seen)
-            fresh = [self.entries[p][pos] for p, pos in order]
+            self._drop_pairs_touching(placements)
+            fresh = [self.entries[p][pos] for p, pos in placements]
             for entry in fresh:
                 self._enter(entry)
             self._probe(fresh)
@@ -499,7 +465,6 @@ class IncrementalDC:
     def emit(self) -> list[tuple[dict, dict]]:
         if not self._dirty:
             return list(self._cached)
-        parts = self.table.parts
         out: list[tuple[dict, dict]] = []
         for t1pos in sorted(self.viols):
             p1, i1 = t1pos
@@ -508,9 +473,9 @@ class IncrementalDC:
             # equality prefix.  Every surviving t2 is still a member of
             # that group, whose rank order is the scan's emission order.
             rank = self._fragment(self._left_key(entry))[2]
-            t1_row = parts[p1][i1]
+            t1_row = self._row(t1pos)
             for t2pos in sorted(self.viols[t1pos], key=rank.__getitem__):
-                out.append((t1_row, parts[t2pos[0]][t2pos[1]]))
+                out.append((t1_row, self._row(t2pos)))
         self._cached = out
         self._dirty = False
         return list(out)
@@ -520,7 +485,7 @@ class IncrementalDC:
 # Deduplication
 # ---------------------------------------------------------------------- #
 
-class IncrementalDedup:
+class IncrementalDedup(_Maintained):
     """Maintained blocking index plus memoized pair verification.
 
     Blocks map key -> member placements in (partition, position) order —
@@ -528,15 +493,15 @@ class IncrementalDedup:
     carries a *stamp* bumped on update; prepared records and verification
     verdicts are memoized against (placement, stamp) pairs, so a patch
     re-verifies only pairs involving changed rows.  A mutation marks the
-    blocks it changes touched and drops their cached pairs; ``emit``
-    re-derives only those.  An update retires the replaced row's prepared
+    blocks it changes touched; ``emit`` re-derives only those.  An update retires the replaced row's prepared
     record and every verdict keyed on it, so all three caches are bounded
     by the live table, however long the update stream.
     """
 
     def __init__(
         self,
-        table: IncrementalTable,
+        rows: list,
+        num_partitions: int,
         attributes: Sequence[str],
         metric: str,
         theta: float,
@@ -545,7 +510,7 @@ class IncrementalDedup:
     ):
         if callable(block_on):
             raise UnsupportedDelta("callable blocking keys are opaque")
-        self.table = table
+        super().__init__(rows, num_partitions)
         self.attributes = list(attributes)
         self.join = SimJoin(
             self.attributes, metric=metric, theta=float(theta), filters=filters
@@ -558,44 +523,31 @@ class IncrementalDedup:
         # (member sig, member sig) -> the pair when it verified, else False
         self.verify_cache: dict[tuple, DuplicatePair | bool] = {}
         # key -> (the block's place in the cold output, its pairs), for
-        # every untouched block that has pairs; the place is (merge bucket,
-        # first arrival = earliest member placement).
+        # every block that had pairs at the last emit; the place is (merge
+        # bucket, first arrival = earliest member placement).
         self.block_cache: dict[Any, tuple[tuple, list[DuplicatePair]]] = {}
-        self._touched: set = set()
         self._rids: set = set()
-        for p, part in enumerate(table.parts):
-            for pos, row in enumerate(part):
-                self._add((p, pos), row)
-        self._cached: list[DuplicatePair] = []
+        self._append(self._placements(range(len(rows))), rows)
 
-    def _touch(self, key: Any) -> None:
-        self._touched.add(key)
-        self.block_cache.pop(key, None)
+    def _append(self, placements: list[Placement], rows: Sequence[dict]) -> None:
+        for placement, row in zip(placements, rows):
+            rid = row[RID]
+            if rid in self._rids:
+                raise UnsupportedDelta(
+                    "duplicate _rid: pair dedupe keys on rid, parity needs them "
+                    "unique"
+                )
+            self._rids.add(rid)
+            stamp = self.stamps.setdefault(placement, 0)
+            self.preps[(placement, stamp)] = self.join.prepare(rid, row)
+            key = self.key_func(row)
+            self.key_of[placement] = key
+            insort(self.blocks.setdefault(key, []), placement)
+            self._touched.add(key)
 
-    def _add(self, placement: Placement, row: dict) -> None:
-        rid = row[RID]
-        if rid in self._rids:
-            raise UnsupportedDelta(
-                "duplicate _rid: pair dedupe keys on rid, parity needs them "
-                "unique"
-            )
-        self._rids.add(rid)
-        stamp = self.stamps.setdefault(placement, 0)
-        self.preps[(placement, stamp)] = self.join.prepare(rid, row)
-        key = self.key_func(row)
-        self.key_of[placement] = key
-        insort(self.blocks.setdefault(key, []), placement)
-        self._touch(key)
-
-    def on_append(self, placements: list[Placement]) -> None:
+    def _update(self, placements: list[Placement]) -> None:
         for placement in placements:
-            p, pos = placement
-            self._add(placement, self.table.parts[p][pos])
-
-    def on_update(self, placements: list[Placement]) -> None:
-        for placement in dict.fromkeys(placements):
-            p, pos = placement
-            row = self.table.parts[p][pos]
+            row = self._row(placement)
             old_key = self.key_of[placement]
             members = self.blocks[old_key]
             # Retire the replaced row: its prepared record and its verdicts.
@@ -611,14 +563,14 @@ class IncrementalDedup:
             self.stamps[placement] = stamp = retired[1] + 1
             self.preps[(placement, stamp)] = self.join.prepare(row[RID], row)
             new_key = self.key_func(row)
-            self._touch(old_key)
+            self._touched.add(old_key)
             if new_key != old_key:
                 members.remove(placement)
                 if not members:
                     del self.blocks[old_key]
                 self.key_of[placement] = new_key
                 insort(self.blocks.setdefault(new_key, []), placement)
-                self._touch(new_key)
+                self._touched.add(new_key)
 
     def _block_pairs(self, members: list[Placement]) -> list[DuplicatePair]:
         """One block's duplicate pairs.  A pair is built once, when it is
@@ -642,21 +594,14 @@ class IncrementalDedup:
                 pairs.append(pair)
         return pairs
 
+    def _block(self, key: Any) -> tuple | None:
+        members = self.blocks.get(key)
+        if members and (pairs := self._block_pairs(members)):
+            return (stable_hash(key) % self.num_partitions, members[0]), pairs
+        return None
+
     def emit(self) -> list[DuplicatePair]:
-        if self._touched:
-            n = self.table.num_partitions
-            for key in self._touched:
-                members = self.blocks.get(key)
-                if members and (pairs := self._block_pairs(members)):
-                    place = (stable_hash(key) % n, members[0])
-                    self.block_cache[key] = (place, pairs)
-            self._touched.clear()
-            self._cached = [
-                pair
-                for _, pairs in sorted(self.block_cache.values(), key=itemgetter(0))
-                for pair in pairs
-            ]
-        return list(self._cached)
+        return self._refold(self.block_cache, self._block)
 
 
 #: State class per operation tag — the first element of the key the facade

@@ -224,11 +224,12 @@ class CleanDB:
     # ------------------------------------------------------------------ #
     def close(self) -> None:
         """Release the worker pool (if ``execution="parallel"`` created one)
-        and the maintained check states.  Idempotent; the instance remains
-        usable — a later query re-creates either on demand.  On a *shared*
-        pool this only detaches: this instance's pins are evicted (a departed
-        tenant must not leak store memory) but the pool itself belongs to
-        whoever created it."""
+        and every derived entry (schema, rid index, DC index, maintained
+        check states).  Idempotent; the instance remains usable — a later
+        query re-creates either on demand.  On a *shared* pool this only
+        detaches: this instance's pins are evicted (a departed tenant must
+        not leak store memory) but the pool itself belongs to whoever
+        created it."""
         self.tables.release()
         self.cluster.shutdown()
 
@@ -257,19 +258,20 @@ class CleanDB:
 
     def table(self, name: str) -> list[Any]:
         """The registered rows.  Every session works on a *snapshot* of
-        them — worker pins, maintained check states, the DC index of
-        :meth:`~repro.core.tables.TableStore.derived` — taken at the
-        table's version: after mutating them in place, call
-        :meth:`refresh_table` so checks and queries see the edits."""
+        them — worker pins and the entries of
+        :meth:`~repro.core.tables.TableStore.derived` (DC index, schema,
+        maintained check states) — taken at the table's version and row
+        count: after mutating them in place, call :meth:`refresh_table`
+        so checks and queries see the edits."""
         return self.tables.get(name)
 
     def refresh_table(self, name: str) -> None:
         """Re-snapshot a table after in-place edits to its rows.
 
         Bumps the table version, which drops everything derived from the
-        old rows on every kind of session (the incremental states, the
-        driver's derived state, the pinned partitions and what the pool
-        cached on them), and re-pins the current rows — the explicit
+        old rows on every kind of session (the driver's derived state —
+        maintained check states included — the pinned partitions and what
+        the pool cached on them), and re-pins the current rows — the explicit
         coherence point for mutations that bypass :meth:`register_table` /
         :meth:`append_rows` / :meth:`update_rows` / :meth:`repair_dc`.
         """
@@ -339,24 +341,18 @@ class CleanDB:
         return parse_dc(rule)
 
     @collector_paused()
-    def _run_check(
-        self,
-        op: str,
-        table: str,
-        state_key: tuple | None,
-        state_args: tuple,
-        **params: Any,
-    ) -> list[Any]:
-        """Answer one cleaning check: from the maintained state when
-        ``state_key`` names one this incremental session can keep (built
-        from ``state_args`` on first use), else by the backend ladder
-        (:func:`~repro.cleaning.ladder.run_check`), handed what only the
-        facade knows — the table's name, format, pin and derived state."""
+    def _run_check(self, op: str, table: str, key: tuple, **params: Any) -> list[Any]:
+        """Answer one cleaning check: from the maintained state of the
+        check ``(op, *key)`` when this session keeps one (see
+        :meth:`~repro.core.tables.TableStore.maintained`), else by the
+        backend ladder (:func:`~repro.cleaning.ladder.run_check`), handed
+        what only the facade knows — the table's name, format, pin and
+        derived state."""
         from ..cleaning import ladder
 
         records = self.table(table)
-        if state_key is not None and ladder.has_fast_plan(op, params):
-            out = self.tables.maintained(table, state_key, state_args)
+        if ladder.has_fast_plan(op, params):
+            out = self.tables.maintained(table, (op, *key))
             if out is not None:
                 return out
         return ladder.run_check(
@@ -383,8 +379,7 @@ class CleanDB:
         if isinstance(constraint, str):
             constraint = self._analyzed_dc(table, constraint)
         return self._run_check(
-            "dc", table, ("dc", constraint), (constraint,),
-            constraint=constraint, strategy=strategy or self.dc_strategy,
+            "dc", table, (constraint,), constraint=constraint, strategy=strategy or self.dc_strategy,
             derived=partial(self.tables.derived, table),
         )
 
@@ -402,9 +397,8 @@ class CleanDB:
         ``execution="parallel"`` (referencing the eagerly pinned table) —
         with an identical violation set either way.
         """
-        state_args = (tuple(lhs), tuple(rhs), bool(keep_records))
         return self._run_check(
-            "fd", table, ("fd", *state_args), state_args,
+            "fd", table, (tuple(lhs), tuple(rhs), bool(keep_records)),
             lhs=lhs, rhs=rhs, grouping=self.config.grouping, keep_records=keep_records,
         )
 
@@ -426,22 +420,11 @@ class CleanDB:
 
         filters = None if self.sim_filters else NO_FILTERS
         attributes = list(attributes)
-        try:
-            block_tag = (
-                block_on
-                if block_on is None
-                or isinstance(block_on, str)
-                or callable(block_on)
-                else tuple(block_on)
-            )
-            state_key = (
-                "dedup", tuple(attributes), metric, float(theta),
-                block_tag, self.sim_filters,
-            )
-        except TypeError:
-            state_key = None
+        # A list of blocking attributes as a tuple: the check's key must hash.
+        block_tag = tuple(block_on) if isinstance(block_on, list) else block_on
         return self._run_check(
-            "dedup", table, state_key, (attributes, metric, theta, block_on, filters),
+            "dedup", table,
+            (tuple(attributes), metric, theta, block_tag, filters),
             attributes=attributes, grouping=self.config.grouping, metric=metric,
             theta=theta, block_on=block_on, filters=filters,
         )

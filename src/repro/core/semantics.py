@@ -200,11 +200,14 @@ def infer_table(rows: Sequence[Any], sample: int = 64) -> TableInfo:
     ``sample`` rows — type judgments tolerate the unsampled tail because
     mixed observations already disable them.
     """
-    info = TableInfo(row_count=len(rows))
-    if not rows or not isinstance(rows[0], dict):
-        info.is_record = False
-        return info
-    for i, row in enumerate(rows):
+    info = TableInfo(is_record=bool(rows) and isinstance(rows[0], dict), row_count=len(rows))
+    return _fold_rows(info, enumerate(rows), sample) if info.is_record else info
+
+
+def _fold_rows(info: TableInfo, indexed: Iterable[tuple[int, Any]], sample: int) -> TableInfo:
+    """Fold ``(row index, row)`` pairs into ``info``, up to the first row
+    that is not a dict."""
+    for i, row in indexed:
         if not isinstance(row, dict):
             info.is_record = False
             return info
@@ -213,6 +216,23 @@ def infer_table(rows: Sequence[Any], sample: int = 64) -> TableInfo:
             if i < sample and value is not None:
                 types.add(type(value).__name__)
     return info
+
+
+def patch_info(
+    info: TableInfo, base: int, appended: Sequence[Any],
+    updated: Sequence[tuple[int, Any]], sample: int = 64,
+) -> TableInfo:
+    """:func:`infer_table` of the table after a delta, folded from its
+    answer before it (``TableStore.derived``'s patch rule).  Raises when
+    the fold would not be faithful: a table that was not all dicts, a
+    replacement inside the sample (the old row's types cannot be taken
+    back) or one lacking a known column (the old row may have been its
+    last bearer)."""
+    known = info.columns.keys()
+    if not info.is_record or any(g < sample or not row.keys() >= known for g, row in updated):
+        raise ValueError("delta cannot be folded into the inferred schema")
+    out = TableInfo({k: set(v) for k, v in info.columns.items()}, True, base + len(appended))
+    return _fold_rows(_fold_rows(out, updated, sample), enumerate(appended, base), sample)
 
 
 # ---------------------------------------------------------------------- #

@@ -1,12 +1,12 @@
 """The table store behind the CleanDB facade.
 
 :class:`TableStore` is the only code that knows a session's rows, formats
-and versions, and everything derived from them: the lazy ``_rid`` index
-``update_rows`` addresses rows through, the incremental mirror holding
-maintained check states, and whatever a check or the analyzer builds from
-an unchanged table (:meth:`TableStore.derived`: the banded DC index, the
-inferred schema).  For an ``execution="parallel"`` session it also keeps the
-worker pool's partition store coherent with those versions: it owns the
+and versions, and everything derived from them, in one map with one rule
+(:meth:`TableStore.derived`: build, reuse, patch, drop): the ``_rid`` index
+``update_rows`` addresses rows through, the inferred schema, the banded DC
+index, an incremental session's maintained check states.  For an
+``execution="parallel"`` session it also keeps the worker pool's
+partition store coherent with those versions: it owns the
 pin identity (``<namespace>/table:<name>`` at the table's version), re-pins
 on whole-table mutations and patches the resident partitions in one
 dispatch on deltas.  Nothing outside this module asks whether the session
@@ -20,7 +20,7 @@ from typing import Any, Callable, Sequence
 from ..cleaning.rowid import fill_rids
 from ..engine.cluster import Cluster
 from ..errors import SchemaError
-from .semantics import TableInfo, infer_table
+from .semantics import TableInfo, infer_table, patch_info
 from .shippable import is_hashable
 
 
@@ -46,13 +46,8 @@ class TableStore:
         self.rows: dict[str, list[Any]] = {}
         self.formats: dict[str, str] = {}
         self.versions: dict[str, int] = {}
-        # ``derived``'s entries: table -> kind of question -> (stamp, key, state).
+        # ``derived``'s entries: table -> slot -> (stamp, key, state, patch).
         self._derived: dict[str, dict[Any, tuple]] = {}
-        # The per-table mirror holding maintained check states and the lazy
-        # ``_rid -> [every global position]`` map (``append`` keeps it current)
-        # die with the version on any whole-table mutation.
-        self._mirrors: dict[str, Any] = {}
-        self._rid_index: dict[str, dict[Any, list[int]]] = {}
 
     # -- Catalog ----------------------------------------------------- #
     def names(self) -> list[str]:
@@ -82,38 +77,49 @@ class TableStore:
 
     def refresh(self, name: str) -> None:
         """New version for rows that changed outside the delta methods.
-        Everything derived from the old rows is dropped: the mirror may no
-        longer match the table, the rid index its positions, the pins (see
-        :meth:`_sync_pin`) its content."""
+        Everything derived from the old rows is dropped, here and (see
+        :meth:`_sync_pin`) in the pool."""
         self.get(name)
         self.versions[name] = self.versions.get(name, 0) + 1
-        self._drop_mirror(name)
-        self._rid_index.pop(name, None)
         self._derived.pop(name, None)
         self._sync_pin(name)
 
-    def derived(self, name: str, key: tuple, build: Callable[[], Any]) -> Any:
-        """State that depends only on a table's rows and ``key``: built on
-        first use, reused while the table's stamp ``(version, row count)``
-        stands, dropped with the version (and on :meth:`unpin` /
-        :meth:`release`).  For *input-only* state — an index, a schema —
-        never a result: the caller still does its probing and charging on
-        every call.  One entry per table and ``key[0]`` (the kind of
-        question; the latest distinct parameters replace the previous), so
-        a session sweeping many constraints holds one DC state per table.
-        An unhashable key may change under us: it builds uncached."""
+    def derived(
+        self, name: str, key: tuple, build: Callable[[], Any],
+        patch: Callable[..., Any] | None = None,
+    ) -> Any:
+        """State that depends only on a table's rows and ``key``, on every
+        kind of session: *built* on first use; *reused* while the table's
+        stamp ``(version, row count)`` stands (a same-length in-place edit
+        waits for :meth:`refresh`); *patched* and restamped by a delta when
+        it has a ``patch`` rule and was current before it — ``patch(state,
+        row count before, appended, [(position, replacement)])`` returns the
+        state to keep; *dropped* by a delta otherwise (no rule, a stale
+        stamp, a patch that raised: broken state is no state) and by
+        :meth:`refresh`, :meth:`unpin` and :meth:`release`.  Input-side
+        state only — an index, a schema, a fold's partial state: the caller
+        still probes or emits, and charges the ledger, on every call.  An
+        entry without a patch rule is one per table and ``key[0]`` (the kind
+        of question; the latest distinct parameters replace the previous),
+        so a session sweeping many constraints holds one cold DC state per
+        table; one with a rule is kept per distinct ``key`` (every check an
+        incremental session maintains).  An unhashable key may change under
+        us: it builds uncached."""
         if not is_hashable(key):
             return build()
         stamp = (self.versions.get(name, 0), len(self.rows.get(name, ())))
         held = self._derived.setdefault(name, {})
-        if held.get(key[0], ())[:2] != (stamp, key):
-            held.pop(key[0], None)  # freed before its successor is built, not after
-            held[key[0]] = (stamp, key, build())
-        return held[key[0]][2]
+        slot = key[0] if patch is None else key
+        if held.get(slot, ())[:2] != (stamp, key):
+            held.pop(slot, None)  # freed before its successor is built, not after
+            held[slot] = (stamp, key, build(), patch)
+        return held[slot][2]
 
     def info(self, name: str) -> TableInfo:
         """Inferred schema of a registered table."""
-        return self.derived(name, ("info",), lambda: infer_table(self.rows.get(name, [])))
+        return self.derived(
+            name, ("info",), lambda: infer_table(self.rows.get(name, [])), patch_info
+        )
 
     # -- Deltas ------------------------------------------------------ #
     def append(self, name: str, rows: Sequence[Any]) -> None:
@@ -121,22 +127,18 @@ class TableStore:
         rows = list(rows)
         if not rows:
             return
-        base = len(table)
-        prepared = fill_rids(rows, base)
+        prepared = fill_rids(rows, len(table))
         table.extend(prepared)
-        if name in self._rid_index:
-            _index_rids(self._rid_index[name], prepared, base)
         self._commit_delta(name, appended=prepared)
 
     def update(self, name: str, rid_to_row: dict) -> None:
         table = self.get(name)
         if not rid_to_row:
             return
-        if name not in self._rid_index:
-            self._rid_index[name] = _index_rids({}, table)
-        index = self._rid_index[name]
+        # ``_rid -> [every global position]``, built by the first update.
+        index = self.derived(name, ("rids",), lambda: _index_rids({}, 0, table), _index_rids)
         # Validate the whole mapping before touching a row: a call that
-        # raises must leave rows, version, pins and mirror as they were.
+        # raises must leave rows, version, pins and derived state as they were.
         for rid, row in rid_to_row.items():
             if not index.get(rid):
                 raise SchemaError(f"table {name!r} has no row with _rid {rid!r}")
@@ -154,71 +156,41 @@ class TableStore:
         self, name: str, appended: Sequence[Any] = (), updated: Sequence[tuple[int, Any]] = ()
     ) -> None:
         """The shared tail of a delta already applied to the driver rows:
-        bump the version, fold the delta into the incremental mirror, patch
-        the pins."""
+        bump the version, patch or drop the derived state (see
+        :meth:`derived`), patch the pins."""
         old_version = self.versions.get(name, 0)
         self.versions[name] = old_version + 1
-        self._derived.pop(name, None)
-        mirror = self._mirrors.get(name)
-        if mirror is not None:
-            try:
-                if appended:
-                    mirror.append(appended)
-                if updated:
-                    mirror.update(updated)
-            except Exception:
-                # The mirror can no longer be trusted; drop it wholesale.
-                self._drop_mirror(name)
+        base = len(self.rows[name]) - len(appended)
+        held = self._derived.get(name, {})
+        for slot, (stamp, key, state, patch) in list(held.items()):
+            del held[slot]
+            if patch is not None and stamp == (old_version, base):
+                try:
+                    state = patch(state, base, appended, updated)
+                except Exception:
+                    continue
+                held[slot] = ((old_version + 1, base + len(appended)), key, state, patch)
         self._ship_delta(name, old_version, appended, updated)
 
-    # -- Maintained check results (``incremental`` sessions) --------- #
-    def _mirror(self, name: str) -> Any:
-        """The table's partition mirror, created lazily — None when the
-        session is not incremental or the table is out of scope (too small
-        for the layout arithmetic, or rows without stable rids)."""
-        if not self.incremental:
+    def maintained(self, name: str, key: tuple) -> list | None:
+        """The check ``key`` — operation (``fd`` / ``dc`` / ``dedup``), then
+        its state's arguments — answered from the state an incremental
+        session keeps as a :meth:`derived` entry with a patch rule, or None
+        to run the cold path: a state that cannot be built or fails mid-emit
+        is dropped — falling back is always correct, a stale result never."""
+        if not (self.incremental and is_hashable(key)):
             return None
-        mirror = self._mirrors.get(name)
-        if mirror is None:
-            from ..cleaning.incremental import IncrementalTable, UnsupportedDelta
+        from ..cleaning.incremental import STATES
 
-            try:
-                mirror = IncrementalTable(self.get(name), self.cluster.default_parallelism)
-            except UnsupportedDelta:
-                return None
-            self._mirrors[name] = mirror
-        return mirror
-
-    def _drop_mirror(self, name: str) -> None:
-        """Forget a table's mirror, unhooking the states that point back at
-        it: the pair is freed here, not at some later cycle collection."""
-        if name in self._mirrors:
-            self._mirrors.pop(name).states.clear()
-
-    def maintained(self, name: str, key: tuple, args: tuple) -> list | None:
-        """A maintained check result, or None to run the cold path.
-
-        ``key[0]`` names the operation (``fd`` / ``dc`` / ``dedup``); its
-        state is constructed from ``args`` on first use.  A state that
-        cannot be built (unsupported arguments/table) or that fails
-        mid-emit is dropped so the cold path answers — falling back is
-        always correct, serving a stale result never is.
-        """
-        mirror = self._mirror(name)
-        if mirror is None:
-            return None
+        state_of = STATES[key[0]]
         try:
-            state = mirror.states.get(key)
-            if state is None:
-                from ..cleaning.incremental import STATES
-
-                state = mirror.states[key] = STATES[key[0]](mirror, *args)
+            out = self.derived(
+                name, key,
+                lambda: state_of(self.get(name), self.cluster.default_parallelism, *key[1:]),
+                state_of.patch,
+            ).emit()
         except Exception:
-            return None
-        try:
-            out = state.emit()
-        except Exception:
-            mirror.states.pop(key, None)
+            self._derived.get(name, {}).pop(key, None)
             return None
         self.cluster.record_op(f"incremental:{key[0]}:{name}", [0.0] * self.cluster.num_nodes)
         return out
@@ -260,13 +232,11 @@ class TableStore:
             self.cluster.pool.evict(self._pin_name(name))
 
     def release(self) -> None:
-        """A departed tenant must not leak memory: drop the mirrors and the
-        derived state (the next check rebuilds either) and evict this
+        """A departed tenant must not leak memory: drop the derived state
+        (the next use rebuilds it) and evict this
         session's pins from a pool somebody else owns (an owned pool dies
         with the session anyway)."""
         self._derived.clear()
-        for name in list(self._mirrors):
-            self._drop_mirror(name)
         if not self.cluster._owns_pool:
             for name in self.versions:
                 self.unpin(name)
@@ -364,9 +334,13 @@ class TableStore:
         )
 
 
-def _index_rids(index: dict[Any, list[int]], rows: Sequence[Any], base: int = 0) -> dict:
-    """Add ``_rid -> global position`` for rows starting at ``base``."""
-    for g, row in enumerate(rows, base):
+def _index_rids(
+    index: dict[Any, list[int]], base: int, appended: Sequence[Any],
+    updated: Sequence[tuple[int, Any]] = (),
+) -> dict:
+    """Add ``_rid -> global position`` for rows starting at ``base`` — also
+    the index's own patch rule: an update moves no rid."""
+    for g, row in enumerate(appended, base):
         if isinstance(row, dict):
             index.setdefault(row.get("_rid"), []).append(g)
     return index

@@ -68,7 +68,8 @@ def session():
 
 
 def state_of(db, table):
-    (only,) = db.tables._mirrors[table].states.values()
+    held = db.tables._derived[table].items()
+    (only,) = (entry[2] for slot, entry in held if slot[0] in incremental.STATES)
     return only
 
 

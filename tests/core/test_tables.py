@@ -70,7 +70,7 @@ def test_a_failing_update_leaves_the_session_untouched(kind, bad):
         version = store.versions["t"]
         key = store.pinned_key("t")
         refs = db.cluster.pool.pinned(*key) if key else None
-        states = dict(store._mirrors["t"].states) if "t" in store._mirrors else None
+        held = dict(store._derived["t"])  # maintained states included, where kept
 
         with pytest.raises(SchemaError):
             db.update_rows("t", update)
@@ -81,8 +81,7 @@ def test_a_failing_update_leaves_the_session_untouched(kind, bad):
         if key:
             assert db.cluster.pool.pinned(*key) == refs
             assert db.cluster.pool.fetch(refs) == [before_rows[0::2], before_rows[1::2]]
-        if states is not None:
-            assert dict(store._mirrors["t"].states) == states
+        assert {slot: store._derived["t"].get(slot) for slot in held} == held
 
         with CleanDB(num_nodes=2) as cold:
             cold.register_table("t", db.table("t"))
@@ -108,11 +107,11 @@ def test_an_empty_write_is_a_no_op():
 
 
 def test_a_closed_session_leaves_nothing_for_the_cycle_collector():
-    """The maintained states point back at their mirror.  Left hooked up, a
-    closed session's table-sized state waits for a later full collection, so
-    how much memory a run of sessions holds depends on where those fall.
-    A row session's derived DC state (one ``DCRecord`` per row) is held to
-    the same rule: dead by reference count when ``close()`` returns."""
+    """Table-sized state left to a later full collection makes the memory a
+    run of sessions holds depend on where those fall.  Every derived entry —
+    the maintained states, the rid index, a row session's DC state (one
+    ``DCRecord`` per row) — is dead by reference count when ``close()``
+    returns, and the store's one map is empty."""
     gc.collect()
     gc.disable()
     try:
@@ -121,15 +120,17 @@ def test_a_closed_session_leaves_nothing_for_the_cycle_collector():
         answers(db)
         db.append_rows("t", [{"a": 1, "b": 7, "name": "x", "price": 1.0, "disc": 1.0}])
         assert answers(db) == answers(db)  # maintained twice over
-        mirror = db.tables._mirrors["t"]
-        gone = [weakref.ref(mirror), *(weakref.ref(s) for s in mirror.states.values())]
-        assert len(gone) == 4
+        db.update_rows("t", {0: dict(FIXED)})  # builds the rid index
         before = answers(db)
+        held = db.tables._derived["t"]
+        assert {slot[0] for slot in held} == {"fd", "dc", "dedup", "info", "rids"}
+        gone = [weakref.ref(entry[2]) for slot, entry in held.items() if slot[0] != "rids"]
+        del held
         db.close()
-        del mirror
-        assert [ref() for ref in gone] == [None] * 4
+        assert [ref() for ref in gone] == [None] * 4 and not db.tables._derived
         assert answers(db) == before  # still usable: rebuilt on demand
-        db.refresh_table("t")  # drops the rebuilt mirror the same way
+        db.refresh_table("t")  # drops the rebuilt states the same way
+        assert not db.tables._derived.get("t")
         db.close()
         del db
 
@@ -244,21 +245,88 @@ BUMPS = {
 
 @pytest.mark.parametrize("bump", BUMPS)
 def test_derived_state_is_built_once_reused_and_dropped_with_the_version(bump):
+    """The drop / patch matrix.  Every whole-table bump drops entries with
+    and without a patch rule; a delta keeps and restamps the first kind —
+    its patch called once with the delta, its build not again — and drops
+    the second; a patch that raises drops only its own entry."""
     with CleanDB(num_nodes=2) as db:
         db.register_table("t", rows())
-        builds = []
+        builds, patches = [], []
 
-        def build():
-            builds.append(len(db.table("t")))
-            return object()
+        def build(kind):
+            def run():
+                builds.append((kind, len(db.table("t"))))
+                return [kind]
+            return run
 
-        first = db.tables.derived("t", ("probe", 1), build)
-        assert db.tables.derived("t", ("probe", 1), build) is first
-        assert len(builds) == 1
+        def patch(state, base, appended, updated):
+            patches.append((state[0], base, list(appended), list(updated)))
+            if state[0] == "broken":
+                raise RuntimeError("broken state == no state")
+            return state
+
+        def ask():
+            return [
+                db.tables.derived("t", ("plain", 1), build("plain")),
+                db.tables.derived("t", ("patched", 1), build("patched"), patch),
+                db.tables.derived("t", ("broken", 1), build("broken"), patch),
+            ]
+
+        first = ask()
+        assert all(a is b for a, b in zip(ask(), first)) and len(builds) == 3
         BUMPS[bump](db)
-        assert "t" not in db.tables._derived  # dropped there and then, not at next use
-        assert db.tables.derived("t", ("probe", 1), build) is not first
-        assert builds == [12, len(db.table("t"))]
+        held = db.tables._derived.get("t", {})  # dropped there and then, not at next use
+        is_delta = bump in ("append_rows", "update_rows")
+        if is_delta:
+            table = db.table("t")
+            assert set(held) - {("rids",)} == {("patched", 1)}  # update_rows' own entry
+            assert held[("patched", 1)][0] == (db.tables.versions["t"], len(table))
+            delta = (12, [table[12]], []) if bump == "append_rows" else (12, [], [(0, table[0])])
+            assert patches == [("patched", *delta), ("broken", *delta)]
+        else:
+            assert not held and not patches
+        after = ask()
+        assert [a is b for a, b in zip(after, first)] == [False, is_delta, False]
+        assert len(patches) == 2 * is_delta  # asking again patches nothing
+        rebuilt = sorted(kind for kind, _ in builds[3:])
+        assert rebuilt == (["broken", "plain"] if is_delta else ["broken", "patched", "plain"])
+        assert {size for _, size in builds[3:]} == {len(db.table("t"))}
+
+
+def _cold_answers(db):
+    with CleanDB(num_nodes=2) as cold:
+        cold.register_table("t", [dict(row) for row in db.table("t")])
+        return answers(cold)
+
+
+GROWN = {"a": 0, "b": 9, "name": "name 0", "price": 99.0, "disc": -1.0, "_rid": 12}
+
+
+@pytest.mark.parametrize("kind", SESSIONS)
+def test_a_length_changing_in_place_edit_is_caught_on_every_session(kind):
+    """One stamp rule for every derived entry: a row appended to the
+    registered list behind the store's back changes the next answer on
+    every kind of session, and the delta after it patches nothing stale."""
+    with CleanDB(num_nodes=2, **SESSIONS[kind]) as db:
+        db.register_table("t", rows())
+        warm = answers(db)
+        db.table("t").append(dict(GROWN))  # no write method, no refresh
+        grown = answers(db)
+        assert grown == _cold_answers(db) != warm
+        db.append_rows("t", [{**GROWN, "_rid": 13, "price": 100.0, "disc": -2.0}])
+        assert answers(db) == _cold_answers(db) != grown
+
+
+@pytest.mark.parametrize("kind", SESSIONS)
+def test_update_rows_reaches_a_row_appended_in_place(kind):
+    with CleanDB(num_nodes=2, **SESSIONS[kind]) as db:
+        db.register_table("t", rows())
+        db.update_rows("t", {0: dict(FIXED)})  # builds the rid index
+        warm = answers(db)
+        db.table("t").append(dict(GROWN))
+        db.update_rows("t", {12: {**GROWN, "price": 0.5}})
+        assert db.table("t")[12]["price"] == 0.5
+        assert answers(db) == _cold_answers(db) != warm
 
 
 def test_a_length_changing_in_place_edit_is_caught_by_the_stamp():
@@ -292,7 +360,7 @@ def test_a_second_distinct_constraint_replaces_the_first():
         held = db.tables._derived["t"]
         plan = weakref.ref(held["dc"][2][0])
         db.check_dc("t", other)
-        assert set(held) == {"info", "dc"}  # the schema the rule strings were checked against
+        assert set(held) == {("info",), "dc"}  # the schema the rule strings were checked against
         assert held["dc"][1][1].predicates[1].op == ">"
         assert plan() is None  # the first state is gone, not parked
         assert db.check_dc("t", RULE) == first  # and comes back by rebuilding

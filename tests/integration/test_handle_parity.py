@@ -318,14 +318,13 @@ class TestDeltaFaults:
         try:
             db.register_table("lineitem", dirty_lineitem_rows())
             assert db.check_dc("lineitem", self.RULE)  # build resident state
-            assert "lineitem" in db.tables._mirrors
+            assert any(slot[0] == "dc" for slot in db.tables._derived["lineitem"])
             db.update_rows("lineitem", {0: dict(db.table("lineitem")[0])})
-            assert "lineitem" in db.tables._rid_index
+            assert ("rids",) in db.tables._derived["lineitem"]
             for row in db.table("lineitem"):
                 row["qty"] = 1  # repair in place, behind the mirror's back
             db.refresh_table("lineitem")
-            assert "lineitem" not in db.tables._mirrors
-            assert "lineitem" not in db.tables._rid_index
+            assert "lineitem" not in db.tables._derived
             assert db.check_dc("lineitem", self.RULE) == []
         finally:
             db.close()
