@@ -30,6 +30,7 @@ output pair set is identical either way.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import count as _counter
 from typing import Any, Callable, Sequence
 
@@ -39,13 +40,7 @@ from ..engine.shuffle import exchange, exchange_resident
 from ..sources.columnar import round_robin_split
 from .blocking import key_blocks, make_blocks
 from .rowid import RID, has_rids, number_rows, partition_offsets, stamp
-from .simjoin import (
-    FilterConfig,
-    JoinStats,
-    PreparedRecord,
-    SimJoin,
-    resolve_filters,
-)
+from .simjoin import BagCache, FilterConfig, JoinStats, PreparedRecord, SimJoin, resolve_filters
 
 BlockSpec = str | Sequence[str] | Callable[[dict], Any] | None
 
@@ -192,6 +187,7 @@ def deduplicate(
     op_params: dict | None = None,
     grouping: str = "aggregate",
     filters: FilterConfig | None = None,
+    derived: Callable[..., Any] | None = None,
 ) -> Dataset:
     """Find pairs of records that refer to the same real-world entity.
 
@@ -212,6 +208,8 @@ def deduplicate(
     ``filters``
         Candidate-pruning toggles for the similarity kernel (defaults on;
         ``NO_FILTERS`` reproduces the naive all-pairs verification).
+    ``derived``
+        See :func:`similarity_join`.
 
     Returns a dataset of :class:`DuplicatePair` with each unordered pair
     reported once.
@@ -230,7 +228,25 @@ def deduplicate(
             with_ids, block_key_func(block_on, attributes), grouping=grouping
         )
 
-    return pairwise_within_blocks(blocks, attributes, metric, theta, filters=filters)
+    return pairwise_within_blocks(blocks, attributes, metric, theta, filters, derived)
+
+
+def similarity_join(
+    cluster: Cluster, attributes: Sequence[str], metric: str, theta: float,
+    filters: FilterConfig | None, derived: Callable[..., Any] | None,
+) -> SimJoin:
+    """The driver-side verifier at ``cluster``'s prices.  Given ``derived``
+    (a session's ``TableStore.derived`` bound to the table), a join that
+    count-filters reads its q-gram bags from the table's ``("bags", q)``
+    :class:`BagCache`, kept with no patch rule (a write drops it).  Records,
+    blocks and verdicts are built, and every pair verified and charged, per
+    call: only tokenizing is saved."""
+    cost = cluster.cost_model
+    join = SimJoin(attributes, metric, theta, filters, cost.compare_unit, cost.filter_unit)
+    if derived is not None and join.bounded and join.filters.count_filter:
+        q = join.filters.q
+        join.bags = derived(("bags", q), partial(BagCache, q))
+    return join
 
 
 def pairwise_within_blocks(
@@ -239,19 +255,17 @@ def pairwise_within_blocks(
     metric: str,
     theta: float,
     filters: FilterConfig | None = None,
+    derived: Callable[..., Any] | None = None,
 ) -> Dataset:
     """Similarity self-join inside each block via the shared kernel.
 
     Every candidate pair charges one comparison (plus a fixed filter unit
     of work); only pairs surviving the filters charge a verified comparison
     and work proportional to the compared string lengths — this is the
-    "Similarity" phase of Fig. 3.
+    "Similarity" phase of Fig. 3.  ``derived`` is :func:`similarity_join`'s.
     """
     cluster = blocks.cluster
-    cost = cluster.cost_model
-    join = SimJoin(
-        attributes, metric, theta, filters, cost.compare_unit, cost.filter_unit
-    )
+    join = similarity_join(cluster, attributes, metric, theta, filters, derived)
     prep = preparer(join)
     parts: list[list[tuple[Any, list[PreparedRecord]]]] = [
         [(key, [prep(r) for r in records]) for key, records in part]
@@ -290,6 +304,7 @@ def deduplicate_columnar(
     fmt: str = "memory",
     filters: FilterConfig | None = None,
     name: str = "input",
+    derived: Callable[..., Any] | None = None,
 ) -> Dataset:
     """Exact-key deduplication at batch prices: the
     ``execution="vectorized"`` driver.
@@ -324,9 +339,7 @@ def deduplicate_columnar(
         shuffled_records=moved,
         shuffle_cost=cost.batch_shuffle_cost(moved),
     )
-    join = SimJoin(
-        attributes, metric, theta, filters, cost.compare_unit, cost.filter_unit
-    )
+    join = similarity_join(cluster, attributes, metric, theta, filters, derived)
     out_parts: list[list[DuplicatePair]] = []
     per_part_work: list[float] = []
     for bucket in buckets:

@@ -45,8 +45,8 @@ RUNGS = {
     ("dc", "row"): ("check_dc", None, ("derived",)),
     ("dc", "vectorized"): ("check_dc_columnar", _uniform, ("derived",)),
     ("dc", "parallel"): ("check_dc_parallel", shippable, ("pinned",)),
-    ("dedup", "row"): ("deduplicate", None, ()),
-    ("dedup", "vectorized"): ("deduplicate_columnar", _uniform, ()),
+    ("dedup", "row"): ("deduplicate", None, ("derived",)),
+    ("dedup", "vectorized"): ("deduplicate_columnar", _uniform, ("derived",)),
     ("dedup", "parallel"): ("deduplicate_parallel", shippable, ("pinned",)),
 }
 

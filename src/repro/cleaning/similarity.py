@@ -234,7 +234,7 @@ def record_matcher(
     uses; acceptance goes through the exact unbanded expression, so the
     decision never differs from ``banded=False``.
 
-    Built for many pairs over the same rows: the banded matcher owns one
+    Built for many pairs over the same rows: the matcher owns one
     similarity join and prepares each row once, memoized by identity (a
     prepared record holds its row, so an id is never reused while the
     matcher lives).
@@ -242,34 +242,20 @@ def record_matcher(
     attributes = list(attributes)
     if not attributes:
         raise ValueError("record similarity needs at least one attribute")
-    if banded:
-        # No blocking context: delegate the decision to the similarity-join
-        # kernel so the banding logic exists in one place.  The count filter
-        # stays off — tokenizing records for lone comparisons would cost
-        # more than the DP it might skip.
-        from .simjoin import FilterConfig, SimJoin
+    # No blocking context: the similarity-join kernel decides, so the
+    # banding logic (and, unbanded, the naive loop) exists in one place.
+    # The count filter stays off — tokenizing records for lone comparisons
+    # would cost more than the DP it might skip.
+    from .simjoin import NO_FILTERS, FilterConfig, SimJoin
 
-        join = SimJoin(
-            attributes,
-            metric=metric,
-            theta=theta,
-            filters=FilterConfig(count_filter=False, ownership=False),
-        )
-        prepared: dict[int, Any] = {}
+    filters = FilterConfig(count_filter=False, ownership=False) if banded else NO_FILTERS
+    join = SimJoin(attributes, metric=metric, theta=theta, filters=filters)
+    prepared: dict[int, Any] = {}
 
-        def prepare(record: dict) -> Any:
-            prep = prepared.get(id(record))
-            if prep is None:
-                prep = prepared[id(record)] = join.prepare(0, record)
-            return prep
+    def prepare(record: dict) -> Any:
+        prep = prepared.get(id(record))
+        if prep is None:
+            prep = prepared[id(record)] = join.prepare(0, record)
+        return prep
 
-        return lambda left, right: join.verify(prepare(left), prepare(right))
-    func = get_metric(metric)
-
-    def match(left: dict, right: dict) -> bool:
-        total = 0.0
-        for attr in attributes:
-            total += func(str(left.get(attr, "")), str(right.get(attr, "")))
-        return total / len(attributes) >= theta
-
-    return match
+    return lambda left, right: join.verify(prepare(left), prepare(right))

@@ -15,7 +15,9 @@ the caller) and *verification* (done here), and prunes between the two:
 * **Preparation** — per-record normalized terms, lengths, q-gram bags
   (:func:`gram_bag`) and edit-distance pattern masks are computed at most
   once per record (:class:`PreparedRecord`), the last two only on first
-  use, not once per comparison as the previous inline loops did.
+  use, not once per comparison as the previous inline loops did.  A bag
+  depends on its text alone, so a join may read a :class:`BagCache` that
+  outlives it (a session's, for the row and vectorized dedup drivers).
 * **Length filtering** — for Levenshtein similarity ``>= theta``, a pair
   whose lengths differ by more than ``(1 - theta) * max_len`` cannot pass;
   it is rejected without touching the metric — or building a q-gram.
@@ -134,15 +136,18 @@ def gram_bag(text: str, q: int, pool: dict[str, str] | None = None) -> frozenset
 
 
 class BagCache(dict):
-    """``cache[text]`` is ``gram_bag(text, q)``, built once per distinct
-    string (dictionary words recur across many candidate buckets)."""
+    """``cache[text]`` is ``gram_bag(text, q)``, built on first lookup of
+    each distinct string, its grams shared through the cache's own pool.
+    Keyed by text, never by position, it may outlive a join and can never
+    answer for an edited row: a session keeps one per table for dedup."""
 
     def __init__(self, q: int):
         super().__init__()
         self.q = q
+        self.pool: dict[str, str] = {}
 
     def __missing__(self, text: str) -> frozenset:
-        bag = self[text] = gram_bag(text, self.q)
+        bag = self[text] = gram_bag(text, self.q, self.pool)
         return bag
 
 
@@ -151,10 +156,11 @@ class PreparedRecord:
 
     ``terms`` are the stringified comparison attributes.  The q-gram bags
     of the count filter and the pattern masks of the edit-distance scan are
-    built lazily on first use, so workloads that never reach the count
+    looked up lazily on first use, so workloads that never reach the count
     filter never pay for tokenization and a record that never reaches the
-    metric holds no masks.  ``payload`` carries whatever the caller needs
-    to materialize an output pair (the record dict on every dedup path).
+    metric holds no masks.  A record lives for one join (its bags may come
+    from a longer-lived :class:`BagCache`).  ``payload`` carries whatever
+    the caller needs to materialize an output pair (the record dict).
     """
 
     __slots__ = ("rid", "payload", "terms", "lengths", "bags", "_masks")
@@ -165,7 +171,7 @@ class PreparedRecord:
         self.terms = tuple(terms)
         self.lengths = tuple(len(t) for t in self.terms)
         # Filled by the join that first count-filters the record (its q,
-        # its gram pool).
+        # its bag cache or gram pool).
         self.bags: tuple[frozenset, ...] | None = None
         self._masks: tuple[dict[str, int], ...] | None = None
 
@@ -231,6 +237,9 @@ class SimJoin:
         self.compare_unit = compare_unit
         self.filter_unit = filter_unit
         self.stats = JoinStats()
+        # A caller's BagCache the count filter reads, else each record
+        # tokenizes its own terms through this join's gram pool.
+        self.bags: BagCache | None = None
         self._gram_pool: dict[str, str] = {}
 
     # ------------------------------------------------------------------ #
@@ -243,8 +252,9 @@ class SimJoin:
 
     def _bags(self, record: PreparedRecord) -> tuple[frozenset, ...]:
         if record.bags is None:
+            cache = self.bags
             record.bags = tuple(
-                gram_bag(term, self.filters.q, self._gram_pool)
+                gram_bag(term, self.filters.q, self._gram_pool) if cache is None else cache[term]
                 for term in record.terms
             )
         return record.bags
@@ -254,36 +264,36 @@ class SimJoin:
     # ------------------------------------------------------------------ #
     def verify(self, a: PreparedRecord, b: PreparedRecord) -> bool:
         """Decide ``avg attr similarity >= theta`` — identically to the
-        naive per-attribute loop, but filtered.  Updates :attr:`stats`."""
+        naive per-attribute loop (which an unbounded join runs), but
+        filtered.  Updates :attr:`stats`."""
         stats = self.stats
         stats.candidates += 1
         n = len(self.attributes)
         theta = self.theta
-        if not self.bounded:
-            return self._verify_naive(a, b, n, theta)
-
-        stats.work += self.filter_unit
         cfg = self.filters
         lengths_a, lengths_b = a.lengths, b.lengths
-        # Each sim_i <= bounds[i] in floating point and float addition and
-        # division are monotone, so a mean of bounds below theta rejects
-        # soundly without a margin.  Lengths alone go first: most hopeless
-        # pairs die there, before either record builds a q-gram.
         bounds = [1.0] * n
-        if cfg.length_filter:
-            bounds = [_length_bound(x, y) for x, y in zip(lengths_a, lengths_b)]
-            if _mean(bounds) < theta:
-                return False
-        if cfg.count_filter:
-            bags_a, bags_b = self._bags(a), self._bags(b)
-            for i in range(n):
-                bound = _count_bound(
-                    max(lengths_a[i], lengths_b[i]), len(bags_a[i] & bags_b[i]), cfg.q
-                )
-                if bound < bounds[i]:
-                    bounds[i] = bound
-            if _mean(bounds) < theta:
-                return False
+        if self.bounded:
+            stats.work += self.filter_unit
+            # Each sim_i <= bounds[i] in floating point and float addition
+            # and division are monotone, so a mean of bounds below theta
+            # rejects soundly without a margin.  Lengths alone go first: most
+            # hopeless pairs die there, before either record reads a q-gram.
+            if cfg.length_filter:
+                bounds = [_length_bound(x, y) for x, y in zip(lengths_a, lengths_b)]
+                if _mean(bounds) < theta:
+                    return False
+            if cfg.count_filter:
+                bags_a, bags_b = self._bags(a), self._bags(b)
+                for i in range(n):
+                    bound = _count_bound(
+                        max(lengths_a[i], lengths_b[i]), len(bags_a[i] & bags_b[i]), cfg.q
+                    )
+                    if bound < bounds[i]:
+                        bounds[i] = bound
+                if _mean(bounds) < theta:
+                    return False
+        banding = self.bounded and cfg.banding
 
         # suffix[i] = sum of bounds for attributes i.. (what the not-yet
         # compared attributes can still contribute).
@@ -298,7 +308,7 @@ class SimJoin:
             len_a, len_b = lengths_a[i], lengths_b[i]
             stats.work += (len_a + len_b) * self.compare_unit
             stats.metric_calls += 1
-            if cfg.banding:
+            if banding:
                 longest = len_a if len_a >= len_b else len_b
                 if longest == 0:
                     total += 1.0
@@ -322,20 +332,6 @@ class SimJoin:
                     # the band, and this is the metric's own expression.
                     total += 1.0 - distance / longest
                     continue
-            total += self.sim(term_a, term_b)
-        passed = total / n >= theta
-        if passed:
-            stats.pairs += 1
-        return passed
-
-    def _verify_naive(self, a: PreparedRecord, b: PreparedRecord, n: int, theta: float) -> bool:
-        stats = self.stats
-        stats.verified += 1
-        total = 0.0
-        for i in range(n):
-            term_a, term_b = a.terms[i], b.terms[i]
-            stats.work += (len(term_a) + len(term_b)) * self.compare_unit
-            stats.metric_calls += 1
             total += self.sim(term_a, term_b)
         passed = total / n >= theta
         if passed:

@@ -427,6 +427,7 @@ class CleanDB:
             (tuple(attributes), metric, theta, block_tag, filters),
             attributes=attributes, grouping=self.config.grouping, metric=metric,
             theta=theta, block_on=block_on, filters=filters,
+            derived=partial(self.tables.derived, table),
         )
 
     def repair_dc(

@@ -4,9 +4,9 @@
 and versions, and everything derived from them, in one map with one rule
 (:meth:`TableStore.derived`: build, reuse, patch, drop): the ``_rid`` index
 ``update_rows`` addresses rows through, the inferred schema, the banded DC
-index, an incremental session's maintained check states.  For an
-``execution="parallel"`` session it also keeps the worker pool's
-partition store coherent with those versions: it owns the
+index, dedup's q-gram bags, an incremental session's maintained check
+states.  For an ``execution="parallel"`` session it also keeps the worker
+pool's partition store coherent with those versions: it owns the
 pin identity (``<namespace>/table:<name>`` at the table's version), re-pins
 on whole-table mutations and patches the resident partitions in one
 dispatch on deltas.  Nothing outside this module asks whether the session

@@ -110,8 +110,9 @@ def test_a_closed_session_leaves_nothing_for_the_cycle_collector():
     """Table-sized state left to a later full collection makes the memory a
     run of sessions holds depend on where those fall.  Every derived entry —
     the maintained states, the rid index, a row session's DC state (one
-    ``DCRecord`` per row) — is dead by reference count when ``close()``
-    returns, and the store's one map is empty."""
+    ``DCRecord`` per row) and dedup bag cache (one bag per distinct term) —
+    is dead by reference count when ``close()`` returns, and the store's
+    one map is empty."""
     gc.collect()
     gc.disable()
     try:
@@ -137,12 +138,16 @@ def test_a_closed_session_leaves_nothing_for_the_cycle_collector():
         row = CleanDB(num_nodes=2)
         row.register_table("t", rows())
         before = answers(row)
-        # The plan stands for the entry: tuples and dicts take no weak
+        # The plan stands for the DC entry: tuples and dicts take no weak
         # reference, and it dies only with the tuple that holds the index.
-        plan = weakref.ref(row.tables._derived["t"]["dc"][2][0])
-        assert plan() is not None
+        # Dedup's bag cache is a dict subclass, which does.
+        held = row.tables._derived["t"]
+        assert held["bags"][2]
+        gone = [weakref.ref(held["dc"][2][0]), weakref.ref(held["bags"][2])]
+        del held
+        assert all(ref() is not None for ref in gone)
         row.close()
-        assert plan() is None and not row.tables._derived
+        assert [ref() for ref in gone] == [None, None] and not row.tables._derived
         assert answers(row) == before
         row.close()
         del row
