@@ -22,12 +22,12 @@ if TYPE_CHECKING:
         check_domains, violation_summary,
     )
     from .dc_kernel import (
-        DCPlan, DCStats, find_violations, null_safe_compare, parse_dc, plan_dc,
+        DCPlan, DCStats, null_safe_compare, parse_dc, plan_dc,
     )
     from .denial import (
         DC_STRATEGIES, DenialConstraint, FDViolation, SingleFilter, TuplePredicate,
         check_dc, check_dc_columnar, check_dc_parallel, check_fd, check_fd_columnar,
-        check_fd_parallel, self_theta_join,
+        check_fd_parallel, find_violations, self_theta_join,
     )
     from .kmeans import (
         assign_to_centers, fixed_step_centers, hierarchical_cluster, multi_pass_kmeans,
@@ -71,13 +71,13 @@ __getattr__, __dir__, __all__ = lazy_surface(__name__, {
         "Satisfies", "check_domains", "violation_summary",
     ),
     "dc_kernel": (
-        "DCPlan", "DCStats", "find_violations", "null_safe_compare", "parse_dc",
-        "plan_dc",
+        "DCPlan", "DCStats", "null_safe_compare", "parse_dc", "plan_dc",
     ),
     "denial": (
         "DC_STRATEGIES", "DenialConstraint", "FDViolation", "SingleFilter",
         "TuplePredicate", "check_dc", "check_dc_columnar", "check_dc_parallel",
-        "check_fd", "check_fd_columnar", "check_fd_parallel", "self_theta_join",
+        "check_fd", "check_fd_columnar", "check_fd_parallel", "find_violations",
+        "self_theta_join",
     ),
     "kmeans": (
         "assign_to_centers", "fixed_step_centers", "hierarchical_cluster",

@@ -7,9 +7,10 @@ black-box theta join: every strategy handed an opaque pair predicate to
 backend-neutral kernel that replaces that inner loop — extract
 (:func:`extract_partition`), plan (:func:`plan_dc_entries`), index
 (:func:`build_dc_index`), scan (:func:`scan_partition`, or
-:func:`scan_task` around it in a worker).  The drivers in
-:mod:`repro.cleaning.denial` move partitions through it and price the
-counts; the incremental DC state patches the same index.
+:func:`scan_task` around it in a worker).  The first three are composed
+in one place, :func:`repro.cleaning.denial.build_dc_state`: the drivers
+there build through it and price the counts, and the maintained DC state
+(:mod:`repro.cleaning.incremental`) patches the index it returns.
 
 The planner (:func:`plan_dc`) splits the constraint's predicate
 conjunction:
@@ -492,22 +493,12 @@ class DCStats:
     pairs: int = 0
     work: float = 0.0
 
-    def merge(self, other: "DCStats") -> None:
-        self.candidates += other.candidates
-        self.examined += other.examined
-        self.pairs += other.pairs
-        self.work += other.work
-
 
 def dc_group_key(entry: DCRecord, plan: DCPlan) -> tuple | None:
-    """The equality-group key ``entry`` is indexed under, or ``None``.
-
-    ``None`` means the entry is excluded from the index outright: its
-    equality key or band value contains a null, which can never satisfy
-    the corresponding predicate, so it has no candidates.  Shared by
-    :func:`build_dc_index` and the incremental DC state so both classify
-    entries identically.
-    """
+    """The equality-group key :func:`build_dc_index` files ``entry`` under
+    (the maintained DC state patches by it), or ``None``: a null equality
+    key or band value can never satisfy its predicate, so the entry has no
+    candidates and is not indexed."""
     group_key, _probe = _compiled(plan)
     return group_key(entry)
 
@@ -543,8 +534,8 @@ def band_sorted(
 ) -> tuple[list | None, list[DCRecord]]:
     """One index group in probe form: ``(band values, members)`` sorted by
     band value, or ``(None, members)`` in insertion order when there is no
-    band predicate or the values are mutually incomparable.  Shared by
-    :func:`build_dc_index` and the incremental DC state."""
+    band predicate or the values are mutually incomparable (the maintained
+    DC state re-forms a group through it when bisection cannot)."""
     if band_idx is not None:
         try:
             members = sorted(members, key=lambda e: e.rvals[band_idx])
@@ -731,22 +722,3 @@ def _compile(plan: DCPlan) -> tuple[Callable, Callable]:
         return out
 
     return group_key, probe
-
-
-def find_violations(
-    records: Sequence[dict], constraint: DenialConstraint
-) -> list[tuple[dict, dict]]:
-    """Cluster-free banded DC check over plain records (repair/oracle use).
-
-    Records without a ``_rid`` get their positional index as the stable
-    row id.  Returns violating ``(t1, t2)`` record pairs under the same
-    null-safe, exactly-once semantics as the engine paths.
-    """
-    entries = extract_partition(records, constraint)
-    plan = plan_dc_entries(constraint, entries)
-    index = build_dc_index(entries, plan)
-    left = list(filter(left_filter(constraint), entries))
-    return [
-        (a.payload, b.payload)
-        for a, b in scan_partition(left, index, plan, DCStats())
-    ]

@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import chain
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from ..engine.cluster import Cluster
 from ..engine.dataset import Dataset
@@ -49,6 +49,8 @@ from ..physical.theta_join import (
 )
 from ..sources.columnar import round_robin_split
 from .dc_kernel import (
+    DCPlan,
+    DCRecord,
     DCStats,
     DenialConstraint,
     SingleFilter,
@@ -305,8 +307,64 @@ def check_fd_parallel(
 
 
 # ---------------------------------------------------------------------- #
-# DC drivers (the kernel is :mod:`repro.cleaning.dc_kernel`)
+# DC: one builder, then the drivers (the kernel is :mod:`repro.cleaning.dc_kernel`)
 # ---------------------------------------------------------------------- #
+
+class DCState(NamedTuple):
+    """Everything a banded check needs from a table short of the probe.
+
+    ``index`` is :func:`~repro.cleaning.dc_kernel.build_dc_index`'s
+    ``{equality key: (band values | None, band-sorted members)}``; its
+    members and ``left_parts``' entries are ``entries``' own objects."""
+
+    plan: DCPlan
+    entries: list[list[DCRecord]]
+    index: dict[tuple, tuple[list | None, list[DCRecord]]]
+    left_parts: list[list[DCRecord]]
+    group_sizes: list[int]
+    left_count: int
+
+
+def build_dc_state(
+    constraint: DenialConstraint,
+    parts: Sequence[Sequence[dict]] = (),
+    refs: bool = False,
+    entries: list[list[DCRecord]] | None = None,
+) -> DCState:
+    """The one place extract → plan → index is composed: every driver, the
+    maintained state and :func:`find_violations` build through it.
+
+    Extracts each partition (payloads are the records, or ``(partition,
+    position)`` references with ``refs``), plans over the partition-major
+    entry stream, indexes it and filters the left side.  ``entries``
+    extracted elsewhere — by worker tasks, or kept by a maintained state —
+    skip the extraction."""
+    if entries is None:
+        offsets = partition_offsets([len(part) for part in parts])
+        entries = [
+            extract_partition(part, constraint, start, i if refs else None)
+            for i, (part, start) in enumerate(zip(parts, offsets))
+        ]
+    flat = [e for part in entries for e in part]
+    plan = plan_dc_entries(constraint, flat)
+    index = build_dc_index(flat, plan)
+    passes = left_filter(constraint)
+    left_parts = [list(filter(passes, part)) for part in entries]
+    sizes = [len(members) for _, members in index.values()]
+    return DCState(plan, entries, index, left_parts, sizes, sum(map(len, left_parts)))
+
+
+def find_violations(
+    records: Sequence[dict], constraint: DenialConstraint
+) -> list[tuple[dict, dict]]:
+    """Cluster-free banded DC check over plain records (repair/oracle use):
+    the builder over one partition plus one scan.  Records without a
+    ``_rid`` are numbered by position; the ``(t1, t2)`` record pairs follow
+    the engine paths' null-safe, exactly-once semantics."""
+    state = build_dc_state(constraint, [records])
+    pairs = scan_partition(state.left_parts[0], state.index, state.plan, DCStats())
+    return [(a.payload, b.payload) for a, b in pairs]
+
 
 #: Strategies :func:`check_dc` accepts; ``banded`` is the planned kernel.
 DC_STRATEGIES = ("banded", "matrix", "cartesian", "minmax")
@@ -424,9 +482,9 @@ def _dc_banded(
     × full right — what the pushed-down cartesian plan examines) and
     ``verified`` with the pairs the banded scan actually touched.
     ``derived`` is a session's ``TableStore.derived`` bound to the table
-    ``parts`` lays out: extraction and sort (``build``) are reused while
-    that table stands.  The probe and every charge run on each call — the
-    simulated clock does not depend on cache temperature.
+    ``parts`` lays out: the :func:`build_dc_state` it holds is reused
+    while that table stands.  The probe and every charge run on each call
+    — the simulated clock does not depend on cache temperature.
 
     ``batched`` is the pricing argument: off charges extraction at row
     prices (``dc:banded:stats``; the left filter rides along like a
@@ -435,22 +493,9 @@ def _dc_banded(
     """
     cost = cluster.cost_model
     sizes = [len(p) for p in parts]
-
-    def build() -> tuple:
-        entries_parts = [
-            extract_partition(part, constraint, start)
-            for part, start in zip(parts, partition_offsets(sizes))
-        ]
-        flat = [e for part in entries_parts for e in part]
-        plan = plan_dc_entries(constraint, flat)
-        index = build_dc_index(flat, plan)
-        # Index members and left entries are the same objects; the rest die here.
-        left_parts = [list(filter(left_filter(constraint), part)) for part in entries_parts]
-        group_sizes = [len(members) for _, members in index.values()]
-        return plan, index, left_parts, group_sizes, sum(map(len, left_parts))
-
+    build = partial(build_dc_state, constraint, parts)
     state = derived(("dc", constraint), build) if derived else build()
-    plan, index, left_parts, group_sizes, left_count = state
+    left_count = state.left_count
     # Statistics + extraction pass: one scan of the input (the same
     # "global data statistics" effort the matrix join charges).
     if not batched:
@@ -461,15 +506,15 @@ def _dc_banded(
     else:
         cluster.record_batch_stage("dc:banded:stats:vec", sizes)
         cluster.record_batch_stage("dc:leftFilter:vec", sizes)
-    _record_dc_index_op(cluster, group_sizes, sum(sizes), left_count)
+    _record_dc_index_op(cluster, state.group_sizes, sum(sizes), left_count)
 
     stats = DCStats()
     stats.candidates = left_count * sum(sizes)
     out_parts: list[list[tuple[dict, dict]]] = []
     per_part_work: list[float] = []
-    for part in left_parts:
+    for part in state.left_parts:
         work_before = stats.work
-        pairs = scan_partition(part, index, plan, stats, cost.compare_unit)
+        pairs = scan_partition(part, state.index, state.plan, stats, cost.compare_unit)
         out_parts.append([(a.payload, b.payload) for a, b in pairs])
         per_part_work.append(stats.work - work_before)
     cluster.charge_comparisons(stats.candidates)
@@ -515,11 +560,11 @@ def check_dc_parallel(
     resident_stages`).  The extraction pass runs as one
     :func:`~repro.cleaning.dc_kernel.extract_partition` task per pinned
     partition whose comparison-vector output both *stays worker-resident*
-    and streams back once for the driver-side index build (identical to
-    the row path's, since the entry stream is partition-major); the index
-    is broadcast to each worker once; and the banded probe
-    (:func:`~repro.cleaning.dc_kernel.scan_task`) references entries and
-    index by handle.  On a pinned table the extraction output,
+    and streams back once for the driver-side :func:`build_dc_state`
+    (identical to the row path's, since the entry stream is
+    partition-major); the index is broadcast to each worker once; and the
+    banded probe (:func:`~repro.cleaning.dc_kernel.scan_task`) references
+    entries and index by handle.  On a pinned table the extraction output,
     plan, and index broadcast are cached against ``(table, version,
     constraint)`` — a warm re-run ships only the probe tasks' argument
     tuples and the violating pair references, which is where the >= 5x
@@ -553,15 +598,13 @@ def check_dc_parallel(
                 returning=True,
             )
             stages.charge("dc:banded:stats", stats_work)
-            flat = [e for _, entries in extracted for e in entries]
-            plan = plan_dc_entries(constraint, flat)
-            index = build_dc_index(flat, plan)
+            built = build_dc_state(constraint, entries=[entries for _, entries in extracted])
             state = {
                 "entry_refs": [ref for ref, _ in extracted],
-                "index_ref": pool.broadcast(*index_name, index),
-                "plan": plan,
-                "index_sizes": [len(members) for _, members in index.values()],
-                "left_count": sum(map(left_filter(constraint), flat)),
+                "index_ref": pool.broadcast(*index_name, built.index),
+                "plan": built.plan,
+                "index_sizes": built.group_sizes,
+                "left_count": built.left_count,
                 "store_names": [entries_name, index_name],
             }
             if cache_key is not None:
@@ -616,6 +659,7 @@ __all__ = [
     "check_dc",
     "check_dc_columnar",
     "check_dc_parallel",
+    "find_violations",
     "self_theta_join",
     "null_safe_compare",
 ]

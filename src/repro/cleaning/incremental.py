@@ -54,15 +54,17 @@ first position per partition and rhs value) and re-sorts the cached
 violations, which are already nearly in order.  Dedup re-derives the
 blocks whose membership or stamps changed — verdicts between unchanged
 members come from the verdict cache — and concatenates the cached pair
-lists of the rest.  DC probes the delta both ways: delta-as-left against
-the maintained groups it reaches, and the maintained left tuples whose
+lists of the rest.  DC bisects each changed entry into or out of the
+cold builder's own index, then probes the delta both ways: delta-as-left
+against the groups it reaches, and the maintained left tuples whose
 equality key reaches a delta entry's group (``lefts``) against a
 delta-only index — one equality group's worth of probes per distinct delta
 key, in place of the cold path's extraction, group sort and full banded
 scan.  Constraints with more than one ordered predicate are the
 exception: they re-plan against the full entry set on every patch (band
-selection is data-dependent) and rebuild outright when the chosen plan
-changes; single-ordered constraints skip re-planning entirely because
+selection is data-dependent) and rebuild through
+:func:`~repro.cleaning.denial.build_dc_state` when the chosen plan
+changes; single-ordered constraints never re-plan, because
 :func:`~repro.cleaning.dc_kernel.plan_dc_entries` ignores the entries for
 them.
 """
@@ -82,14 +84,13 @@ from .dc_kernel import (
     band_sorted,
     build_dc_index,
     dc_group_key,
-    extract_partition,
     left_filter,
     plan_dc_entries,
     record_extractor,
     scan_partition,
 )
 from .dedup import DuplicatePair, _to_pair, block_key_func
-from .denial import FDViolation, _key_func
+from .denial import DCState, FDViolation, _key_func, build_dc_state
 from .rowid import RID
 from .simjoin import SimJoin
 
@@ -113,6 +114,15 @@ Placement = tuple[int, int]
 _payload = attrgetter("payload")
 
 
+def _unlink(links: dict[Any, dict], key: Any, member: Any) -> None:
+    """Drop ``member`` from ``links[key]``, and the key once it holds nothing."""
+    held = links.get(key)
+    if held is not None:
+        held.pop(member, None)
+        if not held:
+            del links[key]
+
+
 def in_scope(rows: Sequence[Any], num_partitions: int = 0) -> Sequence[Any]:
     """The scope gate, for a table at build (``num_partitions`` given) and
     for the appended rows of every patch."""
@@ -130,7 +140,7 @@ def in_scope(rows: Sequence[Any], num_partitions: int = 0) -> Sequence[Any]:
 class _Maintained:
     """What the three states share: the store's row list read in the
     round-robin layout every backend derives from it, the patch rule, and
-    the re-fold ``emit`` of the two keyed states."""
+    the keyed re-fold behind every ``emit``."""
 
     def __init__(self, rows: list, num_partitions: int):
         self.rows = in_scope(rows, num_partitions)
@@ -268,18 +278,13 @@ class IncrementalFD(_Maintained):
 # ---------------------------------------------------------------------- #
 
 class IncrementalDC(_Maintained):
-    """Maintained banded DC state: extracted entries, equality groups, and
-    the violating-pair set, patched by probing deltas both ways.
-
-    A patch probes (1) the delta rows as left tuples against the
-    maintained groups they reach and (2) the untouched left tuples whose
-    equality key reaches a delta row's group (``lefts``) against a
-    delta-only index — the two scans partition the violating pairs that
-    touch the delta, so their union with the surviving old pairs equals
-    the cold pair set, including the kernel's exactly-once orientation
-    rule for symmetric pairs.  Emission replays the banded scan's order
-    from the maintained group ranks without rescanning.
-    """
+    """:func:`~repro.cleaning.denial.build_dc_state`'s plan, entries and
+    index, patched in place, plus the violating pairs, patched by probing
+    each delta both ways (:meth:`_settle`).  The cold build stable-sorts a
+    group in placement order, so a band-sorted group is ordered by ``(band
+    value, placement)`` and any other by placement: an entry enters and
+    leaves its group by bisection on that rank.  ``emit`` is the keyed
+    re-fold, keyed by t1's placement, its partners in group rank order."""
 
     def __init__(self, rows: list, num_partitions: int, constraint: DenialConstraint):
         super().__init__(rows, num_partitions)
@@ -289,31 +294,52 @@ class IncrementalDC(_Maintained):
         self._static_plan = sum(p.op in ORDERED_OPS for p in constraint.predicates) <= 1
         self._extract = record_extractor(constraint)
         self._passes = left_filter(constraint)
-        self.entries: list[list[DCRecord]] = [
-            extract_partition(rows[p::num_partitions], constraint, part_idx=p)
-            for p in range(num_partitions)
-        ]
-        self.plan = plan_dc_entries(constraint, self._flat())
-        self.groups: dict[tuple, list[DCRecord]] = {}
-        self.group_of: dict[Placement, tuple] = {}
+        n = num_partitions
+        self._load(build_dc_state(constraint, [rows[p::n] for p in range(n)], refs=True))
+
+    def _load(self, state: DCState) -> None:
+        """Adopt a built state's plan, entries and index; the left-probe map
+        and the pair set come from one scan of its left parts."""
+        self.plan, self.entries, self.index = state.plan, state.entries, state.index
+        lefts = [e for part in state.left_parts for e in part]
         # probe key -> the entries passing the left filter that probe it
         self.lefts: dict[tuple, dict[Placement, DCRecord]] = {}
-        # key -> (band values | None, rank-ordered members, payload -> rank)
-        self._frag: dict[tuple, tuple[list | None, list[DCRecord], dict]] = {}
-        self.viols: dict[Placement, set[Placement]] = {}
-        self.rev: dict[Placement, set[Placement]] = {}
-        self._rebuild_pairs()
-        self._dirty = True
+        for entry in lefts:
+            self.lefts.setdefault(self._left_key(entry), {})[entry.payload] = entry
+        # t1 -> its partners, t2 -> the entries it is a partner of (dicts
+        # as sets, so one ``_unlink`` serves these and ``lefts``)
+        self.viols: dict[Placement, dict[Placement, None]] = {}
+        self.rev: dict[Placement, dict[Placement, None]] = {}
+        # t1 -> (its place, its pairs) as of the last emit
+        self.kept: dict[Placement, tuple[Placement, list]] = {}
+        self._cached = []  # void the last answer: the scan touches every t1 it pairs
+        for t1, t2 in scan_partition(lefts, self.index, self.plan, DCStats()):
+            self._add_pair(t1.payload, t2.payload)
 
-    # -- group maintenance --------------------------------------------- #
+    # -- index maintenance --------------------------------------------- #
 
-    def _flat(self) -> list[DCRecord]:
-        return [e for part in self.entries for e in part]
+    def _entry(self, placement: Placement) -> DCRecord:
+        return self.entries[placement[0]][placement[1]]
 
     def _left_key(self, entry: DCRecord) -> tuple:
         """The group ``entry`` probes as t1: the left values of the
         equality prefix (the scan's own probe key)."""
         return tuple([entry.lvals[i] for i in self.plan.eq_idx])
+
+    def _rank(self, values: list | None) -> Callable[[DCRecord], Any]:
+        """The member order of an index group with band ``values``."""
+        if values is None:
+            return _payload
+        band = self.plan.band_idx
+        return lambda e: (e.rvals[band], e.payload)
+
+    def _reform(self, key: tuple, members: list[DCRecord]) -> None:
+        """Re-sort a group from placement order, as the cold build does:
+        bisection cannot place a band value the group cannot order, and
+        the member that could not be ordered may have left.  Its order may
+        change, so the entries that probe it re-emit."""
+        self.index[key] = band_sorted(members, self.plan.band_idx)
+        self._touched.update(self.lefts.get(key, ()))
 
     def _enter(self, entry: DCRecord) -> None:
         if self._passes(entry):
@@ -321,164 +347,108 @@ class IncrementalDC(_Maintained):
         key = dc_group_key(entry, self.plan)
         if key is None:
             return
-        # Keep members in (partition, position) order — exactly the
-        # insertion order the cold partition-major index build sees.
-        insort(self.groups.setdefault(key, []), entry, key=_payload)
-        self.group_of[entry.payload] = key
-        self._frag.pop(key, None)
+        if key not in self.index:
+            self.index[key] = band_sorted([], self.plan.band_idx)
+        values, members = self.index[key]
+        rank = self._rank(values)
+        try:
+            at = bisect_left(members, rank(entry), key=rank)
+        except TypeError:
+            return self._reform(key, sorted([*members, entry], key=_payload))
+        members.insert(at, entry)
+        if values is not None:
+            values.insert(at, entry.rvals[self.plan.band_idx])
 
     def _leave(self, entry: DCRecord) -> None:
-        payload = entry.payload
-        left_key = self._left_key(entry)
-        probing = self.lefts.get(left_key)
-        if probing is not None:
-            probing.pop(payload, None)
-            if not probing:
-                del self.lefts[left_key]
-        key = self.group_of.pop(payload, None)
+        _unlink(self.lefts, self._left_key(entry), entry.payload)
+        key = dc_group_key(entry, self.plan)
         if key is None:
             return
-        members = self.groups[key]
-        del members[bisect_left(members, payload, key=_payload)]
+        values, members = self.index[key]
+        rank = self._rank(values)
+        at = bisect_left(members, rank(entry), key=rank)
+        del members[at]
+        if values is not None:
+            del values[at]
         if not members:
-            del self.groups[key]
-        self._frag.pop(key, None)
-
-    def _fragment(self, key: tuple) -> tuple[list | None, list[DCRecord], dict]:
-        frag = self._frag.get(key)
-        if frag is None:
-            # A copy: the group list is patched in place, a fragment is not.
-            values, ordered = band_sorted(list(self.groups[key]), self.plan.band_idx)
-            frag = (
-                values,
-                ordered,
-                {e.payload: i for i, e in enumerate(ordered)},
-            )
-            self._frag[key] = frag
-        return frag
-
-    def _kernel_index(self, keys: Iterable[tuple]) -> dict:
-        """The maintained groups among ``keys`` in ``build_dc_index``
-        output form."""
-        return {key: self._fragment(key)[:2] for key in keys if key in self.groups}
+            del self.index[key]
+        elif values is None and self.plan.band_idx is not None:
+            self._reform(key, members)
 
     # -- pair maintenance ---------------------------------------------- #
 
     def _add_pair(self, t1: Placement, t2: Placement) -> None:
-        self.viols.setdefault(t1, set()).add(t2)
-        self.rev.setdefault(t2, set()).add(t1)
+        self.viols.setdefault(t1, {})[t2] = None
+        self.rev.setdefault(t2, {})[t1] = None
+        self._touched.add(t1)
 
-    def _drop_pairs_touching(self, payloads: Iterable[Placement]) -> None:
-        for pos in payloads:
+    def _drop_pairs_touching(self, placements: Iterable[Placement]) -> None:
+        for pos in placements:
+            self._touched.add(pos)
             for t2 in self.viols.pop(pos, ()):
-                peers = self.rev.get(t2)
-                if peers is not None:
-                    peers.discard(pos)
-                    if not peers:
-                        del self.rev[t2]
+                _unlink(self.rev, t2, pos)
             for t1 in self.rev.pop(pos, ()):
-                peers = self.viols.get(t1)
-                if peers is not None:
-                    peers.discard(pos)
-                    if not peers:
-                        del self.viols[t1]
+                self._touched.add(t1)
+                _unlink(self.viols, t1, pos)
 
-    def _rebuild_pairs(self) -> None:
-        self.groups = {}
-        self.group_of = {}
-        self.lefts = {}
-        self._frag = {}
-        for part in self.entries:
-            for entry in part:
-                self._enter(entry)
-        self.viols = {}
-        self.rev = {}
-        lefts = [e for part in self.entries for e in filter(self._passes, part)]
-        for t1, t2 in scan_partition(
-            lefts, self._kernel_index(self.groups), self.plan, DCStats()
-        ):
-            self._add_pair(t1.payload, t2.payload)
-
-    def _refresh_plan(self) -> bool:
-        """Re-plan from the current entries; full rebuild when the band
-        choice changed.  Returns True if a rebuild happened."""
-        if self._static_plan:
-            return False
-        plan = plan_dc_entries(self.constraint, self._flat())
-        if plan == self.plan:
-            return False
-        self.plan = plan
-        self._rebuild_pairs()
-        return True
-
-    def _probe(self, delta: list[DCRecord]) -> None:
-        plan = self.plan
-        delta = sorted(delta, key=_payload)
-        # Delta as left against the groups it reaches (covers delta x
-        # delta once).
-        delta_lefts = list(filter(self._passes, delta))
-        index = self._kernel_index(map(self._left_key, delta_lefts))
-        for t1, t2 in scan_partition(delta_lefts, index, plan, DCStats()):
-            self._add_pair(t1.payload, t2.payload)
-        # The other lefts that reach a delta entry's group, against the
-        # delta only.
-        delta_set = {e.payload for e in delta}
-        delta_index = build_dc_index(delta, plan)
-        old_lefts = [
-            e
-            for key in delta_index
-            for payload, e in self.lefts.get(key, {}).items()
-            if payload not in delta_set
-        ]
-        for t1, t2 in scan_partition(old_lefts, delta_index, plan, DCStats()):
-            self._add_pair(t1.payload, t2.payload)
-
-    # -- mutation hooks ------------------------------------------------ #
+    # -- the patch rule ------------------------------------------------ #
 
     def _append(self, placements: list[Placement], rows: Sequence[dict]) -> None:
-        fresh: list[DCRecord] = []
         for (p, pos), row in zip(placements, rows):
-            entry = self._extract(row[RID], row, (p, pos))
-            self.entries[p].append(entry)
-            fresh.append(entry)
-        if not self._refresh_plan():
-            for entry in fresh:
-                self._enter(entry)
-            self._probe(fresh)
-        self._dirty = True
+            self.entries[p].append(self._extract(row[RID], row, (p, pos)))
+        self._settle(placements)
 
     def _update(self, placements: list[Placement]) -> None:
         for p, pos in placements:
             self._leave(self.entries[p][pos])
             row = self._row((p, pos))
             self.entries[p][pos] = self._extract(row[RID], row, (p, pos))
-        if not self._refresh_plan():
-            self._drop_pairs_touching(placements)
-            fresh = [self.entries[p][pos] for p, pos in placements]
-            for entry in fresh:
-                self._enter(entry)
-            self._probe(fresh)
-        self._dirty = True
+        self._settle(placements)
+
+    def _settle(self, placements: list[Placement]) -> None:
+        """Index the changed entries and probe them both ways — or, when
+        the data now picks another band, rebuild through the builder.  The
+        two scans partition the violating pairs that touch the delta, so
+        their union with the surviving pairs is the cold pair set, the
+        kernel's exactly-once orientation rule included."""
+        if not self._static_plan:
+            flat = [e for part in self.entries for e in part]
+            if plan_dc_entries(self.constraint, flat) != self.plan:
+                return self._load(build_dc_state(self.constraint, entries=self.entries))
+        self._drop_pairs_touching(placements)
+        delta = list(map(self._entry, placements))
+        for entry in delta:
+            self._enter(entry)
+        # Delta as left against the index (covers delta x delta once) ...
+        delta_lefts = list(filter(self._passes, delta))
+        for t1, t2 in scan_partition(delta_lefts, self.index, self.plan, DCStats()):
+            self._add_pair(t1.payload, t2.payload)
+        # ... and the other lefts that reach a delta entry's group, against
+        # the delta only.
+        delta_index = build_dc_index(delta, self.plan)
+        moved = set(placements)
+        old_lefts = [
+            e
+            for key in delta_index
+            for placement, e in self.lefts.get(key, {}).items()
+            if placement not in moved
+        ]
+        for t1, t2 in scan_partition(old_lefts, delta_index, self.plan, DCStats()):
+            self._add_pair(t1.payload, t2.payload)
 
     # -- emission ------------------------------------------------------ #
 
+    def _pairs(self, t1: Placement) -> tuple | None:
+        """One left tuple's violations: its partners are all still members
+        of the group the scan probed for it, emitted in that group's rank."""
+        if not (peers := self.viols.get(t1)):
+            return None
+        rank = self._rank(self.index[self._left_key(self._entry(t1))][0])
+        row = self._row(t1)
+        return t1, [(row, self._row(e.payload)) for e in sorted(map(self._entry, peers), key=rank)]
+
     def emit(self) -> list[tuple[dict, dict]]:
-        if not self._dirty:
-            return list(self._cached)
-        out: list[tuple[dict, dict]] = []
-        for t1pos in sorted(self.viols):
-            p1, i1 = t1pos
-            entry = self.entries[p1][i1]
-            # The probe key the scan used for t1: left values of the
-            # equality prefix.  Every surviving t2 is still a member of
-            # that group, whose rank order is the scan's emission order.
-            rank = self._fragment(self._left_key(entry))[2]
-            t1_row = self._row(t1pos)
-            for t2pos in sorted(self.viols[t1pos], key=rank.__getitem__):
-                out.append((t1_row, self._row(t2pos)))
-        self._cached = out
-        self._dirty = False
-        return list(out)
+        return self._refold(self.kept, self._pairs)
 
 
 # ---------------------------------------------------------------------- #

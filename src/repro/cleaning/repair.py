@@ -27,8 +27,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
-from .dc_kernel import DenialConstraint, find_violations
-from .denial import FDViolation
+from .dc_kernel import DenialConstraint
+from .denial import FDViolation, find_violations
 from .term_validation import TermRepair
 
 

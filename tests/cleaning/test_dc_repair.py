@@ -6,8 +6,8 @@ from repro.cleaning.dc_kernel import (
     DenialConstraint,
     SingleFilter,
     TuplePredicate,
-    find_violations,
 )
+from repro.cleaning.denial import find_violations
 from repro.cleaning.repair import repair_dc_by_relaxation
 
 PSI = DenialConstraint(

@@ -10,6 +10,7 @@ on the path fails it by three orders of magnitude.
 
 import pytest
 
+import repro.cleaning.denial as denial
 import repro.cleaning.incremental as incremental
 from fixtures import WORKERS
 from repro import CleanDB
@@ -103,6 +104,10 @@ def test_a_write_and_its_rechecks_do_delta_sized_work(session, monkeypatch):
     # entries built.
     probed = count(incremental, "scan_partition", weigh=lambda lefts, *rest: len(lefts))
     indexed = count(incremental, "build_dc_index", weigh=lambda entries, plan: len(entries))
+    # RULE has one ordered predicate: its plan never depends on the data,
+    # so no write re-plans it or rebuilds the state.
+    built = count(incremental, "build_dc_state")
+    planned = [count(module, "plan_dc_entries") for module in (incremental, denial)]
     pool = db.cluster.pool
     runs = count(pool, "run")
 
@@ -127,6 +132,8 @@ def test_a_write_and_its_rechecks_do_delta_sized_work(session, monkeypatch):
     assert probed.calls == 4
     assert probed.work <= rows * (1 + DC_GROUP + DELTA)
     assert indexed.work == rows
+    assert built.calls == 0
+    assert [counter.calls for counter in planned] == [0, 0]
 
 
 def test_maintained_results_are_served_not_recomputed(session):

@@ -20,7 +20,6 @@ from fixtures import SETTINGS, WORKERS, dirty_lineitem_rows, record_sets, with_r
 from repro.cleaning.dc_kernel import (
     DCStats,
     build_dc_index,
-    find_violations,
     left_filter,
     plan_dc_entries,
     record_extractor,
@@ -33,6 +32,7 @@ from repro.cleaning.denial import (
     check_dc,
     check_dc_columnar,
     check_dc_parallel,
+    find_violations,
 )
 from repro.engine import Cluster
 
