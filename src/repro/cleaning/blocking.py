@@ -15,6 +15,7 @@ BigDansing's hash-based shuffle.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Sequence
 
 from ..engine.dataset import Dataset
@@ -24,14 +25,13 @@ from .tokenize import qgrams
 TermFunc = Callable[[Any], str]
 
 
-def _grouped(keyed: Dataset, grouping: str, name: str) -> Dataset:
-    """Group a keyed dataset into ``(key, [records])`` per the strategy."""
+def _grouped(keyed: Callable[[], Dataset], grouping: str, name: str) -> Dataset:
+    """Group the dataset ``keyed()`` charges and returns into ``(key,
+    [records])`` per the strategy, which is checked before it is called."""
     if grouping == "aggregate":
-        return keyed.aggregate_by_key(
-            list, _append, _extend, name=name
-        )
+        return keyed().aggregate_by_key(list, _append, _extend, name=name)
     if grouping in ("sort", "hash"):
-        return keyed.group_by_key(shuffle_kind=grouping, name=name)
+        return keyed().group_by_key(shuffle_kind=grouping, name=name)
     raise ValueError(f"unknown grouping strategy {grouping!r}")
 
 
@@ -52,7 +52,7 @@ def key_blocks(
     name: str = "grouping:key",
 ) -> Dataset:
     """Exact-key blocking: records sharing ``key_func`` land together."""
-    keyed = dataset.map(lambda r: (key_func(r), r), name=f"{name}:keyBy")
+    keyed = partial(dataset.map, lambda r: (key_func(r), r), name=f"{name}:keyBy")
     return _grouped(keyed, grouping, name)
 
 
@@ -74,7 +74,7 @@ def token_blocks(
         token_set = set(qgrams(term_func(record), q)) or {""}
         return [(token, record) for token in token_set]
 
-    keyed = dataset.flat_map(tokens_of, name=f"{name}:tokenize")
+    keyed = partial(dataset.flat_map, tokens_of, name=f"{name}:tokenize")
     return _grouped(keyed, grouping, name)
 
 
@@ -103,7 +103,7 @@ def kmeans_blocks(
         indices = assign_to_centers(term_func(record), fixed_centers, metric, delta)
         return [(i, record) for i in indices]
 
-    keyed = dataset.flat_map(assign, name=f"{name}:assign")
+    keyed = partial(dataset.flat_map, assign, name=f"{name}:assign")
     return _grouped(keyed, grouping, name)
 
 
@@ -121,8 +121,8 @@ def length_blocks(
     """
     if width <= 0:
         raise ValueError("width must be positive")
-    keyed = dataset.map(
-        lambda r: (len(term_func(r)) // width, r), name=f"{name}:keyBy"
+    keyed = partial(
+        dataset.map, lambda r: (len(term_func(r)) // width, r), name=f"{name}:keyBy"
     )
     return _grouped(keyed, grouping, name)
 

@@ -15,11 +15,12 @@ sort-banded range scan), ``matrix`` (the statistics-aware all-pairs
 operator), ``cartesian`` (Spark SQL), or ``minmax`` (BigDansing).
 
 Each operation's logic exists once, as a *kernel* that knows nothing of
-clusters, prices or processes — :func:`fd_combine` / :func:`fd_merge` here,
+clusters, prices or processes — :func:`fd_fold_partitions` (its halves
+:func:`fd_combine` / :func:`fd_merge` run in workers) here,
 :mod:`~repro.cleaning.dc_kernel` for DCs.  A *driver* per backend moves
 partitions through it and prices the counts that come out:
-:func:`check_fd` / :func:`check_dc` (``Dataset`` operators, row prices),
-``check_*_columnar`` (the round-robin layout, batch prices),
+:func:`check_fd` / :func:`check_dc` (row prices), ``check_*_columnar``
+(the round-robin layout, batch prices),
 ``check_*_parallel`` (worker tasks over pinned partitions, row prices plus
 measured transport) — with byte-identical violation output; which one a
 caller's ``execution`` gets, and what answers when it cannot, is the rule
@@ -34,13 +35,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import partial
 from itertools import chain
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from ..engine.cluster import Cluster
 from ..engine.dataset import Dataset
-from ..engine.shuffle import exchange, exchange_resident
+from ..engine.partitioner import HashPartitioner
+from ..engine.shuffle import exchange_resident
 from ..physical.theta_join import (
     self_theta_join,
     theta_join_cartesian,
@@ -95,38 +97,13 @@ class FDViolation:
 
 
 # ---------------------------------------------------------------------- #
-# FD kernel: combine one partition, merge one exchanged bucket
+# FD kernel: combine one partition, merge one exchanged bucket, or both at once
 # ---------------------------------------------------------------------- #
 
-#: One key's state: ``(distinct RHS values in first-seen order, witnesses)``.
-#: Witnesses are opaque to the kernel — record dicts on the cold paths,
-#: ``(partition, position)`` references on the incremental one.
+#: One key's state: ``(distinct RHS values in first-seen order, witnesses)``,
+#: the values as dict keys.  Witnesses are opaque to the kernel — record
+#: dicts on the driver, ``(partition, position)`` references in workers.
 FDState = tuple[dict, list]
-
-
-def fd_absorb(
-    state: FDState, rhs_value: Any, witness: Any, keep_records: bool
-) -> FDState:
-    """Fold one record into its key's state: a new RHS value is recorded
-    with its first bearer as witness."""
-    rhs_seen, witnesses = state
-    if rhs_value not in rhs_seen:
-        rhs_seen[rhs_value] = None
-        if keep_records:
-            witnesses.append(witness)
-    return state
-
-
-def fd_fold(state: FDState, other: FDState, keep_records: bool) -> FDState:
-    """Fold a later-arriving combiner of the same key into ``state``; RHS
-    values and witnesses keep arrival order."""
-    rhs_seen, witnesses = state
-    for rhs_value in other[0]:
-        if rhs_value not in rhs_seen:
-            rhs_seen[rhs_value] = None
-    if keep_records:
-        witnesses.extend(other[1])
-    return state
 
 
 def fd_combine(
@@ -137,7 +114,8 @@ def fd_combine(
     keep_records: bool,
 ) -> list[tuple[Any, FDState]]:
     """Map side: one combiner per LHS key of a partition, in first-seen
-    key order.  Witnesses are the records themselves, or — given ``part``,
+    key order; a new RHS value is recorded with its first bearer as
+    witness.  Witnesses are the records themselves, or — given ``part``,
     i.e. as a worker task whose caller holds the records — ``(partition,
     position)`` references, so no row rides the exchange."""
     lhs_func = _key_func(lhs)
@@ -148,30 +126,70 @@ def fd_combine(
         state = combiners.get(key)
         if state is None:
             state = combiners[key] = ({}, [])
-        witness = record if part is None else (part, position)
-        fd_absorb(state, rhs_func(record), witness, keep_records)
+        rhs_value = rhs_func(record)
+        if rhs_value not in state[0]:
+            state[0][rhs_value] = None
+            if keep_records:
+                state[1].append(record if part is None else (part, position))
     return list(combiners.items())
 
 
-def fd_merge(
-    bucket: Iterable[tuple[Any, FDState]], keep_records: bool
-) -> list[FDViolation]:
+def fd_merge(bucket: Iterable[tuple[Any, FDState]]) -> list[FDViolation]:
     """Reduce side: merge one exchanged bucket's combiners (they arrive
     input-partition-major) and emit its violations — the keys left with
     more than one RHS value — in first-arrival key order.  The input is
-    only read: each key merges into a copy of its first combiner."""
+    only read: each key merges into a fresh state."""
     merged: dict[Any, FDState] = {}
-    for key, state in bucket:
-        seen = merged.get(key)
-        if seen is None:
-            merged[key] = (dict(state[0]), list(state[1]))
-        else:
-            fd_fold(seen, state, keep_records)
+    for key, (rhs_seen, witnesses) in bucket:
+        seen = merged.setdefault(key, ({}, []))
+        seen[0].update(rhs_seen)
+        seen[1].extend(witnesses)
+    return _violations(merged)
+
+
+def _violations(groups: dict[Any, FDState]) -> list[FDViolation]:
+    """The groups left with more than one RHS value, in insertion order."""
     return [
         FDViolation(key, tuple(rhs_seen), tuple(witnesses))
-        for key, (rhs_seen, witnesses) in merged.items()
+        for key, (rhs_seen, witnesses) in groups.items()
         if len(rhs_seen) > 1
     ]
+
+
+def fd_fold_partitions(
+    parts: Sequence[Sequence[dict]],
+    n: int,
+    lhs: Sequence[AttrSpec],
+    rhs: Sequence[AttrSpec],
+    keep_records: bool,
+) -> tuple[list[list[FDViolation]], list[int], list[int]]:
+    """:func:`fd_combine` → ``exchange`` into ``n`` buckets → :func:`fd_merge`
+    in one partition-major pass on the driver.  Returns, per bucket, the
+    same violations, the combiners routed there (one per key and partition)
+    and the groups merged there.  A group is ``(bucket, key)``, routed from
+    the key as the partition starting the combiner spelled it; its RHS
+    values map to the last partition that witnessed them, since each
+    partition's first bearer of a value is a witness of the merge."""
+    lhs_func = _key_func(lhs)
+    rhs_func = _key_func(rhs)
+    route = HashPartitioner(n).partition
+    buckets: list[dict[Any, FDState]] = [{} for _ in range(n)]
+    combiners = [0] * n
+    for p, part in enumerate(parts):
+        local: dict[Any, FDState] = {}
+        for record in part:
+            key = lhs_func(record)
+            state = local.get(key)
+            if state is None:
+                target = route(key)
+                combiners[target] += 1
+                state = local[key] = buckets[target].setdefault(key, ({}, []))
+            rhs_value = rhs_func(record)
+            if state[0].get(rhs_value, -1) != p:
+                state[0][rhs_value] = p
+                if keep_records:
+                    state[1].append(record)
+    return list(map(_violations, buckets)), combiners, list(map(len, buckets))
 
 
 def _violation_fields(violations: list[FDViolation]) -> list[tuple]:
@@ -196,35 +214,41 @@ def check_fd(
     ``grouping`` picks the physical strategy: ``"aggregate"`` (CleanDB local
     pre-aggregation, skew-resilient — only combiners shuffle, the
     GROUP_CONCAT-like aggregate of §8.3), ``"sort"`` (Spark SQL sort
-    shuffle), or ``"hash"`` (BigDansing hash shuffle).  This is the
-    comprehension as ``Dataset`` operators, and the reference the other
-    drivers are compared against.  Returns a dataset of
-    :class:`FDViolation`.
+    shuffle), or ``"hash"`` (BigDansing hash shuffle).  The baselines run
+    as ``Dataset`` operators; ``aggregate`` is one :func:`fd_fold_partitions`
+    pass charged the ``map`` → ``aggregateByKey`` → ``flatMap`` ledger from
+    its counts.  Returns a dataset of :class:`FDViolation`.
     """
+    if grouping not in ("aggregate", "sort", "hash"):
+        raise ValueError(f"unknown grouping strategy {grouping!r}")
+    cluster, parts = dataset.cluster, dataset.partitions
+    if grouping == "aggregate":
+        n, cost = cluster.default_parallelism, cluster.cost_model
+        spread = cluster.spread_over_nodes
+        out, combiners, groups = fd_fold_partitions(parts, n, lhs, rhs, keep_records)
+        sizes = spread([len(p) * cost.record_unit for p in parts])
+        cluster.record_op("fd:keyBy", sizes)
+        cluster.record_op("fd:aggregate:combine", sizes)
+        moved = sum(combiners)
+        merge = spread([c * cost.record_unit for c in combiners])
+        shuffle_cost = moved * cost.shuffle_unit * cost.combiner_shuffle_factor
+        cluster.record_op("fd:aggregate:merge", merge, moved, shuffle_cost)
+        cluster.record_op("fd:violations", spread([g * cost.record_unit for g in groups]))
+        return Dataset(cluster, out, op="fd:violations", parents=(dataset,))
+
     lhs_func = _key_func(lhs)
     rhs_func = _key_func(rhs)
     keyed = dataset.map(lambda r: (lhs_func(r), (rhs_func(r), r)), name="fd:keyBy")
 
-    def absorb(state: FDState, value: tuple[Any, dict]) -> FDState:
-        return fd_absorb(state, *value, keep_records)
+    def collapse(kv: tuple[Any, list]) -> tuple[Any, FDState]:
+        firsts: dict[Any, dict] = {}  # each RHS value's first bearer
+        for rhs_value, record in kv[1]:
+            firsts.setdefault(rhs_value, record)
+        return kv[0], (firsts, list(firsts.values()) if keep_records else [])
 
-    if grouping == "aggregate":
-        groups = keyed.aggregate_by_key(
-            lambda: ({}, []),
-            absorb,
-            partial(fd_fold, keep_records=keep_records),
-            name="fd:aggregate",
-        )
-    elif grouping in ("sort", "hash"):
-        grouped = keyed.group_by_key(shuffle_kind=grouping, name="fd:groupByKey")
-        groups = grouped.map(
-            lambda kv: (kv[0], reduce(absorb, kv[1], ({}, []))), name="fd:collapse"
-        )
-    else:
-        raise ValueError(f"unknown grouping strategy {grouping!r}")
-    return groups.flat_map(
-        lambda group: fd_merge([group], keep_records), name="fd:violations"
-    )
+    grouped = keyed.group_by_key(shuffle_kind=grouping, name="fd:groupByKey")
+    groups = grouped.map(collapse, name="fd:collapse")
+    return groups.flat_map(lambda group: fd_merge([group]), name="fd:violations")
 
 
 def check_fd_columnar(
@@ -238,10 +262,9 @@ def check_fd_columnar(
 ) -> Dataset:
     """FD check at batch prices: the ``execution="vectorized"`` driver.
 
-    Runs the kernel over the round-robin layout of ``records`` and charges
-    each stage as a vectorized one (``record_batch_stage``) from the counts
-    the kernel produces — partition sizes, combiners moved, keys per merge
-    bucket.  Results match ``check_fd(grouping="aggregate")``
+    :func:`fd_fold_partitions` over the round-robin layout of ``records``,
+    each stage charged as a vectorized one (``record_batch_stage``) from
+    its counts.  Results match ``check_fd(grouping="aggregate")``
     violation-for-violation; only the cost profile differs.
     """
     n = cluster.default_parallelism
@@ -249,19 +272,11 @@ def check_fd_columnar(
     parts = round_robin_split(records, n)
     sizes = [len(p) for p in parts]
     charge(f"scan:{name}:vec", sizes, extra_unit=cluster.cost_model.scan_unit(fmt))
-    combined = [fd_combine(part, None, lhs, rhs, keep_records) for part in parts]
+    out, combiners, groups = fd_fold_partitions(parts, n, lhs, rhs, keep_records)
     charge("fd:vecCombine", sizes)
-    # One combiner per (partition, key) moves; ``exchange`` only routes
-    # here — the move is priced as a column-block shuffle, not a row one.
-    buckets, moved, _ = exchange(cluster, combined, n, kind="local")
-    charge(
-        "fd:vecMerge",
-        [len({key for key, _ in bucket}) for bucket in buckets],
-        shuffled_records=moved,
-        shuffle_cost=cluster.cost_model.batch_shuffle_cost(moved),
-    )
-    out_parts = [fd_merge(bucket, keep_records) for bucket in buckets]
-    return Dataset(cluster, out_parts, op="fd:vectorized")
+    moved = sum(combiners)
+    charge("fd:vecMerge", groups, moved, cluster.cost_model.batch_shuffle_cost(moved))
+    return Dataset(cluster, out, op="fd:vectorized")
 
 
 def check_fd_parallel(
@@ -295,7 +310,7 @@ def check_fd_parallel(
         found, moved, cost, _, merged = exchange_resident(
             cluster, stages.pool, inputs, n, kind="local",
             before=[(fd_combine, (lhs, rhs, keep_records))],
-            after=[(fd_merge, (keep_records,)), (_violation_fields, ())],
+            after=[(fd_merge, ()), (_violation_fields, ())],
         )
         stages.charge("fd:parCombine", [max(r.count, 0) * unit for r in stages.refs])
         stages.charge("fd:parMerge", [row[1] * unit for row in merged], moved, cost)

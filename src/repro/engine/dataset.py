@@ -1,11 +1,12 @@
 """Partitioned datasets with an RDD-like API.
 
-:class:`Dataset` is the execution substrate every CleanDB physical plan and
-both baselines run on.  It mirrors the Spark operators Table 2 of the paper
-targets (``map``, ``filter``, ``flatMap``, ``aggregateByKey``,
-``mapPartitions``, joins) while charging the simulated cost model, so that
-plan-shape differences (pre-aggregation vs. full shuffle, matrix theta joins
-vs. cartesian products) show up as simulated-time differences.
+:class:`Dataset` is the substrate CleanDB's row plans and both baselines
+run on (the row FD check charges its operators from one fold's counts).
+It mirrors the Spark operators Table 2 of the paper targets (``map``,
+``filter``, ``flatMap``, ``aggregateByKey``, ``mapPartitions``, joins)
+while charging the simulated cost model, so that plan-shape differences
+(pre-aggregation vs. full shuffle, matrix theta joins vs. cartesian
+products) show up as simulated-time differences.
 
 Operations are eager: each call materializes its result partitions and
 records one metrics entry on the owning cluster.
@@ -17,7 +18,7 @@ import random
 from typing import Any, Callable, Iterable, Iterator
 
 from .cluster import Cluster
-from .shuffle import shuffle
+from .shuffle import exchange
 
 Record = Any
 KeyedRecord = tuple[Any, Any]
@@ -197,7 +198,7 @@ class Dataset:
         """Evenly rebalance records (round-robin), charging a full shuffle."""
         n = num_partitions or self.cluster.default_parallelism
         keyed = [[(i, r) for i, r in enumerate(part)] for part in self.partitions]
-        new_parts, moved, cost = shuffle(self.cluster, keyed, n, kind="sort")
+        new_parts, moved, cost = exchange(self.cluster, keyed, n, kind="sort")
         stripped = [[value for _, value in part] for part in new_parts]
         per_part = [len(p) * self.cluster.cost_model.record_unit for p in stripped]
         self.cluster.record_op(
@@ -221,7 +222,7 @@ class Dataset:
         sort-based (Spark SQL) or hash-based (BigDansing) routing.
         """
         n = num_partitions or self.cluster.default_parallelism
-        new_parts, moved, cost = shuffle(self.cluster, self.partitions, n, kind=shuffle_kind)
+        new_parts, moved, cost = exchange(self.cluster, self.partitions, n, kind=shuffle_kind)
         grouped_parts: list[list[KeyedRecord]] = []
         per_part_work: list[float] = []
         unit = self.cluster.cost_model.record_unit
@@ -270,7 +271,7 @@ class Dataset:
             f"{name}:combine", self.cluster.spread_over_nodes(map_side_work)
         )
 
-        new_parts, moved, cost = shuffle(self.cluster, combined_parts, n, kind="local")
+        new_parts, moved, cost = exchange(self.cluster, combined_parts, n, kind="local")
         merged_parts: list[list[KeyedRecord]] = []
         reduce_side_work: list[float] = []
         for part in new_parts:
@@ -305,10 +306,10 @@ class Dataset:
         self, other: "Dataset", num_partitions: int | None, shuffle_kind: str
     ) -> tuple[list[list[tuple[Any, tuple[list, list]]]], int, float]:
         n = num_partitions or self.cluster.default_parallelism
-        left_parts, moved_l, cost_l = shuffle(
+        left_parts, moved_l, cost_l = exchange(
             self.cluster, self.partitions, n, kind=shuffle_kind
         )
-        right_parts, moved_r, cost_r = shuffle(
+        right_parts, moved_r, cost_r = exchange(
             self.cluster, other.partitions, n, kind=shuffle_kind
         )
         cogrouped: list[list[tuple[Any, tuple[list, list]]]] = []

@@ -12,17 +12,18 @@ strategy is computed:
   has already shrunk the data map-side, so far fewer records move (models
   CleanDB's ``aggregateByKey``).
 
-:func:`shuffle` is the entry point the simulated :class:`~repro.engine.
-dataset.Dataset` operators use; it and the row cleaning drivers go through
-the driver-side :func:`exchange`.  :func:`exchange_resident` is the
-handle-based form the parallel fast paths use: input partitions are
-referenced by :class:`~repro.engine.worker.StoreRef`, map-side workers
-pickle each target's bucket into an *opaque blob* at the tail of whatever
-stage produced the keyed records, the driver forwards the blobs to the
-target workers without ever unpickling a row, and the merged target
-partitions head the downstream stage there.  Both produce byte-identical
-output: target partition *p* receives input partition *i*'s records before
-partition *i+1*'s, each in original order.
+:func:`exchange` is the driver-side form the :class:`~repro.engine.
+dataset.Dataset` operators use (the row and vectorized FD drivers route
+nothing: they charge the exchange the counts of
+:func:`~repro.cleaning.denial.fd_fold_partitions` describe).
+:func:`exchange_resident` is the handle-based form the parallel fast paths
+use: input partitions are referenced by :class:`~repro.engine.worker.
+StoreRef`, map-side workers pickle each target's bucket into an *opaque
+blob* at the tail of whatever stage produced the keyed records, the driver
+forwards the blobs to the target workers without ever unpickling a row,
+and the merged target partitions head the downstream stage there.  Both
+produce byte-identical output: target partition *p* receives input
+partition *i*'s records before partition *i+1*'s, each in original order.
 """
 
 from __future__ import annotations
@@ -43,21 +44,6 @@ KeyedRecord = tuple[Any, Any]
 _RANGE_SAMPLE_SIZE = 1024
 
 
-def shuffle(
-    cluster: Cluster,
-    partitions: list[list[KeyedRecord]],
-    num_partitions: int,
-    kind: str = "hash",
-) -> tuple[list[list[KeyedRecord]], int, float]:
-    """Redistribute ``(key, value)`` records into ``num_partitions`` buckets.
-
-    Returns ``(new_partitions, records_moved, shuffle_cost)``.  The caller is
-    responsible for recording the op metrics (it usually folds in reduce-side
-    work first).
-    """
-    return exchange(cluster, partitions, num_partitions, kind=kind)
-
-
 def exchange(
     cluster: Cluster,
     partitions: list[list[KeyedRecord]],
@@ -71,8 +57,8 @@ def exchange(
     concatenated in input-partition order, preserving intra-partition order
     — the determinism contract :func:`exchange_resident` reproduces.
 
-    Returns ``(new_partitions, records_moved, shuffle_cost)`` exactly like
-    :func:`shuffle`; the two are interchangeable.
+    Returns ``(new_partitions, records_moved, shuffle_cost)``; the caller
+    records the op metrics (it usually folds in reduce-side work first).
     """
     total = sum(len(p) for p in partitions)
     partitioner, factor = _select_partitioner(cluster, partitions, num_partitions, kind)

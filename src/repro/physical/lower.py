@@ -299,6 +299,8 @@ class Executor:
         return joined.map(lambda lr: {**lr[0], **lr[1]}, name="join:merge")
 
     def _nest(self, op: Nest) -> Dataset:
+        if self.config.grouping not in ("aggregate", "sort", "hash"):
+            raise PlanningError(f"unknown grouping strategy {self.config.grouping!r}")
         child = self.execute(op.child)
         multi = bool(getattr(op, "multi", False))
         key = self._fn(op.key)
@@ -337,7 +339,7 @@ class Executor:
                 lambda a, b: merge_states(a, b) if a and b else (a or b),
                 name="nest:aggregateByKey",
             )
-        elif self.config.grouping in ("sort", "hash"):
+        else:
             raw = keyed.group_by_key(
                 shuffle_kind=self.config.grouping, name="nest:groupByKey"
             )
@@ -351,8 +353,6 @@ class Executor:
                 return (key, state or {})
 
             grouped = raw.map(fold, name="nest:fold")
-        else:
-            raise PlanningError(f"unknown grouping strategy {self.config.grouping!r}")
 
         def to_group_record(kv: tuple[Any, dict]) -> dict:
             key, state = kv

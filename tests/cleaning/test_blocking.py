@@ -108,6 +108,19 @@ class TestMakeBlocks:
         with pytest.raises(ValueError):
             make_blocks("minhash", cluster.parallelize(WORDS), lambda r: r["w"])
 
+    @pytest.mark.parametrize(
+        "op, params",
+        [("token_filtering", {}), ("kmeans", {"centers": ["smith"]}), ("length_filtering", {})],
+    )
+    def test_unknown_grouping_is_rejected_before_it_is_charged(self, cluster, op, params):
+        ds = cluster.parallelize(WORDS)
+        before = list(cluster.metrics.ops)
+        with pytest.raises(ValueError):
+            make_blocks(op, ds, lambda r: r["w"], grouping="merge", **params)
+        with pytest.raises(ValueError):
+            key_blocks(ds, lambda r: r["w"], grouping="merge")
+        assert cluster.metrics.ops == before
+
     @pytest.mark.parametrize("grouping", ["aggregate", "sort", "hash"])
     def test_grouping_strategies_same_content(self, cluster, grouping):
         ds = cluster.parallelize(WORDS)

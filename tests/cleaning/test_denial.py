@@ -81,8 +81,10 @@ class TestCheckFD:
 
     def test_unknown_grouping_rejected(self, cluster):
         ds = cluster.parallelize(fd_records())
+        before = list(cluster.metrics.ops)
         with pytest.raises(ValueError):
             check_fd(ds, ["address"], ["nationkey"], grouping="merge")
+        assert cluster.metrics.ops == before  # rejected before anything is charged
 
     def test_aggregate_and_sort_agree(self, cluster):
         records = [{"k": i % 5, "v": i % 7} for i in range(70)]

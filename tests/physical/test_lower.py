@@ -233,6 +233,7 @@ class TestNest:
         )
         with pytest.raises(PlanningError):
             ex.execute(plan)
+        assert ex.cluster.metrics.ops == []  # rejected before the scan is charged
 
 
 class TestFunctions:
