@@ -251,11 +251,11 @@ def record_matcher(
     filters = FilterConfig(count_filter=False, ownership=False) if banded else NO_FILTERS
     join = SimJoin(attributes, metric=metric, theta=theta, filters=filters)
     prepared: dict[int, Any] = {}
+    known = prepared.get
 
-    def prepare(record: dict) -> Any:
-        prep = prepared.get(id(record))
-        if prep is None:
-            prep = prepared[id(record)] = join.prepare(0, record)
-        return prep
+    def prepare(record: dict) -> Any:  # a record's first pair
+        return prepared.setdefault(id(record), join.prepare(0, record))
 
-    return lambda left, right: join.verify(prepare(left), prepare(right))
+    return lambda left, right: join.verify(
+        known(id(left)) or prepare(left), known(id(right)) or prepare(right)
+    )

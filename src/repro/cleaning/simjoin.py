@@ -272,34 +272,39 @@ class SimJoin:
         theta = self.theta
         cfg = self.filters
         lengths_a, lengths_b = a.lengths, b.lengths
-        bounds = [1.0] * n
         if self.bounded:
             stats.work += self.filter_unit
-            # Each sim_i <= bounds[i] in floating point and float addition
-            # and division are monotone, so a mean of bounds below theta
-            # rejects soundly without a margin.  Lengths alone go first: most
-            # hopeless pairs die there, before either record reads a q-gram.
-            if cfg.length_filter:
-                bounds = [_length_bound(x, y) for x, y in zip(lengths_a, lengths_b)]
-                if _mean(bounds) < theta:
+            # Each sim_i <= bound_i (ld_upper_bound's, inline: a rejected
+            # pair allocates nothing) and float addition and division are
+            # monotone, so a left-to-right mean of bounds below theta rejects
+            # soundly.  Lengths go first: most hopeless pairs die there.
+            length_filter = cfg.length_filter
+            if length_filter:
+                total = 0.0
+                for longest, shortest in zip(lengths_a, lengths_b):
+                    if longest < shortest:
+                        longest, shortest = shortest, longest
+                    total += 1.0 - (longest - shortest) / longest if longest else 1.0
+                if total / n < theta:
                     return False
             if cfg.count_filter:
-                bags_a, bags_b = self._bags(a), self._bags(b)
-                for i in range(n):
-                    bound = _count_bound(
-                        max(lengths_a[i], lengths_b[i]), len(bags_a[i] & bags_b[i]), cfg.q
-                    )
-                    if bound < bounds[i]:
-                        bounds[i] = bound
-                if _mean(bounds) < theta:
+                bags_a, bags_b = a.bags or self._bags(a), b.bags or self._bags(b)
+                total, q = 0.0, cfg.q
+                for longest, shortest, bag_a, bag_b in zip(lengths_a, lengths_b, bags_a, bags_b):
+                    if longest < shortest:
+                        longest, shortest = shortest, longest
+                    bound = 1.0 - (longest - shortest) / longest if length_filter and longest else 1.0
+                    min_distance = -(-(longest - q + 1 - len(bag_a & bag_b)) // q)
+                    if min_distance > 0:
+                        count = 1.0 - min_distance / longest
+                        if count < bound:
+                            bound = count
+                    total += bound
+                if total / n < theta:
                     return False
         banding = self.bounded and cfg.banding
-
-        # suffix[i] = sum of bounds for attributes i.. (what the not-yet
-        # compared attributes can still contribute).
-        suffix = [0.0] * (n + 1)
-        for i in range(n - 1, -1, -1):
-            suffix[i] = suffix[i + 1] + bounds[i]
+        # suffix[i]: what attributes i.. can still contribute.
+        suffix = self._suffix(a, b) if banding and n > 1 else None
 
         stats.verified += 1
         total = 0.0
@@ -315,7 +320,7 @@ class SimJoin:
                     continue
                 # Minimum similarity this attribute must contribute for the
                 # average to still be able to reach theta.
-                need = theta * n - total - suffix[i + 1]
+                need = theta * n - total - (suffix[i + 1] if suffix else 0.0)
                 if need > EPSILON:
                     budget = int(math.ceil((1.0 - need + EPSILON) * longest))
                     if budget < 0:
@@ -337,6 +342,18 @@ class SimJoin:
         if passed:
             stats.pairs += 1
         return passed
+
+    def _suffix(self, a: PreparedRecord, b: PreparedRecord) -> list[float]:
+        """A surviving pair's right-to-left sums of the bounds its filters
+        took (``suffix[n]`` is 0.0)."""
+        cfg, total, suffix = self.filters, 0.0, [0.0]
+        for i in reversed(range(len(self.attributes))):
+            bags = (a.bags[i], b.bags[i]) if cfg.count_filter else (None, None)  # type: ignore[index]
+            total += ld_upper_bound(
+                a.terms[i], b.terms[i], cfg.q, *bags, cfg.length_filter, cfg.count_filter
+            )
+            suffix.append(total)
+        return suffix[::-1]
 
     # ------------------------------------------------------------------ #
     # Block joining
@@ -459,30 +476,8 @@ class SimJoin:
 
 
 # ---------------------------------------------------------------------- #
-# Single-pair helpers shared with term validation / clustering
+# Single-pair helper shared with term validation / clustering
 # ---------------------------------------------------------------------- #
-def _mean(bounds: Sequence[float]) -> float:
-    """Left-to-right float mean — the naive decision's own summation order."""
-    total = 0.0
-    for bound in bounds:
-        total += bound
-    return total / len(bounds)
-
-
-def _length_bound(len_a: int, len_b: int) -> float:
-    """``1 - |len_a - len_b| / longest``: the edits a length gap forces."""
-    longest = len_a if len_a >= len_b else len_b
-    return 1.0 - abs(len_a - len_b) / longest if longest else 1.0
-
-
-def _count_bound(longest: int, shared: int, q: int) -> float:
-    """One edit affects at most ``q`` q-grams, so two strings sharing
-    ``shared`` of the longer one's grams are at distance
-    ``>= ceil((total_grams - shared) / q)``; 1.0 when that says nothing."""
-    min_distance = -(-(longest - q + 1 - shared) // q)
-    return 1.0 - min_distance / longest if min_distance > 0 else 1.0
-
-
 def ld_upper_bound(
     a: str,
     b: str,
@@ -492,7 +487,9 @@ def ld_upper_bound(
     use_length: bool = True,
     use_count: bool = True,
 ) -> float:
-    """Length and/or count upper bound on ``levenshtein_similarity(a, b)``.
+    """Length and/or count upper bound on ``levenshtein_similarity(a, b)``:
+    a length gap forces ``|len(a) - len(b)|`` edits, and one edit destroys
+    at most ``q`` of the longer string's q-grams.
 
     ``use_length`` / ``use_count`` mirror the :class:`FilterConfig` toggles
     so call sites outside the kernel apply exactly the configured bounds.
@@ -501,11 +498,14 @@ def ld_upper_bound(
     metric (``1.0 - d / longest``), so ``sim <= bound`` holds in floating
     point, not just in the reals.
     """
-    bound = _length_bound(len(a), len(b)) if use_length else 1.0
-    if use_count and (a or b):
+    longest = max(len(a), len(b))
+    bound = 1.0 - abs(len(a) - len(b)) / longest if use_length and longest else 1.0
+    if use_count and longest:
         shared = len(
             (gram_bag(a, q) if bag_a is None else bag_a)
             & (gram_bag(b, q) if bag_b is None else bag_b)
         )
-        bound = min(bound, _count_bound(max(len(a), len(b)), shared, q))
+        min_distance = -(-(longest - q + 1 - shared) // q)
+        if min_distance > 0:
+            bound = min(bound, 1.0 - min_distance / longest)
     return bound

@@ -72,19 +72,13 @@ class SumMonoid(Monoid):
         return left + right
 
 
-class CountMonoid(Monoid):
+class CountMonoid(SumMonoid):
     """Counts elements: the unit of any value is 1."""
 
     name = "count"
 
-    def zero(self) -> int:
-        return 0
-
     def unit(self, value: Any) -> int:
         return 1
-
-    def merge(self, left: int, right: int) -> int:
-        return left + right
 
 
 class MaxMonoid(Monoid):
@@ -181,19 +175,11 @@ class ListMonoid(Monoid):
         return left + right
 
 
-class BagMonoid(Monoid):
+class BagMonoid(ListMonoid):
     """Multiset; represented as a list whose order is insignificant."""
 
     name = "bag"
-
-    def zero(self) -> list:
-        return []
-
-    def unit(self, value: Any) -> list:
-        return [value]
-
-    def merge(self, left: list, right: list) -> list:
-        return left + right
+    commutative = True
 
 
 class SetMonoid(Monoid):
@@ -264,23 +250,12 @@ class MultiGroupMonoid(Monoid):
         self.keys_func = keys_func
         self.value_func = value_func or (lambda x: x)
 
-    def zero(self) -> dict:
-        return {}
+    zero = GroupMonoid.zero
+    merge = GroupMonoid.merge  # union, merging inner values on collision
 
     def unit(self, value: Any) -> dict:
         payload = self.inner.unit(self.value_func(value))
         return {key: payload for key in self.keys_func(value)}
-
-    def merge(self, left: dict, right: dict) -> dict:
-        if len(left) < len(right):
-            left, right = right, left
-        out = dict(left)
-        for key, inner_value in right.items():
-            if key in out:
-                out[key] = self.inner.merge(out[key], inner_value)
-            else:
-                out[key] = inner_value
-        return out
 
 
 class TokenFilterMonoid(MultiGroupMonoid):
@@ -340,37 +315,6 @@ class KMeansAssignMonoid(MultiGroupMonoid):
         super().__init__(keys_func=assign, inner=inner)
 
 
-class IterationMonoid(Monoid):
-    """The iteration monoid of §4.3 ("syntactic sugar in place of the n
-    comprehensions"): represents multi-pass algorithms as a foldLeft that
-    threads a state through successive passes.
-
-    Elements are *passes* — functions ``state -> state`` — and ``run``
-    applies the folded pipeline to an initial state for a fixed number of
-    rounds (the paper's n equivalent comprehensions).  Multi-pass k-means
-    and hierarchical clustering are its instances.
-    """
-
-    name = "iterate"
-    commutative = False
-
-    def zero(self) -> Callable[[Any], Any]:
-        return lambda state: state
-
-    def unit(self, step: Callable[[Any], Any]) -> Callable[[Any], Any]:
-        return step
-
-    def merge(
-        self, first: Callable[[Any], Any], second: Callable[[Any], Any]
-    ) -> Callable[[Any], Any]:
-        return lambda state: second(first(state))
-
-    def run(self, step: Callable[[Any], Any], initial: Any, rounds: int) -> Any:
-        """Apply ``step`` ``rounds`` times — n comprehensions, one state."""
-        pipeline = self.fold([step] * max(0, rounds))
-        return pipeline(initial)
-
-
 class FunctionCompositionMonoid(Monoid):
     """Composition of associative state-transformers (§4.3).
 
@@ -392,6 +336,82 @@ class FunctionCompositionMonoid(Monoid):
         self, left: Callable[[Any], Any], right: Callable[[Any], Any]
     ) -> Callable[[Any], Any]:
         return lambda state: right(left(state))
+
+
+class IterationMonoid(FunctionCompositionMonoid):
+    """The iteration monoid of §4.3 ("syntactic sugar in place of the n
+    comprehensions"): represents multi-pass algorithms as a foldLeft that
+    threads a state through successive passes.
+
+    Elements are *passes* — functions ``state -> state``, composed first
+    to last — and ``run`` applies the folded pipeline to an initial state
+    for a fixed number of rounds (the paper's n equivalent comprehensions).
+    Multi-pass k-means and hierarchical clustering are its instances.
+    """
+
+    name = "iterate"
+
+    def run(self, step: Callable[[Any], Any], initial: Any, rounds: int) -> Any:
+        """Apply ``step`` ``rounds`` times — n comprehensions, one state."""
+        pipeline = self.fold([step] * max(0, rounds))
+        return pipeline(initial)
+
+
+# ---------------------------------------------------------------------- #
+# The Nest fold
+# ---------------------------------------------------------------------- #
+def nest_accumulator(
+    aggregates: Sequence[tuple[str, Monoid, Callable[[Any], Any]]],
+) -> tuple[Callable, Callable]:
+    """``(add, combine)`` for a Nest's ``(name, monoid, head)`` aggregates,
+    ``head`` a function of one input.  ``add(state, x)`` folds ``x`` into a
+    group state ``{name: value}``, or starts one when ``state`` is None;
+    ``combine(state, other)`` folds another state in.  Both return the
+    state they updated; ``combine`` reads only names and monoids.
+
+    States are ``repr``-identical to ``{name: merge(acc, unit(v))}`` chains
+    built in the same order (every unit before any merge), but a bag or
+    list head is appended in place to its state's list, and a state extends
+    another's, instead of copying the list per input.  Every other monoid
+    keeps its merge: a set folded in place iterates in another order.  Only
+    states are mutated; a state must not be shared before its fold is done.
+    """
+    steps = tuple(
+        (name, head, None if type(monoid) in (BagMonoid, ListMonoid) else monoid.unit, monoid.merge)
+        for name, monoid, head in aggregates
+    )
+    if len(steps) == 1 and steps[0][2] is None:  # a GROUP BY's one bag
+        name, head = steps[0][:2]
+
+        def add(state: dict | None, x: Any) -> dict:
+            if state is None:
+                return {name: [head(x)]}
+            state[name].append(head(x))
+            return state
+    else:
+        def add(state: dict | None, x: Any) -> dict:
+            units = [head(x) if unit is None else unit(head(x)) for _, head, unit, _ in steps]
+            if state is None:
+                return {
+                    name: [value] if unit is None else value
+                    for (name, _, unit, _), value in zip(steps, units)
+                }
+            for (name, _, unit, merge), value in zip(steps, units):
+                if unit is None:
+                    state[name].append(value)
+                else:
+                    state[name] = merge(state[name], value)
+            return state
+
+    def combine(state: dict, other: dict) -> dict:
+        for name, _, unit, merge in steps:
+            if unit is None:
+                state[name].extend(other[name])
+            else:
+                state[name] = merge(state[name], other[name])
+        return state
+
+    return add, combine
 
 
 # ---------------------------------------------------------------------- #
@@ -436,13 +456,11 @@ def check_monoid_laws(
     """
     canon = normalize or (lambda x: x)
     units = [monoid.unit(s) for s in samples]
-    zero = monoid.zero()
     for u in units:
         left_identity = monoid.merge(monoid.zero(), u)
         right_identity = monoid.merge(u, monoid.zero())
         if canon(left_identity) != canon(u) or canon(right_identity) != canon(u):
             raise MonoidError(f"{monoid.name}: identity law violated for {u!r}")
-    _ = zero
     for a in units:
         for b in units:
             for c in units:

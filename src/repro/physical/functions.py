@@ -91,6 +91,8 @@ def _nth_key(key: Any, index: int) -> Any:
 
 
 def _aggregate(kind: str, partition: Any, attr: str | None) -> Any:
+    if kind == "count" and isinstance(partition, (list, tuple)):
+        return len(partition)  # a count reads no attribute
     values = [
         (record.get(attr) if isinstance(record, dict) and attr else record)
         for record in partition
@@ -121,7 +123,10 @@ QUERY_BUILTINS: dict[str, Callable | None] = {
     "block_keys": None,
     "in_dictionary": None,
     "similar_records": None,
-    "rid_less": lambda a, b: _rid(a) < _rid(b),
+    "rid_less": lambda a, b: (  # plain dicts with rids compare them without a call
+        a["_rid"] < b["_rid"] if type(a) is type(b) is dict and "_rid" in a and "_rid" in b
+        else _rid(a) < _rid(b)
+    ),
     "pair": lambda a, b: (a, b),
     "freeze": freeze,
     "nth": _nth_key,
@@ -173,7 +178,8 @@ def query_functions(
     matchers: dict[tuple, Any] = {}
 
     def similar_records(metric: str, a: dict, b: dict, theta: float, attrs: Any) -> bool:
-        key = (metric, theta, tuple(attrs))
+        # The rewriter passes a tuple constant; only other callers pay for one.
+        key = (metric, theta, attrs if type(attrs) is tuple else tuple(attrs))
         match = matchers.get(key)
         if match is None:
             match = matchers[key] = record_matcher(key[2], metric, theta, banded=sim_filters)

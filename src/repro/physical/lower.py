@@ -21,8 +21,8 @@ each source record; Join merges environments; Nest produces a group record
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
+from types import FunctionType
 from typing import Any, Callable
 
 from ..algebra.operators import (
@@ -40,7 +40,7 @@ from ..engine.cluster import Cluster
 from ..engine.dataset import Dataset
 from ..errors import PlanningError, SchemaError, StaleHandleError, WorkerTaskError
 from ..monoid.expressions import Expr, compiled
-from ..monoid.monoids import Monoid
+from ..monoid.monoids import Monoid, nest_accumulator
 from .functions import DEFAULT_FUNCTIONS, freeze
 from .theta_join import theta_join_cartesian, theta_join_matrix
 
@@ -169,7 +169,7 @@ class Executor:
     # ------------------------------------------------------------------ #
     def _fn(self, expr: Expr) -> Callable[[dict], Any]:
         """``expr`` compiled to a function of the environment."""
-        return functools.partial(compiled(expr), funcs=self.functions)
+        return bind(expr, self.functions)
 
     def _predicate(self, expr: Expr) -> Callable[[dict], Any]:
         if expr == TRUE:
@@ -225,18 +225,15 @@ class Executor:
     def _unnest(self, op: Unnest, nest_cache: dict[str, Dataset] | None = None) -> Dataset:
         child = self._input(op.child, nest_cache)
         path = self._fn(op.path)
-        pred = self._predicate(op.predicate)
+        pred = None if op.predicate == TRUE else self._fn(op.predicate)
+        var, outer = op.var, op.outer
 
         def expand(env: dict) -> list[dict]:
-            items = path(env)
-            out = []
-            if items:
-                for item in items:
-                    extended = {**env, op.var: item}
-                    if pred(extended):
-                        out.append(extended)
-            if not out and op.outer:
-                out.append({**env, op.var: None})
+            out = [{**env, var: item} for item in path(env) or ()]
+            if pred is not None:
+                out = [extended for extended in out if pred(extended)]
+            if not out and outer:
+                out.append({**env, var: None})
             return out
 
         name = "outerUnnest" if op.outer else "unnest"
@@ -317,27 +314,11 @@ class Executor:
                 name="nest:keyBy",
             )
 
-        def agg_unit(env: dict) -> dict[str, Any]:
-            return {
-                name: monoid.unit(head(env))
-                for name, monoid, head in aggs
-            }
-
-        def merge_states(a: dict[str, Any], b: dict[str, Any]) -> dict[str, Any]:
-            return {
-                name: monoid.merge(a[name], b[name])
-                for name, monoid, _ in aggs
-            }
+        add, combine = nest_accumulator(aggs)
 
         if self.config.grouping == "aggregate":
-            def seq(acc: dict | None, env: dict) -> dict:
-                unit = agg_unit(env)
-                return unit if acc is None else merge_states(acc, unit)
-
             grouped = keyed.aggregate_by_key(
-                lambda: None, seq,
-                lambda a, b: merge_states(a, b) if a and b else (a or b),
-                name="nest:aggregateByKey",
+                lambda: None, add, combine, name="nest:aggregateByKey"
             )
         else:
             raw = keyed.group_by_key(
@@ -346,11 +327,10 @@ class Executor:
 
             def fold(kv: tuple[Any, list]) -> tuple[Any, dict]:
                 key, envs = kv
-                state: dict | None = None
+                state = None
                 for env in envs:
-                    unit = agg_unit(env)
-                    state = unit if state is None else merge_states(state, unit)
-                return (key, state or {})
+                    state = add(state, env)
+                return (key, state)
 
             grouped = raw.map(fold, name="nest:fold")
 
@@ -395,6 +375,13 @@ class Executor:
         for name, branch in zip(names, op.branches):
             results[name] = self._input(branch, nest_cache)
         return results
+
+
+def bind(expr: Expr, funcs: dict[str, Callable] | None) -> Callable[[Any], Any]:
+    """``compiled(expr)`` with ``funcs`` as its default: one frame per call,
+    no keyword dict (``partial``) and no wrapper frame (a lambda)."""
+    run = compiled(expr)
+    return FunctionType(run.__code__, run.__globals__, run.__name__, (funcs,), run.__closure__)
 
 
 def _is_collection(monoid: Monoid) -> bool:

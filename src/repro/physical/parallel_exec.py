@@ -62,14 +62,15 @@ from ..engine.transport import ShipLog
 from ..engine.worker import StoreRef
 from ..errors import PlanningError, SchemaError, WorkerTaskError
 from ..monoid.expressions import Expr, call_names, compiled
+from ..monoid.monoids import nest_accumulator
 from ..sources.columnar import round_robin_split
 
 from .functions import freeze
 
 # Safe at module load: lower's own module-level imports do not reach back
 # here (it imports this module lazily inside Executor._parallel_executor),
-# and sharing its helper keeps Reduce semantics from drifting.
-from .lower import _is_collection
+# and sharing its helpers keeps Reduce and Nest semantics from drifting.
+from .lower import _is_collection, bind
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from .lower import Executor
@@ -143,22 +144,13 @@ def _nest_combine_task(
 ) -> list[tuple[Any, dict[str, Any]]]:
     """Nest map side: fold one combiner state per key over a partition."""
     key_of = compiled(key_expr)
-    heads = [(name, monoid, compiled(head)) for name, monoid, head in aggregates]
+    add, _ = nest_accumulator(
+        [(name, monoid, bind(head, functions)) for name, monoid, head in aggregates]
+    )
     combiners: dict[Any, dict[str, Any]] = {}
     for env in envs:
         key = freeze(key_of(env, functions))
-        unit = {
-            name: monoid.unit(head_of(env, functions))
-            for name, monoid, head_of in heads
-        }
-        state = combiners.get(key)
-        if state is None:
-            combiners[key] = unit
-        else:
-            combiners[key] = {
-                name: monoid.merge(state[name], unit[name])
-                for name, monoid, _ in aggregates
-            }
+        combiners[key] = add(combiners.get(key), env)
     return list(combiners.items())
 
 
@@ -169,17 +161,16 @@ def _nest_merge_task(
     group_predicate: Expr | None,
     functions: dict,
 ) -> list[dict]:
-    """Nest reduce side: merge shuffled combiners, emit group records."""
+    """Nest reduce side: merge shuffled combiners (unpickled here, so the
+    fold owns them), emit group records."""
+    _, combine = nest_accumulator(aggregates)
     merged: dict[Any, dict[str, Any]] = {}
     for key, state in part:
         existing = merged.get(key)
         if existing is None:
             merged[key] = state
         else:
-            merged[key] = {
-                name: monoid.merge(existing[name], state[name])
-                for name, monoid, _ in aggregates
-            }
+            combine(existing, state)
     pred = None if group_predicate is None else compiled(group_predicate)
     out: list[dict] = []
     for key, state in merged.items():

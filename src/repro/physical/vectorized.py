@@ -58,6 +58,7 @@ from ..monoid.expressions import (
     Var,
     project,
 )
+from ..monoid.monoids import nest_accumulator
 from ..sources.columnar import (
     Column,
     ColumnBatch,
@@ -67,16 +68,13 @@ from ..sources.columnar import (
 )
 from .functions import freeze
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+# Safe at module load: lower imports this module lazily.
+from .lower import _is_collection
+
+if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from .lower import Executor
 
 _SUPPORTED_EXPRS = (Const, Var, Proj, RecordCons, BinOp, UnaryOp, Call, If)
-
-# Collection-monoid names duplicated from lower._is_collection to avoid a
-# circular import at module load; lower imports this module lazily.
-_COLLECTION_MONOIDS = {
-    "bag", "list", "set", "group", "multigroup", "token_filter", "kmeans_assign",
-}
 
 
 def _expr_supported(expr: Expr) -> bool:
@@ -490,6 +488,7 @@ class VectorizedExecutor:
         child = self._child_batches(op.child, nest_cache)
         aggs = op.aggregates
         n = self.cluster.default_parallelism
+        combine = nest_accumulator(aggs)[1]
 
         # Map side: fold monoid states per key over the head columns.
         local: list[dict[Any, dict[str, Any]]] = []
@@ -498,20 +497,13 @@ class VectorizedExecutor:
                 freeze(v)
                 for v in eval_column(op.key, env, self.functions)
             ]
-            head_cols = [
-                (name, monoid, eval_column(head, env, self.functions))
+            add, _ = nest_accumulator([
+                (name, monoid, eval_column(head, env, self.functions).__getitem__)
                 for name, monoid, head in aggs
-            ]
+            ])
             combiners: dict[Any, dict[str, Any]] = {}
             for i, key in enumerate(keys):
-                state = combiners.get(key)
-                if state is None:
-                    combiners[key] = {
-                        name: monoid.unit(col[i]) for name, monoid, col in head_cols
-                    }
-                else:
-                    for name, monoid, col in head_cols:
-                        state[name] = monoid.merge(state[name], monoid.unit(col[i]))
+                combiners[key] = add(combiners.get(key), i)
             local.append(combiners)
         self._charge("nest:vecCombine", [len(p) for p in child])
 
@@ -527,8 +519,7 @@ class VectorizedExecutor:
                 if existing is None:
                     target[key] = state
                 else:
-                    for name, monoid, _ in aggs:
-                        existing[name] = monoid.merge(existing[name], state[name])
+                    combine(existing, state)
 
         # Emit group records as columns: key plus one column per aggregate.
         out: list[EnvBatch] = []
@@ -569,7 +560,7 @@ class VectorizedExecutor:
             eval_column(op.head, env, self.functions) for env in parts
         ]
         self._charge("reduce:vecHead", [len(p) for p in parts])
-        if op.monoid.name in _COLLECTION_MONOIDS:
+        if _is_collection(op.monoid):
             if op.monoid.idempotent:
                 return self._distinct(head_cols)
             return Dataset(self.cluster, head_cols, op="reduce:vecHead")

@@ -82,6 +82,58 @@ def test_distinct_count_freezes_frozensets_like_every_other_path():
     assert QUERY_BUILTINS["agg"]("distinct_count", values, None) == 1
 
 
+class RidDict(dict):
+    """A dict subclass: ``rid_less`` must not read its ``_rid`` directly."""
+
+    def __getitem__(self, key):
+        return -super().__getitem__(key) if key == "_rid" else super().__getitem__(key)
+
+
+def test_rid_less_reads_rids_directly_only_off_plain_dicts():
+    rid_less = QUERY_BUILTINS["rid_less"]
+    a, b = {"_rid": 1, "x": 0}, {"_rid": 2, "x": 0}
+    assert rid_less(a, b) and not rid_less(b, a) and not rid_less(a, a)
+    # Without a rid on either side, a record is ordered by its identity.
+    bare = {"x": 0}
+    assert rid_less(a, bare) == (1 < id(bare))
+    assert rid_less(bare, b) == (id(bare) < 2)
+    assert rid_less(bare, bare) is False
+    # A dict subclass goes through _rid(), which subscripts it.
+    sub_a, sub_b = RidDict(_rid=1), RidDict(_rid=2)
+    assert rid_less(sub_b, sub_a)  # -2 < -1
+    assert rid_less(a, RidDict(_rid=5)) is False  # 1 < -5
+    assert rid_less("p", "q") == (id("p") < id("q"))
+
+
+def test_agg_count_is_the_length_of_any_collection():
+    agg = QUERY_BUILTINS["agg"]
+    rows = [{"v": 1}, {"v": None}, {"w": 2}, "not a record"]
+    assert agg("count", rows, "v") == 4
+    assert agg("count", tuple(rows), None) == 4
+    assert agg("count", (r for r in rows), "v") == 4  # no len(): counted by iterating
+    assert agg("count", [], "v") == 0
+    assert agg("sum", rows, "v") == 1 and agg("distinct_count", rows, "v") == 3
+
+
+def test_similar_records_shares_one_matcher_per_setting(monkeypatch):
+    import repro.physical.functions as functions
+
+    built = []
+
+    def matcher(attrs, metric, theta, banded):
+        built.append(attrs)
+        return lambda a, b: a["name"] == b["name"]
+
+    monkeypatch.setattr(functions, "record_matcher", matcher)
+    similar = bound(PLAIN)["similar_records"]
+    a, b = {"name": "x"}, {"name": "x"}
+    assert similar("LD", a, b, 0.8, ("name",)) and similar("LD", a, b, 0.8, ("name",))
+    assert similar("LD", a, b, 0.8, ["name"])  # a list spelling of the same setting
+    assert built == [("name",)]
+    similar("LD", a, b, 0.9, ("name",))
+    assert built == [("name",), ("name",)]
+
+
 def test_engine_builtins_resolve_in_a_session():
     with CleanDB(num_nodes=2, q=2) as db:
         for name, rows in TABLES.items():
