@@ -397,9 +397,9 @@ class DCRecord(NamedTuple):
     ``rvals`` are the per-predicate left/right attribute values (in
     ``constraint.predicates`` order), ``payload`` whatever the backend
     needs to materialize an output pair (the record dict on the driver,
-    a ``(partition, row)`` reference in a worker or an incremental
-    state).  Plain tuples, so a :class:`DCRecord` crosses process
-    boundaries unchanged.
+    the row's index into the driver's table in a worker or an incremental
+    state — :func:`~repro.cleaning.rowid.row_indices`).  Plain tuples, so
+    a :class:`DCRecord` crosses process boundaries unchanged.
     """
 
     rid: Any
@@ -440,22 +440,29 @@ def extract_partition(
     records: Sequence[dict],
     constraint: DenialConstraint,
     start: int = 0,
-    part_idx: int | None = None,
+    rows: Sequence[int] | None = None,
 ) -> list[DCRecord]:
     """One partition's comparison vectors, in partition order.
 
     Row ids follow the shared rule (:func:`~repro.cleaning.rowid.row_ids`;
     ``start`` is the partition's offset in the partition-major numbering),
     so every backend extracts the identical entry stream.  Payloads are
-    the records themselves, or — when ``part_idx`` is given, i.e. running
-    as a worker task whose caller holds the records — compact ``(partition,
-    row)`` references, so nothing downstream carries a copy of any row.
+    the records themselves, or their ``rows`` — the partition's
+    :func:`~repro.cleaning.rowid.row_indices` into a table the caller
+    holds — so nothing downstream carries a copy of any row.
     """
     extract = record_extractor(constraint)
-    payloads = (
-        records if part_idx is None else [(part_idx, i) for i in range(len(records))]
-    )
-    return list(map(extract, row_ids(records, start), records, payloads))
+    return list(map(extract, row_ids(records, start), records, rows or records))
+
+
+def extract_task(records: list[dict], constraint: DenialConstraint, start: int, rows: range) -> Any:
+    """Worker task: :func:`extract_partition` with row-index payloads.  The
+    driver indexes every entry; the worker keeps the left-filtered ones,
+    all :func:`scan_task` probes with."""
+    from ..engine.worker import Staged  # a worker task: the pool's modules are loaded
+
+    entries = extract_partition(records, constraint, start, rows)
+    return Staged(list(filter(left_filter(constraint), entries)), entries)
 
 
 def left_filter(constraint: DenialConstraint) -> Callable[[DCRecord], bool]:
@@ -579,27 +586,22 @@ def scan_partition(
 
 
 def scan_task(
-    entries: list[DCRecord],
+    left_entries: list[DCRecord],
     index: dict,
     plan: DCPlan,
     compare_unit: float,
-) -> tuple[list[tuple[Any, Any]], tuple[int, int, float]]:
-    """Worker task: banded probe of one resident entry partition.
+) -> tuple[list[Any], tuple[int, int, float]]:
+    """Worker task: banded probe of one resident left partition.
 
-    Applies the left-side single-tuple filters in-worker (the driver prices
-    ``candidates`` from its own count over the extraction stream), then
-    runs :func:`scan_partition`.  ``entries`` and ``index`` arrive by
-    handle (the entries stay resident from the extraction stage; the index
-    is broadcast once per worker), so a warm re-run ships only this task's
-    few-hundred-byte argument tuple.  Returns the violating ``(t1, t2)``
-    payload pairs plus ``(examined, pairs, work)`` for the driver to merge
-    into the cluster metrics.
+    ``left_entries`` (what :func:`extract_task` kept) and ``index`` arrive
+    by handle (the index is broadcast once per worker), so a warm re-run
+    ships only this task's few-hundred-byte argument tuple.  Returns the
+    violating pairs' payloads as one flat list ``[t1, t2, t1, t2, ...]``
+    plus ``(examined, pairs, work)`` for the driver's metrics.
     """
-    left = list(filter(left_filter(plan.constraint), entries))
     stats = DCStats()
-    pairs = scan_partition(left, index, plan, stats, compare_unit)
-    out = [(a.payload, b.payload) for a, b in pairs]
-    return out, (stats.examined, stats.pairs, stats.work)
+    pairs = scan_partition(left_entries, index, plan, stats, compare_unit)
+    return [e.payload for pair in pairs for e in pair], (stats.examined, stats.pairs, stats.work)
 
 
 def _compiled(plan: DCPlan) -> tuple[Callable, Callable]:

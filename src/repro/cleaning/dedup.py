@@ -10,8 +10,8 @@ grouped (exact key, token filtering, or k-means), then compared pairwise
 
 Like :mod:`repro.cleaning.denial`, the module is a *kernel* that knows
 nothing of clusters, prices or processes — :func:`block` (one partition's
-map-side blocking combine) and :func:`block_pairs` (one exchanged bucket:
-merge its blocks, verify every in-block pair) — under one *driver* per
+map-side blocking combine), :func:`merge_blocks` (one exchanged bucket) and
+:func:`block_pairs` (verify every in-block pair) — under one *driver* per
 backend: :func:`deduplicate` (``Dataset`` operators at row prices, and the
 only driver for the overlapping token / k-means blockers),
 :func:`deduplicate_columnar` (the round-robin layout at batch prices),
@@ -111,18 +111,9 @@ def preparer(join: SimJoin) -> Callable[[dict], PreparedRecord]:
     return prep
 
 
-def block_pairs(
-    bucket: Sequence[tuple[Any, list[dict]]], join: SimJoin
-) -> list[DuplicatePair]:
-    """Reduce side: merge one exchanged bucket's blocks (they arrive
-    input-partition-major; merged into each key's first block in place),
-    then verify every in-block pair through ``join``.
-
-    With exact-key blocking every unordered pair lives inside exactly one
-    block (each record has one key), so per-block verification is
-    equivalent to the row driver's global pass and the output stays
-    byte-identical.  ``join.stats`` accumulates the counters.
-    """
+def merge_blocks(bucket: Sequence[tuple[Any, list[dict]]]) -> dict[Any, list[dict]]:
+    """Reduce side: one exchanged bucket's blocks (they arrive
+    input-partition-major) merged into each key's first block in place."""
     merged: dict[Any, list[dict]] = {}
     for key, records in bucket:
         members = merged.get(key)
@@ -130,9 +121,21 @@ def block_pairs(
             merged[key] = records
         else:
             members.extend(records)
+    return merged
+
+
+def block_pairs(blocks: dict[Any, list[dict]], join: SimJoin) -> list[DuplicatePair]:
+    """Verify every in-block pair of merged ``blocks`` through ``join``
+    (which accumulates the counters); the blocks are only read.
+
+    With exact-key blocking every unordered pair lives inside exactly one
+    block (each record has one key), so per-block verification is
+    equivalent to the row driver's global pass and the output stays
+    byte-identical.
+    """
     prep = preparer(join)
     out: list[DuplicatePair] = []
-    for members in merged.values():
+    for members in blocks.values():
         ready = [prep(record) for record in members]
         out.extend(_to_pair(a, b) for a, b in join.join_members(ready))
     return out
@@ -144,22 +147,24 @@ def _to_pair(a: PreparedRecord, b: PreparedRecord) -> DuplicatePair:
 
 
 def _pairs_task(
-    bucket: list[tuple[Any, list[dict]]], join_args: tuple
+    blocks: dict[Any, list[dict]], bags: BagCache | None, join_args: tuple
 ) -> tuple[list[DuplicatePair], JoinStats]:
     """Worker task: :func:`block_pairs` under a join built in the worker
-    from :class:`SimJoin`'s arguments (only the metric's *name* ships).
-    Returns (pairs, bucket JoinStats)."""
+    from :class:`SimJoin`'s arguments (only the metric's *name* ships),
+    reading the resident q-gram ``bags``.  Returns (pairs, JoinStats)."""
     join = SimJoin(*join_args)
-    return block_pairs(bucket, join), join.stats
+    join.bags = bags
+    return block_pairs(blocks, join), join.stats
 
 
-def _weigh_blocks(part: list[tuple[Any, list[dict]]]) -> Any:
-    """Reduce-side step: an exchanged block partition, reported by its
-    *record* count — prices the merge stage (and lets a budget abort fire
-    there) before the similarity phase dispatches, without shipping blocks."""
+def _merged_blocks(bucket: list[tuple[Any, list[dict]]]) -> Any:
+    """Reduce-side step: :func:`merge_blocks`, reported by its *record*
+    count — prices the merge stage (and lets a budget abort fire there)
+    before the similarity phase dispatches, without shipping blocks."""
     from ..engine.worker import Staged  # a worker step: the pool's modules are loaded
 
-    return Staged(part, sum(len(records) for _, records in part))
+    merged = merge_blocks(bucket)
+    return Staged(merged, sum(map(len, merged.values())))
 
 
 # ---------------------------------------------------------------------- #
@@ -344,7 +349,7 @@ def deduplicate_columnar(
     per_part_work: list[float] = []
     for bucket in buckets:
         work_before = join.stats.work
-        out_parts.append(block_pairs(bucket, join))
+        out_parts.append(block_pairs(merge_blocks(bucket), join))
         per_part_work.append(join.stats.work - work_before)
     _charge_similarity(cluster, join.stats, per_part_work)
     return Dataset(cluster, out_parts, op="dedup:vectorized")
@@ -365,52 +370,65 @@ def deduplicate_parallel(
     """Multi-process exact-key deduplication: the kernel as worker tasks.
 
     Handle-based (see :func:`~repro.physical.parallel_exec.
-    resident_stages`), three dispatches: rid assignment, :func:`block` and
-    the map-side routing run as one task per pinned partition; the merged
-    blocks stay worker-resident and report their record counts; and the
-    CPU-heavy pairwise similarity phase runs as one :func:`block_pairs`
-    task per merged partition — this is where multiple processes genuinely
-    pay off, since string similarity dominates the workload.  Only the
-    final :class:`DuplicatePair` lists come back to the driver.  Output is
-    **byte-identical** — same pairs, same order — to :func:`deduplicate`
-    with the same exact-key ``block_on`` and ``filters`` over
-    ``cluster.parallelize(records, ...)``.
+    resident_stages`).  Cold, one exchange: rid assignment, :func:`block`
+    and the map-side routing run as one task per pinned partition, and each
+    bucket's blocks are merged where they land and stay worker-resident,
+    reporting their record counts.  The CPU-heavy similarity phase then
+    runs as one :func:`block_pairs` task per merged partition — where
+    multiple processes genuinely pay off, since string similarity dominates
+    the workload.  On a pinned table the blocks and the exchange's counts
+    are cached against ``(table, version, block spec, attributes)``, with
+    one :class:`BagCache` per ``q`` broadcast to the workers: a warm call is
+    that one dispatch over resident blocks and q-gram bags, still verifying
+    every pair and charging every op.  Only :class:`DuplicatePair` lists
+    come back.  Output is **byte-identical** — same pairs, same order — to
+    :func:`deduplicate` with the same exact-key ``block_on`` and
+    ``filters`` over ``cluster.parallelize(records, ...)``.
     """
+    from ..core.shippable import is_hashable
     from ..physical.parallel_exec import resident_stages
 
     if not attributes:
         raise ValueError("deduplicate needs at least one comparison attribute")
-    attributes = list(attributes)
-    n = cluster.default_parallelism
+    attributes, filters = list(attributes), resolve_filters(filters)
     cost = cluster.cost_model
-    unit = cost.record_unit
+    spec = tuple(block_on) if isinstance(block_on, list) else block_on
+    key = ("dedup", *pinned, spec, tuple(attributes)) if pinned and is_hashable(spec) else None
     with resident_stages(cluster, records, pinned, "dedup", name, fmt) as stages:
         pool, refs = stages.pool, stages.refs
-        inputs: list[Any] = refs
-        before = [(block, (block_on, attributes))]
+        sizes = [max(r.count, 0) * cost.record_unit for r in refs]
         numbered = not has_rids(records)
-        if numbered:
-            # Numbered in-worker: the raw rows never come back.
-            inputs = list(zip(refs, partition_offsets([ref.count for ref in refs])))
-            before.insert(0, (number_rows, ()))
-        exchanged, moved, shuffle_cost, _, merged = exchange_resident(
-            cluster, pool, inputs, n, kind="local",
-            store_as=stages.temp("dedup:exchanged"),
-            before=before, after=[(_weigh_blocks, ())],
-        )
-        sizes = [max(r.count, 0) * unit for r in refs]
+        state = pool.derived(key) if key else None
+        if state is None:
+            inputs: list[Any] = refs
+            before = [(block, (block_on, attributes))]
+            if numbered:
+                # Numbered in-worker: the raw rows never come back.
+                inputs = list(zip(refs, partition_offsets([ref.count for ref in refs])))
+                before.insert(0, (number_rows, ()))
+            blocks_name = stages.temp("dedup:blocks")
+            blocks, moved, shuffle_cost, _, merged = exchange_resident(
+                cluster, pool, inputs, cluster.default_parallelism, kind="local",
+                store_as=blocks_name, before=before, after=[(_merged_blocks, ())],
+            )
+            merge = ([row[2] * cost.record_unit for row in merged], moved, shuffle_cost)
+            state = {"blocks": blocks, "merge": merge, "bags": {}, "store_names": [blocks_name]}
+            if key:  # as check_dc_parallel's: the cache owns the blocks now
+                pool.register_derived(key, state)
+                stages.temps.clear()
         if numbered:
             stages.charge("dedup:assignRid:par", sizes)
         stages.charge("grouping:key:parCombine", sizes)
         # The merge stage is priced (and budget-checked) *before* the
         # expensive similarity phase dispatches.
-        merge_work = [row[2] * unit for row in merged]
-        stages.charge("grouping:key:parMerge", merge_work, moved, shuffle_cost)
-        join_args = (
-            attributes, metric, theta, resolve_filters(filters),
-            cost.compare_unit, cost.filter_unit,
-        )
-        results = pool.run(_pairs_task, [(ref, join_args) for ref in exchanged])
+        stages.charge("grouping:key:parMerge", *state["merge"])
+        q = filters.q if key and filters.count_filter else None
+        if q is not None and q not in state["bags"]:
+            state["store_names"].append(bags_name := (f"dedup:bags:{q}", pool.next_version()))
+            state["bags"][q] = pool.broadcast(*bags_name, BagCache(q))
+        join_args = (attributes, metric, theta, filters, cost.compare_unit, cost.filter_unit)
+        bags = state["bags"].get(q)
+        results = pool.run(_pairs_task, [(ref, bags, join_args) for ref in state["blocks"]])
         totals = JoinStats()
         for _, stats in results:
             totals.merge(stats)

@@ -36,7 +36,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from ..engine.cluster import Cluster
@@ -59,13 +58,14 @@ from .dc_kernel import (
     TuplePredicate,
     build_dc_index,
     extract_partition,
+    extract_task,
     left_filter,
     null_safe_compare,
     plan_dc_entries,
     scan_partition,
     scan_task,
 )
-from .rowid import partition_offsets, rows_at
+from .rowid import partition_offsets, row_indices
 
 AttrSpec = str | Callable[[dict], Any]
 
@@ -102,22 +102,23 @@ class FDViolation:
 
 #: One key's state: ``(distinct RHS values in first-seen order, witnesses)``,
 #: the values as dict keys.  Witnesses are opaque to the kernel — record
-#: dicts on the driver, ``(partition, position)`` references in workers.
+#: dicts on the driver, row indices into the driver's table in workers.
 FDState = tuple[dict, list]
 
 
 def fd_combine(
     records: Sequence[dict],
-    part: int | None,
+    rows: Sequence[int] | None,
     lhs: Sequence[AttrSpec],
     rhs: Sequence[AttrSpec],
     keep_records: bool,
 ) -> list[tuple[Any, FDState]]:
     """Map side: one combiner per LHS key of a partition, in first-seen
     key order; a new RHS value is recorded with its first bearer as
-    witness.  Witnesses are the records themselves, or — given ``part``,
-    i.e. as a worker task whose caller holds the records — ``(partition,
-    position)`` references, so no row rides the exchange."""
+    witness.  Witnesses are the records themselves, or — given ``rows``,
+    the partition's :func:`~repro.cleaning.rowid.row_indices`, i.e. as a
+    worker task whose caller holds the records — their row indices, so no
+    row rides the exchange."""
     lhs_func = _key_func(lhs)
     rhs_func = _key_func(rhs)
     combiners: dict[Any, FDState] = {}
@@ -130,7 +131,7 @@ def fd_combine(
         if rhs_value not in state[0]:
             state[0][rhs_value] = None
             if keep_records:
-                state[1].append(record if part is None else (part, position))
+                state[1].append(record if rows is None else rows[position])
     return list(combiners.items())
 
 
@@ -291,12 +292,12 @@ def check_fd_parallel(
 ) -> Dataset:
     """Multi-process FD check: the kernel as the two sides of one resident
     exchange (see :func:`~repro.physical.parallel_exec.resident_stages`).
-    :func:`fd_combine` runs over the pinned partitions with ``(partition,
-    position)`` witnesses and routes its combiners in the same task;
-    :func:`fd_merge` runs on the merged blobs where they land.  Only keys,
-    RHS values and references cross a process boundary — the violations'
-    records are materialized here, from the rows the driver holds.  Output
-    is **byte-identical** — same violations, same order — to ``check_fd``
+    :func:`fd_combine` runs over the pinned partitions with row-index
+    witnesses and routes its combiners in the same task; :func:`fd_merge`
+    runs on the merged blobs where they land.  Only keys, RHS values and
+    row indices cross a process boundary: the driver resolves each
+    violation's to its own rows with one C-level ``map``.  Output is
+    **byte-identical** — same violations, same order — to ``check_fd``
     over ``cluster.parallelize(records, ...)``; the metrics additionally
     carry the measured pool wall-clock and bytes shipped.
     """
@@ -306,7 +307,7 @@ def check_fd_parallel(
     n = cluster.default_parallelism
     unit = cluster.cost_model.record_unit
     with resident_stages(cluster, records, pinned, "fd", name, fmt) as stages:
-        inputs = [(ref, ref.part) for ref in stages.refs]
+        inputs = [(ref, row_indices(ref.part, len(stages.refs), ref.count)) for ref in stages.refs]
         found, moved, cost, _, merged = exchange_resident(
             cluster, stages.pool, inputs, n, kind="local",
             before=[(fd_combine, (lhs, rhs, keep_records))],
@@ -314,11 +315,9 @@ def check_fd_parallel(
         )
         stages.charge("fd:parCombine", [max(r.count, 0) * unit for r in stages.refs])
         stages.charge("fd:parMerge", [row[1] * unit for row in merged], moved, cost)
-    out_parts = [
-        [FDViolation(key, seen, tuple(rows_at(records, n, at))) for key, seen, at in part]
-        for part in found
-    ]
-    return Dataset(cluster, out_parts, op="fd:parallel")
+    row = records.__getitem__
+    out = [[FDViolation(k, seen, tuple(map(row, at))) for k, seen, at in part] for part in found]
+    return Dataset(cluster, out, op="fd:parallel")
 
 
 # ---------------------------------------------------------------------- #
@@ -349,15 +348,15 @@ def build_dc_state(
     """The one place extract → plan → index is composed: every driver, the
     maintained state and :func:`find_violations` build through it.
 
-    Extracts each partition (payloads are the records, or ``(partition,
-    position)`` references with ``refs``), plans over the partition-major
-    entry stream, indexes it and filters the left side.  ``entries``
-    extracted elsewhere — by worker tasks, or kept by a maintained state —
-    skip the extraction."""
+    Extracts each partition of a round-robin layout (payloads are the
+    records, or with ``refs`` their row indices in the table), plans over
+    the partition-major entry stream, indexes it and filters the left
+    side.  ``entries`` extracted elsewhere — by worker tasks, or kept by a
+    maintained state — skip the extraction."""
     if entries is None:
-        offsets = partition_offsets([len(part) for part in parts])
+        offsets, stride = partition_offsets([len(part) for part in parts]), len(parts)
         entries = [
-            extract_partition(part, constraint, start, i if refs else None)
+            extract_partition(part, constraint, start, refs and row_indices(i, stride, len(part)))
             for i, (part, start) in enumerate(zip(parts, offsets))
         ]
     flat = [e for part in entries for e in part]
@@ -573,16 +572,16 @@ def check_dc_parallel(
 
     Handle-based (see :func:`~repro.physical.parallel_exec.
     resident_stages`).  The extraction pass runs as one
-    :func:`~repro.cleaning.dc_kernel.extract_partition` task per pinned
-    partition whose comparison-vector output both *stays worker-resident*
-    and streams back once for the driver-side :func:`build_dc_state`
-    (identical to the row path's, since the entry stream is
-    partition-major); the index is broadcast to each worker once; and the
-    banded probe (:func:`~repro.cleaning.dc_kernel.scan_task`) references
-    entries and index by handle.  On a pinned table the extraction output,
-    plan, and index broadcast are cached against ``(table, version,
-    constraint)`` — a warm re-run ships only the probe tasks' argument
-    tuples and the violating pair references, which is where the >= 5x
+    :func:`~repro.cleaning.dc_kernel.extract_task` per pinned partition:
+    its comparison vectors, with row-index payloads, stream back once for
+    the driver-side :func:`build_dc_state` (identical to the row path's,
+    since the entry stream is partition-major) while the left-filtered
+    ones *stay worker-resident*; the index is broadcast to each worker
+    once; the banded probe (:func:`~repro.cleaning.dc_kernel.scan_task`)
+    references both by handle.  On a pinned table all of it is cached
+    against ``(table, version, constraint)`` — a warm re-run ships only the
+    probe tasks' argument tuples and gets one flat list of row indices back
+    per task, resolved with one C-level ``map``; this is where the >= 5x
     bytes-shipped win of the fig5 bench comes from.  Output is
     **byte-identical** — same pairs, same order — to
     ``check_dc(cluster.parallelize(records, ...), constraint)``; metrics
@@ -594,62 +593,47 @@ def check_dc_parallel(
     cost = cluster.cost_model
     # Keyed by the constraint *itself* (frozen dataclass, equality-hashed):
     # repr() is not content-based for arbitrary predicate values.
-    cache_key = None
-    if pinned is not None and is_hashable(constraint):
-        cache_key = ("dc", *pinned, constraint)
+    key = ("dc", *pinned, constraint) if pinned and is_hashable(constraint) else None
     with resident_stages(cluster, records, pinned, "dc", name, fmt) as stages:
-        pool = stages.pool
-        sizes = [max(ref.count, 0) for ref in stages.refs]
+        pool, refs = stages.pool, stages.refs
+        sizes = [max(ref.count, 0) for ref in refs]
         stats_work = [size * cost.record_unit for size in sizes]
-        state = pool.derived(cache_key) if cache_key is not None else None
+        state = pool.derived(key) if key else None
         if state is None:
-            entries_name = stages.temp("dc:entries")
-            index_name = stages.temp("dc:index")
-            offsets = partition_offsets(sizes)
-            extracted = pool.run(
-                extract_partition,
-                [(ref, constraint, offsets[i], i) for i, ref in enumerate(stages.refs)],
-                store_as=entries_name,
-                returning=True,
-            )
+            entries_name, index_name = stages.temp("dc:entries"), stages.temp("dc:index")
+            offsets, stride = partition_offsets(sizes), len(sizes)
+            extracted = pool.run(extract_task, [
+                (ref, constraint, offsets[i], row_indices(i, stride, sizes[i]))
+                for i, ref in enumerate(refs)
+            ], store_as=entries_name)
             stages.charge("dc:banded:stats", stats_work)
             built = build_dc_state(constraint, entries=[entries for _, entries in extracted])
             state = {
-                "entry_refs": [ref for ref, _ in extracted],
+                "left_refs": [ref for ref, _ in extracted], "plan": built.plan,
                 "index_ref": pool.broadcast(*index_name, built.index),
-                "plan": built.plan,
-                "index_sizes": built.group_sizes,
-                "left_count": built.left_count,
+                "index_sizes": built.group_sizes, "left_count": built.left_count,
                 "store_names": [entries_name, index_name],
             }
-            if cache_key is not None:
-                # Ownership transfers to the derived cache: later warm runs
-                # reference what this call stored, so it must not evict it.
-                pool.register_derived(cache_key, state)
+            if key:  # the cache owns them now: later warm runs reference them
+                pool.register_derived(key, state)
                 stages.temps.clear()
         else:
-            # Warm store: extraction and index build are skipped, but the
-            # ops still charge their simulated cost — the simulated clock
-            # must not depend on cache temperature, only the measured
-            # columns may.
+            # Warm: extraction and index build are skipped, their simulated
+            # cost is not — the simulated clock ignores cache temperature.
             stages.charge("dc:banded:stats", stats_work)
         _record_dc_index_op(
             cluster, state["index_sizes"], len(records), state["left_count"],
             **stages.log.take(),
         )
+        index_ref, plan = state["index_ref"], state["plan"]
         results = pool.run(
-            scan_task,
-            [
-                (entry_ref, state["index_ref"], state["plan"], cost.compare_unit)
-                for entry_ref in state["entry_refs"]
-            ],
+            scan_task, [(ref, index_ref, plan, cost.compare_unit) for ref in state["left_refs"]]
         )
         stages.charge("dc:banded:scan", [work for _, (_, _, work) in results])
-    # Same dicts, same order as the row path, from (partition, row)
-    # references: resolved flat, consecutive rows pair up again.
-    n = cluster.default_parallelism
-    flat = (iter(rows_at(records, n, chain.from_iterable(p))) for p, _ in results)
-    out_parts = [list(zip(rows, rows)) for rows in flat]
+    # Same dicts, same order as the row path: each reply's flat row indices
+    # resolved by one C-level map, consecutive rows paired up again.
+    row = records.__getitem__
+    out_parts = [list(zip(rows, rows)) for rows in (map(row, flat) for flat, _ in results)]
     cluster.charge_comparisons(state["left_count"] * len(records))
     cluster.charge_verified(sum(examined for _, (examined, _, _) in results))
     return Dataset(cluster, out_parts, op="dc:parallel")

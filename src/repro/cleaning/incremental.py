@@ -72,7 +72,7 @@ them.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Sequence
 
 from ..engine.partitioner import stable_hash
@@ -109,9 +109,6 @@ class UnsupportedDelta(Exception):
 
 
 Placement = tuple[int, int]
-
-
-_payload = attrgetter("payload")
 
 
 def _unlink(links: dict[Any, dict], key: Any, member: Any) -> None:
@@ -159,12 +156,11 @@ class _Maintained:
     def patch(self, base: int, appended: Sequence[dict], updated: Sequence[tuple[int, dict]]):
         """``TableStore.derived``'s patch rule: fold one delta, already
         applied to the rows (``updated`` names a position once), into the
-        state.  Raising drops the state."""
+        state, by global row index.  Raising drops the state."""
         if appended:
-            placements = self._placements(range(base, base + len(appended)))
-            self._append(placements, in_scope(appended))
+            self._append(range(base, base + len(appended)), in_scope(appended))
         if updated:
-            self._update(self._placements(g for g, _ in updated))
+            self._update([g for g, _ in updated])
         return self
 
     def _refold(self, kept: dict, fold: Callable[[Any], tuple | None]) -> list:
@@ -223,7 +219,7 @@ class IncrementalFD(_Maintained):
         # the place is (merge bucket, first arrival = the lowest partition
         # holding the key and the key's minimum position there).
         self.violations: dict[Any, tuple[tuple[int, int, int], tuple[FDViolation]]] = {}
-        self._append(self._placements(range(len(rows))), rows)
+        self._append(range(len(rows)), rows)
 
     def _attach(self, p: int, pos: int, key: Any, rhs_value: Any) -> None:
         insort(self.groups.setdefault(key, {}).setdefault((p, rhs_value), []), pos)
@@ -239,14 +235,14 @@ class IncrementalFD(_Maintained):
                 del self.groups[key]
         self._touched.add(key)
 
-    def _append(self, placements: list[Placement], rows: Sequence[dict]) -> None:
-        for (p, pos), row in zip(placements, rows):
+    def _append(self, changed: Sequence[int], rows: Sequence[dict]) -> None:
+        for (p, pos), row in zip(self._placements(changed), rows):
             key, rhs_value = self.lhs_func(row), self.rhs_func(row)
             self.rowkeys[p].append((key, rhs_value))
             self._attach(p, pos, key, rhs_value)
 
-    def _update(self, placements: list[Placement]) -> None:
-        for p, pos in placements:
+    def _update(self, changed: Sequence[int]) -> None:
+        for p, pos in self._placements(changed):
             row = self._row((p, pos))
             key, rhs_value = self.lhs_func(row), self.rhs_func(row)
             self._detach(p, pos, *self.rowkeys[p][pos])
@@ -283,8 +279,10 @@ class IncrementalDC(_Maintained):
     each delta both ways (:meth:`_settle`).  The cold build stable-sorts a
     group in placement order, so a band-sorted group is ordered by ``(band
     value, placement)`` and any other by placement: an entry enters and
-    leaves its group by bisection on that rank.  ``emit`` is the keyed
-    re-fold, keyed by t1's placement, its partners in group rank order."""
+    leaves its group by bisection on that rank.  An entry's payload, and
+    every key below, is its global row index ``g`` (the parallel driver's
+    reply form).  ``emit`` is the keyed re-fold, placed by t1's placement,
+    its partners in group rank order."""
 
     def __init__(self, rows: list, num_partitions: int, constraint: DenialConstraint):
         super().__init__(rows, num_partitions)
@@ -303,23 +301,27 @@ class IncrementalDC(_Maintained):
         self.plan, self.entries, self.index = state.plan, state.entries, state.index
         lefts = [e for part in state.left_parts for e in part]
         # probe key -> the entries passing the left filter that probe it
-        self.lefts: dict[tuple, dict[Placement, DCRecord]] = {}
+        self.lefts: dict[tuple, dict[int, DCRecord]] = {}
         for entry in lefts:
             self.lefts.setdefault(self._left_key(entry), {})[entry.payload] = entry
-        # t1 -> its partners, t2 -> the entries it is a partner of (dicts
-        # as sets, so one ``_unlink`` serves these and ``lefts``)
-        self.viols: dict[Placement, dict[Placement, None]] = {}
-        self.rev: dict[Placement, dict[Placement, None]] = {}
+        # t1 -> its partners, t2 -> the entries it is a partner of, by row
+        # index (dicts as sets, so one ``_unlink`` serves these and ``lefts``)
+        self.viols: dict[int, dict[int, None]] = {}
+        self.rev: dict[int, dict[int, None]] = {}
         # t1 -> (its place, its pairs) as of the last emit
-        self.kept: dict[Placement, tuple[Placement, list]] = {}
+        self.kept: dict[int, tuple[Placement, list]] = {}
         self._cached = []  # void the last answer: the scan touches every t1 it pairs
         for t1, t2 in scan_partition(lefts, self.index, self.plan, DCStats()):
             self._add_pair(t1.payload, t2.payload)
 
     # -- index maintenance --------------------------------------------- #
 
-    def _entry(self, placement: Placement) -> DCRecord:
-        return self.entries[placement[0]][placement[1]]
+    def _entry(self, g: int) -> DCRecord:
+        return self.entries[g % self.num_partitions][g // self.num_partitions]
+
+    def _place(self, entry: DCRecord) -> Placement:
+        """Where an entry sits in the cold, partition-major entry stream."""
+        return entry.payload % self.num_partitions, entry.payload
 
     def _left_key(self, entry: DCRecord) -> tuple:
         """The group ``entry`` probes as t1: the left values of the
@@ -329,9 +331,9 @@ class IncrementalDC(_Maintained):
     def _rank(self, values: list | None) -> Callable[[DCRecord], Any]:
         """The member order of an index group with band ``values``."""
         if values is None:
-            return _payload
+            return self._place
         band = self.plan.band_idx
-        return lambda e: (e.rvals[band], e.payload)
+        return lambda e: (e.rvals[band], self._place(e))
 
     def _reform(self, key: tuple, members: list[DCRecord]) -> None:
         """Re-sort a group from placement order, as the cold build does:
@@ -354,7 +356,7 @@ class IncrementalDC(_Maintained):
         try:
             at = bisect_left(members, rank(entry), key=rank)
         except TypeError:
-            return self._reform(key, sorted([*members, entry], key=_payload))
+            return self._reform(key, sorted([*members, entry], key=self._place))
         members.insert(at, entry)
         if values is not None:
             values.insert(at, entry.rvals[self.plan.band_idx])
@@ -377,35 +379,34 @@ class IncrementalDC(_Maintained):
 
     # -- pair maintenance ---------------------------------------------- #
 
-    def _add_pair(self, t1: Placement, t2: Placement) -> None:
+    def _add_pair(self, t1: int, t2: int) -> None:
         self.viols.setdefault(t1, {})[t2] = None
         self.rev.setdefault(t2, {})[t1] = None
         self._touched.add(t1)
 
-    def _drop_pairs_touching(self, placements: Iterable[Placement]) -> None:
-        for pos in placements:
-            self._touched.add(pos)
-            for t2 in self.viols.pop(pos, ()):
-                _unlink(self.rev, t2, pos)
-            for t1 in self.rev.pop(pos, ()):
+    def _drop_pairs_touching(self, changed: Iterable[int]) -> None:
+        for g in changed:
+            self._touched.add(g)
+            for t2 in self.viols.pop(g, ()):
+                _unlink(self.rev, t2, g)
+            for t1 in self.rev.pop(g, ()):
                 self._touched.add(t1)
-                _unlink(self.viols, t1, pos)
+                _unlink(self.viols, t1, g)
 
     # -- the patch rule ------------------------------------------------ #
 
-    def _append(self, placements: list[Placement], rows: Sequence[dict]) -> None:
-        for (p, pos), row in zip(placements, rows):
-            self.entries[p].append(self._extract(row[RID], row, (p, pos)))
-        self._settle(placements)
+    def _append(self, changed: Sequence[int], rows: Sequence[dict]) -> None:
+        for g, row in zip(changed, rows):
+            self.entries[g % self.num_partitions].append(self._extract(row[RID], row, g))
+        self._settle(changed)
 
-    def _update(self, placements: list[Placement]) -> None:
-        for p, pos in placements:
+    def _update(self, changed: Sequence[int]) -> None:
+        for (p, pos), g in zip(self._placements(changed), changed):
             self._leave(self.entries[p][pos])
-            row = self._row((p, pos))
-            self.entries[p][pos] = self._extract(row[RID], row, (p, pos))
-        self._settle(placements)
+            self.entries[p][pos] = self._extract(self.rows[g][RID], self.rows[g], g)
+        self._settle(changed)
 
-    def _settle(self, placements: list[Placement]) -> None:
+    def _settle(self, changed: Sequence[int]) -> None:
         """Index the changed entries and probe them both ways — or, when
         the data now picks another band, rebuild through the builder.  The
         two scans partition the violating pairs that touch the delta, so
@@ -415,8 +416,8 @@ class IncrementalDC(_Maintained):
             flat = [e for part in self.entries for e in part]
             if plan_dc_entries(self.constraint, flat) != self.plan:
                 return self._load(build_dc_state(self.constraint, entries=self.entries))
-        self._drop_pairs_touching(placements)
-        delta = list(map(self._entry, placements))
+        self._drop_pairs_touching(changed)
+        delta = list(map(self._entry, changed))
         for entry in delta:
             self._enter(entry)
         # Delta as left against the index (covers delta x delta once) ...
@@ -426,26 +427,24 @@ class IncrementalDC(_Maintained):
         # ... and the other lefts that reach a delta entry's group, against
         # the delta only.
         delta_index = build_dc_index(delta, self.plan)
-        moved = set(placements)
+        skip = set(changed)
         old_lefts = [
-            e
-            for key in delta_index
-            for placement, e in self.lefts.get(key, {}).items()
-            if placement not in moved
+            e for key in delta_index for g, e in self.lefts.get(key, {}).items() if g not in skip
         ]
         for t1, t2 in scan_partition(old_lefts, delta_index, self.plan, DCStats()):
             self._add_pair(t1.payload, t2.payload)
 
     # -- emission ------------------------------------------------------ #
 
-    def _pairs(self, t1: Placement) -> tuple | None:
+    def _pairs(self, t1: int) -> tuple | None:
         """One left tuple's violations: its partners are all still members
         of the group the scan probed for it, emitted in that group's rank."""
         if not (peers := self.viols.get(t1)):
             return None
-        rank = self._rank(self.index[self._left_key(self._entry(t1))][0])
-        row = self._row(t1)
-        return t1, [(row, self._row(e.payload)) for e in sorted(map(self._entry, peers), key=rank)]
+        entry, rows = self._entry(t1), self.rows
+        rank = self._rank(self.index[self._left_key(entry)][0])
+        partners = sorted(map(self._entry, peers), key=rank)
+        return self._place(entry), [(rows[t1], rows[e.payload]) for e in partners]
 
     def emit(self) -> list[tuple[dict, dict]]:
         return self._refold(self.kept, self._pairs)
@@ -497,10 +496,10 @@ class IncrementalDedup(_Maintained):
         # bucket, first arrival = earliest member placement).
         self.block_cache: dict[Any, tuple[tuple, list[DuplicatePair]]] = {}
         self._rids: set = set()
-        self._append(self._placements(range(len(rows))), rows)
+        self._append(range(len(rows)), rows)
 
-    def _append(self, placements: list[Placement], rows: Sequence[dict]) -> None:
-        for placement, row in zip(placements, rows):
+    def _append(self, changed: Sequence[int], rows: Sequence[dict]) -> None:
+        for placement, row in zip(self._placements(changed), rows):
             rid = row[RID]
             if rid in self._rids:
                 raise UnsupportedDelta(
@@ -515,8 +514,8 @@ class IncrementalDedup(_Maintained):
             insort(self.blocks.setdefault(key, []), placement)
             self._touched.add(key)
 
-    def _update(self, placements: list[Placement]) -> None:
-        for placement in placements:
+    def _update(self, changed: Sequence[int]) -> None:
+        for placement in self._placements(changed):
             row = self._row(placement)
             old_key = self.key_of[placement]
             members = self.blocks[old_key]

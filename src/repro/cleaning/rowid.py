@@ -11,7 +11,7 @@ backend numbers an id-less table identically without comparing notes.
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 RID = "_rid"
 
@@ -30,15 +30,11 @@ def partition_offsets(sizes: Sequence[int]) -> list[int]:
     return [0, *accumulate(max(size, 0) for size in sizes)][:-1]
 
 
-def rows_at(
-    records: Sequence[Any], num_partitions: int, refs: Iterable[tuple[int, int]]
-) -> list[Any]:
-    """The rows behind ``(partition, position)`` references into the
-    round-robin layout of ``records`` (``round_robin_split``'s placement and
-    partition-count clamp), by index arithmetic — no table-sized mirror is
-    built to turn what a worker returns into rows the driver already holds."""
-    stride = max(1, min(num_partitions, len(records)))
-    return [records[position * stride + part] for part, position in refs]
+def row_indices(part: int, stride: int, count: int) -> range:
+    """The table indices of round-robin partition ``part``'s ``count`` rows,
+    ``stride`` being ``round_robin_split``'s clamped partition count: how a
+    worker names a row, resolved by one ``map(records.__getitem__, ...)``."""
+    return range(part, part + stride * count, stride)
 
 
 def row_ids(records: Sequence[dict], start: int = 0) -> list[Any]:

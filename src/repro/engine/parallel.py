@@ -442,7 +442,6 @@ class WorkerPool:
         args_list: Iterable[Sequence[Any]],
         store_as: tuple[str, int] | None = None,
         parts: Sequence[int] | None = None,
-        returning: bool = False,
     ) -> list[Any]:
         """Run ``func(*args)`` for each args tuple; results in submission order.
 
@@ -453,10 +452,9 @@ class WorkerPool:
 
         With ``store_as=(name, version)``, each task's result stays
         worker-resident under its partition index and a :class:`StoreRef`
-        (carrying the result's record count) is returned instead; add
-        ``returning=True`` to get ``(ref, result)`` pairs when the driver
-        needs the value too (e.g. to build a global index).  A :class:`Staged`
-        result keeps its ``value`` and always returns ``(ref, report)``.
+        (carrying the result's record count) is returned instead.  A
+        :class:`Staged` result keeps its ``value`` and returns ``(ref,
+        report)``: what the driver needs besides (e.g. a global index's input).
 
         The first failing task's exception is re-raised on the driver
         (:func:`~repro.engine.worker.raise_failure`).  A worker dying or
@@ -498,7 +496,7 @@ class WorkerPool:
                         task_id = self._task_counter
                         self._task_counter += 1
                         store_key = (*store_as, part) if store_as else None
-                        command = ("task", task_id, fid, blob, store_key, returning)
+                        command = ("task", task_id, fid, blob, store_key)
                         self._ship(worker, command, len(blob), call)
                         pending[task_id] = (i, worker)
                         task_gens[task_id] = self._worker_gen[worker]
@@ -742,7 +740,7 @@ class WorkerPool:
                     self._task_counter += 1
                     with self._reply_cond:
                         self._abandon_locked(task_id)
-                    command = ("task", task_id, fid, args_blob, (name, version, part), False)
+                    command = ("task", task_id, fid, args_blob, (name, version, part))
                     self._ship(worker, command, len(args_blob), call)
         except Exception:
             # Last resort: the rebuild itself failed (unpicklable source,

@@ -26,10 +26,10 @@ from typing import Any, Iterator, Sequence
 from .worker import StoreRef
 
 # Most-recently-used derived results (per pool) kept worker-resident.  Each
-# entry can hold table-sized state (e.g. a DC check's extraction vectors
-# plus a per-worker index broadcast), so a long-lived session sweeping many
-# distinct constraints must not grow worker memory without bound: the
-# least-recently-used entry's store partitions are evicted past this cap.
+# entry can hold table-sized state (a DC check's left entries plus a
+# per-worker index broadcast, a dedup's merged blocks plus its q-gram bag
+# caches), so a session sweeping many distinct checks must not grow worker
+# memory without bound: the LRU entry's store partitions go past this cap.
 DERIVED_CACHE_LIMIT = 16
 
 Evictions = list[tuple[str, int | None]]

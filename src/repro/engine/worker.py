@@ -37,7 +37,7 @@ _MISSING = object()  # sentinel: distinguish "absent" from a stored None
 
 _OK = "ok"
 _STORED = "stored"  # result kept worker-resident; only a handle returns
-_STORED_RET = "stored_ret"  # kept worker-resident *and* returned
+_STORED_RET = "stored_ret"  # kept worker-resident, its Staged report returned
 _ERROR = "error"  # original exception survived a pickle round-trip
 _OPAQUE = "error_opaque"  # it did not; ship (type name, message, traceback)
 
@@ -197,7 +197,7 @@ def _worker_main(
                 spec = faults.pop(executed, None)
                 if spec is not None and spec.kind == "kill_before":
                     os._exit(13)
-                _, task_id, fid, args_blob, store_key, returning = cmd
+                _, task_id, fid, args_blob, store_key = cmd
                 try:
                     args = pickle.loads(args_blob)
                     resolved = tuple(_resolve_arg(store, a) for a in args)
@@ -210,7 +210,7 @@ def _worker_main(
                         )
                     result = func(*resolved)
                     if store_key is not None:
-                        back = result if returning else _MISSING
+                        back = _MISSING
                         if isinstance(result, Staged):  # keep the value, report the counts
                             result, back = result
                         store[store_key] = result
@@ -272,7 +272,7 @@ def is_failure(reply: tuple) -> bool:
 def decode_reply(reply: tuple, store_as: tuple[str, int] | None, part: int) -> Any:
     """A successful reply tail as its task's result: the unpickled value, a
     :class:`StoreRef` to the partition stored under ``store_as``, or the
-    ``(ref, value)`` pair of a returning stage.  A payload that fails to
+    ``(ref, report)`` pair of a :class:`Staged` one.  A payload that fails to
     unpickle (transport corruption) raises; the caller retries the task."""
     tag = reply[0]
     if tag == _OK:

@@ -154,3 +154,32 @@ def test_random_fault_schedules_are_invisible(oracle, deadline, records, schedul
         assert repr(pool.fetch(srefs)) == sparts
     finally:
         pool.shutdown()
+
+
+def test_a_worker_killed_between_warm_dedups_replays_blocks_and_bags(deadline):
+    """On two partitions each worker runs one task per dispatch: a cold
+    dedup is three (map, merge, pairs), a warm one a single pairs task.  So
+    worker 0 killed before its fifth task dies between the two warm calls;
+    its replacement rebuilds the merged blocks from their stage lineage and
+    the q-gram bag cache from its broadcast, and the answers and simulated
+    ledger are a fault-free run's."""
+    rows = with_rids({"k": i % 3, "s": f"{i % 5} main st {i % 2}"} for i in range(24))
+    simulated = ("name", "per_node_work", "shuffled_records", "shuffle_cost")
+
+    def three_dedups(plan):
+        with WorkerPool(2, fault_plan=plan, task_deadline=deadline) as pool:
+            db = CleanDB(num_nodes=2, execution="parallel", pool=pool)
+            db.register_table("t", [dict(r) for r in rows])
+            out = []
+            for _ in range(3):
+                mark = len(db.cluster.metrics.ops)
+                pairs = repr(db.deduplicate("t", ["s"], block_on="k", theta=0.5))
+                ops = [[getattr(op, f) for f in simulated] for op in db.cluster.metrics.ops[mark:]]
+                out.append((pairs, ops))
+            return out, pool.tasks_dispatched, pool.retries_total, db.cluster.metrics.degraded_ops
+
+    clean, tasks, retries, _ = three_dedups(FaultPlan())
+    assert tasks == 2 * (3 + 1 + 1) and retries == 0
+    faulted, _, retries, degraded = three_dedups(FaultPlan().kill_before(0, 5))
+    assert retries >= 1 and degraded == 0
+    assert faulted == clean

@@ -13,7 +13,7 @@ import math
 import pickle
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fixtures import SETTINGS, WORKERS, dirty_lineitem_rows, record_sets, with_rids
@@ -32,6 +32,8 @@ from repro.cleaning.denial import (
     check_dc,
     check_dc_columnar,
     check_dc_parallel,
+    check_fd,
+    check_fd_parallel,
     find_violations,
 )
 from repro.engine import Cluster
@@ -165,6 +167,33 @@ def test_backends_byte_identical(par_cluster, records, constraint):
     col = check_dc_columnar(col_cluster, records, constraint).collect()
     assert par == row
     assert col == row
+
+
+def object_ids(items):
+    """The identity of every row an output holds, in output order."""
+    return [tuple(map(id, rows)) for rows in items]
+
+
+@given(record_sets, CONSTRAINTS, st.booleans())
+@example(
+    [{"a": 0, "b": 1, "c": None}, {"a": 1, "b": 0, "c": None}],
+    DenialConstraint((TuplePredicate("a", "<", "a"), TuplePredicate("b", ">", "b"))),
+    False,
+)
+@SETTINGS
+def test_parallel_replies_are_the_row_drivers_own_rows(par_cluster, records, constraint, ids):
+    """Workers name rows by their index in the driver's table; resolved,
+    the FD witnesses and DC pairs are the row driver's very dicts (``is``),
+    in its order — on id-less tables, on null-laden columns, and below
+    ``default_parallelism`` rows, where the round-robin stride clamps."""
+    records = _with_rids(records) if ids else [dict(r) for r in records]
+    row_dc = check_dc(Cluster(num_nodes=3).parallelize(records), constraint).collect()
+    par_dc = check_dc_parallel(par_cluster, records, constraint).collect()
+    assert object_ids(par_dc) == object_ids(row_dc)
+    row_fd = check_fd(Cluster(num_nodes=3).parallelize(records), ["a"], ["b"]).collect()
+    par_fd = check_fd_parallel(par_cluster, records, ["a"], ["b"]).collect()
+    assert [(v.key, v.rhs_values) for v in par_fd] == [(v.key, v.rhs_values) for v in row_fd]
+    assert object_ids(v.records for v in par_fd) == object_ids(v.records for v in row_fd)
 
 
 @given(record_sets)

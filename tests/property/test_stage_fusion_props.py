@@ -12,8 +12,8 @@ contracts are pinned here:
   record counts they report are the intermediate lengths — which is all the
   driver prices a stage from, so the simulated ledger cannot drift.
 * **Dispatch counts** — the number of ``WorkerPool.run`` rounds per
-  operation is the design: ``check_fd`` 2, a warm ``check_dc`` 1,
-  ``deduplicate`` at most 3, the GROUP BY shape at most 3, a DAG the
+  operation is the design: ``check_fd`` 2, a warm ``check_dc`` 1, a warm
+  ``deduplicate`` 1, the GROUP BY shape at most 3, a DAG the
   parallel backend cannot claim 0.  Nobody un-fuses a stage silently —
   and none of it passes vacuously: the pool must have dispatched tasks.
 """
@@ -205,7 +205,7 @@ def test_dispatch_rounds_per_operation(counted):
     dc_rounds, dc_tasks, _ = rounds(dc)
     assert dc_rounds == 1 and dc_tasks > 0
     dedup_rounds, dedup_tasks, _ = rounds(dedup)
-    assert 0 < dedup_rounds <= 3 and dedup_tasks > 0
+    assert dedup_rounds == 1 and dedup_tasks > 0
     agg_rounds, agg_tasks, _ = rounds(agg)
     assert 0 < agg_rounds <= 3 and agg_tasks > 0
     assert db.cluster.metrics.degraded_ops == 0  # none of it fell back
