@@ -4,69 +4,64 @@
 only the delta to the worker pool's partition store; on the driver side,
 this module keeps *incremental states* — one per table and (operation,
 argument) signature, each an entry of ``TableStore.derived`` whose patch
-rule is :meth:`_Maintained.patch` — that are patched in place by probing
-the new or changed rows against maintained indexes instead of rescanning
-the table.  A state holds the store's own row list, not a copy: the row at
-``(partition, position)`` is ``rows[position * n + partition]``.
+rule is :meth:`_Maintained.patch` — patched in place by probing the new or
+changed rows against indexes over what the cold kernels compute, instead
+of rescanning the table.  A state holds the store's own row list, not a
+copy, and addresses a row only by its global row index ``g`` (the
+parallel driver's reply form).
 
 The correctness contract is strict: every ``emit()`` must be
 **byte-identical** (same objects, same order) to a cold re-run of the same
 check on the post-delta table.  The cold paths are deterministic functions
-of the partition layout, so each state reproduces that layout exactly:
+of the round-robin layout, row ``g`` in partition ``g % n`` for ``n =
+cluster.default_parallelism``, so each item's place is read off ``g``:
 
-* rows live at ``(partition, position) = (g % n, g // n)`` for global row
-  index ``g`` and ``n = cluster.default_parallelism`` — the round-robin
-  layout every backend derives from the driver's table list;
-* FD output order is the merge-side arrival order of combiners
-  (input-partition-major, first-seen key order) bucketed by
-  ``stable_hash(key) % n``;
-* DC output order is the banded scan's order — left entries
-  partition-major, candidates in band-sorted rank order within the probed
-  equality group;
-* dedup output order is block first-arrival order bucketed by
-  ``stable_hash(key) % n`` with ``join_members``'s rid-ordered pair
+* FD: the merge-side arrival order of combiners (input-partition-major,
+  first-seen key order) bucketed by ``stable_hash(key) % n``, ``key`` as
+  the group's rows spell it;
+* DC: the banded scan's order — left entries partition-major, candidates
+  in band-sorted rank order within the probed equality group;
+* dedup: block first-arrival order bucketed the same way, each block's
+  pairs in :func:`~repro.cleaning.dedup.block_pairs`'s order and
   orientation.
 
-States that cannot guarantee parity raise :class:`UnsupportedDelta` (at
-construction) or any exception (mid-patch): the store drops the state and
-the next check rebuilds it or falls back to the cold path, which is always
-correct.
+A state that cannot guarantee parity raises :class:`UnsupportedDelta` (at
+construction) or any exception (mid-patch): the store drops it and the
+next check rebuilds it or runs the cold path, which is always correct.
+The gates, all enforced here:
 
-Scope gates (all enforced here, not by callers; the first two by
-:func:`in_scope`, at build and on every patch):
+* a table smaller than ``num_partitions`` (the engines clamp the layout
+  below it), and a row that is not a dict with a non-``None`` ``_rid`` —
+  :func:`in_scope`, at build and on every patch;
+* FD and dedup: a group whose rows spell one key two ways (``1`` / ``1.0``
+  / ``True``; :func:`_spelled_alike`).  Cold merges equal keys within a
+  partition, routes each partition's group by its first row's spelling,
+  then merges equal keys within a bucket, so such rows form one group or
+  several by layout, where a table-wide index keeps one;
+* dedup: duplicate rids (pair dedupe keys on rid) and a callable blocking
+  spec;
+* a check whose arguments do not hash has no key to be kept under — the
+  same bound as the parallel backend's derived cache.
 
-* tables smaller than ``num_partitions`` never get incremental state —
-  below that size the engines clamp partition counts and the layout
-  arithmetic above does not hold;
-* every row (including delta rows) must be a dict carrying a non-``None``
-  ``_rid`` — the states address rows by it;
-* dedup additionally requires globally unique rids (its pair-dedupe
-  semantics key on rid) and a non-callable blocking spec;
-* a check whose arguments do not hash (a DC over unhashable constants)
-  has no key to be kept under — the same bound as the parallel backend's
-  derived cache.
-
-Cost notes: a patch and the ``emit`` after it cost O(delta x group), never
+Cost: a patch and the ``emit`` after it cost O(delta x group), never
 O(table); only producing the output list is proportional to its length.
-FD patches one sorted position list per changed row, and ``emit``
-re-merges the keys touched since the last one (a key's merge reads one
-first position per partition and rhs value) and re-sorts the cached
-violations, which are already nearly in order.  Dedup re-derives the
-blocks whose membership or stamps changed — verdicts between unchanged
-members come from the verdict cache — and concatenates the cached pair
-lists of the rest.  DC bisects each changed entry into or out of the
-cold builder's own index, then probes the delta both ways: delta-as-left
-against the groups it reaches, and the maintained left tuples whose
-equality key reaches a delta entry's group (``lefts``) against a
-delta-only index — one equality group's worth of probes per distinct delta
-key, in place of the cold path's extraction, group sort and full banded
-scan.  Constraints with more than one ordered predicate are the
-exception: they re-plan against the full entry set on every patch (band
-selection is data-dependent) and rebuild through
-:func:`~repro.cleaning.denial.build_dc_state` when the chosen plan
-changes; single-ordered constraints never re-plan, because
-:func:`~repro.cleaning.dc_kernel.plan_dc_entries` ignores the entries for
-them.
+FD patches one sorted row-index list per changed row; ``emit`` re-merges
+the touched keys (one first row per partition and rhs value each) and
+re-sorts the cached violations, already nearly in order.  Dedup re-derives
+each touched block and concatenates the rest's cached pairs; in a touched
+block only the pairs with a changed row are verified, O(delta x block)
+verifications, and the others are looked up in the block's cached pairs.
+Nothing per record outlives an emit: each verifies under its own join,
+preparing (q-gram bags included) every member of a touched block again.
+DC bisects each changed entry into or out of the cold builder's own index,
+then probes the delta both ways: delta-as-left against the groups it
+reaches, and the maintained left tuples reaching a delta entry's group
+(``lefts``) against a delta-only index.  A constraint with more than one
+ordered predicate re-plans against all entries on every patch (band
+selection is data-dependent) and rebuilds through
+:func:`~repro.cleaning.denial.build_dc_state` when the plan changes; a
+single-ordered one never re-plans
+(:func:`~repro.cleaning.dc_kernel.plan_dc_entries` ignores its entries).
 """
 
 from __future__ import annotations
@@ -108,9 +103,6 @@ class UnsupportedDelta(Exception):
     guarantee; the caller must use the cold path."""
 
 
-Placement = tuple[int, int]
-
-
 def _unlink(links: dict[Any, dict], key: Any, member: Any) -> None:
     """Drop ``member`` from ``links[key]``, and the key once it holds nothing."""
     held = links.get(key)
@@ -134,10 +126,20 @@ def in_scope(rows: Sequence[Any], num_partitions: int = 0) -> Sequence[Any]:
     return rows
 
 
+def _spelled_alike(held: Any, key: Any) -> None:
+    """The spelling gate: ``key`` joins a group of equal keys that its other
+    rows spell ``held``.  Equal ``str`` or ``int`` values have one spelling;
+    any other pair must agree on ``repr``, which ``stable_hash`` routes by."""
+    kind = type(key)
+    if held is key or (type(held) is kind and kind in (str, int)) or repr(held) == repr(key):
+        return
+    raise UnsupportedDelta("one key spelled two ways (1 / 1.0 / True): cold groups it by layout")
+
+
 class _Maintained:
-    """What the three states share: the store's row list read in the
-    round-robin layout every backend derives from it, the patch rule, and
-    the keyed re-fold behind every ``emit``."""
+    """What the three states share: the store's row list, addressed by
+    global row index, the patch rule, and the keyed re-fold behind every
+    ``emit``."""
 
     def __init__(self, rows: list, num_partitions: int):
         self.rows = in_scope(rows, num_partitions)
@@ -145,13 +147,9 @@ class _Maintained:
         self._touched: set = set()
         self._cached: list = []
 
-    def _row(self, placement: Placement) -> dict:
-        return self.rows[placement[1] * self.num_partitions + placement[0]]
-
-    def _placements(self, globals_: Iterable[int]) -> list[Placement]:
-        """Where global row index ``g`` lives: ``(g % n, g // n)``."""
-        n = self.num_partitions
-        return [(g % n, g // n) for g in globals_]
+    def _arrival(self, g: int) -> tuple[int, int]:
+        """Row ``g``'s rank in a cold kernel's partition-major pass."""
+        return g % self.num_partitions, g
 
     def patch(self, base: int, appended: Sequence[dict], updated: Sequence[tuple[int, dict]]):
         """``TableStore.derived``'s patch rule: fold one delta, already
@@ -166,11 +164,13 @@ class _Maintained:
     def _refold(self, kept: dict, fold: Callable[[Any], tuple | None]) -> list:
         """A check is a fold per key and the monoid is associative (§4): re-
         fold the keys touched since the last emit, keep every other key's
-        ``(place in the cold output, items)``, emit sorted by place."""
+        ``(place in the cold output, items)``, emit sorted by place.  A fold
+        may read its key's entry as of the last emit."""
         if self._touched:
             for key in self._touched:
-                kept.pop(key, None)
-                if (entry := fold(key)) is not None:
+                if (entry := fold(key)) is None:
+                    kept.pop(key, None)
+                else:
                     kept[key] = entry
             self._touched.clear()
             self._cached = [
@@ -189,13 +189,14 @@ class IncrementalFD(_Maintained):
 
     The cold aggregate path's answer for one key is a pure function of
     where each ``(partition, rhs)`` pair first occurs: a partition's
-    combiner lists the key's distinct rhs values in min-position order
-    with exactly those rows as witnesses, and the merge side folds the
+    combiner lists the key's distinct rhs values in first-row order with
+    exactly those rows as witnesses, and the merge side folds the
     combiners input-partition-major.  So the maintained truth is
-    ``groups[key][(p, rhs)] = ascending positions``; sorting one key's
-    ``(p, min position)`` pairs yields its rhs order, its witnesses and
-    its arrival rank.  A mutation marks its old and new key touched;
-    ``emit`` re-merges only those and keeps every other key's violation."""
+    ``groups[key][(g % n, rhs)] = ascending row indices``; sorting one
+    key's ``(partition, first row)`` pairs yields its rhs order, its
+    witnesses and its arrival rank.  A mutation marks its old and new key
+    touched; ``emit`` re-merges only those and keeps every other key's
+    violation."""
 
     def __init__(
         self,
@@ -212,57 +213,60 @@ class IncrementalFD(_Maintained):
         self.lhs_func: Callable[[dict], Any] = _key_func(list(lhs))
         self.rhs_func: Callable[[dict], Any] = _key_func(list(rhs))
         self.keep_records = bool(keep_records)
-        # rowkeys[p][pos] = (key, rhs): O(1) old-value lookup on update.
-        self.rowkeys: list[list[tuple[Any, Any]]] = [[] for _ in range(num_partitions)]
+        # keys[g] = (key, rhs) as row g spells them: what an update detaches.
+        self.keys: list[tuple[Any, Any]] = []
         self.groups: dict[Any, dict[tuple[int, Any], list[int]]] = {}
         # Violating key -> (its place in the cold output, (the violation,)):
-        # the place is (merge bucket, first arrival = the lowest partition
-        # holding the key and the key's minimum position there).
+        # the place is (merge bucket, first arrival of the key).
         self.violations: dict[Any, tuple[tuple[int, int, int], tuple[FDViolation]]] = {}
         self._append(range(len(rows)), rows)
 
-    def _attach(self, p: int, pos: int, key: Any, rhs_value: Any) -> None:
-        insort(self.groups.setdefault(key, {}).setdefault((p, rhs_value), []), pos)
+    def _attach(self, g: int) -> None:
+        key, rhs_value = self.keys[g]
+        group = self.groups.setdefault(key, {})
+        if group:  # its members spell the key alike: ask any one
+            _spelled_alike(self.keys[next(iter(group.values()))[0]][0], key)
+        insort(group.setdefault((g % self.num_partitions, rhs_value), []), g)
         self._touched.add(key)
 
-    def _detach(self, p: int, pos: int, key: Any, rhs_value: Any) -> None:
-        group = self.groups[key]
-        occupied = group[(p, rhs_value)]
-        occupied.remove(pos)
-        if not occupied:
-            del group[(p, rhs_value)]
+    def _detach(self, g: int) -> None:
+        key, rhs_value = self.keys[g]
+        group, slot = self.groups[key], (g % self.num_partitions, rhs_value)
+        group[slot].remove(g)
+        if not group[slot]:
+            del group[slot]
             if not group:
                 del self.groups[key]
         self._touched.add(key)
 
     def _append(self, changed: Sequence[int], rows: Sequence[dict]) -> None:
-        for (p, pos), row in zip(self._placements(changed), rows):
-            key, rhs_value = self.lhs_func(row), self.rhs_func(row)
-            self.rowkeys[p].append((key, rhs_value))
-            self._attach(p, pos, key, rhs_value)
+        for g, row in zip(changed, rows):
+            self.keys.append((self.lhs_func(row), self.rhs_func(row)))
+            self._attach(g)
 
     def _update(self, changed: Sequence[int]) -> None:
-        for p, pos in self._placements(changed):
-            row = self._row((p, pos))
-            key, rhs_value = self.lhs_func(row), self.rhs_func(row)
-            self._detach(p, pos, *self.rowkeys[p][pos])
-            self.rowkeys[p][pos] = (key, rhs_value)
-            self._attach(p, pos, key, rhs_value)
+        for g in changed:
+            self._detach(g)
+            row = self.rows[g]
+            self.keys[g] = (self.lhs_func(row), self.rhs_func(row))
+            self._attach(g)
 
     def _merge(self, key: Any) -> tuple | None:
         """Re-derive one key's violation, as the cold merge of its
         per-partition combiners would: one witness per combiner entry —
         the first bearer of each ``(partition, rhs)`` — in arrival order,
-        with the key and rhs values as those rows spell them (``True``
-        and ``1`` are one key, but not one ``repr``)."""
+        with the rhs values as those rows spell them (``True`` and ``1``
+        are one rhs value, but not one ``repr``)."""
         group = self.groups.get(key, {})
-        firsts = sorted((p, occupied[0]) for (p, _), occupied in group.items())
-        spelled = [self.rowkeys[p][i] for p, i in firsts]
+        firsts = sorted(self._arrival(occupied[0]) for occupied in group.values())
+        spelled = [self.keys[g] for _, g in firsts]
         rhs_values = tuple(dict.fromkeys(rhs_value for _, rhs_value in spelled))
         if len(rhs_values) <= 1:
             return None
-        rows = tuple(map(self._row, firsts)) if self.keep_records else ()
-        place = (stable_hash(key) % self.num_partitions, *firsts[0])
+        rows = tuple(self.rows[g] for _, g in firsts) if self.keep_records else ()
+        # Bucketed by the key as the group's rows spell it, which the
+        # gate keeps uniform: ``key`` may be a spelling that left it.
+        place = (stable_hash(spelled[0][0]) % self.num_partitions, *firsts[0])
         return place, (FDViolation(spelled[0][0], rhs_values, rows),)
 
     def emit(self) -> list[FDViolation]:
@@ -309,7 +313,7 @@ class IncrementalDC(_Maintained):
         self.viols: dict[int, dict[int, None]] = {}
         self.rev: dict[int, dict[int, None]] = {}
         # t1 -> (its place, its pairs) as of the last emit
-        self.kept: dict[int, tuple[Placement, list]] = {}
+        self.kept: dict[int, tuple[tuple[int, int], list]] = {}
         self._cached = []  # void the last answer: the scan touches every t1 it pairs
         for t1, t2 in scan_partition(lefts, self.index, self.plan, DCStats()):
             self._add_pair(t1.payload, t2.payload)
@@ -319,9 +323,9 @@ class IncrementalDC(_Maintained):
     def _entry(self, g: int) -> DCRecord:
         return self.entries[g % self.num_partitions][g // self.num_partitions]
 
-    def _place(self, entry: DCRecord) -> Placement:
+    def _place(self, entry: DCRecord) -> tuple[int, int]:
         """Where an entry sits in the cold, partition-major entry stream."""
-        return entry.payload % self.num_partitions, entry.payload
+        return self._arrival(entry.payload)
 
     def _left_key(self, entry: DCRecord) -> tuple:
         """The group ``entry`` probes as t1: the left values of the
@@ -401,9 +405,10 @@ class IncrementalDC(_Maintained):
         self._settle(changed)
 
     def _update(self, changed: Sequence[int]) -> None:
-        for (p, pos), g in zip(self._placements(changed), changed):
-            self._leave(self.entries[p][pos])
-            self.entries[p][pos] = self._extract(self.rows[g][RID], self.rows[g], g)
+        n = self.num_partitions
+        for g in changed:
+            self._leave(self._entry(g))
+            self.entries[g % n][g // n] = self._extract(self.rows[g][RID], self.rows[g], g)
         self._settle(changed)
 
     def _settle(self, changed: Sequence[int]) -> None:
@@ -455,17 +460,16 @@ class IncrementalDC(_Maintained):
 # ---------------------------------------------------------------------- #
 
 class IncrementalDedup(_Maintained):
-    """Maintained blocking index plus memoized pair verification.
+    """A maintained blocking index over the cold drivers' pair derivation.
 
-    Blocks map key -> member placements in (partition, position) order —
-    the arrival order of the cold aggregate grouping.  Each placement
-    carries a *stamp* bumped on update; prepared records and verification
-    verdicts are memoized against (placement, stamp) pairs, so a patch
-    re-verifies only pairs involving changed rows.  A mutation marks the
-    blocks it changes touched; ``emit`` re-derives only those.  An update retires the replaced row's prepared
-    record and every verdict keyed on it, so all three caches are bounded
-    by the live table, however long the update stream.
-    """
+    ``blocks[key]`` holds a block's row indices in partition-major order —
+    the arrival order of the cold grouping — and ``keys[g]`` row ``g``'s
+    block key.  A mutation marks the blocks it leaves and enters touched,
+    and the row changed; ``emit`` re-derives only the touched blocks
+    (:meth:`_block_pairs`) and keeps every other block's pairs.  A row
+    leaves or enters a block only by changing, so a block's unchanged
+    members were all in it when its cached pairs were derived: those
+    pairs are their verdicts."""
 
     def __init__(
         self,
@@ -480,97 +484,89 @@ class IncrementalDedup(_Maintained):
         if callable(block_on):
             raise UnsupportedDelta("callable blocking keys are opaque")
         super().__init__(rows, num_partitions)
-        self.attributes = list(attributes)
-        self.join = SimJoin(
-            self.attributes, metric=metric, theta=float(theta), filters=filters
-        )
-        self.key_func = block_key_func(block_on, self.attributes)
-        self.blocks: dict[Any, list[Placement]] = {}
-        self.key_of: dict[Placement, Any] = {}
-        self.stamps: dict[Placement, int] = {}
-        self.preps: dict[tuple[Placement, int], Any] = {}
-        # (member sig, member sig) -> the pair when it verified, else False
-        self.verify_cache: dict[tuple, DuplicatePair | bool] = {}
+        self.join_args = (list(attributes), metric, float(theta), filters)
+        self.key_func = block_key_func(block_on, attributes)
+        self.blocks: dict[Any, list[int]] = {}
+        self.keys: list = []
         # key -> (the block's place in the cold output, its pairs), for
         # every block that had pairs at the last emit; the place is (merge
-        # bucket, first arrival = earliest member placement).
+        # bucket, first arrival = earliest member).
         self.block_cache: dict[Any, tuple[tuple, list[DuplicatePair]]] = {}
         self._rids: set = set()
+        self._changed: set = set()  # rids appended or updated since the last emit
+        self._join: SimJoin | None = None  # set for the length of one emit
         self._append(range(len(rows)), rows)
 
+    def _enter(self, g: int) -> None:
+        key = self.keys[g]
+        members = self.blocks.setdefault(key, [])
+        if members:
+            _spelled_alike(self.keys[members[0]], key)
+        insort(members, g, key=self._arrival)
+        self._touched.add(key)
+        self._changed.add(self.rows[g][RID])
+
+    def _leave(self, g: int) -> None:
+        key = self.keys[g]
+        members = self.blocks[key]
+        members.remove(g)
+        if not members:
+            del self.blocks[key]
+        self._touched.add(key)
+
     def _append(self, changed: Sequence[int], rows: Sequence[dict]) -> None:
-        for placement, row in zip(self._placements(changed), rows):
-            rid = row[RID]
-            if rid in self._rids:
+        for g, row in zip(changed, rows):
+            if row[RID] in self._rids:
                 raise UnsupportedDelta(
                     "duplicate _rid: pair dedupe keys on rid, parity needs them "
                     "unique"
                 )
-            self._rids.add(rid)
-            stamp = self.stamps.setdefault(placement, 0)
-            self.preps[(placement, stamp)] = self.join.prepare(rid, row)
-            key = self.key_func(row)
-            self.key_of[placement] = key
-            insort(self.blocks.setdefault(key, []), placement)
-            self._touched.add(key)
+            self._rids.add(row[RID])
+            self.keys.append(self.key_func(row))
+            self._enter(g)
 
     def _update(self, changed: Sequence[int]) -> None:
-        for placement in self._placements(changed):
-            row = self._row(placement)
-            old_key = self.key_of[placement]
-            members = self.blocks[old_key]
-            # Retire the replaced row: its prepared record and its verdicts.
-            # A verdict is only ever recorded between two members of one
-            # block at their current stamps, so the row's block mates name
-            # every verdict that mentions it.
-            retired = (placement, self.stamps[placement])
-            self.preps.pop(retired, None)
-            for mate in members:
-                other = (mate, self.stamps[mate])
-                self.verify_cache.pop((retired, other), None)
-                self.verify_cache.pop((other, retired), None)
-            self.stamps[placement] = stamp = retired[1] + 1
-            self.preps[(placement, stamp)] = self.join.prepare(row[RID], row)
-            new_key = self.key_func(row)
-            self._touched.add(old_key)
-            if new_key != old_key:
-                members.remove(placement)
-                if not members:
-                    del self.blocks[old_key]
-                self.key_of[placement] = new_key
-                insort(self.blocks.setdefault(new_key, []), placement)
-                self._touched.add(new_key)
+        for g in changed:
+            self._leave(g)
+            self.keys[g] = self.key_func(self.rows[g])
+            self._enter(g)
 
-    def _block_pairs(self, members: list[Placement]) -> list[DuplicatePair]:
-        """One block's duplicate pairs.  A pair is built once, when it is
-        verified, and cached against both members' (placement, stamp) — an
-        update bumps the row's stamp, so a cached pair never holds a
-        replaced row."""
-        signature = [(pl, self.stamps[pl]) for pl in members]
-        preps = [self.preps[sig] for sig in signature]
-        sig_of = {id(prep): sig for prep, sig in zip(preps, signature)}
-        pairs: list[DuplicatePair] = []
-        # join_members with its verdicts memoized: the kernel's own (i, j)
-        # visit order and rid-ordered output orientation.
-        for a, b in self.join.block_pairs(preps):
-            ckey = (sig_of[id(a)], sig_of[id(b)])
-            pair = self.verify_cache.get(ckey)
-            if pair is None:
-                pair = self.verify_cache[ckey] = self.join.verify(a, b) and (
-                    _to_pair(a, b) if a.rid <= b.rid else _to_pair(b, a)
-                )
-            if pair:
-                pairs.append(pair)
-        return pairs
+    def _block_pairs(self, members: list[int]) -> list[DuplicatePair]:
+        """One block's pairs as :func:`~repro.cleaning.dedup.block_pairs`
+        derives them — the kernel's visit order, each pair rid-ordered —
+        but only a pair with a changed member is verified; a pair of two
+        unchanged members is one of the block's cached pairs or none."""
+        rows, join, changed = self.rows, self._join, self._changed
+        _, cached = self.block_cache.get(self.keys[members[0]], ((), ()))
+        held = {(pair.left_id, pair.right_id): pair for pair in cached}
+        out = []
+        for a, b in join.block_pairs([join.prepare(rows[g][RID], rows[g]) for g in members]):
+            left, right = (a, b) if a.rid <= b.rid else (b, a)
+            if a.rid in changed or b.rid in changed:
+                if join.verify(a, b):
+                    out.append(_to_pair(left, right))
+            elif pair := held.get((left.rid, right.rid)):
+                out.append(pair)
+        return out
 
     def _block(self, key: Any) -> tuple | None:
         members = self.blocks.get(key)
         if members and (pairs := self._block_pairs(members)):
-            return (stable_hash(key) % self.num_partitions, members[0]), pairs
+            # Bucketed by the key as the block's rows spell it (see _merge).
+            bucket = stable_hash(self.keys[members[0]]) % self.num_partitions
+            return (bucket, *self._arrival(members[0])), pairs
         return None
 
     def emit(self) -> list[DuplicatePair]:
-        return self._refold(self.block_cache, self._block)
+        """The touched blocks re-derive under one fresh join, as every cold
+        driver's call constructs one; it dies with the emit, its gram pool
+        and prepared records with it."""
+        self._join = SimJoin(*self.join_args)
+        try:
+            return self._refold(self.block_cache, self._block)
+        finally:
+            self._join = None
+            self._changed.clear()
 
 
 #: State class per operation tag — the first element of the key the facade

@@ -119,9 +119,9 @@ def gram_bag(text: str, q: int, pool: dict[str, str] | None = None) -> frozenset
     bag-intersection size, computed by one C-level set intersection.
 
     ``pool`` shares equal grams between bags: near-duplicate records hold
-    mostly the same grams, and a table-long incremental state holds every
-    record's bag.  The pool lives and dies with its owner, unlike
-    ``sys.intern``'s table, which never shrinks."""
+    mostly the same grams.  The pool lives and dies with its owner (one
+    join, or one :class:`BagCache`), unlike ``sys.intern``'s table, which
+    never shrinks."""
     grams = qgrams(text, q)
     if pool is not None:
         grams = [pool.setdefault(gram, gram) for gram in grams]

@@ -8,12 +8,15 @@ dispatch — so the bound holds on any host and a table-sized loop anywhere
 on the path fails it by three orders of magnitude.
 """
 
+import weakref
+
 import pytest
 
 import repro.cleaning.denial as denial
 import repro.cleaning.incremental as incremental
 from fixtures import WORKERS
 from repro import CleanDB
+from repro.cleaning.simjoin import SimJoin
 
 ROWS = 20_000
 DELTA = 20
@@ -100,6 +103,10 @@ def test_a_write_and_its_rechecks_do_delta_sized_work(session, monkeypatch):
     extracted = count(dc, "_extract")
     merged = count(fd, "_merge")
     derived = count(dedup, "_block_pairs", weigh=len)
+    # ... verifying only the pairs with a changed member: a pair of two
+    # unchanged members keeps its verdict.
+    verified = Counter(SimJoin.verify)
+    monkeypatch.setattr(SimJoin, "verify", lambda join, a, b: verified(join, a, b))
     # The DC kernel as the state calls it: left entries probed, index
     # entries built.
     probed = count(incremental, "scan_partition", weigh=lambda lefts, *rest: len(lefts))
@@ -127,6 +134,7 @@ def test_a_write_and_its_rechecks_do_delta_sized_work(session, monkeypatch):
     # Dedup: each changed row re-derives its old and its new block.
     assert derived.calls <= 2 * rows
     assert derived.work <= 2 * rows * (BLOCK + DELTA)
+    assert 0 < verified.calls <= rows * BLOCK
     # DC: the delta probes as left, plus one equality group's worth of
     # maintained lefts per delta row; only the delta is ever indexed.
     assert probed.calls == 4
@@ -145,10 +153,19 @@ def test_maintained_results_are_served_not_recomputed(session):
     assert names == ["incremental:fd:fd", "incremental:dc:dc", "incremental:dedup:dedup"]
 
 
-def test_dedup_caches_plateau_under_a_long_update_stream():
+def test_dedup_caches_plateau_under_a_long_update_stream(monkeypatch):
     """1 000 updates cycling over the same 20 rows: every 40 updates the
-    table is back where it was, and so must the caches be — a retired row
-    takes its prepared record and its verdicts with it."""
+    table is back where it was, and so must the state be — its block
+    index, per-row keys, block pairs and rids.  Nothing per text outlives
+    an emit: each builds its own join, whose gram pool dies with it."""
+    joins = []
+
+    def tracked(*args, **kwargs):
+        join = SimJoin(*args, **kwargs)
+        joins.append(weakref.ref(join))
+        return join
+
+    monkeypatch.setattr(incremental, "SimJoin", tracked)
     rows = [dict(dedup_row(i), _rid=i) for i in range(200)]
     db = CleanDB(incremental=True)
     try:
@@ -165,9 +182,11 @@ def test_dedup_caches_plateau_under_a_long_update_stream():
             moved = dedup_row(rid + BLOCK)  # the neighbouring block's shape
             db.update_rows("t", {rid: moved if (t // 20) % 2 == 0 else rows[rid]})
             got = dedup()
+            assert state._join is None and not state._changed
+            assert joins and not any(ref() for ref in joins)
             if t % 40 == 39:
                 sizes.append(
-                    (len(state.verify_cache), len(state.preps), len(state.block_cache))
+                    (len(state.blocks), len(state.keys), len(state.block_cache), len(state._rids))
                 )
         assert state_of(db, "t") is state  # never dropped for a cold rebuild
         assert len(set(sizes)) == 1, sizes

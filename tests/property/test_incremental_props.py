@@ -6,10 +6,11 @@ is a pure transport/CPU optimisation: after *any* interleaving of deltas
 and checks, the emitted result must be ``repr``-identical to registering
 the post-delta table in a fresh session and checking cold — on the row,
 vectorized, and parallel backends alike.  The generators bias toward the
-hard cases: null-laden rows, duplicate ``_rid`` collisions (which must
-trip the dedup gate into a cold fallback, not a wrong answer), empty
-deltas, and updates that resolve pre-existing violations.  Because each
-``emit`` patches the previous one, stale caches are the main risk: checks
+hard cases: null-laden rows, duplicate ``_rid`` collisions and keys
+spelled two ways (``1`` / ``1.0`` / ``True``) — which must trip the dedup
+and FD gates into a cold fallback, not a wrong answer — empty deltas, and
+updates that resolve pre-existing violations.  Because each ``emit``
+patches the previous one, stale caches are the main risk: checks
 run between some deltas and not others, every maintained result is asked
 for twice with the first answer emptied by its caller, and rows move
 between FD keys, DC equality groups and dedup blocks, emptying some.
@@ -32,26 +33,40 @@ RULES = (RULE, "t1.c == t2.c and t1.a < t2.a and t1.b != t2.b")
 _NAMES = itertools.count()
 
 plain_row = st.fixed_dictionaries({"a": values, "b": values, "c": values})
-# (kind, payload, whether a check follows this delta): two deltas with no
-# check between them must patch as well as two with one.
-deltas = st.lists(
-    st.one_of(
-        st.tuples(st.just("append"), st.lists(plain_row, max_size=4), st.booleans()),
-        st.tuples(
-            st.just("update"),
-            st.lists(
-                st.tuples(st.integers(min_value=0, max_value=30), plain_row),
-                max_size=3,
+# Keys spelled more than one way (``1 == 1.0 == True``, ``-2 == -2.0``) in
+# the columns FD and dedup group on; the shared ``values`` stay plain.
+spelled = st.one_of(values, st.sampled_from([1.0, -2.0, True, False]))
+spelled_row = st.fixed_dictionaries({"a": spelled, "b": values, "c": spelled})
+
+
+def _deltas(row):
+    """(kind, payload, whether a check follows this delta): two deltas with
+    no check between them must patch as well as two with one."""
+    return st.lists(
+        st.one_of(
+            st.tuples(st.just("append"), st.lists(row, max_size=4), st.booleans()),
+            st.tuples(
+                st.just("update"),
+                st.lists(
+                    st.tuples(st.integers(min_value=0, max_value=30), row),
+                    max_size=3,
+                ),
+                st.booleans(),
             ),
-            st.booleans(),
+            # A row appended to the registered list itself, no store call:
+            # the stamp must notice, and the next real delta must patch
+            # nothing stale.
+            st.tuples(st.just("grow"), row, st.booleans()),
         ),
-        # A row appended to the registered list itself, no store call: the
-        # stamp must notice, and the next real delta must patch nothing stale.
-        st.tuples(st.just("grow"), plain_row, st.booleans()),
-    ),
-    min_size=1,
-    max_size=4,
-)
+        min_size=1,
+        max_size=4,
+    )
+
+
+# Half the examples spell keys two ways, which mostly trips the FD and
+# dedup gates into a cold fallback; the other half keep the maintained
+# paths running.
+deltas = st.sampled_from([plain_row, spelled_row]).flatmap(_deltas)
 
 
 @pytest.fixture(scope="module", params=BACKENDS)
@@ -243,3 +258,101 @@ def test_incremental_path_actually_taken():
             assert f"incremental:{kind}:t" in names
     finally:
         db.close()
+
+
+def _cold_parity_through_deltas(execution, rows, appended, updates, check, **kwargs):
+    """``check`` answers alike, as ``repr``, on an incremental session and a
+    cold one: on the first check, after ``appended`` and after ``updates``."""
+    kwargs["execution"] = execution
+    if execution == "parallel":
+        kwargs["workers"] = WORKERS
+    db, cold = CleanDB(incremental=True, **kwargs), CleanDB(**kwargs)
+    try:
+        db.register_table("t", with_rids(rows))
+        for write in (
+            lambda: None,
+            lambda: db.append_rows("t", appended),
+            lambda: db.update_rows("t", updates),
+        ):
+            write()
+            cold.register_table("t", [dict(r) for r in db.table("t")])
+            assert repr(check(db)) == repr(check(cold))
+    finally:
+        db.close()
+        cold.close()
+
+
+def _spelled_rows(size, at, spellings, b=None):
+    """``size`` rows of distinct keys ``k`` but equal ``name``s, with
+    ``spellings`` of one key at rows ``at`` (and their ``b`` values)."""
+    rows = [{"k": 100 + i, "b": 0, "name": "same"} for i in range(size)]
+    for i, key, bv in zip(at, spellings, b or [0] * len(at)):
+        rows[i].update(k=key, b=bv)
+    return rows
+
+
+@pytest.mark.parametrize("execution", BACKENDS)
+def test_fd_key_spelled_apart_across_partitions(execution):
+    """``1`` at row 0 and ``1.0`` at row 1 of ten partitions: the cold fold
+    routes them to different merge buckets and reports nothing, so an
+    index that merges them reports a violation the cold path does not."""
+    _cold_parity_through_deltas(
+        execution,
+        _spelled_rows(32, (0, 1), (1, 1.0), b=(0, 1)),
+        [{"k": 1.0, "b": 2, "name": "same"}],
+        {5: {"k": 1, "b": 3, "name": "same"}, 1: {"k": 1, "b": 1, "name": "same"}},
+        lambda db: db.check_fd("t", ["k"], ["b"]),
+    )
+
+
+@pytest.mark.parametrize("execution", BACKENDS)
+def test_fd_key_spelled_apart_within_a_partition(execution):
+    """``-2`` at row 4 and ``-2.0`` appended at row 13 share partition 1 of
+    three: the cold fold merges them into one violation.  Then row 4 leaves
+    and row 7 joins as ``-2.0``: the group is all ``-2.0`` and takes its
+    merge bucket (2), after the violation on ``103`` (bucket 1), however
+    the key was first spelled."""
+    _cold_parity_through_deltas(
+        execution,
+        _spelled_rows(13, (4, 6), (-2, 103), b=(0, 1)),
+        [{"k": -2.0, "b": 1, "name": "same"}],
+        {4: {"k": 5, "b": 0, "name": "same"}, 7: {"k": -2.0, "b": 2, "name": "same"}},
+        lambda db: db.check_fd("t", ["k"], ["b"]),
+        num_nodes=3,
+    )
+
+
+@pytest.mark.parametrize("execution", BACKENDS)
+def test_dedup_block_key_spelled_apart(execution):
+    """Blocking on ``k`` over ``1`` and ``1.0`` with equal names: the cold
+    blocks never meet, so no pair."""
+    _cold_parity_through_deltas(
+        execution,
+        _spelled_rows(32, (0, 1), (1, 1.0)),
+        [{"k": 1.0, "b": 0, "name": "same"}],
+        {5: {"k": 1, "b": 0, "name": "same"}},
+        lambda db: db.deduplicate("t", ["name"], theta=0.5, block_on="k"),
+    )
+
+
+@pytest.mark.parametrize("execution", BACKENDS)
+def test_a_group_refilled_in_another_spelling_routes_by_it(execution):
+    """One update empties key ``1`` (row 0 moves to ``7``) and refills it
+    as ``1.0`` (rows 5 and 6): the gate never sees both spellings in one
+    group, and the refilled group must take ``1.0``'s merge bucket (7),
+    not ``1``'s (1) — after the violation and the pair on ``103``
+    (bucket 3)."""
+    _cold_parity_through_deltas(
+        execution,
+        _spelled_rows(32, (0, 2), (1, 103), b=(0, 1)),
+        [],
+        {
+            0: {"k": 7, "b": 0, "name": "same"},
+            5: {"k": 1.0, "b": 1, "name": "same"},
+            6: {"k": 1.0, "b": 2, "name": "same"},
+        },
+        lambda db: (
+            db.check_fd("t", ["k"], ["b"]),
+            db.deduplicate("t", ["name"], theta=0.5, block_on="k"),
+        ),
+    )
