@@ -206,15 +206,21 @@ def infer_table(rows: Sequence[Any], sample: int = 64) -> TableInfo:
 
 def _fold_rows(info: TableInfo, indexed: Iterable[tuple[int, Any]], sample: int) -> TableInfo:
     """Fold ``(row index, row)`` pairs into ``info``, up to the first row
-    that is not a dict."""
+    that is not a dict.  Past the sample a row only adds the keys not seen
+    yet, after one C-level subset check."""
+    columns = info.columns
+    known = columns.keys()
     for i, row in indexed:
         if not isinstance(row, dict):
             info.is_record = False
             return info
-        for key, value in row.items():
-            types = info.columns.setdefault(key, set())
-            if i < sample and value is not None:
-                types.add(type(value).__name__)
+        if i < sample:
+            for key, value in row.items():
+                types = columns.setdefault(key, set())
+                if value is not None:
+                    types.add(type(value).__name__)
+        elif not row.keys() <= known:
+            columns.update({key: set() for key in row if key not in columns})
     return info
 
 

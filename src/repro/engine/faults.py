@@ -14,10 +14,10 @@ A plan ships to each worker process at spawn
 it executes:
 
 * ``kill_before`` — the process ``os._exit``\\ s before running its Nth
-  task (the task, and everything queued behind it, is lost: the "node
+  task (its whole batch, and everything queued behind it, is lost: the "node
   crashed before the stage ran" case).
 * ``kill_after``  — the process exits after running the Nth task but
-  before replying (work done, result lost: the "crashed mid-reply" case —
+  before its batch replies (work done, results lost: "crashed mid-reply" —
   for ``store_as`` stages the stored partition dies with the process).
 * ``delay``       — the Nth task's reply is held for ``seconds`` (a hung
   or GC-stalled worker; trips the driver's deadline watchdog when the

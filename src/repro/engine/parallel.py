@@ -30,20 +30,25 @@ owns everything with a clock or a dispatch turn in it:
   worker is replaced and only *its* partitions are rebuilt from the
   registry's lineage; other workers' pins and other callers' state stay
   resident (``invalidate_store()`` is the last resort, taken only when a
-  rebuild itself fails).  Tasks lost to the dead worker are re-dispatched
-  under a bounded retry budget with linear backoff; only an exhausted
-  budget surfaces, as :class:`~repro.errors.WorkerTaskError`
-  (``exc_type="RetriesExhausted"``).  A :class:`~repro.engine.faults.
+  rebuild itself fails).  A worker's replies travel as one batch, so a
+  death mid-batch loses all of that batch's unsent replies, and every one
+  of its tasks is re-dispatched under a bounded retry budget with linear
+  backoff; only an exhausted budget surfaces, as
+  :class:`~repro.errors.WorkerTaskError` (``exc_type="RetriesExhausted"``).  A :class:`~repro.engine.faults.
   FaultPlan` injected at construction makes recovery deterministic enough
   for the chaos suites to assert byte-identical results.
 * **Concurrent callers** — the serving layer drives one pool from many
-  threads.  Dispatch (shipping pins and task batches) is serialized by a
-  FIFO ticket lock so each stage's commands land contiguously and fairly —
-  stage-granularity interleaving, no head-of-line blocking across queries
-  — while reply collection runs *outside* the lock: one caller at a time
-  pumps the shared result queue and routes other callers' replies to them
-  by task id, so worker compute for one query overlaps driver-side work
-  for another.  Each call's transport is credited to its own context.
+  threads.  A dispatch is one message each way per worker: one ``tasks``
+  command with all of the call's tasks for that worker out, one message
+  with their per-task reply tails back.  Dispatch (shipping pins and task
+  batches) is serialized by a FIFO ticket lock so each stage's commands
+  land contiguously and fairly — stage-granularity interleaving, no
+  head-of-line blocking across queries — while reply collection runs
+  *outside* the lock: one caller at a time pumps the shared result queue
+  and routes the tails of other callers' batches to them by task id, so
+  worker compute for one query overlaps driver-side work for another.
+  Each call's transport is credited to its own context, counted per task
+  payload and per reply tail, not per message.
 * **Query-scoped aborts** — a failing or aborted call leaves the pool and
   every other caller's pinned state intact; ``shutdown()`` (an explicit
   lifecycle decision, e.g. ``CleanDB.close()``) terminates outstanding
@@ -279,7 +284,7 @@ class WorkerPool:
     def _ship(self, worker: int, command: tuple, nbytes: int, call: _CallRecord) -> None:
         self._inboxes[worker].put(command)
         call.bytes += nbytes
-        call.ships += 1
+        call.ships += len(command[1]) if command[0] == "tasks" else 1  # payloads, not messages
 
     def _tell_all(self, *command: Any) -> None:
         """Queue an uncounted housekeeping command on every live worker."""
@@ -486,6 +491,7 @@ class WorkerPool:
                 pending.clear()
                 replies.clear()
                 task_gens: dict[int, int] = {}  # task_id -> gen at dispatch
+                batches: dict[int, list[tuple]] = {}  # worker -> its tasks
                 with self._dispatch_lock:
                     for i in outstanding:
                         part = task_parts[i]
@@ -496,19 +502,20 @@ class WorkerPool:
                         task_id = self._task_counter
                         self._task_counter += 1
                         store_key = (*store_as, part) if store_as else None
-                        command = ("task", task_id, fid, blob, store_key)
-                        self._ship(worker, command, len(blob), call)
+                        batches.setdefault(worker, []).append((task_id, fid, blob, store_key))
                         pending[task_id] = (i, worker)
                         task_gens[task_id] = self._worker_gen[worker]
                         if store_as is not None and attempt == 0:
                             self._store.record_stage(store_as, part, fblob, blob)
+                    for worker, batch in batches.items():
+                        self._ship(worker, ("tasks", batch), sum(len(t[2]) for t in batch), call)
                     call.tasks += len(outstanding)
                 # Fresh deadline window for the workers we just loaded, so
                 # a long pre-dispatch idle can't read as "already hung".
                 if self.task_deadline is not None:
                     now = time.monotonic()
                     with self._reply_cond:
-                        for worker in {w for _i, w in pending.values()}:
+                        for worker in batches:
                             self._hb_ts[worker] = max(self._hb_ts[worker], now)
                 lost = self._collect(pending, task_gens, replies, call)
                 retry_indices = [pending[task_id][0] for task_id in lost]
@@ -620,21 +627,22 @@ class WorkerPool:
             self._pump_busy = True
         try:
             try:
-                reply = self._outbox.get(timeout=_POLL_SECONDS)
+                batch = self._outbox.get(timeout=_POLL_SECONDS)
             except (queue_mod.Empty, OSError, ValueError):
                 # Closed-queue errors during shutdown behave like a timeout;
                 # the caller's liveness check surfaces the real state.
                 return []
-            task_id = reply[0]
-            if task_id in waiting:
-                return [(task_id, tuple(reply[1:]))]
+            # One message is one worker's batch: route each tail by task id.
             with self._reply_cond:
-                if self._abandoned.pop(task_id, _MISSING) is _MISSING:
-                    self._reply_buffers[task_id] = tuple(reply[1:])
-                    while len(self._reply_buffers) > REPLY_BUFFER_LIMIT:
-                        self._reply_buffers.popitem(last=False)
-                # else: late reply for an aborted/lost task — drop it
-            return []
+                for task_id, *tail in batch:
+                    if task_id in waiting:
+                        mine.append((task_id, tuple(tail)))
+                    elif self._abandoned.pop(task_id, _MISSING) is _MISSING:
+                        self._reply_buffers[task_id] = tuple(tail)
+                    # else: late reply for an aborted/lost task — drop it
+                while len(self._reply_buffers) > REPLY_BUFFER_LIMIT:
+                    self._reply_buffers.popitem(last=False)
+            return mine
         finally:
             with self._reply_cond:
                 self._pump_busy = False
@@ -718,15 +726,16 @@ class WorkerPool:
         store.  Rebuild commands enqueue ahead of the caller's retried
         tasks on the same FIFO inbox, which is the whole ordering argument:
         by the time a retried task resolves a handle, the partition is
-        resident again.  Stage-rebuild replies are pre-abandoned
-        (fire-and-forget); a rebuild that cannot even be dispatched falls
-        back to :meth:`invalidate_store`.
+        resident again.  The stage rebuilds ship as one ``tasks`` batch
+        whose replies are pre-abandoned (fire-and-forget); a rebuild that
+        cannot even be dispatched falls back to :meth:`invalidate_store`.
         """
         gen = self._worker_gen[worker]
         if self._recovered_gen[worker] == gen:
             return
         self._recovered_gen[worker] = gen
         try:
+            rebuilds: list[tuple] = []
             with self._store.lock:
                 for command in self._store.replay(worker):
                     if command[0] == "pin":
@@ -740,8 +749,9 @@ class WorkerPool:
                     self._task_counter += 1
                     with self._reply_cond:
                         self._abandon_locked(task_id)
-                    command = ("task", task_id, fid, args_blob, (name, version, part))
-                    self._ship(worker, command, len(args_blob), call)
+                    rebuilds.append((task_id, fid, args_blob, (name, version, part)))
+            if rebuilds:
+                self._ship(worker, ("tasks", rebuilds), sum(len(t[2]) for t in rebuilds), call)
         except Exception:
             # Last resort: the rebuild itself failed (unpicklable source,
             # broken queue).  Give up residency everywhere; callers fall

@@ -4,10 +4,13 @@ to or from it.
 A worker owns a task queue and a **partition store** of named, versioned
 partitions.  Commands arrive in queue order — ``pin`` (store a pickled
 partition), ``func`` (register a pickled callable under a driver-assigned
-id), ``task`` (run a registered function over pickled arguments), ``evict``
-/ ``evict_all`` / ``func_del`` / ``stop`` — and every task answers with one
-tagged reply.  Any top-level task argument that is a :class:`StoreRef` is
-resolved to the stored object inside the worker before the function runs.
+id), ``tasks`` (run registered functions over pickled arguments), ``evict``
+/ ``evict_all`` / ``func_del`` / ``stop``.  A dispatch is one message each
+way per worker: one ``tasks`` batch out, and back one message holding each
+task's tagged reply tail.  A worker that dies mid-batch loses the batch's
+unsent replies, and the driver retries all of its tasks.  Any top-level
+task argument that is a :class:`StoreRef` is resolved to the stored object
+inside the worker before the function runs.
 
 **Faithful errors** — an exception raised inside a worker travels back in
 an *envelope* (not via queue exception pickling) and is re-raised on the
@@ -151,6 +154,31 @@ def _resolve_arg(store: dict, arg: Any) -> Any:
     return arg
 
 
+def _run_task(store: dict, funcs: dict, fid: int, args_blob: bytes, store_key: Any) -> tuple:
+    """One task's reply tail: its result, kept under ``store_key`` or
+    shipped back, or its failure envelope — nothing is raised."""
+    try:
+        args = pickle.loads(args_blob)
+        resolved = tuple(_resolve_arg(store, a) for a in args)
+        func = funcs[fid]
+        if isinstance(func, _BrokenBlob):
+            what = func.label or f"task function {fid}"
+            raise RuntimeError(
+                f"{what} (function id {fid}) failed to unpickle in "
+                f"the worker: {func.error}"
+            )
+        result = func(*resolved)
+        if store_key is None:
+            return (_OK, pickle.dumps(result))
+        if isinstance(result, Staged):  # keep the value, report the counts
+            store[store_key] = result.value
+            return (_STORED_RET, _count(result.value), pickle.dumps(result.report))
+        store[store_key] = result
+        return (_STORED, _count(result))
+    except Exception as exc:  # noqa: BLE001 - every task error must travel back
+        return _failure_envelope(exc)
+
+
 def _worker_main(
     inbox: Any,
     outbox: Any,
@@ -163,14 +191,16 @@ def _worker_main(
 
     The store maps ``(name, version, part)`` to the resident object; the
     function registry maps driver-assigned ids to unpickled callables (each
-    function ships once per worker, not once per task).  No exception may
-    escape a task — every failure travels back as an envelope.
+    function ships once per worker, not once per task).  A ``tasks`` batch
+    runs in order; its reply tails go back in one message after the last
+    task.  No exception may escape a task — every failure travels back as
+    an envelope.
 
-    ``heartbeat`` is a shared array the worker ticks before and after every
-    command; the driver's deadline watchdog reads it to tell "hung" from
-    "slowly working".  ``fault_plan`` (tests only) schedules deterministic
-    crashes/delays/drops/corruptions by this worker's task count — see
-    :mod:`repro.engine.faults`.
+    ``heartbeat`` is a shared array the worker ticks on every command and
+    after every task; the driver's deadline watchdog reads it to tell "hung"
+    from "slowly working".  ``fault_plan`` (tests only) schedules
+    deterministic crashes/delays/drops/corruptions by this worker's task
+    count — see :mod:`repro.engine.faults`.
 
     The cycle collector is paused from a command's arrival to its reply and
     enabled while the worker waits for the next one — enabled here first,
@@ -192,47 +222,26 @@ def _worker_main(
         with collector_paused():
             beat()
             kind = cmd[0]
-            if kind == "task":
-                executed += 1
-                spec = faults.pop(executed, None)
-                if spec is not None and spec.kind == "kill_before":
-                    os._exit(13)
-                _, task_id, fid, args_blob, store_key = cmd
-                try:
-                    args = pickle.loads(args_blob)
-                    resolved = tuple(_resolve_arg(store, a) for a in args)
-                    func = funcs[fid]
-                    if isinstance(func, _BrokenBlob):
-                        what = func.label or f"task function {fid}"
-                        raise RuntimeError(
-                            f"{what} (function id {fid}) failed to unpickle in "
-                            f"the worker: {func.error}"
-                        )
-                    result = func(*resolved)
-                    if store_key is not None:
-                        back = _MISSING
-                        if isinstance(result, Staged):  # keep the value, report the counts
-                            result, back = result
-                        store[store_key] = result
-                        if back is _MISSING:
-                            reply = (task_id, _STORED, _count(result))
-                        else:
-                            reply = (task_id, _STORED_RET, _count(result), pickle.dumps(back))
-                    else:
-                        reply = (task_id, _OK, pickle.dumps(result))
-                except Exception as exc:  # noqa: BLE001 - every task error must travel back
-                    reply = (task_id, *_failure_envelope(exc))
-                if spec is not None:
-                    if spec.kind == "kill_after":
+            if kind == "tasks":
+                replies = []
+                for task_id, fid, args_blob, store_key in cmd[1]:
+                    executed += 1
+                    spec = faults.pop(executed, None)
+                    if spec is not None and spec.kind == "kill_before":
                         os._exit(13)
-                    if spec.kind == "drop":
-                        beat()
-                        continue
-                    if spec.kind == "delay":
-                        time.sleep(spec.seconds)
-                    if spec.kind == "corrupt":
-                        reply = (task_id, _OK, b"\x00corrupt reply payload")
-                outbox.put(reply)
+                    reply = (task_id, *_run_task(store, funcs, fid, args_blob, store_key))
+                    beat()
+                    if spec is not None:
+                        if spec.kind == "kill_after":
+                            os._exit(13)
+                        if spec.kind == "drop":
+                            continue
+                        if spec.kind == "delay":
+                            time.sleep(spec.seconds)
+                        if spec.kind == "corrupt":
+                            reply = (task_id, _OK, b"\x00corrupt reply payload")
+                    replies.append(reply)
+                outbox.put(replies)
             elif kind == "pin":
                 _, name, version, part, blob = cmd
                 try:

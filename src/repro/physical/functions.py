@@ -144,28 +144,29 @@ def query_functions(
 
     The dictionary a CLUSTER BY names is broadcast for the exact-match
     short-circuit; k-means centers are sampled from it when the branch
-    blocks by k-means, otherwise from the primary table's terms.
+    blocks by k-means, otherwise from the primary table's terms — on the
+    first k-means block key, so a query that never asks pays nothing.
     """
-    from ..cleaning.kmeans import assign_to_centers, reservoir_sample
-
     clusters = [b for b in branches if b.kind == "cluster_by"]
     dictionary = tables.get(clusters[0].params["dictionary"], []) if clusters else []
     dictionary_terms = {str(r) for r in dictionary}
     kmeans = [b for b in clusters if b.params.get("op") == "kmeans"]
-    if kmeans:
-        terms = [str(x) for x in tables.get(kmeans[0].params["dictionary"], [])]
-    else:
-        terms = [
-            str(next(iter(r.values()), "")) if isinstance(r, dict) else str(r)
-            for r in tables.get(primary, [])[: k * 20]
-        ]
-    centers = reservoir_sample(terms, k, seed=seed) or [""]
+    source = tables.get(kmeans[0].params["dictionary"] if kmeans else primary, [])
+    centers: list[str] = []
 
     def block_keys(kind: str, term: Any) -> list[Any]:
         text = str(term)
         if kind == "token_filtering":
             return list(set(qgrams(text, q)) or {""})
         if kind == "kmeans":
+            from ..cleaning.kmeans import assign_to_centers, reservoir_sample
+
+            if not centers:
+                terms = source if kmeans else [
+                    next(iter(r.values()), "") if isinstance(r, dict) else r
+                    for r in source[: k * 20]
+                ]
+                centers.extend(reservoir_sample([str(t) for t in terms], k, seed=seed) or [""])
             return assign_to_centers(text, centers, "LD", delta)
         if kind == "length_filtering":
             return [len(text) // 2]

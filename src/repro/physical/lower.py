@@ -42,7 +42,6 @@ from ..errors import PlanningError, SchemaError, StaleHandleError, WorkerTaskErr
 from ..monoid.expressions import Expr, compiled
 from ..monoid.monoids import Monoid, nest_accumulator
 from .functions import DEFAULT_FUNCTIONS, freeze
-from .theta_join import theta_join_cartesian, theta_join_matrix
 
 
 @dataclass
@@ -282,6 +281,8 @@ class Executor:
         return merged
 
     def _theta_join(self, op: Join, left: Dataset, right: Dataset) -> Dataset:
+        from .theta_join import theta_join_cartesian, theta_join_matrix
+
         pred = self._fn(op.predicate)
 
         def pair_pred(l_env: dict, r_env: dict) -> bool:

@@ -80,7 +80,8 @@ def test_row_query_never_reaches_the_pool(table_spec):
         "repro.engine.store", "repro.engine.transport",
         "repro.physical.parallel_exec", "repro.physical.vectorized", "repro.serving",
         "repro.cleaning.incremental", "repro.cleaning.repair", "repro.baselines",
-        "repro.evaluation.runner", "multiprocessing",
+        "repro.evaluation.runner", "repro.cleaning.kmeans", "repro.physical.theta_join",
+        "multiprocessing",
     )
 
 

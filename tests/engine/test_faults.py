@@ -181,6 +181,59 @@ class TestReplyFaultRecovery:
             assert pool.retries_total == 0
 
 
+class TestFaultsInsideABatch:
+    """A worker runs all of a call's tasks for it as one batch and replies
+    once: a crash mid-batch loses every unsent reply of that batch, while a
+    corrupt or dropped reply costs only its own task."""
+
+    PARTS = [[i, i + 1] for i in range(10)]  # 5 partitions on each worker
+
+    def _run(self, plan, **pool_args):
+        shipped = []
+        with WorkerPool(2, fault_plan=plan, **pool_args) as pool:
+            _forbid_invalidate(pool)
+            refs = pool.pin("t", 1, self.PARTS)
+            real_ship = pool._ship
+
+            def ship(worker, command, nbytes, call):
+                shipped.append((worker, command[0]))
+                real_ship(worker, command, nbytes, call)
+
+            pool._ship = ship
+            out = pool.run(_sum_part, [(ref,) for ref in refs])
+            pool._ship = real_ship
+            assert pool.pinned("t", 1) == refs
+            assert pool.fetch(refs) == self.PARTS
+            return out, pool.retries_total, list(pool._worker_gen), shipped
+
+    @pytest.mark.parametrize("kind", ["kill_before", "kill_after"])
+    def test_a_crash_mid_batch_retries_the_whole_batch(self, kind):
+        clean, retries, _, _ = self._run(FaultPlan())
+        assert retries == 0
+        plan = getattr(FaultPlan(), kind)(worker=1, nth=3)
+        out, retries, gens, shipped = self._run(plan)
+        assert out == clean
+        assert gens == [0, 1]  # only the crashed worker was replaced
+        assert retries == 5  # its whole batch, once: within max_task_retries
+        # Lineage rebuilt worker 1's pins; worker 0's were never reshipped.
+        assert "pin" in {command for w, command in shipped if w == 1}
+        assert "pin" not in {command for w, command in shipped if w == 0}
+
+    def test_a_corrupt_reply_retries_only_its_task(self):
+        clean, _, _, _ = self._run(FaultPlan())
+        out, retries, gens, _ = self._run(FaultPlan().corrupt(worker=0, nth=3))
+        assert out == clean
+        assert retries == 1
+        assert gens == [0, 0]
+
+    def test_a_dropped_reply_trips_the_watchdog_for_its_task_only(self):
+        clean, _, _, _ = self._run(FaultPlan())
+        out, retries, gens, _ = self._run(FaultPlan().drop(worker=1, nth=2), task_deadline=0.3)
+        assert out == clean
+        assert retries == 1
+        assert gens == [0, 1]
+
+
 class TestLineageKinds:
     def test_broadcast_survives_worker_death(self):
         plan = FaultPlan().kill_before(worker=1, nth=1)

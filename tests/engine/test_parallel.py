@@ -8,6 +8,7 @@ owning session's close() is what releases the processes.
 """
 
 import os
+import sys
 import threading
 
 import pytest
@@ -195,7 +196,7 @@ class TestAbortHygiene:
 
         def flaky_ship(worker, command, nbytes, call):
             shipped["n"] += 1
-            if shipped["n"] == 3:  # two tasks already in flight
+            if shipped["n"] == 2:  # one worker's batch already in flight
                 raise KeyboardInterrupt
             real_ship(worker, command, nbytes, call)
 
@@ -222,6 +223,91 @@ class TestAbortHygiene:
                 pool._abandon_locked(task_id)
             assert len(pool._abandoned) == ABANDONED_LIMIT
         assert pool.run(_square, [(3,)]) == [9]
+
+
+class TestBatchProtocol:
+    """A dispatch is one message each way per worker: one ``tasks`` command
+    carrying all of the call's tasks for that worker, and one reply message
+    carrying every task's reply tail."""
+
+    @staticmethod
+    def _spy(pool, monkeypatch):
+        sent, received = [], []
+        real_ship, real_outbox = pool._ship, pool._outbox
+
+        def ship(worker, command, nbytes, call):
+            sent.append((worker, command))
+            real_ship(worker, command, nbytes, call)
+
+        class Outbox:
+            def get(self, timeout):
+                message = real_outbox.get(timeout=timeout)
+                received.append(message)
+                return message
+
+            def __getattr__(self, name):
+                return getattr(real_outbox, name)
+
+        monkeypatch.setattr(pool, "_ship", ship)
+        monkeypatch.setattr(pool, "_outbox", Outbox())
+        return sent, received
+
+    def test_ten_parts_on_two_workers_ship_one_message_each_way_per_worker(
+        self, pool, monkeypatch
+    ):
+        pool.run(_square, [(1,), (2,)])  # register the function on both workers
+        sent, received = self._spy(pool, monkeypatch)
+        assert pool.run(_square, [(i,) for i in range(10)]) == [i * i for i in range(10)]
+        assert sorted(worker for worker, _ in sent) == [0, 1]
+        assert all(command[0] == "tasks" for _, command in sent)
+        assert {worker: len(command[1]) for worker, command in sent} == {0: 5, 1: 5}
+        assert [len(message) for message in received] == [5, 5]
+
+    def test_results_come_back_in_submission_order(self, pool, monkeypatch):
+        pool.run(_square, [(1,), (2,)])
+        sent, received = self._spy(pool, monkeypatch)
+        parts = [7, 2, 9, 0, 5, 4, 1, 8, 3, 6]
+        assert pool.run(_square, [(p,) for p in parts], parts=parts) == [p * p for p in parts]
+        assert (len(sent), len(received)) == (2, 2)
+
+    def test_a_one_task_run_is_a_batch_of_one(self, pool, monkeypatch):
+        pool.run(_square, [(1,), (2,)])
+        sent, received = self._spy(pool, monkeypatch)
+        assert pool.run(_square, [(7,)]) == [49]
+        assert [(worker, command[0], len(command[1])) for worker, command in sent] == [
+            (0, "tasks", 1)
+        ]
+        assert [len(message) for message in received] == [1]
+
+    def test_batches_route_to_their_callers_under_contention(self):
+        """More workers than cores, four callers and a short switch
+        interval: every batch's tails reach their own caller, in order,
+        and nothing is left parked in the router."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with WorkerPool(3) as pool:
+                out, errors = {}, []
+
+                def drive(base):
+                    try:
+                        out[base] = [
+                            pool.run(_square, [(base + i,) for i in range(10)]) for _ in range(10)
+                        ]
+                    except Exception as exc:  # pragma: no cover - diagnostic path
+                        errors.append(exc)
+
+                threads = [threading.Thread(target=drive, args=(b,)) for b in (0, 100, 200, 300)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads) and not errors
+                for base, runs in out.items():
+                    assert runs == [[(base + i) ** 2 for i in range(10)]] * 10
+                assert len(out) == 4 and not pool._reply_buffers
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestConcurrentCallers:

@@ -140,3 +140,23 @@ def test_engine_builtins_resolve_in_a_session():
             db.register_table(name, rows)
         assert db.check(CLUSTERED) == []
         assert db.execute(CLUSTERED).branch("cluster_by")
+
+
+@pytest.mark.parametrize("sql, terms", [
+    (PLAIN, ["stela gian", "stella gian"]),  # each row's first value
+    (CLUSTERED, ["stella gian", "john smith"]),  # the dictionary
+], ids=["plain", "cluster_by"])
+def test_kmeans_centers_are_sampled_on_the_first_kmeans_key_only(sql, terms, monkeypatch):
+    import repro.cleaning.kmeans as kmeans
+
+    samples = []
+    real = kmeans.reservoir_sample
+    monkeypatch.setattr(kmeans, "reservoir_sample", lambda *a, **kw: samples.append(a) or real(*a, **kw))
+    functions = bound(sql)
+    functions["block_keys"]("token_filtering", "ab")
+    assert samples == []  # a query that never blocks by k-means pays nothing
+    centers = real(terms, PARAMS["k"], seed=PARAMS["seed"])
+    for term in ["stella gian", "john smith", "jon smith"]:
+        want = kmeans.assign_to_centers(term, centers, "LD", PARAMS["delta"])
+        assert functions["block_keys"]("kmeans", term) == want
+    assert samples == [(terms, PARAMS["k"])]  # once per query, same terms
