@@ -36,7 +36,8 @@ operators, index positions and the left filter are resolved up front, a
 left tuple's values are read and null-checked once, each residual
 predicate is one comprehension over the surviving candidates, and the
 reverse-order check of the exactly-once rule is skipped when a strict
-order over one attribute proves both orders cannot violate.
+order over one attribute proves both orders cannot violate.  A delta's
+group probes many lefts through its right-anchored form, :func:`scan_right_anchored`.
 
 **Null semantics** are three-valued, SQL-style: a comparison with a
 missing or ``None`` operand never *satisfies* a DC predicate (so a null
@@ -506,8 +507,7 @@ def dc_group_key(entry: DCRecord, plan: DCPlan) -> tuple | None:
     (the maintained DC state patches by it), or ``None``: a null equality
     key or band value can never satisfy its predicate, so the entry has no
     candidates and is not indexed."""
-    group_key, _probe = _compiled(plan)
-    return group_key(entry)
+    return _compiled(plan)[0](entry)
 
 
 def build_dc_index(
@@ -525,7 +525,7 @@ def build_dc_index(
     value list; the scan then checks the band predicate explicitly, so
     planning can never change the answer.
     """
-    group_key, _probe = _compiled(plan)
+    group_key = _compiled(plan)[0]
     groups: dict[tuple, list[DCRecord]] = {}
     for entry in entries:
         key = group_key(entry)
@@ -537,16 +537,18 @@ def build_dc_index(
 
 
 def band_sorted(
-    members: list[DCRecord], band_idx: int | None
+    members: list[DCRecord], band_idx: int | None, side: str = "rvals"
 ) -> tuple[list | None, list[DCRecord]]:
     """One index group in probe form: ``(band values, members)`` sorted by
-    band value, or ``(None, members)`` in insertion order when there is no
-    band predicate or the values are mutually incomparable (the maintained
-    DC state re-forms a group through it when bisection cannot)."""
+    band value (their ``side``'s), or ``(None, members)`` in insertion order
+    when there is no band predicate or the values are mutually incomparable
+    (the maintained DC state re-forms a group through it when bisection
+    cannot; the right-anchored probe sorts its lefts by ``lvals``)."""
     if band_idx is not None:
+        at = DCRecord._fields.index(side)  # e[at] reads as fast as e.rvals
         try:
-            members = sorted(members, key=lambda e: e.rvals[band_idx])
-            return [e.rvals[band_idx] for e in members], members
+            members = sorted(members, key=lambda e: e[at][band_idx])
+            return [e[at][band_idx] for e in members], members
         except TypeError:
             pass
     return None, members
@@ -581,8 +583,17 @@ def scan_partition(
     violate, only the rid-ordered one is emitted (see module docstring),
     so partitions never double-report.
     """
-    _group_key, probe = _compiled(plan)
-    return probe(left_entries, index, stats, compare_unit)
+    return _compiled(plan)[1](left_entries, index, stats, compare_unit)
+
+
+def scan_right_anchored(
+    left_entries: Sequence[DCRecord], group: tuple[list | None, list[DCRecord]], plan: DCPlan
+) -> list[tuple[DCRecord, DCRecord]]:
+    """:func:`scan_partition`'s pairs for left entries that all probe one
+    index ``group``, found from the group's side: the lefts are sorted once
+    by band value and each member bisects its band range of them, the
+    operator mirrored.  Each t1's partners keep the group's order."""
+    return _compiled(plan)[2](left_entries, group)
 
 
 def scan_task(
@@ -604,9 +615,9 @@ def scan_task(
     return [e.payload for pair in pairs for e in pair], (stats.examined, stats.pairs, stats.work)
 
 
-def _compiled(plan: DCPlan) -> tuple[Callable, Callable]:
-    """``(group_key, probe)`` specialised for ``plan``: built on first use
-    and cached on the (frozen) plan, never pickled with it."""
+def _compiled(plan: DCPlan) -> tuple[Callable, Callable, Callable]:
+    """``(group_key, probe, probe_right)`` specialised for ``plan``: built
+    on first use and cached on the (frozen) plan, never pickled with it."""
     cached = vars(plan).get("_compiled")
     if cached is None:
         cached = _compile(plan)
@@ -614,16 +625,18 @@ def _compiled(plan: DCPlan) -> tuple[Callable, Callable]:
     return cached
 
 
-def _compile(plan: DCPlan) -> tuple[Callable, Callable]:
+def _compile(plan: DCPlan) -> tuple[Callable, Callable, Callable]:
     """Resolve everything a probe would otherwise look up per candidate:
     predicate operators, index positions, the left filter, and whether the
     reverse order of an emitted pair can violate at all."""
     preds = plan.constraint.predicates
     eq_idx, band_idx = plan.eq_idx, plan.band_idx
-    band_op = preds[band_idx].op if band_idx is not None else None
+    band_op = preds[band_idx].op if band_idx is not None else ""
+    # ``lv OP rv`` is ``rv MIRRORED lv``: the right-anchored probe's range.
+    mirrored_op = band_op.translate(str.maketrans("<>", "><"))
     residual = [(i, _RAW_OPS[preds[i].op]) for i in plan.residual_idx]
     # An unsortable group verifies the band predicate like a residual.
-    unbanded = [(band_idx, _RAW_OPS.get(band_op)), *residual]
+    unbanded = residual if band_idx is None else [(band_idx, _RAW_OPS[band_op]), *residual]
     every = [(i, _RAW_OPS[p.op]) for i, p in enumerate(preds)]
     passes = left_filter(plan.constraint)
     # A strict order over one attribute on both sides holds in at most one
@@ -655,6 +668,15 @@ def _compile(plan: DCPlan) -> tuple[Callable, Callable]:
                 return False
         return True
 
+    def mirrored(t1: DCRecord, t2: DCRecord, left_ok: dict[int, bool]) -> bool:
+        """Whether ``(t2, t1)`` violates too and is the one to emit (``left_ok``: one call's)."""
+        if not rid_after(t1.rid, t2.rid):
+            return False
+        ok = left_ok.get(id(t2))
+        if ok is None:
+            ok = left_ok[id(t2)] = passes(t2)
+        return ok and holds(t2, t1)
+
     def probe(
         left_entries: Sequence[DCRecord],
         index: dict[tuple, tuple[list | None, list[DCRecord]]],
@@ -662,19 +684,7 @@ def _compile(plan: DCPlan) -> tuple[Callable, Callable]:
         compare_unit: float,
     ) -> list[tuple[DCRecord, DCRecord]]:
         out: list[tuple[DCRecord, DCRecord]] = []
-        # Left-filter verdicts of reverse-checked entries, by identity: one
-        # evaluation per entry per call (the index keeps the entries alive).
         left_ok: dict[int, bool] = {}
-
-        def mirrored(t1: DCRecord, t2: DCRecord) -> bool:
-            """Whether ``(t2, t1)`` violates too and is the pair to emit."""
-            if not rid_after(t1.rid, t2.rid):
-                return False
-            ok = left_ok.get(id(t2))
-            if ok is None:
-                ok = left_ok[id(t2)] = passes(t2)
-            return ok and holds(t2, t1)
-
         # Same per-probe additions in the same order as a field update per
         # probe, so the simulated work is bit-identical.
         examined, work = stats.examined, stats.work
@@ -706,21 +716,44 @@ def _compile(plan: DCPlan) -> tuple[Callable, Callable]:
                 if lv is None:
                     cands = ()
                     break
-                cands = [
-                    t2
-                    for t2 in cands
-                    if (rv := t2.rvals[i]) is not None and op(lv, rv)
-                ]
+                cands = [t2 for t2 in cands if (rv := t2.rvals[i]) is not None and op(lv, rv)]
             rid = t1.rid
             cands = [t2 for t2 in cands if not rid == t2.rid]
             if not one_way:
                 # Both orders violating (symmetric constraints): emit only
                 # the rid-ordered pair so the union across partitions and
                 # backends reports each unordered pair exactly once.
-                cands = [t2 for t2 in cands if not mirrored(t1, t2)]
+                cands = [t2 for t2 in cands if not mirrored(t1, t2, left_ok)]
             out.extend(zip(repeat(t1), cands))
         stats.examined, stats.work = examined, work
         stats.pairs += len(out)
         return out
 
-    return group_key, probe
+    def probe_right(lefts: Sequence[DCRecord], group: tuple) -> list[tuple[DCRecord, DCRecord]]:
+        """The forward probe, loops swapped: each pair meets the same checks in the same order."""
+        out: list[tuple[DCRecord, DCRecord]] = []
+        left_ok: dict[int, bool] = {}
+        if band_idx is not None:
+            lefts = [t1 for t1 in lefts if not _is_null(t1.lvals[band_idx])]
+        values, lefts = band_sorted(lefts, band_idx, "lvals")
+        for t2 in group[1]:
+            rvals, cands, checks = t2.rvals, lefts, unbanded
+            if values is not None:
+                try:
+                    lo, hi = band_range(mirrored_op, values, rvals[band_idx])
+                    cands, checks = lefts[lo:hi], residual
+                except TypeError:
+                    pass
+            for i, op in checks:
+                if (rv := rvals[i]) is None:
+                    cands = ()
+                    break
+                cands = [t1 for t1 in cands if (lv := t1.lvals[i]) is not None and op(lv, rv)]
+            rid = t2.rid
+            cands = [t1 for t1 in cands if not t1.rid == rid]
+            if not one_way:
+                cands = [t1 for t1 in cands if not mirrored(t1, t2, left_ok)]
+            out.extend(zip(cands, repeat(t2)))
+        return out
+
+    return group_key, probe, probe_right

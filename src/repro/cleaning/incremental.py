@@ -55,10 +55,10 @@ Nothing per record outlives an emit: each verifies under its own join,
 preparing (q-gram bags included) every member of a touched block again.
 DC bisects each changed entry into or out of the cold builder's own index,
 then probes the delta both ways: delta-as-left against the groups it
-reaches, and the maintained left tuples reaching a delta entry's group
-(``lefts``) against a delta-only index.  A constraint with more than one
-ordered predicate re-plans against all entries on every patch (band
-selection is data-dependent) and rebuilds through
+reaches, and each delta group against the maintained lefts reaching it
+(``lefts``) from the group's side, O(delta x (log group + band range)).
+A constraint with more than one ordered predicate re-plans against all
+entries on every patch (band selection is data-dependent) and rebuilds through
 :func:`~repro.cleaning.denial.build_dc_state` when the plan changes; a
 single-ordered one never re-plans
 (:func:`~repro.cleaning.dc_kernel.plan_dc_entries` ignores its entries).
@@ -83,6 +83,7 @@ from .dc_kernel import (
     plan_dc_entries,
     record_extractor,
     scan_partition,
+    scan_right_anchored,
 )
 from .dedup import DuplicatePair, _to_pair, block_key_func
 from .denial import DCState, FDViolation, _key_func, build_dc_state
@@ -315,8 +316,7 @@ class IncrementalDC(_Maintained):
         # t1 -> (its place, its pairs) as of the last emit
         self.kept: dict[int, tuple[tuple[int, int], list]] = {}
         self._cached = []  # void the last answer: the scan touches every t1 it pairs
-        for t1, t2 in scan_partition(lefts, self.index, self.plan, DCStats()):
-            self._add_pair(t1.payload, t2.payload)
+        self._add_pairs(scan_partition(lefts, self.index, self.plan, DCStats()))
 
     # -- index maintenance --------------------------------------------- #
 
@@ -383,10 +383,11 @@ class IncrementalDC(_Maintained):
 
     # -- pair maintenance ---------------------------------------------- #
 
-    def _add_pair(self, t1: int, t2: int) -> None:
-        self.viols.setdefault(t1, {})[t2] = None
-        self.rev.setdefault(t2, {})[t1] = None
-        self._touched.add(t1)
+    def _add_pairs(self, pairs: Iterable[tuple[DCRecord, DCRecord]]) -> None:
+        for t1, t2 in pairs:
+            self.viols.setdefault(t1.payload, {})[t2.payload] = None
+            self.rev.setdefault(t2.payload, {})[t1.payload] = None
+            self._touched.add(t1.payload)
 
     def _drop_pairs_touching(self, changed: Iterable[int]) -> None:
         for g in changed:
@@ -427,17 +428,13 @@ class IncrementalDC(_Maintained):
             self._enter(entry)
         # Delta as left against the index (covers delta x delta once) ...
         delta_lefts = list(filter(self._passes, delta))
-        for t1, t2 in scan_partition(delta_lefts, self.index, self.plan, DCStats()):
-            self._add_pair(t1.payload, t2.payload)
-        # ... and the other lefts that reach a delta entry's group, against
-        # the delta only.
-        delta_index = build_dc_index(delta, self.plan)
+        self._add_pairs(scan_partition(delta_lefts, self.index, self.plan, DCStats()))
+        # ... and the other lefts that reach a delta entry's group, probed
+        # from the delta's side: one sort of a group's lefts per write.
         skip = set(changed)
-        old_lefts = [
-            e for key in delta_index for g, e in self.lefts.get(key, {}).items() if g not in skip
-        ]
-        for t1, t2 in scan_partition(old_lefts, delta_index, self.plan, DCStats()):
-            self._add_pair(t1.payload, t2.payload)
+        for key, group in build_dc_index(delta, self.plan).items():
+            if old_lefts := [e for g, e in self.lefts.get(key, {}).items() if g not in skip]:
+                self._add_pairs(scan_right_anchored(old_lefts, group, self.plan))
 
     # -- emission ------------------------------------------------------ #
 

@@ -107,9 +107,11 @@ def test_a_write_and_its_rechecks_do_delta_sized_work(session, monkeypatch):
     # unchanged members keeps its verdict.
     verified = Counter(SimJoin.verify)
     monkeypatch.setattr(SimJoin, "verify", lambda join, a, b: verified(join, a, b))
-    # The DC kernel as the state calls it: left entries probed, index
-    # entries built.
+    # The DC kernel as the state calls it: left entries probed forward and
+    # handed to the right-anchored scan (one call, so one sort, per group a
+    # delta reaches), index entries built.
     probed = count(incremental, "scan_partition", weigh=lambda lefts, *rest: len(lefts))
+    anchored = count(incremental, "scan_right_anchored", weigh=lambda lefts, *rest: len(lefts))
     indexed = count(incremental, "build_dc_index", weigh=lambda entries, plan: len(entries))
     # RULE has one ordered predicate: its plan never depends on the data,
     # so no write re-plans it or rebuilds the state.
@@ -135,13 +137,38 @@ def test_a_write_and_its_rechecks_do_delta_sized_work(session, monkeypatch):
     assert derived.calls <= 2 * rows
     assert derived.work <= 2 * rows * (BLOCK + DELTA)
     assert 0 < verified.calls <= rows * BLOCK
-    # DC: the delta probes as left, plus one equality group's worth of
-    # maintained lefts per delta row; only the delta is ever indexed.
-    assert probed.calls == 4
-    assert probed.work <= rows * (1 + DC_GROUP + DELTA)
+    # DC: the delta probes as left, one forward scan per write; each group
+    # the delta reaches scans its maintained lefts from the delta's side.
+    # The 40 changed rows land in 40 distinct groups, each holding at most
+    # one appended row; only the delta is ever indexed.
+    assert probed.calls == 2
+    assert probed.work <= rows
+    assert anchored.calls == rows
+    assert anchored.work <= rows * (DC_GROUP + 1)
     assert indexed.work == rows
     assert built.calls == 0
     assert [counter.calls for counter in planned] == [0, 0]
+
+
+def test_a_bulk_write_into_one_group_sorts_its_lefts_once(monkeypatch):
+    """200 rows appended to one DC equality group, then updated in it: the
+    group's maintained lefts reach the right-anchored scan once per write,
+    however many delta rows land there."""
+    db = CleanDB(incremental=True)
+    try:
+        db.register_table("dc", [dict(dc_row(i), _rid=i) for i in range(2000)])
+        db.check_dc("dc", RULE)
+        anchored = Counter(incremental.scan_right_anchored, weigh=lambda lefts, *rest: len(lefts))
+        monkeypatch.setattr(incremental, "scan_right_anchored", anchored)
+        # Group "c0" holds rows 0, 500, 1000 and 1500 of the 2 000.
+        db.append_rows("dc", [dict(dc_row(i), cat="c0") for i in range(2000, 2200)])
+        db.update_rows("dc", {g: dict(dc_row(g + 7), cat="c0") for g in range(2000, 2200)})
+        db.cluster.metrics.reset()
+        db.check_dc("dc", RULE)
+        assert [op.name for op in db.cluster.metrics.ops] == ["incremental:dc:dc"]
+        assert (anchored.calls, anchored.work) == (2, 4 + 4)
+    finally:
+        db.close()
 
 
 def test_maintained_results_are_served_not_recomputed(session):

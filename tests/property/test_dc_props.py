@@ -24,6 +24,7 @@ from repro.cleaning.dc_kernel import (
     plan_dc_entries,
     record_extractor,
     scan_partition,
+    scan_right_anchored,
 )
 from repro.cleaning.denial import (
     DenialConstraint,
@@ -400,3 +401,96 @@ def test_dc_stats_equal_the_seed():
         scan_partition(left, index, plan, stats, 0.3)
     assert (stats.examined, stats.pairs) == (2999, 24)
     assert stats.work.hex() == "0x1.c1d9999999999p+9"
+
+
+# --------------------------------------------------------------------- #
+# The right-anchored scan against the forward probe
+# --------------------------------------------------------------------- #
+#: Shapes that can raise ``TypeError`` on ``wide_records`` — ints against
+#: strings in the band, in a residual, and in the left filter the
+#: exactly-once rule evaluates on the group's members.
+RAISING_CONSTRAINTS = [
+    DenialConstraint((TuplePredicate("m", "<=", "m"),), name="mixed_band"),
+    DenialConstraint(
+        (
+            TuplePredicate("a", "==", "a"),
+            TuplePredicate("b", ">", "b"),
+            TuplePredicate("m", "<", "m"),
+        ),
+        name="mixed_residual",
+    ),
+    DenialConstraint(
+        (TuplePredicate("a", ">=", "b"),),
+        left_filters=(SingleFilter("m", "<", 1),),
+        name="mixed_filter",
+    ),
+]
+
+
+def _scanned(scan):
+    try:
+        return [(t1.rid, t2.rid) for t1, t2 in scan()]
+    except TypeError:
+        return TypeError
+
+
+def _partners(pairs):
+    """Each t1's partners, in the order the scan emitted them."""
+    out = {}
+    for t1, t2 in pairs:
+        out.setdefault(t1, []).append(t2)
+    return out
+
+
+def check_right_anchored(records, constraint, split):
+    """The entries on one side of ``split`` are the maintained lefts, the
+    others the delta (each way round, so the delta's rids sort both before
+    and after the lefts'): for every delta group, the lefts reaching it
+    give the same pair list from either side, the same partners in the
+    same order per t1, and raise ``TypeError`` in exactly the same cases."""
+    records = _with_rids(records)
+    extract, passes = record_extractor(constraint), left_filter(constraint)
+    entries = [extract(r["_rid"], r) for r in records]
+    plan = plan_dc_entries(constraint, entries)
+
+    def kept(entry):
+        try:
+            return passes(entry)
+        except TypeError:  # a left that raises never reaches a scan
+            return False
+
+    for old, delta in ((entries[:split], entries[split:]), (entries[split:], entries[:split])):
+        lefts = list(filter(kept, old))
+        for key, group in build_dc_index(delta, plan).items():
+            reaching = [e for e in lefts if tuple(e.lvals[i] for i in plan.eq_idx) == key]
+            forward = _scanned(lambda: scan_partition(reaching, {key: group}, plan, DCStats()))
+            right = _scanned(lambda: scan_right_anchored(reaching, group, plan))
+            if TypeError in (forward, right):
+                assert forward is right
+                continue
+            assert sorted(right) == sorted(forward)
+            assert _partners(right) == _partners(forward)
+
+
+@given(record_sets, CONSTRAINTS, st.integers(min_value=0, max_value=12))
+@settings(SETTINGS, max_examples=300)
+def test_right_anchored_scan_matches_forward(records, constraint, split):
+    check_right_anchored(records, constraint, split)
+
+
+@given(
+    wide_records,
+    st.sampled_from(WIDE_CONSTRAINTS + RAISING_CONSTRAINTS),
+    st.integers(min_value=0, max_value=12),
+)
+@settings(SETTINGS, max_examples=300)
+def test_right_anchored_scan_matches_forward_on_wide_records(records, constraint, split):
+    check_right_anchored(records, constraint, split)
+
+
+@pytest.mark.parametrize("split", [0, 1, 13, 27, 39])
+@pytest.mark.parametrize(
+    "constraint", WIDE_CONSTRAINTS + RAISING_CONSTRAINTS, ids=lambda c: c.name
+)
+def test_right_anchored_scan_matches_forward_on_the_dirty_table(constraint, split):
+    check_right_anchored(DIRTY_TABLE, constraint, split)
