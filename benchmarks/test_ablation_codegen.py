@@ -66,21 +66,16 @@ def test_ablation_codegen(benchmark, report, monkeypatch):
     streams = record_streams(monkeypatch)
     assert sum(len(envs) for _, _, envs in streams) > 1000
 
-    # Each mode's best round, as timeit reports: a replay takes milliseconds,
-    # so one round can be all scheduler stall on a shared host.
-    walls_i, walls_g = [], []
-
     def run():
         interpreted, wall_i = replay(
             streams, lambda expr: lambda env, funcs: evaluate(expr, env, funcs)
         )
         generated, wall_g = replay(streams, compiled)
-        walls_i.append(wall_i)
-        walls_g.append(wall_g)
-        return interpreted, generated
+        return interpreted, generated, wall_i, wall_g
 
-    interpreted, generated = benchmark.pedantic(run, rounds=3, iterations=1)
-    wall_i, wall_g = min(walls_i), min(walls_g)
+    interpreted, generated, wall_i, wall_g = benchmark.pedantic(
+        run, rounds=3, iterations=1
+    )
     rows = [
         {"mode": "interpreted", "wall_seconds": round(wall_i, 4)},
         {"mode": "generated", "wall_seconds": round(wall_g, 4)},

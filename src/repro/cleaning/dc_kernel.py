@@ -668,8 +668,11 @@ def _compile(plan: DCPlan) -> tuple[Callable, Callable, Callable]:
                 return False
         return True
 
+    # ``left_ok`` holds one probe call's left-filter verdicts of reverse-checked
+    # entries, by identity: one evaluation per entry per call (the index, or
+    # the right-anchored probe's group and lefts, keeps the entries alive).
     def mirrored(t1: DCRecord, t2: DCRecord, left_ok: dict[int, bool]) -> bool:
-        """Whether ``(t2, t1)`` violates too and is the one to emit (``left_ok``: one call's)."""
+        """Whether ``(t2, t1)`` violates too and is the pair to emit."""
         if not rid_after(t1.rid, t2.rid):
             return False
         ok = left_ok.get(id(t2))
@@ -716,7 +719,11 @@ def _compile(plan: DCPlan) -> tuple[Callable, Callable, Callable]:
                 if lv is None:
                     cands = ()
                     break
-                cands = [t2 for t2 in cands if (rv := t2.rvals[i]) is not None and op(lv, rv)]
+                cands = [
+                    t2
+                    for t2 in cands
+                    if (rv := t2.rvals[i]) is not None and op(lv, rv)
+                ]
             rid = t1.rid
             cands = [t2 for t2 in cands if not rid == t2.rid]
             if not one_way:

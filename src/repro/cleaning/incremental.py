@@ -55,8 +55,8 @@ Nothing per record outlives an emit: each verifies under its own join,
 preparing (q-gram bags included) every member of a touched block again.
 DC bisects each changed entry into or out of the cold builder's own index,
 then probes the delta both ways: delta-as-left against the groups it
-reaches, and each delta group against the maintained lefts reaching it
-(``lefts``) from the group's side, O(delta x (log group + band range)).
+reaches, and each reached group's maintained lefts (``lefts``), sorted once
+(O(G log G)), from the delta's side (O(log G + band range) per entry).
 A constraint with more than one ordered predicate re-plans against all
 entries on every patch (band selection is data-dependent) and rebuilds through
 :func:`~repro.cleaning.denial.build_dc_state` when the plan changes; a
