@@ -290,13 +290,14 @@ class CleanDB:
 
         Bumps the table version like :meth:`refresh_table`, but instead of
         re-pinning the whole table, the pinned partitions are *patched* in
-        the workers: each touched partition is extended with its share of
-        the new rows under the new version, untouched partitions are
-        re-keyed without moving, and the old version is evicted (stale
-        handles keep failing).  Dict rows without a ``_rid`` get one
-        assigned from their global position, matching
-        :meth:`register_table`.  Incremental check states absorb the new
-        rows in place.  An empty delta is a no-op (no version bump).
+        the workers by one-way commands the call does not wait on: each
+        touched partition is extended with its share of the new rows under
+        the new version, untouched partitions are re-keyed without moving,
+        and the old version is evicted (stale handles keep failing).  Dict
+        rows without a ``_rid`` get one assigned from their global
+        position, matching :meth:`register_table`.  Incremental check
+        states absorb the new rows in place.  An empty delta is a no-op (no
+        version bump).
         """
         self.tables.append(name, rows)
 
@@ -307,7 +308,8 @@ class CleanDB:
         ``_rid`` (a row's identity never changes through an update) and
         replaces the old row at **every** position bearing that rid.  An
         unknown rid or a non-dict replacement raises before any row
-        changes.  Version, store, and incremental-state handling mirror
+        changes.  Version, store (a one-way patch of the touched
+        partitions), and incremental-state handling mirror
         :meth:`append_rows`; an empty mapping is a no-op.
         """
         self.tables.update(name, rid_to_row)

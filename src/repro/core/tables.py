@@ -270,22 +270,22 @@ class TableStore:
         self, name: str, old_version: int, appended: Sequence[Any],
         updated: Sequence[tuple[int, Any]],
     ) -> None:
-        """Patch the pinned partitions from one delta, in one dispatch.
+        """Patch the pinned partitions from one delta, one way.
 
-        Each touched partition is extended with its share of the new rows
-        and has its replacements applied under the new version; untouched
-        partitions are re-keyed without moving; the old version is evicted,
-        so derived caches keyed on it die and stale handles fail loudly.
-        Requires the old version to be fully resident with matching counts;
-        anything short of that — cold pins, a restarted pool, a worker
-        death mid-patch — falls back to :meth:`_sync_pin`, which re-pins
-        the whole table under the new version (correct, just not
-        incremental).
+        Each partition's share — new rows land at ``global_index % n``,
+        replacements at their positions — ships as one ``patch`` command
+        (:meth:`WorkerPool.patch`) and no reply is awaited: a touched
+        partition becomes a fresh list under the new version, an untouched
+        one is re-keyed without moving; the old version's eviction queues
+        behind it, so derived caches keyed on it die and stale handles fail
+        loudly.  Requires the old version fully resident with matching
+        counts; anything short of that — cold pins, a restarted pool —
+        falls back to :meth:`_sync_pin`, which re-pins the whole table
+        under the new version (correct, just not incremental).
         """
         if not self.parallel:
             return
         from ..engine.transport import ShipLog
-        from ..physical.parallel_exec import _patch_task
         from ..sources.columnar import round_robin_split
 
         pool = self.cluster.pool
@@ -296,9 +296,6 @@ class TableStore:
         if refs is None or len(refs) != n or sum(max(r.count, 0) for r in refs) != old_count:
             self._sync_pin(name)
             return
-        # One task per partition, whatever the delta holds for it: appends
-        # land at ``global_index % n``, updates in place, and a partition
-        # the delta misses is aliased under the new version without moving.
         append_parts: list[list[Any]] = [[] for _ in range(n)]
         for j, row in enumerate(appended):
             append_parts[(old_count + j) % n].append(row)
@@ -306,24 +303,19 @@ class TableStore:
         for g, row in updated:
             update_parts[g % n].append((g // n, row))
         log = ShipLog(pool)
-        new_version = self.versions[name]
         try:
-            new_refs = pool.run(
-                _patch_task,
-                list(zip(refs, append_parts, update_parts)),
-                store_as=(pin_name, new_version),
-            )
             # The patched layout is round-robin over the post-delta rows,
-            # so the driver rows back the adopted version as plain re-pin
+            # so the driver rows back the new version as plain re-pin
             # lineage — a worker death after this delta rebuilds from the
             # current rows instead of chasing the evicted old version.
-            pool.adopt(
-                pin_name, new_version, new_refs, partitions=round_robin_split(self.rows[name], n)
+            pool.patch(
+                refs, self.versions[name], list(zip(append_parts, update_parts)),
+                round_robin_split(self.rows[name], n),
             )
             pool.evict(pin_name, old_version)
         except Exception:
-            # Worker death (store already invalidated) or any transport
-            # failure: full re-pin under the new version.
+            # A delta that does not pickle, a closed pool: full re-pin
+            # under the new version.
             self._sync_pin(name)
             return
         self.cluster.record_op(

@@ -390,11 +390,27 @@ class WorkerPool:
     def derived(self, key: tuple) -> dict | None:
         return self._store.derived(key)
 
-    def adopt(
-        self, name: str, version: int, refs: Sequence[StoreRef],
-        partitions: Sequence[Any] | None = None,
+    def patch(
+        self, refs: Sequence[StoreRef], version: int,
+        deltas: Sequence[tuple[list, list]], partitions: Sequence[Any],
     ) -> None:
-        self._store.adopt(name, version, refs, partitions)
+        """Move pinned partitions ``refs`` to ``version`` in the workers, one
+        way: ``deltas[i]``, partition ``refs[i]``'s appended rows and
+        ``(position, row)`` replacements, ships as one ``patch`` command and
+        no reply is awaited — the worker's FIFO inbox runs it before the old
+        version's ``evict`` and any task queued after it.  ``partitions``
+        (the post-delta rows as the workers hold them) become the new
+        version's re-pin lineage, so a worker lost with the patch still
+        queued rebuilds the new version, not the old."""
+        name = refs[0].name
+        new_refs = []
+        with self._shipping(name, version) as call:
+            for ref, (appended, updates) in zip(refs, deltas):
+                blob = pickle.dumps((appended, updates)) if appended or updates else b""
+                command = ("patch", name, ref.version, version, ref.part, blob)
+                self._ship(ref.part % self.workers, command, len(blob), call)
+                new_refs.append(StoreRef(name, version, ref.part, ref.count + len(appended)))
+        self._store.adopt(name, version, new_refs, partitions)
 
     def evict(self, name: str, version: int | None = None) -> None:
         """Drop a pinned/broadcast name (one version or all of them) from

@@ -82,39 +82,21 @@ class StoreRegistry:
                 entry["tasks"][part] = (fblob, args_blob)
 
     def adopt(
-        self,
-        name: str,
-        version: int,
-        refs: Sequence[StoreRef],
-        partitions: Sequence[Any] | None = None,
+        self, name: str, version: int, refs: Sequence[StoreRef], partitions: Sequence[Any]
     ) -> None:
-        """Register task-produced resident partitions as a pin.
-
-        ``run(store_as=...)`` leaves its output partitions in the worker
-        stores but does not record them here; adopting the returned refs
-        makes the output addressable through :meth:`pinned` exactly as if
-        it had been shipped with ``pin`` — this is how a delta patch
-        promotes its result to the table's new version without the rows
-        ever returning to the driver.
-
-        ``partitions`` (optional) supplies the driver-side rows backing the
-        adopted version so its lineage becomes a plain re-pin recipe.
-        Without it the version keeps whatever stage lineage ``run``
-        recorded — which references the *prior* version's handles, so it
-        only survives worker death while that prior version is resident.
-        Callers that hold the current rows anyway (the table store does)
-        should pass them.
-        """
+        """Register partitions the workers built in place as a pin — how a
+        delta patch promotes its result to the table's new version without
+        the rows ever returning to the driver.  ``partitions`` are the
+        driver-side rows backing the version, its re-pin lineage."""
         with self.lock:
-            # No bytes crossed the boundary for the adopted version itself;
+            # Only a delta crossed the boundary for the adopted version;
             # carry the prior version's footprint so the eviction governor
             # keeps seeing the table (deltas barely change its size).
             prior = [sz for (n, _v), sz in self._pin_sizes.items() if n == name]
             self._pins[(name, version)] = list(refs)
             if prior:
                 self._pin_sizes[(name, version)] = max(prior)
-            if partitions is not None:
-                self._lineage[(name, version)] = {"kind": "parts", "partitions": list(partitions)}
+            self._lineage[(name, version)] = {"kind": "parts", "partitions": list(partitions)}
 
     # -- reading -------------------------------------------------------- #
     def pinned(self, name: str, version: int) -> list[StoreRef] | None:

@@ -3,14 +3,18 @@ to or from it.
 
 A worker owns a task queue and a **partition store** of named, versioned
 partitions.  Commands arrive in queue order — ``pin`` (store a pickled
-partition), ``func`` (register a pickled callable under a driver-assigned
-id), ``tasks`` (run registered functions over pickled arguments), ``evict``
-/ ``evict_all`` / ``func_del`` / ``stop``.  A dispatch is one message each
-way per worker: one ``tasks`` batch out, and back one message holding each
-task's tagged reply tail.  A worker that dies mid-batch loses the batch's
-unsent replies, and the driver retries all of its tasks.  Any top-level
-task argument that is a :class:`StoreRef` is resolved to the stored object
-inside the worker before the function runs.
+partition), ``patch`` (store a resident partition plus a pickled delta
+under a new version), ``func`` (register a pickled callable under a
+driver-assigned id), ``tasks`` (run registered functions over pickled
+arguments), ``evict`` / ``evict_all`` / ``func_del`` / ``stop``.  Only
+``tasks`` is answered: a dispatch is one message each way per worker, one
+``tasks`` batch out, and back one message holding each task's tagged reply
+tail; every other command is one-way, and a ``pin`` or ``patch`` that
+fails leaves its error for the next task on that handle.  A worker that
+dies mid-batch loses the batch's unsent replies, and the driver retries
+all of its tasks.  Any top-level task argument that is a
+:class:`StoreRef` is resolved to the stored object inside the worker
+before the function runs.
 
 **Faithful errors** — an exception raised inside a worker travels back in
 an *envelope* (not via queue exception pickling) and is re-raised on the
@@ -115,7 +119,8 @@ def _failure_envelope(exc: BaseException) -> tuple:
 
 
 class _BrokenBlob:
-    """Worker-side marker for a pin/func blob that failed to unpickle.
+    """Worker-side marker for a pin/func blob that failed to unpickle (or,
+    ``how``, a ``patch`` that failed to apply).
 
     Stored in place of the object so the *next task touching it* can report
     the real cause (e.g. a class importable on the driver but not in the
@@ -126,11 +131,12 @@ class _BrokenBlob:
     blob".
     """
 
-    __slots__ = ("error", "label")
+    __slots__ = ("error", "label", "how")
 
-    def __init__(self, error: str, label: str = ""):
+    def __init__(self, error: str, label: str = "", how: str = "to unpickle"):
         self.error = error
         self.label = label
+        self.how = how
 
 
 def _resolve_arg(store: dict, arg: Any) -> Any:
@@ -148,7 +154,7 @@ def _resolve_arg(store: dict, arg: Any) -> Any:
             what = value.label or f"partition {arg.name!r}"
             raise StaleHandleError(
                 f"{what} (handle {arg.name!r} v{arg.version} part {arg.part}) "
-                f"failed to unpickle in the worker: {value.error}"
+                f"failed {value.how} in the worker: {value.error}"
             )
         return value
     return arg
@@ -250,6 +256,23 @@ def _worker_main(
                     # kill the worker; the next task on this handle reports why
                     store[(name, version, part)] = _BrokenBlob(
                         repr(exc), label=f"pinned partition {name!r} v{version} part {part}"
+                    )
+            elif kind == "patch":
+                # A fresh list: the old version's object is never mutated (a
+                # stale handle must keep failing, not see the delta).  An
+                # empty blob aliases the resident list under the new key.
+                _, name, old, version, part, blob = cmd
+                try:
+                    value = _resolve_arg(store, StoreRef(name, old, part))
+                    if blob:
+                        appended, updates = pickle.loads(blob)
+                        value = [*value, *appended]
+                        for pos, row in updates:
+                            value[pos] = row
+                    store[(name, version, part)] = value
+                except Exception as exc:  # noqa: BLE001 - as for a bad pin blob
+                    store[(name, version, part)] = _BrokenBlob(
+                        repr(exc), f"patched partition {name!r} v{version} part {part}", "to patch"
                     )
             elif kind == "func":
                 _, fid, blob, label = cmd

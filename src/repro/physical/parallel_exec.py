@@ -212,24 +212,6 @@ def _distinct_merge_task(part: list[tuple[Any, None]]) -> list[Any]:
     return list(seen)
 
 
-def _patch_task(existing: list, appended: list, updates: list) -> list:
-    """Worker task: one resident partition under the table's new version —
-    ``existing`` plus its share of the appended rows, with ``(position,
-    row)`` replacements applied.
-
-    A touched partition is a fresh list, so the old version's object is
-    never mutated (a stale handle must keep failing, not silently see the
-    delta); an untouched one is the same resident list aliased under the
-    new key — one handle-sized command, not a row shipment.
-    """
-    if not appended and not updates:
-        return existing
-    out = [*existing, *appended]
-    for pos, row in updates:
-        out[pos] = row
-    return out
-
-
 def resident_input(
     cluster: Any,
     records: list[Any],

@@ -119,13 +119,15 @@ def test_a_write_and_its_rechecks_do_delta_sized_work(session, monkeypatch):
     planned = [count(module, "plan_dc_entries") for module in (incremental, denial)]
     pool = db.cluster.pool
     runs = count(pool, "run")
+    patches = count(pool, "patch")
 
     for write in writes(db):
-        before = (runs.calls, pool.tasks_dispatched)
+        before = (runs.calls, patches.calls, pool.tasks_dispatched)
         write()
-        # One dispatch per written table, one task per partition.
-        assert runs.calls - before[0] == 1
-        assert pool.tasks_dispatched - before[1] == db.cluster.default_parallelism
+        # One one-way patch per written table: no dispatch, no task.
+        assert runs.calls - before[0] == 0
+        assert patches.calls - before[1] == 1
+        assert pool.tasks_dispatched == before[2]
         checks(db)
 
     rows = 2 * DELTA  # one append and one update per table

@@ -305,6 +305,69 @@ class TestDeltaFaults:
             db.close()
             oracle.close()
 
+    def test_worker_death_after_a_one_way_patch_recovers(self):
+        """A write awaits no reply, so a worker may die with its patch
+        still queued: the next parallel check (no maintained state on this
+        session) replays the new version from lineage and matches a cold
+        oracle; the old version is gone."""
+        db = CleanDB(num_nodes=4, execution="parallel", workers=WORKERS)
+        oracle = CleanDB(num_nodes=4)
+        try:
+            db.register_table("lineitem", dirty_lineitem_rows())
+            db.check_dc("lineitem", self.RULE)  # pin version 1
+            pool = db.cluster.pool
+            db.append_rows("lineitem", [{"price": 0.5, "qty": 9, "cat": "c1"}])
+            pool._procs[0].terminate()
+            pool._procs[0].join(timeout=5.0)
+            db.cluster.metrics.reset()
+            dispatched = pool.tasks_dispatched
+            got = db.check_dc("lineitem", self.RULE)
+            assert pool.tasks_dispatched > dispatched
+            assert not [op for op in db.cluster.metrics.ops if op.name.startswith("degraded")]
+            oracle.register_table("lineitem", list(db.table("lineitem")))
+            assert repr(got) == repr(oracle.check_dc("lineitem", self.RULE))
+            assert pool.pinned("table:lineitem", 2) is not None
+            assert pool.pinned("table:lineitem", 1) is None
+        finally:
+            db.close()
+            oracle.close()
+
+    def test_back_to_back_writes_land_in_order(self):
+        """Five one-way patches queued with no read between them: the
+        resident partitions equal the driver's split of the current rows."""
+        db = CleanDB(num_nodes=4, execution="parallel", workers=WORKERS, incremental=True)
+        try:
+            db.register_table("lineitem", dirty_lineitem_rows())
+            db.check_dc("lineitem", self.RULE)
+            db.append_rows("lineitem", [{"price": 0.5, "qty": 9, "cat": "c1"}])
+            db.update_rows("lineitem", {3: {"price": 7.0, "qty": 0, "cat": "c0"}})
+            db.append_rows("lineitem", [{"price": 1.5, "qty": i, "cat": "c0"} for i in range(5)])
+            db.update_rows("lineitem", {200: {"price": 2.0, "qty": 1, "cat": "c1"}, 7: {"qty": 4}})
+            db.append_rows("lineitem", [{"price": 9.5, "qty": 2, "cat": "c1"}])
+            pool = db.cluster.pool
+            pinned = pool.pinned(*db.tables.pinned_key("lineitem"))
+            assert db.tables.versions["lineitem"] == 6
+            assert pool.fetch(pinned) == split_for(db.table("lineitem"), db.cluster)
+        finally:
+            db.close()
+
+    def test_a_patch_without_its_base_fails_loudly(self):
+        """A worker that lost the base partition behind the registry's
+        back cannot patch it: the next task on the new handle raises
+        ``StaleHandleError`` naming the patched partition, never answers
+        from stale rows."""
+        db = CleanDB(num_nodes=4, execution="parallel", workers=WORKERS)
+        try:
+            db.register_table("lineitem", dirty_lineitem_rows())
+            db.check_dc("lineitem", self.RULE)
+            pool = db.cluster.pool
+            pool._tell_all("evict", "table:lineitem", 1)  # workers only
+            db.append_rows("lineitem", [{"price": 0.5, "qty": 9, "cat": "c1"}])
+            with pytest.raises(StaleHandleError, match="patched partition 'table:lineitem' v2"):
+                pool.fetch(pool.pinned("table:lineitem", 2))
+        finally:
+            db.close()
+
     @pytest.mark.parametrize("execution", ("row", "vectorized", "parallel"))
     def test_refresh_table_drops_incremental_state(self, execution):
         """``refresh_table`` after an external in-place mutation must drop
