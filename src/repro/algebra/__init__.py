@@ -12,9 +12,7 @@ if TYPE_CHECKING:
         RewriteReport, build_shared_dag, coalesce_nests, leaf_scan, optimize_branches,
         plan_signature,
     )
-    from .translate import (
-        Translator, conjoin, is_grouping, make_group_comprehension, split_conjuncts,
-    )
+    from .translate import Translator, conjoin, is_grouping, make_group_comprehension
 
 __getattr__, __dir__, __all__ = lazy_surface(__name__, {
     "operators": (
@@ -25,8 +23,5 @@ __getattr__, __dir__, __all__ = lazy_surface(__name__, {
         "RewriteReport", "build_shared_dag", "coalesce_nests", "leaf_scan",
         "optimize_branches", "plan_signature",
     ),
-    "translate": (
-        "Translator", "conjoin", "is_grouping", "make_group_comprehension",
-        "split_conjuncts",
-    ),
+    "translate": ("Translator", "conjoin", "is_grouping", "make_group_comprehension"),
 })

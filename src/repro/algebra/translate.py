@@ -61,13 +61,6 @@ def is_grouping(comp: Comprehension) -> bool:
     return names in (["key", "value"], ["keys", "value"])
 
 
-def split_conjuncts(expr: Expr) -> list[Expr]:
-    """Flatten a conjunction into its conjunct list."""
-    if isinstance(expr, BinOp) and expr.op == "and":
-        return split_conjuncts(expr.left) + split_conjuncts(expr.right)
-    return [expr]
-
-
 def conjoin(conjuncts: Sequence[Expr]) -> Expr:
     out: Expr = TRUE
     for c in conjuncts:

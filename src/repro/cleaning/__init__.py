@@ -17,27 +17,19 @@ if TYPE_CHECKING:
         DuplicatePair, deduplicate, deduplicate_columnar, deduplicate_parallel,
         ensure_rids, pairwise_within_blocks,
     )
-    from .domain import (
-        DomainRule, DomainViolation, InRange, InSet, Matches, NotNull, Satisfies,
-        check_domains, violation_summary,
-    )
     from .dc_kernel import (
         DCPlan, DCStats, null_safe_compare, parse_dc, plan_dc,
     )
     from .denial import (
         DC_STRATEGIES, DenialConstraint, FDViolation, SingleFilter, TuplePredicate,
         check_dc, check_dc_columnar, check_dc_parallel, check_fd, check_fd_columnar,
-        check_fd_parallel, find_violations, self_theta_join,
+        check_fd_parallel, find_violations,
     )
-    from .kmeans import (
-        assign_to_centers, fixed_step_centers, hierarchical_cluster, multi_pass_kmeans,
-        reservoir_sample, single_pass_kmeans,
-    )
+    from .kmeans import assign_to_centers, reservoir_sample
     from .ladder import run_check
     from .similarity import (
-        euclidean_similarity, get_metric, jaccard_similarity, jaro_similarity,
-        jaro_winkler_similarity, levenshtein_distance, levenshtein_similarity,
-        register_metric, similar,
+        get_metric, jaccard_similarity, jaro_similarity, jaro_winkler_similarity,
+        levenshtein_distance, levenshtein_similarity, register_metric, similar,
     )
     from .repair import (
         DCRepairReport, apply_term_repairs, repair_dc_by_relaxation,
@@ -48,11 +40,8 @@ if TYPE_CHECKING:
         banded_ld_similarity, ld_upper_bound,
     )
     from .term_validation import TermRepair, validate_terms
-    from .tokenize import normalize_term, qgrams, words
-    from .transform import (
-        FillMissing, SemanticMap, SplitAttribute, SplitDate, Transform,
-        TransformPipeline, project_all,
-    )
+    from .tokenize import qgrams, words
+    from .transform import FillMissing, SplitDate, Transform, TransformPipeline, project_all
 
 __getattr__, __dir__, __all__ = lazy_surface(__name__, {
     "blocking": (
@@ -66,10 +55,6 @@ __getattr__, __dir__, __all__ = lazy_surface(__name__, {
         "DuplicatePair", "deduplicate", "deduplicate_columnar", "deduplicate_parallel",
         "ensure_rids", "pairwise_within_blocks",
     ),
-    "domain": (
-        "DomainRule", "DomainViolation", "InRange", "InSet", "Matches", "NotNull",
-        "Satisfies", "check_domains", "violation_summary",
-    ),
     "dc_kernel": (
         "DCPlan", "DCStats", "null_safe_compare", "parse_dc", "plan_dc",
     ),
@@ -77,17 +62,12 @@ __getattr__, __dir__, __all__ = lazy_surface(__name__, {
         "DC_STRATEGIES", "DenialConstraint", "FDViolation", "SingleFilter",
         "TuplePredicate", "check_dc", "check_dc_columnar", "check_dc_parallel",
         "check_fd", "check_fd_columnar", "check_fd_parallel", "find_violations",
-        "self_theta_join",
     ),
-    "kmeans": (
-        "assign_to_centers", "fixed_step_centers", "hierarchical_cluster",
-        "multi_pass_kmeans", "reservoir_sample", "single_pass_kmeans",
-    ),
+    "kmeans": ("assign_to_centers", "reservoir_sample"),
     "ladder": ("run_check",),
     "similarity": (
-        "euclidean_similarity", "get_metric", "jaccard_similarity", "jaro_similarity",
-        "jaro_winkler_similarity", "levenshtein_distance", "levenshtein_similarity",
-        "register_metric", "similar",
+        "get_metric", "jaccard_similarity", "jaro_similarity", "jaro_winkler_similarity",
+        "levenshtein_distance", "levenshtein_similarity", "register_metric", "similar",
     ),
     "repair": (
         "DCRepairReport", "apply_term_repairs", "repair_dc_by_relaxation",
@@ -98,9 +78,6 @@ __getattr__, __dir__, __all__ = lazy_surface(__name__, {
         "SimJoin", "banded_ld_similarity", "ld_upper_bound",
     ),
     "term_validation": ("TermRepair", "validate_terms"),
-    "tokenize": ("normalize_term", "qgrams", "words"),
-    "transform": (
-        "FillMissing", "SemanticMap", "SplitAttribute", "SplitDate", "Transform",
-        "TransformPipeline", "project_all",
-    ),
+    "tokenize": ("qgrams", "words"),
+    "transform": ("FillMissing", "SplitDate", "Transform", "TransformPipeline", "project_all"),
 })

@@ -65,9 +65,10 @@ def token_blocks(
 ) -> Dataset:
     """Token-filtering blocks: one record appears in every q-gram group.
 
-    This is the scale-out execution of :class:`~repro.monoid.monoids.
-    TokenFilterMonoid`; the flatMap emits ``(token, record)`` pairs exactly
-    like Plan A of Fig. 1 unnests the token list.
+    The token-filtering monoid of §4.3 as Dataset operators: the flatMap
+    emits ``(token, record)`` pairs exactly like Plan A of Fig. 1 unnests
+    the token list.  A query runs the same blocking as a
+    ``MultiGroupMonoid`` Nest keyed by the ``block_keys`` builtin.
     """
 
     def tokens_of(record: Any) -> list[tuple[str, Any]]:

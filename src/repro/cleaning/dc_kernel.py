@@ -308,8 +308,10 @@ def plan_dc(
     """Split a DC into equi-prefix, band predicate, and residuals.
 
     Convenience wrapper over :func:`plan_dc_entries` for callers holding
-    plain dict records (tests, the repair engine); the engine backends
-    plan from the entries they extract anyway.
+    plain dict records (the denial-constraint tests read the chosen plan
+    through it); the engine plans from the entries it extracts anyway, in
+    ``denial.build_dc_state``, which repair reaches through
+    ``find_violations``.
     """
     entries = extract_partition(records, constraint)
     return plan_dc_entries(constraint, entries, sample=sample)

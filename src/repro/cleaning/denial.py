@@ -42,12 +42,7 @@ from ..engine.cluster import Cluster
 from ..engine.dataset import Dataset
 from ..engine.partitioner import HashPartitioner
 from ..engine.shuffle import exchange_resident
-from ..physical.theta_join import (
-    self_theta_join,
-    theta_join_cartesian,
-    theta_join_matrix,
-    theta_join_minmax,
-)
+from ..physical.theta_join import theta_join_cartesian, theta_join_matrix, theta_join_minmax
 from ..sources.columnar import round_robin_split
 from .dc_kernel import (
     DCPlan,
@@ -639,13 +634,9 @@ def check_dc_parallel(
     return Dataset(cluster, out_parts, op="dc:parallel")
 
 
-# ``self_theta_join`` is deliberately re-exported from
-# ``repro.physical.theta_join``: it is the strategy dispatcher behind
-# ``check_dc``'s matrix/cartesian/minmax plans, and the cleaning layer is
-# its public surface.  The import-star smoke test
-# (``tests/cleaning/test_denial.py``) asserts every name listed here
-# resolves on the module, so a stale entry fails fast instead of breaking
-# ``from repro.cleaning.denial import *`` at a call site.
+# The import-star smoke test (``tests/cleaning/test_denial.py``) asserts
+# every name listed here resolves on the module, so a stale entry fails fast
+# instead of breaking ``from repro.cleaning.denial import *`` at a call site.
 __all__ = [
     "FDViolation",
     "check_fd",
@@ -659,6 +650,5 @@ __all__ = [
     "check_dc_columnar",
     "check_dc_parallel",
     "find_violations",
-    "self_theta_join",
     "null_safe_compare",
 ]

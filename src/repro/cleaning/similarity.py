@@ -161,14 +161,6 @@ def jaro_winkler_similarity(a: str, b: str, prefix_scale: float = 0.1) -> float:
     return jaro + prefix * prefix_scale * (1.0 - jaro)
 
 
-def euclidean_similarity(a: Sequence[float], b: Sequence[float]) -> float:
-    """``1 / (1 + euclidean distance)`` for numeric vectors."""
-    if len(a) != len(b):
-        raise ValueError("euclidean similarity requires equal-length vectors")
-    distance = math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))
-    return 1.0 / (1.0 + distance)
-
-
 _METRICS: dict[str, SimilarityFunc] = {
     "LD": levenshtein_similarity,
     "levenshtein": levenshtein_similarity,

@@ -29,7 +29,3 @@ def words(text: str) -> list[str]:
     """Whitespace word-split with lowercasing; used for record blocking."""
     return text.lower().split()
 
-
-def normalize_term(term: str) -> str:
-    """Canonical form used before similarity comparison: casefold + strip."""
-    return term.strip().casefold()

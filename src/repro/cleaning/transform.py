@@ -1,8 +1,7 @@
-"""Syntactic and semantic transformations (§4.4, Table 4).
+"""Syntactic transformations (§4.4, Table 4).
 
 Syntactic transformations are lightweight per-record repairs (splitting a
-date, filling missing values); semantic transformations consult an auxiliary
-mapping table (airport → city).  The point the paper makes with Table 4 is
+date, filling missing values).  The point the paper makes with Table 4 is
 that a fused plan applies several transformations in *one* dataset pass; the
 :class:`TransformPipeline` here supports both the naive several-pass mode and
 the fused mode so the benchmark can show the ~2× difference.
@@ -11,7 +10,7 @@ the fused mode so the benchmark can show the ~2× difference.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Sequence
 
 from ..engine.dataset import Dataset
 from ..monoid.monoids import AvgMonoid
@@ -94,57 +93,6 @@ class FillMissing(Transform):
             out[self.attr] = state
             return out
         return record
-
-
-@dataclass
-class SplitAttribute(Transform):
-    """Generic split of a delimited attribute into named parts."""
-
-    attr: str
-    delimiter: str
-    into: Sequence[str]
-
-    @property
-    def name(self) -> str:
-        return f"split({self.attr})"
-
-    def apply(self, record: dict, state: Any) -> dict:
-        value = record.get(self.attr)
-        out = dict(record)
-        if isinstance(value, str):
-            parts = value.split(self.delimiter)
-            for field, part in zip(self.into, parts):
-                out[field] = part
-        return out
-
-
-@dataclass
-class SemanticMap(Transform):
-    """Map values through an auxiliary table (semantic transformation, §4.4).
-
-    Unmapped values are left untouched and reported via ``misses`` so callers
-    can chain term validation on them.
-    """
-
-    attr: str
-    mapping: Mapping[str, str]
-    target: str | None = None
-
-    def __post_init__(self) -> None:
-        self.misses: list[str] = []
-
-    @property
-    def name(self) -> str:
-        return f"semantic_map({self.attr})"
-
-    def apply(self, record: dict, state: Any) -> dict:
-        value = record.get(self.attr)
-        out = dict(record)
-        if value in self.mapping:
-            out[self.target or self.attr] = self.mapping[value]
-        elif value is not None:
-            self.misses.append(value)
-        return out
 
 
 class TransformPipeline:

@@ -314,18 +314,6 @@ class CleanDB:
         """
         self.tables.update(name, rid_to_row)
 
-    def profile(self, name: str, attr: str):
-        """Key-frequency statistics for one attribute (§6's statistics pass).
-
-        Returns a :class:`~repro.physical.stats.KeyStats`; its
-        ``skew_ratio``/``is_skewed`` tell the physical planner (and the
-        user) whether skew-resilient grouping will pay off for this key.
-        """
-        from ..physical.stats import collect_key_stats
-
-        rows = self.table(name)
-        return collect_key_stats(rows, lambda r: r.get(attr) if isinstance(r, dict) else r)
-
     # ------------------------------------------------------------------ #
     # Denial constraints (programmatic surface; SQL self-joins also work)
     # ------------------------------------------------------------------ #

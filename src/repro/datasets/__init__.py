@@ -8,9 +8,7 @@ if TYPE_CHECKING:
     from .dblp import DBLPData, author_occurrences, generate_dblp
     from .mag import MAGData, generate_mag
     from .names import author_pool, journal_pool, make_name, make_title
-    from .noise import (
-        inject_string_noise, inject_value_noise, perturb_string, zipf_choice, zipf_int,
-    )
+    from .noise import inject_value_noise, perturb_string, zipf_choice, zipf_int
     from .tpch import (
         CustomerData, generate_customer, generate_lineitem, rule_phi, rule_psi,
     )
@@ -19,10 +17,7 @@ __getattr__, __dir__, __all__ = lazy_surface(__name__, {
     "dblp": ("DBLPData", "author_occurrences", "generate_dblp"),
     "mag": ("MAGData", "generate_mag"),
     "names": ("author_pool", "journal_pool", "make_name", "make_title"),
-    "noise": (
-        "inject_string_noise", "inject_value_noise", "perturb_string", "zipf_choice",
-        "zipf_int",
-    ),
+    "noise": ("inject_value_noise", "perturb_string", "zipf_choice", "zipf_int"),
     "tpch": (
         "CustomerData", "generate_customer", "generate_lineitem", "rule_phi",
         "rule_psi",

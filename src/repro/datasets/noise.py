@@ -44,34 +44,6 @@ def perturb_string(value: str, rate: float, rng: random.Random) -> str:
     return result
 
 
-def inject_string_noise(
-    records: list[dict[str, Any]],
-    attr: str,
-    fraction: float,
-    rate: float,
-    seed: int = 31,
-) -> tuple[list[dict[str, Any]], dict[int, tuple[str, str]]]:
-    """Dirty ``fraction`` of the records' ``attr`` by ``rate`` char edits.
-
-    Returns ``(new_records, edits)`` where ``edits`` maps record index to
-    ``(clean_value, dirty_value)`` — the ground truth for accuracy metrics.
-    """
-    rng = random.Random(seed)
-    indices = list(range(len(records)))
-    rng.shuffle(indices)
-    chosen = sorted(indices[: round(len(records) * fraction)])
-    out = [dict(r) for r in records]
-    edits: dict[int, tuple[str, str]] = {}
-    for i in chosen:
-        clean = str(out[i].get(attr, ""))
-        if not clean:
-            continue
-        dirty = perturb_string(clean, rate, rng)
-        out[i][attr] = dirty
-        edits[i] = (clean, dirty)
-    return out, edits
-
-
 def inject_value_noise(
     records: list[dict[str, Any]],
     attr: str,

@@ -27,11 +27,8 @@ KeyedRecord = tuple[Any, Any]
 class Dataset:
     """An immutable, partitioned collection bound to a :class:`Cluster`.
 
-    Every dataset carries its *lineage* — the chain of operation names that
-    produced it (§7: "Spark by default associates the result of the
-    execution with the DAG of operations that produced it; we aim to use
-    this built-in data lineage support").  ``lineage()`` returns the chain
-    root-first.
+    Every dataset keeps the operation that produced it (``op``) and the
+    datasets it was derived from (``parents``).
     """
 
     def __init__(
@@ -45,18 +42,6 @@ class Dataset:
         self.partitions = partitions if partitions else [[]]
         self.op = op
         self.parents = parents
-
-    def lineage(self) -> list[str]:
-        """Operation names from the root source to this dataset."""
-        chain: list[str] = []
-        node: Dataset | None = self
-        seen: set[int] = set()
-        while node is not None and id(node) not in seen:
-            seen.add(id(node))
-            chain.append(node.op)
-            node = node.parents[0] if node.parents else None
-        chain.reverse()
-        return chain
 
     def _derive(self, partitions: list[list[Record]], op: str, *parents: "Dataset") -> "Dataset":
         return Dataset(self.cluster, partitions, op=op, parents=(self, *parents))
@@ -92,9 +77,6 @@ class Dataset:
         if not taken:
             raise ValueError("first() on an empty dataset")
         return taken[0]
-
-    def is_empty(self) -> bool:
-        return all(not p for p in self.partitions)
 
     def __iter__(self) -> Iterator[Record]:
         for part in self.partitions:
@@ -154,12 +136,6 @@ class Dataset:
     ) -> "Dataset":
         return self._narrow(name, lambda part: list(func(part)), work_per_record)
 
-    def key_by(self, key_func: Callable[[Record], Any]) -> "Dataset":
-        return self.map(lambda r: (key_func(r), r), name="keyBy")
-
-    def map_values(self, func: Callable[[Any], Any]) -> "Dataset":
-        return self.map(lambda kv: (kv[0], func(kv[1])), name="mapValues")
-
     def keys(self) -> "Dataset":
         return self.map(lambda kv: kv[0], name="keys")
 
@@ -194,21 +170,6 @@ class Dataset:
     # ------------------------------------------------------------------ #
     # Wide transformations (shuffle)
     # ------------------------------------------------------------------ #
-    def repartition(self, num_partitions: int | None = None) -> "Dataset":
-        """Evenly rebalance records (round-robin), charging a full shuffle."""
-        n = num_partitions or self.cluster.default_parallelism
-        keyed = [[(i, r) for i, r in enumerate(part)] for part in self.partitions]
-        new_parts, moved, cost = exchange(self.cluster, keyed, n, kind="sort")
-        stripped = [[value for _, value in part] for part in new_parts]
-        per_part = [len(p) * self.cluster.cost_model.record_unit for p in stripped]
-        self.cluster.record_op(
-            "repartition",
-            self.cluster.spread_over_nodes(per_part),
-            shuffled_records=moved,
-            shuffle_cost=cost,
-        )
-        return self._derive(stripped, "repartition")
-
     def group_by_key(
         self,
         num_partitions: int | None = None,
@@ -321,29 +282,6 @@ class Dataset:
                 table.setdefault(key, ([], []))[1].append(value)
             cogrouped.append(list(table.items()))
         return cogrouped, moved_l + moved_r, cost_l + cost_r
-
-    def cogroup(
-        self,
-        other: "Dataset",
-        num_partitions: int | None = None,
-        shuffle_kind: str = "hash",
-    ) -> "Dataset":
-        """Full cogroup: ``(key, ([left values], [right values]))``."""
-        cogrouped, moved, cost = self._cogroup_partitions(
-            other, num_partitions, shuffle_kind
-        )
-        unit = self.cluster.cost_model.record_unit
-        per_part = [
-            sum(len(ls) + len(rs) for _, (ls, rs) in part) * unit
-            for part in cogrouped
-        ]
-        self.cluster.record_op(
-            "cogroup",
-            self.cluster.spread_over_nodes(per_part),
-            shuffled_records=moved,
-            shuffle_cost=cost,
-        )
-        return self._derive(cogrouped, "cogroup", other)
 
     def _join_like(
         self,

@@ -410,7 +410,7 @@ class WorkerPool:
                 command = ("patch", name, ref.version, version, ref.part, blob)
                 self._ship(ref.part % self.workers, command, len(blob), call)
                 new_refs.append(StoreRef(name, version, ref.part, ref.count + len(appended)))
-        self._store.adopt(name, version, new_refs, partitions)
+        self._store.adopt(name, version, new_refs, partitions, refs[0].version, call.bytes)
 
     def evict(self, name: str, version: int | None = None) -> None:
         """Drop a pinned/broadcast name (one version or all of them) from

@@ -82,20 +82,20 @@ class StoreRegistry:
                 entry["tasks"][part] = (fblob, args_blob)
 
     def adopt(
-        self, name: str, version: int, refs: Sequence[StoreRef], partitions: Sequence[Any]
+        self, name: str, version: int, refs: Sequence[StoreRef], partitions: Sequence[Any],
+        base: int, shipped: int,
     ) -> None:
         """Register partitions the workers built in place as a pin — how a
-        delta patch promotes its result to the table's new version without
-        the rows ever returning to the driver.  ``partitions`` are the
-        driver-side rows backing the version, its re-pin lineage."""
+        delta patch of version ``base`` promotes its result to the table's
+        new version without the rows ever returning to the driver.
+        ``partitions`` are the driver-side rows backing the version, its
+        re-pin lineage.  Its bytes are ``base``'s plus the ``shipped`` patch
+        bytes: what an append adds, while a replacement overcounts until the
+        next full pin measures again, so the eviction governor errs toward
+        evicting."""
         with self.lock:
-            # Only a delta crossed the boundary for the adopted version;
-            # carry the prior version's footprint so the eviction governor
-            # keeps seeing the table (deltas barely change its size).
-            prior = [sz for (n, _v), sz in self._pin_sizes.items() if n == name]
             self._pins[(name, version)] = list(refs)
-            if prior:
-                self._pin_sizes[(name, version)] = max(prior)
+            self._pin_sizes[(name, version)] = self._pin_sizes.get((name, base), 0) + shipped
             self._lineage[(name, version)] = {"kind": "parts", "partitions": list(partitions)}
 
     # -- reading -------------------------------------------------------- #

@@ -14,10 +14,9 @@ if TYPE_CHECKING:
         compile_expr, compiled, evaluate,
     )
     from .monoids import (
-        AllMonoid, AnyMonoid, AvgMonoid, BagMonoid, CountMonoid,
-        FunctionCompositionMonoid, GroupMonoid, IterationMonoid, KMeansAssignMonoid,
+        AllMonoid, AnyMonoid, AvgMonoid, BagMonoid, CountMonoid, GroupMonoid,
         ListMonoid, MaxMonoid, MinMonoid, Monoid, MultiGroupMonoid, SetMonoid,
-        SumMonoid, TokenFilterMonoid, check_monoid_laws, get_monoid, register_monoid,
+        SumMonoid, check_monoid_laws, get_monoid, register_monoid,
     )
     from .normalize import NormalizationTrace, normalize
 
@@ -31,11 +30,9 @@ __getattr__, __dir__, __all__ = lazy_surface(__name__, {
         "UnaryOp", "Var", "compile_expr", "compiled", "evaluate",
     ),
     "monoids": (
-        "AllMonoid", "AnyMonoid", "AvgMonoid", "BagMonoid", "CountMonoid",
-        "FunctionCompositionMonoid", "GroupMonoid", "IterationMonoid",
-        "KMeansAssignMonoid", "ListMonoid", "MaxMonoid", "MinMonoid", "Monoid",
-        "MultiGroupMonoid", "SetMonoid", "SumMonoid", "TokenFilterMonoid",
-        "check_monoid_laws", "get_monoid", "register_monoid",
+        "AllMonoid", "AnyMonoid", "AvgMonoid", "BagMonoid", "CountMonoid", "GroupMonoid",
+        "ListMonoid", "MaxMonoid", "MinMonoid", "Monoid", "MultiGroupMonoid", "SetMonoid",
+        "SumMonoid", "check_monoid_laws", "get_monoid", "register_monoid",
     ),
     "normalize": ("NormalizationTrace", "normalize"),
 })

@@ -220,7 +220,7 @@ class If(Expr):
 
 @dataclass(frozen=True)
 class Lambda(Expr):
-    """Anonymous function; used by the function-composition monoid."""
+    """Anonymous function: evaluates to a Python closure over its body."""
 
     params: tuple[str, ...]
     body: Expr

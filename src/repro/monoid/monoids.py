@@ -5,7 +5,9 @@ identity element.  A *collection monoid* additionally has a unit function
 turning one element into a singleton collection.  CleanM's contribution is
 mapping data cleaning building blocks — grouping, token filtering, k-means
 center assignment — onto this structure, which makes them first-class,
-composable, and parallelizable (merge order does not matter).
+composable, and parallelizable (merge order does not matter).  Token
+filtering and k-means assignment both run as :class:`MultiGroupMonoid`
+Nests whose keys come from the ``block_keys`` builtin.
 
 Every monoid here implements the same protocol (``zero`` / ``unit`` /
 ``merge``), and the property-based tests in ``tests/monoid`` verify the
@@ -19,21 +21,21 @@ from typing import Any, Callable, Hashable, Iterable, Sequence
 
 from ..errors import MonoidError
 
-# NOTE: similarity/tokenizer helpers are imported lazily inside the monoids
-# that need them; `repro.cleaning` itself builds on this module.
-
 
 class Monoid:
     """Protocol for all monoids.
 
     ``commutative`` and ``idempotent`` flags let the optimizer know which
     rewrites are safe (e.g. a set monoid tolerates duplicate delivery, a list
-    monoid does not tolerate reordering).
+    monoid does not tolerate reordering).  ``collection`` marks the
+    collection monoids: a Reduce into one keeps its heads as a dataset
+    instead of folding them to one value.
     """
 
     name: str = "monoid"
     commutative: bool = True
     idempotent: bool = False
+    collection: bool = False
 
     def zero(self) -> Any:
         raise NotImplementedError
@@ -133,8 +135,7 @@ class AvgMonoid(Monoid):
     """Average via the (sum, count) product monoid.
 
     ``avg`` itself is not associative, but the pair of running sum and count
-    is; :meth:`finalize` divides at the end.  Used by the fill-missing-values
-    transformation (Table 4).
+    is.  Used by the fill-missing-values transformation (Table 4).
     """
 
     name = "avg"
@@ -148,13 +149,6 @@ class AvgMonoid(Monoid):
     def merge(self, left: tuple[float, int], right: tuple[float, int]) -> tuple[float, int]:
         return (left[0] + right[0], left[1] + right[1])
 
-    @staticmethod
-    def finalize(state: tuple[float, int]) -> float:
-        total, count = state
-        if count == 0:
-            raise MonoidError("average of an empty collection")
-        return total / count
-
 
 # ---------------------------------------------------------------------- #
 # Collection monoids
@@ -164,6 +158,7 @@ class ListMonoid(Monoid):
 
     name = "list"
     commutative = False
+    collection = True
 
     def zero(self) -> list:
         return []
@@ -185,6 +180,7 @@ class BagMonoid(ListMonoid):
 class SetMonoid(Monoid):
     name = "set"
     idempotent = True
+    collection = True
 
     def zero(self) -> frozenset:
         return frozenset()
@@ -206,6 +202,7 @@ class GroupMonoid(Monoid):
     """
 
     name = "group"
+    collection = True
 
     def __init__(self, inner: Monoid | None = None,
                  key_func: Callable[[Any], Hashable] | None = None,
@@ -242,6 +239,7 @@ class MultiGroupMonoid(Monoid):
     """
 
     name = "multigroup"
+    collection = True
 
     def __init__(self, keys_func: Callable[[Any], Iterable[Hashable]],
                  inner: Monoid | None = None,
@@ -256,105 +254,6 @@ class MultiGroupMonoid(Monoid):
     def unit(self, value: Any) -> dict:
         payload = self.inner.unit(self.value_func(value))
         return {key: payload for key in self.keys_func(value)}
-
-
-class TokenFilterMonoid(MultiGroupMonoid):
-    """The token-filtering monoid of §4.3.
-
-    ``unit(word) = {token_1: {word}, token_2: {word}, ...}`` for the word's
-    q-grams; ``merge`` unions group contents.  Similarity checks then only
-    happen within each token's group.
-    """
-
-    name = "token_filter"
-
-    def __init__(self, q: int = 3, term_func: Callable[[Any], str] | None = None,
-                 inner: Monoid | None = None):
-        from ..cleaning.tokenize import qgrams
-
-        self.q = q
-        term = term_func or (lambda x: x)
-        super().__init__(
-            keys_func=lambda value: set(qgrams(term(value), q)) or {""},
-            inner=inner,
-            value_func=lambda x: x,
-        )
-
-
-class KMeansAssignMonoid(MultiGroupMonoid):
-    """Single-pass k-means center assignment as a monoid (§4.3).
-
-    Centers are fixed up front (see :class:`FunctionCompositionMonoid` /
-    reservoir sampling for initialization); each element is assigned to every
-    center whose distance is within ``delta`` of the minimum, which favors
-    the multiple-assignment behaviour of ClusterJoin.  With fixed centers the
-    assignment of each element is independent, hence trivially associative.
-    """
-
-    name = "kmeans_assign"
-
-    def __init__(self, centers: Sequence[str], metric: str = "LD",
-                 delta: float = 0.0, term_func: Callable[[Any], str] | None = None,
-                 inner: Monoid | None = None):
-        from ..cleaning.similarity import get_metric
-
-        if not centers:
-            raise MonoidError("k-means assignment requires at least one center")
-        self.centers = list(centers)
-        self.metric = metric
-        self.delta = delta
-        sim = get_metric(metric)
-        term = term_func or (lambda x: x)
-
-        def assign(value: Any) -> list[int]:
-            text = term(value)
-            sims = [sim(text, center) for center in self.centers]
-            best = max(sims)
-            return [i for i, s in enumerate(sims) if s >= best - delta]
-
-        super().__init__(keys_func=assign, inner=inner)
-
-
-class FunctionCompositionMonoid(Monoid):
-    """Composition of associative state-transformers (§4.3).
-
-    Elements are functions ``state -> state``; ``merge`` composes them and
-    ``zero`` is the identity function.  CleanM parameterizes this monoid to
-    run reservoir-sampling-style center initialization as a single pass.
-    """
-
-    name = "compose"
-    commutative = False
-
-    def zero(self) -> Callable[[Any], Any]:
-        return lambda state: state
-
-    def unit(self, func: Callable[[Any], Any]) -> Callable[[Any], Any]:
-        return func
-
-    def merge(
-        self, left: Callable[[Any], Any], right: Callable[[Any], Any]
-    ) -> Callable[[Any], Any]:
-        return lambda state: right(left(state))
-
-
-class IterationMonoid(FunctionCompositionMonoid):
-    """The iteration monoid of §4.3 ("syntactic sugar in place of the n
-    comprehensions"): represents multi-pass algorithms as a foldLeft that
-    threads a state through successive passes.
-
-    Elements are *passes* — functions ``state -> state``, composed first
-    to last — and ``run`` applies the folded pipeline to an initial state
-    for a fixed number of rounds (the paper's n equivalent comprehensions).
-    Multi-pass k-means and hierarchical clustering are its instances.
-    """
-
-    name = "iterate"
-
-    def run(self, step: Callable[[Any], Any], initial: Any, rounds: int) -> Any:
-        """Apply ``step`` ``rounds`` times — n comprehensions, one state."""
-        pipeline = self.fold([step] * max(0, rounds))
-        return pipeline(initial)
 
 
 # ---------------------------------------------------------------------- #
@@ -432,7 +331,8 @@ _REGISTRY: dict[str, Callable[[], Monoid]] = {
 
 
 def get_monoid(name: str) -> Monoid:
-    """Instantiate a registered monoid by name (used by the parser)."""
+    """Instantiate a registered monoid by name: the one way to build the
+    primitive monoids of §4 from a string (the monoid tests do)."""
     try:
         return _REGISTRY[name]()
     except KeyError:

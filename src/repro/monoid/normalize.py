@@ -229,7 +229,7 @@ def _rewrite_comprehension(comp: Comprehension, trace: NormalizationTrace) -> Ex
 
     # N-if-split on the head (collection monoids only: merging two guarded
     # comprehensions needs ⊕ over collections to be cheap and order-free).
-    if isinstance(head, If) and _is_collection(comp.monoid) and comp.monoid.commutative:
+    if isinstance(head, If) and comp.monoid.collection and comp.monoid.commutative:
         trace.note("N-if-split")
         then_comp = Comprehension(
             comp.monoid, head.then_branch, tuple(qualifiers) + (Filter(head.cond),)
@@ -297,9 +297,3 @@ def _push_filters(qualifiers: list[Qualifier]) -> list[Qualifier]:
 def _is_flattenable(monoid) -> bool:
     """Collection monoids whose comprehensions may be generator-spliced."""
     return monoid.name in {"bag", "list", "set"}
-
-
-def _is_collection(monoid) -> bool:
-    return monoid.name in {
-        "bag", "list", "set", "group", "multigroup", "token_filter", "kmeans_assign",
-    }

@@ -8,25 +8,13 @@ if TYPE_CHECKING:
     from .functions import DEFAULT_FUNCTIONS, prefix, register_function
     from .lower import EXECUTION_BACKENDS, Executor, PhysicalConfig
     from .parallel_exec import ParallelExecutor
-    from .stats import (
-        Histogram, KeyStats, build_histogram, collect_key_stats, zipf_skew_estimate,
-    )
-    from .theta_join import (
-        self_theta_join, theta_join_cartesian, theta_join_matrix, theta_join_minmax,
-    )
+    from .theta_join import theta_join_cartesian, theta_join_matrix, theta_join_minmax
     from .vectorized import EnvBatch, VectorizedExecutor, eval_column
 
 __getattr__, __dir__, __all__ = lazy_surface(__name__, {
     "functions": ("DEFAULT_FUNCTIONS", "prefix", "register_function"),
     "lower": ("EXECUTION_BACKENDS", "Executor", "PhysicalConfig"),
     "parallel_exec": ("ParallelExecutor",),
-    "stats": (
-        "Histogram", "KeyStats", "build_histogram", "collect_key_stats",
-        "zipf_skew_estimate",
-    ),
-    "theta_join": (
-        "self_theta_join", "theta_join_cartesian", "theta_join_matrix",
-        "theta_join_minmax",
-    ),
+    "theta_join": ("theta_join_cartesian", "theta_join_matrix", "theta_join_minmax"),
     "vectorized": ("EnvBatch", "VectorizedExecutor", "eval_column"),
 })

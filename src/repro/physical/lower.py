@@ -40,7 +40,7 @@ from ..engine.cluster import Cluster
 from ..engine.dataset import Dataset
 from ..errors import PlanningError, SchemaError, StaleHandleError, WorkerTaskError
 from ..monoid.expressions import Expr, compiled
-from ..monoid.monoids import Monoid, nest_accumulator
+from ..monoid.monoids import nest_accumulator
 from .functions import DEFAULT_FUNCTIONS, freeze
 
 
@@ -350,7 +350,7 @@ class Executor:
         if op.predicate != TRUE:
             child = child.filter(self._predicate(op.predicate), name="reduce:filter")
         heads = child.map(self._fn(op.head), name="reduce:head")
-        if _is_collection(op.monoid):
+        if op.monoid.collection:
             if op.monoid.idempotent:  # set semantics: drop duplicates
                 return heads.distinct()
             return heads
@@ -383,9 +383,3 @@ def bind(expr: Expr, funcs: dict[str, Callable] | None) -> Callable[[Any], Any]:
     no keyword dict (``partial``) and no wrapper frame (a lambda)."""
     run = compiled(expr)
     return FunctionType(run.__code__, run.__globals__, run.__name__, (funcs,), run.__closure__)
-
-
-def _is_collection(monoid: Monoid) -> bool:
-    return monoid.name in {
-        "bag", "list", "set", "group", "multigroup", "token_filter", "kmeans_assign",
-    }

@@ -70,7 +70,7 @@ from .functions import freeze
 # Safe at module load: lower's own module-level imports do not reach back
 # here (it imports this module lazily inside Executor._parallel_executor),
 # and sharing its helpers keeps Reduce and Nest semantics from drifting.
-from .lower import _is_collection, bind
+from .lower import bind
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from .lower import Executor
@@ -618,7 +618,7 @@ class ParallelExecutor:
             "reduce:parHead",
             self._unit,
         )
-        if _is_collection(op.monoid):
+        if op.monoid.collection:
             if not op.monoid.idempotent:
                 return self._collected(heads, op="reduce:parHead")
             distinct = self._exchange(

@@ -21,7 +21,7 @@ Three implementations of a join with an arbitrary (inequality) predicate:
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 from ..engine.cluster import Cluster
 from ..engine.dataset import Dataset
@@ -205,21 +205,3 @@ def _from_matches(cluster: Cluster, matches: list[Any]) -> Dataset:
     for i, match in enumerate(matches):
         parts[i % len(parts)].append(match)
     return Dataset(cluster, parts, op="thetaJoin:matches")
-
-
-def self_theta_join(
-    dataset: Dataset,
-    predicate: Predicate,
-    strategy: str = "matrix",
-    band_key: Callable[[Any], float] | None = None,
-) -> Dataset:
-    """Theta self-join dispatch used by denial-constraint checking."""
-    if strategy == "matrix":
-        return theta_join_matrix(dataset, dataset, predicate)
-    if strategy == "cartesian":
-        return theta_join_cartesian(dataset, dataset, predicate)
-    if strategy == "minmax":
-        if band_key is None:
-            raise ValueError("minmax strategy requires a band_key")
-        return theta_join_minmax(dataset, dataset, predicate, band_key)
-    raise ValueError(f"unknown theta-join strategy {strategy!r}")

@@ -68,9 +68,6 @@ from ..sources.columnar import (
 )
 from .functions import freeze
 
-# Safe at module load: lower imports this module lazily.
-from .lower import _is_collection
-
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from .lower import Executor
 
@@ -560,7 +557,7 @@ class VectorizedExecutor:
             eval_column(op.head, env, self.functions) for env in parts
         ]
         self._charge("reduce:vecHead", [len(p) for p in parts])
-        if _is_collection(op.monoid):
+        if op.monoid.collection:
             if op.monoid.idempotent:
                 return self._distinct(head_cols)
             return Dataset(self.cluster, head_cols, op="reduce:vecHead")

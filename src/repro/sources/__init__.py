@@ -12,7 +12,7 @@ if TYPE_CHECKING:
     )
     from .csv_source import read_csv, write_csv
     from .json_source import read_json, write_json
-    from .schema import Field, Schema, flatten_records, nest_records
+    from .schema import Field, Schema, flatten_records
     from .xml_source import read_xml, write_xml
 
 __getattr__, __dir__, __all__ = lazy_surface(__name__, {
@@ -23,6 +23,6 @@ __getattr__, __dir__, __all__ = lazy_surface(__name__, {
     ),
     "csv_source": ("read_csv", "write_csv"),
     "json_source": ("read_json", "write_json"),
-    "schema": ("Field", "Schema", "flatten_records", "nest_records"),
+    "schema": ("Field", "Schema", "flatten_records"),
     "xml_source": ("read_xml", "write_xml"),
 })

@@ -11,7 +11,7 @@ first-class: flattening to relational form is an explicit, lossy operation
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable
 
 from ..errors import SchemaError
 
@@ -78,18 +78,6 @@ class Schema:
         """One cast callable per field, in field order (see :meth:`Field.caster`)."""
         return [f.caster() for f in self.fields]
 
-    def cast_row(self, values: Sequence[Any]) -> dict[str, Any]:
-        if len(values) != len(self.fields):
-            raise SchemaError(
-                f"row has {len(values)} values for {len(self.fields)} fields"
-            )
-        return {f.name: cast(v) for f, cast, v in zip(self.fields, self.casters(), values)}
-
-    def validate(self, record: dict[str, Any]) -> None:
-        missing = [f.name for f in self.fields if f.name not in record]
-        if missing:
-            raise SchemaError(f"record missing fields: {missing}")
-
 
 def flatten_records(
     records: Iterable[dict[str, Any]], list_attr: str
@@ -109,22 +97,3 @@ def flatten_records(
             flat[list_attr] = item
             out.append(flat)
     return out
-
-
-def nest_records(
-    records: Iterable[dict[str, Any]],
-    key_attrs: Sequence[str],
-    list_attr: str,
-) -> list[dict[str, Any]]:
-    """Inverse of :func:`flatten_records`: regroup rows sharing key attrs."""
-    grouped: dict[tuple, dict[str, Any]] = {}
-    for record in records:
-        key = tuple(record.get(a) for a in key_attrs)
-        if key not in grouped:
-            base = dict(record)
-            base[list_attr] = []
-            grouped[key] = base
-        value = record.get(list_attr)
-        if value is not None:
-            grouped[key][list_attr].append(value)
-    return list(grouped.values())

@@ -13,7 +13,6 @@ from repro.algebra import (
     conjoin,
     is_grouping,
     make_group_comprehension,
-    split_conjuncts,
 )
 from repro.errors import PlanningError
 from repro.monoid import (
@@ -41,19 +40,12 @@ def comp(monoid, head, *qualifiers):
 
 
 class TestConjuncts:
-    def test_split_nested_and(self):
-        expr = BinOp("and", BinOp("and", Var("a"), Var("b")), Var("c"))
-        assert split_conjuncts(expr) == [Var("a"), Var("b"), Var("c")]
-
-    def test_split_single(self):
-        assert split_conjuncts(Var("p")) == [Var("p")]
-
     def test_conjoin_empty_is_true(self):
         assert conjoin([]) == Const(True)
 
     def test_conjoin_round_trip(self):
-        parts = [Var("a"), Var("b")]
-        assert split_conjuncts(conjoin(parts)) == parts
+        a, b = Var("a"), Var("b")
+        assert conjoin([a, b]) == BinOp("and", a, b)
 
 
 class TestScanTranslation:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cleaning import key_blocks, kmeans_blocks, length_blocks, make_blocks, token_blocks
-from repro.cleaning.tokenize import normalize_term, qgrams, words
+from repro.cleaning.tokenize import qgrams, words
 from repro.engine import Cluster
 
 
@@ -33,9 +33,8 @@ class TestQgrams:
         with pytest.raises(ValueError):
             qgrams("abc", 0)
 
-    def test_words_and_normalize(self):
+    def test_words(self):
         assert words("Hello World") == ["hello", "world"]
-        assert normalize_term("  MiXeD ") == "mixed"
 
 
 class TestKeyBlocks:

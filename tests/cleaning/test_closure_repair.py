@@ -152,24 +152,3 @@ class TestRepairFDByMajority:
         repaired, changed = repair_fd_by_majority(records, violations, ["a", "b"], "v")
         assert changed == 1
         assert {r["v"] for r in repaired} == {"x"}
-
-
-class TestIterationMonoid:
-    def test_run_applies_n_rounds(self):
-        from repro.monoid import IterationMonoid
-
-        m = IterationMonoid()
-        result = m.run(lambda s: s + 1, 0, rounds=5)
-        assert result == 5
-
-    def test_zero_rounds_identity(self):
-        from repro.monoid import IterationMonoid
-
-        assert IterationMonoid().run(lambda s: s * 2, 7, rounds=0) == 7
-
-    def test_merge_composes_in_order(self):
-        from repro.monoid import IterationMonoid
-
-        m = IterationMonoid()
-        combined = m.merge(lambda s: s + "a", lambda s: s + "b")
-        assert combined("") == "ab"

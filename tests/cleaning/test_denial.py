@@ -437,8 +437,7 @@ class TestRecordExtractor:
 class TestImportStar:
     def test_import_star_matches_all(self):
         """``from repro.cleaning.denial import *`` exposes exactly
-        ``__all__``, and every listed name resolves — including the
-        deliberately re-exported ``self_theta_join``."""
+        ``__all__``, and every listed name resolves."""
         import repro.cleaning.denial as denial
 
         namespace: dict = {}
@@ -447,7 +446,6 @@ class TestImportStar:
         assert exported == set(denial.__all__)
         for name in denial.__all__:
             assert getattr(denial, name) is not None
-        assert namespace["self_theta_join"] is denial.self_theta_join
 
     def test_package_surface_consistent(self):
         """The package-level re-exports stay in sync with the module."""
@@ -457,7 +455,6 @@ class TestImportStar:
         for name in (
             "DenialConstraint", "TuplePredicate", "SingleFilter",
             "check_dc", "check_dc_parallel", "check_dc_columnar",
-            "self_theta_join",
         ):
             assert getattr(cleaning, name) is getattr(denial, name)
             assert name in cleaning.__all__

@@ -1,15 +1,8 @@
-"""Unit tests for clustering primitives."""
+"""Unit tests for the k-means pruning primitives."""
 
 import pytest
 
-from repro.cleaning import (
-    assign_to_centers,
-    fixed_step_centers,
-    hierarchical_cluster,
-    multi_pass_kmeans,
-    reservoir_sample,
-    single_pass_kmeans,
-)
+from repro.cleaning import assign_to_centers, reservoir_sample
 
 
 class TestReservoirSample:
@@ -43,23 +36,6 @@ class TestReservoirSample:
             reservoir_sample([1], 0)
 
 
-class TestFixedStepCenters:
-    def test_extracts_every_nk_th(self):
-        # Paper: extract the N/k, 2N/k, ..., N items as centers.
-        items = list(range(1, 13))
-        assert fixed_step_centers(items, 3) == [4, 8, 12]
-
-    def test_k_larger_than_n(self):
-        assert fixed_step_centers([1, 2], 5) == [1, 2]
-
-    def test_empty(self):
-        assert fixed_step_centers([], 3) == []
-
-    def test_composition_monoid_is_order_preserving(self):
-        items = ["a", "b", "c", "d"]
-        assert fixed_step_centers(items, 2) == ["b", "d"]
-
-
 class TestAssignToCenters:
     def test_single_closest(self):
         assert assign_to_centers("aaaa", ["aaab", "zzzz"]) == [0]
@@ -71,57 +47,3 @@ class TestAssignToCenters:
     def test_no_centers(self):
         with pytest.raises(ValueError):
             assign_to_centers("x", [])
-
-
-class TestSinglePassKMeans:
-    def test_every_item_assigned(self):
-        items = [f"word{i}" for i in range(50)]
-        clusters = single_pass_kmeans(items, k=5)
-        assigned = [x for members in clusters.values() for x in members]
-        assert len(assigned) >= 50  # >= because of multi-assignment
-
-    def test_similar_items_cluster_together(self):
-        items = ["apple", "appla", "zebra", "zebro"]
-        clusters = single_pass_kmeans(items, k=2, centers=["apple", "zebra"])
-        by_center = {min(m): set(m) for m in clusters.values()}
-        assert {"apple", "appla"} in by_center.values() or any(
-            {"apple", "appla"} <= s for s in by_center.values()
-        )
-
-    def test_deterministic(self):
-        items = [f"w{i}" for i in range(30)]
-        assert single_pass_kmeans(items, 3, seed=9) == single_pass_kmeans(items, 3, seed=9)
-
-
-class TestMultiPassKMeans:
-    def test_partitions_all_items(self):
-        items = ["aa", "ab", "zz", "zy", "mm"]
-        clusters = multi_pass_kmeans(items, k=2, iterations=3)
-        assigned = sorted(x for m in clusters.values() for x in m)
-        assert assigned == sorted(items)
-
-    def test_converges_to_stable_clusters(self):
-        items = ["cat", "bat", "hat", "dog", "log", "fog"]
-        few = multi_pass_kmeans(items, k=2, iterations=1, seed=4)
-        many = multi_pass_kmeans(items, k=2, iterations=20, seed=4)
-        assert len(many) <= len(items)
-        assert sum(len(m) for m in many.values()) == len(items)
-        assert few is not None
-
-    def test_empty_input(self):
-        assert multi_pass_kmeans([], k=2) == {}
-
-
-class TestHierarchicalCluster:
-    def test_merges_similar_items(self):
-        clusters = hierarchical_cluster(["smith", "smyth", "jones"], threshold=0.7)
-        sizes = sorted(len(c) for c in clusters)
-        assert sizes == [1, 2]
-
-    def test_high_threshold_keeps_singletons(self):
-        clusters = hierarchical_cluster(["aa", "zz"], threshold=0.99)
-        assert len(clusters) == 2
-
-    def test_zero_threshold_merges_everything(self):
-        clusters = hierarchical_cluster(["aa", "zz", "mm"], threshold=0.0)
-        assert len(clusters) == 1

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cleaning import (
-    euclidean_similarity,
     get_metric,
     jaccard_similarity,
     jaro_similarity,
@@ -75,20 +74,6 @@ class TestJaro:
         assert boosted > plain
 
 
-class TestEuclidean:
-    def test_zero_distance(self):
-        assert euclidean_similarity([1.0, 2.0], [1.0, 2.0]) == 1.0
-
-    def test_monotone_in_distance(self):
-        near = euclidean_similarity([0.0], [1.0])
-        far = euclidean_similarity([0.0], [10.0])
-        assert near > far
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            euclidean_similarity([1.0], [1.0, 2.0])
-
-
 class TestRegistry:
     def test_ld_alias(self):
         assert get_metric("LD") is get_metric("levenshtein")
@@ -100,6 +85,34 @@ class TestRegistry:
     def test_register_extension(self):
         register_metric("always_one", lambda a, b: 1.0)
         assert get_metric("always_one")("x", "y") == 1.0
+
+
+#: The metric names a CleanM query can spell.
+QUERY_METRICS = ["LD", "levenshtein", "jaccard", "jaro", "jaro_winkler"]
+PAIRS = [("smith", "smyth"), ("alice smith", "smith alice"), ("ab", "abc"), ("", "x")]
+
+
+@pytest.mark.parametrize("name", QUERY_METRICS)
+class TestEveryQueryMetric:
+    def test_identical_terms_score_one(self, name):
+        metric = get_metric(name)
+        assert all(metric(t, t) == 1.0 for t in ["smith", "a", "alice smith"])
+
+    def test_symmetric_and_in_the_unit_interval(self, name):
+        metric = get_metric(name)
+        for a, b in PAIRS:
+            assert metric(a, b) == metric(b, a)
+            assert 0.0 <= metric(a, b) <= 1.0
+
+    def test_a_near_match_outscores_an_unrelated_term(self, name):
+        metric = get_metric(name)
+        assert metric("smith", "smyth") > metric("smith", "qwuvz")
+
+    def test_the_similar_predicate_is_the_metric_at_theta(self, name):
+        metric = get_metric(name)
+        for a, b in PAIRS:
+            for theta in (0.3, 0.6, 0.9):
+                assert similar(name, a, b, theta) == (metric(a, b) >= theta)
 
 
 class TestSimilarPredicate:

@@ -1,11 +1,9 @@
-"""Unit tests for syntactic & semantic transformations (Table 4 operations)."""
+"""Unit tests for the syntactic transformations (Table 4 operations)."""
 
 import pytest
 
 from repro.cleaning import (
     FillMissing,
-    SemanticMap,
-    SplitAttribute,
     SplitDate,
     TransformPipeline,
     project_all,
@@ -55,28 +53,6 @@ class TestFillMissing:
         ds = cluster.parallelize([{"quantity": None}])
         out = TransformPipeline([FillMissing("quantity")]).run_fused(ds).collect()
         assert out[0]["quantity"] == 0.0
-
-
-class TestSplitAttribute:
-    def test_generic_split(self, cluster):
-        ds = cluster.parallelize([{"full": "a|b|c"}])
-        step = SplitAttribute("full", "|", ["p", "q", "r"])
-        out = TransformPipeline([step]).run_fused(ds).collect()
-        assert (out[0]["p"], out[0]["q"], out[0]["r"]) == ("a", "b", "c")
-
-
-class TestSemanticMap:
-    def test_maps_through_auxiliary_table(self, cluster):
-        ds = cluster.parallelize([{"airport": "GVA"}, {"airport": "ZRH"}])
-        step = SemanticMap("airport", {"GVA": "geneva", "ZRH": "zurich"}, target="city")
-        out = TransformPipeline([step]).run_fused(ds).collect()
-        assert {r["city"] for r in out} == {"geneva", "zurich"}
-
-    def test_unmapped_values_reported_as_misses(self, cluster):
-        step = SemanticMap("airport", {"GVA": "geneva"})
-        ds = cluster.parallelize([{"airport": "XXX"}])
-        TransformPipeline([step]).run_fused(ds).collect()
-        assert step.misses == ["XXX"]
 
 
 class TestPipelineFusion:

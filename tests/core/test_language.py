@@ -194,28 +194,3 @@ class TestCheckOpNames:
                 db.cluster.metrics.reset()
                 check()
                 assert db.cluster.metrics.ops[0].name == scan
-
-
-class TestProfile:
-    def test_profile_reports_skew(self):
-        db = CleanDB(num_nodes=2)
-        rows = [{"k": 0}] * 90 + [{"k": i} for i in range(1, 11)]
-        db.register_table("t", rows)
-        stats = db.profile("t", "k")
-        assert stats.is_skewed
-        assert stats.top_keys[0][0] == 0
-
-    def test_profile_uniform(self):
-        db = CleanDB(num_nodes=2)
-        db.register_table("t", [{"k": i} for i in range(50)])
-        stats = db.profile("t", "k")
-        assert not stats.is_skewed
-
-    def test_profile_unknown_table(self):
-        import pytest as _pytest
-
-        from repro.errors import SchemaError
-
-        db = CleanDB(num_nodes=2)
-        with _pytest.raises(SchemaError):
-            db.profile("missing", "k")

@@ -387,6 +387,29 @@ def test_refresh_table_makes_in_place_edits_visible_on_a_row_session():
         assert db.check_dc("t", rule) == []
 
 
+def test_pinned_bytes_grow_with_every_append():
+    """A delta patch's version used to carry the largest byte count of any
+    pinned version of the table, so appends never grew it and the serving
+    layer's store-bytes governor saw a quarter of a table four times its
+    first size.  The patched version counts its base's bytes plus the
+    patch bytes shipped, which stays close to a fresh pin of the same rows."""
+    def batch(start):
+        return [{"k": i, "name": f"name {i % 97}", "price": float(i)}
+                for i in range(start, start + 2000)]
+
+    with CleanDB(num_nodes=2, execution="parallel", workers=2) as db:
+        db.register_table("t", batch(0))
+        sizes = [db.pinned_table_bytes("t")]
+        for start in (2000, 4000, 6000):
+            db.append_rows("t", batch(start))
+            sizes.append(db.pinned_table_bytes("t"))
+        db.refresh_table("t")  # a full re-pin measures the same 8 000 rows
+        repinned = db.pinned_table_bytes("t")
+    assert sizes[0] > 0
+    assert all(after > before for before, after in zip(sizes, sizes[1:])), sizes
+    assert sizes[-1] >= 0.8 * repinned, (sizes, repinned)
+
+
 class TestTableStore:
     def test_names_in_registration_order(self):
         store = TableStore(Cluster(num_nodes=2))

@@ -11,7 +11,6 @@ from repro.datasets import (
     generate_dblp,
     generate_lineitem,
     generate_mag,
-    inject_string_noise,
     inject_value_noise,
     perturb_string,
     rule_phi,
@@ -35,18 +34,6 @@ class TestNoise:
         word = "abcdefghijklmnopqrst"  # 20 chars
         light = perturb_string(word, 0.1, rng)
         assert levenshtein_similarity(word, light) >= 0.8
-
-    def test_inject_string_noise_fraction(self):
-        records = [{"name": f"name number {i}"} for i in range(100)]
-        noisy, edits = inject_string_noise(records, "name", 0.2, 0.2, seed=3)
-        assert len(edits) == 20
-        assert all(noisy[i]["name"] == dirty for i, (_, dirty) in edits.items())
-
-    def test_inject_string_noise_deterministic(self):
-        records = [{"name": f"n{i}"} for i in range(50)]
-        a = inject_string_noise(records, "name", 0.1, 0.3, seed=9)
-        b = inject_string_noise(records, "name", 0.1, 0.3, seed=9)
-        assert a == b
 
     def test_inject_value_noise_uses_domain(self):
         records = [{"k": 10_000 + i} for i in range(100)]

@@ -74,13 +74,16 @@ def test_stage_recipes_merge_and_a_pin_recipe_wins():
     assert [c[3] for c in replay(registry, 1) if c[0] == "stage"] == [1]
     # Adopting with driver rows turns the version's lineage into a re-pin.
     new_parts = [["r0", "n"], ["r1"]]
-    registry.adopt("table:t", 2, refs_for("table:t", 2, new_parts), partitions=new_parts)
+    registry.adopt(
+        "table:t", 2, refs_for("table:t", 2, new_parts), partitions=new_parts, base=1, shipped=7
+    )
     registry.record_stage(("table:t", 2), 0, b"patch", b"ignored")  # pin recipe stays
     v2 = [c for c in replay(registry, 0) if c[2] == 2]
     assert [(c[0], c[3]) for c in v2] == [("pin", 0)]
     assert pickle.loads(v2[0][4]) == ["r0", "n"]
     assert registry.pinned_versions("table:t") == [1, 2]
-    assert registry.pinned_nbytes("table:t") == 100  # the adopted version carries v1's size
+    # The adopted version is v1's size plus the patch bytes that reached it.
+    assert registry.pinned_nbytes("table:t") == 50 + (50 + 7)
 
 
 def test_derived_entries_go_with_their_base():

@@ -11,16 +11,13 @@ from repro.monoid import (
     AvgMonoid,
     BagMonoid,
     CountMonoid,
-    FunctionCompositionMonoid,
     GroupMonoid,
-    KMeansAssignMonoid,
     ListMonoid,
     MaxMonoid,
     MinMonoid,
     MultiGroupMonoid,
     SetMonoid,
     SumMonoid,
-    TokenFilterMonoid,
     check_monoid_laws,
     get_monoid,
     register_monoid,
@@ -56,15 +53,6 @@ class TestPrimitiveMonoids:
         assert AnyMonoid().fold([False, True]) is True
         assert AnyMonoid().fold([]) is False
 
-    def test_avg_monoid_finalize(self):
-        m = AvgMonoid()
-        state = m.fold([2.0, 4.0, 6.0])
-        assert AvgMonoid.finalize(state) == 4.0
-
-    def test_avg_empty_raises(self):
-        with pytest.raises(MonoidError):
-            AvgMonoid.finalize(AvgMonoid().zero())
-
 
 class TestCollectionMonoids:
     def test_list_is_ordered(self):
@@ -80,6 +68,15 @@ class TestCollectionMonoids:
 
     def test_set_idempotent_flag(self):
         assert SetMonoid().idempotent
+
+    def test_collection_flag_marks_exactly_the_collection_monoids(self):
+        """The one predicate the normalizer and the three executors read."""
+        collections = [ListMonoid(), BagMonoid(), SetMonoid(), GroupMonoid(),
+                       MultiGroupMonoid(keys_func=lambda x: [x])]
+        scalars = [SumMonoid(), CountMonoid(), MaxMonoid(), MinMonoid(), AllMonoid(),
+                   AnyMonoid(), AvgMonoid()]
+        assert all(m.collection for m in collections)
+        assert not any(m.collection for m in scalars)
 
 
 class TestGroupMonoid:
@@ -110,56 +107,6 @@ class TestMultiGroupMonoid:
     def test_inner_set_semantics(self):
         m = MultiGroupMonoid(keys_func=lambda x: ["k"])
         assert m.fold(["a", "a"])["k"] == frozenset({"a"})
-
-
-class TestTokenFilterMonoid:
-    def test_unit_maps_word_to_its_tokens(self):
-        m = TokenFilterMonoid(q=2)
-        unit = m.unit("abc")
-        assert set(unit) == {"ab", "bc"}
-        assert unit["ab"] == frozenset({"abc"})
-
-    def test_short_word_gets_fallback_group(self):
-        m = TokenFilterMonoid(q=5)
-        assert set(m.unit("ab")) == {"ab"}
-
-    def test_similar_words_share_a_group(self):
-        # "smith"/"smyth" share the 2-gram "sm" (and "th"), so token
-        # filtering with q=2 puts them in a common group; with q=3 they share
-        # no token — exactly the recall-vs-cost trade-off Fig. 3/Table 3
-        # explores over q.
-        m2 = TokenFilterMonoid(q=2)
-        merged2 = m2.fold(["smith", "smyth"])
-        assert any(len(v) == 2 for v in merged2.values())
-        m3 = TokenFilterMonoid(q=3)
-        merged3 = m3.fold(["smith", "smyth"])
-        assert all(len(v) == 1 for v in merged3.values())
-
-
-class TestKMeansAssignMonoid:
-    def test_assigns_to_closest_center(self):
-        m = KMeansAssignMonoid(centers=["aaaa", "zzzz"])
-        result = m.unit("aaab")
-        assert set(result) == {0}
-
-    def test_delta_allows_multiple_assignment(self):
-        m = KMeansAssignMonoid(centers=["abcd", "abce"], delta=1.0)
-        assert set(m.unit("abcf")) == {0, 1}
-
-    def test_empty_centers_rejected(self):
-        with pytest.raises(MonoidError):
-            KMeansAssignMonoid(centers=[])
-
-
-class TestFunctionCompositionMonoid:
-    def test_composes_in_order(self):
-        m = FunctionCompositionMonoid()
-        f = m.fold([lambda s: s + "a", lambda s: s + "b"])
-        assert f("") == "ab"
-
-    def test_zero_is_identity(self):
-        m = FunctionCompositionMonoid()
-        assert m.zero()("x") == "x"
 
 
 class TestLawChecking:

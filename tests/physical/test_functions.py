@@ -13,6 +13,7 @@ from repro.core.rewriter import rewrite_query
 from repro.core.parser import parse
 from repro.core.semantics import ENGINE_BUILTINS
 from repro.core.shippable import is_module_level_callable, is_picklable
+from repro.errors import PlanningError
 from repro.physical.functions import (
     DEFAULT_FUNCTIONS,
     QUERY_BUILTINS,
@@ -113,6 +114,27 @@ def test_agg_count_is_the_length_of_any_collection():
     assert agg("count", (r for r in rows), "v") == 4  # no len(): counted by iterating
     assert agg("count", [], "v") == 0
     assert agg("sum", rows, "v") == 1 and agg("distinct_count", rows, "v") == 3
+
+
+@pytest.mark.parametrize("kind, want", [
+    ("sum", 7), ("avg", 1.75), ("min", 1), ("max", 3), ("count", 5), ("distinct_count", 4),
+])
+def test_agg_folds_only_the_numbers_of_the_field(kind, want):
+    agg = QUERY_BUILTINS["agg"]
+    rows = [{"v": 1}, {"v": 2}, {"v": 3}, {"v": "x"}, {"v": 1}]
+    assert agg(kind, rows, "v") == want
+
+
+@pytest.mark.parametrize("kind", ["avg", "min", "max"])
+def test_agg_of_no_numbers_is_null(kind):
+    agg = QUERY_BUILTINS["agg"]
+    assert agg(kind, [], "v") is None
+    assert agg(kind, [{"v": "x"}, {"w": 1}], "v") is None
+
+
+def test_agg_rejects_an_unknown_kind():
+    with pytest.raises(PlanningError, match="median"):
+        QUERY_BUILTINS["agg"]("median", [{"v": 1}], "v")
 
 
 def test_similar_records_shares_one_matcher_per_setting(monkeypatch):

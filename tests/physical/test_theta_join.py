@@ -4,12 +4,7 @@ import pytest
 
 from repro.engine import Cluster
 from repro.errors import BudgetExceededError
-from repro.physical import (
-    self_theta_join,
-    theta_join_cartesian,
-    theta_join_matrix,
-    theta_join_minmax,
-)
+from repro.physical import theta_join_cartesian, theta_join_matrix, theta_join_minmax
 
 
 def records(n):
@@ -105,20 +100,3 @@ class TestCosts:
         right = cluster.parallelize(records(10))
         theta_join_matrix(left, right, lt)
         assert cluster.metrics.comparisons == 100
-
-
-class TestDispatch:
-    def test_self_join_matrix(self, cluster):
-        ds = cluster.parallelize(records(5))
-        pairs = self_theta_join(ds, lt, strategy="matrix").collect()
-        assert len(pairs) == 10
-
-    def test_self_join_minmax_requires_band(self, cluster):
-        ds = cluster.parallelize(records(5))
-        with pytest.raises(ValueError):
-            self_theta_join(ds, lt, strategy="minmax")
-
-    def test_unknown_strategy(self, cluster):
-        ds = cluster.parallelize(records(5))
-        with pytest.raises(ValueError):
-            self_theta_join(ds, lt, strategy="sort-merge")

@@ -6,6 +6,8 @@ partitioning + merge order computes the same result.  Hypothesis hunts for
 counterexamples on every monoid we define.
 """
 
+from functools import partial
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,14 +18,14 @@ from repro.monoid import (
     BagMonoid,
     CountMonoid,
     GroupMonoid,
-    KMeansAssignMonoid,
     ListMonoid,
     MaxMonoid,
     MinMonoid,
+    MultiGroupMonoid,
     SetMonoid,
     SumMonoid,
-    TokenFilterMonoid,
 )
+from repro.physical.functions import query_functions
 
 words = st.text(alphabet="abcdefgh", min_size=0, max_size=8)
 numbers = st.integers(min_value=-1000, max_value=1000)
@@ -99,9 +101,19 @@ def test_bag_associative_up_to_multiset(ws):
     assert sorted(left) == sorted(right)
 
 
+def blocking_monoid(kind):
+    """The token-filtering / k-means monoid of §4.3 as a query builds it: a
+    ``MultiGroupMonoid`` keyed by the ``block_keys`` builtin (q = 2; the
+    k = 2 centers are sampled from the primary table's two terms)."""
+    builtins = query_functions(
+        [], "t", {"t": ["abcd", "efgh"]}, q=2, k=2, delta=0.1, seed=13, sim_filters=True
+    )
+    return MultiGroupMonoid(keys_func=partial(builtins["block_keys"], kind))
+
+
 @given(st.lists(words, min_size=3, max_size=3))
 def test_token_filter_associative(ws):
-    m = TokenFilterMonoid(q=2)
+    m = blocking_monoid("token_filtering")
     a, b, c = (m.unit(w) for w in ws)
     left = m.merge(m.merge(a, b), c)
     right = m.merge(a, m.merge(b, c))
@@ -110,7 +122,7 @@ def test_token_filter_associative(ws):
 
 @given(st.lists(words, min_size=1, max_size=10))
 def test_token_filter_covers_every_word(ws):
-    merged = TokenFilterMonoid(q=2).fold(ws)
+    merged = blocking_monoid("token_filtering").fold(ws)
     covered = set()
     for group in merged.values():
         covered |= set(group)
@@ -120,7 +132,7 @@ def test_token_filter_covers_every_word(ws):
 @settings(max_examples=50)
 @given(st.lists(words.filter(bool), min_size=3, max_size=3))
 def test_kmeans_assign_associative(ws):
-    m = KMeansAssignMonoid(centers=["abcd", "efgh"], delta=0.1)
+    m = blocking_monoid("kmeans")
     a, b, c = (m.unit(w) for w in ws)
     assert m.merge(m.merge(a, b), c) == m.merge(a, m.merge(b, c))
 

@@ -8,7 +8,6 @@ from repro.sources import (
     Field,
     Schema,
     flatten_records,
-    nest_records,
     write_records,
 )
 
@@ -18,13 +17,9 @@ class TestSchema:
         s = Schema.of(a="int", b="str")
         assert s.names == ["a", "b"]
 
-    def test_cast_row(self):
+    def test_casters(self):
         s = Schema.of(a="int", b="float")
-        assert s.cast_row(["3", "4.5"]) == {"a": 3, "b": 4.5}
-
-    def test_cast_row_wrong_arity(self):
-        with pytest.raises(SchemaError):
-            Schema.of(a="int").cast_row(["1", "2"])
+        assert [cast(v) for cast, v in zip(s.casters(), ["3", "4.5"])] == [3, 4.5]
 
     def test_field_lookup(self):
         s = Schema.of(a="int")
@@ -40,12 +35,6 @@ class TestSchema:
         with pytest.raises(SchemaError):
             Field("a", "decimal").cast("1")
 
-    def test_validate(self):
-        s = Schema.of(a="int", b="str")
-        s.validate({"a": 1, "b": "x"})
-        with pytest.raises(SchemaError):
-            s.validate({"a": 1})
-
 
 class TestFlattening:
     def test_flatten_multiplies_rows(self):
@@ -57,15 +46,6 @@ class TestFlattening:
     def test_flatten_empty_list_keeps_row(self):
         flat = flatten_records([{"t": "p", "authors": []}], "authors")
         assert len(flat) == 1 and flat[0]["authors"] is None
-
-    def test_nest_inverts_flatten(self):
-        records = [
-            {"t": "p1", "authors": ["a", "b"]},
-            {"t": "p2", "authors": ["c"]},
-        ]
-        flat = flatten_records(records, "authors")
-        nested = nest_records(flat, ["t"], "authors")
-        assert sorted(nested, key=lambda r: r["t"]) == records
 
     def test_flatten_blows_up_size(self):
         # The Fig. 7 motivation: flat representations carry many more rows.
