@@ -162,8 +162,7 @@ def fd_fold_partitions(
     """:func:`fd_combine` → ``exchange`` into ``n`` buckets → :func:`fd_merge`
     in one partition-major pass on the driver.  Returns, per bucket, the
     same violations, the combiners routed there (one per key and partition)
-    and the groups merged there.  A group is ``(bucket, key)``, routed from
-    the key as the partition starting the combiner spelled it; its RHS
+    and the groups merged there.  A group is ``(bucket, key)``; its RHS
     values map to the last partition that witnessed them, since each
     partition's first bearer of a value is a witness of the merge."""
     lhs_func = _key_func(lhs)

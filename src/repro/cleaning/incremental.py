@@ -17,8 +17,7 @@ of the round-robin layout, row ``g`` in partition ``g % n`` for ``n =
 cluster.default_parallelism``, so each item's place is read off ``g``:
 
 * FD: the merge-side arrival order of combiners (input-partition-major,
-  first-seen key order) bucketed by ``stable_hash(key) % n``, ``key`` as
-  the group's rows spell it;
+  first-seen key order) bucketed by ``stable_hash(key) % n``;
 * DC: the banded scan's order — left entries partition-major, candidates
   in band-sorted rank order within the probed equality group;
 * dedup: block first-arrival order bucketed the same way, each block's
@@ -33,11 +32,6 @@ The gates, all enforced here:
 * a table smaller than ``num_partitions`` (the engines clamp the layout
   below it), and a row that is not a dict with a non-``None`` ``_rid`` —
   :func:`in_scope`, at build and on every patch;
-* FD and dedup: a group whose rows spell one key two ways (``1`` / ``1.0``
-  / ``True``; :func:`_spelled_alike`).  Cold merges equal keys within a
-  partition, routes each partition's group by its first row's spelling,
-  then merges equal keys within a bucket, so such rows form one group or
-  several by layout, where a table-wide index keeps one;
 * dedup: duplicate rids (pair dedupe keys on rid) and a callable blocking
   spec;
 * a check whose arguments do not hash has no key to be kept under — the
@@ -127,16 +121,6 @@ def in_scope(rows: Sequence[Any], num_partitions: int = 0) -> Sequence[Any]:
     return rows
 
 
-def _spelled_alike(held: Any, key: Any) -> None:
-    """The spelling gate: ``key`` joins a group of equal keys that its other
-    rows spell ``held``.  Equal ``str`` or ``int`` values have one spelling;
-    any other pair must agree on ``repr``, which ``stable_hash`` routes by."""
-    kind = type(key)
-    if held is key or (type(held) is kind and kind in (str, int)) or repr(held) == repr(key):
-        return
-    raise UnsupportedDelta("one key spelled two ways (1 / 1.0 / True): cold groups it by layout")
-
-
 class _Maintained:
     """What the three states share: the store's row list, addressed by
     global row index, the patch rule, and the keyed re-fold behind every
@@ -224,10 +208,8 @@ class IncrementalFD(_Maintained):
 
     def _attach(self, g: int) -> None:
         key, rhs_value = self.keys[g]
-        group = self.groups.setdefault(key, {})
-        if group:  # its members spell the key alike: ask any one
-            _spelled_alike(self.keys[next(iter(group.values()))[0]][0], key)
-        insort(group.setdefault((g % self.num_partitions, rhs_value), []), g)
+        slot = (g % self.num_partitions, rhs_value)
+        insort(self.groups.setdefault(key, {}).setdefault(slot, []), g)
         self._touched.add(key)
 
     def _detach(self, g: int) -> None:
@@ -265,9 +247,7 @@ class IncrementalFD(_Maintained):
         if len(rhs_values) <= 1:
             return None
         rows = tuple(self.rows[g] for _, g in firsts) if self.keep_records else ()
-        # Bucketed by the key as the group's rows spell it, which the
-        # gate keeps uniform: ``key`` may be a spelling that left it.
-        place = (stable_hash(spelled[0][0]) % self.num_partitions, *firsts[0])
+        place = (stable_hash(key) % self.num_partitions, *firsts[0])
         return place, (FDViolation(spelled[0][0], rhs_values, rows),)
 
     def emit(self) -> list[FDViolation]:
@@ -496,10 +476,7 @@ class IncrementalDedup(_Maintained):
 
     def _enter(self, g: int) -> None:
         key = self.keys[g]
-        members = self.blocks.setdefault(key, [])
-        if members:
-            _spelled_alike(self.keys[members[0]], key)
-        insort(members, g, key=self._arrival)
+        insort(self.blocks.setdefault(key, []), g, key=self._arrival)
         self._touched.add(key)
         self._changed.add(self.rows[g][RID])
 
@@ -549,9 +526,7 @@ class IncrementalDedup(_Maintained):
     def _block(self, key: Any) -> tuple | None:
         members = self.blocks.get(key)
         if members and (pairs := self._block_pairs(members)):
-            # Bucketed by the key as the block's rows spell it (see _merge).
-            bucket = stable_hash(self.keys[members[0]]) % self.num_partitions
-            return (bucket, *self._arrival(members[0])), pairs
+            return (stable_hash(key) % self.num_partitions, *self._arrival(members[0])), pairs
         return None
 
     def emit(self) -> list[DuplicatePair]:

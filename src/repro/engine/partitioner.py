@@ -20,12 +20,31 @@ import zlib
 from typing import Any, Callable, Sequence
 
 
+def canonical_key(value: Any) -> Any:
+    """The one rule for which keys are one key: keys that ``==`` merges
+    route together.  An ``int`` subclass (``True``, an ``IntEnum``) and an
+    integral float (``-0.0`` included) become their ``int``; a tuple is
+    canonicalized element by element; every other value is itself."""
+    kind = type(value)
+    if kind is int or kind is str:
+        return value
+    if isinstance(value, tuple):
+        return tuple([canonical_key(v) for v in value])
+    if isinstance(value, int) or isinstance(value, float) and value.is_integer():
+        return int(value)
+    return value
+
+
 def stable_hash(value: Any) -> int:
-    """A deterministic hash, stable across processes and runs.
+    """A deterministic hash of :func:`canonical_key`, stable across
+    processes and runs.
 
     Python's built-in ``hash`` is randomized for strings; benchmarks must be
     reproducible, so keys are serialized with ``repr`` and crc32-hashed.
     """
+    kind = type(value)
+    if kind is not int and kind is not str:
+        value = canonical_key(value)
     if isinstance(value, int):
         return value & 0x7FFFFFFF
     return zlib.crc32(repr(value).encode("utf-8")) & 0x7FFFFFFF
@@ -91,9 +110,11 @@ class RangePartitioner(Partitioner):
 
 
 def _comparable(key: Any) -> tuple:
-    """Wrap a key so heterogeneous keys (int vs str vs tuple) sort stably."""
+    """Wrap a key so heterogeneous keys (int vs str vs tuple) sort stably,
+    and keys :func:`canonical_key` merges fall in one range."""
+    key = canonical_key(key)
     if isinstance(key, tuple):
-        return tuple(_comparable(k) for k in key)
+        return ("tuple", tuple(map(_comparable, key)))
     return (type(key).__name__, key)
 
 

@@ -73,37 +73,29 @@ def theta_join_minmax(
     stats_work = [(left.count() + right.count()) * unit / max(1, cluster.num_nodes)] * cluster.num_nodes
     cluster.record_op("thetaJoin:minmax:stats", stats_work)
 
-    matches: list[Any] = []
-    comparisons = 0
-    shuffled = 0
+    # Conservative band pruning for `<`-style predicates: a pair of
+    # partitions can only be skipped when the left side's smallest key
+    # already exceeds the right side's largest.  This only bites when
+    # partitions are range-aligned with the band attribute — on shuffled
+    # data every range overlaps and nothing is pruned (the §8.3 failure
+    # mode).
+    surviving = [
+        (lpart, rpart)
+        for (l_lo, _), lpart in zip(left_bounds, left_parts)
+        for (_, r_hi), rpart in zip(right_bounds, right_parts)
+        if not l_lo > r_hi
+    ]
+    # Both partitions of a surviving pair are co-located for its comparison
+    # task: they are shuffled to the node that runs it (the "excessive data
+    # shuffling" of §8.3).  The op is priced from partition sizes alone and
+    # charged *before* any pair runs, so an over-budget join fails fast.
+    comparisons = sum(len(lpart) * len(rpart) for lpart, rpart in surviving)
+    shuffled = sum(len(lpart) + len(rpart) for lpart, rpart in surviving)
     per_node_work = [0.0] * cluster.num_nodes
-    task = 0
-    for i, lpart in enumerate(left_parts):
-        l_lo, l_hi = left_bounds[i]
-        for j, rpart in enumerate(right_parts):
-            r_lo, r_hi = right_bounds[j]
-            # Conservative band pruning for `<`-style predicates: a pair of
-            # partitions can only be skipped when the left side's smallest
-            # key already exceeds the right side's largest.  This only bites
-            # when partitions are range-aligned with the band attribute —
-            # on shuffled data every range overlaps and nothing is pruned
-            # (the §8.3 failure mode).
-            if l_lo > r_hi:
-                continue
-            # Both partitions are co-located for this comparison task: they
-            # are shuffled to the node that runs it (the "excessive data
-            # shuffling" of §8.3).
-            shuffled += len(lpart) + len(rpart)
-            node = task % cluster.num_nodes
-            task += 1
-            per_node_work[node] += len(lpart) * len(rpart) * unit
-            for l in lpart:
-                for r in rpart:
-                    comparisons += 1
-                    if predicate(l, r):
-                        matches.append((l, r))
+    for task, (lpart, rpart) in enumerate(surviving):
+        per_node_work[task % cluster.num_nodes] += len(lpart) * len(rpart) * unit
     cluster.charge_comparisons(comparisons)
-    cluster.charge_verified(comparisons)  # every surviving pair ran the UDF
+    cluster.charge_verified(comparisons)  # every surviving pair runs the UDF
     shuffle_cost = (
         shuffled * cluster.cost_model.shuffle_unit * cluster.cost_model.hash_shuffle_factor
     )
@@ -113,6 +105,7 @@ def theta_join_minmax(
         shuffled_records=shuffled,
         shuffle_cost=shuffle_cost,
     )
+    matches = [(l, r) for lpart, rpart in surviving for l in lpart for r in rpart if predicate(l, r)]
     return _from_matches(cluster, matches)
 
 

@@ -182,6 +182,47 @@ def test_maintained_results_are_served_not_recomputed(session):
     assert names == ["incremental:fd:fd", "incremental:dc:dc", "incremental:dedup:dedup"]
 
 
+def test_a_key_spelled_two_ways_is_served_from_maintained_state(monkeypatch):
+    """A write adds ``1.0`` to an FD key and a dedup block that hold ``1``s:
+    it joins their group, since ``1 == 1.0`` routes as one key.  The re-
+    checks are served from the kept states, re-merging that one key and
+    re-deriving that one block, and answer as a cold session does."""
+    rows = [{"k": 1 if i < 4 else 100 + i, "v": 0, "name": f"same name {i % 4}"} for i in range(40)]
+    db, cold = CleanDB(incremental=True), CleanDB()
+    try:
+        db.register_table("t", [dict(r, _rid=i) for i, r in enumerate(rows)])
+
+        def rechecks(db):
+            return (
+                db.check_fd("t", ["k"], ["v"]),
+                db.deduplicate("t", ["name"], theta=0.5, block_on="k"),
+            )
+
+        def states():
+            held = db.tables._derived["t"].items()
+            return [entry[2] for slot, entry in held if slot[0] in incremental.STATES]
+
+        rechecks(db)
+        fd, dedup = states()
+        merged = Counter(fd._merge)
+        derived = Counter(dedup._block_pairs, weigh=len)
+        monkeypatch.setattr(fd, "_merge", merged)
+        monkeypatch.setattr(dedup, "_block_pairs", derived)
+        db.append_rows("t", [{"k": 1.0, "v": 1, "name": "same name 0"}])
+        db.cluster.metrics.reset()
+        violations, pairs = answer = rechecks(db)
+        assert [op.name for op in db.cluster.metrics.ops] == ["incremental:fd:t", "incremental:dedup:t"]
+        assert states() == [fd, dedup]  # kept, not dropped for a cold rerun
+        assert (merged.calls, derived.calls, derived.work) == (1, 1, 5)
+        assert [(v.key, v.rhs_values) for v in violations] == [(1, (0, 1))]
+        assert sum(40 in (p.left_id, p.right_id) for p in pairs) == 4
+        cold.register_table("t", [dict(r) for r in db.table("t")])
+        assert repr(answer) == repr(rechecks(cold))
+    finally:
+        db.close()
+        cold.close()
+
+
 def test_dedup_caches_plateau_under_a_long_update_stream(monkeypatch):
     """1 000 updates cycling over the same 20 rows: every 40 updates the
     table is back where it was, and so must the state be — its block

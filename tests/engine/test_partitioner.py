@@ -1,5 +1,7 @@
 """Unit tests for the partitioning strategies."""
 
+from enum import IntEnum
+
 import pytest
 
 from repro.engine import (
@@ -9,6 +11,7 @@ from repro.engine import (
     make_partitioner,
     stable_hash,
 )
+from repro.engine.partitioner import canonical_key
 
 
 class TestStableHash:
@@ -22,6 +25,29 @@ class TestStableHash:
     def test_different_values_usually_differ(self):
         values = {stable_hash(f"key{i}") for i in range(100)}
         assert len(values) > 90
+
+    def test_a_str_hash_is_pinned(self):
+        # Routing, and with it every simulated column, rides on this value.
+        assert stable_hash("abc") == 382731822
+
+    @pytest.mark.parametrize("spellings", [
+        (1, 1.0, True),
+        (0, 0.0, -0.0, False),
+        ((1, "a"), (1.0, "a"), (True, "a")),
+    ])
+    def test_keys_equal_under_eq_hash_equal(self, spellings):
+        assert len({stable_hash(key) for key in spellings}) == 1
+        assert len({repr(canonical_key(key)) for key in spellings}) == 1
+
+    def test_an_int_enum_routes_as_its_int(self):
+        class Level(IntEnum):
+            HIGH = 3
+
+        assert stable_hash(Level.HIGH) == stable_hash(3) == 3
+
+    def test_other_values_are_their_own_canonical_key(self):
+        for key in (1.5, "1", None, float("inf"), (1.5, None)):
+            assert canonical_key(key) == key and type(canonical_key(key)) is type(key)
 
 
 class TestHashPartitioner:
@@ -66,6 +92,15 @@ class TestRangePartitioner:
     def test_empty_sample(self):
         p = RangePartitioner(4, key_sample=[])
         assert p.partition("anything") == 0
+
+    def test_keys_equal_under_eq_share_a_range(self):
+        p = RangePartitioner(4, key_sample=[0, 0.5, 1, 1.5, 2, 2.5, 3, "a"])
+        assert len({p.partition(key) for key in (1, 1.0, True)}) == 1
+
+    def test_tuple_and_scalar_keys_share_one_order(self):
+        p = RangePartitioner(3, key_sample=[(1, "a"), "b", None, 2, (0.0, None)])
+        for key in ((1.0, "a"), "zz", None, 7, (False, None)):
+            assert 0 <= p.partition(key) < 3
 
     def test_mixed_type_keys_do_not_crash(self):
         p = RangePartitioner(3, key_sample=[1, "a", 2, "b"])

@@ -12,8 +12,8 @@ under a budget, raise at the same op.
 
 The domain mixes values that are equal but spelled apart (``1`` / ``1.0`` /
 ``True``, ``0`` / ``0.0`` / ``-0.0`` / ``False``, ``(1, "a")`` / ``(1.0,
-"a")``): a combiner is routed by ``stable_hash`` of its first spelling, so
-equal keys can land in different buckets and stay different groups, and
+"a")``): ``stable_hash`` routes every spelling of a key to one bucket
+(``canonical_key``), so equal keys are one group whatever the layout, and
 tables of fewer rows than nodes clamp the partition count below it.
 """
 
@@ -200,13 +200,13 @@ def test_baseline_groupings_are_unchanged(grouping, rows, specs, nodes, keep_rec
     assert actual == expected
 
 
-def test_spellings_that_route_apart_stay_apart():
-    """Not vacuous: ``stable_hash`` sends ``1`` to bucket 1 of 10 and of 4,
-    ``1.0`` to bucket 7 of 10 but 1 of 4.  So the same two rows (one per
-    partition) are two groups on 10 nodes and one violating group on 4."""
+def test_spellings_of_one_key_route_together():
+    """``stable_hash`` sends ``1`` and ``1.0`` to one bucket at any node
+    count, so the same two rows (one per partition) are one violating group
+    on 10 nodes and on 4."""
     rows = [{"a": 1, "b": "x"}, {"a": 1.0, "b": "y"}]
-    for nodes, violations in ((10, 0), (4, 1)):
+    for nodes in (10, 4):
         cluster = Cluster(nodes)
-        assert len(check_fd(cluster.parallelize(rows), ["a"], ["b"]).collect()) == violations
+        assert len(check_fd(cluster.parallelize(rows), ["a"], ["b"]).collect()) == 1
         run = partial(_row, ["a"], ["b"], "aggregate", True, rows)
         assert outcome(nodes, math.inf, run(True)) == outcome(nodes, math.inf, run(False))

@@ -7,8 +7,8 @@ and checks, the emitted result must be ``repr``-identical to registering
 the post-delta table in a fresh session and checking cold — on the row,
 vectorized, and parallel backends alike.  The generators bias toward the
 hard cases: null-laden rows, duplicate ``_rid`` collisions and keys
-spelled two ways (``1`` / ``1.0`` / ``True``) — which must trip the dedup
-and FD gates into a cold fallback, not a wrong answer — empty deltas, and
+spelled two ways (``1`` / ``1.0`` / ``True``) — one key, which the
+maintained states and the cold path both group as one — empty deltas, and
 updates that resolve pre-existing violations.  Because each ``emit``
 patches the previous one, stale caches are the main risk: checks
 run between some deltas and not others, every maintained result is asked
@@ -36,7 +36,8 @@ _NAMES = itertools.count()
 
 plain_row = st.fixed_dictionaries({"a": values, "b": values, "c": values})
 # Keys spelled more than one way (``1 == 1.0 == True``, ``-2 == -2.0``) in
-# the columns FD and dedup group on; the shared ``values`` stay plain.
+# the columns FD and dedup group on, each spelling of a key one group; the
+# shared ``values`` stay plain.
 spelled = st.one_of(values, st.sampled_from([1.0, -2.0, True, False]))
 spelled_row = st.fixed_dictionaries({"a": spelled, "b": values, "c": spelled})
 
@@ -65,9 +66,9 @@ def _deltas(row):
     )
 
 
-# Half the examples spell keys two ways, which mostly trips the FD and
-# dedup gates into a cold fallback; the other half keep the maintained
-# paths running.
+# Half the examples spell keys two ways, so the maintained FD and dedup
+# states merge two spellings of one key into one group as the cold path
+# does; the other half keep to one spelling per key.
 deltas = st.sampled_from([plain_row, spelled_row]).flatmap(_deltas)
 
 
@@ -328,12 +329,29 @@ def _spelled_rows(size, at, spellings, b=None):
     return rows
 
 
+def _served_incrementally(execution, rows, appended, updates, check, **kwargs):
+    """:func:`_cold_parity_through_deltas`, and the incremental session's
+    checks after each write record only ``incremental:*`` ops: a key
+    spelled two ways is served from the maintained state, not a cold rerun."""
+    served = []
+
+    def recorded(db):
+        db.cluster.metrics.reset()
+        answer = check(db)
+        served.append([op.name for op in db.cluster.metrics.ops])
+        return answer
+
+    _cold_parity_through_deltas(execution, rows, appended, updates, recorded, **kwargs)
+    for names in served[2::2]:
+        assert names and all(name.startswith("incremental:") for name in names), names
+
+
 @pytest.mark.parametrize("execution", BACKENDS)
 def test_fd_key_spelled_apart_across_partitions(execution):
-    """``1`` at row 0 and ``1.0`` at row 1 of ten partitions: the cold fold
-    routes them to different merge buckets and reports nothing, so an
-    index that merges them reports a violation the cold path does not."""
-    _cold_parity_through_deltas(
+    """``1`` at row 0 and ``1.0`` at row 1 of ten partitions route to one
+    merge bucket: the cold fold and the maintained index both report one
+    violation on the key, spelled ``1`` as row 0 spells it."""
+    _served_incrementally(
         execution,
         _spelled_rows(32, (0, 1), (1, 1.0), b=(0, 1)),
         [{"k": 1.0, "b": 2, "name": "same"}],
@@ -345,11 +363,10 @@ def test_fd_key_spelled_apart_across_partitions(execution):
 @pytest.mark.parametrize("execution", BACKENDS)
 def test_fd_key_spelled_apart_within_a_partition(execution):
     """``-2`` at row 4 and ``-2.0`` appended at row 13 share partition 1 of
-    three: the cold fold merges them into one violation.  Then row 4 leaves
-    and row 7 joins as ``-2.0``: the group is all ``-2.0`` and takes its
-    merge bucket (2), after the violation on ``103`` (bucket 1), however
-    the key was first spelled."""
-    _cold_parity_through_deltas(
+    three: one violation.  Then row 4 leaves and row 7 joins as ``-2.0``:
+    the group is all ``-2.0`` and keeps the merge bucket every spelling of
+    the key routes to, however the key was first spelled."""
+    _served_incrementally(
         execution,
         _spelled_rows(13, (4, 6), (-2, 103), b=(0, 1)),
         [{"k": -2.0, "b": 1, "name": "same"}],
@@ -361,9 +378,9 @@ def test_fd_key_spelled_apart_within_a_partition(execution):
 
 @pytest.mark.parametrize("execution", BACKENDS)
 def test_dedup_block_key_spelled_apart(execution):
-    """Blocking on ``k`` over ``1`` and ``1.0`` with equal names: the cold
-    blocks never meet, so no pair."""
-    _cold_parity_through_deltas(
+    """Blocking on ``k`` over ``1`` and ``1.0`` with equal names: one
+    block, so the rows pair up in the cold run and in the maintained one."""
+    _served_incrementally(
         execution,
         _spelled_rows(32, (0, 1), (1, 1.0)),
         [{"k": 1.0, "b": 0, "name": "same"}],
@@ -375,11 +392,10 @@ def test_dedup_block_key_spelled_apart(execution):
 @pytest.mark.parametrize("execution", BACKENDS)
 def test_a_group_refilled_in_another_spelling_routes_by_it(execution):
     """One update empties key ``1`` (row 0 moves to ``7``) and refills it
-    as ``1.0`` (rows 5 and 6): the gate never sees both spellings in one
-    group, and the refilled group must take ``1.0``'s merge bucket (7),
-    not ``1``'s (1) — after the violation and the pair on ``103``
-    (bucket 3)."""
-    _cold_parity_through_deltas(
+    as ``1.0`` (rows 5 and 6): the refilled group reports ``1.0``, as its
+    first row spells it, in the merge bucket every spelling of the key
+    routes to, after the violation and the pair on ``103``."""
+    _served_incrementally(
         execution,
         _spelled_rows(32, (0, 2), (1, 103), b=(0, 1)),
         [],

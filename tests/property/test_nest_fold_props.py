@@ -17,7 +17,7 @@ fold must fail with the same exception.  The vectorized reference built
 each unit just before its merge, the row reference every unit before any
 merge; the shared fold does the latter, so on that backend only the type
 of a failure is compared.  Keys mix ``1`` / ``1.0`` / ``True``, which are
-one group but route by their first spelling.
+one group and route together.
 """
 
 from __future__ import annotations
