@@ -365,12 +365,12 @@ def run_check(args: Any) -> int:
 
 
 def run_dc(args: Any) -> int:
-    """The ``dc`` subcommand: parse the rule, check, optionally repair."""
+    """The ``dc`` subcommand: check the rule (``CleanDB.check_dc`` analyzes
+    and parses it), optionally repair."""
     import math
 
-    from .cleaning.dc_kernel import parse_dc
     from .core.language import CleanDB
-    from .core.semantics import errors_in, render_diagnostics
+    from .core.semantics import DiagnosticsError, render_diagnostics
 
     db = CleanDB(
         num_nodes=args.nodes,
@@ -398,28 +398,14 @@ def run_dc(args: Any) -> int:
             raise ValueError(
                 "pass --on NAME when registering more than one table"
             )
-        # Static analysis first: a malformed or unsatisfiable rule exits
-        # with caret-annotated diagnostics instead of a parser traceback.
-        findings = errors_in(db.check(rule=args.rule, where=args.where, on=table))
-        if findings:
-            first = findings[0]
-            print(f"error: {first.message}", file=sys.stderr)
-            print(
-                render_diagnostics(
-                    findings, {"rule": args.rule, "where": args.where}
-                ),
-                file=sys.stderr,
-            )
-            return 1
-        constraint = parse_dc(args.rule, where=args.where)
-        violations = db.check_dc(table, constraint)
+        violations = db.check_dc(table, args.rule, where=args.where)
         print(f"-- {len(violations)} violating pairs ({args.dc_strategy}) --")
         for t1, t2 in violations[:20]:
             print(f"  t1={_short(t1)}  t2={_short(t2)}")
         if len(violations) > 20:
             print(f"  ... {len(violations) - 20} more pairs")
         if args.repair:
-            report = db.repair_dc(table, constraint, violations=violations)
+            report = db.repair_dc(table, args.rule, violations=violations, where=args.where)
             print("\n-- repair by relaxation --")
             print(f"  cover cells:         {report.cover_size}")
             print(f"  cells changed:       {report.cells_changed}")
@@ -429,6 +415,13 @@ def run_dc(args: Any) -> int:
         if args.metrics:
             print("\n-- metrics --")
             print(json.dumps(db.cluster.metrics.summary(), indent=2, sort_keys=True))
+    except DiagnosticsError as exc:
+        # A malformed or unsatisfiable rule exits with caret-annotated
+        # diagnostics instead of a parser traceback.
+        print(f"error: {exc.diagnostics[0].message}", file=sys.stderr)
+        sources = {"rule": args.rule, "where": args.where}
+        print(render_diagnostics(exc.diagnostics, sources), file=sys.stderr)
+        return 1
     except (ReproError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

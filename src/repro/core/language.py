@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from ..algebra.operators import AlgebraOp, SharedScanDAG
 from ..algebra.rewrite import RewriteReport, optimize_branches
@@ -32,6 +32,7 @@ from .rewriter import Branch, rewrite_query
 from .semantics import (
     Diagnostic,
     DiagnosticsError,
+    analyze_columns,
     analyze_dc,
     analyze_query,
     errors_in,
@@ -315,20 +316,32 @@ class CleanDB:
         self.tables.update(name, rid_to_row)
 
     # ------------------------------------------------------------------ #
-    # Denial constraints (programmatic surface; SQL self-joins also work)
+    # Cleaning checks: one front door, then the backend ladder
     # ------------------------------------------------------------------ #
-    def _analyzed_dc(self, table: str, rule: str):
-        """Statically validate a textual DC rule against the target table's
-        inferred schema (clause shape, attribute existence, type
-        compatibility, satisfiability — CM3xx), then parse it.  Raises
-        :class:`~repro.core.semantics.DiagnosticsError` on any finding."""
+    def _admit(
+        self, table: str, analyze: Callable[[Any], list[Diagnostic]], source: str = ""
+    ) -> None:
+        """The front door every cleaning check passes before a driver runs:
+        ``analyze`` judges the call's arguments against ``table``'s inferred
+        schema by the rules their query spelling gets (CM102, CM301–CM304),
+        and an error raises :class:`~repro.core.semantics.DiagnosticsError`.
+        An unregistered table is judged without a schema."""
+        info = self.tables.info(table) if table in self.tables else None
+        errors = errors_in(analyze(info))
+        if errors:
+            raise DiagnosticsError(errors, source=source)
+
+    def _constraint(self, table: str, constraint: Any, where: str) -> Any:
+        """The DC a check runs, admitted by :meth:`_admit`: rule text and
+        its ``where`` filters as ``dc_kernel`` parses them, or a built
+        :class:`~repro.cleaning.dc_kernel.DenialConstraint` as it is."""
         from ..cleaning.dc_kernel import parse_dc
 
-        info = self.tables.info(table) if table in self.tables else None
-        errors = errors_in(analyze_dc(rule, info=info))
-        if errors:
-            raise DiagnosticsError(errors, source=rule)
-        return parse_dc(rule)
+        text = isinstance(constraint, str)
+        if where and not text:
+            raise ValueError("where= goes with rule text; a DenialConstraint has left_filters")
+        self._admit(table, partial(analyze_dc, constraint, where), constraint if text else "")
+        return parse_dc(constraint, where) if text else constraint
 
     @collector_paused()
     def _run_check(self, op: str, table: str, key: tuple, **params: Any) -> list[Any]:
@@ -354,20 +367,22 @@ class CleanDB:
         ).collect()
 
     def check_dc(
-        self, table: str, constraint: Any, strategy: str | None = None
+        self, table: str, constraint: Any, strategy: str | None = None, where: str = ""
     ) -> list[tuple[dict, dict]]:
         """Find pairs in ``table`` violating a general denial constraint.
 
         ``constraint`` is a :class:`~repro.cleaning.denial.
-        DenialConstraint` (or a rule string for
-        :func:`~repro.cleaning.dc_kernel.parse_dc`).  The ``banded``
-        strategy runs on this instance's execution backend — at batch
-        prices under ``execution="vectorized"``, on real worker processes
-        under ``execution="parallel"`` — with an identical violation set
-        either way.
+        DenialConstraint` or rule text for
+        :func:`~repro.cleaning.dc_kernel.parse_dc`, with ``where`` its
+        single-tuple filters; a malformed clause, an unknown attribute, an
+        ill-typed predicate or an unsatisfiable conjunction raises
+        :class:`~repro.core.semantics.DiagnosticsError` (CM301–CM304) before
+        anything runs.  The ``banded`` strategy runs on this instance's
+        execution backend — at batch prices under ``execution="vectorized"``,
+        on real worker processes under ``execution="parallel"`` — with an
+        identical violation set either way.
         """
-        if isinstance(constraint, str):
-            constraint = self._analyzed_dc(table, constraint)
+        constraint = self._constraint(table, constraint, where)
         return self._run_check(
             "dc", table, (constraint,), constraint=constraint, strategy=strategy or self.dc_strategy,
             derived=partial(self.tables.derived, table),
@@ -382,11 +397,15 @@ class CleanDB:
     ) -> list[Any]:
         """Find ``table``'s functional-dependency violations (LHS → RHS).
 
+        ``lhs`` / ``rhs`` are column names or record → value callables; a
+        name the table lacks raises :class:`~repro.core.semantics.
+        DiagnosticsError` (CM102), as ``FD(x.a, x.b)`` does in a query.
         Runs on this instance's execution backend — at batch prices under
         ``execution="vectorized"``, handle-based worker processes under
         ``execution="parallel"`` (referencing the eagerly pinned table) —
         with an identical violation set either way.
         """
+        self._admit(table, partial(analyze_columns, table, [*lhs, *rhs]))
         return self._run_check(
             "fd", table, (tuple(lhs), tuple(rhs), bool(keep_records)),
             lhs=lhs, rhs=rhs, grouping=self.config.grouping, keep_records=keep_records,
@@ -402,14 +421,20 @@ class CleanDB:
     ) -> list[Any]:
         """Find ``table``'s duplicate pairs (exact-key blocking).
 
-        Backend routing mirrors :meth:`check_fd`; the parallel backend
-        references the pinned table by handle and ships only the final
-        pairs back.
+        ``block_on`` is a column, a list of columns or a record → key
+        callable (``None`` blocks on ``attributes``); a comparison
+        attribute or block key the table lacks raises
+        :class:`~repro.core.semantics.DiagnosticsError` (CM102), as
+        ``DEDUP(..., x.a)`` does in a query.  Backend routing mirrors
+        :meth:`check_fd`; the parallel backend references the pinned table
+        by handle and ships only the final pairs back.
         """
         from ..cleaning.simjoin import NO_FILTERS
 
         filters = None if self.sim_filters else NO_FILTERS
         attributes = list(attributes)
+        keys = block_on if isinstance(block_on, (list, tuple)) else [block_on]
+        self._admit(table, partial(analyze_columns, table, [*attributes, *keys]))
         # A list of blocking attributes as a tuple: the check's key must hash.
         block_tag = tuple(block_on) if isinstance(block_on, list) else block_on
         return self._run_check(
@@ -427,20 +452,21 @@ class CleanDB:
         strategy: str | None = None,
         max_rounds: int = 4,
         violations: list[tuple[dict, dict]] | None = None,
+        where: str = "",
     ):
         """Detect and repair ``table``'s DC violations by relaxation.
 
-        The repaired records replace the registered table (the detect →
-        repair loop of the examples), and the
-        :class:`~repro.cleaning.repair.DCRepairReport` is returned —
-        ``report.clean`` is True when no residual violations remain.
-        Pass ``violations`` from an earlier :meth:`check_dc` call on the
-        same table to skip re-detecting.
+        ``constraint`` and ``where`` are :meth:`check_dc`'s, analyzed the
+        same way before anything runs or changes.  The repaired records
+        replace the registered table (the detect → repair loop of the
+        examples), and the :class:`~repro.cleaning.repair.DCRepairReport`
+        is returned — ``report.clean`` is True when no residual violations
+        remain.  Pass ``violations`` from an earlier :meth:`check_dc` call
+        on the same table to skip re-detecting.
         """
         from ..cleaning.repair import repair_dc_by_relaxation
 
-        if isinstance(constraint, str):
-            constraint = self._analyzed_dc(table, constraint)
+        constraint = self._constraint(table, constraint, where)
         # One detection pass through the configured backend (so metrics
         # reflect the real plan); its pairs seed the repair engine's first
         # round directly, since every banded driver emits the table's own
@@ -459,19 +485,27 @@ class CleanDB:
     # ------------------------------------------------------------------ #
     # Compilation
     # ------------------------------------------------------------------ #
-    def _analyze(self, query: Query | str, source: str) -> list[Diagnostic]:
-        """The CM1xx–CM5xx semantic pass over one parsed query."""
-        if isinstance(query, str):
-            source = query
-            query = parse(query)
+    def _analyze(
+        self, query: Query, source: str
+    ) -> tuple[list[Diagnostic], list[Branch] | None]:
+        """The CM1xx–CM5xx semantic pass over one parsed query, and the
+        query de-sugared — once: the legality walk reads the branches the
+        plan lowers.  ``None`` branches: de-sugaring failed, which
+        :meth:`compile` reports after any static error."""
+        try:
+            branches: list[Branch] | None = rewrite_query(query)
+        except Exception:
+            branches = None
         names = {t.name for t in query.tables}
-        return analyze_query(
+        diags = analyze_query(
             query,
             self.tables.rows,
             execution=self.config.execution,
             infos={n: self.tables.info(n) for n in names if n in self.tables},
             source=source,
+            branches=[] if branches is None else branches,
         )
+        return diags, branches
 
     def check(
         self,
@@ -496,10 +530,11 @@ class CleanDB:
             except ParseError as exc:
                 diags.append(parse_error_diagnostic(exc, source=sql))
             else:
-                diags.extend(self._analyze(query, sql))
-                if not errors_in(diags):
+                analyzed, branches = self._analyze(query, sql)
+                diags.extend(analyzed)
+                if not errors_in(diags) and branches is not None:
                     try:
-                        self._lower(query, rewrite_query(query))
+                        self._lower(query, branches)
                     except DiagnosticsError as exc:
                         diags.extend(exc.diagnostics)
                     except Exception:
@@ -525,10 +560,13 @@ class CleanDB:
         lowering.  Parse errors propagate unchanged.
         """
         query = parse(sql)
-        errors = errors_in(self._analyze(query, sql))
+        diags, branches = self._analyze(query, sql)
+        errors = errors_in(diags)
         if errors:
             raise DiagnosticsError(errors, source=sql)
-        return self._lower(query, rewrite_query(query), source=sql)
+        if branches is None:
+            branches = rewrite_query(query)  # raises what de-sugaring raised
+        return self._lower(query, branches, source=sql)
 
     def _lower(
         self, query: Query, branches: list[Branch], source: str = ""

@@ -18,9 +18,12 @@ The analysis is schema inference plus a handful of judgment rules:
   statically instead of raising ``TypeError`` on the first dirty row;
 * similarity thetas must lie in [0, 1], metrics and blocking operators
   must name registered algorithms;
-* DC rules are validated beyond ``parse_dc``'s identifier check:
-  attribute existence, predicate/type compatibility, and trivial
-  unsatisfiability (an ordering-set intersection that admits no pair);
+* the cleaning API's arguments get the same rules as their query
+  spellings: an FD side, a dedup attribute or block key must be a column
+  (CM102), and a DC — rule text read by ``dc_kernel``'s own clause parser,
+  or a built ``DenialConstraint`` — is checked for attribute existence,
+  predicate/type compatibility, and trivial unsatisfiability (an
+  ordering-set intersection that admits no pair);
 * monoid well-formedness: a non-commutative merge in a comprehension
   that executes distributed (after a shuffle) violates the paper's
   legality rules and is an error;
@@ -226,18 +229,23 @@ def _fold_rows(info: TableInfo, indexed: Iterable[tuple[int, Any]], sample: int)
 
 def patch_info(
     info: TableInfo, base: int, appended: Sequence[Any],
-    updated: Sequence[tuple[int, Any]], sample: int = 64,
+    updated: Sequence[tuple[int, Any]], table: Sequence[Any], sample: int = 64,
 ) -> TableInfo:
-    """:func:`infer_table` of the table after a delta, folded from its
-    answer before it (``TableStore.derived``'s patch rule).  Raises when
-    the fold would not be faithful: a table that was not all dicts, a
-    replacement inside the sample (the old row's types cannot be taken
-    back) or one lacking a known column (the old row may have been its
-    last bearer)."""
+    """:func:`infer_table` of ``table`` after a delta, folded from its
+    answer before it (``TableStore.derived``'s patch rule, ``table`` bound
+    to the rows the delta changed).  A replacement inside the sample
+    re-reads the sample's types from ``table``: an old row's types cannot
+    be taken back one by one.  Raises when the fold would not be
+    faithful: a table that was not all dicts, or a replacement lacking a
+    known column (the old row may have been its last bearer)."""
     known = info.columns.keys()
-    if not info.is_record or any(g < sample or not row.keys() >= known for g, row in updated):
+    if not info.is_record or any(not row.keys() >= known for _, row in updated):
         raise ValueError("delta cannot be folded into the inferred schema")
-    out = TableInfo({k: set(v) for k, v in info.columns.items()}, True, base + len(appended))
+    resample = any(g < sample for g, _ in updated)
+    columns = {k: set() if resample else set(v) for k, v in info.columns.items()}
+    out = TableInfo(columns, True, base + len(appended))
+    if resample:
+        _fold_rows(out, enumerate(table[:sample]), sample)
     return _fold_rows(_fold_rows(out, updated, sample), enumerate(appended, base), sample)
 
 
@@ -372,8 +380,8 @@ def analyze_query(
     pre-inferred schemas (the facade caches them per table version);
     missing entries are inferred on demand.  ``branches`` passes the
     caller's already-rewritten comprehension branches for the monoid
-    legality walk (the facade compiles them anyway); without it the query
-    is de-sugared here.
+    legality walk (the facade de-sugars each query once, before analysis;
+    ``[]`` when that failed); without it the query is de-sugared here.
     """
     if isinstance(sql, str):
         source = sql
@@ -395,14 +403,13 @@ def analyze_query(
     for t in query.tables:
         alias_map[t.alias] = t.name
         if t.name not in tables:
-            hint = _closest(t.name, tables)
             diags.append(
                 Diagnostic(
                     code="CM101",
                     severity="error",
                     message=f"query references unknown table {t.name!r}",
                     span=finder.ident(t.name),
-                    hint=hint and f"did you mean {hint!r}?",
+                    hint=_did_you_mean(t.name, tables),
                 )
             )
 
@@ -431,19 +438,18 @@ def analyze_query(
             )
 
     # -- monoid legality over the de-sugared branches ------------------- #
-    if branches is not None:
-        for branch in branches:
-            diags.extend(check_monoid_legality(branch.comprehension, branch.name))
-    elif not errors_in(diags):
-        try:
+    if not errors_in(diags):
+        if branches is None:
             from .rewriter import rewrite_query
 
-            for branch in rewrite_query(query):
-                diags.extend(check_monoid_legality(branch.comprehension, branch.name))
-        except Exception:
-            # De-sugaring failures surface through compile() with their own
-            # error class; the legality walk only covers what de-sugars.
-            pass
+            try:
+                branches = rewrite_query(query)
+            except Exception:
+                # De-sugaring failures surface through compile() with their
+                # own error class; the legality walk only covers what de-sugars.
+                branches = []
+        for branch in branches:
+            diags.extend(check_monoid_legality(branch.comprehension, branch.name))
 
     # -- task-closure shippability (parallel backend only) -------------- #
     if execution == "parallel":
@@ -477,9 +483,19 @@ def _call_names_in(query: Query) -> set[str]:
     return set().union(*map(call_names, _query_expressions(query)))
 
 
-def _closest(name: str, candidates: Iterable[str]) -> str | None:
+def _did_you_mean(name: str, candidates: Iterable[str]) -> str | None:
     matches = difflib.get_close_matches(name, list(candidates), n=1, cutoff=0.6)
-    return matches[0] if matches else None
+    return f"did you mean {matches[0]!r}?" if matches else None
+
+
+def _missing_column(info: TableInfo, attr: Any) -> bool:
+    """Whether ``attr`` names a column ``info``'s table lacks.  A callable
+    spec, a scalar table and an empty one (no columns to judge by) are
+    never judged."""
+    return (
+        isinstance(attr, str) and info.is_record and bool(info.columns)
+        and attr != "_rid" and attr not in info.columns
+    )
 
 
 class _ExprChecker:
@@ -512,7 +528,6 @@ class _ExprChecker:
             return
         if isinstance(expr, Var):
             if expr.name not in self.alias_map:
-                hint = _closest(expr.name, self.alias_map)
                 self._emit(
                     Diagnostic(
                         code="CM103",
@@ -522,21 +537,20 @@ class _ExprChecker:
                             f"FROM clause"
                         ),
                         span=self.finder.ident(expr.name),
-                        hint=hint and f"did you mean {hint!r}?",
+                        hint=_did_you_mean(expr.name, self.alias_map),
                     ),
                     ("CM103", expr.name),
                 )
             return
         if isinstance(expr, Call):
             if expr.name not in self.known_functions:
-                hint = _closest(expr.name, self.known_functions)
                 self._emit(
                     Diagnostic(
                         code="CM104",
                         severity="error",
                         message=f"unknown function {expr.name!r}",
                         span=self.finder.ident(expr.name),
-                        hint=hint and f"did you mean {hint!r}?",
+                        hint=_did_you_mean(expr.name, self.known_functions),
                     ),
                     ("CM104", expr.name),
                 )
@@ -547,7 +561,6 @@ class _ExprChecker:
 
     def _check_column(self, alias: str, attr: str) -> None:
         if alias not in self.alias_map:
-            hint = _closest(alias, self.alias_map)
             self._emit(
                 Diagnostic(
                     code="CM103",
@@ -556,18 +569,15 @@ class _ExprChecker:
                         f"unbound name {alias!r}: not an alias in the FROM clause"
                     ),
                     span=self.finder.ident(alias),
-                    hint=hint and f"did you mean {hint!r}?",
+                    hint=_did_you_mean(alias, self.alias_map),
                 ),
                 ("CM103", alias),
             )
             return
         table = self.alias_map[alias]
         info = self.infos.get(table)
-        if info is None or not info.is_record or not info.columns:
-            return  # unknown table (already CM101), scalar rows, or empty
-        if attr == "_rid" or attr in info.columns:
-            return
-        hint = _closest(attr, info.columns)
+        if info is None or not _missing_column(info, attr):
+            return  # a column, or nothing to judge by (CM101, scalar rows, empty)
         self._emit(
             Diagnostic(
                 code="CM102",
@@ -576,7 +586,7 @@ class _ExprChecker:
                     f"table {table!r} (alias {alias!r}) has no column {attr!r}"
                 ),
                 span=self.finder.attr(alias, attr),
-                hint=hint and f"did you mean {hint!r}?",
+                hint=_did_you_mean(attr, info.columns),
             ),
             ("CM102", alias, attr),
         )
@@ -617,14 +627,7 @@ class _ExprChecker:
     def kind_of(self, expr: Expr) -> str | None:
         """Abstract domain of an expression: ``num``/``str``/``bool``/None."""
         if isinstance(expr, Const):
-            value = expr.value
-            if isinstance(value, bool):
-                return "bool"
-            if isinstance(value, (int, float)):
-                return "num"
-            if isinstance(value, str):
-                return "str"
-            return None
+            return _value_kind(expr.value)
         if isinstance(expr, Proj) and isinstance(expr.source, Var):
             table = self.alias_map.get(expr.source.name)
             info = self.infos.get(table) if table else None
@@ -645,6 +648,17 @@ class _ExprChecker:
         if isinstance(expr, UnaryOp):
             return "bool" if expr.op == "not" else self.kind_of(expr.operand)
         return None
+
+
+def _value_kind(value: Any) -> str | None:
+    """Abstract domain of a constant: ``num``/``str``/``bool``/None."""
+    if isinstance(value, bool):
+        return "bool"
+    if isinstance(value, (int, float)):
+        return "num"
+    if isinstance(value, str):
+        return "str"
+    return None
 
 
 _FUNCTION_KINDS: dict[str, str] = {
@@ -693,25 +707,23 @@ def _check_similarity_params(
             )
         )
     if op.metric not in _METRICS:
-        hint = _closest(op.metric, _METRICS)
         diags.append(
             Diagnostic(
                 code="CM203",
                 severity="error",
                 message=f"unknown similarity metric {op.metric!r} in {kind}",
                 span=finder.ident(op.metric),
-                hint=hint and f"did you mean {hint!r}?",
+                hint=_did_you_mean(op.metric, _METRICS),
             )
         )
     if op.op not in BLOCKING_OPS:
-        hint = _closest(op.op, BLOCKING_OPS)
         diags.append(
             Diagnostic(
                 code="CM204",
                 severity="error",
                 message=f"unknown blocking operator {op.op!r} in {kind}",
                 span=finder.ident(op.op),
-                hint=hint and f"did you mean {hint!r}?",
+                hint=_did_you_mean(op.op, BLOCKING_OPS),
             )
         )
 
@@ -812,8 +824,25 @@ def check_task_closures(
 
 
 # ---------------------------------------------------------------------- #
-# Denial-constraint analysis
+# Cleaning-call analysis: the facade's FD, dedup and DC arguments
 # ---------------------------------------------------------------------- #
+def analyze_columns(
+    table: str, attrs: Iterable[Any], info: TableInfo | None
+) -> list[Diagnostic]:
+    """CM102 for each attribute a cleaning call names — an FD side, a dedup
+    comparison attribute or block key — that ``table`` lacks, as the query
+    spellings ``FD(x.a, x.b)`` and ``DEDUP(..., x.a)`` get it.  A callable
+    spec is code, not a name, and is not judged."""
+    if info is None:
+        return []
+    return [
+        Diagnostic("CM102", "error", f"table {table!r} has no column {attr!r}",
+                   hint=_did_you_mean(attr, info.columns))
+        for attr in dict.fromkeys(attrs)
+        if _missing_column(info, attr)
+    ]
+
+
 _ORDER_SETS: dict[str, frozenset[str]] = {
     "<": frozenset({"LT"}),
     "<=": frozenset({"LT", "EQ"}),
@@ -823,247 +852,165 @@ _ORDER_SETS: dict[str, frozenset[str]] = {
     ">=": frozenset({"GT", "EQ"}),
 }
 
+#: CM301's hint per DC input: what one of its clauses looks like.
+_CLAUSE_SHAPES = {
+    "rule": "write clauses as t1.attr OP t2.attr",
+    "where": "write filters as t1.attr OP constant",
+}
+
 
 def analyze_dc(
-    rule: str,
+    rule: Any,
     where: str = "",
     info: TableInfo | None = None,
 ) -> list[Diagnostic]:
-    """Validate a textual denial constraint beyond ``parse_dc``.
+    """Validate a denial constraint against its target table's schema.
 
-    Checks clause shape (CM301), attribute existence against the target
-    table (CM302), predicate/type compatibility (CM303), and trivial
-    unsatisfiability (CM304): a conjunction whose ordering sets over the
-    same attribute pair intersect to nothing — or single-tuple filters
-    bounding one attribute to an empty interval — can never produce a
-    violation, so running it would silently report a clean table.
+    ``rule`` is rule text, ``where`` its single-tuple filters, or ``rule``
+    is a built :class:`~repro.cleaning.dc_kernel.DenialConstraint`.  Text
+    is read by ``dc_kernel``'s own clause parser, one clause at a time, so
+    a clause it rejects is CM301 at that clause's span.  What the parser
+    builds is checked as a built constraint is: attribute existence against
+    the target table (CM302), predicate/type compatibility (CM303), and
+    trivial unsatisfiability (CM304): a conjunction whose ordering sets
+    over the same attribute pair intersect to nothing — or single-tuple
+    filters bounding one attribute to an empty interval — can never
+    produce a violation, so running it would silently report a clean table.
     """
-    from ..cleaning.dc_kernel import _split_clauses, _split_operator
+    from ..cleaning.dc_kernel import _parse_filter_clause, _parse_tuple_clause, _split_clauses
 
     diags: list[Diagnostic] = []
-    rule_finder = SpanFinder(rule)
-    where_finder = SpanFinder(where)
-
-    clauses = _split_clauses(rule)
-    if not clauses:
-        diags.append(
-            Diagnostic(
-                code="CM301",
-                severity="error",
-                message="a denial constraint needs at least one predicate",
-                span=rule_finder.at(0, max(len(rule), 1)),
-                source_label="rule",
-            )
+    whole: dict[str, Span | None] = dict.fromkeys(("rule", "where"))
+    if isinstance(rule, str):
+        predicates: Iterable[tuple[Any, Span | None]] = _parsed(
+            rule, "rule", _parse_tuple_clause, diags
         )
-        return diags
-
-    order_sets: dict[tuple[str, str], set[str]] = {}
-    predicates: list[tuple[str, str, str]] = []
-    search_from = 0
-    for clause in clauses:
-        offset = rule.find(clause, search_from)
-        if offset < 0:
-            offset = rule.find(clause)
-        search_from = offset + len(clause) if offset >= 0 else search_from
-        span = rule_finder.at(max(offset, 0), len(clause))
-        try:
-            left, op, right = _split_operator(clause)
-        except ValueError as exc:
-            diags.append(
-                Diagnostic(
-                    code="CM301",
-                    severity="error",
-                    message=str(exc),
-                    span=span,
-                    hint="write clauses as t1.attr OP t2.attr",
-                    source_label="rule",
-                )
-            )
-            continue
-        left_attr = _role_attr(left, "t1", span, diags, "rule")
-        right_attr = _role_attr(right, "t2", span, diags, "rule")
-        if left_attr is None or right_attr is None:
-            continue
-        _check_dc_attr(left_attr, info, span, diags, "rule")
-        _check_dc_attr(right_attr, info, span, diags, "rule")
-        _check_dc_types(left_attr, op, right_attr, info, span, diags)
-        predicates.append((left_attr, op, right_attr))
-        pair = (left_attr, right_attr)
-        allowed = order_sets.setdefault(pair, {"LT", "EQ", "GT"})
-        allowed &= _ORDER_SETS[op]
-
-    for (left_attr, right_attr), allowed in order_sets.items():
-        if not allowed:
-            ops = " and ".join(
-                f"t1.{l} {o} t2.{r}"
-                for l, o, r in predicates
-                if (l, r) == (left_attr, right_attr)
-            )
-            diags.append(
-                Diagnostic(
-                    code="CM304",
-                    severity="error",
-                    message=(
-                        f"trivially unsatisfiable constraint: {ops} admits no "
-                        f"ordering of (t1.{left_attr}, t2.{right_attr})"
-                    ),
-                    span=rule_finder.at(0, len(rule)),
-                    hint="the conjunction can never hold, so no pair can violate it",
-                    source_label="rule",
-                )
-            )
-
-    diags.extend(_analyze_dc_filters(where, where_finder, info))
+        filters: Iterable[tuple[Any, Span | None]] = _parsed(
+            where, "where", _parse_filter_clause, diags
+        )
+        whole = {"rule": SpanFinder(rule).at(0, len(rule))}
+        whole["where"] = SpanFinder(where).at(0, len(where))
+        empty = not _split_clauses(rule)
+    else:
+        predicates = [(p, None) for p in rule.predicates]
+        filters = [(f, None) for f in rule.left_filters]
+        empty = not rule.predicates
+    if empty:
+        message = "a denial constraint needs at least one predicate"
+        return [_dc_error("CM301", message, whole["rule"], "rule")]
+    _check_dc_predicates(predicates, info, whole["rule"], diags)
+    _check_dc_filters(filters, info, whole["where"], diags)
     return diags
 
 
-def _role_attr(
-    term: str,
-    role: str,
-    span: Span,
+def _dc_error(
+    code: str, message: str, span: Span | None, label: str, hint: str | None = None
+) -> Diagnostic:
+    return Diagnostic(code, "error", message, span, hint, label)
+
+
+def _parsed(
+    text: str, label: str, parse: Callable[[str], Any], diags: list[Diagnostic]
+) -> Iterator[tuple[Any, Span]]:
+    """Each clause of ``text`` as ``dc_kernel``'s ``parse`` builds it, with
+    the clause's span; a clause the parser rejects is CM301 instead."""
+    from ..cleaning.dc_kernel import _split_clauses
+
+    finder = SpanFinder(text)
+    end = 0
+    for clause in _split_clauses(text):
+        start = text.find(clause, end)
+        end = start + len(clause)
+        span = finder.at(start, len(clause))
+        try:
+            built = parse(clause)
+        except ValueError as exc:
+            diags.append(_dc_error("CM301", str(exc), span, label, _CLAUSE_SHAPES[label]))
+            continue
+        yield built, span
+
+
+def _check_dc_predicates(
+    predicates: Iterable[tuple[Any, Span | None]],
+    info: TableInfo | None,
+    whole: Span | None,
     diags: list[Diagnostic],
-    label: str,
-) -> str | None:
-    prefix = role + "."
-    if not term.startswith(prefix):
-        diags.append(
-            Diagnostic(
-                code="CM301",
-                severity="error",
-                message=f"expected {prefix}ATTR in DC clause, got {term!r}",
-                span=span,
-                hint=f"qualify the attribute with its tuple role ({role}.)",
-                source_label=label,
+) -> None:
+    # Per attribute pair: the orderings every predicate over it allows.
+    order_sets: dict[tuple[str, str], tuple[set[str], list[str]]] = {}
+    for pred, span in predicates:
+        spelled = f"t1.{pred.left_attr} {pred.op} t2.{pred.right_attr}"
+        if pred.op not in _ORDER_SETS:
+            message = f"unknown operator {pred.op!r} in DC predicate {spelled}"
+            diags.append(_dc_error("CM301", message, span, "rule", _CLAUSE_SHAPES["rule"]))
+            continue
+        _check_dc_attr(pred.left_attr, info, span, diags, "rule")
+        _check_dc_attr(pred.right_attr, info, span, diags, "rule")
+        _check_dc_types(pred, spelled, info, span, diags)
+        pair = (pred.left_attr, pred.right_attr)
+        allowed, ops = order_sets.setdefault(pair, ({"LT", "EQ", "GT"}, []))
+        allowed &= _ORDER_SETS[pred.op]
+        ops.append(spelled)
+
+    for (left_attr, right_attr), (allowed, ops) in order_sets.items():
+        if not allowed:
+            message = (
+                f"trivially unsatisfiable constraint: {' and '.join(ops)} "
+                f"admits no ordering of (t1.{left_attr}, t2.{right_attr})"
             )
-        )
-        return None
-    attr = term[len(prefix):]
-    if not attr.isidentifier():
-        diags.append(
-            Diagnostic(
-                code="CM301",
-                severity="error",
-                message=f"invalid attribute name {attr!r} in DC clause",
-                span=span,
-                source_label=label,
-            )
-        )
-        return None
-    return attr
+            hint = "the conjunction can never hold, so no pair can violate it"
+            diags.append(_dc_error("CM304", message, whole, "rule", hint))
 
 
 def _check_dc_attr(
-    attr: str,
-    info: TableInfo | None,
-    span: Span,
-    diags: list[Diagnostic],
-    label: str,
+    attr: str, info: TableInfo | None, span: Span | None, diags: list[Diagnostic], label: str
 ) -> None:
-    if info is None or not info.is_record or not info.columns:
-        return
-    if attr == "_rid" or attr in info.columns:
-        return
-    hint = _closest(attr, info.columns)
-    diags.append(
-        Diagnostic(
-            code="CM302",
-            severity="error",
-            message=f"denial constraint references unknown attribute {attr!r}",
-            span=span,
-            hint=hint and f"did you mean {hint!r}?",
-            source_label=label,
-        )
-    )
+    if info is not None and _missing_column(info, attr):
+        message = f"denial constraint references unknown attribute {attr!r}"
+        diags.append(_dc_error("CM302", message, span, label, _did_you_mean(attr, info.columns)))
 
 
 def _check_dc_types(
-    left_attr: str,
-    op: str,
-    right_attr: str,
-    info: TableInfo | None,
-    span: Span,
+    pred: Any, spelled: str, info: TableInfo | None, span: Span | None,
     diags: list[Diagnostic],
 ) -> None:
     if info is None:
         return
-    left = info.kind_of(left_attr)
-    right = info.kind_of(right_attr)
-    if left is None or right is None or left == right:
+    left = info.kind_of(pred.left_attr)
+    right = info.kind_of(pred.right_attr)
+    if left is None or right is None or left == right or {left, right} <= {"num", "bool"}:
         return
-    if {left, right} <= {"num", "bool"}:
-        return
-    diags.append(
-        Diagnostic(
-            code="CM303",
-            severity="error",
-            message=(
-                f"DC predicate t1.{left_attr} {op} t2.{right_attr} compares "
-                f"incompatible types ({left} vs {right}); under null-safe "
-                f"semantics it can never be satisfied"
-            ),
-            span=span,
-            source_label="rule",
-        )
-    )
+    if pred.op in _ORDERED_OPS:
+        outcome = "the kernel raises TypeError on the first pair it compares"
+    else:
+        outcome = "no pair satisfies it" if pred.op == "==" else "every non-null pair satisfies it"
+    message = f"DC predicate {spelled} compares incompatible types ({left} vs {right}); {outcome}"
+    diags.append(_dc_error("CM303", message, span, "rule"))
 
 
-def _analyze_dc_filters(
-    where: str, finder: SpanFinder, info: TableInfo | None
-) -> list[Diagnostic]:
-    from ..cleaning.dc_kernel import _split_clauses, _split_operator
-
-    diags: list[Diagnostic] = []
+def _check_dc_filters(
+    filters: Iterable[tuple[Any, Span | None]],
+    info: TableInfo | None,
+    whole: Span | None,
+    diags: list[Diagnostic],
+) -> None:
     # Per attribute: the numeric interval and equality pins the filters allow.
     bounds: dict[str, dict[str, Any]] = {}
-    search_from = 0
-    for clause in _split_clauses(where):
-        offset = where.find(clause, search_from)
-        search_from = offset + len(clause) if offset >= 0 else search_from
-        span = finder.at(max(offset, 0), len(clause))
-        try:
-            left, op, right = _split_operator(clause)
-        except ValueError as exc:
-            diags.append(
-                Diagnostic(
-                    code="CM301",
-                    severity="error",
-                    message=str(exc),
-                    span=span,
-                    hint="write filters as t1.attr OP constant",
-                    source_label="where",
-                )
-            )
-            continue
-        attr = _role_attr(left, "t1", span, diags, "where")
-        if attr is None:
+    for flt, span in filters:
+        attr, op, value = flt.attr, flt.op, flt.value
+        if op not in _ORDER_SETS:
+            message = f"unknown operator {op!r} in DC filter on t1.{attr}"
+            diags.append(_dc_error("CM301", message, span, "where", _CLAUSE_SHAPES["where"]))
             continue
         _check_dc_attr(attr, info, span, diags, "where")
-        value: Any
-        try:
-            value = int(right)
-        except ValueError:
-            try:
-                value = float(right)
-            except ValueError:
-                value = right.strip("'\"")
-        if info is not None:
-            column = info.kind_of(attr)
-            const = "num" if isinstance(value, (int, float)) else "str"
-            if column is not None and column != const and not (
-                {column, const} <= {"num", "bool"}
-            ):
-                diags.append(
-                    Diagnostic(
-                        code="CM303",
-                        severity="error",
-                        message=(
-                            f"filter t1.{attr} {op} {value!r} compares a "
-                            f"{column} column with a {const} constant"
-                        ),
-                        span=span,
-                        source_label="where",
-                    )
-                )
+        column = info.kind_of(attr) if info is not None else None
+        const = _value_kind(value)
+        if column and const and column != const and not {column, const} <= {"num", "bool"}:
+            message = (
+                f"filter t1.{attr} {op} {value!r} compares a "
+                f"{column} column with a {const} constant"
+            )
+            diags.append(_dc_error("CM303", message, span, "where"))
         if isinstance(value, (int, float)):
             state = bounds.setdefault(
                 attr, {"lo": float("-inf"), "hi": float("inf"), "eq": None}
@@ -1079,21 +1026,9 @@ def _analyze_dc_filters(
 
     for attr, state in bounds.items():
         lo, hi, eq = state["lo"], state["hi"], state["eq"]
-        empty = lo > hi or (eq is not None and not (lo <= eq <= hi))
-        if empty:
-            diags.append(
-                Diagnostic(
-                    code="CM304",
-                    severity="error",
-                    message=(
-                        f"filters on t1.{attr} admit no value "
-                        f"(bounds collapse to an empty interval)"
-                    ),
-                    span=finder.at(0, max(len(where), 1)),
-                    source_label="where",
-                )
-            )
-    return diags
+        if lo > hi or (eq is not None and not (lo <= eq <= hi)):
+            message = f"filters on t1.{attr} admit no value (bounds collapse to an empty interval)"
+            diags.append(_dc_error("CM304", message, whole, "where"))
 
 
 # ---------------------------------------------------------------------- #

@@ -15,6 +15,7 @@ is parallel in order to touch a table.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Sequence
 
 from ..cleaning.rowid import fill_rids
@@ -117,9 +118,8 @@ class TableStore:
 
     def info(self, name: str) -> TableInfo:
         """Inferred schema of a registered table."""
-        return self.derived(
-            name, ("info",), lambda: infer_table(self.rows.get(name, [])), patch_info
-        )
+        rows = self.rows.get(name, [])
+        return self.derived(name, ("info",), lambda: infer_table(rows), partial(patch_info, table=rows))
 
     # -- Deltas ------------------------------------------------------ #
     def append(self, name: str, rows: Sequence[Any]) -> None:

@@ -194,6 +194,11 @@ def eval_column(
     columns — the vectorized-interpretation payoff.
     """
     n = len(env)
+    if not n:
+        # No environments, no values: an empty table's batch binds no
+        # columns to check a projection against, and the row path
+        # evaluates nothing over it either.
+        return []
     if isinstance(expr, Const):
         return [expr.value] * n
     if isinstance(expr, Var):

@@ -397,11 +397,9 @@ class CleanService:
                 block_on=spec.get("block_on"),
             )
         if op == "dc":
-            from ..cleaning.dc_kernel import parse_dc
-
-            constraint = parse_dc(spec["rule"], where=spec.get("where", ""))
             return db.check_dc(
-                spec["table"], constraint, strategy=spec.get("strategy")
+                spec["table"], spec["rule"], strategy=spec.get("strategy"),
+                where=spec.get("where", ""),
             )
         result = db.execute(spec["text"])
         return result.branches

@@ -6,8 +6,9 @@ append's keys (and types, inside ``infer_table``'s 64-row sample) into the
 held answer, so the check after a write makes no ``infer_table`` pass over
 the table — and what it holds must equal what that pass would say, field
 for field, or the analyzer judges rules against a schema the table does not
-have.  An update is folded only where that is faithful; rebuilding is
-allowed, disagreeing is not.
+have.  An update is folded where that is faithful — one inside the
+sample by re-reading the sample's 64 rows — and rebuilding is allowed,
+disagreeing is not.
 """
 
 import pytest
@@ -57,16 +58,24 @@ def test_the_check_after_a_write_does_not_re_infer_the_schema(kind, size, monkey
         assert info.columns["note"] == ({"str"} if size < 64 else set())
         assert ("int" in info.columns["price"]) == (size < 64)
 
-        # A replacement past the sample that bears every known column folds.
+        # A replacement that bears every known column folds, past the sample
+        # or inside it.
         last = db.table("t")[-1]["_rid"]
         db.update_rows("t", {last: {"a": 2, "price": 1.0, "note": None, "more": 1}})
         agrees(db)
-        assert passes[1:] == ([] if size >= 64 else [size + 2])  # inside the sample: rebuilt
-        # One that may have been a column's last bearer, or one inside the
-        # sample, cannot: whatever the store does, it must not disagree.
+        assert passes[1:] == []  # inside the sample too: the sample is re-read, not the table
+        # One that may have been a column's last bearer cannot: whatever the
+        # store does, it must not disagree.
         db.update_rows("t", {last: {"a": 2, "price": 1.0}})
         assert "more" not in agrees(db).columns
         db.update_rows("t", {0: {"a": "zero", "price": None}})
         assert agrees(db).columns["a"] == {"int", "str"}
         db.check_dc("t", RULE)
         agrees(db)
+
+        # A replacement inside the sample that bears every known column
+        # re-reads the sample's rows, at any table size.
+        seen = len(passes)
+        db.update_rows("t", {1: {"a": 7.5, "price": 1.0, "note": None}})
+        assert "float" in agrees(db).columns["a"]
+        assert len(passes) == seen

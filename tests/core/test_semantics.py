@@ -12,6 +12,7 @@ from dataclasses import replace
 import pytest
 
 from repro import CleanDB
+from repro.cleaning.dc_kernel import DenialConstraint, SingleFilter, TuplePredicate, parse_dc
 from repro.core.semantics import (
     CODES,
     Diagnostic,
@@ -25,6 +26,7 @@ from repro.core.semantics import (
     infer_table,
     render_diagnostics,
 )
+from repro.errors import PlanningError
 from repro.monoid.comprehension import Comprehension, Generator
 from repro.monoid.expressions import Var
 from repro.monoid.monoids import ListMonoid
@@ -225,6 +227,81 @@ class TestFacadeEnforcement:
         # A satisfiable plan with no errors must still compile.
         plan = db.compile("SELECT * FROM customer c FD(c.address, c.phone)")
         assert plan is not None
+
+    def test_compile_and_check_de_sugar_a_query_once(self, db, monkeypatch):
+        """The legality walk reads the branches the plan lowers: once the
+        analyzer de-sugared every query a second time."""
+        import repro.core.language as language
+        import repro.core.rewriter as rewriter
+
+        calls = []
+
+        def counted(query):
+            calls.append(query)
+            return real(query)
+
+        real = rewriter.rewrite_query
+        monkeypatch.setattr(rewriter, "rewrite_query", counted)
+        monkeypatch.setattr(language, "rewrite_query", counted)
+        sql = "SELECT * FROM customer c FD(c.address, c.phone) DEDUP(exact, LD, 0.7, c.name)"
+        db.compile(sql)
+        assert len(calls) == 1
+        assert db.check(sql) == []
+        assert len(calls) == 2
+
+    def test_a_query_that_cannot_de_sugar_raises_the_rewriters_error(self, db):
+        with pytest.raises(PlanningError, match="SELECT \\* cannot be combined"):
+            db.compile("SELECT * FROM customer c GROUP BY c.name")
+        assert db.check("SELECT * FROM customer c GROUP BY c.name") == []
+
+
+# --------------------------------------------------------------------- #
+# The cleaning calls' front door
+# --------------------------------------------------------------------- #
+class TestCleaningCalls:
+    def test_an_unknown_fd_attribute_gets_a_hint(self, db):
+        with pytest.raises(DiagnosticsError) as exc:
+            db.check_fd("customer", ["nam"], ["phone"])
+        (diag,) = exc.value.diagnostics
+        assert (diag.code, diag.hint) == ("CM102", "did you mean 'name'?")
+
+    def test_callables_and_rids_are_not_judged(self, db):
+        out = db.check_fd("customer", [lambda r: r["address"]], ["_rid"])
+        assert len(out) == 1
+        assert db.deduplicate("customer", ["name"], block_on=lambda r: 0) == []
+
+    def test_an_empty_table_is_not_judged(self, db):
+        db.register_table("empty", [])
+        assert db.check_fd("empty", ["nosuch"], ["v"]) == []
+        assert db.deduplicate("empty", ["nosuch"], block_on="other") == []
+        assert db.check_dc("empty", "t1.nosuch < t2.v") == []
+
+    def test_a_built_constraint_is_malformed_without_a_known_operator(self, db):
+        bad = [
+            DenialConstraint(()),
+            DenialConstraint((TuplePredicate("name", "~", "name"),)),
+            DenialConstraint(
+                (TuplePredicate("name", "==", "name"),), (SingleFilter("nationkey", "=<", 1),)
+            ),
+        ]
+        for constraint in bad:
+            with pytest.raises(DiagnosticsError) as exc:
+                db.check_dc("customer", constraint)
+            assert codes(exc.value.diagnostics) == ["CM301"], constraint
+
+    def test_where_goes_with_rule_text(self, db):
+        rule = "t1.address == t2.address and t1.phone < t2.phone"
+        assert len(db.check_dc("customer", rule, where="t1.nationkey < 2")) == 1
+        assert db.check_dc("customer", rule, where="t1.nationkey > 1") == []
+        with pytest.raises(ValueError, match="rule text"):
+            db.check_dc("customer", parse_dc(rule), where="t1.nationkey < 2")
+
+    def test_a_bad_filter_is_caught_before_the_table_changes(self, db):
+        before = [dict(row) for row in db.table("customer")]
+        with pytest.raises(DiagnosticsError) as exc:
+            db.repair_dc("customer", "t1.name == t2.name", where="t1.nationkey < 'x'")
+        assert codes(exc.value.diagnostics) == ["CM303"]
+        assert db.table("customer") == before
 
 
 # --------------------------------------------------------------------- #

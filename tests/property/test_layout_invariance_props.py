@@ -47,7 +47,7 @@ ROWS = st.lists(
         "v": st.sampled_from([0, 1, 1.0, True, 2, None]),
         "name": st.sampled_from(["ann lee", "anne lee", "bob ray"]),
     }),
-    min_size=1,
+    min_size=0,
     max_size=24,
 )
 DC_RULE = "t1.k == t2.k and t1.v < t2.v"

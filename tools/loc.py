@@ -5,7 +5,8 @@ each round lower.  This prints the lines per package and the total — the
 number ``find src -name '*.py' | xargs cat | wc -l`` gives — and exits
 non-zero when a path grew past its ceiling in ``loc_ceiling.json``.  A
 ceiling key is ``src``, a package directory, or one file (the two modules
-that were once god-objects are held under 800 lines each).  A PR that
+that were once god-objects are held under 800 lines each, and the largest
+module, ``core/semantics.py``, at its size).  A PR that
 shrinks ``src/`` lowers the ceiling to its result; one that has to grow it
 raises the ceiling in the same diff, where review sees it.
 """
