@@ -7,9 +7,7 @@ from typing import TYPE_CHECKING
 from .._lazy import lazy_surface
 
 if TYPE_CHECKING:
-    from .blocking import (
-        key_blocks, kmeans_blocks, length_blocks, make_blocks, token_blocks,
-    )
+    from .blocking import key_blocks, make_blocks
     from .closure import (
         UnionFind, close_pairs, elect_representatives, entity_clusters, fuse_duplicates,
     )
@@ -44,9 +42,7 @@ if TYPE_CHECKING:
     from .transform import FillMissing, SplitDate, Transform, TransformPipeline, project_all
 
 __getattr__, __dir__, __all__ = lazy_surface(__name__, {
-    "blocking": (
-        "key_blocks", "kmeans_blocks", "length_blocks", "make_blocks", "token_blocks",
-    ),
+    "blocking": ("key_blocks", "make_blocks"),
     "closure": (
         "UnionFind", "close_pairs", "elect_representatives", "entity_clusters",
         "fuse_duplicates",

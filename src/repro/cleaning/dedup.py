@@ -38,7 +38,7 @@ from ..engine.cluster import Cluster
 from ..engine.dataset import Dataset
 from ..engine.shuffle import exchange, exchange_resident
 from ..sources.columnar import round_robin_split
-from .blocking import key_blocks, make_blocks
+from .blocking import concat_terms, key_blocks, make_blocks
 from .rowid import RID, has_rids, number_rows, partition_offsets, stamp
 from .simjoin import BagCache, FilterConfig, JoinStats, PreparedRecord, SimJoin, resolve_filters
 
@@ -226,8 +226,10 @@ def deduplicate(
 
     with_ids = ensure_rids(dataset)
     if op is not None:
-        term = _concat_terms(attributes)
-        blocks = make_blocks(op, with_ids, term, grouping=grouping, **(op_params or {}))
+        blocks = make_blocks(
+            op, with_ids, concat_terms(attributes), grouping=grouping, metric=metric,
+            **(op_params or {}),
+        )
     else:
         blocks = key_blocks(
             with_ids, block_key_func(block_on, attributes), grouping=grouping
@@ -293,10 +295,6 @@ def _charge_similarity(
     cluster.record_op(
         "similarity:dedup", cluster.spread_over_nodes(per_part_work), **transport
     )
-
-
-def _concat_terms(attributes: Sequence[str]) -> Callable[[dict], str]:
-    return lambda record: " ".join(str(record.get(a, "")) for a in attributes)
 
 
 def deduplicate_columnar(

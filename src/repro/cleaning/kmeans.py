@@ -4,10 +4,10 @@ The paper's default pruning clusterer is a *single-pass* k-means variation
 inspired by ClusterJoin: pick k centers in one randomized pass (reservoir
 sampling), then assign every word to all centers whose similarity is within
 ``delta`` of the best.  Only intra-cluster comparisons happen afterwards.
-The engine runs it as a ``MultiGroupMonoid`` Nest keyed by the
-``block_keys`` builtin (``physical/functions.py``), and
-``blocking.kmeans_blocks`` / ``term_validation`` call the same two
-functions.
+Only the blocker table calls the two (``cleaning/blocking.py``: its
+``kmeans_centers`` samples, its ``kmeans`` blocker assigns), and every
+k-means DEDUP, CLUSTER BY, ``deduplicate(op=)`` and ``validate_terms``
+reads that table.
 """
 
 from __future__ import annotations

@@ -2,12 +2,15 @@
 
 The "Similarity" phase of Figs. 3 and 8 — pairwise metric evaluation inside
 blocks — dominates the measured runtime of every similarity-based cleaning
-operation.  This module is the one engine behind it: the row executor
+operation.  This module is the one engine behind it.  Every candidate pair
+is decided by :meth:`SimJoin.verify`: the row dedup driver's
 (:func:`~repro.cleaning.dedup.pairwise_within_blocks`), the blocking
-kernel's :func:`~repro.cleaning.dedup.block_pairs` (the vectorized driver
-and the parallel worker tasks), and term validation all route their candidate pairs through the same
-:class:`SimJoin` verifier, so filter semantics and comparison accounting
-cannot drift between backends.
+kernel's :func:`~repro.cleaning.dedup.block_pairs` (the vectorized driver,
+the parallel worker tasks and ``IncrementalDedup``), term validation's
+(term, dictionary word) pairs, which also read the accepted score, and a
+query's ``similar_records`` (:func:`~repro.cleaning.similarity.
+record_matcher`).  Filter semantics and comparison accounting cannot drift
+between them.
 
 The kernel splits the join into *candidate generation* (blocking, done by
 the caller) and *verification* (done here), and prunes between the two:
@@ -262,10 +265,14 @@ class SimJoin:
     # ------------------------------------------------------------------ #
     # Verification
     # ------------------------------------------------------------------ #
-    def verify(self, a: PreparedRecord, b: PreparedRecord) -> bool:
+    def verify(
+        self, a: PreparedRecord, b: PreparedRecord, scored: bool = False
+    ) -> bool | float | None:
         """Decide ``avg attr similarity >= theta`` — identically to the
         naive per-attribute loop (which an unbounded join runs), but
-        filtered.  Updates :attr:`stats`."""
+        filtered.  Updates :attr:`stats`.  ``scored``: answer the accepted
+        pair's average similarity, ``None`` for a rejected one."""
+        reject = None if scored else False
         stats = self.stats
         stats.candidates += 1
         n = len(self.attributes)
@@ -286,7 +293,7 @@ class SimJoin:
                         longest, shortest = shortest, longest
                     total += 1.0 - (longest - shortest) / longest if longest else 1.0
                 if total / n < theta:
-                    return False
+                    return reject
             if cfg.count_filter:
                 bags_a, bags_b = a.bags or self._bags(a), b.bags or self._bags(b)
                 total, q = 0.0, cfg.q
@@ -301,7 +308,7 @@ class SimJoin:
                             bound = count
                     total += bound
                 if total / n < theta:
-                    return False
+                    return reject
         banding = self.bounded and cfg.banding
         # suffix[i]: what attributes i.. can still contribute.
         suffix = self._suffix(a, b) if banding and n > 1 else None
@@ -324,7 +331,7 @@ class SimJoin:
                 if need > EPSILON:
                     budget = int(math.ceil((1.0 - need + EPSILON) * longest))
                     if budget < 0:
-                        return False
+                        return reject
                     # The longer term is the bit-vector (its masks are
                     # cached on the record); the shorter one is scanned.
                     wide, narrow = (a, b) if len_a >= len_b else (b, a)
@@ -332,16 +339,17 @@ class SimJoin:
                         wide.terms[i], narrow.terms[i], budget, wide.masks(i)
                     )
                     if distance > budget:
-                        return False
+                        return reject
                     # Exact: the banded scan returns true distances within
                     # the band, and this is the metric's own expression.
                     total += 1.0 - distance / longest
                     continue
             total += self.sim(term_a, term_b)
-        passed = total / n >= theta
-        if passed:
-            stats.pairs += 1
-        return passed
+        score = total / n
+        if not score >= theta:
+            return reject
+        stats.pairs += 1
+        return score if scored else True
 
     def _suffix(self, a: PreparedRecord, b: PreparedRecord) -> list[float]:
         """A surviving pair's right-to-left sums of the bounds its filters
@@ -476,7 +484,7 @@ class SimJoin:
 
 
 # ---------------------------------------------------------------------- #
-# Single-pair helper shared with term validation / clustering
+# One attribute's upper bound: what SimJoin._suffix sums for the band
 # ---------------------------------------------------------------------- #
 def ld_upper_bound(
     a: str,
@@ -491,10 +499,9 @@ def ld_upper_bound(
     a length gap forces ``|len(a) - len(b)|`` edits, and one edit destroys
     at most ``q`` of the longer string's q-grams.
 
-    ``use_length`` / ``use_count`` mirror the :class:`FilterConfig` toggles
-    so call sites outside the kernel apply exactly the configured bounds.
-    Callers that hold precomputed :func:`gram_bag` bags pass them to skip
-    re-tokenization.  Computed with the same float expression shape as the
+    ``use_length`` / ``use_count`` mirror the :class:`FilterConfig` toggles,
+    so the band's suffix sums use exactly the configured bounds; the
+    records' precomputed :func:`gram_bag` bags skip re-tokenization.  Computed with the same float expression shape as the
     metric (``1.0 - d / longest``), so ``sim <= bound`` holds in floating
     point, not just in the reals.
     """

@@ -203,15 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="repair the violations by relaxation and report the changes",
     )
-    dc.add_argument(
-        "--incremental",
-        action="store_true",
-        help=(
-            "keep delta-maintenance state resident so a session reusing this "
-            "CleanDB can re-check after append_rows/update_rows without a "
-            "full rescan (results are identical either way)"
-        ),
-    )
     dc.add_argument("--metrics", action="store_true", help="print execution metrics")
 
     serve = sub.add_parser(
@@ -338,11 +329,8 @@ def run_check(args: Any) -> int:
     db = CleanDB()
     try:
         load_tables(args.table, db)
-        if args.on is not None and args.on not in db.tables:
-            known = ", ".join(sorted(db.tables.names())) or "(none)"
-            raise ValueError(
-                f"--on names unknown table {args.on!r}; registered: {known}"
-            )
+        if args.rule is not None:
+            db.rule_table(args.on)  # an unresolvable table fails as in `repro dc`
         # Analyze for the requested backend without ever creating it: the
         # config flip happens after registration, so no table pins and no
         # worker pool — check must stay side-effect free.
@@ -378,26 +366,12 @@ def run_dc(args: Any) -> int:
         execution=args.execution,
         workers=args.workers,
         dc_strategy=args.dc_strategy,
-        incremental=args.incremental,
     )
     try:
         load_tables(args.table, db)
-        names = db.tables.names()
-        if args.on:
-            # Validate eagerly: an unknown --on must surface as the CLI's
-            # clean "error: ..." contract, never a raw traceback.
-            if args.on not in names:
-                known = ", ".join(sorted(names)) or "(none)"
-                raise ValueError(
-                    f"--on names unknown table {args.on!r}; registered: {known}"
-                )
-            table = args.on
-        elif len(names) == 1:
-            table = names[0]
-        else:
-            raise ValueError(
-                "pass --on NAME when registering more than one table"
-            )
+        table = db.rule_table(args.on)
+        if table is None:
+            raise ValueError("no table registered: pass --table NAME=PATH:FORMAT[:SCHEMA]")
         violations = db.check_dc(table, args.rule, where=args.where)
         print(f"-- {len(violations)} violating pairs ({args.dc_strategy}) --")
         for t1, t2 in violations[:20]:

@@ -34,6 +34,7 @@ from .semantics import (
     DiagnosticsError,
     analyze_columns,
     analyze_dc,
+    analyze_dedup,
     analyze_query,
     errors_in,
     parse_error_diagnostic,
@@ -423,9 +424,10 @@ class CleanDB:
 
         ``block_on`` is a column, a list of columns or a record → key
         callable (``None`` blocks on ``attributes``); a comparison
-        attribute or block key the table lacks raises
-        :class:`~repro.core.semantics.DiagnosticsError` (CM102), as
-        ``DEDUP(..., x.a)`` does in a query.  Backend routing mirrors
+        attribute or block key the table lacks, a ``theta`` outside [0, 1]
+        or an unknown ``metric`` raises :class:`~repro.core.semantics.
+        DiagnosticsError` (CM102, CM202, CM203), as ``DEDUP(exact, <metric>,
+        <theta>, x.a)`` does in a query.  Backend routing mirrors
         :meth:`check_fd`; the parallel backend references the pinned table
         by handle and ships only the final pairs back.
         """
@@ -434,7 +436,7 @@ class CleanDB:
         filters = None if self.sim_filters else NO_FILTERS
         attributes = list(attributes)
         keys = block_on if isinstance(block_on, (list, tuple)) else [block_on]
-        self._admit(table, partial(analyze_columns, table, [*attributes, *keys]))
+        self._admit(table, partial(analyze_dedup, table, [*attributes, *keys], metric, theta))
         # A list of blocking attributes as a tuple: the check's key must hash.
         block_tag = tuple(block_on) if isinstance(block_on, list) else block_on
         return self._run_check(
@@ -520,8 +522,8 @@ class CleanDB:
         The ``repro check`` entry point: returns every diagnostic —
         including parse failures, reported as CM001 — instead of raising,
         so callers can render all findings.  ``on`` names the table a DC
-        rule targets (defaults to the only registered table, when there is
-        exactly one).
+        rule targets, resolved by :meth:`rule_table` (an unresolvable one is
+        a CM101 diagnostic).
         """
         diags: list[Diagnostic] = []
         if sql is not None:
@@ -539,14 +541,35 @@ class CleanDB:
                         diags.extend(exc.diagnostics)
                     except Exception:
                         pass  # non-static planning failure; execute() reports it
-        if rule is not None:
-            info = None
-            names = self.tables.names()
-            target = on if on is not None else (names[0] if len(names) == 1 else None)
-            if target is not None and target in self.tables:
-                info = self.tables.info(target)
-            diags.extend(analyze_dc(rule, where, info))
+        if rule is not None or on is not None:
+            try:
+                target = self.rule_table(on)
+            except DiagnosticsError as exc:
+                diags.extend(exc.diagnostics)
+            else:
+                if rule is not None:
+                    info = self.tables.info(target) if target is not None else None
+                    diags.extend(analyze_dc(rule, where, info))
         return diags
+
+    def rule_table(self, on: str | None = None) -> str | None:
+        """The table a DC rule targets: ``on``, else the only registered
+        table (``None`` when none is).  An ``on`` naming no registered
+        table, or no ``on`` while several are registered, raises
+        :class:`~repro.core.semantics.DiagnosticsError` (CM101).  ``repro
+        dc``, ``repro check`` and :meth:`check` resolve the rule's table
+        here."""
+        names = self.tables.names()
+        if on is None and len(names) < 2:
+            return names[0] if names else None
+        if on in names:
+            return on
+        message = (
+            "pass --on NAME (on= in the API) when registering more than one table"
+            if on is None else f"the rule names unknown table {on!r}"
+        )
+        known = ", ".join(sorted(names)) or "(none)"
+        raise DiagnosticsError([Diagnostic("CM101", "error", f"{message}; registered: {known}")])
 
     def compile(self, sql: str) -> _Plan:
         """Run the front half of Fig. 2: parse, analyze, de-sugar,

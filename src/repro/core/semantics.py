@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import difflib
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from ..errors import ParseError, SchemaError
@@ -93,11 +94,6 @@ ENGINE_BUILTINS = frozenset(QUERY_BUILTINS)
 
 #: Aggregate names the GROUP BY rewriter folds into ``agg(...)`` calls.
 AGGREGATE_NAMES = frozenset({"count", "sum", "avg", "min", "max", "distinct_count"})
-
-#: Blocking operators ``block_keys`` implements (``physical/functions.py``).
-BLOCKING_OPS = frozenset(
-    {"token_filtering", "kmeans", "length_filtering", "exact", "key"}
-)
 
 _ORDERED_OPS = frozenset({"<", "<=", ">", ">="})
 _ARITH_OPS = frozenset({"+", "-", "*", "/", "%"})
@@ -204,26 +200,28 @@ def infer_table(rows: Sequence[Any], sample: int = 64) -> TableInfo:
     mixed observations already disable them.
     """
     info = TableInfo(is_record=bool(rows) and isinstance(rows[0], dict), row_count=len(rows))
-    return _fold_rows(info, enumerate(rows), sample) if info.is_record else info
+    return _fold_rows(info, rows, sample) if info.is_record else info
 
 
-def _fold_rows(info: TableInfo, indexed: Iterable[tuple[int, Any]], sample: int) -> TableInfo:
-    """Fold ``(row index, row)`` pairs into ``info``, up to the first row
-    that is not a dict.  Past the sample a row only adds the keys not seen
-    yet, after one C-level subset check."""
-    columns = info.columns
-    known = columns.keys()
-    for i, row in indexed:
-        if not isinstance(row, dict):
-            info.is_record = False
-            return info
-        if i < sample:
-            for key, value in row.items():
-                types = columns.setdefault(key, set())
-                if value is not None:
-                    types.add(type(value).__name__)
-        elif not row.keys() <= known:
-            columns.update({key: set() for key in row if key not in columns})
+def _fold_rows(info: TableInfo, rows: Sequence[Any], sample: int, start: int = 0) -> TableInfo:
+    """Fold ``rows``, numbered from ``start``, into ``info`` up to the first
+    row that is not a dict.  A row inside the sample adds its value types;
+    the rest only add keys not seen yet: one C-level union finds whether
+    there are any, and only then a per-row pass adds them in row order."""
+    if not all(map(isinstance, rows, repeat(dict))):
+        rows = rows[:next(i for i, row in enumerate(rows) if not isinstance(row, dict))]
+        info.is_record = False
+    columns, typed = info.columns, max(sample - start, 0)
+    for row in rows[:typed]:
+        for key, value in row.items():
+            types = columns.setdefault(key, set())
+            if value is not None:
+                types.add(type(value).__name__)
+    tail, known = rows[typed:], columns.keys()
+    if not known >= set().union(*tail):
+        for row in tail:
+            if not row.keys() <= known:
+                columns.update({key: set() for key in row if key not in columns})
     return info
 
 
@@ -244,9 +242,10 @@ def patch_info(
     resample = any(g < sample for g, _ in updated)
     columns = {k: set() if resample else set(v) for k, v in info.columns.items()}
     out = TableInfo(columns, True, base + len(appended))
-    if resample:
-        _fold_rows(out, enumerate(table[:sample]), sample)
-    return _fold_rows(_fold_rows(out, updated, sample), enumerate(appended, base), sample)
+    if resample:  # the sample's replacements are read here, in place
+        _fold_rows(out, table[:sample], sample)
+    _fold_rows(out, [row for g, row in updated if g >= sample], sample, sample)
+    return _fold_rows(out, appended, sample, base)
 
 
 # ---------------------------------------------------------------------- #
@@ -691,41 +690,27 @@ def _describe_side(expr: Expr, kind: str) -> str:
 def _check_similarity_params(
     op: DedupOp | ClusterByOp, finder: SpanFinder, diags: list[Diagnostic]
 ) -> None:
+    """CM202 / CM203 / CM204 for one DEDUP's or CLUSTER BY's theta, metric
+    and blocker, located in the text ``finder`` reads."""
+    from ..cleaning.blocking import BLOCKERS
     from ..cleaning.similarity import _METRICS
 
     kind = "DEDUP" if isinstance(op, DedupOp) else "CLUSTER BY"
     if not 0.0 <= op.theta <= 1.0:
-        diags.append(
-            Diagnostic(
-                code="CM202",
-                severity="error",
-                message=(
-                    f"{kind} similarity threshold {op.theta!r} is outside [0, 1]"
-                ),
-                span=finder.number(op.theta),
-                hint="theta is a similarity in [0, 1], not a distance",
-            )
-        )
+        diags.append(Diagnostic(
+            "CM202", "error", f"{kind} similarity threshold {op.theta!r} is outside [0, 1]",
+            finder.number(op.theta), "theta is a similarity in [0, 1], not a distance",
+        ))
     if op.metric not in _METRICS:
-        diags.append(
-            Diagnostic(
-                code="CM203",
-                severity="error",
-                message=f"unknown similarity metric {op.metric!r} in {kind}",
-                span=finder.ident(op.metric),
-                hint=_did_you_mean(op.metric, _METRICS),
-            )
-        )
-    if op.op not in BLOCKING_OPS:
-        diags.append(
-            Diagnostic(
-                code="CM204",
-                severity="error",
-                message=f"unknown blocking operator {op.op!r} in {kind}",
-                span=finder.ident(op.op),
-                hint=_did_you_mean(op.op, BLOCKING_OPS),
-            )
-        )
+        diags.append(Diagnostic(
+            "CM203", "error", f"unknown similarity metric {op.metric!r} in {kind}",
+            finder.ident(op.metric), _did_you_mean(op.metric, _METRICS),
+        ))
+    if op.op not in BLOCKERS:
+        diags.append(Diagnostic(
+            "CM204", "error", f"unknown blocking operator {op.op!r} in {kind}",
+            finder.ident(op.op), _did_you_mean(op.op, BLOCKERS),
+        ))
 
 
 # ---------------------------------------------------------------------- #
@@ -841,6 +826,18 @@ def analyze_columns(
         for attr in dict.fromkeys(attrs)
         if _missing_column(info, attr)
     ]
+
+
+def analyze_dedup(
+    table: str, attrs: Iterable[Any], metric: str, theta: float, info: TableInfo | None
+) -> list[Diagnostic]:
+    """A dedup call's arguments by the DEDUP rules: :func:`analyze_columns`
+    for its comparison attributes and block keys, and CM202 / CM203 for a
+    ``theta`` outside [0, 1] or an unknown ``metric``, as
+    ``DEDUP(exact, <metric>, <theta>, ...)`` gets them."""
+    diags = analyze_columns(table, attrs, info)
+    _check_similarity_params(DedupOp("exact", metric, theta), SpanFinder(""), diags)
+    return diags
 
 
 _ORDER_SETS: dict[str, frozenset[str]] = {

@@ -143,36 +143,40 @@ def query_functions(
     its de-sugared branches, ``primary`` its first FROM table.
 
     The dictionary a CLUSTER BY names is broadcast for the exact-match
-    short-circuit; k-means centers are sampled from it when the branch
-    blocks by k-means, otherwise from the primary table's terms — on the
-    first k-means block key, so a query that never asks pays nothing.
+    short-circuit.  ``block_keys(kind, term)`` is the blocker table's
+    (``cleaning/blocking.py``) ``kind``, bound on its first call to the
+    parameters of the query's first DEDUP / CLUSTER BY of that kind (its
+    metric; a CLUSTER BY's dictionary, or a DEDUP's compared terms of the
+    primary table, for k-means centers), so a query that never asks pays
+    nothing.
     """
     clusters = [b for b in branches if b.kind == "cluster_by"]
     dictionary = tables.get(clusters[0].params["dictionary"], []) if clusters else []
     dictionary_terms = {str(r) for r in dictionary}
-    kmeans = [b for b in clusters if b.params.get("op") == "kmeans"]
-    source = tables.get(kmeans[0].params["dictionary"] if kmeans else primary, [])
-    centers: list[str] = []
+    bound: dict[str, Callable[[str], list]] = {}
+
+    def bind(kind: str) -> Callable[[str], list]:
+        from ..cleaning import blocking
+
+        if kind not in blocking.BLOCKERS:
+            raise PlanningError(f"unknown blocking op {kind!r}")
+        op = next((b.params for b in branches if b.params.get("op") == kind), {})
+        if "dictionary" in op:  # a CLUSTER BY samples its dictionary
+            sample: dict[str, Any] = {"dictionary": tables.get(op["dictionary"], [])}
+        else:  # a DEDUP its compared terms, any other caller each row's text
+            table = tables.get(primary, [])
+            sample = {"rows": lambda n: table[:n]}
+            if "attributes" in op:
+                sample["term"] = blocking.concat_terms(op["attributes"])
+        return blocking.blocker(
+            kind, metric=op.get("metric", "LD"), q=q, k=k, delta=delta, seed=seed, **sample
+        )
 
     def block_keys(kind: str, term: Any) -> list[Any]:
-        text = str(term)
-        if kind == "token_filtering":
-            return list(set(qgrams(text, q)) or {""})
-        if kind == "kmeans":
-            from ..cleaning.kmeans import assign_to_centers, reservoir_sample
-
-            if not centers:
-                terms = source if kmeans else [
-                    next(iter(r.values()), "") if isinstance(r, dict) else r
-                    for r in source[: k * 20]
-                ]
-                centers.extend(reservoir_sample([str(t) for t in terms], k, seed=seed) or [""])
-            return assign_to_centers(text, centers, "LD", delta)
-        if kind == "length_filtering":
-            return [len(text) // 2]
-        if kind in ("exact", "key"):
-            return [text]
-        raise PlanningError(f"unknown blocking op {kind!r}")
+        keys = bound.get(kind)
+        if keys is None:
+            keys = bound[kind] = bind(kind)
+        return keys(str(term))
 
     # One matcher per (metric, theta, attrs) for the query's lifetime:
     # its join is built and each row prepared once, not once per pair.

@@ -227,11 +227,6 @@ class CleanService:
         query's table pins push past it, the least-recently-used tables of
         *idle* tenants are unpinned (they re-pin warm-identity on next
         use).  ``None`` disables the governor.
-    db_defaults:
-        Extra keyword arguments applied to every tenant's CleanDB (e.g.
-        ``budget=...`` for a uniform per-tenant budget, ``incremental=
-        True``); per-tenant overrides win.  ``execution`` is always
-        ``"parallel"`` — the serving layer exists to share the pool.
     fault_plan:
         Optional :class:`~repro.engine.faults.FaultPlan` for the shared
         pool — chaos tests inject worker deaths/hangs here and assert the
@@ -246,13 +241,11 @@ class CleanService:
         workers: int | None = None,
         num_nodes: int = 10,
         store_bytes_cap: int | None = None,
-        db_defaults: dict | None = None,
         fault_plan: Any = None,
         task_deadline: float | None = None,
     ):
-        self._db_defaults = dict(db_defaults or {})
         # The shared pool forks before any session exists; see load_backend.
-        load_backend("parallel", bool(self._db_defaults.get("incremental")))
+        load_backend("parallel")
         self.pool = WorkerPool(
             workers or DEFAULT_WORKERS,
             fault_plan=fault_plan,
@@ -260,9 +253,6 @@ class CleanService:
         )
         self.num_nodes = num_nodes
         self.store_bytes_cap = store_bytes_cap
-        self._db_defaults.pop("execution", None)
-        self._db_defaults.pop("pool", None)
-        self._db_defaults.pop("namespace", None)
         self._sessions: dict[str, TenantSession] = {}
         # LRU over (tenant, table): least-recently-touched first.
         self._lru: OrderedDict[tuple[str, str], None] = OrderedDict()
@@ -292,13 +282,12 @@ class CleanService:
                     f"at creation"
                 )
             return existing
-        kwargs = {**self._db_defaults, **overrides}
         db = CleanDB(
             num_nodes=self.num_nodes,
             execution="parallel",
             namespace=tenant,
             pool=self.pool,
-            **kwargs,
+            **overrides,
         )
         session = TenantSession(tenant, db)
         self._sessions[tenant] = session

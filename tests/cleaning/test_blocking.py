@@ -1,8 +1,12 @@
-"""Unit tests for the blocking strategies."""
+"""Unit tests for the blocking strategies: the blocker table as
+``make_blocks`` runs it over a Dataset, and exact-key ``key_blocks``."""
+
+import pickle
 
 import pytest
 
-from repro.cleaning import key_blocks, kmeans_blocks, length_blocks, make_blocks, token_blocks
+from repro.cleaning import key_blocks, make_blocks
+from repro.cleaning.blocking import BLOCKERS, blocker
 from repro.cleaning.tokenize import qgrams, words
 from repro.engine import Cluster
 
@@ -47,12 +51,12 @@ class TestKeyBlocks:
 class TestTokenBlocks:
     def test_record_in_every_token_group(self, cluster):
         ds = cluster.parallelize([{"w": "abc"}])
-        blocks = dict(token_blocks(ds, lambda r: r["w"], q=2).collect())
+        blocks = dict(make_blocks("token_filtering", ds, lambda r: r["w"], q=2).collect())
         assert set(blocks) == {"ab", "bc"}
 
     def test_similar_words_share_group(self, cluster):
         ds = cluster.parallelize(WORDS)
-        blocks = token_blocks(ds, lambda r: r["w"], q=2).collect()
+        blocks = make_blocks("token_filtering", ds, lambda r: r["w"], q=2).collect()
         shared = [
             {r["w"] for r in members}
             for _, members in blocks
@@ -63,8 +67,8 @@ class TestTokenBlocks:
     def test_larger_q_makes_more_selective_groups(self, cluster):
         ds2 = cluster.parallelize(WORDS)
         ds4 = cluster.parallelize(WORDS)
-        blocks2 = token_blocks(ds2, lambda r: r["w"], q=2).collect()
-        blocks4 = token_blocks(ds4, lambda r: r["w"], q=4).collect()
+        blocks2 = make_blocks("token_filtering", ds2, lambda r: r["w"], q=2).collect()
+        blocks4 = make_blocks("token_filtering", ds4, lambda r: r["w"], q=4).collect()
         avg2 = sum(len(m) for _, m in blocks2) / len(blocks2)
         avg4 = sum(len(m) for _, m in blocks4) / len(blocks4)
         assert avg4 <= avg2
@@ -73,15 +77,15 @@ class TestTokenBlocks:
 class TestKMeansBlocks:
     def test_blocks_keyed_by_center_index(self, cluster):
         ds = cluster.parallelize(WORDS)
-        blocks = kmeans_blocks(
-            ds, lambda r: r["w"], centers=["smith", "jones"]
+        blocks = make_blocks(
+            "kmeans", ds, lambda r: r["w"], dictionary=["smith", "jones"]
         ).collect()
         keys = {k for k, _ in blocks}
         assert keys <= {0, 1}
 
     def test_all_records_covered(self, cluster):
         ds = cluster.parallelize(WORDS)
-        blocks = kmeans_blocks(ds, lambda r: r["w"], k=2, centers=["smith", "jones"]).collect()
+        blocks = make_blocks("kmeans", ds, lambda r: r["w"], k=2, dictionary=["smith", "jones"]).collect()
         covered = {r["w"] for _, members in blocks for r in members}
         assert covered == {r["w"] for r in WORDS}
 
@@ -89,12 +93,26 @@ class TestKMeansBlocks:
 class TestLengthBlocks:
     def test_bands_by_length(self, cluster):
         ds = cluster.parallelize([{"w": "ab"}, {"w": "abc"}, {"w": "abcdefgh"}])
-        blocks = dict(length_blocks(ds, lambda r: r["w"], width=4).collect())
+        blocks = dict(make_blocks("length_filtering", ds, lambda r: r["w"], width=4).collect())
         assert set(blocks) == {0, 2}
 
     def test_invalid_width(self, cluster):
         with pytest.raises(ValueError):
-            length_blocks(cluster.parallelize(WORDS), lambda r: r["w"], width=0)
+            make_blocks("length_filtering", cluster.parallelize(WORDS), lambda r: r["w"], width=0)
+
+
+class TestBlockerTable:
+    @pytest.mark.parametrize("op", sorted(BLOCKERS))
+    def test_every_key_function_pickles(self, op):
+        """A bound blocker is a module-level function over picklable
+        arguments, so it can ship to a worker process as it is."""
+        keys = blocker(op, k=2, dictionary=["smith", "jones"])
+        again = pickle.loads(pickle.dumps(keys))
+        assert [again(r["w"]) for r in WORDS] == [keys(r["w"]) for r in WORDS]
+
+    def test_an_unknown_op_names_the_known_ones(self):
+        with pytest.raises(ValueError, match="known: exact, key, kmeans"):
+            blocker("minhash")
 
 
 class TestMakeBlocks:
@@ -109,7 +127,7 @@ class TestMakeBlocks:
 
     @pytest.mark.parametrize(
         "op, params",
-        [("token_filtering", {}), ("kmeans", {"centers": ["smith"]}), ("length_filtering", {})],
+        [("token_filtering", {}), ("kmeans", {"dictionary": ["smith"]}), ("length_filtering", {})],
     )
     def test_unknown_grouping_is_rejected_before_it_is_charged(self, cluster, op, params):
         ds = cluster.parallelize(WORDS)
@@ -123,7 +141,7 @@ class TestMakeBlocks:
     @pytest.mark.parametrize("grouping", ["aggregate", "sort", "hash"])
     def test_grouping_strategies_same_content(self, cluster, grouping):
         ds = cluster.parallelize(WORDS)
-        blocks = token_blocks(ds, lambda r: r["w"], q=2, grouping=grouping).collect()
+        blocks = make_blocks("token_filtering", ds, lambda r: r["w"], q=2, grouping=grouping).collect()
         merged: dict = {}
         for k, members in blocks:
             merged.setdefault(k, set()).update(r["w"] for r in members)

@@ -102,6 +102,21 @@ class TestCheckCommand:
         assert code == 1
         assert "ghost" in captured.err
 
+    def test_a_rule_over_two_tables_needs_on(self, customer_csv, capsys):
+        """As in ``repro dc``: with two tables the rule's is not guessed."""
+        code = main(
+            [
+                "check",
+                "--table", spec(customer_csv),
+                "--table", spec(customer_csv).replace("customer=", "other=", 1),
+                "--rule", "t1.nosuch < t2.name",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "pass --on NAME" in captured.err
+        assert "ok: no diagnostics" not in captured.out
+
     def test_query_from_file(self, customer_csv, tmp_path, capsys):
         qfile = tmp_path / "q.sql"
         qfile.write_text("SELECT * FROM customer c FD(c.address, c.nationkey)")

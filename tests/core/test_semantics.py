@@ -166,6 +166,24 @@ class TestDenialConstraints:
         diags = analyze_dc("t1.salary == t2.salary")
         assert diags == []  # no TableInfo: existence cannot be judged
 
+    def test_the_rule_table_is_the_only_one_or_the_named_one(self, db):
+        assert db.rule_table() == db.rule_table("customer") == "customer"
+        assert CleanDB().rule_table() is None  # nothing registered: no schema to judge by
+        assert CleanDB().check(rule="t1.salary == t2.salary") == []
+
+    def test_an_unknown_on_is_cm101(self, db):
+        (diag,) = db.check(rule="t1.name == t2.name", on="zzz")
+        assert diag.code == "CM101" and "'zzz'" in diag.message
+        assert "registered: customer" in diag.message
+
+    def test_several_tables_and_no_on_is_cm101(self, db):
+        db.register_table("orders", [{"okey": 1}])
+        (diag,) = db.check(rule="t1.nosuch < t2.name")
+        assert diag.code == "CM101" and "pass --on NAME" in diag.message
+        assert "registered: customer, orders" in diag.message
+        # Named, the rule is judged against that table's schema.
+        assert "CM302" in codes(db.check(rule="t1.nosuch < t2.name", on="customer"))
+
 
 # --------------------------------------------------------------------- #
 # Error classes: monoid legality and shippability

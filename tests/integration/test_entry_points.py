@@ -8,15 +8,18 @@ check --rule``, the served ``fd`` / ``dedup`` / ``dc`` specs on a 2-worker
 ``CleanService``, and the FD / DEDUP query.  Its columns are inputs: an
 unknown FD attribute, dedup attribute or block key, an unknown DC attribute
 as rule text and as a ``DenialConstraint``, a DC predicate comparing a
-string column with a number column, and a valid input.
+string column with a number column, a dedup ``theta`` outside [0, 1] or
+unknown ``metric``, and a valid input.
 
 A bad input gets the same CM code at every entry point that can spell it —
 the code its query spelling gets, for the FD and dedup ones — and a served
 spec reports it as ``status == "error"`` with the code in ``error``.  Once
 only query and rule text reached the analyzer: the API and served calls
 answered a typo with wrong rows (an FD violation from a column of Nones,
-duplicate pairs from one block of Nones, no DC pairs), and a built
-ill-typed constraint died with a raw ``TypeError`` in the DC kernel.  A
+duplicate pairs from one block of Nones, no DC pairs, no pairs at theta
+1.5 and all 34 at -0.5), a built ill-typed constraint died with a raw
+``TypeError`` in the DC kernel and an unknown metric with a plain
+``ValueError``.  A
 valid input gets the answer frozen below at every entry point.
 """
 
@@ -50,10 +53,22 @@ CASES = {
     },
     "unknown dedup attribute": {
         "code": "CM102",
-        "dedup": (["nosuch"], "city"),
+        "dedup": (["nosuch"], "city", {}),
         "query": "SELECT * FROM t x DEDUP(exact, LD, 0.8, x.nosuch)",
     },
-    "unknown block key": {"code": "CM102", "dedup": (["name"], "nosuch")},
+    "unknown block key": {"code": "CM102", "dedup": (["name"], "nosuch", {})},
+    "dedup theta above 1": {
+        "code": "CM202",
+        "dedup": (["name"], "city", {"theta": 1.5}),
+        "query": "SELECT * FROM t x DEDUP(exact, LD, 1.5, x.name)",
+    },
+    # A query cannot spell a negative number.
+    "dedup theta below 0": {"code": "CM202", "dedup": (["name"], "city", {"theta": -0.5})},
+    "unknown dedup metric": {
+        "code": "CM203",
+        "dedup": (["name"], "city", {"metric": "nosuch"}),
+        "query": "SELECT * FROM t x DEDUP(exact, nosuch, 0.8, x.name)",
+    },
     "unknown DC attribute as text": {"code": "CM302", "rule": ("t1.nosuch < t2.v", "")},
     "unknown DC attribute as object": {
         "code": "CM302",
@@ -67,7 +82,7 @@ CASES = {
     "valid": {
         "code": None,
         "fd": (["k"], ["v"]),
-        "dedup": (["name"], "city"),
+        "dedup": (["name"], "city", {}),
         "rule": (VALID_RULE, VALID_WHERE),
         "constraint": parse_dc(VALID_RULE, VALID_WHERE),
         "query": "SELECT * FROM t x FD(x.k, x.v)",
@@ -160,7 +175,8 @@ def query(ctx, sql):
 ENTRIES = {
     "CleanDB.check_fd": ("fd", api(lambda db, s: db.check_fd("t", *s), fd_answer)),
     "CleanDB.deduplicate": (
-        "dedup", api(lambda db, s: db.deduplicate("t", s[0], block_on=s[1]), dedup_answer),
+        "dedup",
+        api(lambda db, s: db.deduplicate("t", s[0], block_on=s[1], **s[2]), dedup_answer),
     ),
     "CleanDB.check_dc(text)": (
         "rule", api(lambda db, s: db.check_dc("t", s[0], where=s[1]), dc_answer),
@@ -177,7 +193,8 @@ ENTRIES = {
     "repro check --rule": ("rule", cli("check")),
     "served fd": ("fd", served("fd", lambda s: {"lhs": s[0], "rhs": s[1]}, fd_answer)),
     "served dedup": (
-        "dedup", served("dedup", lambda s: {"attributes": s[0], "block_on": s[1]}, dedup_answer),
+        "dedup",
+        served("dedup", lambda s: {"attributes": s[0], "block_on": s[1], **s[2]}, dedup_answer),
     ),
     "served dc": ("rule", served("dc", lambda s: {"rule": s[0], "where": s[1]}, dc_answer)),
     "FD/DEDUP query": ("query", query),

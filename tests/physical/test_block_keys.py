@@ -2,27 +2,31 @@
 
 Token filtering and k-means blocking have no monoid class of their own: a
 query runs each as a ``MultiGroupMonoid`` Nest whose keys come from the
-per-query ``block_keys`` builtin (``physical/functions.py``).  These tests
-pin that builtin to the paper's definitions, check that the Nest monoid it
-keys keeps the monoid laws, that its groups are the blocks the Dataset
-blockers (``cleaning/blocking.py``) build, and that a DEDUP query over
-each blocking op reports only verified pairs.
+per-query ``block_keys`` builtin (``physical/functions.py``), which binds
+the one blocker table (``cleaning/blocking.py``).  These tests pin that
+builtin to the paper's definitions, check that the Nest monoid it keys
+keeps the monoid laws, that its groups are the blocks ``make_blocks``
+builds over a Dataset, that a DEDUP query over each blocking op reports
+only verified pairs and what ``deduplicate(op=)`` reports, and that a
+CLUSTER BY query repairs what ``validate_terms`` repairs — on every
+backend (``REPRO_TEST_WORKERS`` workers for the parallel one).
 """
 
 from functools import partial
 
 import pytest
 
+from fixtures import WORKERS
 from repro import CleanDB
 from repro.cleaning import (
     assign_to_centers,
     deduplicate,
-    kmeans_blocks,
-    length_blocks,
+    make_blocks,
     reservoir_sample,
     similarity,
-    token_blocks,
+    validate_terms,
 )
+from repro.cleaning.blocking import BLOCKERS
 from repro.cleaning.tokenize import qgrams
 from repro.core.parser import parse
 from repro.core.rewriter import rewrite_query
@@ -32,6 +36,7 @@ from repro.monoid import MultiGroupMonoid, check_monoid_laws
 from repro.physical.functions import query_functions
 
 KINDS = ("token_filtering", "kmeans", "length_filtering", "exact")
+BACKENDS = ("row", "vectorized", "parallel")
 PLAIN = "SELECT * FROM words w DEDUP(token_filtering, LD, 0.8, w.term)"
 KMEANS = "SELECT w.term FROM words w, dictionary d CLUSTER BY(kmeans, LD, 0.7, w.term)"
 WORDS = ["smith", "smyth", "jones", "joned", "brown", "braun", "ab", ""]
@@ -118,6 +123,27 @@ class TestKMeans:
         for word in WORDS + dictionary[:10]:
             assert keys("kmeans", word) == assign_to_centers(word, centers, "LD", 0.05)
 
+    def test_terms_are_assigned_under_the_operations_metric(self):
+        sql = "SELECT w.term FROM words w, dictionary d CLUSTER BY(kmeans, jaro, 0.7, w.term)"
+        keys = block_keys(sql, k=2)
+        centers = reservoir_sample(DICTIONARY, 2, seed=13)
+        for word in ("jones", "joned", "ab"):
+            assert keys("kmeans", word) == assign_to_centers(word, centers, "jaro", 0.0)
+            assert keys("kmeans", word) != assign_to_centers(word, centers, "LD", 0.0)
+
+    def test_the_api_assigns_under_the_dedup_metric(self):
+        ds = Cluster(num_nodes=2).parallelize([{"term": w} for w in WORDS], chunking="contiguous")
+        blocks = deduplicate(
+            ds, ["term"], metric="jaro", theta=0.0, op="kmeans", op_params={"k": 2}
+        ).collect()
+        centers = reservoir_sample(WORDS, 2, seed=13)
+        groups = {}
+        for word in WORDS:
+            for key in assign_to_centers(word, centers, "jaro", 0.0):
+                groups.setdefault(key, set()).add(word)
+        want = {frozenset((a, b)) for g in groups.values() for a in g for b in g if a != b}
+        assert {frozenset((p.left["term"], p.right["term"])) for p in blocks} == want
+
     def test_k_above_the_dictionary_makes_every_term_a_center(self):
         keys = block_keys(KMEANS, dictionary=DICTIONARY, k=10)
         # each dictionary term is exactly its own center, so no two share one
@@ -170,22 +196,23 @@ class TestDatasetBlocksAgree:
     def test_token_filtering(self, q, grouping):
         nest = nest_monoid(partial(block_keys(q=q), "token_filtering")).fold(WORDS)
         ds = Cluster(num_nodes=3).parallelize([{"term": w} for w in WORDS])
-        blocks = token_blocks(ds, lambda r: r["term"], q=q, grouping=grouping)
+        blocks = make_blocks("token_filtering", ds, lambda r: r["term"], q=q, grouping=grouping)
         assert as_sets(nest) == self.dataset_blocks(blocks)
 
     @pytest.mark.parametrize("grouping", ["aggregate", "sort", "hash"])
     def test_kmeans_over_the_same_centers(self, grouping):
         nest = nest_monoid(partial(block_keys(KMEANS, k=2), "kmeans")).fold(WORDS)
         ds = Cluster(num_nodes=3).parallelize([{"term": w} for w in WORDS])
-        centers = reservoir_sample(DICTIONARY, 2, seed=13)
-        blocks = kmeans_blocks(ds, lambda r: r["term"], centers=centers, grouping=grouping)
+        blocks = make_blocks(
+            "kmeans", ds, lambda r: r["term"], k=2, dictionary=DICTIONARY, grouping=grouping
+        )
         assert as_sets(nest) == self.dataset_blocks(blocks)
 
     @pytest.mark.parametrize("grouping", ["aggregate", "sort", "hash"])
     def test_length_filtering(self, grouping):
         nest = nest_monoid(partial(block_keys(), "length_filtering")).fold(WORDS)
         ds = Cluster(num_nodes=3).parallelize([{"term": w} for w in WORDS])
-        blocks = length_blocks(ds, lambda r: r["term"], width=2, grouping=grouping)
+        blocks = make_blocks("length_filtering", ds, lambda r: r["term"], width=2, grouping=grouping)
         assert as_sets(nest) == self.dataset_blocks(blocks)
 
 
@@ -193,11 +220,19 @@ PEOPLE = [
     "alice smith", "alice smyth", "bob jones", "bob jonez", "carol white",
     "carl white", "dave stone", "dave stones", "eve", "eva",
 ]
+#: The compared column is not the first one: k-means centers are sampled
+#: from the compared terms, not from whatever a row holds first.
+PEOPLE_ROWS = [{"id": i, "name": n} for i, n in enumerate(PEOPLE)]
 
 
-def query_pairs(op, theta, **params):
-    with CleanDB(num_nodes=2, **params) as db:
-        db.register_table("p", [{"name": n} for n in PEOPLE])
+def session(execution="row", **params):
+    workers = WORKERS if execution == "parallel" else None
+    return CleanDB(num_nodes=2, execution=execution, workers=workers, **params)
+
+
+def query_pairs(op, theta, execution="row", **params):
+    with session(execution, **params) as db:
+        db.register_table("p", [dict(r) for r in PEOPLE_ROWS])
         result = db.execute(f"SELECT * FROM p x DEDUP({op}, LD, {theta}, x.name)")
     return {frozenset((d["p1"]["name"], d["p2"]["name"])) for d in result.branch("dedup")}
 
@@ -216,16 +251,45 @@ class TestDedupQueries:
         pairs = query_pairs(op, theta, k=3)
         assert pairs and pairs <= verified_pairs(theta)
 
+    @pytest.mark.parametrize("execution", BACKENDS)
     @pytest.mark.parametrize("theta", [0.7, 0.85])
     @pytest.mark.parametrize("op, params", [
         ("token_filtering", {"q": 3}),
         ("length_filtering", {"width": 2}),
+        ("kmeans", {"k": 3, "delta": 0.05}),
     ])
-    def test_the_query_finds_what_the_dataset_path_finds(self, op, params, theta):
-        ds = Cluster(num_nodes=2).parallelize([{"name": n} for n in PEOPLE])
+    def test_the_query_finds_what_the_dataset_path_finds(self, op, params, theta, execution):
+        # Contiguous chunks: the API samples k-means centers in its input's
+        # take order, which is then the table's row order.
+        ds = Cluster(num_nodes=2).parallelize(PEOPLE_ROWS, chunking="contiguous")
         found = deduplicate(ds, ["name"], op=op, theta=theta, op_params=params).collect()
         want = {frozenset((p.left["name"], p.right["name"])) for p in found}
-        assert query_pairs(op, theta, q=3) == want
+        assert query_pairs(op, theta, execution, q=3, k=3, delta=0.05) == want
 
     def test_one_kmeans_center_compares_every_pair(self):
         assert query_pairs("kmeans", 0.7, k=1) == verified_pairs(0.7)
+
+
+TERMS = ["jhon smith", "mary jonez", "peter brwn", "alice coper", "zzzz", "john smith"]
+TERM_DICTIONARY = ["john smith", "mary jones", "peter brown", "alice cooper", "bob ray"]
+
+
+class TestClusterByQueries:
+    @pytest.mark.parametrize("execution", BACKENDS)
+    @pytest.mark.parametrize("op", sorted(BLOCKERS))  # every op the query accepts
+    def test_the_query_repairs_what_validate_terms_repairs(self, op, execution):
+        with session(execution, q=3, k=3, delta=0.05) as db:
+            db.register_table("words", [{"id": i, "term": t} for i, t in enumerate(TERMS)])
+            db.register_table("dictionary", list(TERM_DICTIONARY))
+            result = db.execute(
+                f"SELECT w.term FROM words w, dictionary d CLUSTER BY({op}, LD, 0.7, w.term)"
+            )
+        got = set(map(tuple, result.branch("cluster_by")))
+        ds = Cluster(num_nodes=2).parallelize(TERMS)
+        repairs = validate_terms(
+            ds, TERM_DICTIONARY, op=op, theta=0.7, q=3, k=3, delta=0.05
+        ).collect()
+        want = {(r.term, word) for r in repairs for word in r.suggestions}
+        assert got == want
+        # Exact keys never pair a dirty term with a dictionary word.
+        assert bool(want) is (op not in ("exact", "key"))

@@ -26,6 +26,7 @@ CLUSTERED = (
     "SELECT c.name FROM customer c, dictionary d "
     "DEDUP(exact, LD, 0.7, c.address) CLUSTER BY(kmeans, LD, 0.7, c.name)"
 )
+KMEANS_DEDUP = "SELECT * FROM customer c DEDUP(kmeans, LD, 0.7, c.name)"
 TABLES = {
     "customer": [
         {"name": "stela gian", "address": "rue a", "phone": "123"},
@@ -165,9 +166,9 @@ def test_engine_builtins_resolve_in_a_session():
 
 
 @pytest.mark.parametrize("sql, terms", [
-    (PLAIN, ["stela gian", "stella gian"]),  # each row's first value
+    (KMEANS_DEDUP, ["stela gian", "stella gian"]),  # the rows' compared terms
     (CLUSTERED, ["stella gian", "john smith"]),  # the dictionary
-], ids=["plain", "cluster_by"])
+], ids=["dedup", "cluster_by"])
 def test_kmeans_centers_are_sampled_on_the_first_kmeans_key_only(sql, terms, monkeypatch):
     import repro.cleaning.kmeans as kmeans
 
