@@ -44,7 +44,7 @@ owns everything with a clock or a dispatch turn in it:
   batches) is serialized by a FIFO ticket lock so each stage's commands
   land contiguously and fairly — stage-granularity interleaving, no
   head-of-line blocking across queries — while reply collection runs
-  *outside* the lock: one caller at a time pumps the shared result queue
+  *outside* the lock: one caller at a time pumps the workers' reply pipes
   and routes the tails of other callers' batches to them by task id, so
   worker compute for one query overlaps driver-side work for another.
   Each call's transport is credited to its own context, counted per task
@@ -78,7 +78,7 @@ from .store import StoreRegistry
 from .transport import _CallRecord
 from .worker import (
     _MISSING, StoreRef, _count, _fetch_task, _worker_main, decode_reply, is_failure,
-    raise_failure, run_chain,
+    _Replies, raise_failure, run_chain,
 )
 
 # Workers a pool gets when the caller enabled parallel execution without
@@ -86,10 +86,8 @@ from .worker import (
 # and the point of the default is "really concurrent", not "fully loaded".
 DEFAULT_WORKERS = 2
 
-# How long the driver waits on the result queue before checking whether a
-# worker with outstanding tasks has died.  Short enough that death detection
-# plus lineage recovery keeps a recovered warm query within the 2x-overhead
-# budget the fault benches assert.
+# How long one wait on the reply pipes lasts before the caller checks its
+# workers for death or a hang (a dead worker's pipe ends the wait at once).
 _POLL_SECONDS = 0.05
 
 # Default retry budget for tasks lost to a dead/hung worker, and the linear
@@ -211,7 +209,7 @@ class WorkerPool:
         self.retry_backoff = retry_backoff
         self._ctx = multiprocessing.get_context(start_method)
         self.start_method = self._ctx.get_start_method()
-        self._outbox = self._ctx.Queue()
+        self._outbox = _Replies(self._ctx, workers)
         self._inboxes: list[Any] = [None] * workers
         self._procs: list[Any] = [None] * workers
         # Bumped when worker ``w`` is replaced; a caller whose tasks were
@@ -260,14 +258,16 @@ class WorkerPool:
         self.retries_total = 0
 
     def _spawn_worker(self, worker: int) -> None:
-        inbox = self._ctx.Queue()
+        inbox, replies = self._ctx.Queue(), self._outbox.open(worker)
+        inbox.cancel_join_thread()  # a dead worker's full inbox must not block exit
         generation = self._worker_gen[worker]
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(inbox, self._outbox, worker, generation, self.fault_plan, self._heartbeat),
+            args=(inbox, replies, worker, generation, self.fault_plan, self._heartbeat),
             daemon=True,
         )
         proc.start()
+        replies.close()  # the worker holds the only writer: its death reads as EOF
         self._inboxes[worker] = inbox
         self._procs[worker] = proc
 
@@ -588,7 +588,7 @@ class WorkerPool:
     ) -> set[int]:
         """Gather replies for pending tasks; return the ids lost to death.
 
-        Concurrent calls share one result queue (:meth:`_poll_replies`);
+        Concurrent calls share the reply pipes (:meth:`_poll_replies`);
         reply payload bytes are credited to the *owning* call when its
         thread drains them.  Tasks whose worker died, hung past the
         deadline, or was replaced by another caller are returned as *lost*
@@ -616,8 +616,8 @@ class WorkerPool:
     def _poll_replies(self, waiting: set[int]) -> list[tuple[int, tuple]]:
         """One bounded wait for replies to ``waiting`` tasks.
 
-        Whichever caller currently holds the pump role drains the shared
-        result queue and routes foreign replies to their owners' buffers;
+        Whichever caller currently holds the pump role drains the reply
+        pipes and routes foreign replies to their owners' buffers;
         everyone else waits on the router condition and picks its own
         replies out of the buffer.  An empty list means a poll interval
         elapsed and the caller should run its liveness checks.
@@ -635,7 +635,7 @@ class WorkerPool:
             if mine:
                 return mine
             if self._pump_busy:
-                # Someone else is draining the shared outbox; wait for them
+                # Someone else is draining the reply pipes; wait for them
                 # to route a reply (or for a poll interval to pass).
                 self._reply_cond.wait(_POLL_SECONDS)
                 _drain_buffers()
@@ -797,9 +797,9 @@ class WorkerPool:
                 if proc.is_alive():
                     proc.kill()
                     proc.join(timeout=2.0)
-            for q in [*self._inboxes, self._outbox]:
+            for q in self._inboxes:
                 q.close()
-                q.cancel_join_thread()
+            self._outbox.close()
             for proc in self._procs:
                 try:
                     proc.close()

@@ -21,16 +21,18 @@ an *envelope* (not via queue exception pickling) and is re-raised on the
 driver as the original exception where possible; an unpicklable exception
 degrades to :class:`~repro.errors.WorkerTaskError` carrying the original
 type name, message and worker traceback — never a bare ``PicklingError``.
-The driver half of the protocol (:func:`decode_reply`, :func:`raise_failure`)
-lives here too, so this module and the resident exchange are the only
-places a blob is ever unpickled (lint E103).
+The driver half of the protocol (:class:`_Replies`, :func:`decode_reply`,
+:func:`raise_failure`) lives here too, so this module and the resident
+exchange are the only places a blob is ever unpickled (lint E103).
 """
 
 from __future__ import annotations
 
 import gc
+import multiprocessing.connection
 import os
 import pickle
+import queue
 import time
 import traceback
 from dataclasses import dataclass
@@ -108,7 +110,7 @@ def _failure_envelope(exc: BaseException) -> tuple:
 
     A pickle *round trip* (not just ``dumps``) is attempted: exceptions whose
     ``__reduce__`` succeeds but whose constructor rejects the pickled args
-    would otherwise explode inside the result queue's feeder thread.
+    would otherwise fail the reply's send and take the worker down.
     """
     tb = traceback.format_exc()
     try:
@@ -200,7 +202,8 @@ def _worker_main(
     function ships once per worker, not once per task).  A ``tasks`` batch
     runs in order; its reply tails go back in one message after the last
     task.  No exception may escape a task — every failure travels back as
-    an envelope.
+    an envelope.  ``outbox`` is the write end of this worker's own reply
+    pipe; the loop sends on it directly, with no feeder thread.
 
     ``heartbeat`` is a shared array the worker ticks on every command and
     after every task; the driver's deadline watchdog reads it to tell "hung"
@@ -247,7 +250,7 @@ def _worker_main(
                         if spec.kind == "corrupt":
                             reply = (task_id, _OK, b"\x00corrupt reply payload")
                     replies.append(reply)
-                outbox.put(replies)
+                outbox.send(replies)
             elif kind == "pin":
                 _, name, version, part, blob = cmd
                 try:
@@ -294,8 +297,41 @@ def _worker_main(
 
 
 # ---------------------------------------------------------------------- #
-# Driver side: reading a reply tail ``(tag, ...)``
+# Driver side: the reply pipes, and reading a reply tail ``(tag, ...)``
 # ---------------------------------------------------------------------- #
+class _Replies:
+    """The driver's end of the reply pipes, one per worker: a worker killed
+    mid-reply can stall or garble only its own pipe, which then reads as
+    end-of-file (docs/ARCHITECTURE.md, "Scheduling")."""
+
+    def __init__(self, ctx: Any, workers: int):
+        self._ctx = ctx
+        self._readers: list[Any] = [None] * workers
+        self._ended: set[Any] = set()  # readers whose worker has died
+
+    def open(self, worker: int) -> Any:
+        """A new pipe for ``worker``; returns the end its process writes."""
+        reader, writer = self._ctx.Pipe(duplex=False)
+        self._ended.discard(self._readers[worker])
+        self._readers[worker] = reader
+        return writer
+
+    def get(self, timeout: float) -> Any:
+        """One message from any worker; ``queue.Empty`` after ``timeout``, or
+        at once when a pipe ends, so that the caller's liveness check runs."""
+        live = [r for r in self._readers if r not in self._ended]
+        for reader in multiprocessing.connection.wait(live, timeout):
+            try:
+                return reader.recv()
+            except (EOFError, OSError):  # its worker died, maybe mid-message
+                self._ended.add(reader)
+        raise queue.Empty
+
+    def close(self) -> None:
+        for reader in self._readers:
+            reader.close()
+
+
 def is_failure(reply: tuple) -> bool:
     """Whether a reply tail is a failure envelope (see :func:`raise_failure`)."""
     return reply[0] in (_ERROR, _OPAQUE)

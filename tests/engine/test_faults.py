@@ -14,6 +14,8 @@ test here replays the same failure schedule on every run.
 
 import os
 import pickle
+import threading
+import time
 
 import pytest
 
@@ -36,6 +38,10 @@ def _sum_part(part):
 
 def _raise_value_error(x):
     raise ValueError(f"boom on {x}")
+
+
+def _blob(n):
+    return b"x" * n
 
 
 def _keep_even(part):
@@ -172,6 +178,45 @@ class TestReplyFaultRecovery:
         with WorkerPool(2, fault_plan=plan, task_deadline=0.3) as pool:
             _forbid_invalidate(pool)
             assert pool.run(_double, [(2,)], parts=[0]) == [4]
+            assert pool.retries_total >= 1
+
+    def test_a_worker_killed_mid_reply_stalls_no_other_worker(self):
+        """Worker 0 is killed while it is blocked sending an 8 MB reply that
+        nobody drains.  Its half-sent reply must cost only its own task (a
+        retry), never the replies of the other worker or the replacement:
+        a reply channel shared between workers behind one cross-process
+        write lock hung every later call here."""
+        with WorkerPool(2) as pool:
+            _forbid_invalidate(pool)
+            assert pool.run(_double, [(0,), (1,)]) == [0, 2]
+            with pool._reply_cond:
+                pool._pump_busy = True  # no caller drains replies for now
+            big: list = []
+            sender = threading.Thread(
+                target=lambda: big.extend(pool.run(_blob, [(8 << 20,)], parts=[0])),
+                daemon=True,
+            )
+            beats = pool._heartbeat[0]
+            sender.start()
+            deadline = time.monotonic() + 10.0
+            while pool._heartbeat[0] < beats + 2 and time.monotonic() < deadline:
+                time.sleep(0.01)  # the command and the task have both run
+            time.sleep(0.2)  # ... and the reply is partly in the pipe
+            pool._procs[0].kill()
+            pool._procs[0].join(timeout=5.0)
+            with pool._reply_cond:
+                pool._pump_busy = False
+                pool._reply_cond.notify_all()
+            small: list = []
+            other = threading.Thread(
+                target=lambda: small.extend(pool.run(_double, [(3,)], parts=[1])),
+                daemon=True,
+            )
+            other.start()
+            other.join(timeout=30.0)
+            sender.join(timeout=30.0)
+            assert small == [6]
+            assert big == [b"x" * (8 << 20)]
             assert pool.retries_total >= 1
 
     def test_deterministic_error_is_never_retried(self):
