@@ -15,8 +15,9 @@ the analyzer's CM204.
 
 k-means has one center rule (:func:`kmeans_centers`): a reservoir sample
 of the operation's dictionary when it has one, else of the compared terms
-of the input's first ``max(k * 20, 200)`` rows in take order; terms are
-assigned to the centers under the operation's own metric.
+of the input's first ``max(k * 20, 200)`` rows by global row index (their
+``_rid``), whatever the layout; terms are assigned to the centers under the
+operation's own metric.
 
 The ``grouping`` argument selects the physical grouping strategy and is the
 knob the Fig. 5–8 benchmarks turn: ``"aggregate"`` is CleanDB's local
@@ -26,10 +27,14 @@ BigDansing's hash-based shuffle.
 
 from __future__ import annotations
 
+import heapq
 from functools import partial
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from operator import iadd
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
+from ..engine.partitioner import canonical_key
 from . import kmeans
+from .rowid import RID
 from .tokenize import qgrams
 
 if TYPE_CHECKING:
@@ -67,17 +72,24 @@ def concat_terms(attributes: Sequence[str]) -> TermFunc:
 
 def kmeans_centers(
     k: int, seed: int, dictionary: Sequence[Any] | None,
-    rows: Callable[[int], Sequence[Any]] | None, term: TermFunc,
+    rows: Callable[[], Iterable[Any]] | None, term: TermFunc,
 ) -> tuple[str, ...]:
     """The k-means center rule: ``reservoir_sample`` of the ``dictionary``'s
     terms when the operation has one, else of the compared terms (``term``)
-    of the input's first ``max(k * 20, 200)`` rows (``rows(n)``, in the
-    input's take order)."""
+    of the first ``max(k * 20, 200)`` rows of ``rows()`` by global row
+    index, their ``_rid`` (rows without one keep their order), so no layout
+    or row order moves the sample."""
     if dictionary is not None:
         terms = [str(word) for word in dictionary]
     else:
-        terms = [term(r) for r in (rows(max(k * 20, 200)) if rows else ())]
+        first = heapq.nsmallest(max(k * 20, 200), rows() if rows else (), key=_row_index)
+        terms = [term(r) for r in first]
     return tuple(kmeans.reservoir_sample(terms, k, seed=seed) or [""])
+
+
+def _row_index(row: Any) -> tuple[str, Any]:
+    rid = canonical_key(row.get(RID)) if isinstance(row, dict) else None
+    return type(rid).__name__, rid  # ids of one type compare
 
 
 def _bind_kmeans(*, metric, k, delta, seed, dictionary, rows, term, **_: Any) -> Callable:
@@ -106,7 +118,7 @@ BLOCKERS: dict[str, tuple[str, str, Callable[..., Callable[[Any], list]]]] = {
 def blocker(
     op: str, *, metric: str = "LD", q: int = 3, k: int = 10, delta: float = 0.0,
     width: int = 2, seed: int = 13, dictionary: Sequence[Any] | None = None,
-    rows: Callable[[int], Sequence[Any]] | None = None, term: TermFunc = str,
+    rows: Callable[[], Iterable[Any]] | None = None, term: TermFunc = str,
 ) -> Callable[[Any], list]:
     """``keys(term)`` of ``op`` bound to one operation: ``q`` for token
     filtering, ``width`` for length bands, and for k-means its ``metric``,
@@ -128,7 +140,7 @@ def _grouped(keyed: Callable[[], Dataset], grouping: str, name: str) -> Dataset:
     """Group the dataset ``keyed()`` charges and returns into ``(key,
     [records])`` per the strategy, which is checked before it is called."""
     if grouping == "aggregate":
-        return keyed().aggregate_by_key(list, _append, _extend, name=name)
+        return keyed().aggregate_by_key(list, _append, iadd, name=name)
     if grouping in ("sort", "hash"):
         return keyed().group_by_key(shuffle_kind=grouping, name=name)
     raise ValueError(f"unknown grouping strategy {grouping!r}")
@@ -137,11 +149,6 @@ def _grouped(keyed: Callable[[], Dataset], grouping: str, name: str) -> Dataset:
 def _append(acc: list, value: Any) -> list:
     acc.append(value)
     return acc
-
-
-def _extend(left: list, right: list) -> list:
-    left.extend(right)
-    return left
 
 
 def key_blocks(
@@ -172,7 +179,7 @@ def make_blocks(
     given a ``dictionary``.  Ops are named ``grouping:<label>`` (default
     ``name``) and ``<name>:<stage>``."""
     term = term_func or (lambda r: r)
-    keys = keys or blocker(op, **{"rows": dataset.take, "term": term, **params})
+    keys = keys or blocker(op, **{"rows": dataset.collect, "term": term, **params})
     label, stage, _ = BLOCKERS[op]
     name = name or f"grouping:{label}"
 

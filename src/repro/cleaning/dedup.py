@@ -32,11 +32,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from itertools import count as _counter
+from operator import iadd
 from typing import Any, Callable, Sequence
 
 from ..engine.cluster import Cluster
 from ..engine.dataset import Dataset
-from ..engine.shuffle import exchange, exchange_resident
+from ..engine.shuffle import exchange, exchange_resident, merge_combiners
 from ..sources.columnar import round_robin_split
 from .blocking import concat_terms, key_blocks, make_blocks
 from .rowid import RID, has_rids, number_rows, partition_offsets, stamp
@@ -114,14 +115,7 @@ def preparer(join: SimJoin) -> Callable[[dict], PreparedRecord]:
 def merge_blocks(bucket: Sequence[tuple[Any, list[dict]]]) -> dict[Any, list[dict]]:
     """Reduce side: one exchanged bucket's blocks (they arrive
     input-partition-major) merged into each key's first block in place."""
-    merged: dict[Any, list[dict]] = {}
-    for key, records in bucket:
-        members = merged.get(key)
-        if members is None:
-            merged[key] = records
-        else:
-            members.extend(records)
-    return merged
+    return merge_combiners(bucket, iadd)
 
 
 def block_pairs(blocks: dict[Any, list[dict]], join: SimJoin) -> list[DuplicatePair]:

@@ -270,8 +270,9 @@ class SimJoin:
     ) -> bool | float | None:
         """Decide ``avg attr similarity >= theta`` — identically to the
         naive per-attribute loop (which an unbounded join runs), but
-        filtered.  Updates :attr:`stats`.  ``scored``: answer the accepted
-        pair's average similarity, ``None`` for a rejected one."""
+        filtered.  Updates :attr:`stats` (equal banded terms are counted,
+        then score 1.0 unscanned).  ``scored``: answer the accepted pair's
+        average similarity, ``None`` for a rejected one."""
         reject = None if scored else False
         stats = self.stats
         stats.candidates += 1
@@ -332,6 +333,9 @@ class SimJoin:
                     budget = int(math.ceil((1.0 - need + EPSILON) * longest))
                     if budget < 0:
                         return reject
+                    if term_a == term_b:  # LD 0: the scan would answer 1.0
+                        total += 1.0
+                        continue
                     # The longer term is the bit-vector (its masks are
                     # cached on the record); the shorter one is scanned.
                     wide, narrow = (a, b) if len_a >= len_b else (b, a)

@@ -18,7 +18,7 @@ import random
 from typing import Any, Callable, Iterable, Iterator
 
 from .cluster import Cluster
-from .shuffle import exchange
+from .shuffle import exchange, merge_combiners, route_combiners
 
 Record = Any
 KeyedRecord = tuple[Any, Any]
@@ -216,39 +216,25 @@ class Dataset:
         crosses the network and hot keys arrive pre-reduced.
         """
         n = num_partitions or self.cluster.default_parallelism
-        unit = self.cluster.cost_model.record_unit
-        combined_parts: list[list[KeyedRecord]] = []
-        map_side_work: list[float] = []
+        cost, spread = self.cluster.cost_model, self.cluster.spread_over_nodes
+        local: list[dict[Any, Any]] = []
         for part in self.partitions:
             combiners: dict[Any, Any] = {}
             for key, value in part:
-                if key in combiners:
-                    combiners[key] = seq_op(combiners[key], value)
-                else:
-                    combiners[key] = seq_op(zero_factory(), value)
-            combined_parts.append(list(combiners.items()))
-            map_side_work.append(len(part) * unit)
-        self.cluster.record_op(
-            f"{name}:combine", self.cluster.spread_over_nodes(map_side_work)
-        )
+                acc = combiners[key] if key in combiners else zero_factory()
+                combiners[key] = seq_op(acc, value)
+            local.append(combiners)
+        unit = cost.record_unit
+        self.cluster.record_op(f"{name}:combine", spread([len(p) * unit for p in self.partitions]))
 
-        new_parts, moved, cost = exchange(self.cluster, combined_parts, n, kind="local")
-        merged_parts: list[list[KeyedRecord]] = []
-        reduce_side_work: list[float] = []
-        for part in new_parts:
-            merged: dict[Any, Any] = {}
-            for key, combiner in part:
-                if key in merged:
-                    merged[key] = comb_op(merged[key], combiner)
-                else:
-                    merged[key] = combiner
-            merged_parts.append(list(merged.items()))
-            reduce_side_work.append(len(part) * unit)
+        buckets = route_combiners(local, n)  # the "local" exchange
+        merged_parts = [list(merge_combiners(b, comb_op).items()) for b in buckets]
+        moved = sum(map(len, buckets))
         self.cluster.record_op(
             f"{name}:merge",
-            self.cluster.spread_over_nodes(reduce_side_work),
+            spread([len(b) * unit for b in buckets]),
             shuffled_records=moved,
-            shuffle_cost=cost,
+            shuffle_cost=moved * cost.shuffle_unit * cost.combiner_shuffle_factor,
         )
         return self._derive(merged_parts, name)
 

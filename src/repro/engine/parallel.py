@@ -78,7 +78,7 @@ from .store import StoreRegistry
 from .transport import _CallRecord
 from .worker import (
     _MISSING, StoreRef, _count, _fetch_task, _worker_main, decode_reply, is_failure,
-    _Replies, raise_failure, run_chain,
+    _Replies, open_inbox, raise_failure, run_chain,
 )
 
 # Workers a pool gets when the caller enabled parallel execution without
@@ -258,8 +258,7 @@ class WorkerPool:
         self.retries_total = 0
 
     def _spawn_worker(self, worker: int) -> None:
-        inbox, replies = self._ctx.Queue(), self._outbox.open(worker)
-        inbox.cancel_join_thread()  # a dead worker's full inbox must not block exit
+        inbox, replies = open_inbox(self._ctx, self._inboxes[worker]), self._outbox.open(worker)
         generation = self._worker_gen[worker]
         proc = self._ctx.Process(
             target=_worker_main,
@@ -268,6 +267,7 @@ class WorkerPool:
         )
         proc.start()
         replies.close()  # the worker holds the only writer: its death reads as EOF
+        inbox._reader.close()  # ... and the only reader: its death fails a write
         self._inboxes[worker] = inbox
         self._procs[worker] = proc
 

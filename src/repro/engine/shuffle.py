@@ -15,7 +15,10 @@ strategy is computed:
 :func:`exchange` is the driver-side form the :class:`~repro.engine.
 dataset.Dataset` operators use (the row and vectorized FD drivers route
 nothing: they charge the exchange the counts of
-:func:`~repro.cleaning.denial.fd_fold_partitions` describe).
+:func:`~repro.cleaning.denial.fd_fold_partitions` describe).  A
+``"local"`` exchange of combiner dicts on the driver (``aggregate_by_key``,
+the executors' Nest folds) is :func:`route_combiners` then
+:func:`merge_combiners` per bucket, its caller charging the counts.
 :func:`exchange_resident` is the handle-based form the parallel fast paths
 use: input partitions are referenced by :class:`~repro.engine.worker.
 StoreRef`, map-side workers pickle each target's bucket into an *opaque
@@ -73,6 +76,28 @@ def exchange(
         # The sort itself costs n·log n CPU on top of the data movement.
         cost += total * math.log2(total) * cluster.cost_model.sort_cpu_unit
     return out, total, cost
+
+
+def route_combiners(local: Sequence[dict], n: int) -> list[list[KeyedRecord]]:
+    """The ``"local"`` exchange's routing of per-partition combiner dicts,
+    counted by the caller: each combiner to its ``HashPartitioner`` bucket,
+    in input-partition order (:func:`exchange`'s determinism contract)."""
+    route = make_partitioner("hash", n).partition
+    buckets: list[list[KeyedRecord]] = [[] for _ in range(n)]
+    for combiners in local:
+        for item in combiners.items():
+            buckets[route(item[0])].append(item)
+    return buckets
+
+
+def merge_combiners(bucket: Sequence[KeyedRecord], combine: Callable) -> dict[Any, Any]:
+    """The reduce side of a combiner exchange: one bucket's combiners folded
+    per key in arrival order, ``combine(merged, other)`` returning the
+    merged one (which it may have updated in place)."""
+    merged: dict[Any, Any] = {}
+    for key, state in bucket:
+        merged[key] = combine(merged[key], state) if key in merged else state
+    return merged
 
 
 def exchange_resident(

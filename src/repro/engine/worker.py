@@ -28,6 +28,7 @@ exchange are the only places a blob is ever unpickled (lint E103).
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import multiprocessing.connection
 import os
@@ -35,6 +36,7 @@ import pickle
 import queue
 import time
 import traceback
+import weakref
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple, Sequence
 
@@ -43,6 +45,10 @@ from .faults import FaultPlan
 from .gcpause import collector_paused
 
 _MISSING = object()  # sentinel: distinguish "absent" from a stored None
+
+#: The pipe ends (inbox ends, reply readers) of every pool in this process:
+#: a fork copies them all, so a forked worker closes all but its own.
+DRIVER_ENDS: weakref.WeakSet = weakref.WeakSet()
 
 _OK = "ok"
 _STORED = "stored"  # result kept worker-resident; only a handle returns
@@ -217,6 +223,15 @@ def _worker_main(
     lazily; a replacement is forked mid-recovery) inherits it disabled.
     """
     gc.enable()
+    # A forked worker's copies of the driver's pipe ends: a sibling's inbox
+    # reader held here would keep the driver's write to it from failing.
+    # Own ends are told by number, and errors ignored: a driver thread may
+    # have been closing one when the fork copied it.
+    own = (inbox._reader.fileno(), outbox.fileno())
+    for end in list(DRIVER_ENDS):
+        with contextlib.suppress(OSError):
+            if end.fileno() not in own:
+                end.close()
     store: dict[tuple, Any] = {}
     funcs: dict[int, Callable] = {}
     faults = fault_plan.for_worker(worker_index, gen) if fault_plan else {}
@@ -299,6 +314,21 @@ def _worker_main(
 # ---------------------------------------------------------------------- #
 # Driver side: the reply pipes, and reading a reply tail ``(tag, ...)``
 # ---------------------------------------------------------------------- #
+def open_inbox(ctx: Any, old: Any = None) -> Any:
+    """A worker's command queue, replacing ``old`` (a dead worker's, closed
+    first: its feeder thread ends, at once if idle, else when its write
+    fails).  The feeder neither blocks exit nor reports a failed write, and
+    the queue's ends join :data:`DRIVER_ENDS`.  The caller closes the read
+    end once the worker holds it."""
+    if old is not None:
+        old.close()
+    inbox = ctx.Queue()
+    inbox.cancel_join_thread()
+    inbox._ignore_epipe = True
+    DRIVER_ENDS.update((inbox._reader, inbox._writer))
+    return inbox
+
+
 class _Replies:
     """The driver's end of the reply pipes, one per worker: a worker killed
     mid-reply can stall or garble only its own pipe, which then reads as
@@ -312,6 +342,7 @@ class _Replies:
     def open(self, worker: int) -> Any:
         """A new pipe for ``worker``; returns the end its process writes."""
         reader, writer = self._ctx.Pipe(duplex=False)
+        DRIVER_ENDS.add(reader)
         self._ended.discard(self._readers[worker])
         self._readers[worker] = reader
         return writer

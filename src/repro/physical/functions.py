@@ -22,9 +22,15 @@ def prefix(value: Any, length: int = 3) -> str:
     return str(value)[:length]
 
 
+_SCALARS = frozenset({int, str, float, bool, type(None)})
+
+
 def freeze(value: Any) -> Any:
     """Make a value hashable: the one way grouping/join keys and
-    ``distinct_count`` operands are frozen, on every backend."""
+    ``distinct_count`` operands are frozen, on every backend.  An exact
+    scalar (most keys) is returned before any ``isinstance`` test."""
+    if type(value) in _SCALARS:
+        return value
     if isinstance(value, dict):
         return tuple(sorted((k, freeze(v)) for k, v in value.items()))
     if isinstance(value, (list, set, frozenset)):
@@ -165,7 +171,7 @@ def query_functions(
             sample: dict[str, Any] = {"dictionary": tables.get(op["dictionary"], [])}
         else:  # a DEDUP its compared terms, any other caller each row's text
             table = tables.get(primary, [])
-            sample = {"rows": lambda n: table[:n]}
+            sample = {"rows": lambda: table}
             if "attributes" in op:
                 sample["term"] = blocking.concat_terms(op["attributes"])
         return blocking.blocker(

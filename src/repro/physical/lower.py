@@ -6,8 +6,11 @@ Algebra operator   Engine translation
 σ_p                ``filter``
 Δ^e_p              ``map`` → ``filter`` (fold on the driver for
                    primitive monoids)
-μ/μ̄ (unnest)      ``flatMap`` over the path field
-Γ (nest)           ``aggregateByKey`` → ``mapPartitions``  (CleanDB) or
+μ/μ̄ (unnest)      ``flatMap`` over the path field; DEDUP's σ over two
+                   μ of one group path: one loop per group
+Γ (nest)           ``aggregateByKey`` as one fold: the Nest kernel per
+                   partition, combiners merged per hash bucket, the
+                   ledger charged from counts (CleanDB) or
                    ``groupByKey`` with sort/hash shuffle  (baselines)
 ⋈ equi             ``join`` / ``leftOuterJoin``
 ⋈ theta            matrix theta join (CleanDB) or cartesian → filter
@@ -22,8 +25,10 @@ each source record; Join merges environments; Nest produces a group record
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import chain
 from types import FunctionType
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from ..algebra.operators import (
     TRUE,
@@ -38,8 +43,9 @@ from ..algebra.operators import (
 )
 from ..engine.cluster import Cluster
 from ..engine.dataset import Dataset
+from ..engine.shuffle import merge_combiners, route_combiners
 from ..errors import PlanningError, SchemaError, StaleHandleError, WorkerTaskError
-from ..monoid.expressions import Expr, compiled
+from ..monoid.expressions import BinOp, Call, Expr, Var, compiled
 from ..monoid.monoids import nest_accumulator
 from .functions import DEFAULT_FUNCTIONS, freeze
 
@@ -217,6 +223,9 @@ class Executor:
         return ds
 
     def _select(self, op: Select, nest_cache: dict[str, Dataset] | None = None) -> Dataset:
+        template = rid_pairs(op) if "rid_less" in self.functions else None
+        if template is not None:
+            return self._rid_pairs(*template, nest_cache)
         child = self._input(op.child, nest_cache)
         pred = self._predicate(op.predicate)
         return child.filter(pred, name="select")
@@ -237,6 +246,39 @@ class Executor:
 
         name = "outerUnnest" if op.outer else "unnest"
         return child.flat_map(expand, name=name)
+
+    def _rid_pairs(
+        self, outer: Unnest, inner: Unnest, rest: Expr | None,
+        nest_cache: dict[str, Dataset] | None,
+    ) -> Dataset:
+        """The DEDUP pair template (:func:`rid_pairs`) as one loop per
+        group: ``rid_less`` on the items themselves, an environment only for
+        a pair it keeps, ``rest`` on that.  Both ``unnest`` entries and the
+        ``select`` entry are charged from counts, in the staged order."""
+        child = self._input(outer.child, nest_cache)
+        cluster, unit = child.cluster, child.cluster.cost_model.record_unit
+        spread = cluster.spread_over_nodes
+        path, rid_less = self._fn(outer.path), self.functions["rid_less"]
+        keep = None if rest is None else self._fn(rest)
+        x, y = outer.var, inner.var
+        members = [[list(path(env) or ()) for env in part] for part in child.partitions]
+        sizes = [[len(items) for items in part] for part in members]
+        cluster.record_op("unnest", spread([len(part) * unit for part in sizes]))
+        cluster.record_op("unnest", spread([sum(part) * unit for part in sizes]))
+        out: list[list[dict]] = []
+        for part, groups in zip(child.partitions, members):
+            kept: list[dict] = []
+            for env, items in zip(part, groups):
+                for a in items:
+                    for b in items:
+                        if rid_less(a, b):
+                            pair = {**env, x: a, y: b}
+                            if keep is None or keep(pair):
+                                kept.append(pair)
+            out.append(kept)
+        pairs = [sum(size * size for size in part) * unit for part in sizes]
+        cluster.record_op("select", spread(pairs))
+        return Dataset(cluster, out, op="select", parents=(child,))
 
     def _join(self, op: Join) -> Dataset:
         left = self.execute(op.left)
@@ -302,48 +344,59 @@ class Executor:
         child = self.execute(op.child)
         multi = bool(getattr(op, "multi", False))
         key = self._fn(op.key)
-        aggs = [(name, monoid, self._fn(head)) for name, monoid, head in op.aggregates]
-
-        if multi:
-            def key_records(env: dict) -> list[tuple[Any, dict]]:
-                return [(freeze(k), env) for k in key(env)]
-
-            keyed = child.flat_map(key_records, name="nest:multiKey")
-        else:
-            keyed = child.map(
-                lambda env: (freeze(key(env)), env),
-                name="nest:keyBy",
-            )
-
-        add, combine = nest_accumulator(aggs)
-
+        add, combine = nest_accumulator(
+            [(name, monoid, self._fn(head)) for name, monoid, head in op.aggregates]
+        )
         if self.config.grouping == "aggregate":
-            grouped = keyed.aggregate_by_key(
-                lambda: None, add, combine, name="nest:aggregateByKey"
-            )
+            out = self._fold_nest(child, key, add, combine, multi, op.var)
         else:
-            raw = keyed.group_by_key(
-                shuffle_kind=self.config.grouping, name="nest:groupByKey"
-            )
-
-            def fold(kv: tuple[Any, list]) -> tuple[Any, dict]:
-                key, envs = kv
-                state = None
-                for env in envs:
-                    state = add(state, env)
-                return (key, state)
-
-            grouped = raw.map(fold, name="nest:fold")
-
-        def to_group_record(kv: tuple[Any, dict]) -> dict:
-            key, state = kv
-            group = {"key": key, **state}
-            return {op.var: group}
-
-        out = grouped.map(to_group_record, name="nest:emit")
+            if multi:
+                keyed = child.flat_map(
+                    lambda env: [(freeze(k), env) for k in key(env)], name="nest:multiKey"
+                )
+            else:
+                keyed = child.map(lambda env: (freeze(key(env)), env), name="nest:keyBy")
+            raw = keyed.group_by_key(shuffle_kind=self.config.grouping, name="nest:groupByKey")
+            grouped = raw.map(lambda kv: (kv[0], reduce(add, kv[1], None)), name="nest:fold")
+            out = grouped.map(lambda kv: {op.var: {"key": kv[0], **kv[1]}}, name="nest:emit")
         if op.group_predicate != TRUE:
             out = out.filter(self._predicate(op.group_predicate), name="nest:having")
         return out
+
+    def _fold_nest(
+        self, child: Dataset, key: Callable, add: Callable, combine: Callable,
+        multi: bool, var: str,
+    ) -> Dataset:
+        """The ``aggregate`` Nest as one pass of the pool's Nest kernel:
+        :func:`fold_nest` per partition, ``shuffle.merge_combiners`` per
+        ``HashPartitioner`` bucket.  Charged from the counts, in order, what
+        key → ``aggregate_by_key`` → emit charged: an error or a budget
+        overrun surfaces at the same op."""
+        cluster, parts = child.cluster, child.partitions
+        cost, spread = cluster.cost_model, cluster.spread_over_nodes
+        unit = cost.record_unit
+        key_name = "nest:multiKey" if multi else "nest:keyBy"
+        key_work = spread([len(p) * unit for p in parts])
+        try:
+            folded = [fold_nest(part, key, add, multi) for part in parts]
+        except Exception:  # the staged plan keyed every record before folding
+            for env in chain.from_iterable(parts):
+                for k in key(env) if multi else (key(env),):
+                    freeze(k)
+            cluster.record_op(key_name, key_work)
+            raise
+        cluster.record_op(key_name, key_work)
+        combine_work = spread([keyed * unit for _, keyed in folded])
+        cluster.record_op("nest:aggregateByKey:combine", combine_work)
+        buckets = route_combiners([c for c, _ in folded], cluster.default_parallelism)
+        merged = [merge_combiners(bucket, combine) for bucket in buckets]
+        groups = [[{var: {"key": k, **state}} for k, state in m.items()] for m in merged]
+        moved = sum(map(len, buckets))
+        shuffle_cost = moved * cost.shuffle_unit * cost.combiner_shuffle_factor
+        merge_work = spread([len(b) * unit for b in buckets])
+        cluster.record_op("nest:aggregateByKey:merge", merge_work, moved, shuffle_cost)
+        cluster.record_op("nest:emit", spread([len(g) * unit for g in groups]))
+        return Dataset(cluster, groups, op="nest:emit", parents=(child,))
 
     def _reduce(self, op: Reduce, nest_cache: dict[str, Dataset] | None = None) -> Any:
         child = self._input(op.child, nest_cache)
@@ -376,6 +429,75 @@ class Executor:
         for name, branch in zip(names, op.branches):
             results[name] = self._input(branch, nest_cache)
         return results
+
+
+def rid_pairs(op: Select) -> tuple[Unnest, Unnest, Expr | None] | None:
+    """``(outer, inner, rest)`` when ``op`` is §4.4's DEDUP pair template,
+    ``Select[rid_less(x, y) and rest]`` (``rest`` optional) over two plain
+    Unnests, ``y`` then ``x``, of one path that names neither; else None."""
+    test, rest, inner = op.predicate, None, op.child
+    if isinstance(test, BinOp) and test.op == "and":
+        test, rest = test.left, test.right
+    outer = getattr(inner, "child", None)
+    if not (isinstance(inner, Unnest) and isinstance(outer, Unnest)):
+        return None
+    names = {outer.var, inner.var}
+    plain = all(u.predicate == TRUE and not u.outer for u in (outer, inner))
+    if (
+        plain and test == Call("rid_less", (Var(outer.var), Var(inner.var)))
+        and inner.path == outer.path and len(names) == 2
+        and not names & outer.path.free_vars()
+    ):
+        return outer, inner, rest
+    return None
+
+
+# ---------------------------------------------------------------------- #
+# The Nest kernel: the row and vectorized executors' folds and the pool's
+# Nest tasks (``parallel_exec``) run :func:`fold_nest` and
+# ``shuffle.merge_combiners``.
+# ---------------------------------------------------------------------- #
+
+def fold_nest(
+    envs: Sequence[Any], key: Callable, add: Callable, multi: bool = False
+) -> tuple[dict[Any, dict], int]:
+    """Nest map side: one combiner state per frozen key over a partition
+    (``add`` from ``monoids.nest_accumulator``), and how many keyed records
+    it folded (a multi-key Nest's ``key`` returns several)."""
+    combiners: dict[Any, dict] = {}
+    if not multi:
+        for env in envs:
+            k = freeze(key(env))
+            combiners[k] = add(combiners.get(k), env)
+        return combiners, len(envs)
+    keyed = 0
+    for env in envs:
+        for k in map(freeze, key(env)):
+            keyed += 1
+            combiners[k] = add(combiners.get(k), env)
+    return combiners, keyed
+
+
+def nest_combine_task(
+    envs: list[dict], key_expr: Expr, aggregates: tuple, functions: dict, multi: bool = False,
+) -> list[tuple[Any, dict]]:
+    """The pool's map-side step: :func:`fold_nest` over compiled expressions."""
+    add, _ = nest_accumulator(
+        [(name, monoid, bind(head, functions)) for name, monoid, head in aggregates]
+    )
+    return list(fold_nest(envs, bind(key_expr, functions), add, multi)[0].items())
+
+
+def nest_merge_task(
+    part: list[tuple[Any, dict]], aggregates: tuple, var: str,
+    group_predicate: Expr | None, functions: dict,
+) -> list[dict]:
+    """The pool's reduce-side step: ``shuffle.merge_combiners`` over the
+    shuffled combiners (unpickled here), group records out, the HAVING."""
+    merged = merge_combiners(part, nest_accumulator(aggregates)[1])
+    groups = [{var: {"key": key, **state}} for key, state in merged.items()]
+    pred = bind(group_predicate, functions) if group_predicate is not None else None
+    return [env for env in groups if pred is None or pred(env)]
 
 
 def bind(expr: Expr, funcs: dict[str, Callable] | None) -> Callable[[Any], Any]:

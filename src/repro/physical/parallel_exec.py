@@ -62,15 +62,15 @@ from ..engine.transport import ShipLog
 from ..engine.worker import StoreRef
 from ..errors import PlanningError, SchemaError, WorkerTaskError
 from ..monoid.expressions import Expr, call_names, compiled
-from ..monoid.monoids import nest_accumulator
 from ..sources.columnar import round_robin_split
 
 from .functions import freeze
 
 # Safe at module load: lower's own module-level imports do not reach back
 # here (it imports this module lazily inside Executor._parallel_executor),
-# and sharing its helpers keeps Reduce and Nest semantics from drifting.
-from .lower import bind
+# and sharing its helpers keeps Reduce and Nest semantics from drifting:
+# the Nest's two steps are the row executor's own fold kernel.
+from .lower import bind, nest_combine_task, nest_merge_task
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from .lower import Executor
@@ -133,50 +133,6 @@ def _join_probe_task(
             merged = {**left_env, **right_env}
             if pred is None or pred(merged, functions):
                 out.append(merged)
-    return out
-
-
-def _nest_combine_task(
-    envs: list[dict],
-    key_expr: Expr,
-    aggregates: tuple,
-    functions: dict,
-) -> list[tuple[Any, dict[str, Any]]]:
-    """Nest map side: fold one combiner state per key over a partition."""
-    key_of = compiled(key_expr)
-    add, _ = nest_accumulator(
-        [(name, monoid, bind(head, functions)) for name, monoid, head in aggregates]
-    )
-    combiners: dict[Any, dict[str, Any]] = {}
-    for env in envs:
-        key = freeze(key_of(env, functions))
-        combiners[key] = add(combiners.get(key), env)
-    return list(combiners.items())
-
-
-def _nest_merge_task(
-    part: list[tuple[Any, dict[str, Any]]],
-    aggregates: tuple,
-    var: str,
-    group_predicate: Expr | None,
-    functions: dict,
-) -> list[dict]:
-    """Nest reduce side: merge shuffled combiners (unpickled here, so the
-    fold owns them), emit group records."""
-    _, combine = nest_accumulator(aggregates)
-    merged: dict[Any, dict[str, Any]] = {}
-    for key, state in part:
-        existing = merged.get(key)
-        if existing is None:
-            merged[key] = state
-        else:
-            combine(existing, state)
-    pred = None if group_predicate is None else compiled(group_predicate)
-    out: list[dict] = []
-    for key, state in merged.items():
-        env = {var: {"key": key, **state}}
-        if pred is None or pred(env, functions):
-            out.append(env)
     return out
 
 
@@ -599,14 +555,14 @@ class ParallelExecutor:
     def _nest(self, op: Nest) -> EnvPartitions:
         heads = [head for _, _, head in op.aggregates]
         combined = self._execute(op.child).then(
-            _nest_combine_task,
+            nest_combine_task,
             (op.key, op.aggregates, self._funcs_for(op.key, *heads)),
             "nest:parCombine",
             self._unit,
         )
         group_pred = op.group_predicate if op.group_predicate != TRUE else None
         return self._exchange(combined, "local", "nest:parMerge").then(
-            _nest_merge_task,
+            nest_merge_task,
             (op.aggregates, op.var, group_pred, self._funcs_for(group_pred)),
         )
 

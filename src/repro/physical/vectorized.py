@@ -44,6 +44,7 @@ from ..algebra.operators import (
 )
 from ..engine.dataset import Dataset
 from ..engine.partitioner import stable_hash
+from ..engine.shuffle import merge_combiners, route_combiners
 from ..errors import PlanningError, SchemaError
 from ..monoid.expressions import (
     BINOPS,
@@ -67,6 +68,7 @@ from ..sources.columnar import (
     uniform_dict_records,
 )
 from .functions import freeze
+from .lower import fold_nest  # lower imports this module lazily
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from .lower import Executor
@@ -495,33 +497,19 @@ class VectorizedExecutor:
         # Map side: fold monoid states per key over the head columns.
         local: list[dict[Any, dict[str, Any]]] = []
         for env in child:
-            keys = [
-                freeze(v)
-                for v in eval_column(op.key, env, self.functions)
-            ]
+            keys = eval_column(op.key, env, self.functions)
             add, _ = nest_accumulator([
                 (name, monoid, eval_column(head, env, self.functions).__getitem__)
                 for name, monoid, head in aggs
             ])
-            combiners: dict[Any, dict[str, Any]] = {}
-            for i, key in enumerate(keys):
-                combiners[key] = add(combiners.get(key), i)
-            local.append(combiners)
+            local.append(fold_nest(range(len(keys)), keys.__getitem__, add)[0])
         self._charge("nest:vecCombine", [len(p) for p in child])
 
         # Shuffle combiners (one heavier object per (partition, key) pair),
         # serialized as column blocks rather than per-record objects.
         moved = sum(len(c) for c in local)
         shuffle_cost = self.cluster.cost_model.batch_shuffle_cost(moved)
-        merged: list[dict[Any, dict[str, Any]]] = [{} for _ in range(n)]
-        for combiners in local:
-            for key, state in combiners.items():
-                target = merged[stable_hash(key) % n]
-                existing = target.get(key)
-                if existing is None:
-                    target[key] = state
-                else:
-                    combine(existing, state)
+        merged = [merge_combiners(bucket, combine) for bucket in route_combiners(local, n)]
 
         # Emit group records as columns: key plus one column per aggregate.
         out: list[EnvBatch] = []

@@ -6,10 +6,10 @@ merge from the counts of one partition-major pass
 through wrappers on the engine as the drivers reach it: no
 ``shuffle._route_partition`` bucket, no ``Dataset.aggregate_by_key``, no
 ``fd_merge``, and ``stable_hash`` once per combiner start — exactly the
-``shuffled_records`` the merge op is charged.  The controls keep the
-counters honest: the baseline groupings and a GROUP BY still go through
-the partitioned operators (the Nest is left on them deliberately: fusing
-it measured no gain).
+``shuffled_records`` the merge op is charged.  A query's Nest (GROUP BY,
+FD, DEDUP) folds the same way on ``aggregate``.  The controls keep the
+counters honest: the baseline groupings still go through the partitioned
+operators.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from repro import CleanDB
 from repro.cleaning.denial import check_fd
 from repro.engine import Cluster
 from repro.engine.dataset import Dataset
+from repro.physical.lower import PhysicalConfig
 
 NODES = 10
 ROWS = 2_000
@@ -94,10 +95,29 @@ def test_the_baseline_groupings_still_shuffle(grouping, calls):
     assert calls["fd_merge"] > 0 and calls["aggregate_by_key"] == 0
 
 
-def test_a_group_by_still_aggregates_by_key(calls):
-    with CleanDB(num_nodes=NODES) as db:
+QUERIES = {
+    "group_by": "SELECT t.g, count(t.k) AS n FROM t t GROUP BY t.g",
+    "fd": "SELECT * FROM t t FD(t.k, t.v)",
+    "dedup": "SELECT * FROM t t DEDUP(exact, LD, 0.5, t.k)",
+}
+
+
+@pytest.mark.parametrize("grouping", ["aggregate", "sort", "hash"])
+@pytest.mark.parametrize("query", sorted(QUERIES))
+def test_a_query_nest_folds_once_and_the_baselines_still_shuffle(query, grouping, calls):
+    """On ``aggregate`` the row executor folds a Nest through the pool's
+    kernel and charges the cluster from its counts; ``sort`` / ``hash``
+    still run ``group_by_key``'s exchange."""
+    config = PhysicalConfig(grouping=grouping)
+    with CleanDB(num_nodes=NODES, config=config) as db:
         db.register_table("t", table())
         calls.update(dict.fromkeys(calls, 0))
-        result = db.execute("SELECT t.g, count(t.k) AS n FROM t t GROUP BY t.g")
-    assert len(result.branches["query"]) == 5
-    assert calls["aggregate_by_key"] >= 1 and calls["route"] > 0
+        result = db.execute(QUERIES[query])
+        names = [op.name for op in db.cluster.metrics.ops]
+    assert result.branches[next(iter(result.branches))]
+    if grouping == "aggregate":
+        assert calls["aggregate_by_key"] == 0 and calls["route"] == 0
+        assert "nest:aggregateByKey:merge" in names
+    else:
+        assert calls["aggregate_by_key"] == 0 and calls["route"] > 0
+        assert f"nest:groupByKey({grouping})" in names

@@ -8,8 +8,10 @@ owning session's close() is what releases the processes.
 """
 
 import os
+import signal
 import sys
 import threading
+import time
 
 import pytest
 
@@ -183,6 +185,39 @@ class TestShutdownHygiene:
             with WorkerPool(2) as p:
                 p.run(_square, [(1,)])
         assert fd_count() <= before + 4
+
+    def test_a_worker_replaced_with_a_full_inbox_leaks_no_thread_or_fd(self):
+        """Worker 0 is stopped, its inbox filled past the pipe's capacity
+        (the inbox's feeder thread blocks writing), then killed and
+        replaced, four times.  Once no process holds that pipe's read end
+        the blocked write fails and the feeder ends with its fds; while
+        the driver or a sibling held one, each round leaked a thread and
+        two fds until exit."""
+
+        def fd_count():
+            return len(os.listdir("/proc/self/fd"))
+
+        with WorkerPool(2) as pool:
+            assert pool.run(_square, [(1,), (2,)]) == [1, 4]
+            threads, fds = threading.active_count(), fd_count()
+            for _ in range(4):
+                proc = pool._procs[0]
+                os.kill(proc.pid, signal.SIGSTOP)
+                pool._inboxes[0].put(("noop", b"x" * (1 << 20)))
+                time.sleep(0.1)  # the feeder is now blocked on the full pipe
+                proc.kill()
+                proc.join(timeout=5.0)
+                with pool._reply_cond:
+                    pool._replace_worker(0)
+            del proc  # the last killed process's own pipes
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline and (
+                threading.active_count() > threads or fd_count() > fds
+            ):
+                time.sleep(0.05)
+            assert threading.active_count() <= threads
+            assert fd_count() <= fds
+            assert pool.run(_square, [(3,), (4,)]) == [9, 16]
 
 
 class TestAbortHygiene:

@@ -10,7 +10,9 @@ and range route reads, so equal keys always meet in one bucket.
 
 Each example draws a table whose grouping column mixes those spellings and
 compares the *canonical answer* of ``check_fd``, ``check_dc``,
-``deduplicate(block_on=...)`` and the FD / DEDUP / GROUP BY queries — keys
+``deduplicate(block_on=...)``, ``deduplicate(op="kmeans")`` over a
+round-robin and a contiguous layout, and the FD / DEDUP / k-means DEDUP /
+GROUP BY queries — keys
 and values through ``canonical_key``, pairs as rid pairs, each answer a
 multiset — between a reference run (row backend, one node, rows as drawn)
 and the same table permuted, at every node count on the row backend under
@@ -27,6 +29,7 @@ question of its own, not of layout.
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 
 import pytest
@@ -35,6 +38,8 @@ from hypothesis import strategies as st
 
 from fixtures import WORKERS
 from repro import CleanDB
+from repro.cleaning.dedup import deduplicate
+from repro.datasets.tpch import generate_customer
 from repro.engine.parallel import WorkerPool
 from repro.engine.partitioner import canonical_key
 from repro.physical.lower import PhysicalConfig
@@ -59,6 +64,18 @@ def pool():
         yield shared
 
 
+KMEANS_SQL = "SELECT * FROM t x DEDUP(kmeans, LD, 0.5, x.name)"
+
+
+def kmeans_pairs(db, rows, chunking, theta=0.5):
+    """``deduplicate(op="kmeans")`` over ``rows`` laid out by ``chunking``,
+    with the session's k-means parameters: rid pairs."""
+    dataset = db.cluster.parallelize(rows, chunking=chunking)
+    params = {"k": db.k, "delta": db.delta, "seed": db.seed}
+    pairs = deduplicate(dataset, ["name"], theta=theta, op="kmeans", op_params=params)
+    return [(p.left_id, p.right_id) for p in pairs.collect()]
+
+
 def _values(values) -> frozenset:
     return frozenset(map(canonical_key, values))
 
@@ -78,7 +95,13 @@ def canonical_answers(
         fd_query = db.execute("SELECT * FROM t x FD(x.k, x.v)").branch("fd1")
         dedup_query = db.execute("SELECT * FROM t x DEDUP(exact, LD, 0.5, x.k)").branch("dedup")
         group_by = db.execute("SELECT x.k, count(x.v) AS n FROM t x GROUP BY x.k").branch("query")
+        kmeans_query = db.execute(KMEANS_SQL).branch("dedup")
         return {
+            **{
+                f"kmeans_{chunking}": Counter(kmeans_pairs(db, rows, chunking))
+                for chunking in ("roundrobin", "contiguous")
+            },
+            "kmeans_query": Counter(_rids((r["p1"], r["p2"])) for r in kmeans_query),
             "check_fd": Counter(
                 (canonical_key(v.key), _values(v.rhs_values)) for v in db.check_fd("t", ["k"], ["v"])
             ),
@@ -137,3 +160,22 @@ def test_where_the_second_spelling_sits_does_not_matter(pool, execution, at):
     it routed to another bucket and did not."""
     answers = canonical_answers(_two_spellings(at), 8, execution, pool)
     assert answers["check_fd"] == answers["fd_query"] == Counter({(1, frozenset({0, 1})): 1})
+
+
+def test_kmeans_centers_do_not_depend_on_the_layout():
+    """Once the defect: ``deduplicate(op="kmeans")`` sampled its centers
+    from its input's first rows in take order, which is partition-major, and
+    the query from the table's first rows, so over the same shuffled
+    customers a round-robin layout, a contiguous one and the query answered
+    three ways.  Now all three sample the first rows by ``_rid``."""
+    rows = generate_customer(num_customers=260, max_duplicates=10, seed=23).records
+    random.Random(7).shuffle(rows)
+    with CleanDB(num_nodes=10) as db:
+        db.register_table("t", rows)
+        query = db.execute(KMEANS_SQL.replace("0.5", "0.8")).branch("dedup")
+        laid_out = [sorted(kmeans_pairs(db, rows, c, 0.8)) for c in ("roundrobin", "contiguous")]
+    assert len(rows) > 200 and laid_out[0]
+    assert laid_out[0] == laid_out[1]
+    # A pair two overlapping blocks share is one pair (the API verifies it
+    # once, in its owning block), and a bag member of each block's answer.
+    assert laid_out[0] == sorted({_rids((r["p1"], r["p2"])) for r in query})

@@ -23,6 +23,9 @@ from repro.cleaning.similarity import EPSILON, levenshtein_distance
 from repro.cleaning.simjoin import NO_FILTERS, BagCache, FilterConfig, SimJoin
 
 ATTRS = ("a", "b", "c")
+COPIES = st.lists(
+    st.tuples(st.integers(0, 5), st.integers(0, 5), st.sampled_from(ATTRS)), max_size=8
+)
 words = st.one_of(st.text(alphabet="ab é漢", max_size=8), st.text(max_size=6))
 FILTERS = st.one_of(
     st.just(NO_FILTERS),
@@ -55,8 +58,11 @@ def _count_bound(longest, shared, q):
     return 1.0 - min_distance / longest if min_distance > 0 else 1.0
 
 
-def reference_verify(join: SimJoin, a, b) -> bool:
-    """The pre-change ``SimJoin.verify``, with the helpers it called."""
+def reference_verify(join: SimJoin, a, b, scored=False):
+    """The pre-change ``SimJoin.verify``, with the helpers it called; with
+    ``scored``, the accepted pair's score (``None`` when rejected), as
+    ``verify(scored=True)`` answers."""
+    reject = None if scored else False
     stats = join.stats
     stats.candidates += 1
     n = len(join.attributes)
@@ -69,7 +75,7 @@ def reference_verify(join: SimJoin, a, b) -> bool:
         if cfg.length_filter:
             bounds = [_length_bound(x, y) for x, y in zip(lengths_a, lengths_b)]
             if _mean(bounds) < theta:
-                return False
+                return reject
         if cfg.count_filter:
             bags_a, bags_b = join._bags(a), join._bags(b)
             for i in range(n):
@@ -79,7 +85,7 @@ def reference_verify(join: SimJoin, a, b) -> bool:
                 if bound < bounds[i]:
                     bounds[i] = bound
             if _mean(bounds) < theta:
-                return False
+                return reject
     banding = join.bounded and cfg.banding
     suffix = [0.0] * (n + 1)
     for i in range(n - 1, -1, -1):
@@ -101,20 +107,20 @@ def reference_verify(join: SimJoin, a, b) -> bool:
             if need > EPSILON:
                 budget = int(math.ceil((1.0 - need + EPSILON) * longest))
                 if budget < 0:
-                    return False
+                    return reject
                 wide, narrow = (a, b) if len_a >= len_b else (b, a)
                 distance = levenshtein_distance(
                     wide.terms[i], narrow.terms[i], budget, wide.masks(i)
                 )
                 if distance > budget:
-                    return False
+                    return reject
                 total += 1.0 - distance / longest
                 continue
         total += join.sim(term_a, term_b)
     passed = total / n >= theta
     if passed:
         stats.pairs += 1
-    return passed
+    return (total / n if passed else None) if scored else passed
 
 
 def _side(attrs, theta, filters, metric, cached, records):
@@ -168,3 +174,59 @@ def test_the_domain_reaches_every_exit():
         assert _stats(new) == _stats(old)
         outcomes.append((decision, new.stats.verified))
     assert outcomes == [(False, 0), (False, 0), (False, 1), (True, 1)]
+
+
+@PROPS
+@given(
+    records=st.lists(st.fixed_dictionaries({a: words for a in ATTRS}), min_size=1, max_size=6),
+    copies=COPIES,
+    width=st.integers(min_value=1, max_value=3),
+    theta=st.sampled_from([0.0, 0.5, 0.8, 1.0]),
+    filters=FILTERS,
+    cached=st.booleans(),
+)
+def test_equal_terms_score_as_the_scan_scored_them(records, copies, width, theta, filters, cached):
+    """Terms copied between records, so that many pairs share an attribute's
+    text: a banded attribute with equal terms skips its scan.  The score
+    (and so the decision) is the unbanded naive loop's, and every
+    ``JoinStats`` field the list-based body's, which scanned it."""
+    for i, j, attr in copies:
+        records[j % len(records)][attr] = records[i % len(records)][attr]
+    attrs = ATTRS[:width]
+    new, new_records = _side(attrs, theta, filters, "LD", cached, records)
+    old, old_records = _side(attrs, theta, filters, "LD", cached, records)
+    naive, naive_records = _side(attrs, theta, NO_FILTERS, "LD", False, records)
+    for i in range(len(records)):
+        for j in range(len(records)):
+            score = new.verify(new_records[i], new_records[j], scored=True)
+            assert score == reference_verify(old, old_records[i], old_records[j], scored=True)
+            assert _stats(new) == _stats(old), (i, j)
+            assert score == naive.verify(naive_records[i], naive_records[j], scored=True)
+
+
+def test_an_equal_banded_term_skips_its_scan(monkeypatch):
+    """Work count: a pair whose terms are equal on every attribute runs no
+    edit-distance scan, and is counted as compared on each."""
+    import repro.cleaning.simjoin as simjoin
+
+    scans = []
+    real = simjoin.levenshtein_distance
+    monkeypatch.setattr(simjoin, "levenshtein_distance", lambda *a: scans.append(a) or real(*a))
+    row = {"a": "12 rue des lilas", "b": "anne-marie lee"}
+    join, (a, b) = _side(("a", "b"), 0.8, None, "LD", False, [row, dict(row)])
+    assert join.verify(a, b, scored=True) == 1.0
+    assert scans == [] and join.stats.metric_calls == 2 and join.stats.verified == 1
+
+
+def test_a_hopeless_pair_stops_before_its_equal_term():
+    """The band's early reject comes first: after ``abcd`` / ``abce``
+    (0.75) no score can reach theta 1.0, so the pair is rejected at the
+    equal ``b`` terms, and ``c`` is never compared — as the scan did."""
+    attrs = ("a", "b", "c")
+    banded = FilterConfig(length_filter=False, count_filter=False, banding=True)
+    left = {"a": "abcd", "b": "abcdefgh", "c": "x"}
+    right = {"a": "abce", "b": "abcdefgh", "c": "y"}
+    new, (a, b) = _side(attrs, 1.0, banded, "LD", False, [left, right])
+    old, (c, d) = _side(attrs, 1.0, banded, "LD", False, [left, right])
+    assert new.verify(a, b) is reference_verify(old, c, d) is False
+    assert _stats(new) == _stats(old) and new.stats.metric_calls == 2

@@ -27,13 +27,8 @@ from repro import CleanDB
 from repro.engine import Cluster, WorkerPool
 from repro.engine.shuffle import exchange, exchange_resident
 from repro.monoid import BagMonoid, BinOp, Const, Proj, SumMonoid, Var
-from repro.physical.parallel_exec import (
-    _bind_task,
-    _filter_task,
-    _head_task,
-    _nest_combine_task,
-    _nest_merge_task,
-)
+from repro.physical.lower import nest_combine_task, nest_merge_task
+from repro.physical.parallel_exec import _bind_task, _filter_task, _head_task
 from repro.sources.columnar import round_robin_split
 
 PARTS = 3
@@ -118,10 +113,10 @@ def test_chains_around_an_exchange_are_their_steps_composed(
     before = [
         (_bind_task, ("r",)),
         *_filter_steps(predicates),
-        (_nest_combine_task, (Proj(R, key_attr), AGGREGATES, {})),
+        (nest_combine_task, (Proj(R, key_attr), AGGREGATES, {})),
     ]
     after = [
-        (_nest_merge_task, (AGGREGATES, "g", group_predicate, {})),
+        (nest_merge_task, (AGGREGATES, "g", group_predicate, {})),
         (_head_task, (None, Proj(Var("g"), "key"), {})),
     ]
     try:
