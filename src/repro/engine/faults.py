@@ -4,14 +4,14 @@ Chaos testing a multi-process engine is only useful when a failing run can
 be replayed exactly, so every fault here is keyed by *dispatch counts* —
 "worker 1's 3rd task" — never by wall-clock time or randomness.  Task
 placement is deterministic (partition ``p`` always runs on worker
-``p % workers``, commands process in queue order), which makes a
+``p % workers``, commands run in inbox order), which makes a
 :class:`FaultPlan` a complete, reproducible failure schedule: the same
 plan against the same workload kills, delays, drops, or corrupts the same
 task on every run.
 
-A plan ships to each worker process at spawn
-(``WorkerPool(fault_plan=...)``); the worker consults it around every task
-it executes:
+Each worker process gets its share of a plan (``FaultPlan.for_worker``)
+when it starts (``WorkerPool(fault_plan=...)``) and consults it around
+every task it executes:
 
 * ``kill_before`` — the process ``os._exit``\\ s before running its Nth
   task (its whole batch, and everything queued behind it, is lost: the "node

@@ -4,13 +4,13 @@ The simulated :class:`~repro.engine.cluster.Cluster` models the paper's
 10-node Spark deployment but runs every plan on one Python process.  This
 module supplies the missing half: a :class:`WorkerPool` of real OS
 processes.  Unlike a throwaway ``multiprocessing.Pool``, the workers are
-*addressable and stateful* — each one owns a task queue and a **partition
-store** of named, versioned partitions.  Data ships to a worker once (a
-``pin``), and every later stage references it by handle; stage outputs
-likewise stay worker-resident until the driver materializes the final
-result.  This mirrors what Spark executors give CleanDB (§7): RDD
-partitions stay in executor memory across the stages of a unified cleaning
-query instead of being re-serialized per stage.
+*addressable and stateful* — each one reads its own inbox pipe and keeps a
+**partition store** of named, versioned partitions.  Data ships to a
+worker once (a ``pin``), and every later stage references it by handle;
+stage outputs likewise stay worker-resident until the driver materializes
+the final result.  This mirrors what Spark executors give CleanDB (§7):
+RDD partitions stay in executor memory across the stages of a unified
+cleaning query instead of being re-serialized per stage.
 
 Its neighbours: :mod:`~repro.engine.worker` is the wire protocol (the
 child's command loop, handles, reply tags, error envelopes),
@@ -28,31 +28,26 @@ owns everything with a clock or a dispatch turn in it:
 * **Self-healing** — when a worker process dies — or hangs past the pool's
   ``task_deadline``, detected by a shared-memory heartbeat — only that
   worker is replaced and only *its* partitions are rebuilt from the
-  registry's lineage; other workers' pins and other callers' state stay
-  resident (``invalidate_store()`` is the last resort, taken only when a
-  rebuild itself fails).  A worker's replies travel as one batch, so a
-  death mid-batch loses all of that batch's unsent replies, and every one
-  of its tasks is re-dispatched under a bounded retry budget with linear
-  backoff; only an exhausted budget surfaces, as
-  :class:`~repro.errors.WorkerTaskError` (``exc_type="RetriesExhausted"``).  A :class:`~repro.engine.faults.
+  registry's lineage (``invalidate_store()`` is the last resort, taken
+  only when a rebuild itself fails).  A death mid-batch loses all of that
+  batch's unsent replies, and every one of its tasks is re-dispatched
+  under a bounded retry budget with linear backoff; only an exhausted
+  budget surfaces, as :class:`~repro.errors.WorkerTaskError`
+  (``exc_type="RetriesExhausted"``).  A :class:`~repro.engine.faults.
   FaultPlan` injected at construction makes recovery deterministic enough
   for the chaos suites to assert byte-identical results.
 * **Concurrent callers** — the serving layer drives one pool from many
-  threads.  A dispatch is one message each way per worker: one ``tasks``
-  command with all of the call's tasks for that worker out, one message
-  with their per-task reply tails back.  Dispatch (shipping pins and task
-  batches) is serialized by a FIFO ticket lock so each stage's commands
-  land contiguously and fairly — stage-granularity interleaving, no
-  head-of-line blocking across queries — while reply collection runs
-  *outside* the lock: one caller at a time pumps the workers' reply pipes
-  and routes the tails of other callers' batches to them by task id, so
-  worker compute for one query overlaps driver-side work for another.
-  Each call's transport is credited to its own context, counted per task
-  payload and per reply tail, not per message.
+  threads.  A dispatch is one message each way per worker.  Dispatch is
+  serialized by a FIFO ticket lock so each stage's commands land
+  contiguously and fairly; its holder writes the inboxes itself and forks
+  every replacement.  Reply collection runs *outside* the lock: one caller
+  at a time pumps the reply pipes and routes other callers' reply tails to
+  them by task id, so worker compute for one query overlaps driver-side
+  work for another.  Each call's transport is credited to its own
+  context, counted per task payload and per reply tail, not per message.
 * **Query-scoped aborts** — a failing or aborted call leaves the pool and
-  every other caller's pinned state intact; ``shutdown()`` (an explicit
-  lifecycle decision, e.g. ``CleanDB.close()``) terminates outstanding
-  work immediately rather than waiting for queued partitions.
+  every other caller's pinned state intact; ``shutdown()`` terminates
+  outstanding work immediately rather than waiting for queued partitions.
 
 Task functions must be importable module-level callables and all task
 arguments picklable — the executors' `supports` checks enforce this
@@ -63,12 +58,11 @@ from __future__ import annotations
 
 import contextlib
 import multiprocessing
-import multiprocessing.sharedctypes
 import pickle
-import queue as queue_mod
 import sys
 import threading
 import time
+import weakref
 from collections import OrderedDict
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -77,8 +71,8 @@ from .faults import FaultPlan
 from .store import StoreRegistry
 from .transport import _CallRecord
 from .worker import (
-    _MISSING, StoreRef, _count, _fetch_task, _worker_main, decode_reply, is_failure,
-    _Replies, open_inbox, raise_failure, run_chain,
+    _MISSING, StoreRef, _count, _fetch_task, decode_reply, heartbeats, is_failure,
+    raise_failure, recv_any, run_chain, send_command, start_worker,
 )
 
 # Workers a pool gets when the caller enabled parallel execution without
@@ -105,6 +99,11 @@ ABANDONED_LIMIT = 1024
 # above any realistic in-flight task count; the bound only exists so a
 # reply whose owner vanished can never accumulate without limit.
 REPLY_BUFFER_LIMIT = 4096
+
+# How much one-way command weight (blob bytes, 64 a command) may wait for
+# the next turn that writes its workers: every write wakes a worker, and a
+# write of pins, patches and evictions alone awaits nothing.
+PENDING_LIMIT = 1 << 20
 
 # Distinct task functions the registry keeps resident.  Functions are keyed
 # by their pickled form, so re-created equivalent closures/partials collapse
@@ -209,44 +208,55 @@ class WorkerPool:
         self.retry_backoff = retry_backoff
         self._ctx = multiprocessing.get_context(start_method)
         self.start_method = self._ctx.get_start_method()
-        self._outbox = _Replies(self._ctx, workers)
-        self._inboxes: list[Any] = [None] * workers
-        self._procs: list[Any] = [None] * workers
-        # Bumped when worker ``w`` is replaced; a caller whose tasks were
-        # queued against an older generation knows they are lost.
-        self._worker_gen: list[int] = [0] * workers
-        # Generation whose partition store has been rebuilt from lineage.
-        # Lagging behind ``_worker_gen`` means the replacement is still
-        # empty; the next dispatch touching it runs ``_ensure_recovered``.
-        self._recovered_gen: list[int] = [0] * workers
-        # Liveness: each worker ticks its slot on every command; the driver
-        # keeps the last value seen and when it last changed (see
-        # ``_check_lost_tasks``).  RawArray works under both fork (inherited)
-        # and spawn (shipped through Process args).
-        self._heartbeat = multiprocessing.sharedctypes.RawArray("Q", workers)
-        self._hb_last: list[int] = [0] * workers
-        self._hb_ts: list[float] = [time.monotonic()] * workers
-        for w in range(workers):
-            self._spawn_worker(w)
-        self._closed = False
         # Dispatch serialization (FIFO across caller threads) and the small
         # guards for shared driver-side state: ``_reply_cond`` the reply
         # router, ``_store.lock`` the registry, ``_stats_lock`` the counters.
-        # Lock order, outermost first: dispatch -> store -> reply.
+        # Lock order, outermost first: dispatch -> store -> reply.  Every
+        # fork, and every open, write and close of an inbox, holds dispatch.
         self._dispatch_lock = _FairLock()
         self._store = StoreRegistry(workers)
         self._stats_lock = threading.Lock()
         self._reply_cond = threading.Condition()
-        # task_id -> reply tail, parked until its caller drains it.
-        self._reply_buffers: OrderedDict[int, tuple] = OrderedDict()
-        # Aborted/lost task ids whose late replies must be dropped.
-        self._abandoned: OrderedDict[int, None] = OrderedDict()
-        self._pump_busy = False  # one thread at a time drains the outbox
+        # Per worker: the driver's ends of its inbox and reply pipes, and its
+        # process.  ``_ended`` holds reply ends whose worker has died, weakly:
+        # a replaced worker's closes with its last reference.
+        self._inboxes: list[Any] = [None] * workers
+        self._replies: list[Any] = [None] * workers
+        self._ended: weakref.WeakSet = weakref.WeakSet()
+        self._procs: list[Any] = [None] * workers
+        # ``tasks`` batches written to worker ``w`` whose reply the pump has
+        # not read, and how many replies it must read before the next write
+        # to ``w`` (see ``_flush``): set to the first when a batch in flight
+        # is unclaimed — aborted, or a rebuild.  Under ``_reply_cond``.
+        self._inflight: list[int] = [0] * workers
+        self._owed: list[int] = [0] * workers
+        # Commands pending for each worker, and their weight (``_ship``).
+        self._outgoing: list[list[tuple]] = [[] for _ in range(workers)]
+        self._pending = 0
+        # Bumped when worker ``w`` dies; a caller whose tasks were queued
+        # against an older generation knows they are lost.
+        self._worker_gen: list[int] = [0] * workers
+        # Generation replaced and rebuilt from lineage; lagging behind
+        # ``_worker_gen``, the next dispatch to it runs ``_ensure_recovered``.
+        self._recovered_gen: list[int] = [0] * workers
+        # Liveness: each worker ticks its slot on every command; the driver
+        # keeps the last value seen and when it last changed (see ``_hung``).
+        self._heartbeat = heartbeats(self.start_method, workers)
+        self._hb_last: list[int] = [0] * workers
+        self._hb_ts: list[float] = [time.monotonic()] * workers
         # Function registry (FUNC_REGISTRY_LIMIT): pickled callable -> id.
         # Ids only grow, so a stale worker entry can never alias a new one.
         self._func_ids: OrderedDict[bytes, int] = OrderedDict()
         self._func_counter = 0
         self._worker_funcs: list[set[int]] = [set() for _ in range(workers)]
+        for w in range(workers):
+            self._spawn_worker(w)
+        self._closed = False
+        # task_id -> reply tail, parked until its caller drains it.
+        self._reply_buffers: OrderedDict[int, tuple] = OrderedDict()
+        # Aborted/lost task ids whose late replies must be dropped.
+        self._abandoned: OrderedDict[int, None] = OrderedDict()
+        self._pump_busy = False  # one thread at a time reads the reply pipes
         self._task_counter = 0
         self._version_counter = 0
         # Lifetime totals: wall time waiting on results, tasks, transport.
@@ -258,18 +268,20 @@ class WorkerPool:
         self.retries_total = 0
 
     def _spawn_worker(self, worker: int) -> None:
-        inbox, replies = open_inbox(self._ctx, self._inboxes[worker]), self._outbox.open(worker)
-        generation = self._worker_gen[worker]
-        proc = self._ctx.Process(
-            target=_worker_main,
-            args=(inbox, replies, worker, generation, self.fault_plan, self._heartbeat),
-            daemon=True,
+        """Start worker ``worker`` with an empty store and function registry,
+        closing a dead predecessor's inbox; ``__init__`` or dispatch-locked."""
+        if self._inboxes[worker] is not None:
+            self._inboxes[worker].close()
+        proc, inbox, replies = start_worker(
+            self._ctx, worker, self._worker_gen[worker], self.fault_plan, self._heartbeat
         )
-        proc.start()
-        replies.close()  # the worker holds the only writer: its death reads as EOF
-        inbox._reader.close()  # ... and the only reader: its death fails a write
-        self._inboxes[worker] = inbox
-        self._procs[worker] = proc
+        with self._reply_cond:
+            self._inboxes[worker], self._replies[worker] = inbox, replies
+            self._procs[worker] = proc
+            self._inflight[worker] = self._owed[worker] = 0
+            self._hb_last[worker] = self._heartbeat[worker]
+            self._hb_ts[worker] = time.monotonic()
+        self._worker_funcs[worker] = set()
 
     @property
     def closed(self) -> bool:
@@ -282,17 +294,52 @@ class WorkerPool:
             return self._version_counter
 
     def _ship(self, worker: int, command: tuple, nbytes: int, call: _CallRecord) -> None:
-        self._inboxes[worker].put(command)
+        """Add a command to ``worker``'s pending message (dispatch-locked).
+        A task batch weighs ``PENDING_LIMIT``: the turn that ships it writes
+        it."""
+        self._outgoing[worker].append(command)
+        self._pending += PENDING_LIMIT if command[0] == "tasks" else nbytes + 64
         call.bytes += nbytes
         call.ships += len(command[1]) if command[0] == "tasks" else 1  # payloads, not messages
 
+    @contextlib.contextmanager
+    def _turn(self) -> Iterator[None]:
+        """One dispatch turn, which ends by writing the pending commands if
+        they weigh ``PENDING_LIMIT`` (any task batch does)."""
+        with self._dispatch_lock:
+            try:
+                yield
+            finally:
+                if self._pending >= PENDING_LIMIT:
+                    self._flush()
+
+    def _flush(self) -> None:
+        """Write each worker's pending commands to its inbox as one message
+        (:func:`send_command`; dispatch-locked).  A write blocks while the
+        pipe is full, and a worker blocked writing a reply that no caller
+        reads never empties it; so the replies it owes (``_owed``) are
+        pumped out first, until it dies or hangs past ``task_deadline``."""
+        outgoing, self._outgoing = self._outgoing, [[] for _ in self._outgoing]
+        self._pending = 0
+        for worker, commands in enumerate(outgoing):
+            if not commands or self._closed:  # closed: shutdown waits for the lock
+                continue
+            with self._reply_cond:  # a fresh deadline window: idling is no hang
+                self._hb_ts[worker] = max(self._hb_ts[worker], time.monotonic())
+            while self._owed[worker] and not self._closed and self._procs[worker].is_alive():
+                self._poll_replies(set())
+                with self._reply_cond:
+                    if self._hung(worker):
+                        self._procs[worker].terminate()
+            with self._reply_cond:
+                self._inflight[worker] += sum(command[0] == "tasks" for command in commands)
+            send_command(self._procs[worker], self._inboxes[worker], commands)
+
     def _tell_all(self, *command: Any) -> None:
-        """Queue an uncounted housekeeping command on every live worker."""
-        if self._closed:
-            return
-        for w in range(self.workers):
-            if self._procs[w].is_alive():
-                self._inboxes[w].put(command)
+        """Send an uncounted housekeeping command to every worker."""
+        with self._turn():
+            for w in range(self.workers):
+                self._ship(w, command, 0, _CallRecord())
 
     def _finish_call(self, call: _CallRecord) -> None:
         """Fold one finished call into the pool totals and the calling
@@ -321,8 +368,7 @@ class WorkerPool:
                 for w in range(self.workers):
                     if old_fid in self._worker_funcs[w]:
                         self._worker_funcs[w].discard(old_fid)
-                        if self._procs[w].is_alive():
-                            self._inboxes[w].put(("func_del", old_fid))
+                        self._ship(w, ("func_del", old_fid), 0, _CallRecord())
         else:
             self._func_ids.move_to_end(fblob)
         if fid not in self._worker_funcs[worker]:
@@ -340,7 +386,7 @@ class WorkerPool:
             raise RuntimeError("worker pool is closed")
         call = _CallRecord()
         try:
-            with self._dispatch_lock:
+            with self._turn():
                 try:
                     yield call
                 except Exception:
@@ -352,8 +398,8 @@ class WorkerPool:
     def pin(self, name: str, version: int, partitions: Sequence[Any]) -> list[StoreRef]:
         """Ship partitions to their owning workers once; return handles.
 
-        Partition ``p`` goes to worker ``p % workers``.  Commands on a
-        worker's queue are processed in order, so a task dispatched after
+        Partition ``p`` goes to worker ``p % workers``.  A worker runs its
+        inbox's commands in order, so a task dispatched after
         ``pin`` returns is guaranteed to see the stored partition.
         """
         refs: list[StoreRef] = []
@@ -400,8 +446,8 @@ class WorkerPool:
         no reply is awaited — the worker's FIFO inbox runs it before the old
         version's ``evict`` and any task queued after it.  ``partitions``
         (the post-delta rows as the workers hold them) become the new
-        version's re-pin lineage, so a worker lost with the patch still
-        queued rebuilds the new version, not the old."""
+        version's re-pin lineage, so a worker lost with the patch unread
+        rebuilds the new version, not the old."""
         name = refs[0].name
         new_refs = []
         with self._shipping(name, version) as call:
@@ -497,7 +543,7 @@ class WorkerPool:
         failure: tuple[int, tuple] | None = None
         outstanding = list(range(len(tasks)))
         attempt = 0
-        pending: dict[int, tuple[int, int]] = {}  # task_id -> (index, worker)
+        pending: dict[int, tuple[int, int, int]] = {}  # task_id -> (index, worker, gen)
         replies: dict[int, tuple] = {}
         try:
             while outstanding:
@@ -506,9 +552,8 @@ class WorkerPool:
                     time.sleep(self.retry_backoff * attempt)
                 pending.clear()
                 replies.clear()
-                task_gens: dict[int, int] = {}  # task_id -> gen at dispatch
                 batches: dict[int, list[tuple]] = {}  # worker -> its tasks
-                with self._dispatch_lock:
+                with self._turn():
                     for i in outstanding:
                         part = task_parts[i]
                         worker = part % self.workers
@@ -519,21 +564,13 @@ class WorkerPool:
                         self._task_counter += 1
                         store_key = (*store_as, part) if store_as else None
                         batches.setdefault(worker, []).append((task_id, fid, blob, store_key))
-                        pending[task_id] = (i, worker)
-                        task_gens[task_id] = self._worker_gen[worker]
+                        pending[task_id] = (i, worker, self._worker_gen[worker])
                         if store_as is not None and attempt == 0:
                             self._store.record_stage(store_as, part, fblob, blob)
                     for worker, batch in batches.items():
                         self._ship(worker, ("tasks", batch), sum(len(t[2]) for t in batch), call)
                     call.tasks += len(outstanding)
-                # Fresh deadline window for the workers we just loaded, so
-                # a long pre-dispatch idle can't read as "already hung".
-                if self.task_deadline is not None:
-                    now = time.monotonic()
-                    with self._reply_cond:
-                        for worker in batches:
-                            self._hb_ts[worker] = max(self._hb_ts[worker], now)
-                lost = self._collect(pending, task_gens, replies, call)
+                lost = self._collect(pending, replies, call)
                 retry_indices = [pending[task_id][0] for task_id in lost]
                 for task_id, reply in replies.items():
                     index = pending[task_id][0]
@@ -560,11 +597,14 @@ class WorkerPool:
         except BaseException:
             # Abort path: any reply still in flight belongs to no one now.
             # Mark the unfinished tasks so the router drops their late
-            # replies instead of buffering them forever.
+            # replies instead of buffering them forever, and make their
+            # workers owe every reply in flight: no write reaches them
+            # before those are read.
             with self._reply_cond:
-                for task_id in pending:
+                for task_id, (_, worker, _) in pending.items():
                     if task_id not in replies:
                         self._abandon_locked(task_id)
+                        self._owed[worker] = self._inflight[worker]
             raise
         finally:
             call.wall = time.perf_counter() - start
@@ -583,8 +623,8 @@ class WorkerPool:
         return index
 
     def _collect(
-        self, pending: dict[int, tuple[int, int]], task_gens: dict[int, int],
-        replies: dict[int, tuple], call: _CallRecord,
+        self, pending: dict[int, tuple[int, int, int]], replies: dict[int, tuple],
+        call: _CallRecord,
     ) -> set[int]:
         """Gather replies for pending tasks; return the ids lost to death.
 
@@ -599,7 +639,7 @@ class WorkerPool:
         while waiting:
             got = self._poll_replies(waiting)
             if not got:
-                newly_lost = self._check_lost_tasks(pending, task_gens, waiting)
+                newly_lost = self._check_lost_tasks(pending, waiting)
                 lost |= newly_lost
                 waiting -= newly_lost
                 continue
@@ -642,14 +682,16 @@ class WorkerPool:
                 return mine
             self._pump_busy = True
         try:
-            try:
-                batch = self._outbox.get(timeout=_POLL_SECONDS)
-            except (queue_mod.Empty, OSError, ValueError):
-                # Closed-queue errors during shutdown behave like a timeout;
-                # the caller's liveness check surfaces the real state.
+            got = recv_any(self._replies, self._ended, _POLL_SECONDS)
+            if got is None:
                 return []
             # One message is one worker's batch: route each tail by task id.
+            reader, batch = got
             with self._reply_cond:
+                if reader in self._replies:  # else a replaced worker's last words
+                    worker = self._replies.index(reader)
+                    self._inflight[worker] -= 1
+                    self._owed[worker] = max(self._owed[worker] - 1, 0)
                 for task_id, *tail in batch:
                     if task_id in waiting:
                         mine.append((task_id, tuple(tail)))
@@ -665,51 +707,30 @@ class WorkerPool:
                 self._reply_cond.notify_all()
 
     def _check_lost_tasks(
-        self, pending: dict[int, tuple[int, int]], task_gens: dict[int, int], waiting: set[int]
+        self, pending: dict[int, tuple[int, int, int]], waiting: set[int]
     ) -> set[int]:
         """After an empty poll: is this call still going to get replies?
 
-        Raises only when the pool was shut down.  A worker holding our
-        tasks that died, hung past ``task_deadline`` (no heartbeat progress
-        while its tasks are outstanding), or was already replaced by
-        another caller is replaced in place and its task ids returned as
-        lost — abandoned, so their straggler replies are dropped.
-        """
+        Raises only when the pool was shut down.  A worker holding our tasks
+        that died or hung past ``task_deadline`` gets a new generation (the
+        next dispatch to it forks its replacement); its tasks, and any of an
+        older generation, are returned as lost — abandoned, so their
+        straggler replies are dropped."""
         if self._closed:
             raise WorkerTaskError(
                 "worker pool shut down while tasks were outstanding",
                 exc_type="PoolClosed",
             )
-        lost: set[int] = set()
         with self._reply_cond:
+            # Tasks of an older generation were lost under another caller.
+            current = {t for t in waiting if self._worker_gen[pending[t][1]] == pending[t][2]}
             dead: set[int] = set()
-            active: set[int] = set()
-            for task_id in waiting:
-                worker = pending[task_id][1]
-                if self._worker_gen[worker] != task_gens[task_id]:
-                    lost.add(task_id)  # replaced under another caller
-                elif not self._procs[worker].is_alive():
+            for worker in {pending[t][1] for t in current}:
+                if not self._procs[worker].is_alive() or self._hung(worker):
+                    self._procs[worker].terminate()  # hung: same treatment as dead
+                    self._worker_gen[worker] += 1
                     dead.add(worker)
-                else:
-                    active.add(worker)
-            if self.task_deadline is not None:
-                now = time.monotonic()
-                for worker in active:
-                    beat = self._heartbeat[worker]
-                    if beat != self._hb_last[worker]:
-                        self._hb_last[worker] = beat
-                        self._hb_ts[worker] = now
-                    elif now - self._hb_ts[worker] > self.task_deadline:
-                        # Tasks outstanding, process alive, no progress for
-                        # a whole deadline: hung (or its replies are going
-                        # nowhere).  Same treatment as dead.
-                        self._procs[worker].terminate()
-                        dead.add(worker)
-            for worker in dead:
-                self._replace_worker(worker)
-            for task_id in waiting:
-                if pending[task_id][1] in dead:
-                    lost.add(task_id)
+            lost = (waiting - current) | {t for t in current if pending[t][1] in dead}
             for task_id in lost:
                 self._abandon_locked(task_id)
         return lost
@@ -723,33 +744,34 @@ class WorkerPool:
             self._abandoned.popitem(last=False)
         self._reply_buffers.pop(task_id, None)
 
-    def _replace_worker(self, worker: int) -> None:
-        """Spawn a replacement for a dead worker (caller holds _reply_cond).
-        Its store starts *empty*: see ``_recovered_gen``."""
-        self._procs[worker].join(timeout=1.0)
-        self._worker_gen[worker] += 1
-        if self._closed:
-            return
-        self._spawn_worker(worker)
-        self._worker_funcs[worker] = set()
-        self._hb_last[worker] = self._heartbeat[worker]
-        self._hb_ts[worker] = time.monotonic()
+    def _hung(self, worker: int) -> bool:
+        """Whether ``worker``, owing replies, has shown no heartbeat progress
+        for a whole ``task_deadline`` (caller holds ``_reply_cond``)."""
+        if self.task_deadline is None:
+            return False
+        now, beat = time.monotonic(), self._heartbeat[worker]
+        if beat != self._hb_last[worker]:
+            self._hb_last[worker], self._hb_ts[worker] = beat, now
+            return False
+        return now - self._hb_ts[worker] > self.task_deadline
 
     def _ensure_recovered(self, worker: int, call: _CallRecord) -> None:
-        """Replay lineage onto a freshly replaced worker (dispatch-locked).
+        """Replace a dead worker and replay lineage onto it (dispatch-locked).
 
-        Ships what the registry yields for the dead worker's share of the
-        store.  Rebuild commands enqueue ahead of the caller's retried
-        tasks on the same FIFO inbox, which is the whole ordering argument:
-        by the time a retried task resolves a handle, the partition is
-        resident again.  The stage rebuilds ship as one ``tasks`` batch
-        whose replies are pre-abandoned (fire-and-forget); a rebuild that
-        cannot even be dispatched falls back to :meth:`invalidate_store`.
+        Forks the replacement and ships it the registry's commands for the
+        dead worker's share of the store, ahead of the caller's retried
+        tasks on the same FIFO inbox: by the time a retried task resolves a
+        handle, the partition is resident again.  The stage rebuilds ship as
+        one ``tasks`` batch whose replies are pre-abandoned and owed (see
+        :meth:`_flush`); a rebuild that cannot be dispatched falls back to
+        :meth:`invalidate_store`.
         """
         gen = self._worker_gen[worker]
-        if self._recovered_gen[worker] == gen:
+        if self._recovered_gen[worker] == gen or self._closed:
             return
         self._recovered_gen[worker] = gen
+        self._procs[worker].join(timeout=1.0)
+        self._spawn_worker(worker)
         try:
             rebuilds: list[tuple] = []
             with self._store.lock:
@@ -768,10 +790,13 @@ class WorkerPool:
                     rebuilds.append((task_id, fid, args_blob, (name, version, part)))
             if rebuilds:
                 self._ship(worker, ("tasks", rebuilds), sum(len(t[2]) for t in rebuilds), call)
+                self._flush()
+                with self._reply_cond:
+                    self._owed[worker] = self._inflight[worker]
         except Exception:
-            # Last resort: the rebuild itself failed (unpicklable source,
-            # broken queue).  Give up residency everywhere; callers fall
-            # back to cold pins or the row backend.
+            # Last resort: the rebuild itself failed (unpicklable source).
+            # Give up residency everywhere; callers fall back to cold pins
+            # or the row backend.
             self.invalidate_store()
 
     def shutdown(self) -> None:
@@ -780,31 +805,31 @@ class WorkerPool:
         ``terminate`` rather than a graceful stop: a mid-flight abort must
         not wait for queued partitions.  The partition store dies with the
         workers; any caller still waiting in ``_collect`` surfaces a
-        :class:`WorkerTaskError` on its next poll.  A worker that ignores
-        SIGTERM for 2 seconds (wedged in a C extension, masked signals) is
-        escalated to SIGKILL and joined again; the process handles are then
-        released so repeated create/shutdown cycles leak neither zombies
-        nor fds.
+        :class:`WorkerTaskError` on its next poll.  The first terminate
+        fails any inbox write blocked on a worker, which frees the dispatch
+        lock; under it no fork follows.  A worker that ignores SIGTERM for 2
+        seconds is killed; pipes and process handles are then released, so
+        create/shutdown cycles leak neither zombies nor fds.
         """
-        if not self._closed:
-            self._closed = True
+        if self._closed:
+            return
+        self._closed = True
+        for proc in self._procs:
+            proc.terminate()
+        with self._dispatch_lock:
             self._store.clear()
             for proc in self._procs:
-                proc.terminate()
-            for proc in self._procs:
+                proc.terminate()  # a replacement forked before the lock came free
                 proc.join(timeout=2.0)
             for proc in self._procs:
                 if proc.is_alive():
                     proc.kill()
                     proc.join(timeout=2.0)
-            for q in self._inboxes:
-                q.close()
-            self._outbox.close()
+            for end in (*self._inboxes, *self._replies):
+                end.close()
             for proc in self._procs:
-                try:
+                with contextlib.suppress(ValueError):  # still running despite SIGKILL
                     proc.close()
-                except ValueError:  # still running despite SIGKILL
-                    pass
 
     def __enter__(self) -> "WorkerPool":
         return self

@@ -1,53 +1,55 @@
 """The wire protocol: what runs in a worker process and what is pickled
 to or from it.
 
-A worker owns a task queue and a **partition store** of named, versioned
-partitions.  Commands arrive in queue order — ``pin`` (store a pickled
-partition), ``patch`` (store a resident partition plus a pickled delta
-under a new version), ``func`` (register a pickled callable under a
-driver-assigned id), ``tasks`` (run registered functions over pickled
-arguments), ``evict`` / ``evict_all`` / ``func_del`` / ``stop``.  Only
-``tasks`` is answered: a dispatch is one message each way per worker, one
-``tasks`` batch out, and back one message holding each task's tagged reply
-tail; every other command is one-way, and a ``pin`` or ``patch`` that
-fails leaves its error for the next task on that handle.  A worker that
-dies mid-batch loses the batch's unsent replies, and the driver retries
-all of its tasks.  Any top-level task argument that is a
+A worker reads commands from its **inbox**, one pipe that only the driver
+writes, a list of them per message, and keeps a **partition store** of
+named, versioned partitions.  Commands run in order — ``pin`` (store a pickled partition),
+``patch`` (store a resident partition plus a pickled delta under a new
+version), ``func`` (register a pickled callable under a driver-assigned
+id), ``tasks`` (run registered functions over pickled arguments),
+``evict`` / ``evict_all`` / ``func_del``.  Only ``tasks`` is answered, on
+a second pipe that only this worker writes: a dispatch is one message each
+way per worker, one ``tasks`` batch out, and back one message holding each
+task's tagged reply tail; every other command is one-way, and a ``pin`` or
+``patch`` that fails leaves its error for the next task on that handle.  A
+worker that dies mid-batch loses the batch's unsent replies, and the
+driver retries all of its tasks.  Any top-level task argument that is a
 :class:`StoreRef` is resolved to the stored object inside the worker
 before the function runs.
 
 **Faithful errors** — an exception raised inside a worker travels back in
-an *envelope* (not via queue exception pickling) and is re-raised on the
+an *envelope* (not via exception pickling) and is re-raised on the
 driver as the original exception where possible; an unpicklable exception
 degrades to :class:`~repro.errors.WorkerTaskError` carrying the original
 type name, message and worker traceback — never a bare ``PicklingError``.
-The driver half of the protocol (:class:`_Replies`, :func:`decode_reply`,
-:func:`raise_failure`) lives here too, so this module and the resident
-exchange are the only places a blob is ever unpickled (lint E103).
+The driver half of the protocol (:func:`start_worker`, :func:`send_command`,
+:func:`recv_any`, :func:`decode_reply`, ...) lives here too, so this module
+and the resident exchange are the only places a blob is ever unpickled
+(lint E103).
 """
 
 from __future__ import annotations
 
 import contextlib
 import gc
+import mmap
 import multiprocessing.connection
+import multiprocessing.sharedctypes
 import os
 import pickle
-import queue
 import time
 import traceback
 import weakref
 from dataclasses import dataclass
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 from ..errors import StaleHandleError, WorkerTaskError
-from .faults import FaultPlan
 from .gcpause import collector_paused
 
 _MISSING = object()  # sentinel: distinguish "absent" from a stored None
 
-#: The pipe ends (inbox ends, reply readers) of every pool in this process:
-#: a fork copies them all, so a forked worker closes all but its own.
+#: Both ends of every pool's pipes in this process: a fork copies them all,
+#: so a forked worker closes all but its own (see :func:`_worker_main`).
 DRIVER_ENDS: weakref.WeakSet = weakref.WeakSet()
 
 _OK = "ok"
@@ -193,29 +195,29 @@ def _run_task(store: dict, funcs: dict, fid: int, args_blob: bytes, store_key: A
         return _failure_envelope(exc)
 
 
-def _worker_main(
-    inbox: Any,
-    outbox: Any,
-    worker_index: int = 0,
-    gen: int = 0,
-    fault_plan: FaultPlan | None = None,
-    heartbeat: Any = None,
-) -> None:
-    """Worker-process loop: execute commands from this worker's own queue.
+def _commands(inbox: Any) -> Iterator[tuple]:
+    """Each message's commands in order, until the driver's end closes."""
+    with contextlib.suppress(EOFError):  # the driver has exited
+        while True:
+            yield from inbox.recv()
+
+
+def _worker_main(inbox: Any, outbox: Any, worker_index: int, faults: dict, heartbeat: Any) -> None:
+    """Worker-process loop: execute commands from this worker's inbox.
 
     The store maps ``(name, version, part)`` to the resident object; the
     function registry maps driver-assigned ids to unpickled callables (each
     function ships once per worker, not once per task).  A ``tasks`` batch
     runs in order; its reply tails go back in one message after the last
     task.  No exception may escape a task — every failure travels back as
-    an envelope.  ``outbox`` is the write end of this worker's own reply
-    pipe; the loop sends on it directly, with no feeder thread.
+    an envelope.  ``inbox`` and ``outbox`` are this worker's ends of its two
+    pipes (:func:`start_worker`); the loop ends when the driver's end closes.
 
     ``heartbeat`` is a shared array the worker ticks on every command and
     after every task; the driver's deadline watchdog reads it to tell "hung"
-    from "slowly working".  ``fault_plan`` (tests only) schedules
-    deterministic crashes/delays/drops/corruptions by this worker's task
-    count — see :mod:`repro.engine.faults`.
+    from "slowly working".  ``faults`` (tests only), this process's share of
+    a :class:`~repro.engine.faults.FaultPlan`, schedules deterministic
+    crashes/delays/drops/corruptions by this worker's task count.
 
     The cycle collector is paused from a command's arrival to its reply and
     enabled while the worker waits for the next one — enabled here first,
@@ -224,27 +226,21 @@ def _worker_main(
     """
     gc.enable()
     # A forked worker's copies of the driver's pipe ends: a sibling's inbox
-    # reader held here would keep the driver's write to it from failing.
-    # Own ends are told by number, and errors ignored: a driver thread may
-    # have been closing one when the fork copied it.
-    own = (inbox._reader.fileno(), outbox.fileno())
+    # reader held here would keep the driver's write to it from failing, and
+    # an inbox writer (its own too) would keep its read from ending when the
+    # driver dies.  Own ends are told by number, and errors ignored: a
+    # driver thread may have been closing one when the fork copied it.
+    own = (inbox.fileno(), outbox.fileno())
     for end in list(DRIVER_ENDS):
         with contextlib.suppress(OSError):
             if end.fileno() not in own:
                 end.close()
     store: dict[tuple, Any] = {}
     funcs: dict[int, Callable] = {}
-    faults = fault_plan.for_worker(worker_index, gen) if fault_plan else {}
     executed = 0
-
-    def beat() -> None:
-        if heartbeat is not None:
-            heartbeat[worker_index] += 1
-
-    while True:
-        cmd = inbox.get()
+    for cmd in _commands(inbox):
         with collector_paused():
-            beat()
+            heartbeat[worker_index] += 1
             kind = cmd[0]
             if kind == "tasks":
                 replies = []
@@ -254,7 +250,7 @@ def _worker_main(
                     if spec is not None and spec.kind == "kill_before":
                         os._exit(13)
                     reply = (task_id, *_run_task(store, funcs, fid, args_blob, store_key))
-                    beat()
+                    heartbeat[worker_index] += 1
                     if spec is not None:
                         if spec.kind == "kill_after":
                             os._exit(13)
@@ -307,60 +303,66 @@ def _worker_main(
                     del store[key]
             elif kind == "evict_all":
                 store.clear()
-            elif kind == "stop":
-                break
 
 
 # ---------------------------------------------------------------------- #
-# Driver side: the reply pipes, and reading a reply tail ``(tag, ...)``
+# Driver side: a worker's start, its pipes, and reading a reply tail
 # ---------------------------------------------------------------------- #
-def open_inbox(ctx: Any, old: Any = None) -> Any:
-    """A worker's command queue, replacing ``old`` (a dead worker's, closed
-    first: its feeder thread ends, at once if idle, else when its write
-    fails).  The feeder neither blocks exit nor reports a failed write, and
-    the queue's ends join :data:`DRIVER_ENDS`.  The caller closes the read
-    end once the worker holds it."""
-    if old is not None:
-        old.close()
-    inbox = ctx.Queue()
-    inbox.cancel_join_thread()
-    inbox._ignore_epipe = True
-    DRIVER_ENDS.update((inbox._reader, inbox._writer))
-    return inbox
+def start_worker(ctx: Any, worker: int, gen: int, fault_plan: Any, heartbeat: Any) -> tuple:
+    """Start worker ``worker`` on two new one-way pipes, its inbox and its
+    reply path, all four ends in :data:`DRIVER_ENDS`; return its process,
+    the inbox's write end and the reply pipe's read end.  The driver's
+    copies of the worker's ends are closed once it holds them, so its death
+    fails a write to its inbox and ends a read of its replies."""
+    commands, inbox = ctx.Pipe(duplex=False)
+    replies, reply_end = ctx.Pipe(duplex=False)
+    DRIVER_ENDS.update((commands, inbox, replies, reply_end))
+    faults = fault_plan.for_worker(worker, gen) if fault_plan else {}
+    proc = ctx.Process(
+        target=_worker_main, args=(commands, reply_end, worker, faults, heartbeat), daemon=True
+    )
+    proc.start()
+    commands.close()
+    reply_end.close()
+    return proc, inbox, replies
 
 
-class _Replies:
-    """The driver's end of the reply pipes, one per worker: a worker killed
-    mid-reply can stall or garble only its own pipe, which then reads as
-    end-of-file (docs/ARCHITECTURE.md, "Scheduling")."""
+def heartbeats(start_method: str, workers: int) -> Any:
+    """One counter per worker, ticked by :func:`_worker_main`: an anonymous
+    shared map (inherited by a fork, no fd), or a RawArray under spawn."""
+    if start_method == "fork":
+        return memoryview(mmap.mmap(-1, 8 * workers)).cast("Q")
+    return multiprocessing.sharedctypes.RawArray("Q", workers)
 
-    def __init__(self, ctx: Any, workers: int):
-        self._ctx = ctx
-        self._readers: list[Any] = [None] * workers
-        self._ended: set[Any] = set()  # readers whose worker has died
 
-    def open(self, worker: int) -> Any:
-        """A new pipe for ``worker``; returns the end its process writes."""
-        reader, writer = self._ctx.Pipe(duplex=False)
-        DRIVER_ENDS.add(reader)
-        self._ended.discard(self._readers[worker])
-        self._readers[worker] = reader
-        return writer
+def send_command(proc: Any, inbox: Any, command: tuple) -> None:
+    """Write ``command`` to a worker's inbox.  A dead worker's inbox refuses
+    it at once, and it is dropped: the liveness check retries its tasks, the
+    replay rebuilds its state.  A write cut short by an exception (Ctrl-C)
+    leaves half a command in the pipe, so the worker is killed instead."""
+    try:
+        inbox.send(command)
+    except BrokenPipeError:
+        pass
+    except BaseException:
+        proc.kill()
+        raise
 
-    def get(self, timeout: float) -> Any:
-        """One message from any worker; ``queue.Empty`` after ``timeout``, or
-        at once when a pipe ends, so that the caller's liveness check runs."""
-        live = [r for r in self._readers if r not in self._ended]
-        for reader in multiprocessing.connection.wait(live, timeout):
-            try:
-                return reader.recv()
-            except (EOFError, OSError):  # its worker died, maybe mid-message
-                self._ended.add(reader)
-        raise queue.Empty
 
-    def close(self) -> None:
-        for reader in self._readers:
-            reader.close()
+def recv_any(readers: list, ended: Any, timeout: float) -> tuple[Any, list] | None:
+    """``(reader, message)`` from whichever reply pipe has one; None after
+    ``timeout``, at once when a pipe ends (it joins ``ended``), or when a
+    shutdown closed them, so that the caller's liveness check runs."""
+    try:
+        ready = multiprocessing.connection.wait([r for r in readers if r not in ended], timeout)
+    except (OSError, ValueError):
+        return None
+    for reader in ready:
+        try:
+            return reader, reader.recv()
+        except (EOFError, OSError):  # its worker died, maybe mid-message
+            ended.add(reader)
+    return None
 
 
 def is_failure(reply: tuple) -> bool:

@@ -17,6 +17,7 @@ import pytest
 
 from repro.baselines import CleanDBSystem
 from repro.engine import Cluster, ShipLog, WorkerPool, WorkerTaskError, begin_transport_scope
+from repro.engine import parallel
 from repro.engine.parallel import ABANDONED_LIMIT
 from repro.errors import BudgetExceededError, ReproError
 
@@ -187,12 +188,12 @@ class TestShutdownHygiene:
         assert fd_count() <= before + 4
 
     def test_a_worker_replaced_with_a_full_inbox_leaks_no_thread_or_fd(self):
-        """Worker 0 is stopped, its inbox filled past the pipe's capacity
-        (the inbox's feeder thread blocks writing), then killed and
-        replaced, four times.  Once no process holds that pipe's read end
-        the blocked write fails and the feeder ends with its fds; while
-        the driver or a sibling held one, each round leaked a thread and
-        two fds until exit."""
+        """Worker 0 is stopped and a helper thread writes 1 MiB to its inbox,
+        past the pipe's capacity, so the write blocks; then the worker is
+        killed and replaced, four times.  Once no process holds that pipe's
+        read end the blocked write fails with ``BrokenPipeError`` and the
+        helper ends; while the driver or a sibling held one, the write
+        blocked for good and each round leaked a thread and fds until exit."""
 
         def fd_count():
             return len(os.listdir("/proc/self/fd"))
@@ -201,15 +202,24 @@ class TestShutdownHygiene:
             assert pool.run(_square, [(1,), (2,)]) == [1, 4]
             threads, fds = threading.active_count(), fd_count()
             for _ in range(4):
-                proc = pool._procs[0]
+                proc, inbox, failed = pool._procs[0], pool._inboxes[0], []
+
+                def write():
+                    try:
+                        inbox.send([("noop", b"x" * (1 << 20))])
+                    except BrokenPipeError as exc:
+                        failed.append(exc)
+
                 os.kill(proc.pid, signal.SIGSTOP)
-                pool._inboxes[0].put(("noop", b"x" * (1 << 20)))
-                time.sleep(0.1)  # the feeder is now blocked on the full pipe
+                helper = threading.Thread(target=write, daemon=True)
+                helper.start()
+                time.sleep(0.1)
+                assert helper.is_alive()  # blocked on the full pipe
                 proc.kill()
-                proc.join(timeout=5.0)
-                with pool._reply_cond:
-                    pool._replace_worker(0)
-            del proc  # the last killed process's own pipes
+                helper.join(timeout=10.0)
+                assert not helper.is_alive() and len(failed) == 1
+                assert pool.run(_square, [(1,), (2,)]) == [1, 4]  # replaces worker 0
+            del proc, inbox  # the last killed process's handle and inbox
             deadline = time.monotonic() + 10.0
             while time.monotonic() < deadline and (
                 threading.active_count() > threads or fd_count() > fds
@@ -268,23 +278,20 @@ class TestBatchProtocol:
     @staticmethod
     def _spy(pool, monkeypatch):
         sent, received = [], []
-        real_ship, real_outbox = pool._ship, pool._outbox
+        real_ship, real_recv = pool._ship, parallel.recv_any
 
         def ship(worker, command, nbytes, call):
             sent.append((worker, command))
             real_ship(worker, command, nbytes, call)
 
-        class Outbox:
-            def get(self, timeout):
-                message = real_outbox.get(timeout=timeout)
-                received.append(message)
-                return message
-
-            def __getattr__(self, name):
-                return getattr(real_outbox, name)
+        def recv(readers, ended, timeout):
+            got = real_recv(readers, ended, timeout)
+            if got is not None:
+                received.append(got[1])  # (reply pipe end, message)
+            return got
 
         monkeypatch.setattr(pool, "_ship", ship)
-        monkeypatch.setattr(pool, "_outbox", Outbox())
+        monkeypatch.setattr(parallel, "recv_any", recv)
         return sent, received
 
     def test_ten_parts_on_two_workers_ship_one_message_each_way_per_worker(

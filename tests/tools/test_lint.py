@@ -171,6 +171,42 @@ class TestRules:
         )
         assert lint_paths([tmp_path], ALL_RULES, root=tmp_path) == []
 
+    def test_e106_process_queues_and_their_internals(self, tmp_path):
+        findings = lint_source(
+            tmp_path,
+            """
+            import multiprocessing
+            import multiprocessing.queues
+            from multiprocessing import SimpleQueue, Pipe
+            from multiprocessing.queues import Queue
+
+            def open_inbox(ctx):
+                inbox = ctx.Queue()
+                done = multiprocessing.JoinableQueue()
+                inbox.cancel_join_thread()
+                inbox._ignore_epipe = True
+                inbox._reader.close()
+                return inbox._writer, done
+            """,
+        )
+        assert codes(findings) == ["E106"] * 9
+        assert "SimpleQueue" in findings[1].message
+
+    def test_e106_thread_queues_and_pipes_are_fine(self, tmp_path):
+        findings = lint_source(
+            tmp_path,
+            """
+            import asyncio
+            import queue
+            from queue import SimpleQueue
+
+            def open_wire(ctx):
+                reader, writer = ctx.Pipe(duplex=False)
+                return reader, writer, queue.Queue(), asyncio.Queue(), SimpleQueue()
+            """,
+        )
+        assert findings == []
+
     def test_e000_syntax_error_is_reported_not_raised(self, tmp_path):
         findings = lint_source(tmp_path, "def broken(:\n")
         assert codes(findings) == ["E000"]

@@ -24,6 +24,12 @@ cannot express and that review alone will not keep true:
   or ``engine/``.  The tree-walking interpreter is the reference the
   differential tests compare against; engine paths run the compiled form
   (``monoid.expressions.compiled``), once per operator, not per record.
+* **E106** — no ``multiprocessing`` ``Queue`` / ``SimpleQueue`` /
+  ``JoinableQueue`` and no private ``multiprocessing`` attribute
+  (``._reader``, ``._writer``, ``._ignore_epipe``, ``.cancel_join_thread``).
+  A process queue's feeder thread and shared write lock are what hung the
+  worker pool twice; its wire is one plain pipe each way per worker
+  (``engine/worker.start_worker``).
 """
 
 from __future__ import annotations
@@ -57,6 +63,14 @@ POOL_WRITE_ALLOWED = ("repro/engine/parallel.py", "repro/engine/store.py")
 INTERPRETER_FORBIDDEN = ("repro/physical/", "repro/engine/")
 
 _WALL_CLOCK_NAMES = {"time", "perf_counter", "monotonic"}
+
+#: The ``multiprocessing`` queue classes, and the modules whose classes of
+#: the same name are thread queues (not flagged).
+_PROCESS_QUEUES = {"Queue", "SimpleQueue", "JoinableQueue"}
+_THREAD_QUEUE_MODULES = {"queue", "asyncio"}
+
+#: Private ``multiprocessing`` queue internals the pool once reached into.
+_QUEUE_INTERNALS = {"_reader", "_writer", "_ignore_epipe", "cancel_join_thread"}
 
 
 def _allowed(path: str, allowlist: tuple[str, ...]) -> bool:
@@ -253,6 +267,44 @@ class InterpreterCallRule:
                 )
 
 
+class ProcessQueueRule:
+    code = "E106"
+    description = (
+        "no multiprocessing queue and no private multiprocessing attribute: "
+        "the pool's wire is one plain pipe each way per worker"
+    )
+
+    def check(self, tree: ast.Module, path: str, source: str) -> Iterator[Finding]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names if a.name == "multiprocessing.queues"]
+            elif isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                names = [
+                    f"{module}.{a.name}" for a in node.names
+                    if module == "multiprocessing.queues"
+                    or (module.startswith("multiprocessing") and a.name in _PROCESS_QUEUES)
+                ]
+            elif isinstance(node, ast.Attribute) and (
+                node.attr in _QUEUE_INTERNALS
+                or (node.attr in _PROCESS_QUEUES
+                    and _terminal_name(node.value) not in _THREAD_QUEUE_MODULES)
+            ):
+                names = [f".{node.attr}"]
+            else:
+                continue
+            for name in names:
+                yield Finding(
+                    code=self.code,
+                    message=(
+                        f"{name}: a multiprocessing queue or its internals; "
+                        "send on a pipe (engine/worker.start_worker) instead"
+                    ),
+                    path=path,
+                    line=node.lineno,
+                )
+
+
 def _terminal_name(node: ast.expr) -> str | None:
     """The last identifier of a ``Name`` / dotted ``Attribute`` chain."""
     if isinstance(node, ast.Name):
@@ -276,4 +328,5 @@ ALL_RULES = (
     BarePickleLoadsRule(),
     PoolStateWriteRule(),
     InterpreterCallRule(),
+    ProcessQueueRule(),
 )
