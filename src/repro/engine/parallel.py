@@ -6,11 +6,10 @@ module supplies the missing half: a :class:`WorkerPool` of real OS
 processes.  Unlike a throwaway ``multiprocessing.Pool``, the workers are
 *addressable and stateful* — each one reads its own inbox pipe and keeps a
 **partition store** of named, versioned partitions.  Data ships to a
-worker once (a ``pin``), and every later stage references it by handle;
-stage outputs likewise stay worker-resident until the driver materializes
-the final result.  This mirrors what Spark executors give CleanDB (§7):
-RDD partitions stay in executor memory across the stages of a unified
-cleaning query instead of being re-serialized per stage.
+worker once (a ``pin``), and later stages reference it by handle; stage
+outputs stay worker-resident until the driver materializes the result, as
+RDD partitions stay in Spark executors' memory across the stages of a
+unified cleaning query (§7).
 
 Its neighbours: :mod:`~repro.engine.worker` is the wire protocol (the
 child's command loop, handles, reply tags, error envelopes),
@@ -20,11 +19,9 @@ what each call shipped.  The pool ships what the registry tells it and
 owns everything with a clock or a dispatch turn in it:
 
 * **Determinism** — ``run()`` returns results in task-submission order, and
-  the task for logical partition ``p`` always runs on worker ``p % workers``
-  — the worker that holds that partition, so handles resolve locally and
-  there is no remote read path.  A parallel stage that mirrors a serial
-  stage's per-partition logic therefore produces byte-identical output
-  (the backend-parity and determinism tests rely on this).
+  the task for logical partition ``p`` always runs on worker ``p % workers``,
+  which holds that partition: handles resolve locally, and a parallel stage
+  mirroring a serial stage's per-partition logic is byte-identical to it.
 * **Self-healing** — when a worker process dies — or hangs past the pool's
   ``task_deadline``, detected by a shared-memory heartbeat — only that
   worker is replaced and only *its* partitions are rebuilt from the
@@ -37,14 +34,12 @@ owns everything with a clock or a dispatch turn in it:
   FaultPlan` injected at construction makes recovery deterministic enough
   for the chaos suites to assert byte-identical results.
 * **Concurrent callers** — the serving layer drives one pool from many
-  threads.  A dispatch is one message each way per worker.  Dispatch is
-  serialized by a FIFO ticket lock so each stage's commands land
-  contiguously and fairly; its holder writes the inboxes itself and forks
-  every replacement.  Reply collection runs *outside* the lock: one caller
-  at a time pumps the reply pipes and routes other callers' reply tails to
-  them by task id, so worker compute for one query overlaps driver-side
-  work for another.  Each call's transport is credited to its own
-  context, counted per task payload and per reply tail, not per message.
+  threads.  Dispatch is serialized by a FIFO ticket lock, whose holder
+  writes the inboxes and forks every replacement; one message goes each
+  way per worker.  Reply collection runs *outside* the lock: one caller at
+  a time pumps the reply pipes and routes other callers' reply tails by
+  task id.  Each call's transport is credited to its own context, counted
+  per task payload and per reply tail, not per message.
 * **Query-scoped aborts** — a failing or aborted call leaves the pool and
   every other caller's pinned state intact; ``shutdown()`` terminates
   outstanding work immediately rather than waiting for queued partitions.
@@ -71,8 +66,8 @@ from .faults import FaultPlan
 from .store import StoreRegistry
 from .transport import _CallRecord
 from .worker import (
-    _MISSING, StoreRef, _count, _fetch_task, decode_reply, heartbeats, is_failure,
-    raise_failure, recv_any, run_chain, send_command, start_worker,
+    _MISSING, StoreRef, _count, _fetch_task, decode_reply, is_failure, raise_failure,
+    recv_any, run_chain, start_worker,
 )
 
 # Workers a pool gets when the caller enabled parallel execution without
@@ -100,10 +95,11 @@ ABANDONED_LIMIT = 1024
 # reply whose owner vanished can never accumulate without limit.
 REPLY_BUFFER_LIMIT = 4096
 
-# How much one-way command weight (blob bytes, 64 a command) may wait for
-# the next turn that writes its workers: every write wakes a worker, and a
-# write of pins, patches and evictions alone awaits nothing.
-PENDING_LIMIT = 1 << 20
+# A worker's one-way commands (pins, patches, registrations, evictions)
+# wait in its next message until a task batch joins them or they fill a
+# pipe (64 KiB on Linux): every write wakes the worker, and the driver holds
+# no more unsent bytes per worker than the pipe itself would.
+MESSAGE_BYTES = 1 << 16
 
 # Distinct task functions the registry keeps resident.  Functions are keyed
 # by their pickled form, so re-created equivalent closures/partials collapse
@@ -115,13 +111,9 @@ FUNC_REGISTRY_LIMIT = 128
 
 
 class _FairLock:
-    """FIFO ticket lock: dispatch turns are granted in arrival order.
-
-    A plain ``threading.Lock`` makes no fairness promise, so one hot query
-    thread could re-acquire back-to-back and starve the others.  Tickets
-    guarantee stage-granularity round-robin across concurrent queries.
-    Reentrant for its owner thread.
-    """
+    """FIFO ticket lock, reentrant: dispatch turns are granted in arrival
+    order, so one hot query thread cannot starve the others (a plain
+    ``threading.Lock`` makes no fairness promise)."""
 
     def __init__(self) -> None:
         self._cond = threading.Condition()
@@ -226,13 +218,11 @@ class WorkerPool:
         self._procs: list[Any] = [None] * workers
         # ``tasks`` batches written to worker ``w`` whose reply the pump has
         # not read, and how many replies it must read before the next write
-        # to ``w`` (see ``_flush``): set to the first when a batch in flight
+        # to ``w`` (see ``_write``): set to the first when a batch in flight
         # is unclaimed — aborted, or a rebuild.  Under ``_reply_cond``.
         self._inflight: list[int] = [0] * workers
         self._owed: list[int] = [0] * workers
-        # Commands pending for each worker, and their weight (``_ship``).
-        self._outgoing: list[list[tuple]] = [[] for _ in range(workers)]
-        self._pending = 0
+        self._outgoing = [bytearray() for _ in range(workers)]  # see ``_ship``
         # Bumped when worker ``w`` dies; a caller whose tasks were queued
         # against an older generation knows they are lost.
         self._worker_gen: list[int] = [0] * workers
@@ -241,7 +231,7 @@ class WorkerPool:
         self._recovered_gen: list[int] = [0] * workers
         # Liveness: each worker ticks its slot on every command; the driver
         # keeps the last value seen and when it last changed (see ``_hung``).
-        self._heartbeat = heartbeats(self.start_method, workers)
+        self._heartbeat = self._ctx.RawArray("Q", workers)
         self._hb_last: list[int] = [0] * workers
         self._hb_ts: list[float] = [time.monotonic()] * workers
         # Function registry (FUNC_REGISTRY_LIMIT): pickled callable -> id.
@@ -294,50 +284,52 @@ class WorkerPool:
             return self._version_counter
 
     def _ship(self, worker: int, command: tuple, nbytes: int, call: _CallRecord) -> None:
-        """Add a command to ``worker``'s pending message (dispatch-locked).
-        A task batch weighs ``PENDING_LIMIT``: the turn that ships it writes
-        it."""
-        self._outgoing[worker].append(command)
-        self._pending += PENDING_LIMIT if command[0] == "tasks" else nbytes + 64
+        """Add a command to ``worker``'s next message (dispatch-locked), and
+        write the message once it ends in a task batch or holds
+        ``MESSAGE_BYTES``."""
+        blob = pickle.dumps(command)
+        tasks = command[0] == "tasks"
         call.bytes += nbytes
-        call.ships += len(command[1]) if command[0] == "tasks" else 1  # payloads, not messages
+        call.ships += len(command[1]) if tasks else 1  # payloads, not messages
+        if tasks or len(self._outgoing[worker]) + len(blob) >= MESSAGE_BYTES:
+            self._write(worker, blob, tasks)
+        else:
+            self._outgoing[worker] += blob
 
-    @contextlib.contextmanager
-    def _turn(self) -> Iterator[None]:
-        """One dispatch turn, which ends by writing the pending commands if
-        they weigh ``PENDING_LIMIT`` (any task batch does)."""
-        with self._dispatch_lock:
-            try:
-                yield
-            finally:
-                if self._pending >= PENDING_LIMIT:
-                    self._flush()
-
-    def _flush(self) -> None:
-        """Write each worker's pending commands to its inbox as one message
-        (:func:`send_command`; dispatch-locked).  A write blocks while the
-        pipe is full, and a worker blocked writing a reply that no caller
-        reads never empties it; so the replies it owes (``_owed``) are
-        pumped out first, until it dies or hangs past ``task_deadline``."""
-        outgoing, self._outgoing = self._outgoing, [[] for _ in self._outgoing]
-        self._pending = 0
-        for worker, commands in enumerate(outgoing):
-            if not commands or self._closed:  # closed: shutdown waits for the lock
-                continue
-            with self._reply_cond:  # a fresh deadline window: idling is no hang
-                self._hb_ts[worker] = max(self._hb_ts[worker], time.monotonic())
-            while self._owed[worker] and not self._closed and self._procs[worker].is_alive():
-                self._poll_replies(set())
-                with self._reply_cond:
-                    if self._hung(worker):
-                        self._procs[worker].terminate()
+    def _write(self, worker: int, last: bytes, tasks: bool) -> None:
+        """Write ``worker``'s next message, ending in ``last`` (dispatch-
+        locked).  A write blocks while the pipe is full, which a worker
+        blocked writing a reply no caller reads never empties; so the
+        replies it owes (``_owed``) are pumped out first, until it dies or
+        hangs.  A dead worker refuses the write, which is dropped (its
+        tasks are retried, its state replayed); one cut short (Ctrl-C)
+        leaves half a message, so that worker is killed and replaced."""
+        with self._reply_cond:  # a fresh deadline window: idling is no hang
+            self._hb_ts[worker] = max(self._hb_ts[worker], time.monotonic())
+        while self._owed[worker] and not self._closed and self._procs[worker].is_alive():
+            self._poll_replies(set())
             with self._reply_cond:
-                self._inflight[worker] += sum(command[0] == "tasks" for command in commands)
-            send_command(self._procs[worker], self._inboxes[worker], commands)
+                if self._hung(worker):
+                    self._procs[worker].terminate()
+        self._outgoing[worker] += last
+        message, self._outgoing[worker] = self._outgoing[worker], bytearray()
+        if self._closed:  # shutdown closes the inboxes once it holds the lock
+            return
+        with self._reply_cond:
+            self._inflight[worker] += tasks
+        try:
+            self._inboxes[worker].send_bytes(message)
+        except BrokenPipeError:
+            pass
+        except BaseException:
+            self._procs[worker].kill()
+            with self._reply_cond:
+                self._worker_gen[worker] += 1
+            raise
 
     def _tell_all(self, *command: Any) -> None:
         """Send an uncounted housekeeping command to every worker."""
-        with self._turn():
+        with self._dispatch_lock:
             for w in range(self.workers):
                 self._ship(w, command, 0, _CallRecord())
 
@@ -386,7 +378,7 @@ class WorkerPool:
             raise RuntimeError("worker pool is closed")
         call = _CallRecord()
         try:
-            with self._turn():
+            with self._dispatch_lock:
                 try:
                     yield call
                 except Exception:
@@ -524,12 +516,10 @@ class WorkerPool:
         report)``: what the driver needs besides (e.g. a global index's input).
 
         The first failing task's exception is re-raised on the driver
-        (:func:`~repro.engine.worker.raise_failure`).  A worker dying or
-        hanging mid-batch, or a reply whose payload fails to unpickle, is
-        *recovered from*, not surfaced — replace, rebuild, re-dispatch, up
-        to ``max_task_retries`` times (module docstring, "Self-healing").
-        Deterministic task exceptions are never retried — re-running a bug
-        is waste, not resilience.
+        (:func:`~repro.engine.worker.raise_failure`), never retried.  A
+        worker dying or hanging mid-batch, or a corrupt reply payload, is
+        recovered from — replace, rebuild, re-dispatch, up to
+        ``max_task_retries`` times (module docstring, "Self-healing").
         """
         if self._closed:
             raise RuntimeError("worker pool is closed")
@@ -553,7 +543,7 @@ class WorkerPool:
                 pending.clear()
                 replies.clear()
                 batches: dict[int, list[tuple]] = {}  # worker -> its tasks
-                with self._turn():
+                with self._dispatch_lock:
                     for i in outstanding:
                         part = task_parts[i]
                         worker = part % self.workers
@@ -595,11 +585,9 @@ class WorkerPool:
                             exc_type="RetriesExhausted",
                         )
         except BaseException:
-            # Abort path: any reply still in flight belongs to no one now.
-            # Mark the unfinished tasks so the router drops their late
-            # replies instead of buffering them forever, and make their
-            # workers owe every reply in flight: no write reaches them
-            # before those are read.
+            # Abort: the router drops the unfinished tasks' late replies,
+            # and their workers owe every reply in flight, so no write
+            # reaches them before those are read.
             with self._reply_cond:
                 for task_id, (_, worker, _) in pending.items():
                     if task_id not in replies:
@@ -626,14 +614,9 @@ class WorkerPool:
         self, pending: dict[int, tuple[int, int, int]], replies: dict[int, tuple],
         call: _CallRecord,
     ) -> set[int]:
-        """Gather replies for pending tasks; return the ids lost to death.
-
-        Concurrent calls share the reply pipes (:meth:`_poll_replies`);
-        reply payload bytes are credited to the *owning* call when its
-        thread drains them.  Tasks whose worker died, hung past the
-        deadline, or was replaced by another caller are returned as *lost*
-        (:meth:`_check_lost_tasks`) — the caller decides whether to retry.
-        """
+        """Gather replies for pending tasks, crediting their payload bytes to
+        this call; return the ids lost to a worker that died, hung, or was
+        replaced under another caller (:meth:`_check_lost_tasks`)."""
         waiting = set(pending)
         lost: set[int] = set()
         while waiting:
@@ -654,14 +637,10 @@ class WorkerPool:
         return lost
 
     def _poll_replies(self, waiting: set[int]) -> list[tuple[int, tuple]]:
-        """One bounded wait for replies to ``waiting`` tasks.
-
-        Whichever caller currently holds the pump role drains the reply
-        pipes and routes foreign replies to their owners' buffers;
-        everyone else waits on the router condition and picks its own
-        replies out of the buffer.  An empty list means a poll interval
-        elapsed and the caller should run its liveness checks.
-        """
+        """One bounded wait for replies to ``waiting`` tasks.  The caller
+        holding the pump role reads the reply pipes and routes other
+        callers' replies to their buffers; the rest wait on the router
+        condition.  An empty list means: run the liveness checks."""
         mine: list[tuple[int, tuple]] = []
 
         def _drain_buffers() -> None:
@@ -675,9 +654,7 @@ class WorkerPool:
             if mine:
                 return mine
             if self._pump_busy:
-                # Someone else is draining the reply pipes; wait for them
-                # to route a reply (or for a poll interval to pass).
-                self._reply_cond.wait(_POLL_SECONDS)
+                self._reply_cond.wait(_POLL_SECONDS)  # for the pump to route one
                 _drain_buffers()
                 return mine
             self._pump_busy = True
@@ -756,16 +733,12 @@ class WorkerPool:
         return now - self._hb_ts[worker] > self.task_deadline
 
     def _ensure_recovered(self, worker: int, call: _CallRecord) -> None:
-        """Replace a dead worker and replay lineage onto it (dispatch-locked).
-
-        Forks the replacement and ships it the registry's commands for the
-        dead worker's share of the store, ahead of the caller's retried
-        tasks on the same FIFO inbox: by the time a retried task resolves a
-        handle, the partition is resident again.  The stage rebuilds ship as
-        one ``tasks`` batch whose replies are pre-abandoned and owed (see
-        :meth:`_flush`); a rebuild that cannot be dispatched falls back to
-        :meth:`invalidate_store`.
-        """
+        """Replace a dead worker and replay lineage onto it (dispatch-locked):
+        the registry's commands for its share of the store go ahead of the
+        caller's retried tasks on the same FIFO inbox.  The stage rebuilds
+        ship as one ``tasks`` batch whose replies are pre-abandoned and owed
+        (see :meth:`_write`); a rebuild that cannot be dispatched falls back
+        to :meth:`invalidate_store`."""
         gen = self._worker_gen[worker]
         if self._recovered_gen[worker] == gen or self._closed:
             return
@@ -790,26 +763,22 @@ class WorkerPool:
                     rebuilds.append((task_id, fid, args_blob, (name, version, part)))
             if rebuilds:
                 self._ship(worker, ("tasks", rebuilds), sum(len(t[2]) for t in rebuilds), call)
-                self._flush()
                 with self._reply_cond:
                     self._owed[worker] = self._inflight[worker]
         except Exception:
-            # Last resort: the rebuild itself failed (unpicklable source).
-            # Give up residency everywhere; callers fall back to cold pins
-            # or the row backend.
+            # Last resort: the rebuild itself failed (unpicklable source);
+            # callers fall back to cold pins or the row backend.
             self.invalidate_store()
 
     def shutdown(self) -> None:
         """Terminate the workers immediately.  Idempotent.
 
         ``terminate`` rather than a graceful stop: a mid-flight abort must
-        not wait for queued partitions.  The partition store dies with the
-        workers; any caller still waiting in ``_collect`` surfaces a
-        :class:`WorkerTaskError` on its next poll.  The first terminate
-        fails any inbox write blocked on a worker, which frees the dispatch
-        lock; under it no fork follows.  A worker that ignores SIGTERM for 2
-        seconds is killed; pipes and process handles are then released, so
-        create/shutdown cycles leak neither zombies nor fds.
+        not wait for queued partitions.  Any caller still in ``_collect``
+        surfaces a :class:`WorkerTaskError` on its next poll.  The first
+        terminate fails any inbox write blocked on a worker, freeing the
+        dispatch lock, under which no fork follows.  A worker ignoring
+        SIGTERM for 2 seconds is killed; pipes and handles are released.
         """
         if self._closed:
             return

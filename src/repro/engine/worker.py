@@ -2,39 +2,37 @@
 to or from it.
 
 A worker reads commands from its **inbox**, one pipe that only the driver
-writes, a list of them per message, and keeps a **partition store** of
-named, versioned partitions.  Commands run in order — ``pin`` (store a pickled partition),
-``patch`` (store a resident partition plus a pickled delta under a new
-version), ``func`` (register a pickled callable under a driver-assigned
-id), ``tasks`` (run registered functions over pickled arguments),
-``evict`` / ``evict_all`` / ``func_del``.  Only ``tasks`` is answered, on
-a second pipe that only this worker writes: a dispatch is one message each
-way per worker, one ``tasks`` batch out, and back one message holding each
-task's tagged reply tail; every other command is one-way, and a ``pin`` or
-``patch`` that fails leaves its error for the next task on that handle.  A
-worker that dies mid-batch loses the batch's unsent replies, and the
-driver retries all of its tasks.  Any top-level task argument that is a
-:class:`StoreRef` is resolved to the stored object inside the worker
-before the function runs.
+writes, pickled back to back in each message, and keeps a **partition
+store** of named, versioned partitions.  Commands run in order — ``pin``
+(store a pickled partition), ``patch`` (store a resident partition plus a
+pickled delta under a new version), ``func`` (register a pickled callable
+under a driver-assigned id), ``tasks`` (run registered functions over
+pickled arguments), ``evict`` / ``evict_all`` / ``func_del``.  Only
+``tasks`` is answered, on a second pipe that only this worker writes: a
+dispatch is one message each way per worker, one ending in a ``tasks``
+batch out, and back one holding each task's tagged reply tail; every
+other command is one-way, and a ``pin`` or ``patch`` that fails leaves its
+error for the next task on that handle.  A worker that dies mid-batch
+loses the batch's unsent replies, and the driver retries all of its
+tasks.  Any top-level task argument that is a :class:`StoreRef` is
+resolved to the stored object inside the worker before the function runs.
 
 **Faithful errors** — an exception raised inside a worker travels back in
 an *envelope* (not via exception pickling) and is re-raised on the
 driver as the original exception where possible; an unpicklable exception
 degrades to :class:`~repro.errors.WorkerTaskError` carrying the original
 type name, message and worker traceback — never a bare ``PicklingError``.
-The driver half of the protocol (:func:`start_worker`, :func:`send_command`,
-:func:`recv_any`, :func:`decode_reply`, ...) lives here too, so this module
-and the resident exchange are the only places a blob is ever unpickled
-(lint E103).
+The driver half of the protocol (:func:`start_worker`, :func:`recv_any`,
+:func:`decode_reply`, ...) lives here too, so this module and the resident
+exchange are the only places a blob is ever unpickled (lint E103).
 """
 
 from __future__ import annotations
 
 import contextlib
 import gc
-import mmap
+import io
 import multiprocessing.connection
-import multiprocessing.sharedctypes
 import os
 import pickle
 import time
@@ -196,10 +194,13 @@ def _run_task(store: dict, funcs: dict, fid: int, args_blob: bytes, store_key: A
 
 
 def _commands(inbox: Any) -> Iterator[tuple]:
-    """Each message's commands in order, until the driver's end closes."""
+    """Each message's commands, pickled back to back, in order, until the
+    driver's end closes."""
     with contextlib.suppress(EOFError):  # the driver has exited
         while True:
-            yield from inbox.recv()
+            message = io.BytesIO(inbox.recv_bytes())
+            while message.tell() < len(message.getbuffer()):
+                yield pickle.load(message)
 
 
 def _worker_main(inbox: Any, outbox: Any, worker_index: int, faults: dict, heartbeat: Any) -> None:
@@ -325,28 +326,6 @@ def start_worker(ctx: Any, worker: int, gen: int, fault_plan: Any, heartbeat: An
     commands.close()
     reply_end.close()
     return proc, inbox, replies
-
-
-def heartbeats(start_method: str, workers: int) -> Any:
-    """One counter per worker, ticked by :func:`_worker_main`: an anonymous
-    shared map (inherited by a fork, no fd), or a RawArray under spawn."""
-    if start_method == "fork":
-        return memoryview(mmap.mmap(-1, 8 * workers)).cast("Q")
-    return multiprocessing.sharedctypes.RawArray("Q", workers)
-
-
-def send_command(proc: Any, inbox: Any, command: tuple) -> None:
-    """Write ``command`` to a worker's inbox.  A dead worker's inbox refuses
-    it at once, and it is dropped: the liveness check retries its tasks, the
-    replay rebuilds its state.  A write cut short by an exception (Ctrl-C)
-    leaves half a command in the pipe, so the worker is killed instead."""
-    try:
-        inbox.send(command)
-    except BrokenPipeError:
-        pass
-    except BaseException:
-        proc.kill()
-        raise
 
 
 def recv_any(readers: list, ended: Any, timeout: float) -> tuple[Any, list] | None:

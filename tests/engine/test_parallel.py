@@ -206,7 +206,7 @@ class TestShutdownHygiene:
 
                 def write():
                     try:
-                        inbox.send([("noop", b"x" * (1 << 20))])
+                        inbox.send_bytes(b"x" * (1 << 20))
                     except BrokenPipeError as exc:
                         failed.append(exc)
 

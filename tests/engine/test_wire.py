@@ -6,11 +6,13 @@ blocks while the pipe is full.  These tests pin what keeps such a write
 from blocking for good: a reply that no caller will claim is read before
 the next write to its worker, a dead worker's inbox refuses writes, and a
 worker whose driver is gone reads end-of-file and exits.  They also pin
-what the wire costs: no driver thread, a few fds per worker, and one
-message per worker and dispatch turn.
+what the wire costs: no driver thread, a few fds per worker, and one write
+per task batch, which carries the one-way commands queued before it.
 """
 
+import io
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -23,7 +25,7 @@ import pytest
 
 import repro
 from repro.engine import FaultPlan, WorkerPool, parallel
-from repro.engine.parallel import PENDING_LIMIT
+from repro.engine.parallel import MESSAGE_BYTES
 from repro.engine.worker import Staged
 
 SRC = str(Path(repro.__file__).resolve().parents[1])
@@ -103,8 +105,8 @@ class TestNoDeadlock:
     def test_an_aborted_calls_reply_is_read_before_the_next_pin(self):
         """A call is interrupted after worker 0's batch went out, and that
         batch's 256 KiB reply belongs to no caller; the next pin is large
-        enough to be written in its own turn, and worker 0 reads it only
-        once that reply is read."""
+        enough to be written at once, and worker 0 reads it only once that
+        reply is read."""
         with WorkerPool(2) as pool:
             pool.run(_blob, [(1,), (1,)])  # register the function on both workers
             real_ship, shipped = pool._ship, []
@@ -121,43 +123,74 @@ class TestNoDeadlock:
                     pool.run(_blob, [(BIG,), (BIG,)])
             finally:
                 pool._ship = real_ship
-            refs = _finish(lambda: pool.pin("t", 1, [b"z" * PENDING_LIMIT, b"w"]))
-            assert pool.fetch(refs) == [b"z" * PENDING_LIMIT, b"w"]
+            refs = _finish(lambda: pool.pin("t", 1, [b"z" * BIG, b"w"]))
+            assert pool.fetch(refs) == [b"z" * BIG, b"w"]
             assert pool.retries_total == 0
             assert not pool._reply_buffers
 
 
+def _kinds(message):
+    """The kind of each command in one inbox message."""
+    stream, kinds = io.BytesIO(message), []
+    while stream.tell() < len(message):
+        kinds.append(pickle.load(stream)[0])
+    return kinds
+
+
 class TestMessages:
-    def test_a_turn_writes_each_worker_one_message_and_one_way_commands_wait(
-        self, monkeypatch
-    ):
+    def test_one_way_commands_ride_with_the_next_task_batch(self):
         """Pins and evictions alone write nothing: they ride, in order, with
-        the next turn that ships a task batch, one message per worker.  A
-        turn whose blobs reach ``PENDING_LIMIT`` writes at once."""
-        written = []
-        real_send = parallel.send_command
-
-        def send(proc, inbox, commands):
-            written.append([command[0] for command in commands])
-            real_send(proc, inbox, commands)
-
-        monkeypatch.setattr(parallel, "send_command", send)
+        the next task batch to their worker, one message per worker.  A
+        command that fills the message to ``MESSAGE_BYTES`` writes at once,
+        and evictions wait for the worker's next task batch."""
         with WorkerPool(2) as pool:
+            written, real_write = [], pool._write
+
+            def write(worker, last, tasks):
+                written.append((worker, _kinds(bytes(pool._outgoing[worker]) + last)))
+                real_write(worker, last, tasks)
+
+            pool._write = write
             refs = pool.pin("t", 1, [[1, 2], [3]])
             pool.pin("old", 1, [[9], [9]])
             pool.evict("old")
             assert written == []
             assert pool.run(_sum_part, [(ref,) for ref in refs]) == [3, 3]
-            assert written == [["pin", "pin", "evict", "func", "tasks"]] * 2
+            kinds = ["pin", "pin", "evict", "func", "tasks"]
+            assert written == [(0, kinds), (1, kinds)]
             written.clear()
-            pool.pin("big", 1, [b"x" * PENDING_LIMIT])
-            assert written == [["pin"]]
+            pool.pin("big", 1, [b"x" * MESSAGE_BYTES])
+            pool.evict("big")
+            assert written == [(0, ["pin"])]
+            assert _kinds(pool._outgoing[0]) == _kinds(pool._outgoing[1]) == ["evict"]
+
+    def test_an_interrupted_write_loses_no_other_workers_commands(self):
+        """A Ctrl-C while worker 0's message is written kills worker 0 (its
+        pipe may hold half a message) and keeps every command queued for
+        worker 1 — a pin and a function registration of calls that have
+        returned or are aborting — for worker 1's next message."""
+        with WorkerPool(2) as pool:
+            refs = pool.pin("t", 1, [[1, 2], [3]])
+
+            def interrupted(message):
+                raise KeyboardInterrupt
+
+            pool._inboxes[0].send_bytes = interrupted
+            with pytest.raises(KeyboardInterrupt):
+                pool.run(_sum_part, [(ref,) for ref in refs])
+            assert _kinds(pool._outgoing[1]) == ["pin", "func"]
+            assert pool.run(_sum_part, [(refs[1],)]) == [3]
+            assert pool.fetch(refs) == [[1, 2], [3]]
+            assert pool._worker_gen == [1, 0]
+            assert pool.retries_total == 0
 
 
 class TestLifecycle:
     def test_a_warm_pool_runs_no_driver_thread_and_holds_few_fds(self):
         """Per worker the driver holds its inbox's write end, its reply
         pipe's read end and the process's two handles; nothing else."""
+        with WorkerPool(1):  # the heartbeats' shared-heap arena, one a process
+            pass
         threads, fds = threading.active_count(), _fd_count()
         with WorkerPool(2) as pool:
             refs = pool.pin("t", 1, [[1], [2]])

@@ -25,12 +25,12 @@ def test_committed_source_is_within_its_ceilings():
 
 def test_a_file_can_carry_a_ceiling(tmp_path, monkeypatch, capsys):
     """The two former god-objects are held at 800 lines each, except that
-    the pool module's ceiling is its measured size: the one-way delta patch
-    (``WorkerPool.patch``) grew it from 797 to 813 lines, and writing each
-    worker's inbox pipe directly, one message per dispatch turn, to 838."""
+    the pool module's ceiling is its measured size: the one-way delta
+    patch (``WorkerPool.patch``) grew it from 797 to 813 lines, and
+    replacing the inbox queues with plain pipes shrank it to 807."""
     committed = json.loads(loc.CEILINGS.read_text())
     assert committed["src/repro/core/language.py"] == 800
-    assert committed["src/repro/engine/parallel.py"] == 838
+    assert committed["src/repro/engine/parallel.py"] == 807
     ceilings = tmp_path / "ceilings.json"
     ceilings.write_text(json.dumps({"src/repro/errors.py": 10}))
     monkeypatch.setattr(loc, "CEILINGS", ceilings)
