@@ -249,12 +249,12 @@ class CleanDB:
     ) -> None:
         """Register a data source.  Dict records get a stable ``_rid``.
 
-        Under ``execution="parallel"`` the table's partitions are pinned
-        into the worker pool's partition store eagerly — queries and the
-        cleaning fast paths then reference them by handle instead of
-        shipping rows per task.  Re-registering a name bumps its version
-        and evicts the previous pins (and any cached derived state built
-        on them).
+        Under ``execution="parallel"`` nothing ships here: the first pool
+        task that reads the table pins its partitions into the worker
+        pool's partition store, and later queries and cleaning fast paths
+        reference them by handle instead of shipping rows per task.
+        Re-registering a name bumps its version and evicts the previous
+        pins (and any cached derived state built on them).
         """
         self.tables.register(name, records, fmt)
 
@@ -273,9 +273,10 @@ class CleanDB:
         Bumps the table version, which drops everything derived from the
         old rows on every kind of session (the driver's derived state —
         maintained check states included — the pinned partitions and what
-        the pool cached on them), and re-pins the current rows — the explicit
-        coherence point for mutations that bypass :meth:`register_table` /
-        :meth:`append_rows` / :meth:`update_rows` / :meth:`repair_dc`.
+        the pool cached on them); the next pool read pins the current rows.
+        The explicit coherence point for mutations that bypass
+        :meth:`register_table` / :meth:`append_rows` / :meth:`update_rows` /
+        :meth:`repair_dc`.
         """
         self.tables.refresh(name)
 
@@ -290,12 +291,13 @@ class CleanDB:
     def append_rows(self, name: str, rows: Sequence[Any]) -> None:
         """Append rows to a registered table, shipping only the delta.
 
-        Bumps the table version like :meth:`refresh_table`, but instead of
-        re-pinning the whole table, the pinned partitions are *patched* in
-        the workers by one-way commands the call does not wait on: each
-        touched partition is extended with its share of the new rows under
-        the new version, untouched partitions are re-keyed without moving,
-        and the old version is evicted (stale handles keep failing).  Dict
+        Bumps the table version like :meth:`refresh_table`.  A table no
+        pool task has read ships nothing; a resident one is not evicted but
+        *patched* in the workers by one-way commands the call does not wait
+        on: each touched partition is extended with its share of the new
+        rows under the new version, untouched partitions are re-keyed
+        without moving, and the old version is evicted (stale handles keep
+        failing).  Dict
         rows without a ``_rid`` get one assigned from their global
         position, matching :meth:`register_table`.  Incremental check
         states absorb the new rows in place.  An empty delta is a no-op (no
@@ -403,7 +405,7 @@ class CleanDB:
         DiagnosticsError` (CM102), as ``FD(x.a, x.b)`` does in a query.
         Runs on this instance's execution backend — at batch prices under
         ``execution="vectorized"``, handle-based worker processes under
-        ``execution="parallel"`` (referencing the eagerly pinned table) —
+        ``execution="parallel"`` (referencing the table pinned by its first read) —
         with an identical violation set either way.
         """
         self._admit(table, partial(analyze_columns, table, [*lhs, *rhs]))

@@ -6,11 +6,12 @@ and versions, and everything derived from them, in one map with one rule
 ``update_rows`` addresses rows through, the inferred schema, the banded DC
 index, dedup's q-gram bags, an incremental session's maintained check
 states.  For an ``execution="parallel"`` session it also keeps the worker
-pool's partition store coherent with those versions: it owns the
-pin identity (``<namespace>/table:<name>`` at the table's version), re-pins
-on whole-table mutations and patches the resident partitions in one
-dispatch on deltas.  Nothing outside this module asks whether the session
-is parallel in order to touch a table.
+pool's partition store coherent with those versions.  It owns the pin
+identity (``<namespace>/table:<name>`` at the table's version), but residency
+is a read cache: only a pool read pins (``parallel_exec.resident_input``);
+a whole-table mutation evicts every pinned version, and a delta patches a
+resident version in one dispatch or ships nothing.  Nothing outside this
+module asks whether the session is parallel in order to touch a table.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ class TableStore:
             raise ValueError(f"namespace {namespace!r} must not contain '/'")
         self.cluster = cluster
         self.namespace = namespace
-        self.parallel = parallel  # tables are also pinned in the worker pool
+        self.parallel = parallel  # a pool read pins its tables in the worker pool
         self.incremental = incremental
         self.rows: dict[str, list[Any]] = {}
         self.formats: dict[str, str] = {}
@@ -79,11 +80,11 @@ class TableStore:
     def refresh(self, name: str) -> None:
         """New version for rows that changed outside the delta methods.
         Everything derived from the old rows is dropped, here and (see
-        :meth:`_sync_pin`) in the pool."""
+        :meth:`unpin`) in the pool; nothing is re-pinned until a pool task
+        reads the table."""
         self.get(name)
         self.versions[name] = self.versions.get(name, 0) + 1
-        self._derived.pop(name, None)
-        self._sync_pin(name)
+        self.unpin(name)
 
     def derived(
         self, name: str, key: tuple, build: Callable[[], Any],
@@ -228,8 +229,15 @@ class TableStore:
         layer's memory-pressure lever: its LRU governor unpins cold tenants'
         tables when the shared store passes its byte cap."""
         self._derived.pop(name, None)
-        if name in self.versions and self.cluster.has_pool:
-            self.cluster.pool.evict(self._pin_name(name))
+        if name in self.versions:
+            self._evict(name)
+
+    def _evict(self, name: str) -> None:
+        """Evict every pinned version of a table from the pool; a table no
+        pool task has pinned ships nothing, and no pool is started."""
+        pin_name = self._pin_name(name)
+        if self.cluster.has_pool and self.cluster.pool.pinned_versions(pin_name):
+            self.cluster.pool.evict(pin_name)
 
     def release(self) -> None:
         """A departed tenant must not leak memory: drop the derived state
@@ -240,31 +248,6 @@ class TableStore:
         if not self.cluster._owns_pool:
             for name in self.versions:
                 self.unpin(name)
-
-    def _sync_pin(self, name: str) -> None:
-        """Make the worker store reflect the table's current version: evict
-        every older pinned version (plus derived caches keyed on them) and
-        pin the current rows.  Tables too exotic to pickle stay unpinned —
-        the fast paths fall back to serial for those anyway."""
-        if not self.parallel:
-            return
-        from ..engine.transport import ShipLog
-        from ..sources.columnar import round_robin_split
-
-        pool = self.cluster.pool
-        pin_name = self._pin_name(name)
-        pool.evict(pin_name)
-        log = ShipLog(pool)
-        parts = round_robin_split(self.rows[name], self.cluster.default_parallelism)
-        try:
-            # Pinning doubles as the picklability probe — a separate
-            # is_picklable(rows) pass would serialize the whole table a
-            # second time just to answer yes/no.
-            pool.pin(pin_name, self.versions[name], parts)
-        except Exception:
-            pool.evict(pin_name)  # drop any partially pinned partitions
-            return
-        self.cluster.record_op(f"pin:{name}", [0.0] * self.cluster.num_nodes, **log.take())
 
     def _ship_delta(
         self, name: str, old_version: int, appended: Sequence[Any],
@@ -278,12 +261,12 @@ class TableStore:
         partition becomes a fresh list under the new version, an untouched
         one is re-keyed without moving; the old version's eviction queues
         behind it, so derived caches keyed on it die and stale handles fail
-        loudly.  Requires the old version fully resident with matching
-        counts; anything short of that — cold pins, a restarted pool —
-        falls back to :meth:`_sync_pin`, which re-pins the whole table
-        under the new version (correct, just not incremental).
+        loudly.  A table no pool task has read since its last whole-table
+        change is not resident and gets no command at all.  A resident old
+        version whose counts do not match, and a patch that raises, evict
+        every version instead: the next pool read re-pins the current rows.
         """
-        if not self.parallel:
+        if not (self.parallel and self.cluster.has_pool):
             return
         from ..engine.transport import ShipLog
         from ..sources.columnar import round_robin_split
@@ -294,7 +277,7 @@ class TableStore:
         old_count = len(self.rows[name]) - len(appended)
         refs = pool.pinned(pin_name, old_version)
         if refs is None or len(refs) != n or sum(max(r.count, 0) for r in refs) != old_count:
-            self._sync_pin(name)
+            self._evict(name)
             return
         append_parts: list[list[Any]] = [[] for _ in range(n)]
         for j, row in enumerate(appended):
@@ -314,9 +297,9 @@ class TableStore:
             )
             pool.evict(pin_name, old_version)
         except Exception:
-            # A delta that does not pickle, a closed pool: full re-pin
-            # under the new version.
-            self._sync_pin(name)
+            # A delta that does not pickle, a closed pool: nothing stays
+            # resident, and the next pool read pins the current rows.
+            self._evict(name)
             return
         self.cluster.record_op(
             f"delta:{name}",

@@ -195,7 +195,7 @@ def verify_handles(
                     f"stale handle for table {table!r}: driver expects "
                     f"{pin_name!r} v{version}, worker store holds {held}"
                 ),
-                hint="call refresh_table() to re-pin the current rows",
+                hint="call refresh_table(); the next pool read pins the current rows",
             )
         )
     return diags

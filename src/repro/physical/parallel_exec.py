@@ -176,13 +176,16 @@ def resident_input(
 ) -> tuple[list[StoreRef], bool]:
     """Handles to ``records`` as worker-resident round-robin partitions.
 
-    When ``pinned=(store_name, version)`` names a table the facade already
-    pinned, its handles are reused and nothing ships or is split (the warm
-    path); if that pin is gone — pool restart, worker death, budget abort —
-    or its record count no longer matches, the old pins are evicted (with
-    any derived state cached on that identity — a resized table must never
-    probe a stale index) and the records re-pinned *under the same
-    identity*, so later calls warm up again.  Without ``pinned`` the
+    ``pinned=(store_name, version)`` is a registered table's pin identity
+    (``TableStore.pinned_key``), and this is the only place a registered
+    table reaches the workers: the first pool read pins it, and later reads
+    reuse its handles with nothing shipped or split (the warm path).  If
+    the pin is absent — never read, evicted by a whole-table change or the
+    store governor, lost to a pool restart, worker death or budget abort —
+    or its record count no longer matches, the identity is evicted (with
+    any derived state cached on it — a resized table must never probe a
+    stale index) and the records pinned *under that identity*, so later
+    calls warm up again.  Without ``pinned`` the
     records are pinned under a fresh ad-hoc version of ``name`` and the
     second element of the return value is True: the caller evicts the pin
     when the operation finishes.

@@ -27,10 +27,11 @@ pieces, and where each guarantee comes from:
   tenant's pins and derived caches — resident.
 * **Store cap** — with ``store_bytes_cap`` set, an LRU governor unpins the
   least-recently-used *idle* tenant tables once the shared store's pinned
-  bytes pass the cap.  Eviction is safe by design: an unpinned table
-  re-pins under the same identity on its next use (``resident_input``'s
-  cold path), so the cap trades warm-start time for memory, never
-  correctness.
+  bytes pass the cap.  Only a pool read pins, so the store grows only
+  while a query runs, and the governor runs when one finishes.  Eviction
+  is safe by design: an unpinned table re-pins under the same identity on
+  its next pool read (``resident_input``), so the cap trades warm-start
+  time for memory, never correctness.
 * **Accounting** — each query thread begins a fresh transport scope
   (:func:`~repro.engine.transport.begin_transport_scope`), so the per-op
   ``bytes_shipped`` / ``wall_seconds`` a query reports are its own even
@@ -225,8 +226,9 @@ class CleanService:
     store_bytes_cap:
         Optional cap on the shared store's total pinned bytes.  When a
         query's table pins push past it, the least-recently-used tables of
-        *idle* tenants are unpinned (they re-pin warm-identity on next
-        use).  ``None`` disables the governor.
+        *idle* tenants are unpinned once the query finishes (they re-pin
+        warm-identity on their next pool read).  ``None`` disables the
+        governor.
     fault_plan:
         Optional :class:`~repro.engine.faults.FaultPlan` for the shared
         pool — chaos tests inject worker deaths/hangs here and assert the
@@ -300,11 +302,11 @@ class CleanService:
     def register_table(
         self, tenant: str, name: str, rows: Sequence[Any], fmt: str = "memory"
     ) -> None:
-        """Register (and eagerly pin) a table in one tenant's namespace."""
+        """Register a table in one tenant's namespace; nothing ships until
+        a query reads it through the pool."""
         session = self.session(tenant)
         session.db.register_table(name, rows, fmt=fmt)
         self._touch(tenant, name)
-        self._enforce_cap(protect=tenant)
 
     # ------------------------------------------------------------------ #
     # Query admission
@@ -329,10 +331,10 @@ class CleanService:
                 table = spec.get("table")
                 if isinstance(table, str):
                     self._touch(tenant, table)
-                self._enforce_cap(protect=tenant)
                 return await asyncio.to_thread(self._execute, session, dict(spec))
             finally:
                 session.busy = False
+                self._enforce_cap(protect=tenant)
 
     def _execute(self, session: TenantSession, spec: dict) -> QueryOutcome:
         """Run one query synchronously in a worker thread."""
@@ -450,8 +452,9 @@ class CleanService:
     def _enforce_cap(self, protect: str | None = None) -> None:
         """Unpin LRU tables of idle tenants until under ``store_bytes_cap``.
 
-        ``protect`` names the tenant on whose behalf we are making room —
-        its tables are never the ones evicted for its own query.  Busy
+        Runs when a query finishes, since only a query's pool reads grow the
+        store.  ``protect`` names that query's tenant — the tables it just
+        read are never the ones evicted to make room for them.  Busy
         sessions are skipped too: their query may be mid-stage on those
         very handles.  Evicted tables re-pin under the same identity on
         next use, so this only ever costs a warm start.

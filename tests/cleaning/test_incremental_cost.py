@@ -14,7 +14,7 @@ import pytest
 
 import repro.cleaning.denial as denial
 import repro.cleaning.incremental as incremental
-from fixtures import WORKERS
+from fixtures import WORKERS, make_resident
 from repro import CleanDB
 from repro.cleaning.simjoin import SimJoin
 
@@ -66,7 +66,9 @@ def session():
     db = CleanDB(execution="parallel", workers=WORKERS, incremental=True)
     for name, factory in TABLES.items():
         db.register_table(name, [dict(factory(i), _rid=i) for i in range(ROWS)])
-    checks(db)  # builds the three states
+    checks(db)  # builds the three states, which read no pool
+    for name in TABLES:
+        make_resident(db, name)  # what a pool read pins, so writes patch
     yield db
     db.close()
 

@@ -15,11 +15,12 @@ from collections import Counter
 
 import pytest
 
+from fixtures import make_resident
 from repro import CleanDB
 from repro.core import language
 from repro.core.tables import TableStore
 from repro.datasets import generate_customer, generate_lineitem
-from repro.engine import Cluster
+from repro.engine import Cluster, WorkerPool
 from repro.errors import SchemaError
 from repro.monoid import expressions
 from repro.physical.lower import Executor
@@ -60,6 +61,8 @@ def test_a_failing_update_leaves_the_session_untouched(kind, bad):
         warm = answers(db)  # builds the mirror states on incremental sessions
         assert warm[0] == [0, 1, 2]
         store = db.tables
+        if store.parallel:  # an incremental session's checks read no pool
+            make_resident(db, "t")
         rid0 = db.table("t")[0]["_rid"]
         fixed = {"a": 0, "b": 0, "name": "x", "price": 1.0, "disc": 1.0}
         update = {rid0: fixed, "nope": dict(fixed)} if bad == "unknown rid" else {
@@ -389,6 +392,40 @@ def test_refresh_table_makes_in_place_edits_visible_on_a_row_session():
         assert db.check_dc("t", rule) == []
 
 
+def test_only_a_pool_read_pins_and_a_write_patches_only_a_resident_table(monkeypatch):
+    """Residency is a read cache.  An incremental session answers its checks
+    on the driver, so registering, checking and writing its table send the
+    workers of a live pool nothing: no pin, no patch, not even an eviction.
+    After one pool read, the next write patches the resident version in
+    one delta, and only the current version stays pinned."""
+    shipped = []
+    ship = WorkerPool._ship
+
+    def spy(pool, worker, command, *rest):
+        shipped.append(command[0])
+        return ship(pool, worker, command, *rest)
+
+    monkeypatch.setattr(WorkerPool, "_ship", spy)
+    with CleanDB(num_nodes=2, **SESSIONS["incremental"]) as db:
+        pool = db.cluster.pool  # live before anything is registered
+        db.register_table("t", rows())
+        answers(db)
+        db.append_rows("t", [dict(FIXED)])
+        db.update_rows("t", {0: dict(FIXED)})
+        answers(db)
+        names = [op.name for op in db.cluster.metrics.ops]
+        assert shipped == [] and pool.bytes_shipped_total == 0
+        assert not [name for name in names if name.startswith(("pin:", "delta:"))]
+
+        make_resident(db, "t")
+        mark = len(db.cluster.metrics.ops)
+        db.append_rows("t", [dict(FIXED), dict(FIXED)])
+        (delta,) = [op for op in db.cluster.metrics.ops[mark:] if op.name.startswith("delta:")]
+        assert (delta.name, delta.rows_delta) == ("delta:t", 2)
+        assert pool.pinned_versions("table:t") == [db.tables.versions["t"]]
+        assert "patch" in shipped
+
+
 def test_pinned_bytes_grow_with_every_append():
     """A delta patch's version used to carry the largest byte count of any
     pinned version of the table, so appends never grew it and the serving
@@ -401,11 +438,13 @@ def test_pinned_bytes_grow_with_every_append():
 
     with CleanDB(num_nodes=2, execution="parallel", workers=2) as db:
         db.register_table("t", batch(0))
+        make_resident(db, "t")
         sizes = [db.pinned_table_bytes("t")]
         for start in (2000, 4000, 6000):
             db.append_rows("t", batch(start))
             sizes.append(db.pinned_table_bytes("t"))
-        db.refresh_table("t")  # a full re-pin measures the same 8 000 rows
+        db.refresh_table("t")
+        make_resident(db, "t")  # a full re-pin measures the same 8 000 rows
         repinned = db.pinned_table_bytes("t")
     assert sizes[0] > 0
     assert all(after > before for before, after in zip(sizes, sizes[1:])), sizes

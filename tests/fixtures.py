@@ -27,6 +27,7 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
 from repro.cleaning.denial import DenialConstraint, TuplePredicate
+from repro.physical.parallel_exec import resident_input
 from repro.sources.columnar import round_robin_split
 
 #: Worker processes for ``execution="parallel"`` tests (CI exports 2).
@@ -188,5 +189,14 @@ def dirty_lineitem_rows(n: int = 200, outlier: int = 30) -> list[dict]:
 
 
 def split_for(records: Sequence[Any], cluster: Any) -> list[list[Any]]:
-    """Partition ``records`` exactly as ``register_table`` pins them."""
+    """Partition ``records`` exactly as a pool read pins them."""
     return round_robin_split(records, cluster.default_parallelism)
+
+
+def make_resident(db: Any, table: str) -> list:
+    """Pin a registered table the way a pool read does (``resident_input``
+    under the table's pin identity) and return its handles.  Registration
+    ships nothing, so a test about pins, patches or store bytes reads the
+    table through this first."""
+    refs, _ = resident_input(db.cluster, db.table(table), db.tables.pinned_key(table))
+    return refs

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from fixtures import (
     WORKERS,
     dirty_lineitem_rows,
+    make_resident,
     nully_dedup_rows,
     nully_fd_rows,
     nully_orders_rows,
@@ -284,7 +285,8 @@ class TestDeltaFaults:
         oracle = CleanDB(num_nodes=4)
         try:
             db.register_table("lineitem", dirty_lineitem_rows())
-            db.check_dc("lineitem", self.RULE)  # pin + build resident state
+            db.check_dc("lineitem", self.RULE)  # build the maintained state
+            make_resident(db, "lineitem")  # which reads no pool
             pool = db.cluster.pool
             assert pool.pinned("table:lineitem", 1) is not None
             pool._procs[0].terminate()  # crash a worker under the store
@@ -339,6 +341,7 @@ class TestDeltaFaults:
         try:
             db.register_table("lineitem", dirty_lineitem_rows())
             db.check_dc("lineitem", self.RULE)
+            make_resident(db, "lineitem")
             db.append_rows("lineitem", [{"price": 0.5, "qty": 9, "cat": "c1"}])
             db.update_rows("lineitem", {3: {"price": 7.0, "qty": 0, "cat": "c0"}})
             db.append_rows("lineitem", [{"price": 1.5, "qty": i, "cat": "c0"} for i in range(5)])
@@ -400,6 +403,7 @@ class TestDeltaFaults:
         try:
             db.register_table("lineitem", dirty_lineitem_rows())
             db.check_dc("lineitem", self.RULE)
+            make_resident(db, "lineitem")  # the maintained check reads no pool
             pool = db.cluster.pool
             stale_refs = pool.pinned("table:lineitem", 1)
             assert stale_refs is not None

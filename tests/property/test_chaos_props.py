@@ -2,11 +2,15 @@
 
 Each example builds a random :class:`FaultPlan` (kills before/after a task,
 hung workers, dropped replies — all keyed by deterministic dispatch counts)
-and runs a random interleaving of FD / dedup / DC checks and ``append_rows``
-deltas against a 2-worker pool carrying two tenants.  The invariants:
+and runs a random interleaving of FD / dedup / DC checks, pool reads and
+``append_rows`` deltas against a 2-worker pool carrying two tenants, on an
+incremental session or not.  The invariants:
 
 * every check's result is ``repr``-identical to a fault-free cold oracle —
   recovery is transparent, never approximate;
+* every pool read finds the table's resident partitions (pinned by a read,
+  then patched by the writes) equal to the driver's split of its rows, and
+  every example dispatches tasks, so its fault schedule can fire;
 * recovery really is recovery: nothing degrades to the row backend
   (``degraded_ops == 0``), so parity can't pass vacuously via fallback;
 * the *other* tenant on the shared pool keeps its pins — the exact same
@@ -26,7 +30,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fixtures import values, with_rids
+from fixtures import make_resident, split_for, values, with_rids
 from repro import CleanDB
 from repro.engine import FaultPlan, WorkerPool
 
@@ -58,7 +62,7 @@ fault_schedules = st.lists(
 )
 
 op_sequences = st.lists(
-    st.sampled_from(["fd", "dedup", "dc", "append"]), min_size=2, max_size=5
+    st.sampled_from(["fd", "dedup", "dc", "append", "read"]), min_size=2, max_size=5
 )
 
 
@@ -115,14 +119,17 @@ def oracle():
     schedule=fault_schedules,
     ops=op_sequences,
     extra=st.lists(plain_row, min_size=1, max_size=4),
+    incremental=st.booleans(),
 )
 @CHAOS_SETTINGS
-def test_random_fault_schedules_are_invisible(oracle, deadline, records, schedule, ops, extra):
+def test_random_fault_schedules_are_invisible(
+    oracle, deadline, records, schedule, ops, extra, incremental
+):
     pool = WorkerPool(2, fault_plan=_build_plan(schedule, deadline), task_deadline=deadline)
     try:
         chaos = CleanDB(
             num_nodes=3, execution="parallel", pool=pool,
-            incremental=True, namespace="chaos",
+            incremental=incremental, namespace="chaos",
         )
         survivor = CleanDB(
             num_nodes=3, execution="parallel", pool=pool, namespace="survivor"
@@ -130,15 +137,23 @@ def test_random_fault_schedules_are_invisible(oracle, deadline, records, schedul
         survivor.register_table(
             "s", with_rids([{"a": i % 3, "b": i % 2, "c": i} for i in range(8)])
         )
+        make_resident(survivor, "s")
         skey = survivor.tables.pinned_key("s")
         srefs = pool.pinned(*skey)
         assert srefs is not None
         sparts = repr(pool.fetch(srefs))
+        dispatched = pool.tasks_dispatched
 
         chaos.register_table("t", with_rids(records))
-        for op in ops:
+        # A final read: an incremental session may answer every check on the
+        # driver, and an example that dispatches no task tests no fault.
+        for op in [*ops, "read"]:
             if op == "append":
                 chaos.append_rows("t", [dict(r) for r in extra])
+                continue
+            if op == "read":
+                got = pool.fetch(make_resident(chaos, "t"))
+                assert got == split_for(chaos.table("t"), chaos.cluster)
                 continue
             got = _run_op(chaos, "t", op)
             oname = f"o{next(_NAMES)}"
@@ -148,6 +163,7 @@ def test_random_fault_schedules_are_invisible(oracle, deadline, records, schedul
         # Recovery was real recovery: nothing fell back to the row backend,
         # so the parity above wasn't satisfied vacuously.
         assert chaos.cluster.metrics.degraded_ops == 0
+        assert pool.tasks_dispatched > dispatched
         # The surviving tenant's pins were never evicted: the exact refs
         # captured before the chaos still resolve to the same partitions.
         assert pool.pinned(*skey) == srefs

@@ -280,15 +280,22 @@ class TestFaultRecovery:
 # The store-memory governor
 # --------------------------------------------------------------------- #
 
+def _fd(tenant):
+    return {"tenant": tenant, "op": "fd", "table": "t", "lhs": ["name"], "rhs": ["city"]}
+
+
 class TestStoreGovernor:
     def test_cap_unpins_idle_tenants_lru_first(self):
         svc = CleanService(workers=WORKERS, store_bytes_cap=1)
         try:
             svc.register_table("acme", "t", _rows(0))
-            assert svc.session("acme").db.pinned_table_bytes("t") > 0
             svc.register_table("zen", "t", _rows(1))
-            # Registering zen's table pushed past the cap; acme (idle,
-            # least recently touched) was unpinned, zen kept.
+            assert svc.pinned_bytes() == 0  # registration ships nothing
+            svc.run_queries([_fd("acme")])
+            assert svc.session("acme").db.pinned_table_bytes("t") > 0
+            svc.run_queries([_fd("zen")])
+            # Zen's query pushed past the cap; acme (idle, least recently
+            # touched) was unpinned, zen kept.
             assert svc.session("acme").db.pinned_table_bytes("t") == 0
             assert svc.session("zen").db.pinned_table_bytes("t") > 0
         finally:
@@ -296,26 +303,28 @@ class TestStoreGovernor:
 
     def test_evicted_table_repins_transparently(self):
         """Eviction costs a warm start, never correctness."""
-        fd = {"tenant": "acme", "op": "fd", "table": "t",
-              "lhs": ["name"], "rhs": ["city"]}
+        fd = _fd("acme")
         with _service() as uncapped:
             expected = uncapped.run_queries([fd]).outcomes[0]
         svc = CleanService(workers=WORKERS, store_bytes_cap=1)
         try:
             svc.register_table("acme", "t", _rows(0))
-            svc.register_table("zen", "t", _rows(1))  # unpins acme's table
+            svc.register_table("zen", "t", _rows(1))
+            svc.run_queries([fd, _fd("zen")], sequential=True)  # zen's unpins acme's table
             assert svc.session("acme").db.pinned_table_bytes("t") == 0
             got = svc.run_queries([fd]).outcomes[0]
             assert got.status == "ok"
             assert repr(got.rows) == repr(expected.rows)
-            # The query's admission protected acme and made room at zen's
-            # expense; acme's table is resident again.
+            # The governor protected acme when its query finished and made
+            # room at zen's expense; acme's table is resident again.
             assert svc.session("acme").db.pinned_table_bytes("t") > 0
+            assert svc.session("zen").db.pinned_table_bytes("t") == 0
         finally:
             svc.close()
 
     def test_no_cap_never_evicts(self):
         with _service() as svc:
+            svc.run_queries([_fd("acme"), _fd("zen")])
             assert svc.session("acme").db.pinned_table_bytes("t") > 0
             assert svc.session("zen").db.pinned_table_bytes("t") > 0
             assert svc.pinned_bytes() > 0
