@@ -142,7 +142,7 @@ def run_parallel_measured() -> dict:
     )
     try:
         db.register_table("customer", records)
-        db.execute(QUERY_UNIFIED)  # warm-up: pool, func registry, caches
+        db.execute(QUERY_UNIFIED)  # warm-up: pool, pins, caches
         pool = db.cluster.pool
         bytes_before = pool.bytes_shipped_total
         separate = _best_of(

@@ -235,9 +235,8 @@ class TableStore:
     def _evict(self, name: str) -> None:
         """Evict every pinned version of a table from the pool; a table no
         pool task has pinned ships nothing, and no pool is started."""
-        pin_name = self._pin_name(name)
-        if self.cluster.has_pool and self.cluster.pool.pinned_versions(pin_name):
-            self.cluster.pool.evict(pin_name)
+        if self.cluster.has_pool:
+            self.cluster.pool.evict(self._pin_name(name))
 
     def release(self) -> None:
         """A departed tenant must not leak memory: drop the derived state

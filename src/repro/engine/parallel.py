@@ -35,11 +35,13 @@ owns everything with a clock or a dispatch turn in it:
   for the chaos suites to assert byte-identical results.
 * **Concurrent callers** — the serving layer drives one pool from many
   threads.  Dispatch is serialized by a FIFO ticket lock, whose holder
-  writes the inboxes and forks every replacement; one message goes each
-  way per worker.  Reply collection runs *outside* the lock: one caller at
-  a time pumps the reply pipes and routes other callers' reply tails by
-  task id.  Each call's transport is credited to its own context, counted
-  per task payload and per reply tail, not per message.
+  writes the inboxes and forks every replacement.  Every command is one
+  message, written when it is made; a dispatch is one ``tasks`` batch to
+  each worker, each task carrying its pickled function, and one reply
+  back.  Reply collection runs *outside* the lock: one caller at a time
+  pumps the reply pipes and routes other callers' reply tails by task id.
+  Each call's transport is credited to its own context, counted per task
+  argument payload and per reply tail, not per message.
 * **Query-scoped aborts** — a failing or aborted call leaves the pool and
   every other caller's pinned state intact; ``shutdown()`` terminates
   outstanding work immediately rather than waiting for queued partitions.
@@ -94,20 +96,6 @@ ABANDONED_LIMIT = 1024
 # above any realistic in-flight task count; the bound only exists so a
 # reply whose owner vanished can never accumulate without limit.
 REPLY_BUFFER_LIMIT = 4096
-
-# A worker's one-way commands (pins, patches, registrations, evictions)
-# wait in its next message until a task batch joins them or they fill a
-# pipe (64 KiB on Linux): every write wakes the worker, and the driver holds
-# no more unsent bytes per worker than the pipe itself would.
-MESSAGE_BYTES = 1 << 16
-
-# Distinct task functions the registry keeps resident.  Functions are keyed
-# by their pickled form, so re-created equivalent closures/partials collapse
-# onto one entry; past the cap the least-recently-used function is dropped
-# from the driver registry *and* the workers (``func_del``) and simply
-# re-ships if it ever comes back.  A long-lived serving pool stays bounded
-# no matter how many ad-hoc callables pass through it.
-FUNC_REGISTRY_LIMIT = 128
 
 
 class _FairLock:
@@ -222,7 +210,6 @@ class WorkerPool:
         # is unclaimed — aborted, or a rebuild.  Under ``_reply_cond``.
         self._inflight: list[int] = [0] * workers
         self._owed: list[int] = [0] * workers
-        self._outgoing = [bytearray() for _ in range(workers)]  # see ``_ship``
         # Bumped when worker ``w`` dies; a caller whose tasks were queued
         # against an older generation knows they are lost.
         self._worker_gen: list[int] = [0] * workers
@@ -234,11 +221,6 @@ class WorkerPool:
         self._heartbeat = self._ctx.RawArray("Q", workers)
         self._hb_last: list[int] = [0] * workers
         self._hb_ts: list[float] = [time.monotonic()] * workers
-        # Function registry (FUNC_REGISTRY_LIMIT): pickled callable -> id.
-        # Ids only grow, so a stale worker entry can never alias a new one.
-        self._func_ids: OrderedDict[bytes, int] = OrderedDict()
-        self._func_counter = 0
-        self._worker_funcs: list[set[int]] = [set() for _ in range(workers)]
         for w in range(workers):
             self._spawn_worker(w)
         self._closed = False
@@ -258,8 +240,8 @@ class WorkerPool:
         self.retries_total = 0
 
     def _spawn_worker(self, worker: int) -> None:
-        """Start worker ``worker`` with an empty store and function registry,
-        closing a dead predecessor's inbox; ``__init__`` or dispatch-locked."""
+        """Start worker ``worker`` with an empty store, closing a dead
+        predecessor's inbox; ``__init__`` or dispatch-locked."""
         if self._inboxes[worker] is not None:
             self._inboxes[worker].close()
         proc, inbox, replies = start_worker(
@@ -271,7 +253,6 @@ class WorkerPool:
             self._inflight[worker] = self._owed[worker] = 0
             self._hb_last[worker] = self._heartbeat[worker]
             self._hb_ts[worker] = time.monotonic()
-        self._worker_funcs[worker] = set()
 
     @property
     def closed(self) -> bool:
@@ -284,26 +265,21 @@ class WorkerPool:
             return self._version_counter
 
     def _ship(self, worker: int, command: tuple, nbytes: int, call: _CallRecord) -> None:
-        """Add a command to ``worker``'s next message (dispatch-locked), and
-        write the message once it ends in a task batch or holds
-        ``MESSAGE_BYTES``."""
-        blob = pickle.dumps(command)
+        """Write one command to ``worker`` as one message (dispatch-locked),
+        crediting ``nbytes`` of payload to ``call``."""
         tasks = command[0] == "tasks"
         call.bytes += nbytes
         call.ships += len(command[1]) if tasks else 1  # payloads, not messages
-        if tasks or len(self._outgoing[worker]) + len(blob) >= MESSAGE_BYTES:
-            self._write(worker, blob, tasks)
-        else:
-            self._outgoing[worker] += blob
+        self._write(worker, pickle.dumps(command), tasks)
 
-    def _write(self, worker: int, last: bytes, tasks: bool) -> None:
-        """Write ``worker``'s next message, ending in ``last`` (dispatch-
-        locked).  A write blocks while the pipe is full, which a worker
-        blocked writing a reply no caller reads never empties; so the
-        replies it owes (``_owed``) are pumped out first, until it dies or
-        hangs.  A dead worker refuses the write, which is dropped (its
-        tasks are retried, its state replayed); one cut short (Ctrl-C)
-        leaves half a message, so that worker is killed and replaced."""
+    def _write(self, worker: int, message: bytes, tasks: bool) -> None:
+        """Write one message to ``worker``'s inbox (dispatch-locked).  A
+        write blocks while the pipe is full, which a worker blocked writing
+        a reply no caller reads never empties; so the replies it owes
+        (``_owed``) are pumped out first, until it dies or hangs.  A dead
+        worker refuses the write, which is dropped (its tasks are retried,
+        its state replayed); one cut short (Ctrl-C) leaves half a message,
+        so that worker is killed and replaced."""
         with self._reply_cond:  # a fresh deadline window: idling is no hang
             self._hb_ts[worker] = max(self._hb_ts[worker], time.monotonic())
         while self._owed[worker] and not self._closed and self._procs[worker].is_alive():
@@ -311,8 +287,6 @@ class WorkerPool:
             with self._reply_cond:
                 if self._hung(worker):
                     self._procs[worker].terminate()
-        self._outgoing[worker] += last
-        message, self._outgoing[worker] = self._outgoing[worker], bytearray()
         if self._closed:  # shutdown closes the inboxes once it holds the lock
             return
         with self._reply_cond:
@@ -345,29 +319,6 @@ class WorkerPool:
                 self.tasks_dispatched += call.tasks
         call.credit_context()
 
-    def _ensure_func(self, worker: int, fblob: bytes, call: _CallRecord, label: str = "") -> int:
-        """Resolve (or register) the function id for a pickled callable and
-        make sure worker ``worker`` holds it.  ``label`` (the callable's
-        qualname) travels with the blob so a worker-side unpickle failure
-        names the function.  Caller holds the dispatch lock."""
-        fid = self._func_ids.get(fblob)
-        if fid is None:
-            fid = self._func_counter
-            self._func_counter += 1
-            self._func_ids[fblob] = fid
-            while len(self._func_ids) > FUNC_REGISTRY_LIMIT:
-                _, old_fid = self._func_ids.popitem(last=False)
-                for w in range(self.workers):
-                    if old_fid in self._worker_funcs[w]:
-                        self._worker_funcs[w].discard(old_fid)
-                        self._ship(w, ("func_del", old_fid), 0, _CallRecord())
-        else:
-            self._func_ids.move_to_end(fblob)
-        if fid not in self._worker_funcs[worker]:
-            self._ship(worker, ("func", fid, fblob, label), len(fblob), call)
-            self._worker_funcs[worker].add(fid)
-        return fid
-
     # -- partition store ------------------------------------------------ #
     @contextlib.contextmanager
     def _shipping(self, name: str, version: int) -> Iterator[_CallRecord]:
@@ -390,9 +341,9 @@ class WorkerPool:
     def pin(self, name: str, version: int, partitions: Sequence[Any]) -> list[StoreRef]:
         """Ship partitions to their owning workers once; return handles.
 
-        Partition ``p`` goes to worker ``p % workers``.  A worker runs its
-        inbox's commands in order, so a task dispatched after
-        ``pin`` returns is guaranteed to see the stored partition.
+        Partition ``p`` goes to worker ``p % workers``, written to its
+        inbox before ``pin`` returns; a worker runs its inbox's commands in
+        order, so a task dispatched after that sees the stored partition.
         """
         refs: list[StoreRef] = []
         parts_list = list(partitions)
@@ -453,7 +404,8 @@ class WorkerPool:
     def evict(self, name: str, version: int | None = None) -> None:
         """Drop a pinned/broadcast name (one version or all of them) from
         every worker store, together with any derived results cached on top
-        of it.  Idempotent; safe on a closed pool."""
+        of it.  Idempotent; safe on a closed pool; a name the registry
+        holds nothing under ships nothing."""
         for entry in self._store.evict(name, version):
             self._tell_all("evict", *entry)
 
@@ -526,6 +478,7 @@ class WorkerPool:
         call = _CallRecord()
         start = time.perf_counter()
         tasks = [tuple(args) for args in args_list]
+        # One bytes object in every task, so a batch's pickle carries it once.
         fblob = pickle.dumps(func) if tasks else b""
         flabel = f"task function {getattr(func, '__qualname__', repr(func))!r}"
         task_parts = [self._part_for(args, i, parts) for i, args in enumerate(tasks)]
@@ -548,17 +501,16 @@ class WorkerPool:
                         part = task_parts[i]
                         worker = part % self.workers
                         self._ensure_recovered(worker, call)
-                        fid = self._ensure_func(worker, fblob, call, flabel)
                         blob = pickle.dumps(tasks[i])
                         task_id = self._task_counter
                         self._task_counter += 1
                         store_key = (*store_as, part) if store_as else None
-                        batches.setdefault(worker, []).append((task_id, fid, blob, store_key))
+                        batches.setdefault(worker, []).append((task_id, fblob, flabel, blob, store_key))
                         pending[task_id] = (i, worker, self._worker_gen[worker])
                         if store_as is not None and attempt == 0:
                             self._store.record_stage(store_as, part, fblob, blob)
                     for worker, batch in batches.items():
-                        self._ship(worker, ("tasks", batch), sum(len(t[2]) for t in batch), call)
+                        self._ship(worker, ("tasks", batch), sum(len(t[3]) for t in batch), call)
                     call.tasks += len(outstanding)
                 lost = self._collect(pending, replies, call)
                 retry_indices = [pending[task_id][0] for task_id in lost]
@@ -753,16 +705,14 @@ class WorkerPool:
                         self._ship(worker, command, len(command[-1]), call)
                         continue
                     _, name, version, part, fblob, args_blob = command
-                    fid = self._ensure_func(
-                        worker, fblob, call, f"stage-rebuild task for {name!r} v{version}"
-                    )
+                    label = f"stage-rebuild task for {name!r} v{version}"
                     task_id = self._task_counter
                     self._task_counter += 1
                     with self._reply_cond:
                         self._abandon_locked(task_id)
-                    rebuilds.append((task_id, fid, args_blob, (name, version, part)))
+                    rebuilds.append((task_id, fblob, label, args_blob, (name, version, part)))
             if rebuilds:
-                self._ship(worker, ("tasks", rebuilds), sum(len(t[2]) for t in rebuilds), call)
+                self._ship(worker, ("tasks", rebuilds), sum(len(t[3]) for t in rebuilds), call)
                 with self._reply_cond:
                     self._owed[worker] = self._inflight[worker]
         except Exception:

@@ -133,22 +133,27 @@ class StoreRegistry:
     def evict(self, name: str, version: int | None = None) -> Evictions:
         """Forget a name (one version or all of them) and every derived
         result cached on top of it.  Returns the store entries the workers
-        should drop: what the derived results owned first, then the name."""
+        should drop: what the derived results owned first, then the name —
+        only if a pin, a lineage recipe or a derived result was held under
+        it, since the workers store nothing the registry has not recorded."""
         def hit(n: str, v: int) -> bool:
             return n == name and (version is None or v == version)
 
         out: Evictions = []
         with self.lock:
-            for key in [k for k in self._pins if hit(*k)]:
+            pins = [k for k in self._pins if hit(*k)]
+            recipes = [k for k in self._lineage if hit(*k)]
+            derived = [k for k in self._derived if hit(k[1], k[2])]
+            for key in pins:
                 del self._pins[key]
                 self._pin_sizes.pop(key, None)
-            for key in [k for k in self._lineage if hit(*k)]:
+            for key in recipes:
                 del self._lineage[key]
-            for key in [k for k in self._derived if hit(k[1], k[2])]:
+            for key in derived:
                 payload = self._derived.pop(key, None) or {}
                 for dep in payload.get("store_names", ()):
                     out += self.evict(*dep)
-        return [*out, (name, version)]
+        return [*out, (name, version)] if pins or recipes or derived else out
 
     def register_derived(self, key: tuple, payload: dict) -> Evictions:
         """Cache a derived result keyed ``(kind, base_name, base_version,
@@ -180,8 +185,7 @@ class StoreRegistry:
         Pins and broadcasts come as ready ``("pin", name, version, part,
         blob)`` commands, pickled from driver-held state; a stage partition
         as ``("stage", name, version, part, fblob, args_blob)`` — its
-        recorded producing task, for the pool to give a function id and a
-        task id and ship.
+        recorded producing task, for the pool to give a task id and ship.
         """
         for (name, version), recipe in list(self._lineage.items()):
             kind = recipe["kind"]

@@ -2,14 +2,13 @@
 to or from it.
 
 A worker reads commands from its **inbox**, one pipe that only the driver
-writes, pickled back to back in each message, and keeps a **partition
-store** of named, versioned partitions.  Commands run in order — ``pin``
-(store a pickled partition), ``patch`` (store a resident partition plus a
-pickled delta under a new version), ``func`` (register a pickled callable
-under a driver-assigned id), ``tasks`` (run registered functions over
-pickled arguments), ``evict`` / ``evict_all`` / ``func_del``.  Only
-``tasks`` is answered, on a second pipe that only this worker writes: a
-dispatch is one message each way per worker, one ending in a ``tasks``
+writes, one pickled command per message, and keeps a **partition store**
+of named, versioned partitions.  Commands run in order — ``pin`` (store a
+pickled partition), ``patch`` (store a resident partition plus a pickled
+delta under a new version), ``tasks`` (run pickled functions over pickled
+arguments, each task carrying its own function), ``evict`` /
+``evict_all``.  Only ``tasks`` is answered, on a second pipe that only this
+worker writes: a dispatch is one message each way per worker, a ``tasks``
 batch out, and back one holding each task's tagged reply tail; every
 other command is one-way, and a ``pin`` or ``patch`` that fails leaves its
 error for the next task on that handle.  A worker that dies mid-batch
@@ -31,7 +30,6 @@ from __future__ import annotations
 
 import contextlib
 import gc
-import io
 import multiprocessing.connection
 import os
 import pickle
@@ -127,21 +125,20 @@ def _failure_envelope(exc: BaseException) -> tuple:
 
 
 class _BrokenBlob:
-    """Worker-side marker for a pin/func blob that failed to unpickle (or,
+    """Worker-side marker for a pinned blob that failed to unpickle (or,
     ``how``, a ``patch`` that failed to apply).
 
-    Stored in place of the object so the *next task touching it* can report
-    the real cause (e.g. a class importable on the driver but not in the
-    worker under the spawn start method) instead of a misleading
-    evicted-handle or missing-function error.  ``label`` names what the
-    blob *was* — the function's qualname or ``pin 'name' vN part P`` — so
-    the eventual error points at the offending object, not just at "a
-    blob".
+    Stored in place of the partition so the *next task touching it* can
+    report the real cause (e.g. a class importable on the driver but not in
+    the worker under the spawn start method) instead of a misleading
+    evicted-handle error.  ``label`` names what the blob *was* — ``pinned
+    partition 'name' vN part P`` — so the eventual error points at the
+    offending object, not just at "a blob".
     """
 
     __slots__ = ("error", "label", "how")
 
-    def __init__(self, error: str, label: str = "", how: str = "to unpickle"):
+    def __init__(self, error: str, label: str, how: str = "to unpickle"):
         self.error = error
         self.label = label
         self.how = how
@@ -159,28 +156,26 @@ def _resolve_arg(store: dict, arg: Any) -> Any:
                 f"v{arg.version} part {arg.part} (evicted or invalidated)"
             ) from None
         if isinstance(value, _BrokenBlob):
-            what = value.label or f"partition {arg.name!r}"
             raise StaleHandleError(
-                f"{what} (handle {arg.name!r} v{arg.version} part {arg.part}) "
+                f"{value.label} (handle {arg.name!r} v{arg.version} part {arg.part}) "
                 f"failed {value.how} in the worker: {value.error}"
             )
         return value
     return arg
 
 
-def _run_task(store: dict, funcs: dict, fid: int, args_blob: bytes, store_key: Any) -> tuple:
+def _run_task(store: dict, fblob: bytes, label: str, args_blob: bytes, store_key: Any) -> tuple:
     """One task's reply tail: its result, kept under ``store_key`` or
-    shipped back, or its failure envelope — nothing is raised."""
+    shipped back, or its failure envelope — nothing is raised.  ``label``
+    names the pickled function ``fblob`` in the error if it fails to
+    unpickle here."""
     try:
+        try:
+            func = pickle.loads(fblob)
+        except Exception as exc:
+            raise RuntimeError(f"{label} failed to unpickle in the worker: {exc!r}") from None
         args = pickle.loads(args_blob)
         resolved = tuple(_resolve_arg(store, a) for a in args)
-        func = funcs[fid]
-        if isinstance(func, _BrokenBlob):
-            what = func.label or f"task function {fid}"
-            raise RuntimeError(
-                f"{what} (function id {fid}) failed to unpickle in "
-                f"the worker: {func.error}"
-            )
         result = func(*resolved)
         if store_key is None:
             return (_OK, pickle.dumps(result))
@@ -194,25 +189,23 @@ def _run_task(store: dict, funcs: dict, fid: int, args_blob: bytes, store_key: A
 
 
 def _commands(inbox: Any) -> Iterator[tuple]:
-    """Each message's commands, pickled back to back, in order, until the
-    driver's end closes."""
+    """The inbox's commands, one per message, in order, until the driver's
+    end closes."""
     with contextlib.suppress(EOFError):  # the driver has exited
         while True:
-            message = io.BytesIO(inbox.recv_bytes())
-            while message.tell() < len(message.getbuffer()):
-                yield pickle.load(message)
+            yield pickle.loads(inbox.recv_bytes())
 
 
 def _worker_main(inbox: Any, outbox: Any, worker_index: int, faults: dict, heartbeat: Any) -> None:
     """Worker-process loop: execute commands from this worker's inbox.
 
-    The store maps ``(name, version, part)`` to the resident object; the
-    function registry maps driver-assigned ids to unpickled callables (each
-    function ships once per worker, not once per task).  A ``tasks`` batch
-    runs in order; its reply tails go back in one message after the last
-    task.  No exception may escape a task — every failure travels back as
-    an envelope.  ``inbox`` and ``outbox`` are this worker's ends of its two
-    pipes (:func:`start_worker`); the loop ends when the driver's end closes.
+    The store maps ``(name, version, part)`` to the resident object.  A
+    ``tasks`` batch runs in order, each task ``(task_id, fblob, label,
+    args_blob, store_key)`` unpickling its own function; its reply tails go
+    back in one message after the last task.  No exception may escape a
+    task — every failure travels back as an envelope.  ``inbox`` and
+    ``outbox`` are this worker's ends of its two pipes
+    (:func:`start_worker`); the loop ends when the driver's end closes.
 
     ``heartbeat`` is a shared array the worker ticks on every command and
     after every task; the driver's deadline watchdog reads it to tell "hung"
@@ -237,7 +230,6 @@ def _worker_main(inbox: Any, outbox: Any, worker_index: int, faults: dict, heart
             if end.fileno() not in own:
                 end.close()
     store: dict[tuple, Any] = {}
-    funcs: dict[int, Callable] = {}
     executed = 0
     for cmd in _commands(inbox):
         with collector_paused():
@@ -245,12 +237,12 @@ def _worker_main(inbox: Any, outbox: Any, worker_index: int, faults: dict, heart
             kind = cmd[0]
             if kind == "tasks":
                 replies = []
-                for task_id, fid, args_blob, store_key in cmd[1]:
+                for task_id, fblob, label, args_blob, store_key in cmd[1]:
                     executed += 1
                     spec = faults.pop(executed, None)
                     if spec is not None and spec.kind == "kill_before":
                         os._exit(13)
-                    reply = (task_id, *_run_task(store, funcs, fid, args_blob, store_key))
+                    reply = (task_id, *_run_task(store, fblob, label, args_blob, store_key))
                     heartbeat[worker_index] += 1
                     if spec is not None:
                         if spec.kind == "kill_after":
@@ -289,15 +281,6 @@ def _worker_main(inbox: Any, outbox: Any, worker_index: int, faults: dict, heart
                     store[(name, version, part)] = _BrokenBlob(
                         repr(exc), f"patched partition {name!r} v{version} part {part}", "to patch"
                     )
-            elif kind == "func":
-                _, fid, blob, label = cmd
-                try:
-                    funcs[fid] = pickle.loads(blob)
-                except Exception as exc:  # noqa: BLE001 - tasks naming fid get
-                    # a diagnosable envelope instead of a dead worker
-                    funcs[fid] = _BrokenBlob(repr(exc), label=label)
-            elif kind == "func_del":
-                funcs.pop(cmd[1], None)
             elif kind == "evict":
                 _, name, version = cmd
                 for key in [k for k in store if k[0] == name and (version is None or k[1] == version)]:

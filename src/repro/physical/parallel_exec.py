@@ -263,7 +263,7 @@ class ResidentStages:
         """A fresh store name for one stage's resident output, registered
         for eviction *before* the stage runs: if one task fails, its
         successful siblings' stored partitions must still be evicted
-        (evicting a never-stored name is a no-op)."""
+        (evicting a name that was never stored ships nothing)."""
         key = (label, self.pool.next_version())
         self.temps.append(key)
         return key

@@ -426,6 +426,26 @@ def test_only_a_pool_read_pins_and_a_write_patches_only_a_resident_table(monkeyp
         assert "patch" in shipped
 
 
+def test_the_first_pool_read_of_a_table_sends_no_eviction(monkeypatch):
+    """A cold table's first pool read pins it under its identity; the
+    registry holds nothing there yet, so no ``evict`` goes ahead of the
+    pins — each would be a write of its own."""
+    shipped = []
+    ship = WorkerPool._ship
+
+    def spy(pool, worker, command, *rest):
+        shipped.append(command[:3])
+        return ship(pool, worker, command, *rest)
+
+    monkeypatch.setattr(WorkerPool, "_ship", spy)
+    with CleanDB(num_nodes=2, **SESSIONS["parallel"]) as db:
+        db.register_table("t", rows())
+        assert sorted(v.key for v in db.check_fd("t", ["a"], ["b"])) == [0, 1, 2]
+        kinds = [command[0] for command in shipped]
+        assert "evict" not in kinds, shipped
+        assert ("pin", "table:t", 1) in shipped and "tasks" in kinds
+
+
 def test_pinned_bytes_grow_with_every_append():
     """A delta patch's version used to carry the largest byte count of any
     pinned version of the table, so appends never grew it and the serving

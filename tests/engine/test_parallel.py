@@ -235,7 +235,6 @@ class TestAbortHygiene:
         """An abort between dispatch and reply (Ctrl-C mid-batch) abandons
         the in-flight tasks; their late replies are dropped by the router
         and the next caller on the same pool gets only its own replies."""
-        pool.run(_square, [(1,), (2,)])  # register the function worker-side
         real_ship = pool._ship
         shipped = {"n": 0}
 
@@ -297,7 +296,6 @@ class TestBatchProtocol:
     def test_ten_parts_on_two_workers_ship_one_message_each_way_per_worker(
         self, pool, monkeypatch
     ):
-        pool.run(_square, [(1,), (2,)])  # register the function on both workers
         sent, received = self._spy(pool, monkeypatch)
         assert pool.run(_square, [(i,) for i in range(10)]) == [i * i for i in range(10)]
         assert sorted(worker for worker, _ in sent) == [0, 1]
@@ -306,14 +304,12 @@ class TestBatchProtocol:
         assert [len(message) for message in received] == [5, 5]
 
     def test_results_come_back_in_submission_order(self, pool, monkeypatch):
-        pool.run(_square, [(1,), (2,)])
         sent, received = self._spy(pool, monkeypatch)
         parts = [7, 2, 9, 0, 5, 4, 1, 8, 3, 6]
         assert pool.run(_square, [(p,) for p in parts], parts=parts) == [p * p for p in parts]
         assert (len(sent), len(received)) == (2, 2)
 
     def test_a_one_task_run_is_a_batch_of_one(self, pool, monkeypatch):
-        pool.run(_square, [(1,), (2,)])
         sent, received = self._spy(pool, monkeypatch)
         assert pool.run(_square, [(7,)]) == [49]
         assert [(worker, command[0], len(command[1])) for worker, command in sent] == [
@@ -384,8 +380,8 @@ class TestConcurrentCallers:
     def test_transport_scopes_are_per_caller(self, pool):
         """Interleaved callers each read only their own transport: a
         ShipLog window covers the caller's ships and replies, nothing from
-        the sibling thread hammering the same pool."""
-        pool.run(_square, [(1,), (2,)])  # register the function on every worker
+        the sibling thread hammering the same pool — from a cold pool, as
+        no call ships anything on another's behalf."""
         barrier = threading.Barrier(2)
         taken = {}
 

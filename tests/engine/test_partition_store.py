@@ -132,38 +132,15 @@ class TestPinPartialFailure:
         assert pool.pinned_nbytes("idx") == 0
 
 
-class TestFunctionRegistryBound:
-    def test_registry_stays_bounded(self, pool):
-        """Re-created closures/partials must not accumulate forever: the
-        registry is keyed by the function's pickle and capped."""
+class TestTaskFunctions:
+    def test_distinct_partials_each_answer_right(self, pool):
+        """Every task carries its own pickled function, so a long-lived pool
+        keeps nothing per callable: 150 distinct partials each run as
+        themselves."""
         from functools import partial
 
-        from repro.engine.parallel import FUNC_REGISTRY_LIMIT
-
-        for i in range(FUNC_REGISTRY_LIMIT + 20):
+        for i in range(150):
             assert pool.run(partial(_add_const, i), [(1,)]) == [i + 1]
-        assert len(pool._func_ids) <= FUNC_REGISTRY_LIMIT
-
-    def test_recreated_equivalent_partial_shares_one_slot(self, pool):
-        from functools import partial
-
-        pool.run(partial(_add_const, 7), [(1,)])
-        before = len(pool._func_ids)
-        for _ in range(10):
-            assert pool.run(partial(_add_const, 7), [(3,)]) == [10]
-        assert len(pool._func_ids) == before
-
-    def test_evicted_function_reregisters_transparently(self, pool):
-        from functools import partial
-
-        from repro.engine.parallel import FUNC_REGISTRY_LIMIT
-
-        first = partial(_add_const, 0)
-        pool.run(first, [(1,)])
-        for i in range(1, FUNC_REGISTRY_LIMIT + 5):
-            pool.run(partial(_add_const, i), [(1,)])
-        # ``first`` fell off the LRU long ago; using it again just works.
-        assert pool.run(first, [(5,)]) == [5]
 
 
 class TestEvictionAndVersions:
@@ -218,15 +195,13 @@ class TestEvictionAndVersions:
             pool.fetch(derived)
 
 
-class TestFunctionRegistry:
-    def test_function_ships_once_per_worker_not_per_task(self, pool):
+class TestTaskPayloads:
+    def test_a_warm_batch_ships_only_handle_sized_payloads(self, pool):
         refs = pool.pin("t", 1, [[1], [2], [3], [4]])
         pool.run(_double, [(r,) for r in refs])
-        first_funcs = len(pool._func_ids)
         before_bytes = pool.bytes_shipped_total
         before_ships = pool.ship_count_total
         pool.run(_double, [(r,) for r in refs])
-        assert len(pool._func_ids) == first_funcs  # no re-registration
         # Second batch: 4 task payloads out + 4 replies back, nothing else.
         assert pool.ship_count_total - before_ships == 8
         # And the payloads are handle-sized.

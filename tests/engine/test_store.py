@@ -94,13 +94,28 @@ def test_derived_entries_go_with_their_base():
     assert registry.register_derived(("dc", "table:t", 1, "rule"), payload) == []
     assert registry.derived(("dc", "table:t", 1, "rule")) is payload
 
-    # Another version of the base leaves it alone; the base takes it along,
-    # owned entries first.
-    assert registry.evict("table:t", 2) == [("table:t", 2)]
+    # Another version of the base leaves it alone (and, never held, asks
+    # the workers to drop nothing); the base takes it along, owned entries
+    # first.
+    assert registry.evict("table:t", 2) == []
     assert registry.derived(("dc", "table:t", 1, "rule")) is payload
     assert registry.evict("table:t") == [("dc:index", 7), ("dc:vectors", 8), ("table:t", None)]
     assert registry.derived(("dc", "table:t", 1, "rule")) is None
     assert replay(registry, 0) == replay(registry, 1) == []
+
+
+def test_only_what_the_registry_held_is_evicted_from_the_workers():
+    """The workers store nothing the registry has not recorded, so a name
+    it never held needs no ``evict`` command; a recipe or a derived result
+    alone is enough to need one."""
+    registry, _ = registry_with_a_pin()
+    assert registry.evict("table:ghost") == []
+    assert registry.evict("table:ghost", 3) == []
+    registry.record_stage(("tmp:stage", 9), 0, b"f", b"a")
+    assert registry.evict("tmp:stage", 9) == [("tmp:stage", 9)]
+    registry.register_derived(("dc", "table:u", 4, "rule"), {"store_names": []})
+    assert registry.evict("table:u", 4) == [("table:u", 4)]
+    assert registry.evict("table:u", 4) == []
 
 
 def test_the_derived_cache_is_lru_bounded():

@@ -7,10 +7,9 @@ from blocking for good: a reply that no caller will claim is read before
 the next write to its worker, a dead worker's inbox refuses writes, and a
 worker whose driver is gone reads end-of-file and exits.  They also pin
 what the wire costs: no driver thread, a few fds per worker, and one write
-per task batch, which carries the one-way commands queued before it.
+per command, made when the command is, with nothing held back.
 """
 
-import io
 import os
 import pickle
 import signal
@@ -25,8 +24,8 @@ import pytest
 
 import repro
 from repro.engine import FaultPlan, WorkerPool, parallel
-from repro.engine.parallel import MESSAGE_BYTES
 from repro.engine.worker import Staged
+from repro.errors import StaleHandleError
 
 SRC = str(Path(repro.__file__).resolve().parents[1])
 
@@ -50,6 +49,10 @@ def _blob(n):
 
 def _sum_part(part):
     return sum(part)
+
+
+def _heartbeats(pool):
+    return list(pool._heartbeat)
 
 
 def _fd_count():
@@ -102,13 +105,15 @@ class TestNoDeadlock:
             assert pool.retries_total == 1
             assert pool.fetch([ref for ref, _ in staged]) == [[1, 2], [3]]
 
-    def test_an_aborted_calls_reply_is_read_before_the_next_pin(self):
+    @pytest.mark.parametrize("follow_up", ["pin", "evict"])
+    def test_an_aborted_calls_reply_is_read_before_the_next_command(self, follow_up):
         """A call is interrupted after worker 0's batch went out, and that
-        batch's 256 KiB reply belongs to no caller; the next pin is large
-        enough to be written at once, and worker 0 reads it only once that
-        reply is read."""
+        batch's 256 KiB reply belongs to no caller.  The next command is
+        written at once whatever its size — a 256 KiB pin, or an evict of a
+        few bytes — and its write first reads that reply, so neither hangs
+        and nothing stays owed."""
         with WorkerPool(2) as pool:
-            pool.run(_blob, [(1,), (1,)])  # register the function on both workers
+            small = pool.pin("s", 1, [b"s0", b"s1"])
             real_ship, shipped = pool._ship, []
 
             def flaky_ship(worker, command, nbytes, call):
@@ -123,52 +128,78 @@ class TestNoDeadlock:
                     pool.run(_blob, [(BIG,), (BIG,)])
             finally:
                 pool._ship = real_ship
-            refs = _finish(lambda: pool.pin("t", 1, [b"z" * BIG, b"w"]))
-            assert pool.fetch(refs) == [b"z" * BIG, b"w"]
+            if follow_up == "pin":
+                refs = _finish(lambda: pool.pin("t", 1, [b"z" * BIG, b"w"]))
+                assert pool.fetch(refs) == [b"z" * BIG, b"w"]
+            else:
+                _finish(lambda: pool.evict("s"))
+                with pytest.raises(StaleHandleError):
+                    pool.fetch(small)
+            assert pool._owed == [0, 0]
             assert pool.retries_total == 0
             assert not pool._reply_buffers
 
 
-def _kinds(message):
-    """The kind of each command in one inbox message."""
-    stream, kinds = io.BytesIO(message), []
-    while stream.tell() < len(message):
-        kinds.append(pickle.load(stream)[0])
-    return kinds
+def _kind(message):
+    """The kind of the one command an inbox message holds."""
+    return pickle.loads(message)[0]
 
 
 class TestMessages:
-    def test_one_way_commands_ride_with_the_next_task_batch(self):
-        """Pins and evictions alone write nothing: they ride, in order, with
-        the next task batch to their worker, one message per worker.  A
-        command that fills the message to ``MESSAGE_BYTES`` writes at once,
-        and evictions wait for the worker's next task batch."""
+    def test_each_command_is_written_in_order_when_its_call_returns(self):
+        """Pins and evictions are written, each as its own message, before
+        their calls return and before any task batch; the next batch, one
+        more message per worker, sees the pins."""
         with WorkerPool(2) as pool:
             written, real_write = [], pool._write
 
-            def write(worker, last, tasks):
-                written.append((worker, _kinds(bytes(pool._outgoing[worker]) + last)))
-                real_write(worker, last, tasks)
+            def write(worker, message, tasks):
+                written.append((worker, _kind(message)))
+                real_write(worker, message, tasks)
 
             pool._write = write
             refs = pool.pin("t", 1, [[1, 2], [3]])
             pool.pin("old", 1, [[9], [9]])
             pool.evict("old")
-            assert written == []
-            assert pool.run(_sum_part, [(ref,) for ref in refs]) == [3, 3]
-            kinds = ["pin", "pin", "evict", "func", "tasks"]
-            assert written == [(0, kinds), (1, kinds)]
+            for worker in (0, 1):
+                assert [k for w, k in written if w == worker] == ["pin", "pin", "evict"]
             written.clear()
-            pool.pin("big", 1, [b"x" * MESSAGE_BYTES])
-            pool.evict("big")
-            assert written == [(0, ["pin"])]
-            assert _kinds(pool._outgoing[0]) == _kinds(pool._outgoing[1]) == ["evict"]
+            assert pool.run(_sum_part, [(ref,) for ref in refs]) == [3, 3]
+            assert sorted(written) == [(0, "tasks"), (1, "tasks")]
+
+    def test_an_eviction_reaches_an_idle_pool(self):
+        """An ``evict`` with no task batch after it still reaches every
+        worker: the memory it frees does not wait for the next dispatch."""
+        with WorkerPool(2) as pool:
+            refs = pool.pin("t", 1, [[1, 2], [3]])
+            assert pool.run(_sum_part, [(ref,) for ref in refs]) == [3, 3]
+            before = _heartbeats(pool)  # every command so far has run
+            pool.evict("t")
+            deadline = time.monotonic() + 2.0
+            while time.monotonic() < deadline and not all(
+                now > then for now, then in zip(_heartbeats(pool), before)
+            ):
+                time.sleep(0.01)
+            assert all(now > then for now, then in zip(_heartbeats(pool), before))
+
+    def test_a_call_ships_the_same_on_a_fresh_pool_as_after_it(self):
+        """No call pays for setting up the next: two identical calls on a
+        fresh pool ship the same payload bytes and the same count."""
+        with WorkerPool(2) as pool:
+            shipped = []
+            for _ in range(2):
+                bytes_before, ships_before = pool.bytes_shipped_total, pool.ship_count_total
+                assert pool.run(_sum_part, [([1, 2],), ([3],), ([4],)]) == [3, 3, 4]
+                shipped.append(
+                    (pool.bytes_shipped_total - bytes_before, pool.ship_count_total - ships_before)
+                )
+            assert shipped[0] == shipped[1]
+            assert shipped[0][1] == 6  # three payloads out, three reply tails back
 
     def test_an_interrupted_write_loses_no_other_workers_commands(self):
         """A Ctrl-C while worker 0's message is written kills worker 0 (its
-        pipe may hold half a message) and keeps every command queued for
-        worker 1 — a pin and a function registration of calls that have
-        returned or are aborting — for worker 1's next message."""
+        pipe may hold half a message); worker 1, which the interrupted call
+        never reached, keeps its pin and answers the next call."""
         with WorkerPool(2) as pool:
             refs = pool.pin("t", 1, [[1, 2], [3]])
 
@@ -178,7 +209,6 @@ class TestMessages:
             pool._inboxes[0].send_bytes = interrupted
             with pytest.raises(KeyboardInterrupt):
                 pool.run(_sum_part, [(ref,) for ref in refs])
-            assert _kinds(pool._outgoing[1]) == ["pin", "func"]
             assert pool.run(_sum_part, [(refs[1],)]) == [3]
             assert pool.fetch(refs) == [[1, 2], [3]]
             assert pool._worker_gen == [1, 0]
