@@ -37,8 +37,8 @@ from typing import Any, Callable, Sequence
 
 from ..engine.cluster import Cluster
 from ..engine.dataset import Dataset
+from ..engine.partitioner import round_robin_split
 from ..engine.shuffle import exchange, exchange_resident, merge_combiners
-from ..sources.columnar import round_robin_split
 from .blocking import concat_terms, key_blocks, make_blocks
 from .rowid import RID, has_rids, number_rows, partition_offsets, stamp
 from .simjoin import BagCache, FilterConfig, JoinStats, PreparedRecord, SimJoin, resolve_filters

@@ -40,10 +40,9 @@ from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from ..engine.cluster import Cluster
 from ..engine.dataset import Dataset
-from ..engine.partitioner import HashPartitioner
+from ..engine.partitioner import HashPartitioner, round_robin_split
 from ..engine.shuffle import exchange_resident
 from ..physical.theta_join import theta_join_cartesian, theta_join_matrix, theta_join_minmax
-from ..sources.columnar import round_robin_split
 from .dc_kernel import (
     DCPlan,
     DCRecord,

@@ -64,7 +64,7 @@ from bisect import bisect_left, insort
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Sequence
 
-from ..engine.partitioner import stable_hash
+from ..engine.partitioner import round_robin_split, stable_hash
 from .dc_kernel import (
     DCRecord,
     DCStats,
@@ -277,8 +277,7 @@ class IncrementalDC(_Maintained):
         self._static_plan = sum(p.op in ORDERED_OPS for p in constraint.predicates) <= 1
         self._extract = record_extractor(constraint)
         self._passes = left_filter(constraint)
-        n = num_partitions
-        self._load(build_dc_state(constraint, [rows[p::n] for p in range(n)], refs=True))
+        self._load(build_dc_state(constraint, round_robin_split(rows, num_partitions), refs=True))
 
     def _load(self, state: DCState) -> None:
         """Adopt a built state's plan, entries and index; the left-probe map

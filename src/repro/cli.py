@@ -24,22 +24,25 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import TYPE_CHECKING, Any, Sequence
 
 from .errors import ParseError, ReproError
 from .evaluation.reporting import format_table
 from .sources.catalog import FORMATS, Catalog
-from .sources.schema import Field, Schema
 
 if TYPE_CHECKING:
     from .core.language import CleanDB
+    from .sources.schema import Schema
 
 # The compiler and the engine are imported by the command that needs them.
 
 
 def parse_table_spec(spec: str) -> tuple[str, str, str, Schema | None]:
     """``name=path:fmt[:a:int,b:str]`` → (name, path, fmt, schema)."""
+    from .sources.schema import Field, Schema
+
     if "=" not in spec:
         raise ValueError(f"table spec {spec!r} must look like NAME=PATH:FORMAT")
     name, rest = spec.split("=", 1)
@@ -480,6 +483,17 @@ def run_serve(args: Any) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        code = _run(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:  # the reader left early: ``repro query ... | head``
+        # Python's SIGPIPE note: stdout to devnull, so the flush at exit cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
+def _run(args: Any) -> int:
     if args.command == "formats":
         print("\n".join(FORMATS))
         return 0
@@ -509,16 +523,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     try:
         load_tables(args.table, db)
-        if args.command == "explain":
-            print(db.explain(sql))
-            return 0
-        result = db.execute(sql)
+        result = db.explain(sql) if args.command == "explain" else db.execute(sql)
     except (ReproError, ValueError, OSError) as exc:
         _print_error(exc, {"query": sql})
         return 1
     finally:
         db.close()
 
+    if args.command == "explain":
+        print(result)
+        return 0
     for name, rows in result.branches.items():
         _print_branch(name, rows)
     if args.metrics:

@@ -46,10 +46,10 @@ from .verify import verify_handles, verify_plan
 def load_backend(execution: str, incremental: bool = False) -> None:
     """Constructor arguments decide the import set: a row session never
     loads the pool, the vectorized executor or the delta states; the others
-    load theirs here, before the worker pool forks, so that workers inherit
-    every module a task can name and no first use pays an import."""
+    load their executor here, before the worker pool forks.  A cleaning
+    driver loads at its first check (``_run_check``), so a pool forked by a
+    query imports it in each worker once; ``CleanService`` loads them all."""
     if execution == "parallel":
-        from ..cleaning import ladder  # noqa: F401  (with every cleaning driver)
         from ..physical import parallel_exec  # noqa: F401
     elif execution == "vectorized":
         from ..physical import vectorized  # noqa: F401

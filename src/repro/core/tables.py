@@ -21,6 +21,7 @@ from typing import Any, Callable, Sequence
 
 from ..cleaning.rowid import fill_rids
 from ..engine.cluster import Cluster
+from ..engine.partitioner import round_robin_split
 from ..errors import SchemaError
 from .semantics import TableInfo, infer_table, patch_info
 from .shippable import is_hashable
@@ -268,7 +269,6 @@ class TableStore:
         if not (self.parallel and self.cluster.has_pool):
             return
         from ..engine.transport import ShipLog
-        from ..sources.columnar import round_robin_split
 
         pool = self.cluster.pool
         pin_name = self._pin_name(name)

@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from ..errors import BudgetExceededError
 from .metrics import BATCH_SIZE, CostModel, MetricsCollector, OpMetrics
+from .partitioner import round_robin_split
 
 if TYPE_CHECKING:
     from .parallel import WorkerPool
@@ -296,7 +297,7 @@ class Cluster:
             for i, item in enumerate(items):
                 partitions[min(i // size, parts - 1)].append(item)
         elif chunking == "roundrobin":
-            partitions = [items[p::parts] for p in range(parts)]
+            partitions = round_robin_split(items, parts)
         else:
             raise ValueError(f"unknown chunking {chunking!r}")
         scan_unit = self.cost_model.scan_unit(fmt)

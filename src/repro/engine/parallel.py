@@ -61,16 +61,18 @@ import threading
 import time
 import weakref
 from collections import OrderedDict
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 from ..errors import WorkerTaskError
-from .faults import FaultPlan
 from .store import StoreRegistry
 from .transport import _CallRecord
 from .worker import (
     _MISSING, StoreRef, _count, _fetch_task, decode_reply, is_failure, raise_failure,
     recv_any, run_chain, start_worker,
 )
+
+if TYPE_CHECKING:
+    from .faults import FaultPlan
 
 # Workers a pool gets when the caller enabled parallel execution without
 # choosing a count.  Deliberately small: the test/CI machines have few cores

@@ -134,4 +134,13 @@ def make_partitioner(
     raise ValueError(f"unknown partitioner kind: {kind!r}")
 
 
+def round_robin_split(records: Sequence[Any], num_partitions: int) -> list[list[Any]]:
+    """Round-robin records into ``num_partitions`` partitions, clamped to
+    ``[1, len(records)]``: ``Cluster.parallelize``'s default placement, so
+    every backend's driver sees exactly the row path's partitioning."""
+    parts = max(1, min(num_partitions, max(1, len(records))))
+    records = records if isinstance(records, list) else list(records)
+    return [records[p::parts] for p in range(parts)]
+
+
 KeyFunc = Callable[[Any], Any]

@@ -57,12 +57,12 @@ from ..core.shippable import (
     shippable,
 )
 from ..engine.dataset import Dataset
+from ..engine.partitioner import round_robin_split
 from ..engine.shuffle import exchange_resident
 from ..engine.transport import ShipLog
 from ..engine.worker import StoreRef
 from ..errors import PlanningError, SchemaError, WorkerTaskError
 from ..monoid.expressions import Expr, call_names, compiled
-from ..sources.columnar import round_robin_split
 
 from .functions import freeze
 

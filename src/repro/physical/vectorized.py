@@ -43,7 +43,7 @@ from ..algebra.operators import (
     SharedScanDAG,
 )
 from ..engine.dataset import Dataset
-from ..engine.partitioner import stable_hash
+from ..engine.partitioner import round_robin_split, stable_hash
 from ..engine.shuffle import merge_combiners, route_combiners
 from ..errors import PlanningError, SchemaError
 from ..monoid.expressions import (
@@ -64,7 +64,6 @@ from ..sources.columnar import (
     Column,
     ColumnBatch,
     batch_partitions,
-    round_robin_split,
     uniform_dict_records,
 )
 from .functions import freeze

@@ -47,6 +47,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
+from ..cleaning import ladder  # noqa: F401  (every driver, before the shared pool forks)
 from ..core.language import CleanDB, load_backend
 from ..engine.parallel import DEFAULT_WORKERS, WorkerPool
 from ..engine.transport import begin_transport_scope

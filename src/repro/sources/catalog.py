@@ -8,13 +8,14 @@ forwarded to the engine so scan costs differ per format.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from importlib import import_module
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 from ..errors import DataSourceError
-from .schema import Schema
+
+if TYPE_CHECKING:
+    from .schema import Schema
 
 _CODECS = {"csv": "csv_source", "json": "json_source", "xml": "xml_source", "columnar": "columnar"}
 FORMATS = tuple(_CODECS)
@@ -26,8 +27,7 @@ def _codec(fmt: str) -> Any:
     return import_module(f".{_CODECS[fmt]}", __package__)
 
 
-@dataclass(frozen=True)
-class SourceEntry:
+class SourceEntry(NamedTuple):
     name: str
     path: Path
     fmt: str

@@ -33,6 +33,7 @@ from array import array
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
+from ..engine.partitioner import round_robin_split
 from ..errors import DataSourceError
 from .schema import Field, Schema
 
@@ -370,15 +371,6 @@ def uniform_dict_records(records: Sequence[Any]) -> bool:
         return False
     key_view = first.keys()
     return all(isinstance(r, dict) and r.keys() == key_view for r in records)
-
-
-def round_robin_split(records: Sequence[Any], num_partitions: int) -> list[list[Any]]:
-    """Round-robin records into partitions, mirroring the engine's default
-    ``parallelize`` placement (including its partition-count clamping) so
-    the vectorized path sees exactly the row path's partitioning."""
-    parts = max(1, min(num_partitions, max(1, len(records))))
-    records = records if isinstance(records, list) else list(records)
-    return [records[p::parts] for p in range(parts)]
 
 
 def batch_partitions(

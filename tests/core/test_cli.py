@@ -1,7 +1,13 @@
 """Unit tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import main, parse_table_spec
 from repro.sources import Schema, write_records
 
@@ -164,6 +170,28 @@ class TestCommands:
         )
         assert code == 1
         assert "budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["formats"], ["query", "--metrics"], ["explain"]])
+def test_a_reader_that_closed_early_gets_exit_1_and_no_traceback(customer_csv, command):
+    """``repro query ... | head``: every write to stdout fails with EPIPE,
+    because the pipe's only reader is closed before the command starts."""
+    if command != ["formats"]:
+        command = command + [
+            "--table", f"customer={customer_csv}:csv:name:str,address:str,nationkey:int",
+            "SELECT * FROM customer c FD(c.address, c.nationkey)",
+        ]
+    reader, writer = os.pipe()
+    os.close(reader)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", *command], stdout=writer, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])},
+            text=True, timeout=120,
+        )
+    finally:
+        os.close(writer)
+    assert (done.returncode, done.stderr) == (1, "")
 
 
 class TestDCCommand:

@@ -3,8 +3,9 @@
 Deterministic — every check reads ``sys.modules`` in a fresh interpreter,
 none reads a clock.  The rules they pin are in docs/ARCHITECTURE.md,
 "Start-up and the import graph": a package ``__init__`` is a lazy name
-table, the CLI dispatches before it imports, and constructor arguments
-decide the import set — before the worker pool forks.
+table, the CLI dispatches before it imports, constructor arguments decide
+the pool wire before the worker pool forks, a cleaning driver loads at its
+first check, and the service loads every driver before its pool forks.
 """
 
 import ast
@@ -64,11 +65,11 @@ def table_spec(tmp_path):
     return f"t={path}:csv:a:int,b:int"
 
 
-def test_formats_loads_no_compiler_engine_or_parser():
+def test_formats_loads_no_compiler_engine_parser_or_schema():
     modules = loaded_after_cli("formats")
     assert not under(
         modules, "repro.core", "repro.engine", "repro.cleaning", "repro.physical",
-        "multiprocessing", "xml.etree",
+        "repro.sources.schema", "dataclasses", "multiprocessing", "xml.etree",
     )
 
 
@@ -83,6 +84,12 @@ def test_row_query_never_reaches_the_pool(table_spec):
         "repro.evaluation.runner", "repro.cleaning.kmeans", "repro.physical.theta_join",
         "multiprocessing",
     )
+
+
+def test_a_parallel_query_loads_no_cleaning_driver(table_spec):
+    modules = loaded_after_cli("query", "--execution", "parallel", "--table", table_spec, SQL)
+    assert "repro.physical.parallel_exec" in modules  # the pool did run
+    assert not under(modules, *DRIVERS, "repro.sources.columnar", "repro.engine.faults")
 
 
 POOL_MODULES = (
@@ -134,7 +141,7 @@ def test_a_submodule_import_executes_only_that_submodule():
     assert under(modules, "repro") == {"repro", "repro._lazy", "repro.cleaning", "repro.cleaning.rowid"}
 
 
-_PARALLEL_SESSION = """
+_SESSION_PRELUDE = """
 import json, sys
 
 def repro_modules(_worker):
@@ -142,41 +149,102 @@ def repro_modules(_worker):
 
 from repro import CleanDB
 
+rows = [{"a": i % 5, "b": i % 3, "name": f"name {i % 7}", "price": float(i % 9)} for i in range(60)]
+DC = "t1.a = t2.a and t1.price < t2.price and t1.b > t2.b"
 db = CleanDB(execution="parallel", workers=2)
 at_construction = repro_modules(None)
-forked = db.cluster.has_pool
-rows = [{"a": i % 5, "b": i % 3, "name": f"name {i % 7}", "price": float(i % 9)} for i in range(60)]
 db.register_table("t", rows)
-pool = db.cluster.pool
-before = pool.run(repro_modules, [(0,), (1,)], parts=[0, 1])
+forked_early = db.cluster.has_pool
+
+def in_workers():
+    return db.cluster.pool.run(repro_modules, [(0,), (1,)], parts=[0, 1])
+"""
+
+_API_FIRST = _SESSION_PRELUDE + """
 db.check_fd("t", ["a"], ["b"])
-db.check_dc("t", "t1.a = t2.a and t1.price < t2.price and t1.b > t2.b")
+forked = in_workers()
+db.check_dc("t", DC)
 db.deduplicate("t", ["name"], block_on="a")
-after = pool.run(repro_modules, [(0,), (1,)], parts=[0, 1])
+after = in_workers()
 ops = [op.name for op in db.cluster.metrics.ops]
 shipped = db.cluster.metrics.bytes_shipped
 db.close()
-print(json.dumps({"at_construction": at_construction, "forked_early": forked,
-                  "before": before, "after": after, "ops": ops, "shipped": shipped}))
+print(json.dumps({"at_construction": at_construction, "forked_early": forked_early,
+                  "forked": forked, "after": after, "ops": ops, "shipped": shipped}))
 """
 
-TASK_BEARING = {
+_QUERY_FIRST = _SESSION_PRELUDE + """
+db.execute("SELECT * FROM t x FD(x.a, x.b)")
+seen = [in_workers()]
+answers = []
+for _ in range(2):
+    answers.append([db.check_dc("t", DC), db.deduplicate("t", ["name"], block_on="a")])
+    seen.append(in_workers())
+ops = [op.name for op in db.cluster.metrics.ops]
+db.close()
+row = CleanDB()
+row.register_table("t", rows)
+expected = [row.check_dc("t", DC), row.deduplicate("t", ["name"], block_on="a")]
+print(json.dumps({"seen": seen, "ops": ops, "same": [a == expected for a in answers]}))
+"""
+
+#: Modules that hold a cleaning check's driver or worker tasks.
+DRIVERS = {
+    "repro.cleaning.ladder", "repro.cleaning.denial", "repro.cleaning.dedup",
+    "repro.cleaning.dc_kernel", "repro.cleaning.simjoin", "repro.cleaning.blocking",
+    "repro.cleaning.kmeans",
+}
+#: What a query's pool tasks name: loaded by the constructor, before any fork.
+QUERY_TASKS = {
     "repro.engine.worker", "repro.engine.shuffle", "repro.physical.parallel_exec",
-    "repro.cleaning.denial", "repro.cleaning.dc_kernel", "repro.cleaning.dedup",
-    "repro.cleaning.simjoin", "repro.cleaning.rowid",
-    "repro.monoid.expressions", "repro.sources.columnar",
+    "repro.cleaning.rowid", "repro.monoid.expressions",
 }
 
 
-def test_parallel_session_loads_its_tasks_before_the_pool_forks():
-    out = fresh(_PARALLEL_SESSION)
+def test_a_check_before_the_fork_leaves_the_workers_nothing_to_import():
+    out = fresh(_API_FIRST)
+    # The constructor loads the executor, not the drivers, and forks nothing.
     assert not out["forked_early"]
-    assert TASK_BEARING <= set(out["at_construction"])
-    # The checks really ran on the pool, and the workers imported nothing for them.
+    assert QUERY_TASKS <= set(out["at_construction"])
+    assert not DRIVERS & set(out["at_construction"])
+    # The checks really ran on the pool; the first one loaded every driver
+    # before it forked the pool, and the workers imported nothing after.
     assert {"fd:parCombine", "dc:banded:scan", "grouping:key:parCombine"} <= set(out["ops"])
     assert out["shipped"] > 0
-    assert out["before"] == out["after"]
-    assert all(TASK_BEARING <= set(worker) for worker in out["before"])
+    assert all(DRIVERS | QUERY_TASKS <= set(worker) for worker in out["forked"])
+    assert out["forked"] == out["after"]
+
+
+def test_a_pool_forked_by_a_query_imports_a_check_driver_once():
+    out = fresh(_QUERY_FIRST)
+    assert {"nest:parCombine", "dc:banded:scan", "grouping:key:parCombine"} <= set(out["ops"])
+    assert out["same"] == [True, True]  # the row session's answers, both times
+    at_fork, first, second = (
+        [set(worker) for worker in snapshot] for snapshot in out["seen"]
+    )
+    for forked, once, twice in zip(at_fork, first, second):
+        assert QUERY_TASKS <= forked and not DRIVERS & forked
+        # The task modules of check_dc and deduplicate; the ladder and
+        # ``denial`` hold no task these two run.
+        assert once - forked == {
+            "repro.cleaning.dc_kernel", "repro.cleaning.dedup", "repro.cleaning.simjoin",
+            "repro.cleaning.blocking", "repro.cleaning.kmeans",
+        }
+        assert twice == once
+
+
+def test_the_service_pool_forks_with_every_driver_loaded():
+    out = fresh(
+        "import json, sys\n"
+        "def repro_modules(_worker):\n"
+        "    return sorted(m for m in sys.modules if m.startswith('repro.'))\n"
+        "from repro.serving import CleanService\n"
+        "service = CleanService(workers=2)\n"
+        "seen = service.pool.run(repro_modules, [(0,), (1,)], parts=[0, 1])\n"
+        "service.close()\n"
+        "print(json.dumps(seen))"
+    )
+    assert all(DRIVERS | QUERY_TASKS <= set(worker) for worker in out)
 
 
 def test_constructor_arguments_decide_the_import_set():

@@ -5,13 +5,14 @@ from enum import IntEnum
 import pytest
 
 from repro.engine import (
+    Cluster,
     HashPartitioner,
     RangePartitioner,
     RoundRobinPartitioner,
     make_partitioner,
     stable_hash,
 )
-from repro.engine.partitioner import canonical_key
+from repro.engine.partitioner import canonical_key, round_robin_split
 
 
 class TestStableHash:
@@ -69,6 +70,15 @@ class TestRoundRobinPartitioner:
         p = RoundRobinPartitioner(3)
         targets = [p.partition(None) for _ in range(9)]
         assert targets == [0, 1, 2, 0, 1, 2, 0, 1, 2]
+
+
+@pytest.mark.parametrize("rows", [0, 1, 3, 11], ids=["empty", "one", "fewer", "more"])
+def test_parallelize_places_rows_as_round_robin_split(rows):
+    """One round-robin rule: the drivers split by ``round_robin_split`` and
+    expect the partitions a query's scan gets from ``parallelize``."""
+    cluster = Cluster(num_nodes=4)
+    items = [{"i": i} for i in range(rows)]
+    assert cluster.parallelize(items).partitions == round_robin_split(items, 4)
 
 
 class TestRangePartitioner:

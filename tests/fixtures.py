@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 
 from repro.cleaning.denial import DenialConstraint, TuplePredicate
 from repro.physical.parallel_exec import resident_input
-from repro.sources.columnar import round_robin_split
+from repro.engine.partitioner import round_robin_split
 
 #: Worker processes for ``execution="parallel"`` tests (CI exports 2).
 WORKERS = int(os.environ.get("REPRO_TEST_WORKERS", "2"))

@@ -37,7 +37,7 @@ from repro.cleaning.denial import (
 from repro.engine import Cluster
 from repro.engine.shuffle import exchange
 from repro.errors import BudgetExceededError
-from repro.sources.columnar import round_robin_split
+from repro.engine.partitioner import round_robin_split
 
 DOMAIN = st.sampled_from([1, 1.0, True, 0, 0.0, -0.0, False, None, "1", (1, "a"), (1.0, "a")])
 TABLES = st.lists(

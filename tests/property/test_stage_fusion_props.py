@@ -29,7 +29,7 @@ from repro.engine.shuffle import exchange, exchange_resident
 from repro.monoid import BagMonoid, BinOp, Const, Proj, SumMonoid, Var
 from repro.physical.lower import nest_combine_task, nest_merge_task
 from repro.physical.parallel_exec import _bind_task, _filter_task, _head_task
-from repro.sources.columnar import round_robin_split
+from repro.engine.partitioner import round_robin_split
 
 PARTS = 3
 R = Var("r")
