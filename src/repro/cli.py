@@ -399,6 +399,8 @@ def run_dc(args: Any) -> int:
         sources = {"rule": args.rule, "where": args.where}
         print(render_diagnostics(exc.diagnostics, sources), file=sys.stderr)
         return 1
+    except BrokenPipeError:  # the reader left early: ``main`` reports it
+        raise
     except (ReproError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -8,44 +8,43 @@ with ``|`` on write and split on read when the schema marks them ``list``.
 from __future__ import annotations
 
 import csv
+import re
+from itertools import islice
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
-from ..errors import DataSourceError
-from .schema import Schema
+from ..errors import DataSourceError, SchemaError
+from .schema import Field, Schema
 
 LIST_SEPARATOR = "|"
+BLOCK_ROWS = 1024  # rows taken at a time: a block, never the whole table, is transposed
+_FAST_CASTS: dict[str, Callable[[str], Any]] = {"int": int, "float": float}
+_SPECIAL = re.compile('[,"\n\r]').search  # a cell holding one of these is quoted
 
 
 def write_csv(path: str | Path, records: Iterable[dict[str, Any]], schema: Schema) -> int:
     """Write records; returns the row count."""
-    count = 0
+    count, rows, lone = 0, iter(records), len(schema.fields) == 1
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(",".join(schema.names) + "\n")
-        for record in records:
-            cells = []
-            for f in schema.fields:
-                value = record.get(f.name)
-                if f.type == "list" and isinstance(value, list):
-                    cell = LIST_SEPARATOR.join(str(v) for v in value)
-                else:
-                    cell = "" if value is None else str(value)
-                cells.append(_quote(cell))
-            handle.write(",".join(cells) + "\n")
-            count += 1
+        while block := list(islice(rows, BLOCK_ROWS)):
+            columns = (_cells(block, f, lone) for f in schema.fields)
+            handle.write("\n".join(map(",".join, zip(*columns))) + "\n")
+            count += len(block)
     return count
 
 
 def read_csv(path: str | Path, schema: Schema) -> list[dict[str, Any]]:
-    """Read an entire CSV file into records, casting via the schema."""
+    """Read an entire CSV file into records, casting via the schema.  The
+    first bad row or cell in file order is the error, whatever the blocks."""
     path = Path(path)
     if not path.exists():
         raise DataSourceError(f"no such CSV file: {path}")
     names = schema.names
-    casters = [
-        _split_list if f.type == "list" else cast
-        for f, cast in zip(schema.fields, schema.casters())
-    ]
+    casters = [_split_list if f.type == "list" else f.caster() for f in schema.fields]
+    kinds = [f.type for f in schema.fields]
+    records: list[dict[str, Any]] = []
+    block: list[list[str]] = []
     # newline="" hands line endings to the csv module, which is what lets a
     # quoted cell span lines (and still accepts \r\n files).
     with open(path, "r", encoding="utf-8", newline="") as handle:
@@ -56,7 +55,6 @@ def read_csv(path: str | Path, schema: Schema) -> list[dict[str, Any]]:
                 raise DataSourceError(f"empty CSV file: {path}")
             if header != names:
                 raise DataSourceError(f"CSV header {header} does not match schema {names}")
-            records = []
             for cells in reader:
                 if not cells:  # a blank line
                     continue
@@ -64,11 +62,16 @@ def read_csv(path: str | Path, schema: Schema) -> list[dict[str, Any]]:
                     raise DataSourceError(
                         f"{path}:{reader.line_num}: expected {len(names)} cells, found {len(cells)}"
                     )
-                records.append(
-                    {name: cast(cell) for name, cast, cell in zip(names, casters, cells)}
-                )
-        except csv.Error as exc:
-            raise DataSourceError(f"{path}:{reader.line_num}: {exc}") from exc
+                block.append(cells)
+                if len(block) == BLOCK_ROWS:
+                    records += _cast_block(block, names, kinds, casters)
+                    block = []
+        except (csv.Error, DataSourceError, UnicodeDecodeError) as exc:
+            _cast_block(block, names, kinds, casters)  # an earlier bad cell is reported first
+            if isinstance(exc, csv.Error):
+                raise DataSourceError(f"{path}:{reader.line_num}: {exc}") from exc
+            raise
+    records += _cast_block(block, names, kinds, casters)
     return records
 
 
@@ -76,7 +79,32 @@ def _split_list(cell: str) -> list[str]:
     return cell.split(LIST_SEPARATOR) if cell else []
 
 
-def _quote(cell: str) -> str:
-    if any(ch in cell for ch in (",", '"', "\n", "\r")):
-        return '"' + cell.replace('"', '""') + '"'
-    return cell
+def _cast_block(
+    rows: list[list[str]], names: list[str], kinds: list[str], casters: list[Callable[[str], Any]]
+) -> list[dict[str, Any]]:
+    """Cast a block column by column: without an empty cell, a ``str`` column
+    is kept and an ``int`` / ``float`` one mapped through the bare type, any
+    other column through its caster.  If one fails, re-run the block row by
+    row, which raises for the first bad cell in file order."""
+    try:
+        columns = [
+            list(map(cast, column)) if "" in column
+            else column if kind == "str" else list(map(_FAST_CASTS.get(kind, cast), column))
+            for column, kind, cast in zip(zip(*rows), kinds, casters)
+        ]
+    except (ValueError, SchemaError):
+        return [{name: cast(cell) for name, cast, cell in zip(names, casters, cells)} for cells in rows]
+    return [dict(zip(names, values)) for values in zip(*columns)]
+
+
+def _cells(block: list[dict[str, Any]], f: Field, lone: bool) -> list[str]:
+    """One column's cell text, quoted cell by cell only if the column holds a
+    special character.  In a one-field table an empty cell is written ``""``,
+    as the csv module does, since a blank line is no row to a reader."""
+    values = [record.get(f.name) for record in block]
+    if f.type == "list":
+        values = [LIST_SEPARATOR.join(map(str, v)) if isinstance(v, list) else v for v in values]
+    cells = ["" if v is None else str(v) for v in values]
+    if _SPECIAL("".join(cells)):
+        cells = ['"' + cell.replace('"', '""') + '"' if _SPECIAL(cell) else cell for cell in cells]
+    return [cell or '""' for cell in cells] if lone else cells

@@ -172,14 +172,15 @@ class TestCommands:
         assert "budget" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", [["formats"], ["query", "--metrics"], ["explain"]])
+@pytest.mark.parametrize("command", [["formats"], ["query", "--metrics"], ["explain"], ["dc"]])
 def test_a_reader_that_closed_early_gets_exit_1_and_no_traceback(customer_csv, command):
     """``repro query ... | head``: every write to stdout fails with EPIPE,
     because the pipe's only reader is closed before the command starts."""
     if command != ["formats"]:
         command = command + [
             "--table", f"customer={customer_csv}:csv:name:str,address:str,nationkey:int",
-            "SELECT * FROM customer c FD(c.address, c.nationkey)",
+            *(["--rule", "t1.nationkey < t2.nationkey", "--metrics"] if command == ["dc"]
+              else ["SELECT * FROM customer c FD(c.address, c.nationkey)"]),
         ]
     reader, writer = os.pipe()
     os.close(reader)
