@@ -21,11 +21,11 @@ Assertions, in order of importance:
 * **Balance** — in the concurrent pass each worker performs a fair share
   of the CPU work (proves the overlap actually happened, even on hosts
   where wall-clock cannot show it);
-* **Speedup** — concurrent throughput beats the serial baseline by ≥1.2x.
-  This is wall-clock and needs at least two quiet cores: with a single
-  core the two workers time-share one CPU and overlap cannot shorten the
-  critical path.  The test records it; CI's perf-smoke step asserts the
-  floor from ``BENCH_serve.json`` on its multi-core runners.
+* **Speedup** — recorded, not asserted: concurrent throughput over the
+  serial baseline, hoped to be ≥1.2x.  It is wall-clock and needs at least
+  two quiet cores: with a single core the two workers time-share one CPU
+  and overlap cannot shorten the critical path.  No check reads it, in-test
+  or in CI (a shared host reads 0.7-1.3x from run to run).
 
 Results land in ``BENCH_serve.json``.
 """
@@ -162,9 +162,8 @@ def test_bench_serve(report):
         assert math.isfinite(load.p99_seconds) and load.p99_seconds > 0
         assert load.throughput_qps > 0
 
-    # The speedup is wall-clock on real parallel hardware: recorded here,
-    # and asserted (>= 1.2x) by CI's perf-smoke step from the emitted JSON
-    # on its multi-core runners — not in-test, where a shared host reads
+    # The speedup is wall-clock on real parallel hardware: recorded here and
+    # asserted nowhere, neither in-test nor in CI, since a shared host reads
     # 0.7-1.3x from one run to the next.
 
     payload = {

@@ -24,16 +24,16 @@ the whole plan analyzable by the rewriter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any
 
+from .._records import Record
 from ..monoid.expressions import Const, Expr
 from ..monoid.monoids import Monoid
 
 TRUE = Const(True)
 
 
-class AlgebraOp:
+class AlgebraOp(Record):
     """Base class for algebraic operators."""
 
     def children(self) -> list["AlgebraOp"]:
@@ -52,7 +52,6 @@ class AlgebraOp:
         return type(self).__name__
 
 
-@dataclass
 class Scan(AlgebraOp):
     """Read a named table/source, binding each record to ``var``."""
 
@@ -67,7 +66,6 @@ class Scan(AlgebraOp):
         return f"Scan[{self.table} as {self.var}, fmt={self.fmt}]"
 
 
-@dataclass
 class Select(AlgebraOp):
     """σ_p(child)."""
 
@@ -81,7 +79,6 @@ class Select(AlgebraOp):
         return f"Select[{self.predicate!r}]"
 
 
-@dataclass
 class Join(AlgebraOp):
     """child_left ⋈_p child_right.
 
@@ -107,7 +104,6 @@ class Join(AlgebraOp):
         return f"{kind}[theta: {self.predicate!r}]"
 
 
-@dataclass
 class Unnest(AlgebraOp):
     """μ_path: iterate ``path`` of each record, binding elements to ``var``."""
 
@@ -125,7 +121,6 @@ class Unnest(AlgebraOp):
         return f"{kind}[{self.path!r} as {self.var}, p={self.predicate!r}]"
 
 
-@dataclass
 class Reduce(AlgebraOp):
     """Δ^⊕/e_p: filter by p, evaluate e per record, fold with ⊕."""
 
@@ -141,7 +136,6 @@ class Reduce(AlgebraOp):
         return f"Reduce[{self.monoid.name}/{self.head!r}, p={self.predicate!r}]"
 
 
-@dataclass
 class Nest(AlgebraOp):
     """Γ^⊕/e/f_p: group by f, fold e per group with ⊕, filter groups by p.
 
@@ -165,7 +159,6 @@ class Nest(AlgebraOp):
         return f"Nest[key={self.key!r}, aggs=({aggs}), having={self.group_predicate!r}]"
 
 
-@dataclass
 class SharedScanDAG(AlgebraOp):
     """A DAG plan: several sub-plans consuming one shared scan (Fig. 1).
 

@@ -19,8 +19,7 @@ canonical description strings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from .._records import Record, field
 from ..monoid.expressions import (
     BinOp,
     Call,
@@ -47,8 +46,7 @@ from .operators import (
 )
 
 
-@dataclass
-class RewriteReport:
+class RewriteReport(Record):
     """What the rewriter did; surfaced by EXPLAIN and asserted in tests."""
 
     coalesced_groups: list[tuple[str, ...]] = field(default_factory=list)

@@ -92,12 +92,18 @@ def _short(value: Any) -> str:
     return text if len(text) <= 60 else text[:57] + "..."
 
 
+def _error_line(exc: Exception) -> str:
+    """``error: [location: ]message`` — the location an input error carries."""
+    where = getattr(exc, "location", "")
+    return f"error: {where}: {exc}" if where else f"error: {exc}"
+
+
 def _print_error(exc: Exception, sources: dict[str, str]) -> None:
     """The CLI's error contract: an ``error: ...`` summary line, then — for
     analyzable failures — the caret-annotated diagnostics underneath."""
     from .core.semantics import DiagnosticsError, parse_error_diagnostic, render_diagnostics
 
-    print(f"error: {exc}", file=sys.stderr)
+    print(_error_line(exc), file=sys.stderr)
     if isinstance(exc, DiagnosticsError):
         print(render_diagnostics(exc.diagnostics, sources), file=sys.stderr)
     elif isinstance(exc, ParseError):
@@ -316,7 +322,7 @@ def run_check(args: Any) -> int:
     iff any is an error.  The CleanDB stays on the row backend (no worker
     pool spawns) — ``--execution`` only parameterizes the analysis.
     """
-    from dataclasses import replace
+    from ._records import replace
 
     from .core.language import CleanDB
     from .core.semantics import errors_in, render_diagnostics
@@ -340,7 +346,7 @@ def run_check(args: Any) -> int:
         db.config = replace(db.config, execution=args.execution)
         diags = db.check(sql, rule=args.rule, where=args.where, on=args.on)
     except (ReproError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(_error_line(exc), file=sys.stderr)
         return 1
     finally:
         db.close()
@@ -402,7 +408,7 @@ def run_dc(args: Any) -> int:
     except BrokenPipeError:  # the reader left early: ``main`` reports it
         raise
     except (ReproError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(_error_line(exc), file=sys.stderr)
         return 1
     finally:
         db.close()
@@ -450,7 +456,7 @@ def run_serve(args: Any) -> int:
             service.register_table(tenant, table, catalog.load(key), fmt=fmt)
         report = service.run_queries(queries, sequential=args.sequential)
     except (ReproError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(_error_line(exc), file=sys.stderr)
         return 1
     finally:
         service.close()

@@ -7,45 +7,40 @@ de-sugarizer can splice them straight into comprehensions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
+from .._records import Record, field
 from ..monoid.expressions import Expr
 
 
-@dataclass(frozen=True)
-class TableRef:
+class TableRef(Record, frozen=True):
     """A FROM-clause entry: table name plus binding alias."""
 
     name: str
     alias: str
 
 
-@dataclass(frozen=True)
-class SelectItem:
+class SelectItem(Record, frozen=True):
     """One projection: an expression with an optional output alias."""
 
     expr: Expr
     alias: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class Star:
+class Star(Record, frozen=True):
     """``SELECT *`` (optionally qualified ``alias.*``)."""
 
     alias: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class FDOp:
+class FDOp(Record, frozen=True):
     """``FD(lhs_attrs, rhs_attrs)`` — a functional dependency check."""
 
     lhs: tuple[Expr, ...]
     rhs: tuple[Expr, ...]
 
 
-@dataclass(frozen=True)
-class DedupOp:
+class DedupOp(Record, frozen=True):
     """``DEDUP(<op>[, <metric>, <theta>][, <attributes>])``."""
 
     op: str = "token_filtering"
@@ -54,8 +49,7 @@ class DedupOp:
     attributes: tuple[Expr, ...] = ()
 
 
-@dataclass(frozen=True)
-class ClusterByOp:
+class ClusterByOp(Record, frozen=True):
     """``CLUSTER BY(<op>[, <metric>, <theta>], <term>)`` — term validation.
 
     ``dictionary`` is the alias of the FROM-clause table acting as the
@@ -73,8 +67,7 @@ class ClusterByOp:
 CleaningOp = FDOp | DedupOp | ClusterByOp
 
 
-@dataclass
-class Query:
+class Query(Record):
     """A parsed CleanM query (Listing 1)."""
 
     select: list[SelectItem | Star]

@@ -10,10 +10,10 @@ cluster.  ``explain()`` shows what every level produced.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Any, Callable, Sequence
 
+from .._records import Record, field, replace
 from ..algebra.operators import AlgebraOp, SharedScanDAG
 from ..algebra.rewrite import RewriteReport, optimize_branches
 from ..algebra.translate import Translator
@@ -57,8 +57,7 @@ def load_backend(execution: str, incremental: bool = False) -> None:
         from ..cleaning import incremental as _states  # noqa: F401
 
 
-@dataclass
-class QueryResult:
+class QueryResult(Record):
     """The outcome of one CleanM query.
 
     ``branches`` maps each branch name (``query``, ``fd1``, ``dedup``,
@@ -94,8 +93,7 @@ class QueryResult:
         return out
 
 
-@dataclass
-class _Plan:
+class _Plan(Record):
     """An optimized plan plus everything needed to execute it."""
 
     query: Query

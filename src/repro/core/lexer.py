@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .._records import Record
 from ..errors import ParseError
 
 KEYWORDS = {
@@ -18,8 +17,7 @@ SYMBOLS = [
 ]
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(Record, frozen=True):
     kind: str  # KEYWORD | IDENT | NUMBER | STRING | SYMBOL | EOF
     value: str
     position: int

@@ -14,8 +14,7 @@ monoids play in the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .._records import Record
 from ..errors import PlanningError
 from ..monoid.comprehension import Comprehension, Filter, Generator, fresh_var
 from ..monoid.expressions import (
@@ -35,8 +34,7 @@ from .ast_nodes import ClusterByOp, DedupOp, FDOp, Query, SelectItem, Star
 _AGGREGATES = {"count", "sum", "avg", "min", "max", "distinct_count"}
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(Record, frozen=True):
     """One de-sugared unit of work: a named comprehension."""
 
     name: str

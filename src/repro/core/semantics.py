@@ -37,10 +37,10 @@ Every code is registered in :data:`CODES`; the docs reference
 from __future__ import annotations
 
 import difflib
-from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
+from .._records import Record, field
 from ..errors import ParseError, SchemaError
 from ..monoid.comprehension import Bind, Comprehension, Filter, Generator
 from ..monoid.expressions import (
@@ -102,8 +102,7 @@ _ARITH_OPS = frozenset({"+", "-", "*", "/", "%"})
 # ---------------------------------------------------------------------- #
 # Diagnostic objects
 # ---------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class Span:
+class Span(Record, frozen=True):
     """A half-open region of the analyzed source text."""
 
     line: int
@@ -112,8 +111,7 @@ class Span:
     length: int = 1
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(Record, frozen=True):
     """One analyzer finding: a stable code, severity, message, and span.
 
     ``source_label`` names which input text the span indexes — ``"query"``
@@ -162,8 +160,7 @@ def errors_in(diagnostics: Iterable[Diagnostic]) -> list[Diagnostic]:
 # ---------------------------------------------------------------------- #
 # Schema inference
 # ---------------------------------------------------------------------- #
-@dataclass
-class TableInfo:
+class TableInfo(Record):
     """What the analyzer knows about one registered table.
 
     ``columns`` maps every key appearing in *any* dict row to the set of

@@ -16,16 +16,16 @@ just as a straggler node would on a real cluster.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any
+
+from .._records import Record, field
 
 #: Rows per column batch: the vectorized backend's dispatch granularity.
 #: Cost accounting only — one ``CostModel.batch_unit`` is charged per batch.
 BATCH_SIZE = 1024
 
 
-@dataclass(frozen=True)
-class CostModel:
+class CostModel(Record, frozen=True):
     """Unit costs for the simulated cluster.
 
     The default constants encode the relative costs §6 and §8.3 of the paper
@@ -114,8 +114,7 @@ class CostModel:
         return moved * self.shuffle_unit * factor * self.vector_shuffle_factor
 
 
-@dataclass
-class OpMetrics:
+class OpMetrics(Record):
     """Metrics for one engine operation (one simulated stage).
 
     ``batches`` is non-zero only for vectorized stages; it counts the column
@@ -177,8 +176,7 @@ _SUMMED = (
 )
 
 
-@dataclass
-class MetricsCollector:
+class MetricsCollector(Record):
     """Accumulates per-operation metrics for a whole query execution."""
 
     ops: list[OpMetrics] = field(default_factory=list)

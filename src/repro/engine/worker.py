@@ -36,9 +36,9 @@ import pickle
 import time
 import traceback
 import weakref
-from dataclasses import dataclass
 from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
+from .._records import Record
 from ..errors import StaleHandleError, WorkerTaskError
 from .gcpause import collector_paused
 
@@ -55,8 +55,7 @@ _ERROR = "error"  # original exception survived a pickle round-trip
 _OPAQUE = "error_opaque"  # it did not; ship (type name, message, traceback)
 
 
-@dataclass(frozen=True)
-class StoreRef:
+class StoreRef(Record, frozen=True):
     """A handle to one worker-resident partition.
 
     ``part`` is the logical partition index (the worker holding it is

@@ -8,7 +8,13 @@ from __future__ import annotations
 
 
 class ReproError(Exception):
-    """Base class for every error raised by this library."""
+    """Base class for every error raised by this library.
+
+    ``location`` names where in an input file the error arose (``path:line``)
+    when the message does not say it; the CLI prints it before the message.
+    """
+
+    location = ""
 
 
 class ParseError(ReproError):

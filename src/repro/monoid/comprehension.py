@@ -10,20 +10,19 @@ comprehension semantics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count as _counter
 from typing import Any, Callable, Iterable
 
+from .._records import Record
 from .expressions import Expr, evaluate
 from .monoids import Monoid
 
 
-class Qualifier:
+class Qualifier(Record, frozen=True):
     """Base class for comprehension qualifiers."""
 
 
-@dataclass(frozen=True)
-class Generator(Qualifier):
+class Generator(Qualifier, frozen=True):
     """``var <- source``: iterate over a collection, binding ``var``."""
 
     var: str
@@ -33,8 +32,7 @@ class Generator(Qualifier):
         return f"{self.var} <- {self.source!r}"
 
 
-@dataclass(frozen=True)
-class Filter(Qualifier):
+class Filter(Qualifier, frozen=True):
     """A boolean predicate over the variables bound so far."""
 
     predicate: Expr
@@ -43,8 +41,7 @@ class Filter(Qualifier):
         return f"filter {self.predicate!r}"
 
 
-@dataclass(frozen=True)
-class Bind(Qualifier):
+class Bind(Qualifier, frozen=True):
     """``var := expr``: a let-binding (inlined away by normalization)."""
 
     var: str
@@ -54,8 +51,7 @@ class Bind(Qualifier):
         return f"{self.var} := {self.expr!r}"
 
 
-@dataclass(frozen=True)
-class Comprehension(Expr):
+class Comprehension(Expr, frozen=True):
     """``monoid{ head | qualifiers }``.
 
     Comprehensions are themselves expressions, so they nest — the normalizer

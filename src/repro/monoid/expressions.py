@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from .._records import Record
 
-class Expr:
+
+class Expr(Record, frozen=True):
     """Base class for all calculus expressions."""
 
     def free_vars(self) -> set[str]:
@@ -39,8 +40,7 @@ class Expr:
         return state
 
 
-@dataclass(frozen=True)
-class Const(Expr):
+class Const(Expr, frozen=True):
     """A literal value (number, string, bool, None)."""
 
     value: Any
@@ -58,8 +58,7 @@ class Const(Expr):
         return f"Const({self.value!r})"
 
 
-@dataclass(frozen=True)
-class Var(Expr):
+class Var(Expr, frozen=True):
     """A bound variable reference."""
 
     name: str
@@ -77,8 +76,7 @@ class Var(Expr):
         return f"Var({self.name})"
 
 
-@dataclass(frozen=True)
-class Proj(Expr):
+class Proj(Expr, frozen=True):
     """Record projection ``expr.field``."""
 
     source: Expr
@@ -97,8 +95,7 @@ class Proj(Expr):
         return f"{self.source!r}.{self.attr}"
 
 
-@dataclass(frozen=True)
-class RecordCons(Expr):
+class RecordCons(Expr, frozen=True):
     """Record construction ``{a: e1, b: e2}``.
 
     ``fields`` is a tuple of (name, expr) pairs to keep the node hashable and
@@ -129,8 +126,7 @@ class RecordCons(Expr):
         return [expr for _, expr in self.fields]
 
 
-@dataclass(frozen=True)
-class BinOp(Expr):
+class BinOp(Expr, frozen=True):
     """Binary operation; ``op`` is a symbol like ``+`` ``==`` ``and``."""
 
     op: str
@@ -150,8 +146,7 @@ class BinOp(Expr):
         return f"({self.left!r} {self.op} {self.right!r})"
 
 
-@dataclass(frozen=True)
-class UnaryOp(Expr):
+class UnaryOp(Expr, frozen=True):
     op: str  # "not" or "-"
     operand: Expr
 
@@ -165,8 +160,7 @@ class UnaryOp(Expr):
         return [self.operand]
 
 
-@dataclass(frozen=True)
-class Call(Expr):
+class Call(Expr, frozen=True):
     """Function application ``name(args...)``.
 
     Functions are resolved against the evaluator's function registry; UDFs
@@ -192,8 +186,7 @@ class Call(Expr):
         return f"{self.name}({', '.join(map(repr, self.args))})"
 
 
-@dataclass(frozen=True)
-class If(Expr):
+class If(Expr, frozen=True):
     """Conditional expression ``if cond then then_branch else else_branch``."""
 
     cond: Expr
@@ -218,8 +211,7 @@ class If(Expr):
         return [self.cond, self.then_branch, self.else_branch]
 
 
-@dataclass(frozen=True)
-class Lambda(Expr):
+class Lambda(Expr, frozen=True):
     """Anonymous function: evaluates to a Python closure over its body."""
 
     params: tuple[str, ...]
@@ -236,8 +228,7 @@ class Lambda(Expr):
         return [self.body]
 
 
-@dataclass(frozen=True)
-class Merge(Expr):
+class Merge(Expr, frozen=True):
     """Explicit monoid merge ``left ⊕ right``.
 
     Produced by the if-split normalization rule, which turns a comprehension
@@ -495,5 +486,5 @@ def compiled(expr: Expr) -> Callable[[dict[str, Any], dict[str, Callable] | None
         "    return run\n"
     )
     run = build(*bound, expr)
-    object.__setattr__(expr, "_compiled", run)  # nodes are frozen dataclasses
+    object.__setattr__(expr, "_compiled", run)  # nodes are frozen records
     return run

@@ -23,8 +23,7 @@ producing the "canonical" comprehension the algebraic translator consumes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from .._records import Record, field
 from .comprehension import Bind, Comprehension, Filter, Generator, Qualifier
 from .expressions import (
     BinOp,
@@ -44,8 +43,7 @@ from .monoids import AnyMonoid
 _MAX_PASSES = 50
 
 
-@dataclass
-class NormalizationTrace:
+class NormalizationTrace(Record):
     """Names of the rules that fired, in order; used by tests and EXPLAIN."""
 
     applied: list[str] = field(default_factory=list)

@@ -24,12 +24,12 @@ each source record; Join merges environments; Nest produces a group record
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
 from types import FunctionType
 from typing import Any, Callable, Sequence
 
+from .._records import Record
 from ..algebra.operators import (
     TRUE,
     AlgebraOp,
@@ -50,8 +50,7 @@ from ..monoid.monoids import nest_accumulator
 from .functions import DEFAULT_FUNCTIONS, freeze
 
 
-@dataclass
-class PhysicalConfig:
+class PhysicalConfig(Record):
     """The physical-level knobs the §8 experiments turn.
 
     ``grouping``: ``"aggregate"`` (CleanDB local pre-aggregation), ``"sort"``

@@ -36,7 +36,9 @@ def write_csv(path: str | Path, records: Iterable[dict[str, Any]], schema: Schem
 
 def read_csv(path: str | Path, schema: Schema) -> list[dict[str, Any]]:
     """Read an entire CSV file into records, casting via the schema.  The
-    first bad row or cell in file order is the error, whatever the blocks."""
+    first bad row or cell in file order is the error, whatever the blocks.
+    A bad cell's ``SchemaError`` keeps the caster's message and carries
+    ``record`` (its 1-based record number) and ``location`` (``path:line``)."""
     path = Path(path)
     if not path.exists():
         raise DataSourceError(f"no such CSV file: {path}")
@@ -64,15 +66,39 @@ def read_csv(path: str | Path, schema: Schema) -> list[dict[str, Any]]:
                     )
                 block.append(cells)
                 if len(block) == BLOCK_ROWS:
-                    records += _cast_block(block, names, kinds, casters)
+                    records += _cast_block(block, names, kinds, casters, path, len(records))
                     block = []
         except (csv.Error, DataSourceError, UnicodeDecodeError) as exc:
-            _cast_block(block, names, kinds, casters)  # an earlier bad cell is reported first
+            # an earlier bad cell is reported first
+            _cast_block(block, names, kinds, casters, path, len(records))
             if isinstance(exc, csv.Error):
                 raise DataSourceError(f"{path}:{reader.line_num}: {exc}") from exc
+            if isinstance(exc, UnicodeDecodeError):
+                raise DataSourceError(_undecodable(path)) from exc
             raise
-    records += _cast_block(block, names, kinds, casters)
+    records += _cast_block(block, names, kinds, casters, path, len(records))
     return records
+
+
+def _line_of(path: Path, record: int) -> int:
+    """The line on which data record ``record`` (1-based) ends, by a re-read
+    that only an error pays for."""
+    with open(path, "r", encoding="utf-8", errors="replace", newline="") as handle:
+        reader = csv.reader(handle)
+        next(islice(filter(None, reader), record, None))  # the header, then the records
+        return reader.line_num
+
+
+def _undecodable(path: Path) -> str:
+    """Where the file's first byte that is not UTF-8 sits, by a re-read that
+    only an error pays for (the text layer decodes ahead of the rows)."""
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        return f"{path}:{line}: cannot decode byte 0x{data[exc.start]:02x} as UTF-8 ({exc.reason})"
+    return f"{path}: cannot decode as UTF-8"
 
 
 def _split_list(cell: str) -> list[str]:
@@ -80,12 +106,14 @@ def _split_list(cell: str) -> list[str]:
 
 
 def _cast_block(
-    rows: list[list[str]], names: list[str], kinds: list[str], casters: list[Callable[[str], Any]]
+    rows: list[list[str]], names: list[str], kinds: list[str], casters: list[Callable[[str], Any]],
+    path: Path, start: int,
 ) -> list[dict[str, Any]]:
     """Cast a block column by column: without an empty cell, a ``str`` column
     is kept and an ``int`` / ``float`` one mapped through the bare type, any
     other column through its caster.  If one fails, re-run the block row by
-    row, which raises for the first bad cell in file order."""
+    row, which raises for the first bad cell in file order; ``start`` is the
+    count of records before the block, so the error can say where it is."""
     try:
         columns = [
             list(map(cast, column)) if "" in column
@@ -93,7 +121,15 @@ def _cast_block(
             for column, kind, cast in zip(zip(*rows), kinds, casters)
         ]
     except (ValueError, SchemaError):
-        return [{name: cast(cell) for name, cast, cell in zip(names, casters, cells)} for cells in rows]
+        records = []
+        for cells in rows:
+            try:
+                records.append({n: cast(cell) for n, cast, cell in zip(names, casters, cells)})
+            except SchemaError as exc:
+                exc.record = start + len(records) + 1
+                exc.location = f"{path}:{_line_of(path, exc.record)}"
+                raise
+        return records
     return [dict(zip(names, values)) for values in zip(*columns)]
 
 

@@ -10,9 +10,9 @@ first-class: flattening to relational form is an explicit, lossy operation
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
+from .._records import Record
 from ..errors import SchemaError
 
 _CASTS: dict[str, Callable[[Any], Any]] = {
@@ -24,8 +24,7 @@ _CASTS: dict[str, Callable[[Any], Any]] = {
 }
 
 
-@dataclass(frozen=True)
-class Field:
+class Field(Record, frozen=True):
     """One attribute: a name, a scalar type, or ``list`` for nested data."""
 
     name: str
@@ -54,8 +53,7 @@ class Field:
         return self.caster()(raw)
 
 
-@dataclass(frozen=True)
-class Schema:
+class Schema(Record, frozen=True):
     """An ordered collection of fields."""
 
     fields: tuple[Field, ...]

@@ -10,8 +10,6 @@ op as on the first call, and the same answer out in the same order — so
 neither a cached result nor a skipped charge can pass.
 """
 
-from dataclasses import asdict
-
 import pytest
 
 import repro.cleaning.denial as denial
@@ -34,7 +32,7 @@ def table():
 
 def ledger(db, since):
     """The ops a call appended, wall clock aside, and the two pair counters."""
-    ops = [{**asdict(op), "wall_seconds": 0.0} for op in db.cluster.metrics.ops[since:]]
+    ops = [{**vars(op), "wall_seconds": 0.0} for op in db.cluster.metrics.ops[since:]]
     return ops, db.cluster.metrics.comparisons, db.cluster.metrics.verified
 
 

@@ -9,8 +9,6 @@ session that has never seen the table.  A write evicts that state with the
 table's old version, and the next call answers for the new table.
 """
 
-from dataclasses import asdict
-
 import pytest
 
 import repro.cleaning.dedup as dedup_module
@@ -67,7 +65,7 @@ def traffic(monkeypatch):
         mark, candidates, verified = len(metrics.ops), metrics.comparisons, metrics.verified
         seen.update(runs=[], broadcasts=0, exchanges=0)
         out = call()
-        ops = [{k: v for k, v in asdict(op).items() if k in SIMULATED} for op in metrics.ops[mark:]]
+        ops = [{k: v for k, v in vars(op).items() if k in SIMULATED} for op in metrics.ops[mark:]]
         counters = (metrics.comparisons - candidates, metrics.verified - verified)
         return out, dict(seen), ops, counters
 

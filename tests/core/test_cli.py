@@ -195,6 +195,26 @@ def test_a_reader_that_closed_early_gets_exit_1_and_no_traceback(customer_csv, c
     assert (done.returncode, done.stderr) == (1, "")
 
 
+
+@pytest.mark.parametrize("body, message", [
+    # a blank line and a quoted cell over two lines come before the bad cell
+    (b'id,name\n1,ann\n\n2,"bo\nb"\nseven,cy\n', "{path}:6: cannot cast 'seven' to int for field 'id'"),
+    (b"id,name\n1,ann\n2,b\xffb\n", "{path}:3: cannot decode byte 0xff as UTF-8 (invalid start byte)"),
+])
+def test_a_bad_csv_cell_or_byte_names_its_file_and_line(tmp_path, body, message):
+    """With two ``--table`` files, the error says which one and where: one
+    ``error:`` line, exit 1, no traceback."""
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    good.write_text("id,name\n1,a\n")
+    bad.write_bytes(body)
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", "query", "--table", f"g={good}:csv:id:int,name:str",
+         "--table", f"t={bad}:csv:id:int,name:str", "SELECT * FROM t x"],
+        env={**os.environ, "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (1, f"error: {message.format(path=bad)}\n")
+
 class TestDCCommand:
     @pytest.fixture
     def lineitem_csv(self, tmp_path):

@@ -92,6 +92,30 @@ def test_a_parallel_query_loads_no_cleaning_driver(table_spec):
     assert not under(modules, *DRIVERS, "repro.sources.columnar", "repro.engine.faults")
 
 
+
+@pytest.mark.parametrize("command", [
+    ["query"], ["query", "--execution", "parallel"], ["explain"], ["check", "--execution", "parallel"],
+])
+def test_a_launch_generates_no_record_code(table_spec, command):
+    """The compiler's records are ``repro._records`` classes: a launch loads
+    neither ``dataclasses`` nor the ``inspect`` it imports, and no class in a
+    module the launch loaded is a stdlib dataclass."""
+    out = fresh(
+        "import json, sys\n"
+        "from repro.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "generated = [f'{name}.{value.__name__}' for name, module in list(sys.modules.items())\n"
+        "             if name.startswith('repro') for value in vars(module).values()\n"
+        "             if isinstance(value, type) and '__dataclass_fields__' in vars(value)]\n"
+        "print(); print(json.dumps({'code': code, 'modules': sorted(sys.modules),\n"
+        "                           'generated': generated}))",
+        *command, "--table", table_spec, SQL,
+    )
+    assert out["code"] == 0
+    assert "repro.core.language" in out["modules"]  # the compiler did load
+    assert not under(set(out["modules"]), "dataclasses", "inspect")
+    assert out["generated"] == []
+
 POOL_MODULES = (
     "repro.engine.parallel", "repro.engine.worker", "repro.engine.store",
     "repro.engine.transport", "repro.engine.faults", "repro.physical.parallel_exec",

@@ -7,11 +7,10 @@ Happy-path coverage (clean workloads produce zero diagnostics) lives in
 ``tests/property/test_check_clean.py``.
 """
 
-from dataclasses import replace
-
 import pytest
 
 from repro import CleanDB
+from repro._records import replace
 from repro.cleaning.dc_kernel import DenialConstraint, SingleFilter, TuplePredicate, parse_dc
 from repro.core.semantics import (
     CODES,

@@ -10,12 +10,12 @@ code the analyzer can emit has a row in ``docs/DIAGNOSTICS.md``.
 """
 
 import re
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro import CleanDB
+from repro._records import replace
 from repro.core.semantics import CODES
 from repro.datasets.tpch import generate_lineitem
 

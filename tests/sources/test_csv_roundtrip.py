@@ -334,6 +334,28 @@ def test_a_bad_cast_is_reported_before_an_undecodable_byte_further_on(tmp_path):
         read_csv(path, FLAT)
 
 
+
+@pytest.mark.parametrize("block", [2, csv_source.BLOCK_ROWS])
+def test_a_bad_cell_carries_its_record_number_and_line(tmp_path, block):
+    """Blank lines and a cell over two lines make the record number and the
+    line differ; the message stays the caster's own."""
+    path = tmp_path / "bad.csv"
+    path.write_text('id,name,score,active\n1,a,1.0,true\n\n2,"b\nb",1.0,true\nseven,c,1.0,true\n')
+    with mock.patch.object(csv_source, "BLOCK_ROWS", block), pytest.raises(SchemaError) as excinfo:
+        read_csv(path, FLAT)
+    assert str(excinfo.value) == "cannot cast 'seven' to int for field 'id'"
+    assert (excinfo.value.record, excinfo.value.location) == (3, f"{path}:6")
+
+
+def test_an_undecodable_byte_is_a_data_source_error_naming_its_line(tmp_path):
+    path = tmp_path / "bytes.csv"
+    rows = "".join(f"{i},name {i},1.5,true\n" for i in range(600))
+    path.write_bytes(f"id,name,score,active\n{rows}".encode() + b"9,\xff,1.0,true\n")
+    with pytest.raises(DataSourceError) as excinfo:
+        read_csv(path, FLAT)
+    assert str(excinfo.value) == f"{path}:602: cannot decode byte 0xff as UTF-8 (invalid start byte)"
+    assert isinstance(excinfo.value.__cause__, UnicodeDecodeError)
+
 def _memory_rows(count):
     return [
         {"text": f"name {i}", "n": i, "x": i * 0.25, "flag": i % 2 == 0,
