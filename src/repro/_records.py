@@ -11,9 +11,9 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import TYPE_CHECKING, Any
 
-if TYPE_CHECKING:
-    from typing import dataclass_transform
-else:  # typing has it from Python 3.11 on; only a type checker reads it
+if TYPE_CHECKING:  # typing has it only from Python 3.11 on
+    from typing_extensions import dataclass_transform
+else:
     def dataclass_transform(**_):
         return lambda cls: cls
 
@@ -21,18 +21,17 @@ _MISSING: Any = object()
 
 
 class Field:
-    __slots__ = ("name", "default", "default_factory", "init", "repr", "compare")
+    __slots__ = ("name", "default", "default_factory", "init", "repr")
 
-    def __init__(self, default: Any, default_factory: Any, init: bool, repr: bool, compare: bool):
+    def __init__(self, default: Any, default_factory: Any, init: bool, repr: bool):
         self.name, self.default, self.default_factory = "", default, default_factory
-        self.init, self.repr, self.compare = init, repr, compare
+        self.init, self.repr = init, repr
 
 
 def field(
-    *, default: Any = _MISSING, default_factory: Any = _MISSING,
-    init: bool = True, repr: bool = True, compare: bool = True,
+    *, default: Any = _MISSING, default_factory: Any = _MISSING, init: bool = True, repr: bool = True,
 ) -> Any:
-    return Field(default, default_factory, init, repr, compare)
+    return Field(default, default_factory, init, repr)
 
 
 def _init(self: Any, *args: Any, **kwargs: Any) -> None:
@@ -86,7 +85,7 @@ class Record:
     """``class P(Record, frozen=True)`` is ``@dataclass(frozen=True) class P``:
     positional-then-keyword construction with defaults and factories,
     ``init=False`` fields and ``__post_init__``, ``==`` within one exact
-    class over the ``compare`` fields, a field hash if frozen and none if
+    class over every field, a field hash if frozen and none if
     not, the dataclass ``repr``, and ``AttributeError`` on assigning to a
     frozen record.  A method the class body defines is kept."""
 
@@ -96,7 +95,7 @@ class Record:
         for name in cls.__dict__.get("__annotations__", {}):
             value = cls.__dict__.get(name, _MISSING)
             if not isinstance(value, Field):
-                value = Field(value, _MISSING, True, True, True)
+                value = Field(value, _MISSING, True, True)
             elif value.default is _MISSING:
                 delattr(cls, name)
             else:
@@ -107,12 +106,11 @@ class Record:
         cls.__record_init__ = tuple(f.name for f in fields.values() if f.init)
         # the fast path's argument count: -1 when a field is not an argument
         cls.__record_arity__ = len(fields) if len(cls.__record_init__) == len(fields) else -1
-        compared = [f.name for f in fields.values() if f.compare]
-        if len(compared) == 1:  # the key is a tuple, as a dataclass hashes one
-            one = attrgetter(compared[0])
+        if len(fields) == 1:  # the key is a tuple, as a dataclass hashes one
+            one = attrgetter(*fields)
             cls.__record_key__ = staticmethod(lambda record: (one(record),))
         else:
-            cls.__record_key__ = attrgetter(*compared) if compared else staticmethod(lambda _: ())
+            cls.__record_key__ = attrgetter(*fields) if fields else staticmethod(lambda _: ())
         cls.__record_post__ = hasattr(cls, "__post_init__")
         own = dict(cls.__dict__)
         if "__hash__" not in own or (own["__hash__"] is None and "__eq__" in own):

@@ -7,6 +7,7 @@ with ``|`` on write and split on read when the schema marks them ``list``.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import re
 from itertools import islice
@@ -90,15 +91,22 @@ def _line_of(path: Path, record: int) -> int:
 
 
 def _undecodable(path: Path) -> str:
-    """Where the file's first byte that is not UTF-8 sits, by a re-read that
-    only an error pays for (the text layer decodes ahead of the rows)."""
-    data = path.read_bytes()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        return f"{path}:{line}: cannot decode byte 0x{data[exc.start]:02x} as UTF-8 ({exc.reason})"
-    return f"{path}: cannot decode as UTF-8"
+    """Where the file's first byte that is not UTF-8 sits, by a re-read in
+    bounded chunks that only an error pays for (the text layer decodes ahead
+    of the rows).  A chunk's held-back partial character holds no newline."""
+    decoder, line = codecs.getincrementaldecoder("utf-8")(), 1
+    with open(path, "rb") as handle:
+        while True:
+            chunk = handle.read(1 << 16)
+            try:
+                decoder.decode(chunk, final=not chunk)
+            except UnicodeDecodeError as exc:
+                line += exc.object.count(b"\n", 0, exc.start)
+                bad = exc.object[exc.start]
+                return f"{path}:{line}: cannot decode byte 0x{bad:02x} as UTF-8 ({exc.reason})"
+            if not chunk:
+                return f"{path}: cannot decode as UTF-8"
+            line += chunk.count(b"\n")
 
 
 def _split_list(cell: str) -> list[str]:
@@ -126,8 +134,7 @@ def _cast_block(
             try:
                 records.append({n: cast(cell) for n, cast, cell in zip(names, casters, cells)})
             except SchemaError as exc:
-                exc.record = start + len(records) + 1
-                exc.location = f"{path}:{_line_of(path, exc.record)}"
+                exc.location = f"{path}:{_line_of(path, start + len(records) + 1)}"
                 raise
         return records
     return [dict(zip(names, values)) for values in zip(*columns)]

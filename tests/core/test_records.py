@@ -8,8 +8,8 @@ runs on both).  On drawn field values the two must agree on construction,
 ``==``, ``hash``, ``repr``, ``replace``, the constructor's ``TypeError``
 and the frozen ``AttributeError``, and a record must survive a pickle round
 trip.  The test-local records below use the field options no launch record
-uses today (``compare=False``, ``repr=False``, ``init=False`` with a
-factory), and two classes with the same field names.
+uses today (``repr=False``, ``init=False`` with a factory), and two
+classes with the same field names.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from repro._records import Record, field, replace
 class Options(Record):
     key: int
     hidden: str = field(default="", repr=False)
-    loose: int = field(default=0, compare=False)
     bag: list = field(default_factory=list)
     later: list = field(default_factory=list, init=False)
     fixed: int = field(default=5, init=False)
@@ -41,7 +40,6 @@ class Options(Record):
 
 class FrozenOptions(Record, frozen=True):
     key: int
-    loose: int = field(default=0, compare=False)
     tags: tuple = field(default_factory=tuple)
     hidden: str = field(default="", repr=False)
 
@@ -89,7 +87,7 @@ def annotations(cls: type) -> dict[str, str]:
 def make_twin(cls: type) -> type:
     notes, specs = annotations(cls), []
     for f in cls.__record_fields__:
-        options = {"init": f.init, "repr": f.repr, "compare": f.compare}
+        options = {"init": f.init, "repr": f.repr}
         if f.default is not _records._MISSING:
             options["default"] = f.default
         if f.default_factory is not _records._MISSING:
