@@ -21,7 +21,7 @@ if TYPE_CHECKING:
         HashPartitioner, Partitioner, RangePartitioner, RoundRobinPartitioner,
         make_partitioner, stable_hash,
     )
-    from .transport import ShipLog, TransportCounters, begin_transport_scope
+    from .transport import ShipLog
     from .worker import StoreRef
 
 __getattr__, __dir__, __all__ = lazy_surface(__name__, {
@@ -34,7 +34,7 @@ __getattr__, __dir__, __all__ = lazy_surface(__name__, {
         "HashPartitioner", "Partitioner", "RangePartitioner", "RoundRobinPartitioner",
         "make_partitioner", "stable_hash",
     ),
-    "transport": ("ShipLog", "TransportCounters", "begin_transport_scope"),
+    "transport": ("ShipLog",),
     "worker": ("StoreRef",),
     ".errors": ("StaleHandleError", "WorkerTaskError"),
 })

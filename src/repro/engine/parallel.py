@@ -40,8 +40,8 @@ owns everything with a clock or a dispatch turn in it:
   each worker, each task carrying its pickled function, and one reply
   back.  Reply collection runs *outside* the lock: one caller at a time
   pumps the reply pipes and routes other callers' reply tails by task id.
-  Each call's transport is credited to its own context, counted per task
-  argument payload and per reply tail, not per message.
+  Each call's transport is credited to its calling thread, counted per
+  task argument payload and per reply tail, not per message.
 * **Query-scoped aborts** — a failing or aborted call leaves the pool and
   every other caller's pinned state intact; ``shutdown()`` terminates
   outstanding work immediately rather than waiting for queued partitions.
@@ -311,7 +311,7 @@ class WorkerPool:
 
     def _finish_call(self, call: _CallRecord) -> None:
         """Fold one finished call into the pool totals and the calling
-        context's transport ledger."""
+        thread's transport ledger."""
         with self._stats_lock:
             self.bytes_shipped_total += call.bytes
             self.ship_count_total += call.ships

@@ -6,6 +6,9 @@ single base class at API boundaries.
 
 from __future__ import annotations
 
+import codecs
+from typing import Any
+
 
 class ReproError(Exception):
     """Base class for every error raised by this library.
@@ -57,6 +60,25 @@ class BudgetExceededError(ReproError):
 
 class DataSourceError(ReproError):
     """A data source file is missing, corrupt, or in an unexpected format."""
+
+    @classmethod
+    def undecodable(cls, path: Any) -> "DataSourceError":
+        """The error for a file that is not UTF-8, at the line of its first
+        bad byte: a re-read in bounded chunks that only an error pays for.
+        A chunk's held-back partial character holds no newline."""
+        decoder, line = codecs.getincrementaldecoder("utf-8")(), 1
+        with open(path, "rb") as handle:
+            while True:
+                chunk = handle.read(1 << 16)
+                try:
+                    decoder.decode(chunk, final=not chunk)
+                except UnicodeDecodeError as exc:
+                    line += exc.object.count(b"\n", 0, exc.start)
+                    bad = exc.object[exc.start]
+                    return cls(f"{path}:{line}: cannot decode byte 0x{bad:02x} as UTF-8 ({exc.reason})")
+                if not chunk:
+                    return cls(f"{path}: cannot decode as UTF-8")
+                line += chunk.count(b"\n")
 
 
 class UnsupportedOperationError(ReproError):

@@ -10,13 +10,11 @@ pieces, and where each guarantee comes from:
   ``namespace=<tenant>`` and ``pool=<the shared pool>``.  Tenant state is
   therefore isolated by construction; only the worker processes and their
   partition store are shared.
-* **Scheduling** — queries run in threads (``asyncio.to_thread``); the
-  pool serializes *dispatch* with a FIFO ticket lock and collects replies
-  concurrently, so queries interleave at stage granularity: while one
-  query's tasks compute in the workers, another's stage dispatches and a
-  third drains its results.  Within a tenant, queries run FIFO (session
-  consistency: a tenant that mutates then queries sees its own write);
-  across tenants everything is concurrent.
+* **Scheduling** — each tenant's queries run in submission order on one
+  thread of its own (session consistency: a tenant that mutates then
+  queries sees its own write), so queries overlap only across tenants.
+  The pool serializes *dispatch* with a FIFO ticket lock and collects
+  replies concurrently, so tenants interleave at stage granularity.
 * **Namespaces** — tenant ``t``'s table ``customer`` pins under
   ``t/table:customer@version``, so two tenants may register the same table
   name with different rows and never alias.
@@ -32,25 +30,25 @@ pieces, and where each guarantee comes from:
   is safe by design: an unpinned table re-pins under the same identity on
   its next pool read (``resident_input``), so the cap trades warm-start
   time for memory, never correctness.
-* **Accounting** — each query thread begins a fresh transport scope
-  (:func:`~repro.engine.transport.begin_transport_scope`), so the per-op
-  ``bytes_shipped`` / ``wall_seconds`` a query reports are its own even
-  when ten queries interleave on the pool.
+* **Accounting** — the transport ledger is per thread
+  (:mod:`~repro.engine.transport`), so the per-op ``bytes_shipped`` /
+  ``wall_seconds`` a query reports are its own tenant's.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextvars
+import threading
 import time
-import weakref
 from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 from ..cleaning import ladder  # noqa: F401  (every driver, before the shared pool forks)
 from ..core.language import CleanDB, load_backend
 from ..engine.parallel import DEFAULT_WORKERS, WorkerPool
-from ..engine.transport import begin_transport_scope
 from ..errors import BudgetExceededError, ReproError
 
 #: Query operations a spec's ``"op"`` key may name, with their required keys.
@@ -186,32 +184,14 @@ class LoadReport:
 
 class TenantSession:
     """One tenant's handle on the service: a namespaced CleanDB over the
-    shared pool, plus the per-tenant FIFO gate.
-
-    The FIFO gate is an ``asyncio.Lock`` per running event loop (a
-    service outlives ``asyncio.run`` calls — the benchmark runs a serial
-    pass and a concurrent pass on one service — and an asyncio primitive
-    must not cross loops).
-    """
+    shared pool, and the one thread that runs the tenant's queries in
+    submission order (its executor's queue is the tenant's FIFO)."""
 
     def __init__(self, tenant: str, db: CleanDB):
         self.tenant = tenant
         self.db = db
-        self.busy = False  # a query is executing; the governor must not evict
-        self._fifo_locks: "weakref.WeakKeyDictionary[Any, asyncio.Lock]" = (
-            weakref.WeakKeyDictionary()
-        )
-
-    def fifo(self) -> asyncio.Lock:
-        loop = asyncio.get_running_loop()
-        lock = self._fifo_locks.get(loop)
-        if lock is None:
-            lock = asyncio.Lock()
-            self._fifo_locks[loop] = lock
-        return lock
-
-    def close(self) -> None:
-        self.db.close()
+        self.busy = threading.Lock()  # held by a running query; the governor unpins under it
+        self.thread = ThreadPoolExecutor(1, thread_name_prefix=f"tenant-{tenant}")
 
 
 class CleanService:
@@ -326,27 +306,29 @@ class CleanService:
 
     async def _submit(self, tenant: str, spec: dict) -> QueryOutcome:
         session = self.session(tenant)
-        async with session.fifo():
-            session.busy = True
-            try:
-                table = spec.get("table")
-                if isinstance(table, str):
-                    self._touch(tenant, table)
-                return await asyncio.to_thread(self._execute, session, dict(spec))
-            finally:
-                session.busy = False
-                self._enforce_cap(protect=tenant)
+        table = spec.get("table")
+        if isinstance(table, str):
+            self._touch(tenant, table)
+        # In a copy of the submitter's context: its context variables (a
+        # tracer's open span) reach the query on the tenant's thread.
+        run = contextvars.copy_context().run
+        try:
+            return await asyncio.get_running_loop().run_in_executor(
+                session.thread, run, self._execute, session, dict(spec)
+            )
+        finally:
+            self._enforce_cap(protect=tenant)
 
     def _execute(self, session: TenantSession, spec: dict) -> QueryOutcome:
-        """Run one query synchronously in a worker thread."""
-        begin_transport_scope()
+        """Run one query synchronously on its tenant's thread."""
         db = session.db
         snap = db.cluster.metrics.snapshot()
         op = str(spec.get("op", ""))
         status, rows, error = "ok", None, ""
         start = time.perf_counter()
         try:
-            rows = self._dispatch(db, op, spec)
+            with session.busy:
+                rows = self._dispatch(db, op, spec)
         except BudgetExceededError as exc:
             status, error = "budget_exceeded", str(exc)
         except (ReproError, ValueError, TypeError, KeyError, OSError) as exc:
@@ -457,8 +439,9 @@ class CleanService:
         store.  ``protect`` names that query's tenant — the tables it just
         read are never the ones evicted to make room for them.  Busy
         sessions are skipped too: their query may be mid-stage on those
-        very handles.  Evicted tables re-pin under the same identity on
-        next use, so this only ever costs a warm start.
+        very handles; holding ``busy`` while unpinning keeps the next one
+        from starting until the unpin is done.  Evicted tables re-pin under
+        the same identity on next use, so this only ever costs a warm start.
         """
         cap = self.store_bytes_cap
         if cap is None:
@@ -471,17 +454,22 @@ class CleanService:
             if session is None:
                 self._lru.pop(key, None)
                 continue
-            if tenant == protect or session.busy:
+            if tenant == protect or not session.busy.acquire(blocking=False):
                 continue
-            session.db.tables.unpin(table)
+            try:
+                session.db.tables.unpin(table)
+            finally:
+                session.busy.release()
 
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Close every session and terminate the shared pool.  Idempotent."""
+        """Close every session, joining its thread, and terminate the shared
+        pool.  Idempotent."""
         if self._closed:
             return
         self._closed = True
         for session in self._sessions.values():
+            session.thread.shutdown(cancel_futures=True)
             # The pool dies with the service; skip per-tenant evictions.
             session.db.cluster.shutdown()
         self._sessions.clear()

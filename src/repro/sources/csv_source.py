@@ -7,7 +7,6 @@ with ``|`` on write and split on read when the schema marks them ``list``.
 
 from __future__ import annotations
 
-import codecs
 import csv
 import re
 from itertools import islice
@@ -39,7 +38,7 @@ def read_csv(path: str | Path, schema: Schema) -> list[dict[str, Any]]:
     """Read an entire CSV file into records, casting via the schema.  The
     first bad row or cell in file order is the error, whatever the blocks.
     A bad cell's ``SchemaError`` keeps the caster's message and carries
-    ``record`` (its 1-based record number) and ``location`` (``path:line``)."""
+    ``location`` (``path:line``)."""
     path = Path(path)
     if not path.exists():
         raise DataSourceError(f"no such CSV file: {path}")
@@ -75,7 +74,7 @@ def read_csv(path: str | Path, schema: Schema) -> list[dict[str, Any]]:
             if isinstance(exc, csv.Error):
                 raise DataSourceError(f"{path}:{reader.line_num}: {exc}") from exc
             if isinstance(exc, UnicodeDecodeError):
-                raise DataSourceError(_undecodable(path)) from exc
+                raise DataSourceError.undecodable(path) from exc
             raise
     records += _cast_block(block, names, kinds, casters, path, len(records))
     return records
@@ -88,25 +87,6 @@ def _line_of(path: Path, record: int) -> int:
         reader = csv.reader(handle)
         next(islice(filter(None, reader), record, None))  # the header, then the records
         return reader.line_num
-
-
-def _undecodable(path: Path) -> str:
-    """Where the file's first byte that is not UTF-8 sits, by a re-read in
-    bounded chunks that only an error pays for (the text layer decodes ahead
-    of the rows).  A chunk's held-back partial character holds no newline."""
-    decoder, line = codecs.getincrementaldecoder("utf-8")(), 1
-    with open(path, "rb") as handle:
-        while True:
-            chunk = handle.read(1 << 16)
-            try:
-                decoder.decode(chunk, final=not chunk)
-            except UnicodeDecodeError as exc:
-                line += exc.object.count(b"\n", 0, exc.start)
-                bad = exc.object[exc.start]
-                return f"{path}:{line}: cannot decode byte 0x{bad:02x} as UTF-8 ({exc.reason})"
-            if not chunk:
-                return f"{path}: cannot decode as UTF-8"
-            line += chunk.count(b"\n")
 
 
 def _split_list(cell: str) -> list[str]:

@@ -28,9 +28,12 @@ def read_json(path: str | Path) -> list[dict[str, Any]]:
     if not path.exists():
         raise DataSourceError(f"no such JSON file: {path}")
     records: list[dict[str, Any]] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
+    with open(path, "rb") as handle:  # decoded by line, so errors come in file order
+        for line_number, raw in enumerate(handle, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise DataSourceError.undecodable(path) from exc
             if not line:
                 continue
             try:

@@ -19,7 +19,7 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 from typing import Any, Iterable
 
-from ..errors import DataSourceError
+from ..errors import DataSourceError, SchemaError
 from .schema import Schema
 
 _ITEM_TAGS = {"authors": "author", "keywords": "keyword"}
@@ -64,7 +64,7 @@ def read_xml(
         raise DataSourceError(f"{path}: invalid XML: {exc}") from exc
     records: list[dict[str, Any]] = []
     columns = list(zip(schema.names, schema.casters())) if schema is not None else []
-    for element in tree.getroot().iter(record_tag):
+    for number, element in enumerate(tree.getroot().iter(record_tag), start=1):
         record: dict[str, Any] = {}
         for child in element:
             if len(child):  # wrapper with item children -> list field
@@ -72,6 +72,10 @@ def read_xml(
             else:
                 record[child.tag] = child.text or ""
         if schema is not None:
-            record = {name: cast(record.get(name)) for name, cast in columns}
+            try:
+                record = {name: cast(record.get(name)) for name, cast in columns}
+            except SchemaError as exc:
+                exc.location = f"{path}: record {number}"
+                raise
         records.append(record)
     return records

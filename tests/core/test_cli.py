@@ -398,3 +398,20 @@ class TestServeCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert "error: cannot read workload" in err
+
+
+@pytest.mark.parametrize("name, spec, body, message", [
+    ("byte.json", "json", b'{"a": 1}\n{"a": "x\xff"}\n',
+     "{path}:2: cannot decode byte 0xff as UTF-8 (invalid start byte)"),
+    ("cast.xml", "xml:a:int", b"<records><record><a>seven</a></record></records>",
+     "{path}: record 1: cannot cast 'seven' to int for field 'a'"),
+])
+def test_a_bad_json_byte_or_xml_cast_names_its_file(tmp_path, name, spec, body, message):
+    bad = tmp_path / name
+    bad.write_bytes(body)
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", "query", "--table", f"t={bad}:{spec}", "SELECT * FROM t x"],
+        env={**os.environ, "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (1, f"error: {message.format(path=bad)}\n")

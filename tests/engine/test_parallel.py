@@ -16,7 +16,7 @@ import time
 import pytest
 
 from repro.baselines import CleanDBSystem
-from repro.engine import Cluster, ShipLog, WorkerPool, WorkerTaskError, begin_transport_scope
+from repro.engine import Cluster, ShipLog, WorkerPool, WorkerTaskError
 from repro.engine import parallel
 from repro.engine.parallel import ABANDONED_LIMIT
 from repro.errors import BudgetExceededError, ReproError
@@ -386,7 +386,6 @@ class TestConcurrentCallers:
         taken = {}
 
         def drive(tag):
-            begin_transport_scope()
             log = ShipLog(pool)
             barrier.wait()
             pool.run(_square, [(i,) for i in range(10)])

@@ -9,6 +9,7 @@ datasets so ``repr`` comparisons are stable.
 """
 
 import asyncio
+import threading
 
 import pytest
 
@@ -130,6 +131,68 @@ class TestConcurrencyParity:
 
         asyncio.run(drive())
         assert order == [0, 1, 2]
+
+    def test_a_service_reused_across_event_loops_keeps_fifo_and_answers(self):
+        """Two ``asyncio.run`` calls on one service: each tenant's queries
+        still finish in submission order, and every answer equals a fresh
+        service's."""
+        with _service() as fresh:
+            expected = [repr(o.rows) for o in fresh.run_queries(_workload()).outcomes]
+
+        async def drive(svc):
+            done = []
+            tasks = [
+                svc.submit(spec["tenant"], {k: v for k, v in spec.items() if k != "tenant"})
+                for spec in _workload()
+            ]
+            for i, task in enumerate(tasks):
+                task.add_done_callback(lambda _t, i=i: done.append(i))
+            return await asyncio.gather(*tasks), done
+
+        with _service() as svc:
+            for _ in range(2):
+                outcomes, done = asyncio.run(drive(svc))
+                assert [repr(o.rows) for o in outcomes] == expected
+                for tenant in ("acme", "zen"):
+                    mine = [i for i in done if _workload()[i]["tenant"] == tenant]
+                    assert mine == sorted(mine)
+
+
+class TestTenantThreads:
+    def test_one_thread_per_tenant_and_none_after_close(self):
+        before = set(threading.enumerate())
+        svc = _service()
+        try:
+            assert svc.run_queries(_workload()).all_ok
+            started = [t for t in threading.enumerate() if t not in before]
+            assert len(started) == len(svc.tenants) == 2
+        finally:
+            svc.close()
+        assert not any(t.is_alive() for t in started)
+
+    def test_a_query_that_raises_leaves_its_tenant_idle(self, monkeypatch):
+        """An exception outside the caught tuple still releases ``busy``,
+        so the governor can unpin that tenant's tables afterwards."""
+        svc = CleanService(workers=WORKERS, store_bytes_cap=1)
+        try:
+            svc.register_table("acme", "t", _rows(0))
+            svc.register_table("zen", "t", _rows(1))
+            svc.run_queries([_fd("acme")])
+            assert svc.session("acme").db.pinned_table_bytes("t") > 0
+
+            def boom(db, op, spec):
+                raise RuntimeError("boom")
+
+            monkeypatch.setattr(CleanService, "_dispatch", staticmethod(boom))
+            with pytest.raises(RuntimeError, match="boom"):
+                svc.run_queries([_fd("acme")])
+            monkeypatch.undo()
+            assert not svc.session("acme").busy.locked()
+            svc.run_queries([_fd("zen")])
+            assert svc.session("acme").db.pinned_table_bytes("t") == 0
+            assert svc.session("zen").db.pinned_table_bytes("t") > 0
+        finally:
+            svc.close()
 
 
 # --------------------------------------------------------------------- #
