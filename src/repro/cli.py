@@ -505,13 +505,16 @@ def _run(args: Any) -> int:
     if args.command == "formats":
         print("\n".join(FORMATS))
         return 0
-    if args.command == "dc":
-        return run_dc(args)
-    if args.command == "serve":
+    if args.command == "serve":  # a service runs many operations: the host's setting
         return run_serve(args)
-    if args.command == "check":
-        return run_check(args)
+    from .engine.gcpause import collector_paused
 
+    with collector_paused():  # any other launch is one operation
+        return {"dc": run_dc, "check": run_check}.get(args.command, run_query)(args)
+
+
+def run_query(args: Any) -> int:
+    """The ``query`` and ``explain`` subcommands."""
     sql = args.sql
     if sql.startswith("@"):
         with open(sql[1:], "r", encoding="utf-8") as handle:

@@ -284,7 +284,7 @@ class TableStore:
         update_parts: list[list[tuple[int, Any]]] = [[] for _ in range(n)]
         for g, row in updated:
             update_parts[g % n].append((g // n, row))
-        log = ShipLog(pool)
+        log = ShipLog()
         try:
             # The patched layout is round-robin over the post-delta rows,
             # so the driver rows back the new version as plain re-pin

@@ -1,6 +1,6 @@
 """The engine's one rule about CPython's cycle collector: paused for the
 span of one operation — a :class:`~repro.core.language.CleanDB` check or
-query on the driver, one command in a worker — and otherwise exactly as the
+query, one command in a worker, one CLI launch — and otherwise exactly as the
 host left it.  An operation's intermediates are acyclic and die by reference
 count; a collector pass in the middle of one re-inspects them for nothing
 (docs/ARCHITECTURE.md, "The cycle collector").

@@ -60,8 +60,7 @@ class ShipLog:
     payload count for exactly that stage, whoever else is using the pool.
     """
 
-    def __init__(self, pool: Any):
-        self.pool = pool
+    def __init__(self) -> None:
         self.reset()
 
     def reset(self) -> None:

@@ -34,7 +34,6 @@ import multiprocessing.connection
 import os
 import pickle
 import time
-import traceback
 import weakref
 from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
@@ -114,7 +113,10 @@ def _failure_envelope(exc: BaseException) -> tuple:
     A pickle *round trip* (not just ``dumps``) is attempted: exceptions whose
     ``__reduce__`` succeeds but whose constructor rejects the pickled args
     would otherwise fail the reply's send and take the worker down.
+    ``traceback`` loads at the first failure, not with every pool.
     """
+    import traceback
+
     tb = traceback.format_exc()
     try:
         pickle.loads(pickle.dumps(exc))

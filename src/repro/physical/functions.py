@@ -10,10 +10,9 @@ optimizer instead of becoming black-box UDFs.
 
 from __future__ import annotations
 
+from importlib import import_module
 from typing import Any, Callable, Mapping, Sequence
 
-from ..cleaning.similarity import get_metric, record_matcher, similar
-from ..cleaning.tokenize import qgrams
 from ..errors import PlanningError
 
 
@@ -38,6 +37,12 @@ def freeze(value: Any) -> Any:
     return value
 
 
+def _cleaning(name: str) -> Any:
+    """``repro.cleaning.<name>``, imported at the first call of a builtin that
+    needs it: a query that calls none compiles no similarity code."""
+    return import_module(f"repro.cleaning.{name}")
+
+
 def _count(collection: Any) -> int:
     return len(collection)
 
@@ -48,9 +53,9 @@ def _distinct_count(collection: Any) -> int:
 
 DEFAULT_FUNCTIONS: dict[str, Callable] = {
     "prefix": prefix,
-    "similar": lambda metric, a, b, theta: similar(metric, str(a), str(b), theta),
-    "similarity": lambda metric, a, b: get_metric(metric)(str(a), str(b)),
-    "tokenize": lambda s, q=3: qgrams(str(s), int(q)),
+    "similar": lambda metric, a, b, theta: _cleaning("similarity").similar(metric, str(a), str(b), theta),
+    "similarity": lambda metric, a, b: _cleaning("similarity").get_metric(metric)(str(a), str(b)),
+    "tokenize": lambda s, q=3: _cleaning("tokenize").qgrams(str(s), int(q)),
     "count": _count,
     "len": _count,
     "distinct_count": _distinct_count,
@@ -193,7 +198,9 @@ def query_functions(
         key = (metric, theta, attrs if type(attrs) is tuple else tuple(attrs))
         match = matchers.get(key)
         if match is None:
-            match = matchers[key] = record_matcher(key[2], metric, theta, banded=sim_filters)
+            match = matchers[key] = _cleaning("similarity").record_matcher(
+                key[2], metric, theta, banded=sim_filters
+            )
         return match(a, b)
 
     return {

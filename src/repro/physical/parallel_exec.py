@@ -283,7 +283,7 @@ def resident_stages(
     the caller's stages, and evict every temp and any ad-hoc pin on every
     exit path — a failing task or a budget abort must not leave table-sized
     state resident in the workers."""
-    log = ShipLog(cluster.pool)
+    log = ShipLog()
     refs, owned = resident_input(cluster, records, pinned, name=f"{label}:input")
     stages = ResidentStages(cluster, refs, log)
     try:
@@ -452,7 +452,8 @@ class ParallelExecutor:
         (a Dataset of environments, a folded scalar, or a branch dict).
         Worker-resident intermediates are evicted on the way out — only
         pinned tables stay resident between runs."""
-        self._log = ShipLog(self.cluster.pool)
+        pool = self.cluster.pool  # a lazy pool forks here, before any stage is built
+        self._log = ShipLog()
         uses = Counter(_nest_signatures(op))
         self._shared = {signature for signature, n in uses.items() if n > 1}
         try:
@@ -466,8 +467,8 @@ class ParallelExecutor:
                 }
             return self._collected(self._execute(op))
         finally:
-            if self.cluster.has_pool:
-                self.cluster.pool.evict(self._temp_store)
+            if not pool.closed:
+                pool.evict(self._temp_store)
             for cache in (self._scan_refs, self._scanned, self._nests):
                 cache.clear()
 

@@ -90,7 +90,15 @@ def test_a_parallel_query_loads_no_cleaning_driver(table_spec):
     modules = loaded_after_cli("query", "--execution", "parallel", "--table", table_spec, SQL)
     assert "repro.physical.parallel_exec" in modules  # the pool did run
     assert not under(modules, *DRIVERS, "repro.sources.columnar", "repro.engine.faults")
+    # ``traceback`` loads at a worker's first failure, not with the pool.
+    assert not under(modules, "traceback", "linecache")
 
+
+@pytest.mark.parametrize("execution", ["row", "parallel"])
+def test_a_query_that_calls_no_similarity_builtin_loads_no_similarity_code(table_spec, execution):
+    modules = loaded_after_cli("query", "--execution", execution, "--table", table_spec, SQL)
+    assert "repro.physical.functions" in modules  # the builtins did load
+    assert not under(modules, "repro.cleaning.similarity", "repro.cleaning.tokenize")
 
 
 @pytest.mark.parametrize("command", [
@@ -248,11 +256,13 @@ def test_a_pool_forked_by_a_query_imports_a_check_driver_once():
     )
     for forked, once, twice in zip(at_fork, first, second):
         assert QUERY_TASKS <= forked and not DRIVERS & forked
-        # The task modules of check_dc and deduplicate; the ladder and
-        # ``denial`` hold no task these two run.
+        # The task modules of check_dc and deduplicate and the similarity
+        # modules they import; the ladder and ``denial`` hold no task these
+        # two run.
         assert once - forked == {
             "repro.cleaning.dc_kernel", "repro.cleaning.dedup", "repro.cleaning.simjoin",
-            "repro.cleaning.blocking", "repro.cleaning.kmeans",
+            "repro.cleaning.blocking", "repro.cleaning.kmeans", "repro.cleaning.similarity",
+            "repro.cleaning.tokenize",
         }
         assert twice == once
 

@@ -2,7 +2,8 @@
 otherwise as the host left it: counted and observed, never timed.
 
 The rule is ``repro.engine.gcpause.collector_paused``; it is applied to
-``CleanDB.execute``, ``CleanDB._run_check`` and a worker's command loop.
+``CleanDB.execute``, ``CleanDB._run_check``, a worker's command loop and a
+CLI launch of any command but ``serve``.
 What must hold: the host's setting survives (return, exception, nesting, a
 host that runs with the collector off); no collector pass of any generation
 starts while an operation's body is running; overlapping operations cannot
@@ -11,18 +12,24 @@ keep the collector off for longer than the one that paused it; and a worker
 collects between commands.
 """
 
+import contextlib
 import gc
+import os
+import subprocess
 import sys
 import threading
 import weakref
+from pathlib import Path
 
 import pytest
 
+import repro
 import repro.cleaning.denial as denial
-from repro import CleanDB
+from repro import CleanDB, cli
 from repro.engine import FaultPlan, WorkerPool
 from repro.engine.gcpause import collector_paused
 from repro.errors import ParseError
+from repro.sources import Schema, write_csv
 
 ROWS = 5000
 RULE = "t1.k = t2.k and t1.price < t2.price and t1.disc > t2.disc"
@@ -97,13 +104,10 @@ def _operation_bodies():
     }
 
 
-@pytest.fixture
-def passes_inside():
-    """Generations of the collector passes that *started* while an
-    operation's body was on the calling thread's stack.  The one pass over
-    what an operation returns starts after the pause is lifted, with the
-    body already gone, and is not counted: that window is the design."""
-    bodies = _operation_bodies()
+@contextlib.contextmanager
+def passes_while_on_stack(codes):
+    """Generations of the collector passes that *started* while one of
+    ``codes`` was on the calling thread's stack."""
     seen = []
 
     def record(phase, info):
@@ -111,14 +115,26 @@ def passes_inside():
             return
         frame = sys._getframe(1)
         while frame is not None:
-            if frame.f_code in bodies:
+            if frame.f_code in codes:
                 seen.append(info["generation"])
                 return
             frame = frame.f_back
 
     gc.callbacks.append(record)
-    yield seen
-    gc.callbacks.remove(record)
+    try:
+        yield seen
+    finally:
+        gc.callbacks.remove(record)
+
+
+@pytest.fixture
+def passes_inside():
+    """Passes that started while an operation's body was on the stack.  The
+    one pass over what an operation returns starts after the pause is
+    lifted, with the body already gone, and is not counted: that window is
+    the design."""
+    with passes_while_on_stack(_operation_bodies()) as seen:
+        yield seen
 
 
 @pytest.mark.parametrize("execution", ["row", "parallel"])
@@ -134,6 +150,62 @@ def test_no_collector_pass_starts_inside_an_operation(execution, collector_on, p
         if execution == "parallel":
             assert db.cluster.metrics.degraded_ops == 0
             assert any(op.name.endswith(":parCombine") for op in db.cluster.metrics.ops)
+
+
+# -- a CLI launch --------------------------------------------------------- #
+
+@pytest.fixture
+def launch(tmp_path, capsys):
+    """``main(["query", ...])`` in process over a 2 000-row CSV, returning
+    the generations of the collector passes that started while the command
+    (``run_query``, from dispatch to return) was on the stack: its load and
+    query allocate far past a young threshold, so an unpaused launch
+    collects many times."""
+    path = tmp_path / "t.csv"
+    write_csv(path, table(2000), Schema.of(k="int", v="int"))
+
+    def run():
+        with passes_while_on_stack({cli.run_query.__code__}) as seen:
+            code = cli.main(["query", "--table", f"t={path}:csv:k:int,v:int",
+                             "SELECT * FROM t x FD(x.k, x.v)"])
+        assert code == 0 and capsys.readouterr().out
+        return seen
+
+    return run
+
+
+def test_a_cli_launch_runs_no_collector_pass_from_dispatch_to_return(collector_on, launch):
+    assert launch() == []
+    assert gc.isenabled()
+    gc.disable()
+    assert launch() == []
+    assert not gc.isenabled()  # a host that runs with the collector off keeps it off
+
+
+def test_python_m_repro_freezes_the_heap_before_exit():
+    """``atexit`` hooks run before the interpreter's final collection; by
+    then the launch's heap is frozen, so that collection skips it."""
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import atexit, gc, runpy\n"
+         "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+         "runpy.run_module('repro', run_name='__main__')",
+         "formats"],
+        env={**os.environ, "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "frozen True"
+
+
+def test_serve_runs_with_the_host_setting(collector_on, monkeypatch, tmp_path):
+    entered = []
+    monkeypatch.setattr(cli, "run_serve", lambda args: entered.append(gc.isenabled()) or 0)
+    argv = ["serve", "--workload", str(tmp_path / "w.json")]
+    assert cli.main(argv) == 0
+    gc.disable()
+    assert cli.main(argv) == 0
+    assert entered == [True, False]
 
 
 # -- overlap -------------------------------------------------------------- #

@@ -386,7 +386,7 @@ class TestConcurrentCallers:
         taken = {}
 
         def drive(tag):
-            log = ShipLog(pool)
+            log = ShipLog()
             barrier.wait()
             pool.run(_square, [(i,) for i in range(10)])
             taken[tag] = log.take()

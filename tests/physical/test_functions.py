@@ -6,9 +6,20 @@ are one table: what the executor binds for a query and what the static
 analyzer exempts from CM104 / CM501 are its key set, not two lists.
 """
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro import CleanDB
+from repro.algebra import Scan, Select
+from repro.engine import Cluster
+from repro.monoid import Call, Const, Proj, Var
+from repro.physical import Executor, ParallelExecutor, PhysicalConfig
 from repro.core.rewriter import rewrite_query
 from repro.core.parser import parse
 from repro.core.semantics import ENGINE_BUILTINS
@@ -68,6 +79,66 @@ def test_shippability_of_the_builtins_is_unchanged():
         if is_module_level_callable(f) or is_picklable(f)
     }
     assert ships == {"freeze", "nth", "agg"}
+
+
+SIMILARITY_CALLS = [
+    ("similar", ("LD", "stella gian", "stela gian", 0.8)),
+    ("similar", ("LD", "abc", "xyz", 0.5)),
+    ("similar", ("jaccard", 1234, 1243, 0.3)),
+    ("similarity", ("LD", "stella gian", "stela gian")),
+    ("similarity", ("jaro", "abcd", "abce")),
+    ("similarity", ("LD", 12, 21)),
+    ("tokenize", ("abcd",)),
+    ("tokenize", ("hello", 2)),
+    ("tokenize", (42, "2")),
+]
+
+
+def test_the_similarity_builtins_load_their_modules_at_the_first_call():
+    """In a fresh interpreter the registry loads neither ``cleaning.similarity``
+    nor ``cleaning.tokenize``; the first call does, and every answer is the
+    one the registry gave when it imported them eagerly."""
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys\n"
+         "from repro.physical.functions import DEFAULT_FUNCTIONS\n"
+         "def loaded():\n"
+         "    return sorted(m for m in ('repro.cleaning.similarity', 'repro.cleaning.tokenize')\n"
+         "                  if m in sys.modules)\n"
+         "before = loaded()\n"
+         f"answers = [DEFAULT_FUNCTIONS[name](*args) for name, args in {SIMILARITY_CALLS!r}]\n"
+         "print(json.dumps({'before': before, 'after': loaded(), 'answers': answers}))"],
+        env={**os.environ, "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout)
+    assert out["before"] == []
+    assert out["after"] == ["repro.cleaning.similarity", "repro.cleaning.tokenize"]
+    assert out["answers"] == [
+        True, False, False,
+        0.9090909090909091, 0.8333333333333334, 0.0,
+        ["abc", "bcd"], ["he", "el", "ll", "lo"], ["42"],
+    ]
+
+
+@pytest.mark.parametrize("name, args", [
+    ("similar", (Const("LD"), Proj(Var("r"), "name"), Const("stela gian"), Const(0.8))),
+    ("similarity", (Const("LD"), Proj(Var("r"), "name"), Const("stela gian"))),
+    ("tokenize", (Proj(Var("r"), "name"),)),
+])
+def test_a_plan_calling_a_similarity_builtin_stays_on_the_row_path(name, args):
+    """The three stay lambdas: ``ParallelExecutor.supports`` routes a plan
+    calling one exactly as when they imported their modules eagerly, while
+    the same plan calling the module-level ``prefix`` is claimed."""
+    cluster = Cluster(num_nodes=4, workers=2)
+    try:
+        ex = Executor(cluster, {"t": TABLES["customer"]}, config=PhysicalConfig(execution="parallel"))
+        par = ParallelExecutor(ex)
+        assert not par.supports(Select(Scan("t", "r"), Call(name, args)))
+        assert par.supports(Select(Scan("t", "r"), Call("prefix", (Proj(Var("r"), "name"),))))
+    finally:
+        cluster.shutdown()
 
 
 def test_freeze_covers_every_container():
@@ -139,7 +210,7 @@ def test_agg_rejects_an_unknown_kind():
 
 
 def test_similar_records_shares_one_matcher_per_setting(monkeypatch):
-    import repro.physical.functions as functions
+    import repro.cleaning.similarity as similarity
 
     built = []
 
@@ -147,7 +218,7 @@ def test_similar_records_shares_one_matcher_per_setting(monkeypatch):
         built.append(attrs)
         return lambda a, b: a["name"] == b["name"]
 
-    monkeypatch.setattr(functions, "record_matcher", matcher)
+    monkeypatch.setattr(similarity, "record_matcher", matcher)
     similar = bound(PLAIN)["similar_records"]
     a, b = {"name": "x"}, {"name": "x"}
     assert similar("LD", a, b, 0.8, ("name",)) and similar("LD", a, b, 0.8, ("name",))
