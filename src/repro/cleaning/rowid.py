@@ -66,3 +66,12 @@ def fill_rids(records: Sequence[Any], start: int = 0) -> list[Any]:
         else record
         for i, record in enumerate(records)
     ]
+
+
+def own_rids(records: list[Any]) -> list[Any]:
+    """:func:`fill_rids` in place, for rows no caller shares (a file just
+    read): registration then keeps each dict instead of copying it."""
+    for i, record in enumerate(records):
+        if isinstance(record, dict) and record.get(RID) is None:
+            record[RID] = i
+    return records

@@ -23,17 +23,16 @@ picks the backend the banded kernel runs on.
 from __future__ import annotations
 
 import argparse
-import json
+import gc
 import os
 import sys
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
-from .errors import ParseError, ReproError
+from .errors import DataSourceError, ParseError, ReproError
 from .evaluation.reporting import format_table
 from .sources.catalog import FORMATS, Catalog
 
 if TYPE_CHECKING:
-    from .core.language import CleanDB
     from .sources.schema import Schema
 
 # The compiler and the engine are imported by the command that needs them.
@@ -65,12 +64,28 @@ def parse_table_spec(spec: str) -> tuple[str, str, str, Schema | None]:
     return name, path, fmt, schema
 
 
-def load_tables(specs: Sequence[str], db: CleanDB) -> None:
+def load_tables(specs: Sequence[str], register: Callable[..., None]) -> None:
+    """Read each spec's file and hand its rows over: ``register(name, rows,
+    fmt=)`` gets the reader's own rows, each stamped in place with its position."""
+    from .cleaning.rowid import own_rids
+
     catalog = Catalog()
     for spec in specs:
         name, path, fmt, schema = parse_table_spec(spec)
         catalog.register(name, path, fmt, schema)
-        db.register_table(name, catalog.load(name), fmt=fmt)
+        register(name, own_rids(catalog.load(name)), fmt=fmt)
+
+
+def _read_query(sql: str | None) -> str | None:
+    """A query argument's text: as given, or the file ``@PATH`` names."""
+    if sql is None or not sql.startswith("@"):
+        return sql
+    try:
+        with open(sql[1:], encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        why = DataSourceError.undecodable(sql[1:]) if isinstance(exc, UnicodeDecodeError) else exc
+        raise DataSourceError(f"cannot read query {sql[1:]}: {why}") from None
 
 
 def _print_branch(name: str, rows: list[Any]) -> None:
@@ -117,19 +132,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="CleanM/CleanDB: query and clean heterogeneous data",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    tables = argparse.ArgumentParser(add_help=False)  # query, explain, dc and check
+    tables.add_argument("--table", action="append", default=[],
+                        metavar="NAME=PATH:FORMAT[:SCHEMA]",
+                        help="register a data source (repeatable)")
 
     for cmd, help_text in (
         ("query", "execute a CleanM query and print every branch"),
         ("explain", "show the three-level optimization of a query"),
     ):
-        p = sub.add_parser(cmd, help=help_text)
-        p.add_argument(
-            "--table",
-            action="append",
-            default=[],
-            metavar="NAME=PATH:FORMAT[:SCHEMA]",
-            help="register a data source (repeatable)",
-        )
+        p = sub.add_parser(cmd, help=help_text, parents=[tables])
         p.add_argument("--nodes", type=int, default=10, help="simulated cluster size")
         p.add_argument("--budget", type=float, default=None, help="execution budget")
         p.add_argument(
@@ -164,14 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("sql", help="the CleanM query text (or @file to read one)")
 
     dc = sub.add_parser(
-        "dc", help="check (and optionally repair) a general denial constraint"
-    )
-    dc.add_argument(
-        "--table",
-        action="append",
-        default=[],
-        metavar="NAME=PATH:FORMAT[:SCHEMA]",
-        help="register a data source (repeatable)",
+        "dc", help="check (and optionally repair) a general denial constraint", parents=[tables]
     )
     dc.add_argument(
         "--on",
@@ -269,13 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
             "statically analyze a CleanM query and/or DC rule without "
             "executing anything; exit 1 on any error diagnostic"
         ),
-    )
-    check.add_argument(
-        "--table",
-        action="append",
-        default=[],
-        metavar="NAME=PATH:FORMAT[:SCHEMA]",
-        help="register a data source (repeatable)",
+        parents=[tables],
     )
     check.add_argument(
         "--rule",
@@ -330,14 +329,10 @@ def run_check(args: Any) -> int:
     if args.sql is None and args.rule is None:
         print("error: pass a query, --rule, or both", file=sys.stderr)
         return 1
-    sql = args.sql
-    if sql is not None and sql.startswith("@"):
-        with open(sql[1:], "r", encoding="utf-8") as handle:
-            sql = handle.read()
-
-    db = CleanDB()
+    sql, db = args.sql, CleanDB()
     try:
-        load_tables(args.table, db)
+        sql = _read_query(sql)
+        load_tables(args.table, db.register_table)
         if args.rule is not None:
             db.rule_table(args.on)  # an unresolvable table fails as in `repro dc`
         # Analyze for the requested backend without ever creating it: the
@@ -369,35 +364,37 @@ def run_dc(args: Any) -> int:
     from .core.language import CleanDB
     from .core.semantics import DiagnosticsError, render_diagnostics
 
-    db = CleanDB(
-        num_nodes=args.nodes,
-        budget=args.budget if args.budget is not None else math.inf,
-        execution=args.execution,
-        workers=args.workers,
-        dc_strategy=args.dc_strategy,
-    )
     try:
-        load_tables(args.table, db)
-        table = db.rule_table(args.on)
-        if table is None:
-            raise ValueError("no table registered: pass --table NAME=PATH:FORMAT[:SCHEMA]")
-        violations = db.check_dc(table, args.rule, where=args.where)
-        print(f"-- {len(violations)} violating pairs ({args.dc_strategy}) --")
-        for t1, t2 in violations[:20]:
-            print(f"  t1={_short(t1)}  t2={_short(t2)}")
-        if len(violations) > 20:
-            print(f"  ... {len(violations) - 20} more pairs")
-        if args.repair:
-            report = db.repair_dc(table, args.rule, violations=violations, where=args.where)
-            print("\n-- repair by relaxation --")
-            print(f"  cover cells:         {report.cover_size}")
-            print(f"  cells changed:       {report.cells_changed}")
-            print(f"  cells nulled:        {report.cells_nulled}")
-            print(f"  rounds:              {report.rounds}")
-            print(f"  residual violations: {report.residual_violations}")
-        if args.metrics:
-            print("\n-- metrics --")
-            print(json.dumps(db.cluster.metrics.summary(), indent=2, sort_keys=True))
+        with CleanDB(
+            num_nodes=args.nodes,
+            budget=args.budget if args.budget is not None else math.inf,
+            execution=args.execution,
+            workers=args.workers,
+            dc_strategy=args.dc_strategy,
+        ) as db:
+            load_tables(args.table, db.register_table)
+            table = db.rule_table(args.on)
+            if table is None:
+                raise ValueError("no table registered: pass --table NAME=PATH:FORMAT[:SCHEMA]")
+            violations = db.check_dc(table, args.rule, where=args.where)
+            print(f"-- {len(violations)} violating pairs ({args.dc_strategy}) --")
+            for t1, t2 in violations[:20]:
+                print(f"  t1={_short(t1)}  t2={_short(t2)}")
+            if len(violations) > 20:
+                print(f"  ... {len(violations) - 20} more pairs")
+            if args.repair:
+                report = db.repair_dc(table, args.rule, violations=violations, where=args.where)
+                print("\n-- repair by relaxation --")
+                print(f"  cover cells:         {report.cover_size}")
+                print(f"  cells changed:       {report.cells_changed}")
+                print(f"  cells nulled:        {report.cells_nulled}")
+                print(f"  rounds:              {report.rounds}")
+                print(f"  residual violations: {report.residual_violations}")
+            if args.metrics:
+                import json
+
+                print("\n-- metrics --")
+                print(json.dumps(db.cluster.metrics.summary(), indent=2, sort_keys=True))
     except DiagnosticsError as exc:
         # A malformed or unsatisfiable rule exits with caret-annotated
         # diagnostics instead of a parser traceback.
@@ -410,8 +407,6 @@ def run_dc(args: Any) -> int:
     except (ReproError, ValueError, OSError) as exc:
         print(_error_line(exc), file=sys.stderr)
         return 1
-    finally:
-        db.close()
     return 0
 
 
@@ -419,6 +414,8 @@ def run_serve(args: Any) -> int:
     """The ``serve`` subcommand: drive a multi-tenant workload against one
     shared worker pool and report per-query outcomes plus a latency
     summary.  Exit code 0 iff every query finished ok."""
+    import json
+
     from .serving import CleanService
 
     try:
@@ -446,14 +443,11 @@ def run_serve(args: Any) -> int:
     try:
         for tenant, budget in budgets.items():
             service.session(tenant, budget=float(budget))
-        catalog = Catalog()
-        for spec in args.table:
-            name, path, fmt, schema = parse_table_spec(spec)
+        def register(name: str, rows: list[Any], fmt: str) -> None:
             tenant, _, table = name.rpartition("/")
-            tenant = tenant or "default"
-            key = f"{tenant}.{table}"
-            catalog.register(key, path, fmt, schema)
-            service.register_table(tenant, table, catalog.load(key), fmt=fmt)
+            service.register_table(tenant or "default", table, rows, fmt=fmt)
+
+        load_tables(args.table, register)
         report = service.run_queries(queries, sequential=args.sequential)
     except (ReproError, ValueError, OSError) as exc:
         print(_error_line(exc), file=sys.stderr)
@@ -509,37 +503,38 @@ def _run(args: Any) -> int:
         return run_serve(args)
     from .engine.gcpause import collector_paused
 
+    thaw = not gc.get_freeze_count()  # a host's own frozen objects stay as they are
     with collector_paused():  # any other launch is one operation
-        return {"dc": run_dc, "check": run_check}.get(args.command, run_query)(args)
+        code = {"dc": run_dc, "check": run_check}.get(args.command, run_query)(args)
+        if thaw:  # the young generation empties: re-enabling starts no pass over the launch
+            gc.freeze()
+    if thaw:
+        gc.unfreeze()
+    return code
 
 
 def run_query(args: Any) -> int:
     """The ``query`` and ``explain`` subcommands."""
-    sql = args.sql
-    if sql.startswith("@"):
-        with open(sql[1:], "r", encoding="utf-8") as handle:
-            sql = handle.read()
-
     import math
 
     from .core.language import CleanDB
 
-    db = CleanDB(
-        num_nodes=args.nodes,
-        budget=args.budget if args.budget is not None else math.inf,
-        execution=args.execution,
-        workers=args.workers,
-        coalesce=not args.no_coalesce,
-        sim_filters=not args.no_sim_filters,
-    )
+    sql = args.sql
     try:
-        load_tables(args.table, db)
-        result = db.explain(sql) if args.command == "explain" else db.execute(sql)
+        sql = _read_query(sql)
+        with CleanDB(
+            num_nodes=args.nodes,
+            budget=args.budget if args.budget is not None else math.inf,
+            execution=args.execution,
+            workers=args.workers,
+            coalesce=not args.no_coalesce,
+            sim_filters=not args.no_sim_filters,
+        ) as db:
+            load_tables(args.table, db.register_table)
+            result = db.explain(sql) if args.command == "explain" else db.execute(sql)
     except (ReproError, ValueError, OSError) as exc:
         _print_error(exc, {"query": sql})
         return 1
-    finally:
-        db.close()
 
     if args.command == "explain":
         print(result)
@@ -547,6 +542,8 @@ def run_query(args: Any) -> int:
     for name, rows in result.branches.items():
         _print_branch(name, rows)
     if args.metrics:
+        import json
+
         print("\n-- metrics --")
         print(json.dumps(result.metrics, indent=2, sort_keys=True))
     return 0

@@ -36,7 +36,6 @@ Every code is registered in :data:`CODES`; the docs reference
 
 from __future__ import annotations
 
-import difflib
 from itertools import repeat
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -480,6 +479,8 @@ def _call_names_in(query: Query) -> set[str]:
 
 
 def _did_you_mean(name: str, candidates: Iterable[str]) -> str | None:
+    import difflib  # only a misspelled name pays for it
+
     matches = difflib.get_close_matches(name, list(candidates), n=1, cutoff=0.6)
     return f"did you mean {matches[0]!r}?" if matches else None
 

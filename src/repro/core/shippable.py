@@ -1,7 +1,7 @@
 """The shippability rule: can this value cross a process boundary?
 
-One pure module (``pickle`` and ``sys`` only, so asking never loads the
-worker pool) behind every place the question comes up: the static
+One pure module (``sys`` only; ``pickle`` at the first probe, so asking never
+loads the worker pool) behind every place the question comes up: the static
 analyzer's CM501, ``ParallelExecutor.supports`` and :func:`shippable`, the
 cleaning ladder's parallel precondition (it reaches the pool only through
 the cluster it is handed).  ``is_hashable`` is its sibling for caches.
@@ -9,13 +9,14 @@ the cluster it is handed).  ``is_hashable`` is its sibling for caches.
 
 from __future__ import annotations
 
-import pickle
 import sys
 from typing import Any, Callable
 
 
 def is_picklable(obj: Any) -> bool:
     """Whether ``obj`` survives a pickle round trip (task-shippable)."""
+    import pickle
+
     try:
         pickle.loads(pickle.dumps(obj))
         return True

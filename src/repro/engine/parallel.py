@@ -218,9 +218,9 @@ class WorkerPool:
         # Generation replaced and rebuilt from lineage; lagging behind
         # ``_worker_gen``, the next dispatch to it runs ``_ensure_recovered``.
         self._recovered_gen: list[int] = [0] * workers
-        # Liveness: each worker ticks its slot on every command; the driver
-        # keeps the last value seen and when it last changed (see ``_hung``).
-        self._heartbeat = self._ctx.RawArray("Q", workers)
+        # Liveness: each worker ticks its slot on every command; the driver keeps the last value
+        # seen and when it last changed (``_hung``), so only a deadline needs the slots shared.
+        self._heartbeat = [0] * workers if task_deadline is None else self._ctx.RawArray("Q", workers)
         self._hb_last: list[int] = [0] * workers
         self._hb_ts: list[float] = [time.monotonic()] * workers
         for w in range(workers):

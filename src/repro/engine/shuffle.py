@@ -32,7 +32,6 @@ partition *i*'s records before partition *i+1*'s, each in original order.
 from __future__ import annotations
 
 import math
-import pickle
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from .cluster import Cluster
@@ -194,6 +193,8 @@ def _route_to_blobs(
     """Map side of the resident exchange: route one partition, then pickle
     each target's bucket into one opaque blob (``None`` for empty buckets,
     so nothing ships for targets that receive no records)."""
+    import pickle  # worker tasks: a driver that never exchanges loads no pickle
+
     buckets = _route_partition(part, partitioner, num_partitions)
     return [pickle.dumps(bucket) if bucket else None for bucket in buckets]
 
@@ -201,6 +202,8 @@ def _route_to_blobs(
 def _merge_blob_buckets(blobs: list[bytes | None]) -> list[KeyedRecord]:
     """Reduce side of the resident exchange: unpickle and concatenate one
     target's blobs in input-partition order."""
+    import pickle
+
     out: list[KeyedRecord] = []
     for blob in blobs:
         if blob is not None:

@@ -208,9 +208,9 @@ def _worker_main(inbox: Any, outbox: Any, worker_index: int, faults: dict, heart
     ``outbox`` are this worker's ends of its two pipes
     (:func:`start_worker`); the loop ends when the driver's end closes.
 
-    ``heartbeat`` is a shared array the worker ticks on every command and
-    after every task; the driver's deadline watchdog reads it to tell "hung"
-    from "slowly working".  ``faults`` (tests only), this process's share of
+    ``heartbeat`` is ticked on every command and after every task; under a
+    deadline it is shared, read by the driver's watchdog to tell "hung" from
+    "slowly working".  ``faults`` (tests only), this process's share of
     a :class:`~repro.engine.faults.FaultPlan`, schedules deterministic
     crashes/delays/drops/corruptions by this worker's task count.
 

@@ -172,6 +172,69 @@ class TestCommands:
         assert "budget" in capsys.readouterr().err
 
 
+CUSTOMER = "customer={}:csv:name:str,address:str,nationkey:int"
+
+
+@pytest.mark.parametrize("command", [["query"], ["check"]])
+@pytest.mark.parametrize("body, reason", [
+    (None, "[Errno 2] No such file or directory: '{path}'"),
+    (b"SELECT *\nFROM customer c \xff\n", "{path}:2: cannot decode byte 0xff as UTF-8 (invalid start byte)"),
+], ids=["missing", "not-utf8"])
+def test_an_unreadable_query_file_is_one_error_line(customer_csv, tmp_path, command, body, reason):
+    """A missing or non-UTF-8 ``@file`` is reported, not raised."""
+    path = tmp_path / "q.sql"
+    if body is not None:
+        path.write_bytes(body)
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", *command, "--table", CUSTOMER.format(customer_csv),
+         f"@{path}"],
+        env={**os.environ, "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])},
+        capture_output=True, text=True, timeout=120,
+    )
+    expected = f"error: cannot read query {path}: {reason.format(path=path)}\n"
+    assert (done.returncode, done.stdout, done.stderr) == (1, "", expected)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["query", "--nodes", "0"], "num_nodes must be positive"),
+    (["query", "--execution", "parallel", "--workers", "0"], "workers must be positive"),
+    (["dc", "--nodes", "0", "--rule", "t1.nationkey < t2.nationkey"], "num_nodes must be positive"),
+])
+def test_an_invalid_cluster_size_is_one_error_line(customer_csv, capsys, argv, message):
+    sql = [] if argv[0] == "dc" else ["SELECT * FROM customer c"]
+    assert main([*argv, "--table", CUSTOMER.format(customer_csv), *sql]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command", [["query"], ["query", "--execution", "parallel"]])
+def test_a_cli_table_keeps_the_rows_its_reader_made(customer_csv, monkeypatch, capsys, command):
+    """The rows ``Catalog.load`` returned are the registered rows, each
+    stamped with its position: registration copies none of them."""
+    from repro.core.tables import TableStore
+    from repro.sources.catalog import Catalog
+
+    read, registered = [], []
+    load, register = Catalog.load, TableStore.register
+
+    def loaded(self, name):
+        read.append(load(self, name))
+        return read[-1]
+
+    def spied(self, name, records, fmt="memory"):
+        register(self, name, records, fmt)
+        registered.append(self.get(name))
+
+    monkeypatch.setattr(Catalog, "load", loaded)
+    monkeypatch.setattr(TableStore, "register", spied)
+    argv = [*command, "--table", CUSTOMER.format(customer_csv), "SELECT * FROM customer c"]
+    assert main(argv) == 0
+    [rows], [table] = read, registered
+    assert len(table) == len(rows) == 2
+    assert all(mine is theirs for mine, theirs in zip(table, rows))
+    assert [row["_rid"] for row in table] == [0, 1]
+
+
 @pytest.mark.parametrize("command", [["formats"], ["query", "--metrics"], ["explain"], ["dc"]])
 def test_a_reader_that_closed_early_gets_exit_1_and_no_traceback(customer_csv, command):
     """``repro query ... | head``: every write to stdout fails with EPIPE,

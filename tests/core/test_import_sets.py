@@ -44,10 +44,12 @@ def fresh(code: str, *argv: str) -> dict:
 
 def loaded_after_cli(*argv: str) -> set[str]:
     out = fresh(
-        "import json, sys\n"
+        "import sys\n"
         "from repro.cli import main\n"
         "code = main(sys.argv[1:])\n"
-        "print(); print(json.dumps({'code': code, 'modules': sorted(sys.modules)}))",
+        "modules = sorted(sys.modules)\n"
+        "import json\n"
+        "print(); print(json.dumps({'code': code, 'modules': modules}))",
         *argv,
     )
     assert out["code"] == 0
@@ -69,7 +71,7 @@ def test_formats_loads_no_compiler_engine_parser_or_schema():
     modules = loaded_after_cli("formats")
     assert not under(
         modules, "repro.core", "repro.engine", "repro.cleaning", "repro.physical",
-        "repro.sources.schema", "dataclasses", "multiprocessing", "xml.etree",
+        "repro.sources.schema", "dataclasses", "multiprocessing", "xml.etree", "json",
     )
 
 
@@ -83,6 +85,8 @@ def test_row_query_never_reaches_the_pool(table_spec):
         "repro.cleaning.incremental", "repro.cleaning.repair", "repro.baselines",
         "repro.evaluation.runner", "repro.cleaning.kmeans", "repro.physical.theta_join",
         "multiprocessing",
+        # ``--metrics`` / ``serve``'s, the did-you-mean hint's and the pool's
+        "json", "difflib", "pickle",
     )
 
 
@@ -90,8 +94,70 @@ def test_a_parallel_query_loads_no_cleaning_driver(table_spec):
     modules = loaded_after_cli("query", "--execution", "parallel", "--table", table_spec, SQL)
     assert "repro.physical.parallel_exec" in modules  # the pool did run
     assert not under(modules, *DRIVERS, "repro.sources.columnar", "repro.engine.faults")
+    # No deadline, so no shared-memory heartbeat; no ``--metrics``, no misspelled name.
+    assert not under(modules, "ctypes", "multiprocessing.sharedctypes", "multiprocessing.heap",
+                     "json", "difflib")
     # ``traceback`` loads at a worker's first failure, not with the pool.
     assert not under(modules, "traceback", "linecache")
+
+
+def test_a_pool_without_a_deadline_shares_no_memory():
+    out = fresh(
+        "import sys\n"
+        "from repro.engine import WorkerPool\n"
+        "seen = []\n"
+        "for deadline in (None, 60.0):\n"
+        "    with WorkerPool(2, task_deadline=deadline) as pool:\n"
+        "        assert pool.run(abs, [(-1,), (-2,)]) == [1, 2]\n"
+        "        seen.append(['ctypes' in sys.modules, type(pool._heartbeat).__name__])\n"
+        "import json\n"
+        "print(json.dumps(seen))"
+    )
+    assert out[0] == [False, "list"]  # ticked in each worker, read by no one
+    assert out[1][0] is True and out[1][1] != "list"  # the watchdog's shared array
+
+
+@pytest.mark.parametrize("execution", ["row", "parallel"])
+def test_a_query_launch_sees_no_collector_pass_from_dispatch_to_exit(table_spec, execution):
+    """``python -m repro query``: no pass inside the command
+    (``collector_paused``), and none over the launch's heap when the pause
+    ends (``_run`` freezes it before the collector is back on)."""
+    out = fresh(
+        "import gc, json, runpy, sys\n"
+        "passes = []\n"
+        "gc.callbacks.append(lambda phase, info: phase == 'start' and passes.append(info))\n"
+        "import repro.cli as cli\n"
+        "dispatch = cli._run\n"
+        "def probed(args):\n"
+        "    passes.clear()\n"
+        "    return dispatch(args)\n"
+        "cli._run = probed\n"
+        "sys.argv = ['repro', *sys.argv[1:]]\n"
+        "try:\n"
+        "    runpy.run_module('repro', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "print(); print(json.dumps({'code': code, 'passes': passes}))",
+        "query", "--execution", execution, "--table", table_spec, SQL,
+    )
+    assert out == {"code": 0, "passes": []}
+
+
+def test_an_in_process_launch_restores_the_collector_and_freezes_nothing(table_spec):
+    out = fresh(
+        "import gc, json, sys\n"
+        "from repro.cli import main\n"
+        "seen = []\n"
+        "for host_frozen in (False, True):\n"
+        "    if host_frozen:\n"
+        "        gc.freeze()  # a host's own frozen heap stays frozen\n"
+        "    before = gc.get_freeze_count()\n"
+        "    code = main(sys.argv[1:])\n"
+        "    seen.append([code, gc.isenabled(), gc.get_freeze_count() == before, before > 0])\n"
+        "print(); print(json.dumps(seen))",
+        "query", "--table", table_spec, SQL,
+    )
+    assert out == [[0, True, True, False], [0, True, True, True]]
 
 
 @pytest.mark.parametrize("execution", ["row", "parallel"])

@@ -100,6 +100,15 @@ def test_a_failing_update_leaves_the_session_untouched(kind, bad):
             assert after[0] == [1, 2]
 
 
+def test_registration_stamps_copies_and_leaves_the_callers_dicts_alone():
+    rows = [{"a": 1}, {"a": 2, "_rid": None}, {"a": 3, "_rid": 7}]
+    db = CleanDB()
+    db.register_table("t", rows)
+    assert rows == [{"a": 1}, {"a": 2, "_rid": None}, {"a": 3, "_rid": 7}]
+    assert db.table("t") == [{"a": 1, "_rid": 0}, {"a": 2, "_rid": 1}, {"a": 3, "_rid": 7}]
+    assert [mine is theirs for mine, theirs in zip(db.table("t"), rows)] == [False, False, True]
+
+
 def test_an_empty_write_is_a_no_op():
     with CleanDB(num_nodes=2) as db:
         db.register_table("t", rows())

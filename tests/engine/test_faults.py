@@ -186,7 +186,7 @@ class TestReplyFaultRecovery:
         retry), never the replies of the other worker or the replacement:
         a reply channel shared between workers behind one cross-process
         write lock hung every later call here."""
-        with WorkerPool(2) as pool:
+        with WorkerPool(2, task_deadline=60.0) as pool:  # a heartbeat to read; never fires
             _forbid_invalidate(pool)
             assert pool.run(_double, [(0,), (1,)]) == [0, 2]
             with pool._reply_cond:

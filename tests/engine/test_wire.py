@@ -170,7 +170,7 @@ class TestMessages:
     def test_an_eviction_reaches_an_idle_pool(self):
         """An ``evict`` with no task batch after it still reaches every
         worker: the memory it frees does not wait for the next dispatch."""
-        with WorkerPool(2) as pool:
+        with WorkerPool(2, task_deadline=60.0) as pool:  # a heartbeat to read; never fires
             refs = pool.pin("t", 1, [[1, 2], [3]])
             assert pool.run(_sum_part, [(ref,) for ref in refs]) == [3, 3]
             before = _heartbeats(pool)  # every command so far has run
