@@ -1,9 +1,11 @@
 """Machine-readable benchmark emitters: ``BENCH_fig8.json`` / ``BENCH_dc.json``.
 
 ``RESULTS.txt`` renders the benchmark tables for humans; this module writes
-the headline numbers — measured seconds, candidate/verified comparison
-counts, and the pruning ratio — as JSON so the perf trajectory stays
-comparable across PRs without parsing text tables.  ``BENCH_fig8.json``
+the headline numbers — simulated times, candidate/verified comparison
+counts, and the pruning ratio — as JSON so they stay comparable across
+commits without parsing text tables.  Both hold only what a rerun
+reproduces byte for byte: nothing read off a clock or the host goes into
+them (measured time is ``python3 -m bench``'s).  ``BENCH_fig8.json``
 carries the dedup similarity-kernel figures, ``BENCH_dc.json`` the
 denial-constraint scale-out figures.  Each bench merges its own section
 into its file (read-modify-write), so running one test alone refreshes
@@ -33,7 +35,6 @@ def run_record(result: Any) -> dict:
     """
     record = {
         "status": result.status,
-        "measured_seconds": round(result.wall_seconds, 4),
         "candidates": result.comparisons,
         "verified": result.verified,
         "pruning_ratio": round(result.pruning_ratio, 4),

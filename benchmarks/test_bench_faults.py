@@ -13,12 +13,13 @@ Assertions:
 * **Oracle parity** — every recovered outcome is ``repr``-identical to the
   fault-free run's (recovery must be invisible in results);
 * **Recovered, not degraded** — the kill surfaces as retries on the
-  parallel backend, never as a row-backend fallback (which would make the
-  latency comparison meaningless).
+  parallel backend, never as a row-backend fallback (which would leave the
+  recovery path unexercised).
 
-The recovered / fault-free wall-clock ratio is recorded, not asserted: on
-a shared 2-core host it swings past 2x with no fault-path change, so it is
-a reading, not a contract.  Results land in ``BENCH_faults.json``.
+The recovered / fault-free wall-clock ratio is neither asserted nor
+recorded: on a shared 2-core host it swung past 2x with no fault-path
+change.  ``BENCH_faults.json`` keeps the workload's shape, the retry and
+query counts and the oracle flag, which a rerun reproduces exactly.
 """
 
 from bench_json import BENCH_FAULTS_PATH, emit_bench
@@ -93,42 +94,21 @@ def test_bench_faults(report):
     assert recovered.recovered_count >= 1
     assert recovered.degraded_count == 0
 
-    ratio = recovered.elapsed_seconds / baseline.elapsed_seconds
-
-    payload = {
+    emit_bench(BENCH_FAULTS_PATH, "one_kill_vs_clean", {
         "tenants": len(TENANTS),
         "queries": len(queries),
         "workers": PARALLEL_WORKERS,
-        "fault_free": {
-            "elapsed_seconds": round(baseline.elapsed_seconds, 4),
-            "p50_seconds": round(baseline.p50_seconds, 4),
-            "p99_seconds": round(baseline.p99_seconds, 4),
-        },
         "one_kill": {
-            "elapsed_seconds": round(recovered.elapsed_seconds, 4),
-            "p50_seconds": round(recovered.p50_seconds, 4),
-            "p99_seconds": round(recovered.p99_seconds, 4),
             "retries": retries,
             "recovered_queries": recovered.recovered_count,
             "degraded_queries": recovered.degraded_count,
         },
-        "overhead_ratio": round(ratio, 4),
         "oracle_match": True,
-    }
-    emit_bench(BENCH_FAULTS_PATH, "one_kill_vs_clean", payload)
+    })
 
     rows = [
-        {
-            "mode": mode,
-            "elapsed_s": round(load.elapsed_seconds, 3),
-            "p50_ms": round(load.p50_seconds * 1000, 1),
-            "p99_ms": round(load.p99_seconds * 1000, 1),
-            "retries": r,
-        }
-        for mode, load, r in (
-            ("fault-free", baseline, 0),
-            ("1 worker kill", recovered, retries),
-        )
+        {"mode": "fault-free", "retries": 0},
+        {"mode": "1 worker kill", "retries": retries},
+        {"mode": "oracle match"},
     ]
-    rows.append({"mode": f"overhead {ratio:.2f}x, oracle match"})
     report(print_table("Fault recovery: 8 warm queries, worker 1 killed", rows))

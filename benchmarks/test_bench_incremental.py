@@ -1,35 +1,25 @@
 """Incremental maintenance: a 1% delta re-check vs a cold re-run.
 
 The delta path's claim is that after ``append_rows``/``update_rows`` the
-next check costs a fraction of checking from scratch: only the delta
-crosses the process boundary (patched pins, not re-shipped tables) and
-only the delta is probed against resident state (maintained FD combiners,
-dedup blocks with memoized verification, the DC group index).
+next check does delta-sized work: only the delta crosses the process
+boundary (patched pins, not re-shipped tables) and only the delta is
+probed against resident state (maintained FD combiners, dedup blocks with
+memoized verification, the DC group index).
 
-For each cleaning operation this bench measures, on the parallel backend
-with a warm pool:
+For each cleaning operation this bench builds the maintained state on the
+parallel backend with a warm pool, re-checks once with no delta (the
+cached emit), then ships ``ROUNDS`` 1% deltas (half ``append_rows``, half
+``update_rows``), re-checking after each.  It asserts that the patches
+ship rows (``rows_delta`` > 0, recorded in ``BENCH_incremental.json``),
+that each re-check is served from resident state, and that the final
+incremental result is ``repr``-identical to a cold session on the
+post-delta table, so a fast answer can never be a stale or reordered one.
 
-* ``cold_seconds``  — first check in a fresh session (per-round minimum),
-  which includes pinning the table: only a pool read pins it;
-* ``warm_seconds``  — re-check with no intervening delta (cached emit);
-* ``apply_seconds`` — shipping a 1% delta (``append_rows`` +
-  ``update_rows``): the patch transport plus state maintenance;
-* ``delta_seconds`` — the re-check *after* that delta.
-
-The ratio ``delta_over_cold`` is recorded, not asserted: a wall-clock
-ratio of a few milliseconds is noise on a loaded host, and the claim it
-stood for — a re-check after a delta does delta-sized work — is held
-deterministically by ``tests/cleaning/test_incremental_cost.py``, which
-counts the work instead of timing it.  The apply cost is reported for the
-same reason cold timing excludes ``register_table``: loading the data is
-the same work either way.  Results land in ``BENCH_incremental.json``;
-each re-check must be served from resident state and ship only the delta,
-and every incremental result is checked ``repr``-identical to a cold
-session on the post-delta table, so a fast answer can never be a stale or
-reordered one.
+No clock is read here.  That a re-check does delta-sized work is held by
+``tests/cleaning/test_incremental_cost.py``, which counts the work
+instead of timing it; the measured cost of writes beside reads is
+``python3 -m bench --workload delta_stream``.
 """
-
-import time
 
 from bench_json import BENCH_INCREMENTAL_PATH, emit_bench
 from workloads import NUM_NODES, PARALLEL_WORKERS
@@ -82,12 +72,6 @@ def _dedup_rows(n: int = 1800) -> list[dict]:
     ]
 
 
-def _time(action) -> float:
-    start = time.perf_counter()
-    action()
-    return time.perf_counter() - start
-
-
 def _delta_for(rows_factory, base_len: int, round_idx: int):
     """A 1%-sized delta: half fresh appends, half in-place updates."""
     size = max(2, int(base_len * DELTA_FRACTION))
@@ -102,22 +86,6 @@ def _delta_for(rows_factory, base_len: int, round_idx: int):
 
 def _bench_operation(label: str, rows_factory, check) -> dict:
     records = rows_factory()
-
-    # Cold: fresh session each round; registration and the pool spawn
-    # happen before the clock starts, so cold pays the check and the pin
-    # of its first pool read.
-    cold = float("inf")
-    for _ in range(ROUNDS):
-        db = CleanDB(
-            num_nodes=NUM_NODES, execution="parallel", workers=PARALLEL_WORKERS
-        )
-        try:
-            db.register_table("t", [dict(r) for r in records])
-            db.cluster.pool
-            cold = min(cold, _time(lambda: check(db)))
-        finally:
-            db.close()
-
     db = CleanDB(
         num_nodes=NUM_NODES,
         execution="parallel",
@@ -129,21 +97,16 @@ def _bench_operation(label: str, rows_factory, check) -> dict:
         check(db)  # build the maintained state, which reads no pool
         # Pin the table as a pool read does, so each delta patches it.
         resident_input(db.cluster, db.table("t"), db.tables.pinned_key("t"))
-        warm = min(_time(lambda: check(db)) for _ in range(ROUNDS))
+        check(db)  # warm: no delta in between
 
-        apply = delta = float("inf")
         rows_delta_before = db.cluster.metrics.rows_delta
         for round_idx in range(ROUNDS):
             appends, updates = _delta_for(
                 rows_factory, len(db.table("t")), round_idx
             )
-
-            def apply_delta():
-                db.append_rows("t", appends)
-                db.update_rows("t", updates)
-
-            apply = min(apply, _time(apply_delta))
-            delta = min(delta, _time(lambda: check(db)))
+            db.append_rows("t", appends)
+            db.update_rows("t", updates)
+            check(db)
         rows_delta = db.cluster.metrics.rows_delta - rows_delta_before
         assert rows_delta > 0, "delta patches must ship rows, not tables"
         op_names = [op.name for op in db.cluster.metrics.ops]
@@ -162,14 +125,7 @@ def _bench_operation(label: str, rows_factory, check) -> dict:
     finally:
         db.close()
 
-    return {
-        "cold_seconds": round(cold, 4),
-        "warm_seconds": round(warm, 4),
-        "apply_seconds": round(apply, 4),
-        "delta_seconds": round(delta, 4),
-        "delta_over_cold": round(delta / cold, 4) if cold else None,
-        "rows_delta": int(rows_delta),
-    }
+    return {"rows_delta": int(rows_delta)}
 
 
 def test_bench_incremental(report):
@@ -189,15 +145,7 @@ def test_bench_incremental(report):
         ),
     }
     rows = [
-        {
-            "operation": name,
-            "cold_s": r["cold_seconds"],
-            "warm_s": r["warm_seconds"],
-            "apply_s": r["apply_seconds"],
-            "delta_s": r["delta_seconds"],
-            "delta/cold": r["delta_over_cold"],
-            "rows_delta": r["rows_delta"],
-        }
+        {"operation": name, "rows_delta": r["rows_delta"]}
         for name, r in results.items()
     ]
     report(print_table("Incremental: 1% delta re-check vs cold", rows))

@@ -21,24 +21,22 @@ Assertions, in order of importance:
 * **Balance** — in the concurrent pass each worker performs a fair share
   of the CPU work (proves the overlap actually happened, even on hosts
   where wall-clock cannot show it);
-* **Speedup** — recorded, not asserted: concurrent throughput over the
-  serial baseline, hoped to be ≥1.2x.  It is wall-clock and needs at least
-  two quiet cores: with a single core the two workers time-share one CPU
-  and overlap cannot shorten the critical path.  No check reads it, in-test
-  or in CI (a shared host reads 0.7-1.3x from run to run).
+* **Liveness** — both passes report a finite, positive p50/p99 and a
+  positive throughput.
 
-Results land in ``BENCH_serve.json``.
+The concurrent speedup is neither asserted nor recorded: it is wall-clock,
+needs two quiet cores, and read 0.7-1.3x from run to run on a shared
+host.  ``BENCH_serve.json`` keeps only the workload's shape; the measured
+clock of this load is ``python3 -m bench --workload serve_mixed``.
 """
 
 import math
 import os
-import time
 
 from bench_json import BENCH_SERVE_PATH, emit_bench
 from workloads import NUM_NODES, PARALLEL_WORKERS
 
 from repro.engine.partitioner import stable_hash
-from repro.evaluation import print_table
 from repro.serving import CleanService
 
 TENANTS = ("acme", "zen")
@@ -126,7 +124,7 @@ def _worker_cpu_seconds(pool) -> list[float] | None:
         return None
 
 
-def test_bench_serve(report):
+def test_bench_serve():
     queries = _queries()
 
     with _service() as svc:
@@ -144,10 +142,6 @@ def test_bench_serve(report):
         assert (s.tenant, s.op) == (c.tenant, c.op)
         assert repr(s.rows) == repr(c.rows), (s.tenant, s.op)
 
-    ratio = serial.elapsed_seconds / concurrent.elapsed_seconds
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
-        else (os.cpu_count() or 1)
-
     # The overlap itself, independent of wall-clock: both workers carried a
     # fair share of the concurrent pass (serially, each tenant's dedup
     # saturates exactly one worker while the other idles).
@@ -162,40 +156,8 @@ def test_bench_serve(report):
         assert math.isfinite(load.p99_seconds) and load.p99_seconds > 0
         assert load.throughput_qps > 0
 
-    # The speedup is wall-clock on real parallel hardware: recorded here and
-    # asserted nowhere, neither in-test nor in CI, since a shared host reads
-    # 0.7-1.3x from one run to the next.
-
-    payload = {
+    emit_bench(BENCH_SERVE_PATH, "mixed_load", {
         "tenants": len(TENANTS),
         "queries": len(queries),
-        "cores": cores,
         "workers": PARALLEL_WORKERS,
-        "serial": {
-            "elapsed_seconds": round(serial.elapsed_seconds, 4),
-            "throughput_qps": round(serial.throughput_qps, 4),
-            "p50_seconds": round(serial.p50_seconds, 4),
-            "p99_seconds": round(serial.p99_seconds, 4),
-        },
-        "concurrent": {
-            "elapsed_seconds": round(concurrent.elapsed_seconds, 4),
-            "throughput_qps": round(concurrent.throughput_qps, 4),
-            "p50_seconds": round(concurrent.p50_seconds, 4),
-            "p99_seconds": round(concurrent.p99_seconds, 4),
-        },
-        "speedup": round(ratio, 4),
-    }
-    emit_bench(BENCH_SERVE_PATH, "mixed_load", payload)
-
-    rows = [
-        {
-            "mode": mode,
-            "elapsed_s": round(load.elapsed_seconds, 3),
-            "qps": round(load.throughput_qps, 2),
-            "p50_ms": round(load.p50_seconds * 1000, 1),
-            "p99_ms": round(load.p99_seconds * 1000, 1),
-        }
-        for mode, load in (("serial", serial), ("concurrent", concurrent))
-    ]
-    rows.append({"mode": f"speedup {ratio:.2f}x on {cores} core(s)"})
-    report(print_table("Serving: 8 mixed queries, 2 tenants, shared pool", rows))
+    })

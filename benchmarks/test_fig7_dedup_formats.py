@@ -147,9 +147,9 @@ def test_fig7_parallel_backend(benchmark, report):
     Dedup is the workload where real processes can genuinely pay: the
     pairwise string-similarity phase dominates, and the parallel backend
     ships each merged block partition to a worker.  The table reports
-    measured wall-clock next to simulated time; the asserted contract is
-    byte-identical pairs and comparison counts (wall-clock wins are
-    hardware-dependent and not asserted).
+    simulated time only; the asserted contract is byte-identical pairs and
+    comparison counts, and that both runs took real time (wall-clock wins
+    are hardware-dependent, neither asserted nor recorded).
     """
 
     def run():
@@ -172,11 +172,8 @@ def test_fig7_parallel_backend(benchmark, report):
                     "size": size,
                     "sim_row": round(row_res.simulated_time, 1),
                     "sim_parallel": round(par_res.simulated_time, 1),
-                    "measured_row_s": round(row_res.wall_seconds, 4),
-                    "measured_par_s": round(par_res.wall_seconds, 4),
-                    "measured_speedup": round(
-                        row_res.wall_seconds / par_res.wall_seconds, 2
-                    ),
+                    "row_wall_s": row_res.wall_seconds,
+                    "par_wall_s": par_res.wall_seconds,
                     "row_pairs": row_res.output_count,
                     "par_pairs": par_res.output_count,
                     "row_comparisons": row_res.comparisons,
@@ -187,10 +184,7 @@ def test_fig7_parallel_backend(benchmark, report):
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     display = [
-        {k: r[k] for k in (
-            "size", "sim_row", "sim_parallel",
-            "measured_row_s", "measured_par_s", "measured_speedup",
-        )}
+        {k: r[k] for k in ("size", "sim_row", "sim_parallel")}
         for r in rows
     ]
     report(print_table(
@@ -200,7 +194,7 @@ def test_fig7_parallel_backend(benchmark, report):
     for row in rows:
         assert row["row_pairs"] == row["par_pairs"]
         assert row["row_comparisons"] == row["par_comparisons"]
-        assert row["measured_row_s"] > 0.0 and row["measured_par_s"] > 0.0
+        assert row["row_wall_s"] > 0.0 and row["par_wall_s"] > 0.0
 
 
 def test_fig7_sparksql_cannot_handle_skewed_original(benchmark, report):

@@ -59,7 +59,6 @@ class System:
 
     name = "system"
     grouping = "aggregate"
-    theta = "matrix"
     # Denial-constraint strategy: the planned kernel ("banded") for CleanDB,
     # the paper-attributed theta strategies for the baselines.
     dc_strategy = "matrix"
@@ -250,7 +249,6 @@ class CleanDBSystem(System):
 
     name = "CleanDB"
     grouping = "aggregate"
-    theta = "matrix"
     # CleanDB's DC plan is the statistics-aware banded kernel: equality
     # prefix hash + most-selective-inequality range scan.
     dc_strategy = "banded"
@@ -275,7 +273,6 @@ class SparkSQLSystem(System):
 
     name = "SparkSQL"
     grouping = "sort"
-    theta = "cartesian"
     dc_strategy = "cartesian"
 
     def validate_terms(
@@ -323,7 +320,6 @@ class BigDansingSystem(System):
 
     name = "BigDansing"
     grouping = "hash"
-    theta = "minmax"
     dc_strategy = "minmax"
 
     def check_fd(

@@ -50,3 +50,15 @@ def test_a_path_past_its_ceiling_fails(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(loc, "CEILINGS", ceilings)
     assert loc.main() == 1
     assert "src/repro/cleaning" in capsys.readouterr().err
+
+
+def test_a_doc_ceiling_counts_its_file(tmp_path, monkeypatch, capsys):
+    """A ``.md`` key is counted as a ``.py`` one is: ``docs/ARCHITECTURE.md``
+    is held at its length, so it can only shrink."""
+    assert "docs/ARCHITECTURE.md" in json.loads(loc.CEILINGS.read_text())
+    length = (REPO_ROOT / "docs" / "ARCHITECTURE.md").read_bytes().count(b"\n")
+    ceilings = tmp_path / "ceilings.json"
+    ceilings.write_text(json.dumps({"docs/ARCHITECTURE.md": length - 1}))
+    monkeypatch.setattr(loc, "CEILINGS", ceilings)
+    assert loc.main() == 1
+    assert "docs/ARCHITECTURE.md" in capsys.readouterr().err

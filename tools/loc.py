@@ -6,7 +6,8 @@ number ``find src -name '*.py' | xargs cat | wc -l`` gives — and exits
 non-zero when a path grew past its ceiling in ``loc_ceiling.json``.  A
 ceiling key is ``src``, a package directory, or one file (the two modules
 that were once god-objects are held under 800 lines each, and the largest
-module, ``core/semantics.py``, at its size).  A PR that
+module, ``core/semantics.py``, at its size); a ``.md`` file's ceiling is
+counted the same way (``docs/ARCHITECTURE.md`` may only shrink).  A PR that
 shrinks ``src/`` lowers the ceiling to its result; one that has to grow it
 raises the ceiling in the same diff, where review sees it.
 """
@@ -38,7 +39,7 @@ def main() -> int:
     lines = count_lines()
     ceilings: dict[str, int] = json.loads(CEILINGS.read_text())
     for key in ceilings:  # a file's ceiling: count that file
-        if key.endswith(".py"):
+        if key.endswith((".py", ".md")):
             lines[key] = (ROOT / key).read_bytes().count(b"\n")
     over = []
     for path in sorted(lines):
